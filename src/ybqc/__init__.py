@@ -7,8 +7,8 @@ from .atomic import (AtomParams, ThreePhotonDetunings, ZeemanLevel,
                      transition_frequency, zeeman_spectrum)
 from .addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                          resonance_map, validate_gradients)
-from .dipole import (DipoleSpec, auxiliary_qubit_moments, cnot_shift,
-                     ddi_coupling, ddi_energy, pair_levels)
+from .dipole import (auxiliary_qubit_moments, cnot_shift, ddi_coupling,
+                     pair_coupling, pair_levels)
 from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
                      RegisterState, apply_segment, evolve)
 from .protocols import (cnot, measure_qubit, select_layer,

@@ -10,9 +10,8 @@ distinctness for integer site indices).
 
 from __future__ import annotations
 
-import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +38,10 @@ class LatticeGeometry:
         ks = range(self.n_z) if layer is None else [layer]
         return [(i, j, k) for k in ks
                 for j in range(self.n_y) for i in range(self.n_x)]
+
+    def contains(self, site) -> bool:
+        i, j, k = site
+        return 0 <= i < self.n_x and 0 <= j < self.n_y and 0 <= k < self.n_z
 
     def position_m(self, site) -> np.ndarray:
         return self.spacing_m * np.asarray(site, float)
@@ -76,8 +79,7 @@ class GradientReport:
 
 def site_field(geom: LatticeGeometry, config: GradientConfig, site) -> float:
     """Local field B0 + Gx*x + Gy*y + Gz*z at a lattice site."""
-    i, j, k = site
-    if not (0 <= i < geom.n_x and 0 <= j < geom.n_y and 0 <= k < geom.n_z):
+    if not geom.contains(site):
         raise IndexError(f"site {site} outside {geom.n_x}x{geom.n_y}x{geom.n_z} lattice")
     x, y, z = geom.position_m(site)
     return float(config.B0_t + config.Gx_t_per_m * x
@@ -152,6 +154,8 @@ def plan_gradients(geom: LatticeGeometry, target_gap_hz: float,
         raise PlanningError("target gap must be positive")
     ground_m_I, excited = default_transition(params)
     slope = abs(transition_slope(params, ground_m_I, excited, B0_t))
+    if not 0 < slope < math.inf:
+        raise PlanningError("addressed transition has no field slope at B0")
     g_unit = headroom * target_gap_hz / (slope * geom.spacing_m)
     if geom.n_x > 1:
         gx = g_unit

@@ -23,7 +23,7 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -68,8 +68,8 @@ class AtomParams:
         for name in ("mass_kg", "lifetime_3P2_s", "linewidth_1S0_3P2_hz",
                      "lifetime_1P1_s", "wavelength_1S0_3P2_m",
                      "wavelength_1S0_1P1_m", "wavelength_lattice_m"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and positive")
 
     @property
     def nuclear_moment_j_per_t(self) -> float:
@@ -79,10 +79,6 @@ class AtomParams:
     def g_I(self) -> float:
         """Nuclear g-factor in nuclear magnetons: moment = g_I * mu_N * I."""
         return self.nuclear_moment_mu_n / self.nuclear_spin
-
-    @property
-    def lattice_constant_m(self) -> float:
-        return self.wavelength_lattice_m / 2
 
 
 @dataclass(frozen=True)

@@ -7,37 +7,36 @@ addressed z=0 layer; `#` starts a comment):
     CNOT i1 j1 i2 j2
     MEAS i j
 
-The compiler emits the full segment list: gradient settings, transfer
-pulses, gate drives and return transfers.  Measurements become 'measure'
-pseudo-segments handled by the executor.
+`compile_circuit` is a loop over the gates that strings the `protocols`
+pulse builders into the full segment list: transfer pulses, gate drives
+and return transfers under the planned gradients.  Measurements become
+'measure' pseudo-segments.  `execute_schedule` runs the segments through
+the pulse engine.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
-from .addressing import GradientConfig, LatticeGeometry, plan_gradients, site_field
-from .atomic import AtomParams, three_photon_detunings
+import numpy as np
+
+from .addressing import LatticeGeometry, plan_gradients, site_field
+from .atomic import AtomParams
 from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
                      RegisterState, apply_segment, blow_away)
-from .errors import ConfigError, GeometryError
-from .protocols import (cnot_pulse_parameters, measure_qubit,
-                        three_photon_scan)
+from .errors import ConfigError
+from .protocols import (cnot_pulse, ladder_gap, measure_qubit,
+                        rotation_pulse, transfer_pulse)
 
-
-@dataclass(frozen=True)
-class CompilerOptions:
-    target_gap_hz: float = 1000.0
-    bias_field_t: float = 100e-4
-    # Slow enough that a spectator one addressing gap away stays below
-    # 1e-3 excitation; faster for CNOT prep where the ~40 Hz dipole shift
-    # detunes the transfer of the second atom.
-    transfer_rabi_1q_rad_s: float = 2 * math.pi * 25.0
-    transfer_rabi_2q_rad_s: float = 2 * math.pi * 100.0
-    gate_rabi_fraction: float = 0.05     # of min(|Delta1|, |Delta2|)
-    cnot_rabi_factor: float = 0.1        # of the conditional shift
-    dipole_scale: float = 1.0
+TARGET_GAP_HZ = 1000.0
+BIAS_FIELD_T = 100e-4
+# Slow enough that a spectator one addressing gap away stays below
+# 1e-3 excitation; faster for CNOT prep where the ~40 Hz dipole shift
+# detunes the transfer of the second atom.
+TRANSFER_RABI_1Q_RAD_S = 2 * math.pi * 25.0
+TRANSFER_RABI_2Q_RAD_S = 2 * math.pi * 100.0
+GATE_RABI_FRACTION = 0.05     # of min(|Delta1|, |Delta2|)
 
 
 def parse_circuit(text: str):
@@ -64,89 +63,59 @@ def parse_circuit(text: str):
     return ops
 
 
-def _transfer_pulse(site, rabi, weight):
-    return Pulse("optical_pair", math.pi / rabi, rabi,
-                 target=("site", site), metastable_weight=weight)
-
-
 def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
-                    noise: NoiseParams,
-                    options: CompilerOptions | None = None) -> PulseSchedule:
+                    noise: NoiseParams) -> PulseSchedule:
     """Emit the full pulse schedule realizing the circuit.
 
     Supported gates: single-qubit rotations about x, adjacent-site CNOT,
     and measurement (no routing).
     """
-    opts = options or CompilerOptions()
     if isinstance(circuit, str):
         circuit = parse_circuit(circuit)
-    sites = set()
-    for op in circuit:
-        sites.update(s for s in op[1:] if isinstance(s, tuple))
-    config = plan_gradients(geom, opts.target_gap_hz, params,
-                            B0_t=opts.bias_field_t)
+    sites = {s for op in circuit for s in op[1:] if isinstance(s, tuple)}
+    outside = sorted(s for s in sites if not geom.contains(s))
+    if outside:
+        raise ConfigError(f"circuit site {outside[0][:2]} outside the "
+                          f"{geom.n_x}x{geom.n_y} lattice")
+    config = plan_gradients(geom, TARGET_GAP_HZ, params, B0_t=BIAS_FIELD_T)
     flat = replace(config, Gx_t_per_m=0.0, Gy_t_per_m=0.0, Gz_t_per_m=0.0)
 
     segments = []
     in_metastable: set = set()
-
-    def n_meta():
-        return float(len(in_metastable))
-
     for op in circuit:
+        n_meta = float(len(in_metastable))
         if op[0] == "X":
             _, site, theta = op
             B_loc = site_field(geom, config, site)
-            det = three_photon_detunings(params, B_loc)
-            rabi = opts.gate_rabi_fraction * min(abs(det.delta1_rad_s),
-                                                 abs(det.delta2_rad_s))
-            scan = three_photon_scan(params, B_loc, rabi)
-            duration = (theta / math.pi) * scan.pi_time_s
-            segments.append(PulseSegment(config, _transfer_pulse(
-                site, opts.transfer_rabi_1q_rad_s, n_meta() + 0.5)))
-            segments.append(PulseSegment(config, Pulse(
-                "three_photon", duration, rabi, target=("site", site),
-                metastable_weight=n_meta() + 1.0)))
-            segments.append(PulseSegment(config, _transfer_pulse(
-                site, opts.transfer_rabi_1q_rad_s, n_meta() + 0.5)))
+            gate, _ = rotation_pulse(
+                params, B_loc, site, theta,
+                GATE_RABI_FRACTION * ladder_gap(params, B_loc), n_meta + 1.0)
+            leg = transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S,
+                                 n_meta + 0.5)
+            pulses = (leg, gate, leg)
         elif op[0] == "CNOT":
             _, control, target = op
-            if sum(abs(a - b) for a, b in zip(control, target)) != 1:
-                raise GeometryError(
-                    f"CNOT sites {control}, {target} are not adjacent "
-                    "(no routing in scope)")
-            shift_hz, detuning = cnot_pulse_parameters(
-                params, geom, config, control, target, opts.dipole_scale)
-            ref_shift_hz, _ = cnot_pulse_parameters(
-                params, geom, config, control, target, 1.0)
-            rabi = 2 * math.pi * abs(ref_shift_hz) * opts.cnot_rabi_factor
-            r2 = opts.transfer_rabi_2q_rad_s
-            segments.append(PulseSegment(
-                config, _transfer_pulse(control, r2, n_meta() + 0.5)))
-            segments.append(PulseSegment(
-                config, _transfer_pulse(target, r2, n_meta() + 1.5)))
-            segments.append(PulseSegment(config, Pulse(
-                "aux_flip", math.pi / rabi, rabi, detuning_rad_s=detuning,
-                target=("site", target), metastable_weight=n_meta() + 2.0)))
-            segments.append(PulseSegment(
-                config, _transfer_pulse(target, r2, n_meta() + 1.5)))
-            segments.append(PulseSegment(
-                config, _transfer_pulse(control, r2, n_meta() + 0.5)))
+            flip, _ = cnot_pulse(params, geom, config, control, target,
+                                 n_meta + 2.0)
+            control_leg = transfer_pulse(("site", control),
+                                         TRANSFER_RABI_2Q_RAD_S, n_meta + 0.5)
+            target_leg = transfer_pulse(("site", target),
+                                        TRANSFER_RABI_2Q_RAD_S, n_meta + 1.5)
+            pulses = (control_leg, target_leg, flip, target_leg, control_leg)
         elif op[0] == "MEAS":
             _, site = op
             if not in_metastable:
                 # measurement stage entry: move every qubit to 3P2 with the
                 # gradients off, then return selected states one by one
-                segments.append(PulseSegment(flat, Pulse(
-                    "optical_pair", math.pi / opts.transfer_rabi_2q_rad_s,
-                    opts.transfer_rabi_2q_rad_s, target=("all",),
-                    metastable_weight=0.5 * len(sites))))
+                segments.append(PulseSegment(flat, transfer_pulse(
+                    ("all",), TRANSFER_RABI_2Q_RAD_S, 0.5 * len(sites))))
                 in_metastable.update(sites)
-            segments.append(PulseSegment(config, Pulse(
-                "measure", noise.detection_time_s, target=("site", site),
-                metastable_weight=max(0.0, n_meta() - 0.5))))
+            pulses = (Pulse("measure", noise.detection_time_s,
+                            target=("site", site),
+                            metastable_weight=len(in_metastable) - 0.5),)
         else:
             raise ConfigError(f"unsupported gate {op[0]!r}")
+        segments.extend(PulseSegment(config, p) for p in pulses)
     return PulseSchedule(tuple(segments), n_atoms=len(sites))
 
 
@@ -166,11 +135,7 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
     if has_measure and rng_seed is None:
         raise ConfigError("schedule contains measurements: an rng seed is "
                           "required")
-    import numpy as np
-    rng = None
-    if has_measure:
-        rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-            else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed) if has_measure else None
     outcomes, reports = [], []
     for seg in schedule.segments:
         kind = seg.pulse.transition

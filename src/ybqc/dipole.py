@@ -25,13 +25,6 @@ _K_DD = mu_0 / (4 * math.pi * h)  # Hz per (J/T)^2 / m^3
 
 
 @dataclass(frozen=True)
-class DipoleSpec:
-    """A point magnetic dipole: signed z-projection moment and position."""
-    moment_j_per_t: float
-    position_m: tuple[float, float, float]
-
-
-@dataclass(frozen=True)
 class PairLevels:
     spacing_m: float
     # energies (Hz) of the two-atom logical states, dipole shift included
@@ -46,15 +39,15 @@ def ddi_coupling(m1: float, m2: float, r: float, theta: float) -> float:
     return _K_DD * m1 * m2 * (1 - 3 * math.cos(theta) ** 2) / r ** 3
 
 
-def ddi_energy(d1: DipoleSpec, d2: DipoleSpec) -> float:
-    """Dipole-dipole energy (Hz) between two z-aligned moments."""
-    dr = np.asarray(d2.position_m, float) - np.asarray(d1.position_m, float)
+def pair_coupling(position1_m, position2_m) -> float:
+    """Secular coupling (Hz per (J/T)^2) of unit z-moments at two
+    positions: `ddi_coupling(1, 1, r, theta)` of their separation."""
+    dr = np.asarray(position2_m, float) - np.asarray(position1_m, float)
     r = float(np.linalg.norm(dr))
     if r == 0.0:
         raise PhysicsError("dipole pair requires distinct positions")
-    cos_theta = dr[2] / r
-    return _K_DD * d1.moment_j_per_t * d2.moment_j_per_t \
-        * (1 - 3 * cos_theta ** 2) / r ** 3
+    theta = math.acos(max(-1.0, min(1.0, dr[2] / r)))
+    return ddi_coupling(1.0, 1.0, r, theta)
 
 
 def auxiliary_qubit_moments(params: AtomParams) -> tuple[float, float]:

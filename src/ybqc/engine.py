@@ -20,30 +20,37 @@ convention-stable phases are physical; all phases are deterministic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
-from .addressing import GradientConfig, LatticeGeometry, check_resolvable, site_field
+from .addressing import GradientConfig, LatticeGeometry, site_field
 from .atomic import (AtomParams, f32_energies, ground_qubit_splitting,
                      ground_state_energy, three_photon_detunings,
                      transition_frequency, aux_branch)
 from .constants import h
-from .dipole import ddi_coupling
-from .errors import (ConfigError, GeometryError, IntegratorError,
-                     ProtocolOrderError)
+from .dipole import pair_coupling
+from .errors import ConfigError, IntegratorError
 
 # Per-atom level indices
 GM, GP, EM32, EM12, EP12, EP32, LOST = range(7)
 NLEV = 7
-LEVEL_NAMES = ("g-1/2", "g+1/2", "e-3/2", "e-1/2", "e+1/2", "e+3/2", "lost")
 E_LEVELS = (EM32, EM12, EP12, EP32)
 G_LEVELS = (GM, GP)
 AUX = {0: EM32, 1: EP32}           # logical value -> auxiliary level
-E_MF = {EM32: -1.5, EM12: -0.5, EP12: +0.5, EP32: +1.5}
 
 UNITARITY_TOL = 1e-6
+
+
+@lru_cache(maxsize=None)
+def basis_labels(n_atoms: int) -> np.ndarray:
+    """Read-only (7^n, n) table: row b lists each atom's level in basis
+    state b (atom 0 is the most significant digit)."""
+    labels = np.array(list(np.ndindex(*(NLEV,) * n_atoms)))
+    labels.flags.writeable = False
+    return labels
 
 
 @dataclass(frozen=True)
@@ -285,15 +292,10 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     fields = [site_field(geom, config, s) for s in reg.sites]
 
     H = np.zeros((dim, dim), complex)
-    eye = [np.eye(NLEV)] * n
     for i, B in enumerate(fields):
         hi = _single_atom_hamiltonian(params, B, B_ref, pulse)
-        ops = list(eye)
-        ops[i] = hi
-        block = ops[0]
-        for op in ops[1:]:
-            block = np.kron(block, op)
-        H += block
+        H += np.kron(np.kron(np.eye(NLEV ** i), hi),
+                     np.eye(NLEV ** (n - 1 - i)))
 
     if dipole_scale != 0.0 and n > 1:
         H += np.diag(_dipole_diagonal(reg, config, dipole_scale))
@@ -308,31 +310,25 @@ def _dipole_diagonal(reg: RegisterState, config: GradientConfig,
     moments = np.array(
         [[level_moment_j_per_t(params, site_field(geom, config, s), lv)
           for lv in range(NLEV)] for s in reg.sites])
-    labels = np.array(list(np.ndindex(*(NLEV,) * n)))
+    labels = basis_labels(n)
     dd = np.zeros(NLEV ** n)
     for i in range(n):
         for j in range(i + 1, n):
-            dr = geom.position_m(reg.sites[j]) - geom.position_m(reg.sites[i])
-            r = float(np.linalg.norm(dr))
-            cos_t = dr[2] / r
-            theta = math.acos(max(-1.0, min(1.0, cos_t)))
-            coef = 2 * math.pi * dipole_scale \
-                * ddi_coupling(1.0, 1.0, r, theta)
+            coef = 2 * math.pi * dipole_scale * pair_coupling(
+                geom.position_m(reg.sites[i]), geom.position_m(reg.sites[j]))
             dd += coef * moments[i][labels[:, i]] * moments[j][labels[:, j]]
     return dd
 
 
 def _gamma_diagonal(reg: RegisterState, noise: NoiseParams) -> np.ndarray:
     """Per-basis-state norm-decay rates (1/s)."""
-    n = reg.n_atoms
     decay = 0.0 if math.isinf(noise.lifetime_3P2_s) else 1 / noise.lifetime_3P2_s
     per_level = np.zeros(NLEV)
     for lv in E_LEVELS:
         per_level[lv] = decay + noise.photon_scattering_rate_hz
     for lv in G_LEVELS:
         per_level[lv] = noise.photon_scattering_rate_hz
-    labels = np.array(list(np.ndindex(*(NLEV,) * n)))
-    return per_level[labels].sum(axis=1)
+    return per_level[basis_labels(reg.n_atoms)].sum(axis=1)
 
 
 def segment_propagator(reg: RegisterState, segment: PulseSegment,
@@ -387,9 +383,8 @@ def apply_segment(reg: RegisterState, segment: PulseSegment,
 def ground_basis_probability(reg: RegisterState, bits: dict) -> float:
     """Joint probability of finding each given site's qubit value in the
     ground manifold (0 -> g-, 1 -> g+); other sites are traced out."""
-    n = reg.n_atoms
-    labels = np.array(list(np.ndindex(*(NLEV,) * n)))
-    mask = np.ones(NLEV ** n, bool)
+    labels = basis_labels(reg.n_atoms)
+    mask = np.ones(len(labels), bool)
     for site, bit in bits.items():
         want = GP if bit else GM
         mask &= labels[:, reg.site_index(site)] == want
@@ -406,9 +401,7 @@ def blow_away(reg: RegisterState) -> tuple[RegisterState, dict]:
     ground level is removed and its mass booked as leaked.  Returns the
     filtered register and the per-site removed mass.
     """
-    n = reg.n_atoms
-    labels = np.array(list(np.ndindex(*(NLEV,) * n)))
-    in_ground = np.isin(labels, G_LEVELS)
+    in_ground = np.isin(basis_labels(reg.n_atoms), G_LEVELS)
     removed = {}
     probs = np.abs(reg.amps) ** 2
     for i, site in enumerate(reg.sites):

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .addressing import (GradientConfig, LatticeGeometry, field_range,
-                         plan_gradients, validate_gradients)
+                         plan_gradients)
 from .atomic import AtomParams
-from .constants import GAUSS, c, h, hbar, k_B
+from .constants import c, h, hbar, k_B
 from .engine import NoiseParams, PulseSchedule
 from .errors import ConfigError
 
@@ -72,8 +72,8 @@ class LatticeDepthReport:
 def lattice_depth_report(depth_recoils: float, params: AtomParams,
                          hold_time_s: float = 5.0) -> LatticeDepthReport:
     """Depth in uK, lowest-band tunneling rate, and site retention."""
-    if depth_recoils < 0:
-        raise ConfigError("lattice depth must be >= 0")
+    if not 0 <= depth_recoils < math.inf:
+        raise ConfigError("lattice depth must be finite and >= 0")
     e_r = recoil_energy_j(params)
     e_r_uk = e_r / k_B * 1e6
     width = lowest_band_width_recoils(depth_recoils)
@@ -96,6 +96,8 @@ def scattering_rate(depth_uk: float, params: AtomParams) -> float:
     u0 = k_B * depth_uk * 1e-6
     w0 = 2 * math.pi * c / params.wavelength_1S0_1P1_m
     w = 2 * math.pi * c / params.wavelength_lattice_m
+    if w >= w0:
+        raise ConfigError("lattice light must be red of the 1S0-1P1 line")
     gamma = 1 / params.lifetime_1P1_s
     inv_delta_eff = 1 / (w0 - w) + 1 / (w0 + w)
     return gamma * (u0 / hbar) * inv_delta_eff * (w / w0) ** 3

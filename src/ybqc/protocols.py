@@ -1,29 +1,34 @@
-"""Gate and measurement protocols built on the pulse engine.
+"""Pulse builders and the gate and measurement protocols that use them.
 
-Everything here stitches together `engine` segments: coherent
-1S0 <-> 3P2 transfer, gradient layer selection, the 3-photon single-qubit
-gate, the dipole-shift CNOT, and projective measurement with MOT
-fluorescence branching-loss bookkeeping.
+The builders (`transfer_pulse`, `rotation_pulse`, `cnot_pulse`) take no
+register and return one engine `Pulse`; `compiler.compile_circuit` is a
+loop over them.  The protocols (coherent 1S0 <-> 3P2 `transfer`, gradient
+`select_layer`, the 3-photon `single_qubit_gate`, the dipole-shift `cnot`)
+check the register, build the same pulses, apply them and report.
+`measure_qubit` is projective measurement with MOT fluorescence
+branching-loss bookkeeping.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .addressing import GradientConfig, check_resolvable, site_field
-from .atomic import three_photon_detunings, f32_energies
-from .constants import h
-from .dipole import ddi_coupling
-from .engine import (AUX, EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, LOST,
-                     NLEV, NoiseParams, Pulse, PulseSegment, RegisterState,
-                     apply_segment, blow_away, level_moment_j_per_t,
+from .atomic import three_photon_detunings
+from .dipole import pair_coupling
+from .engine import (EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, NoiseParams,
+                     Pulse, PulseSegment, RegisterState, apply_segment,
+                     basis_labels, blow_away, level_moment_j_per_t,
                      light_shift_compensation)
 from .errors import ConfigError, GeometryError, ProtocolOrderError
 
 DEFAULT_TRANSFER_RABI = 2 * math.pi * 500.0  # 1 ms pi-pulse
+# CNOT Rabi frequency over the unscaled conditional shift: spectral
+# selectivity against the off-resonant |00> <-> |01> line.
+CNOT_RABI_FACTOR = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -106,6 +111,74 @@ def three_photon_scan(params, B, rabi, compensate=True,
 
 
 # ---------------------------------------------------------------------------
+# pulse builders
+
+def transfer_pulse(target: tuple, rabi: float, weight: float) -> Pulse:
+    """Optical-pair pi-pulse (both qubit legs at once) on a target:
+    ("site", s), ("layer", z) or ("all",)."""
+    return Pulse("optical_pair", math.pi / rabi, rabi, target=target,
+                 metastable_weight=weight)
+
+
+def ladder_gap(params, B) -> float:
+    """Smaller 3-photon ladder detuning min(|Delta1|, |Delta2|) (rad/s)."""
+    det = three_photon_detunings(params, B)
+    return min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+
+
+def rotation_pulse(params, B, site, angle: float, rabi: float,
+                   weight: float, axis: float = 0.0):
+    """3-photon rotation by `angle` of the auxiliary qubit at `site`
+    (local field B), timed by the exact ladder scan; returns the pulse and
+    the scan.  `axis` is the azimuth of the rotation axis in the
+    auxiliary-qubit equatorial plane; it maps onto one third of the drive
+    phase because the effective coupling is third order in the field."""
+    scan = three_photon_scan(params, B, rabi)
+    pulse = Pulse("three_photon", (angle / math.pi) * scan.pi_time_s, rabi,
+                  phase_rad=axis / 3, target=("site", tuple(site)),
+                  metastable_weight=weight)
+    return pulse, scan
+
+
+def cnot_pulse_parameters(params, geom, config, control_site, target_site):
+    """Conditional shift (Hz) and resonant laser detuning (rad/s) of the
+    |10> <-> |11> line for a control/target pair."""
+    coupling = pair_coupling(geom.position_m(control_site),
+                             geom.position_m(target_site))
+    B_c = site_field(geom, config, control_site)
+    B_t = site_field(geom, config, target_site)
+    m_c0 = level_moment_j_per_t(params, B_c, EM32)
+    m_c1 = level_moment_j_per_t(params, B_c, EP32)
+    m_t0 = level_moment_j_per_t(params, B_t, EM32)
+    m_t1 = level_moment_j_per_t(params, B_t, EP32)
+    shift_hz = coupling * (m_c1 - m_c0) * (m_t1 - m_t0)
+    detuning_rad_s = 2 * math.pi * coupling * m_c1 * (m_t1 - m_t0)
+    return shift_hz, detuning_rad_s
+
+
+def cnot_pulse(params, geom, config, control_site, target_site,
+               weight: float, dipole_scale: float = 1.0):
+    """aux_flip pi-pulse of the dipole-shift CNOT on adjacent sites.
+
+    The laser sits on the |10> <-> |11> line shifted at `dipole_scale`;
+    the Rabi frequency is CNOT_RABI_FACTOR times the unscaled shift.
+    Returns the pulse and the conditional shift (Hz) at `dipole_scale`.
+    """
+    control_site, target_site = tuple(control_site), tuple(target_site)
+    if sum(abs(a - b) for a, b in zip(control_site, target_site)) != 1:
+        raise GeometryError(
+            f"CNOT sites {control_site}, {target_site} are not adjacent "
+            "(no routing in scope)")
+    shift_hz, detuning = cnot_pulse_parameters(params, geom, config,
+                                               control_site, target_site)
+    rabi = 2 * math.pi * abs(shift_hz) * CNOT_RABI_FACTOR
+    pulse = Pulse("aux_flip", math.pi / rabi, rabi,
+                  detuning_rad_s=dipole_scale * detuning,
+                  target=("site", target_site), metastable_weight=weight)
+    return pulse, dipole_scale * shift_hz
+
+
+# ---------------------------------------------------------------------------
 # transfer and layer selection
 
 @dataclass(frozen=True)
@@ -114,45 +187,37 @@ class TransferReport:
     sites: tuple
     excited_population: dict    # per site, after the pulse
     ground_population: dict
-    relative_phase_rad: float   # deterministic phase between the two legs
 
 
 def transfer(reg: RegisterState, sites, direction: str,
              config: GradientConfig, noise: NoiseParams | None = None,
-             rabi: float = DEFAULT_TRANSFER_RABI,
-             check: bool = True, min_gap_ratio: float = 1.5):
+             rabi: float = DEFAULT_TRANSFER_RABI):
     """Simultaneous pi-pulses on both qubit legs of the optical transition.
 
-    Addressed sites are driven one segment at a time; a transfer of the
-    whole register under zero gradients collapses to one global segment.
+    Addressed sites are driven one segment at a time, after checking that
+    every other site is resolved from them; a transfer of the whole
+    register under zero gradients collapses to one global segment.
     """
     if direction not in ("to_metastable", "to_ground"):
         raise ConfigError("direction must be 'to_metastable' or 'to_ground'")
     noise = noise or NoiseParams.off()
     sites = [tuple(s) for s in sites]
-    duration = math.pi / rabi
-    global_ok = (set(sites) == set(reg.sites)
-                 and config.Gx_t_per_m == config.Gy_t_per_m
-                 == config.Gz_t_per_m == 0.0)
-    out = reg
-    if global_ok:
-        pulse = Pulse("optical_pair", duration, rabi, target=("all",),
-                      metastable_weight=0.5 * len(sites))
-        out = apply_segment(out, PulseSegment(config, pulse), noise)
+    if (set(sites) == set(reg.sites)
+            and config.Gx_t_per_m == config.Gy_t_per_m
+            == config.Gz_t_per_m == 0.0):
+        pulses = [transfer_pulse(("all",), rabi, 0.5 * len(sites))]
     else:
-        if check:
-            check_resolvable(reg.geom, config, reg.params, sites,
-                             list(reg.sites), rabi, min_gap_ratio)
-        for s in sites:
-            pulse = Pulse("optical_pair", duration, rabi,
-                          target=("site", s), metastable_weight=0.5)
-            out = apply_segment(out, PulseSegment(config, pulse), noise)
+        check_resolvable(reg.geom, config, reg.params, sites,
+                         list(reg.sites), rabi)
+        pulses = [transfer_pulse(("site", s), rabi, 0.5) for s in sites]
+    out = reg
+    for pulse in pulses:
+        out = apply_segment(out, PulseSegment(config, pulse), noise)
     surv = max(out.survival, 1e-300)
-    excited = {s: sum(out.population(s, lv) for lv in (EM32, EP32)) / surv
-               for s in sites}
+    excited = {s: _aux_fraction(out, s) for s in sites}
     ground = {s: sum(out.population(s, lv) for lv in G_LEVELS) / surv
               for s in sites}
-    return out, TransferReport(direction, tuple(sites), excited, ground, 0.0)
+    return out, TransferReport(direction, tuple(sites), excited, ground)
 
 
 @dataclass(frozen=True)
@@ -172,19 +237,14 @@ def select_layer(reg: RegisterState, z_index: int, config: GradientConfig,
     if not 0 <= z_index < reg.geom.n_z:
         raise IndexError(f"layer {z_index} outside lattice with n_z={reg.geom.n_z}")
     noise = noise or NoiseParams.off()
-    cfg_z = replace(config, Gx_t_per_m=0.0, Gy_t_per_m=0.0)
-    duration = math.pi / rabi
-    pulse = Pulse("optical_pair", duration, rabi, target=("layer", z_index),
-                  metastable_weight=0.5 * reg.n_atoms)
-    out = apply_segment(reg, PulseSegment(cfg_z, pulse), noise)
+    segment = PulseSegment(
+        replace(config, Gx_t_per_m=0.0, Gy_t_per_m=0.0),
+        transfer_pulse(("layer", z_index), rabi, 0.5 * reg.n_atoms))
+    out = apply_segment(reg, segment, noise)
     out, removed = blow_away(out)
-    out = apply_segment(out, PulseSegment(cfg_z, pulse), noise)
-    error = {}
-    for site in reg.sites:
-        if site[2] == z_index:
-            error[site] = removed[site]          # selected atoms must stay
-        else:
-            error[site] = 1.0 - removed[site]    # others must be removed
+    out = apply_segment(out, segment, noise)
+    error = {s: removed[s] if s[2] == z_index else 1.0 - removed[s]
+             for s in reg.sites}
     return out, SelectionReport(z_index, removed, error, out.survival)
 
 
@@ -219,13 +279,9 @@ def single_qubit_gate(reg: RegisterState, site, angle: float, axis: float,
                       noise: NoiseParams | None = None,
                       config: GradientConfig | None = None,
                       dipole_scale: float = 1.0):
-    """3-photon rotation of the auxiliary qubit at one site.
-
-    The atom must already sit in the e(+/-3/2) manifold.  `axis` is the
-    azimuth of the rotation axis in the auxiliary-qubit equatorial plane;
-    it maps onto one third of the drive phase because the effective
-    coupling is third order in the field.
-    """
+    """3-photon rotation of the auxiliary qubit at one site (see
+    `rotation_pulse`).  The atom must already sit in the e(+/-3/2)
+    manifold."""
     noise = noise or NoiseParams.off()
     site = tuple(site)
     if reg.survival <= 1e-300:
@@ -236,19 +292,16 @@ def single_qubit_gate(reg: RegisterState, site, angle: float, axis: float,
             "first")
     config = config or GradientConfig(B0_t=B)
     B_loc = site_field(reg.geom, config, site)
-    det = three_photon_detunings(reg.params, B_loc)
     warnings = ()
-    min_d = min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+    min_d = ladder_gap(reg.params, B_loc)
     if rabi > 0.3 * min_d:
         warnings = (f"rabi/min(Delta) = {rabi / min_d:.2f} exceeds 0.3; "
                     "the effective 3-photon model is unreliable",)
     if angle == 0.0:
         return reg.copy(), GateReport("single_qubit", 0.0, rabi,
                                       warnings=warnings)
-    scan = three_photon_scan(reg.params, B_loc, rabi)
-    duration = (angle / math.pi) * scan.pi_time_s
-    pulse = Pulse("three_photon", duration, rabi, phase_rad=axis / 3,
-                  target=("site", site), metastable_weight=float(reg.n_atoms))
+    pulse, scan = rotation_pulse(reg.params, B_loc, site, angle, rabi,
+                                 float(reg.n_atoms), axis)
     before = reg.level_populations(site)
     out = apply_segment(reg, PulseSegment(config, pulse), noise, dipole_scale)
     surv = max(out.survival, 1e-300)
@@ -261,68 +314,33 @@ def single_qubit_gate(reg: RegisterState, site, angle: float, axis: float,
     moved = min(1.0, max(0.0, abs(frac_after - frac_before)))
     achieved = 2 * math.asin(math.sqrt(moved))
     return out, GateReport(
-        "single_qubit", duration, rabi,
+        "single_qubit", pulse.duration_s, rabi,
         omega_eff_rad_s=scan.omega_eff_rad_s,
         predicted_pi_time_s=scan.predicted_pi_time_s,
         simulated_pi_time_s=scan.pi_time_s,
         leakage=leakage, achieved_rotation_rad=achieved, warnings=warnings)
 
 
-def cnot_pulse_parameters(params, geom, config, control_site, target_site,
-                          dipole_scale: float = 1.0):
-    """Conditional shift (Hz) and resonant laser detuning (rad/s) of the
-    |10> <-> |11> line for a control/target pair."""
-    dr = geom.position_m(target_site) - geom.position_m(control_site)
-    r = float(np.linalg.norm(dr))
-    theta = math.acos(max(-1.0, min(1.0, dr[2] / r)))
-    coupling = ddi_coupling(1.0, 1.0, r, theta)  # Hz per (J/T)^2
-    B_c = site_field(geom, config, control_site)
-    B_t = site_field(geom, config, target_site)
-    m_c0 = level_moment_j_per_t(params, B_c, EM32)
-    m_c1 = level_moment_j_per_t(params, B_c, EP32)
-    m_t0 = level_moment_j_per_t(params, B_t, EM32)
-    m_t1 = level_moment_j_per_t(params, B_t, EP32)
-    shift_hz = dipole_scale * coupling * (m_c1 - m_c0) * (m_t1 - m_t0)
-    detuning_rad_s = 2 * math.pi * dipole_scale * coupling * m_c1 * (m_t1 - m_t0)
-    return shift_hz, detuning_rad_s
-
-
 def cnot(reg: RegisterState, control_site, target_site,
-         config: GradientConfig, pulse_rabi: float | None = None,
-         noise: NoiseParams | None = None, dipole_scale: float = 1.0,
-         allow_nonadjacent: bool = False):
-    """Dipole-shift CNOT: pi-pulse at the shifted |10> <-> |11> frequency.
-
-    Both atoms must already be in the auxiliary manifold.  The default
-    pulse Rabi frequency is one tenth of the conditional shift (spectral
-    selectivity against the off-resonant |00> <-> |01> line).
-    """
+         config: GradientConfig, noise: NoiseParams | None = None,
+         dipole_scale: float = 1.0):
+    """Dipole-shift CNOT: pi-pulse at the shifted |10> <-> |11> frequency
+    (see `cnot_pulse`).  Both atoms must already be in the auxiliary
+    manifold."""
     noise = noise or NoiseParams.off()
-    control_site, target_site = tuple(control_site), tuple(target_site)
-    step = sum(abs(a - b) for a, b in zip(control_site, target_site))
-    if step != 1 and not allow_nonadjacent:
-        raise GeometryError(
-            f"CNOT sites {control_site}, {target_site} are not adjacent")
     for s in (control_site, target_site):
         if _aux_fraction(reg, s) < 0.99:
             raise ProtocolOrderError(
-                f"atom at {s} is not in the auxiliary manifold")
-    shift_hz, detuning = cnot_pulse_parameters(
-        reg.params, reg.geom, config, control_site, target_site, dipole_scale)
-    if pulse_rabi is None:
-        reference_shift_hz, _ = cnot_pulse_parameters(
-            reg.params, reg.geom, config, control_site, target_site, 1.0)
-        pulse_rabi = 2 * math.pi * abs(reference_shift_hz) / 10
-    duration = math.pi / pulse_rabi
-    pulse = Pulse("aux_flip", duration, pulse_rabi, detuning_rad_s=detuning,
-                  target=("site", target_site),
-                  metastable_weight=float(reg.n_atoms))
+                f"atom at {tuple(s)} is not in the auxiliary manifold")
+    pulse, shift_hz = cnot_pulse(reg.params, reg.geom, config, control_site,
+                                 target_site, float(reg.n_atoms),
+                                 dipole_scale)
     out = apply_segment(reg, PulseSegment(config, pulse), noise, dipole_scale)
+    rabi = pulse.rabi_rad_s
     delta = 2 * math.pi * abs(shift_hz)
-    off_res = pulse_rabi ** 2 / (pulse_rabi ** 2 + delta ** 2) \
-        if delta > 0 else 1.0
+    off_res = rabi ** 2 / (rabi ** 2 + delta ** 2) if delta > 0 else 1.0
     return out, GateReport(
-        "cnot", duration, pulse_rabi, shift_hz=shift_hz,
+        "cnot", pulse.duration_s, rabi, shift_hz=shift_hz,
         conditional=abs(shift_hz) > 0.0,
         off_resonant_excitation=off_res,
         warnings=() if abs(shift_hz) > 0 else
@@ -356,8 +374,7 @@ def measure_qubit(reg: RegisterState, site, noise: NoiseParams,
     if rng_seed is None:
         raise ConfigError("measurement requires an explicit rng seed "
                           "(strict-deterministic mode)")
-    rng = rng_seed if isinstance(rng_seed, np.random.Generator) \
-        else np.random.default_rng(rng_seed)
+    rng = np.random.default_rng(rng_seed)  # a Generator passes through
     site = tuple(site)
     surv = reg.survival
     pops = reg.level_populations(site)
@@ -367,8 +384,7 @@ def measure_qubit(reg: RegisterState, site, noise: NoiseParams,
             "measurement protocol out of order")
     glev, elev = (GP, EP32) if project > 0 else (GM, EM32)
     axis = reg.site_index(site)
-    tens = reg._tensor().copy()
-    moved = np.moveaxis(tens, axis, 0)
+    moved = np.moveaxis(reg._tensor(), axis, 0)
     swapped = moved.copy()
     swapped[glev] = -1j * moved[elev]
     swapped[elev] = -1j * moved[glev]
@@ -378,8 +394,7 @@ def measure_qubit(reg: RegisterState, site, noise: NoiseParams,
     p1 = float(sum(work.population(site, lv) for lv in G_LEVELS))
     outcome = int(rng.random() < p1)
 
-    labels = np.array(list(np.ndindex(*(NLEV,) * reg.n_atoms)))
-    in_ground = np.isin(labels[:, axis], G_LEVELS)
+    in_ground = np.isin(basis_labels(reg.n_atoms)[:, axis], G_LEVELS)
     keep = in_ground if outcome == 1 else ~in_ground
     collapsed = np.where(keep, work.amps, 0.0)
     norm = float(np.vdot(collapsed, collapsed).real)

@@ -14,15 +14,15 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .addressing import (GradientConfig, LatticeGeometry, plan_gradients,
-                         resonance_map, site_field, validate_gradients)
+                         resonance_map, validate_gradients)
 from .atomic import AtomParams, three_photon_detunings, zeeman_spectrum
-from .compiler import CompilerOptions, compile_circuit, execute_schedule
+from .compiler import compile_circuit, execute_schedule
 from .constants import GAUSS, CM
 from .engine import NoiseParams, PulseSchedule, RegisterState, GM, GP
 from .errors import ConfigError, ScenarioError
@@ -36,8 +36,7 @@ PIPELINE_STAGES = ("feasibility", "detunings", "levels", "address",
 _UNITLESS_OK = {"n_x", "n_y", "n_z", "steps", "seed", "safety_factor",
                 "depth_recoils", "nuclear_spin", "nuclear_moment_mu_n",
                 "electronic_J_3P2", "g_J_3P2", "linear_zeeman",
-                "branching_1P1_to_3D", "dipole_scale",
-                "gate_rabi_fraction", "cnot_rabi_factor"}
+                "branching_1P1_to_3D", "dipole_scale"}
 _UNIT_SUFFIXES = ("_hz", "_rad_s", "_s", "_m", "_kg", "_t", "_t_per_m",
                   "_gauss", "_g_per_cm", "_uk")
 
@@ -53,10 +52,45 @@ def _check_unit_key(section: str, key: str, value) -> None:
 
 
 def _known_fields(section: str, data: dict, allowed) -> None:
+    if not isinstance(data, dict):
+        raise ScenarioError(f"scenario key '{section}' must be a JSON object")
     for key in data:
         if key not in allowed:
             raise ScenarioError(f"unknown key '{section}.{key}'")
         _check_unit_key(section, key, data[key])
+
+
+def _read(kind, name: str, value):
+    """kind(value) for the scenario key `name`; a value that does not
+    convert is a ScenarioError naming the key."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ScenarioError(f"scenario key '{name}': cannot read {value!r} "
+                            f"as {kind.__name__}") from None
+
+
+def _path(base: Path, data: dict, key: str, default=None) -> Path:
+    value = data.get(key, default)
+    if not isinstance(value, str):
+        raise ScenarioError(f"scenario key '{key}' must be a path string")
+    return base / value
+
+
+def _params_from_dict(cls, section: str, data: dict):
+    """cls(**data) for a parameter dataclass whose non-bool fields take
+    numbers."""
+    fields = cls.__dataclass_fields__
+    _known_fields(section, data, fields)
+    for key, value in data.items():
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if not (number or isinstance(fields[key].default, bool)):
+            raise ScenarioError(f"scenario key '{section}.{key}' must be a "
+                                f"number, got {value!r}")
+    try:
+        return cls(**data)
+    except ConfigError as exc:
+        raise ScenarioError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -85,15 +119,7 @@ def parse_keyvalue(text: str) -> dict:
 
 
 def atom_params_from_dict(data: dict) -> AtomParams:
-    fields = set(AtomParams.__dataclass_fields__)
-    for key in data:
-        if key not in fields:
-            raise ScenarioError(f"unknown atom parameter '{key}'")
-        _check_unit_key("atom", key, data[key])
-    try:
-        return AtomParams(**data)
-    except ConfigError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return _params_from_dict(AtomParams, "atom", data)
 
 
 def load_atom_params(path) -> AtomParams:
@@ -213,7 +239,9 @@ def load_scenario(path) -> Scenario:
                    "depth_recoils", "dipole_scale", "output_dir"}
     _known_fields("<root>", data, allowed_top)
 
-    pipeline = tuple(data.get("pipeline", ["feasibility"]))
+    pipeline = data.get("pipeline", ["feasibility"])
+    if not isinstance(pipeline, list):
+        raise ScenarioError("scenario key 'pipeline' must be a list of stages")
     for stage in pipeline:
         if stage not in PIPELINE_STAGES:
             raise ScenarioError(f"unknown pipeline stage '{stage}'")
@@ -221,50 +249,48 @@ def load_scenario(path) -> Scenario:
     if "atom" in data and "atom_config" in data:
         raise ScenarioError("give either 'atom' or 'atom_config', not both")
     if "atom_config" in data:
-        cfg_path = path.parent / data["atom_config"]
+        cfg_path = _path(path.parent, data, "atom_config")
         if not cfg_path.is_file():
             raise ScenarioError(f"atom_config file {cfg_path} does not exist")
         params = load_atom_params(cfg_path)
     else:
         params = atom_params_from_dict(data.get("atom", {}))
 
-    lat = dict(data.get("lattice", {}))
+    lat = data.get("lattice", {})
     _known_fields("lattice", lat, {"n_x", "n_y", "n_z", "spacing_m"})
     try:
-        geom = LatticeGeometry(int(lat.get("n_x", 10)),
-                               int(lat.get("n_y", 10)),
-                               int(lat.get("n_z", 1)),
-                               float(lat.get("spacing_m", 266e-9)))
+        geom = LatticeGeometry(
+            _read(int, "lattice.n_x", lat.get("n_x", 10)),
+            _read(int, "lattice.n_y", lat.get("n_y", 10)),
+            _read(int, "lattice.n_z", lat.get("n_z", 1)),
+            _read(float, "lattice.spacing_m", lat.get("spacing_m", 266e-9)))
     except ConfigError as exc:
         raise ScenarioError(str(exc)) from exc
 
-    grad = dict(data.get("gradients", {}))
+    grad = data.get("gradients", {})
     _known_fields("gradients", grad,
                   {"B0_gauss", "Gx_g_per_cm", "Gy_g_per_cm", "Gz_g_per_cm",
                    "safety_factor", "target_gap_hz"})
-    target_gap_hz = float(grad.pop("target_gap_hz", 1000.0))
+    g = {key: _read(float, f"gradients.{key}", value)
+         for key, value in grad.items()}
+    target_gap_hz = g.pop("target_gap_hz", 1000.0)
     gradients = None
-    if any(k.startswith("G") for k in grad):
+    if any(k.startswith("G") for k in g):
         try:
             gradients = GradientConfig(
-                float(grad.get("B0_gauss", 100.0)) * GAUSS,
-                float(grad.get("Gx_g_per_cm", 0.0)) * GAUSS / CM,
-                float(grad.get("Gy_g_per_cm", 0.0)) * GAUSS / CM,
-                float(grad.get("Gz_g_per_cm", 0.0)) * GAUSS / CM,
-                float(grad.get("safety_factor", 10.0)))
+                g.get("B0_gauss", 100.0) * GAUSS,
+                g.get("Gx_g_per_cm", 0.0) * GAUSS / CM,
+                g.get("Gy_g_per_cm", 0.0) * GAUSS / CM,
+                g.get("Gz_g_per_cm", 0.0) * GAUSS / CM,
+                g.get("safety_factor", 10.0))
         except ConfigError as exc:
             raise ScenarioError(str(exc)) from exc
 
-    noi = dict(data.get("noise", {}))
-    _known_fields("noise", noi, set(NoiseParams.__dataclass_fields__))
-    try:
-        noise = NoiseParams(**noi)
-    except ConfigError as exc:
-        raise ScenarioError(str(exc)) from exc
+    noise = _params_from_dict(NoiseParams, "noise", data.get("noise", {}))
 
     circuit_text = None
     if "circuit_file" in data:
-        cpath = path.parent / data["circuit_file"]
+        cpath = _path(path.parent, data, "circuit_file")
         if not cpath.is_file():
             raise ScenarioError(f"circuit file {cpath} does not exist")
         circuit_text = cpath.read_text()
@@ -272,25 +298,26 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError("pipeline stage 'simulate' requires "
                             "'circuit_file'")
 
-    ones = tuple(tuple(int(v) for v in s)
-                 for s in data.get("initial_ones", []))
-    for s in ones:
-        if len(s) != 3:
-            raise ScenarioError("initial_ones entries must be [i, j, k]")
+    ones = data.get("initial_ones", [])
+    if not (isinstance(ones, list)
+            and all(isinstance(s, list) and len(s) == 3 for s in ones)):
+        raise ScenarioError("initial_ones entries must be [i, j, k]")
+    ones = tuple(tuple(_read(int, "initial_ones", v) for v in s)
+                 for s in ones)
 
-    sweep = dict(data.get("sweep", {}))
+    sweep = data.get("sweep", {})
     _known_fields("sweep", sweep, {"b_min_gauss", "b_max_gauss", "steps"})
 
     seed = data.get("seed")
     return Scenario(
-        pipeline, params, geom, gradients, target_gap_hz, noise,
-        circuit_text, ones, None if seed is None else int(seed),
-        float(sweep.get("b_min_gauss", 10.0)),
-        float(sweep.get("b_max_gauss", 20000.0)),
-        int(sweep.get("steps", 2000)),
-        float(data.get("depth_recoils", 50.0)),
-        float(data.get("dipole_scale", 1.0)),
-        path.parent / data.get("output_dir", "out"))
+        tuple(pipeline), params, geom, gradients, target_gap_hz, noise,
+        circuit_text, ones, None if seed is None else _read(int, "seed", seed),
+        _read(float, "sweep.b_min_gauss", sweep.get("b_min_gauss", 10.0)),
+        _read(float, "sweep.b_max_gauss", sweep.get("b_max_gauss", 20000.0)),
+        _read(int, "sweep.steps", sweep.get("steps", 2000)),
+        _read(float, "depth_recoils", data.get("depth_recoils", 50.0)),
+        _read(float, "dipole_scale", data.get("dipole_scale", 1.0)),
+        _path(path.parent, data, "output_dir", "out"))
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +332,10 @@ def _resolve_gradients(scn: Scenario) -> GradientConfig:
 def simulate_circuit(circuit_text: str, geom: LatticeGeometry,
                      params: AtomParams, noise: NoiseParams,
                      seed: int | None, initial_ones=(),
-                     dipole_scale: float = 1.0,
-                     options: CompilerOptions | None = None):
+                     dipole_scale: float = 1.0):
     """Compile a circuit, run it through the pulse engine, and return the
     schedule, final register, and measurement record."""
-    schedule = compile_circuit(circuit_text, geom, params, noise, options)
+    schedule = compile_circuit(circuit_text, geom, params, noise)
     sites = sorted({tuple(s.pulse.target[1])
                     for s in schedule.segments
                     if s.pulse.target[0] == "site"})

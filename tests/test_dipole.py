@@ -6,8 +6,8 @@ import math
 import pytest
 
 from ybqc.atomic import AtomParams
-from ybqc.dipole import (DipoleSpec, auxiliary_qubit_moments, cnot_shift,
-                         ddi_coupling, ddi_energy, pair_levels)
+from ybqc.dipole import (auxiliary_qubit_moments, cnot_shift, ddi_coupling,
+                         pair_coupling, pair_levels)
 from ybqc.errors import PhysicsError
 
 # independent CODATA-2022 literals (not imported from the package)
@@ -62,21 +62,26 @@ def test_symmetry_and_scaling():
     assert a == pytest.approx(8 * d, rel=1e-12)
 
 
-def test_ddi_energy_vector_form():
-    d1 = DipoleSpec(3 * MU_B, (0.0, 0.0, 0.0))
-    d2 = DipoleSpec(3 * MU_B, (0.0, 0.0, SPACING))
-    assert ddi_energy(d1, d2) == pytest.approx(
-        ddi_coupling(3 * MU_B, 3 * MU_B, SPACING, 0.0), rel=1e-12)
-    d3 = DipoleSpec(3 * MU_B, (SPACING, 0.0, 0.0))
-    assert ddi_energy(d1, d3) == pytest.approx(
-        ddi_coupling(3 * MU_B, 3 * MU_B, SPACING, math.pi / 2), rel=1e-12)
+def test_pair_coupling_vector_form():
+    origin = (0.0, 0.0, 0.0)
+    assert pair_coupling(origin, (0.0, 0.0, SPACING)) == pytest.approx(
+        ddi_coupling(1.0, 1.0, SPACING, 0.0), rel=1e-12)
+    assert pair_coupling(origin, (SPACING, 0.0, 0.0)) == pytest.approx(
+        ddi_coupling(1.0, 1.0, SPACING, math.pi / 2), rel=1e-12)
+    # off-axis separation: r and theta from the vector, either order
+    r = math.sqrt(2) * SPACING
+    want = ddi_coupling(1.0, 1.0, r, math.pi / 4)
+    assert pair_coupling(origin, (SPACING, 0.0, SPACING)) == pytest.approx(
+        want, rel=1e-12)
+    assert pair_coupling((SPACING, 0.0, SPACING), origin) == pytest.approx(
+        want, rel=1e-12)
 
 
 def test_invalid_separation():
     with pytest.raises(PhysicsError):
         ddi_coupling(MU_B, MU_B, 0.0, 0.0)
     with pytest.raises(PhysicsError):
-        ddi_energy(DipoleSpec(MU_B, (0, 0, 0)), DipoleSpec(MU_B, (0, 0, 0)))
+        pair_coupling((0, 0, 0), (0, 0, 0))
 
 
 def test_auxiliary_moments_are_2p7_bohr():

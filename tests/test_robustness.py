@@ -1,0 +1,107 @@
+"""Bad inputs end in exit code 2 or 3 with a one-line message, never a
+traceback: off-lattice circuit sites, malformed scenario values, and a
+property test fuzzing the value type of every scenario key."""
+
+import json
+import math
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ybqc.atomic import AtomParams
+from ybqc.cli import main as cli_main
+from ybqc.engine import NoiseParams
+
+
+def _scenario(tmp_path, **data):
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(data))
+    return str(scn)
+
+
+def test_off_lattice_circuit_site_exits_2(tmp_path, capsys):
+    (tmp_path / "c.txt").write_text("X 5 0 1.0\nMEAS 5 0\n")
+    assert cli_main(["simulate", "--circuit", str(tmp_path / "c.txt"),
+                     "--nx", "2", "--ny", "1", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "(5, 0)" in err and len(err.strip().splitlines()) == 1
+    scn = _scenario(tmp_path, pipeline=["simulate"],
+                    lattice={"n_x": 2, "n_y": 1, "n_z": 1},
+                    circuit_file="c.txt", seed=1)
+    assert cli_main(["run", scn]) == 2
+    assert "(5, 0)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("data", [
+    {"lattice": {"n_x": "abc"}},
+    {"seed": "x"},
+    {"sweep": {"steps": "abc"}},
+    {"initial_ones": [["a", 0, 0]]},
+    {"dipole_scale": "z"},
+    {"gradients": {"Gx_g_per_cm": "x"}},
+    {"noise": {"lifetime_3P2_s": "x"}},
+    {"atom": {"mass_kg": "x"}},
+    {"lattice": 5},
+    {"pipeline": "feasibility"},
+    {"output_dir": 3},
+])
+def test_malformed_scenario_value_exits_2(tmp_path, capsys, data):
+    assert cli_main(["run", _scenario(tmp_path, **data)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# fuzzed scenario files
+
+NUMBER = st.one_of(st.integers(-3, 3), st.floats(-1e6, 1e6),
+                   st.sampled_from([math.nan, math.inf, -math.inf]))
+JUNK = st.one_of(st.none(), st.booleans(), NUMBER, st.text(max_size=4),
+                 st.lists(st.integers(-1, 2), max_size=3),
+                 st.dictionaries(st.text(max_size=3), st.integers(0, 2),
+                                 max_size=2))
+
+
+def _section(keys):
+    """A JSON object over one or two of `keys`, or junk."""
+    return st.one_of(st.dictionaries(st.sampled_from(sorted(keys)), JUNK,
+                                     max_size=2), JUNK)
+
+
+KEYS = {
+    # stages other than feasibility are never drawn: the fuzz stays cheap
+    "pipeline": st.one_of(st.just(["feasibility"]), st.just([]), JUNK),
+    "atom": _section(AtomParams.__dataclass_fields__),
+    "atom_config": JUNK,
+    "lattice": _section({"n_x", "n_y", "n_z", "spacing_m"}),
+    "gradients": _section({"B0_gauss", "Gx_g_per_cm", "Gy_g_per_cm",
+                           "Gz_g_per_cm", "safety_factor", "target_gap_hz"}),
+    "noise": _section(NoiseParams.__dataclass_fields__),
+    "circuit_file": JUNK,
+    "initial_ones": st.one_of(
+        st.lists(st.lists(JUNK, max_size=4), max_size=2), JUNK),
+    "seed": JUNK,
+    "sweep": _section({"b_min_gauss", "b_max_gauss", "steps"}),
+    "depth_recoils": JUNK,
+    "dipole_scale": JUNK,
+    # never an arbitrary string: outputs stay inside the scratch directory
+    "output_dir": st.one_of(st.just("out"), st.none(), st.integers(),
+                            st.lists(st.integers(), max_size=1)),
+}
+# a few keys at a time, so that one bad value does not mask the others
+SCENARIO = st.lists(st.sampled_from(sorted(KEYS)), max_size=3,
+                    unique=True).flatmap(
+    lambda keys: st.fixed_dictionaries({k: KEYS[k] for k in keys}))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=SCENARIO)
+def test_fuzzed_scenario_exits_0_2_or_3(data):
+    with tempfile.TemporaryDirectory() as tmp:
+        scn = Path(tmp) / "scn.json"
+        scn.write_text(json.dumps(data))
+        assert cli_main(["run", str(scn)]) in (0, 2, 3)
