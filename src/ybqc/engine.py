@@ -15,6 +15,17 @@ with its own local resonance (zero diagonal); levels reached by a drive
 leg carry the cumulative (local transition frequency - laser frequency)
 detuning.  Frames may differ between segments, so only relative,
 convention-stable phases are physical; all phases are deterministic.
+
+Blocked propagation: every drive couples fixed level pairs of one atom,
+and the dipole and decay terms are diagonal, so the register Hamiltonian
+is block-diagonal.  A block is one coupled level group per atom (the
+connected components of that atom's 7x7 coupling pattern, e.g.
+{g+, e+3/2}, {g-, e-3/2}, {e-1/2}, {e+1/2}, {lost} under the optical
+pair drive), and its basis is the Cartesian product of those groups.
+Only the live blocks, those holding a nonzero amplitude, are assembled
+and exponentiated; the 7^n x 7^n register matrix is never built.  The
+dense kron-sum propagator is the test oracle in
+tests/test_blocked_propagator.py.
 """
 
 from __future__ import annotations
@@ -213,10 +224,22 @@ def light_shift_compensation(delta1: float, delta2: float,
                              rabi: float) -> float:
     """Drive-frequency offset cancelling the differential AC-Stark shift
     of the 3-photon ladder ends (fixed-point solution of the dressed
-    resonance condition)."""
-    eps = 0.0
+    resonance condition).
+
+    Iterates until the value repeats exactly; raises IntegratorError
+    when 80 steps leave the last step above 1e-9 relative (the iteration
+    diverges for drives of a few ladder gaps)."""
+    eps = step = 0.0
     for _ in range(80):
-        eps = (rabi ** 2 / 4) * (1 / (delta1 - eps) + 1 / (delta2 - eps)) / 3
+        new = (rabi ** 2 / 4) * (1 / (delta1 - eps) + 1 / (delta2 - eps)) / 3
+        if new == eps:
+            return eps
+        step, eps = abs(new - eps), new
+    if not step <= 1e-9 * abs(eps):
+        raise IntegratorError(
+            f"light-shift compensation does not converge (last step "
+            f"{step:.2e} rad/s at {eps:.3e} rad/s); the drive is too strong "
+            "for the ladder detunings")
     return eps
 
 
@@ -280,70 +303,114 @@ def _single_atom_hamiltonian(params, B, B_ref, pulse) -> np.ndarray:
     return hmat
 
 
+def _coupled_groups(hmat: np.ndarray) -> np.ndarray:
+    """Coupled level group of each level of one atom's 7x7 block, named
+    by the group's lowest level (connected components of |hmat| > 0)."""
+    reach = ((hmat != 0) | np.eye(NLEV, dtype=bool)).astype(np.int8)
+    for _ in range(3):          # paths of up to 8 > NLEV - 1 hops
+        reach = ((reach @ reach) > 0).astype(np.int8)
+    return reach.argmax(axis=1)
+
+
 def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
-                        dipole_scale: float = 1.0) -> np.ndarray:
-    """Full register Hamiltonian (rad/s) for one schedule segment."""
+                        dipole_scale: float = 1.0) -> list:
+    """Live blocks of the register Hamiltonian (rad/s) for one segment.
+
+    Returns one (indices, blocks) pair per block size d: `indices` is an
+    (nb, d) array of basis states, `blocks` the (nb, d, d) Hermitian
+    blocks over them.  A block is live when any of its amplitudes is
+    nonzero; the others are never built.
+    """
     params, geom = reg.params, reg.geom
     config, pulse = segment.config, segment.pulse
     n = reg.n_atoms
-    dim = NLEV ** n
-    ref = _resolve_reference(reg, pulse.target)
-    B_ref = site_field(geom, config, ref)
-    fields = [site_field(geom, config, s) for s in reg.sites]
+    B_ref = site_field(geom, config, _resolve_reference(reg, pulse.target))
+    hs = np.stack([_single_atom_hamiltonian(
+        params, site_field(geom, config, s), B_ref, pulse) for s in reg.sites])
+    labels = basis_labels(n)
+    # block of each basis state, coded by its atoms' groups as base-7
+    # digits; ascending basis order within a block is the Cartesian order
+    group = np.stack([_coupled_groups(h_i) for h_i in hs])
+    block = group[np.arange(n), labels] @ NLEV ** np.arange(n - 1, -1, -1)
+    states = np.flatnonzero(np.isin(block, block[reg.amps != 0]))
+    states = states[np.argsort(block[states], kind="stable")]
+    _, sizes = np.unique(block[states], return_counts=True)
+    size_of = np.repeat(sizes, sizes)
 
-    H = np.zeros((dim, dim), complex)
-    for i, B in enumerate(fields):
-        hi = _single_atom_hamiltonian(params, B, B_ref, pulse)
-        H += np.kron(np.kron(np.eye(NLEV ** i), hi),
-                     np.eye(NLEV ** (n - 1 - i)))
+    dd = _dipole_diagonal(params, geom, reg.sites, config, dipole_scale)
+    out = []
+    for d in np.unique(sizes):
+        idx = states[size_of == d].reshape(-1, d)
+        L = labels[idx]
+        La, Lb = L[:, :, None, :], L[:, None, :, :]
+        differ = La != Lb
+        n_differ = differ.sum(axis=-1)
+        H = np.zeros(idx.shape + (d,), complex)
+        for i in range(n):
+            # atom i's term couples states equal on every other atom
+            H += np.where(n_differ == differ[..., i],
+                          hs[i][La[..., i], Lb[..., i]], 0.0)
+        H[:, np.arange(d), np.arange(d)] += dd[idx]
+        out.append((idx, H))
+    return out
 
-    if dipole_scale != 0.0 and n > 1:
-        H += np.diag(_dipole_diagonal(reg, config, dipole_scale))
-    return H
 
-
-def _dipole_diagonal(reg: RegisterState, config: GradientConfig,
+@lru_cache(maxsize=64)
+def _dipole_diagonal(params: AtomParams, geom: LatticeGeometry, sites: tuple,
+                     config: GradientConfig,
                      dipole_scale: float) -> np.ndarray:
-    """Always-on secular dipole-dipole diagonal (rad/s) over the basis."""
-    params, geom = reg.params, reg.geom
-    n = reg.n_atoms
+    """Read-only always-on secular dipole-dipole diagonal (rad/s) over the
+    7^n basis; computed once per register, field and scale."""
+    n = len(sites)
     moments = np.array(
         [[level_moment_j_per_t(params, site_field(geom, config, s), lv)
-          for lv in range(NLEV)] for s in reg.sites])
+          for lv in range(NLEV)] for s in sites])
     labels = basis_labels(n)
     dd = np.zeros(NLEV ** n)
     for i in range(n):
         for j in range(i + 1, n):
             coef = 2 * math.pi * dipole_scale * pair_coupling(
-                geom.position_m(reg.sites[i]), geom.position_m(reg.sites[j]))
+                geom.position_m(sites[i]), geom.position_m(sites[j]))
             dd += coef * moments[i][labels[:, i]] * moments[j][labels[:, j]]
+    dd.flags.writeable = False
     return dd
 
 
-def _gamma_diagonal(reg: RegisterState, noise: NoiseParams) -> np.ndarray:
-    """Per-basis-state norm-decay rates (1/s)."""
+def _gamma_levels(noise: NoiseParams) -> np.ndarray:
+    """Norm-decay rate (1/s) of each per-atom level."""
     decay = 0.0 if math.isinf(noise.lifetime_3P2_s) else 1 / noise.lifetime_3P2_s
     per_level = np.zeros(NLEV)
     for lv in E_LEVELS:
         per_level[lv] = decay + noise.photon_scattering_rate_hz
     for lv in G_LEVELS:
         per_level[lv] = noise.photon_scattering_rate_hz
-    return per_level[basis_labels(reg.n_atoms)].sum(axis=1)
+    return per_level
 
 
 def segment_propagator(reg: RegisterState, segment: PulseSegment,
                        noise: NoiseParams, dt: float,
-                       dipole_scale: float = 1.0) -> np.ndarray:
-    H = segment_hamiltonian(reg, segment, dipole_scale)
-    gamma = _gamma_diagonal(reg, noise)
-    M = H - 0.5j * np.diag(gamma)
-    return expm(-1j * M * dt)
+                       dipole_scale: float = 1.0) -> list:
+    """Propagators over dt of the live blocks, as (indices, blocks) pairs
+    like `segment_hamiltonian`, with the decay rates as -i Gamma/2 on the
+    diagonal; blocks of equal size are exponentiated in one call."""
+    rates = _gamma_levels(noise)
+    labels = basis_labels(reg.n_atoms)
+    out = []
+    for idx, H in segment_hamiltonian(reg, segment, dipole_scale):
+        d = idx.shape[1]
+        H[:, np.arange(d), np.arange(d)] -= 0.5j * rates[labels[idx]].sum(-1)
+        out.append((idx, expm(-1j * dt * H)))
+    return out
 
 
-def apply_propagator(reg: RegisterState, U: np.ndarray,
+def apply_propagator(reg: RegisterState, U: list,
                      noise_on: bool) -> RegisterState:
+    """Apply block propagators from `segment_propagator`; amplitudes
+    outside the blocks stay zero."""
     before = reg.survival
-    amps = U @ reg.amps
+    amps = np.zeros_like(reg.amps)
+    for idx, blocks in U:
+        amps[idx] = (blocks @ reg.amps[idx][..., None])[..., 0]
     after = float(np.vdot(amps, amps).real)
     if not noise_on and abs(after - before) > UNITARITY_TOL:
         raise IntegratorError(

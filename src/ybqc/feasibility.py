@@ -20,7 +20,7 @@ from .addressing import (GradientConfig, LatticeGeometry, field_range,
 from .atomic import AtomParams
 from .constants import c, h, hbar, k_B
 from .engine import NoiseParams, PulseSchedule
-from .errors import ConfigError
+from .errors import ConfigError, PhysicsError
 
 
 def pi_pulse_intensity(t_pi: float, linewidth_hz: float,
@@ -30,14 +30,26 @@ def pi_pulse_intensity(t_pi: float, linewidth_hz: float,
     if min(t_pi, linewidth_hz, wavelength_m) <= 0:
         raise ConfigError("t_pi, linewidth and wavelength must be positive")
     gamma = 2 * math.pi * linewidth_hz
-    tau = 1 / gamma
-    i_sat = math.pi * h * c / (3 * wavelength_m ** 3 * tau)
-    omega = math.pi / t_pi
-    return 2 * i_sat * (omega / gamma) ** 2
+    try:
+        omega = math.pi / t_pi
+        tau = 1 / gamma
+        i_sat = math.pi * h * c / (3 * wavelength_m ** 3 * tau)
+        return 2 * i_sat * (omega / gamma) ** 2
+    except ArithmeticError:
+        raise PhysicsError(
+            f"pi-pulse intensity leaves the floating-point range for a "
+            f"{linewidth_hz!r} Hz line at {wavelength_m!r} m") from None
 
 
 def recoil_energy_j(params: AtomParams) -> float:
-    return h ** 2 / (2 * params.mass_kg * params.wavelength_lattice_m ** 2)
+    try:
+        return h ** 2 / (2 * params.mass_kg
+                         * params.wavelength_lattice_m ** 2)
+    except ArithmeticError:
+        raise PhysicsError(
+            f"recoil energy leaves the floating-point range for mass "
+            f"{params.mass_kg!r} kg at lattice wavelength "
+            f"{params.wavelength_lattice_m!r} m") from None
 
 
 def lowest_band_width_recoils(depth_recoils: float,

@@ -7,14 +7,17 @@ import numpy as np
 import pytest
 
 from ybqc.addressing import GradientConfig, LatticeGeometry, plan_gradients
-from ybqc.atomic import AtomParams, ground_qubit_splitting
+from ybqc.atomic import (AtomParams, ground_qubit_splitting,
+                         three_photon_detunings)
 from ybqc.constants import GAUSS, h
 from ybqc.dipole import auxiliary_qubit_moments, ddi_coupling
 from ybqc.engine import (AUX, EM32, EP32, GM, GP, LOST, NLEV, NoiseParams,
                          Pulse, PulseSegment, RegisterState, apply_segment,
                          blow_away, evolve, ground_basis_probability,
-                         level_moment_j_per_t, segment_hamiltonian)
+                         level_moment_j_per_t, light_shift_compensation,
+                         segment_hamiltonian)
 from ybqc.errors import ConfigError, IntegratorError
+from ybqc.protocols import ladder_gap
 
 P = AtomParams()
 GEOM = LatticeGeometry(3, 1, 1)
@@ -119,14 +122,24 @@ def test_dipole_diagonal_matches_pair_formula():
     reg = RegisterState.product(P, geom, [(0, 0, 0), (1, 0, 0)],
                                 [EP32, EP32])
     seg = PulseSegment(CFG, Pulse("rf", 1e-3, 0.0))
-    H = segment_hamiltonian(reg, seg)
     idx = (NLEV * EP32 + EP32)
+
+    def diagonal_entry(blocks):
+        # the entry of basis state idx in the live block that holds it
+        for indices, H in blocks:
+            hit = np.argwhere(indices == idx)
+            if hit.size:
+                b, k = hit[0]
+                return H[b, k, k]
+        raise AssertionError("basis state not in a live block")
+
     m = level_moment_j_per_t(P, CFG.B0_t, EP32)
     want = 2 * math.pi * ddi_coupling(m, m, geom.spacing_m, math.pi / 2)
-    assert H[idx, idx].real == pytest.approx(want, rel=1e-9)
+    assert diagonal_entry(segment_hamiltonian(reg, seg)).real \
+        == pytest.approx(want, rel=1e-9)
     # dipole_scale=0 switches the interaction off
-    H0 = segment_hamiltonian(reg, seg, dipole_scale=0.0)
-    assert H0[idx, idx] == 0.0
+    assert diagonal_entry(segment_hamiltonian(reg, seg,
+                                              dipole_scale=0.0)) == 0.0
 
 
 def test_level_moments_near_low_field_values():
@@ -174,3 +187,29 @@ def test_ground_basis_probability():
         reg, {(0, 0, 0): 1, (1, 0, 0): 0}) == pytest.approx(1.0)
     assert ground_basis_probability(
         reg, {(0, 0, 0): 0}) == pytest.approx(0.0)
+
+
+def _light_shift_80_steps(delta1, delta2, rabi):
+    # the fixed 80-step iteration without a convergence check
+    eps = 0.0
+    for _ in range(80):
+        eps = (rabi ** 2 / 4) * (1 / (delta1 - eps) + 1 / (delta2 - eps)) / 3
+    return eps
+
+
+@pytest.mark.parametrize("gap_fraction", [0.05, 0.3, 1.0])
+def test_light_shift_compensation_stops_at_the_fixed_point(gap_fraction):
+    B = 650 * GAUSS
+    det = three_photon_detunings(P, B)
+    rabi = gap_fraction * ladder_gap(P, B)
+    assert light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s,
+                                    rabi) \
+        == _light_shift_80_steps(det.delta1_rad_s, det.delta2_rad_s, rabi)
+
+
+def test_light_shift_compensation_raises_when_it_diverges():
+    B = 650 * GAUSS
+    det = three_photon_detunings(P, B)
+    with pytest.raises(IntegratorError):
+        light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s,
+                                 3.0 * ladder_gap(P, B))

@@ -55,6 +55,20 @@ def test_malformed_scenario_value_exits_2(tmp_path, capsys, data):
     assert not (tmp_path / "out").exists()
 
 
+def test_output_dir_under_a_file_exits_2(tmp_path, capsys):
+    assert cli_main(["run", _scenario(tmp_path, output_dir="scn.json/x")]) == 2
+    err = capsys.readouterr().err
+    assert "scn.json/x" in err and len(err.strip().splitlines()) == 1
+
+
+def test_huge_atom_constant_exits_3(tmp_path, capsys):
+    scn = _scenario(tmp_path, atom={"wavelength_1S0_3P2_m": 1e103})
+    assert cli_main(["run", scn]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("physics error: ")
+    assert len(err.strip().splitlines()) == 1
+
+
 # ---------------------------------------------------------------------------
 # fuzzed scenario files
 
@@ -66,16 +80,17 @@ JUNK = st.one_of(st.none(), st.booleans(), NUMBER, st.text(max_size=4),
                                  max_size=2))
 
 
-def _section(keys):
+def _section(keys, values=JUNK):
     """A JSON object over one or two of `keys`, or junk."""
-    return st.one_of(st.dictionaries(st.sampled_from(sorted(keys)), JUNK,
+    return st.one_of(st.dictionaries(st.sampled_from(sorted(keys)), values,
                                      max_size=2), JUNK)
 
 
 KEYS = {
     # stages other than feasibility are never drawn: the fuzz stays cheap
     "pipeline": st.one_of(st.just(["feasibility"]), st.just([]), JUNK),
-    "atom": _section(AtomParams.__dataclass_fields__),
+    "atom": _section(AtomParams.__dataclass_fields__,
+                     st.one_of(JUNK, st.floats(-1e308, 1e308))),
     "atom_config": JUNK,
     "lattice": _section({"n_x", "n_y", "n_z", "spacing_m"}),
     "gradients": _section({"B0_gauss", "Gx_g_per_cm", "Gy_g_per_cm",
@@ -88,8 +103,10 @@ KEYS = {
     "sweep": _section({"b_min_gauss", "b_max_gauss", "steps"}),
     "depth_recoils": JUNK,
     "dipole_scale": JUNK,
-    # never an arbitrary string: outputs stay inside the scratch directory
-    "output_dir": st.one_of(st.just("out"), st.none(), st.integers(),
+    # never an arbitrary string: outputs stay inside the scratch directory;
+    # "scn.json/out" lies under the scenario file itself
+    "output_dir": st.one_of(st.just("out"), st.just("scn.json/out"),
+                            st.none(), st.integers(),
                             st.lists(st.integers(), max_size=1)),
 }
 # a few keys at a time, so that one bad value does not mask the others

@@ -156,6 +156,33 @@ def test_scenario_rerun_is_byte_identical(tmp_path):
                                 "schedule.json", "result.json"}
 
 
+def _chain_scenario(tmp_path, n_sites):
+    (tmp_path / "c.txt").write_text(
+        "".join(f"MEAS {i} 0\n" for i in range(n_sites)))
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps({
+        "pipeline": ["simulate"],
+        "lattice": {"n_x": n_sites, "n_y": 1, "n_z": 1},
+        "circuit_file": "c.txt", "initial_ones": [[1, 0, 0], [3, 0, 0]],
+        "seed": 4, "output_dir": "out"}))
+    return str(scn)
+
+
+def test_five_site_register_runs(tmp_path):
+    assert cli_main(["run", _chain_scenario(tmp_path, 5)]) == 0
+    result = json.loads((tmp_path / "out" / "result.json").read_text())
+    assert len(result["outcomes"]) == 5
+    assert result["survival"] + result["leaked"] == pytest.approx(1.0,
+                                                                  abs=1e-9)
+
+
+def test_six_sites_exceed_the_limit(tmp_path, capsys):
+    assert cli_main(["run", _chain_scenario(tmp_path, 6)]) == 2
+    err = capsys.readouterr().err
+    assert "6 active sites exceed the state-vector limit of 5" in err
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # emitters
 
