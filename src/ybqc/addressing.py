@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import AtomParams, aux_branch, transition_frequency, transition_slope
+from .atomic import EP32, GP, AtomParams, register_levels
+from .constants import h
 from .errors import AddressingError, ConfigError, PlanningError
 
 DEFAULT_SAFETY_FACTOR = 10.0
@@ -93,21 +94,21 @@ def field_range(geom: LatticeGeometry, config: GradientConfig) -> float:
                              + abs(config.Gz_t_per_m) * (geom.n_z - 1))
 
 
-def default_transition(params: AtomParams) -> tuple[float, tuple[float, str]]:
-    """Addressed transition: 1S0(m_I=+1/2) <-> 3P2(F=3/2, m_F=+3/2)."""
-    return (0.5, (1.5, aux_branch(params)))
+def _addressed_line(params: AtomParams, B: float) -> tuple[float, float]:
+    """Offset (Hz) and field slope (Hz/T) of the addressed transition
+    1S0(m_I=+1/2) <-> 3P2(F=3/2, m_F=+3/2) at field B."""
+    lv = register_levels(params, B)
+    return (lv.energy_hz[EP32] - lv.energy_hz[GP],
+            (lv.moment_j_per_t[GP] - lv.moment_j_per_t[EP32]) / h)
 
 
 def resonance_map(geom: LatticeGeometry, config: GradientConfig,
-                  params: AtomParams,
-                  transition: tuple[float, tuple[float, str]] | None = None,
-                  layer: int = 0) -> ResonanceMap:
-    """Addressed-transition frequency at every site of one x-y layer."""
-    ground_m_I, excited = transition or default_transition(params)
+                  params: AtomParams, layer: int = 0) -> ResonanceMap:
+    """Addressed-line frequency at every site of one x-y layer."""
     entries = {}
     for site in geom.sites(layer=layer):
         B = site_field(geom, config, site)
-        entries[site] = (B, transition_frequency(params, ground_m_I, excited, B))
+        entries[site] = (B, _addressed_line(params, B)[0])
     freqs = [f for _, f in entries.values()]
     if len(freqs) < 2:
         min_gap = math.inf
@@ -152,8 +153,7 @@ def plan_gradients(geom: LatticeGeometry, target_gap_hz: float,
     """
     if target_gap_hz <= 0:
         raise PlanningError("target gap must be positive")
-    ground_m_I, excited = default_transition(params)
-    slope = abs(transition_slope(params, ground_m_I, excited, B0_t))
+    slope = abs(_addressed_line(params, B0_t)[1])
     if not 0 < slope < math.inf:
         raise PlanningError("addressed transition has no field slope at B0")
     g_unit = headroom * target_gap_hz / (slope * geom.spacing_m)
@@ -178,9 +178,7 @@ def check_resolvable(geom: LatticeGeometry, config: GradientConfig,
                      rabi_rad_s: float, min_ratio: float = 1.5) -> None:
     """Raise AddressingError unless every non-target site is detuned from
     every target by at least min_ratio times the pulse Rabi frequency."""
-    ground_m_I, excited = default_transition(params)
-    freqs = {s: transition_frequency(params, ground_m_I, excited,
-                                     site_field(geom, config, s))
+    freqs = {s: _addressed_line(params, site_field(geom, config, s))[0]
              for s in all_sites}
     width = rabi_rad_s / (2 * math.pi)
     for t in target_sites:

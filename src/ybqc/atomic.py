@@ -25,16 +25,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-import numpy as np
 from scipy.optimize import brentq
 
 from .constants import atomic_mass, h, mu_B, mu_N
-from .errors import ConfigError, DegenerateManifoldError
+from .errors import ConfigError, DegenerateManifoldError, PhysicsError
 
 # Defaults for 171Yb.  The 3P2 hyperfine constant is not critical at the
 # percent level anywhere in the protocols; see calibrate_hyperfine_A for
 # pinning it to the 3-photon operating point.
 DEFAULT_HYPERFINE_A_3P2_HZ = 2.6777e9
+
+# Register levels, in `register_levels` order: the 1S0 nuclear-spin qubit
+# and the 3P2 F=3/2 ladder a, b, c, d (m_F = -3/2 .. +3/2).
+GM, GP, EM32, EM12, EP12, EP32 = range(6)
 
 
 @dataclass(frozen=True)
@@ -86,8 +89,7 @@ class ZeemanLevel:
     m_F: float
     branch: str  # 'lower' | 'upper'
     energy_hz: float
-    # amplitudes over |m_J, m_I> product states
-    composition: tuple[tuple[float, float, float], ...]
+    slope_hz_per_t: float  # dE/dB in closed form
 
 
 @dataclass(frozen=True)
@@ -120,26 +122,45 @@ def _block_states(m_F: float, J: float):
     return [(m_F - m_I, m_I) for m_I in (-0.5, +0.5) if abs(m_F - m_I) <= J]
 
 
-def _linear_level_energy(params: AtomParams, m_F: float, branch: str,
-                         B: float) -> float:
+def _linear_level(params: AtomParams, m_F: float, branch: str,
+                  B: float) -> tuple[float, float]:
     # Linear emulation: zero-field F energies plus a strictly linear
     # g_F * m_F Zeeman slope.  branch 'lower' is F=3/2 for A>=0.
     A = params.hyperfine_A_3P2_hz
     J, I = params.electronic_J_3P2, params.nuclear_spin
     F = 1.5 if (branch == "lower") == (A >= 0) else 2.5
     E0 = A * (F * (F + 1) - J * (J + 1) - I * (I + 1)) / 2
-    gF = lande_g_F(params.g_J_3P2, F, J, I)
-    return E0 + gF * m_F * mu_B * B / h
+    k = lande_g_F(params.g_J_3P2, F, J, I) * m_F * mu_B
+    return E0 + k * B / h, k / h
+
+
+def _check_finite(values, what: str, B: float) -> None:
+    if not all(map(math.isfinite, values)):
+        raise PhysicsError(
+            f"{what} at B = {B:.6g} T leave the float range; check the atom "
+            "constants g_J_3P2, hyperfine_A_3P2_hz and nuclear_moment_mu_n")
 
 
 def zeeman_spectrum(params: AtomParams, B: float) -> ZeemanSpectrum:
-    """All 10 eigenpairs of the 3P2 (I=1/2, J=2) Zeeman+hyperfine problem."""
+    """All 10 levels of the 3P2 (I=1/2, J=2) Zeeman+hyperfine problem,
+    with their energies and field slopes in closed form.
+
+    The slope of a 2x2 block [[d1, off], [off, d2]] follows from
+    Hellmann-Feynman: off does not depend on B, so
+    dE/dB = (d1' + d2')/2 +/- (d1 - d2)(d1' - d2') / (4 rad).
+    """
     if B < 0:
         raise ConfigError("B must be >= 0")
     A = params.hyperfine_A_3P2_hz
     J, I = float(params.electronic_J_3P2), params.nuclear_spin
     gJ = params.g_J_3P2
     gI = params.g_I
+
+    def diagonal(mJ, mI):
+        """<mJ, mI|H|mJ, mI> in Hz and its slope in Hz/T."""
+        k = gJ * mu_B * mJ - gI * mu_N * mI
+        return A * mJ * mI + k * B / h, k / h
+
     levels = []
     for twice_mF in range(-5, 6, 2):
         m_F = twice_mF / 2
@@ -147,39 +168,32 @@ def zeeman_spectrum(params: AtomParams, B: float) -> ZeemanSpectrum:
         if params.linear_zeeman:
             for branch in (["lower", "upper"] if len(states) == 2
                            else ["lower" if A >= 0 else "upper"]):
-                # composition: pure F states are not tracked in the
-                # emulation; report the dominant product state.
-                comp = tuple((mJ, mI, 1.0 if k == 0 else 0.0)
-                             for k, (mJ, mI) in enumerate(states))
                 levels.append(ZeemanLevel(
-                    m_F, branch, _linear_level_energy(params, m_F, branch, B),
-                    comp))
+                    m_F, branch, *_linear_level(params, m_F, branch, B)))
             continue
         if len(states) == 1:
-            (mJ, mI), = states
-            E = A * mJ * mI + (gJ * mu_B * mJ - gI * mu_N * mI) * B / h
             # 1x1 blocks: stretched states belong to F=5/2 at zero field,
             # i.e. the 'upper' branch for A>0 and 'lower' for A<0.
             branch = "upper" if A > 0 else "lower"
-            levels.append(ZeemanLevel(m_F, branch, E, ((mJ, mI, 1.0),)))
+            levels.append(ZeemanLevel(m_F, branch, *diagonal(*states[0])))
         else:
-            (mJ1, mI1), (mJ2, mI2) = states  # mI1 = -1/2, mI2 = +1/2
-            d1 = A * mJ1 * mI1 + (gJ * mu_B * mJ1 - gI * mu_N * mI1) * B / h
-            d2 = A * mJ2 * mI2 + (gJ * mu_B * mJ2 - gI * mu_N * mI2) * B / h
-            # <mJ2, +1/2 | (A/2) J- I+ | mJ1, -1/2>, with mJ2 = mJ1 - 1
+            # states: (mJ1, -1/2), (mJ2, +1/2) with mJ2 = mJ1 - 1
+            (d1, s1), (d2, s2) = (diagonal(*st) for st in states)
+            mJ1 = states[0][0]
+            # <mJ2, +1/2 | (A/2) J- I+ | mJ1, -1/2>
             off = (A / 2) * math.sqrt(J * (J + 1) - mJ1 * (mJ1 - 1))
             mean = (d1 + d2) / 2
             rad = math.hypot((d1 - d2) / 2, off)
-            for branch, E in (("lower", mean - rad), ("upper", mean + rad)):
-                # eigenvector of [[d1, off], [off, d2]] for eigenvalue E
-                v = np.array([off, E - d1])
-                n = np.linalg.norm(v)
-                if n == 0.0:  # off==0 and degenerate: pick basis state
-                    v = np.array([1.0, 0.0]) if E == d1 else np.array([0.0, 1.0])
-                else:
-                    v = v / n
-                comp = ((mJ1, mI1, float(v[0])), (mJ2, mI2, float(v[1])))
-                levels.append(ZeemanLevel(m_F, branch, E, comp))
+            # at an exact crossing (off == 0) the branches keep the
+            # diagonal slopes, the smaller one below
+            tilt = (d1 - d2) / 2 / rad * (s1 - s2) / 2 if rad \
+                else abs(s1 - s2) / 2
+            slope = (s1 + s2) / 2
+            levels.append(ZeemanLevel(m_F, "lower", mean - rad, slope - tilt))
+            levels.append(ZeemanLevel(m_F, "upper", mean + rad, slope + tilt))
+    _check_finite([x for lv in levels for x in (lv.energy_hz,
+                                                 lv.slope_hz_per_t)],
+                  "3P2 Zeeman energies", B)
     return ZeemanSpectrum(B, tuple(levels))
 
 
@@ -197,6 +211,33 @@ def ground_qubit_splitting(params: AtomParams, B: float) -> float:
     return 2 * params.nuclear_moment_j_per_t * B / h
 
 
+def aux_branch(params: AtomParams) -> str:
+    """Branch label of the F=3/2 manifold (the auxiliary-qubit manifold)."""
+    return "lower" if params.hyperfine_A_3P2_hz >= 0 else "upper"
+
+
+@dataclass(frozen=True)
+class RegisterLevels:
+    """Energies (Hz) and z-moments -h dE/dB (J/T) of the register levels,
+    indexed GM, GP, EM32, EM12, EP12, EP32: the 1S0 qubit g-, g+ and the
+    3P2 F=3/2 ladder e-3/2 .. e+3/2."""
+    field_t: float
+    energy_hz: tuple[float, ...]
+    moment_j_per_t: tuple[float, ...]
+
+
+def register_levels(params: AtomParams, B: float) -> RegisterLevels:
+    """Closed-form level table of one atom at field B."""
+    spec = zeeman_spectrum(params, B)
+    excited = [spec.level(m, aux_branch(params))
+               for m in (-1.5, -0.5, 0.5, 1.5)]
+    mu = params.nuclear_moment_j_per_t
+    energy = (mu * B / h, -mu * B / h, *(lv.energy_hz for lv in excited))
+    moment = (-mu, mu, *(-h * lv.slope_hz_per_t for lv in excited))
+    _check_finite(energy + moment, "register level energies", B)
+    return RegisterLevels(B, energy, moment)
+
+
 def transition_frequency(params: AtomParams, ground_m_I: float,
                          excited: tuple[float, str], B: float) -> float:
     """Optical resonance offset (Hz) from the zero-field line center."""
@@ -207,26 +248,13 @@ def transition_frequency(params: AtomParams, ground_m_I: float,
 
 
 def transition_slope(params: AtomParams, ground_m_I: float,
-                     excited: tuple[float, str], B: float,
-                     dB: float = 1e-7) -> float:
-    """d(transition frequency)/dB in Hz/T by central finite difference."""
-    lo = max(B - dB, 0.0)
-    f1 = transition_frequency(params, ground_m_I, excited, B + dB)
-    f0 = transition_frequency(params, ground_m_I, excited, lo)
-    return (f1 - f0) / (B + dB - lo)
-
-
-def aux_branch(params: AtomParams) -> str:
-    """Branch label of the F=3/2 manifold (the auxiliary-qubit manifold)."""
-    return "lower" if params.hyperfine_A_3P2_hz >= 0 else "upper"
-
-
-def f32_energies(params: AtomParams, B: float) -> np.ndarray:
-    """Energies (Hz) of the F=3/2-branch ladder a,b,c,d (m_F=-3/2..+3/2)."""
-    spec = zeeman_spectrum(params, B)
-    br = aux_branch(params)
-    return np.array([spec.level(m, br).energy_hz
-                     for m in (-1.5, -0.5, 0.5, 1.5)])
+                     excited: tuple[float, str], B: float) -> float:
+    """d(transition frequency)/dB in Hz/T: the excited level's closed-form
+    slope minus the ground level's."""
+    m_F, branch = excited
+    ground_slope = -params.nuclear_moment_j_per_t * (ground_m_I / 0.5) / h
+    return zeeman_spectrum(params, B).level(m_F, branch).slope_hz_per_t \
+        - ground_slope
 
 
 def three_photon_detunings(params: AtomParams, B: float) -> ThreePhotonDetunings:
@@ -240,13 +268,15 @@ def three_photon_detunings(params: AtomParams, B: float) -> ThreePhotonDetunings
         raise DegenerateManifoldError(
             "three-photon detunings are ill-conditioned at B=0 "
             "(degenerate F=3/2 sublevels)")
-    E = f32_energies(params, B)
+    E = register_levels(params, B).energy_hz[EM32:]
     w_ab = 2 * math.pi * (E[1] - E[0])
     w_bc = 2 * math.pi * (E[2] - E[1])
     w_cd = 2 * math.pi * (E[3] - E[2])
     omega0 = (w_ab + w_bc + w_cd) / 3
-    return ThreePhotonDetunings(B, float(omega0), float(w_ab - omega0),
-                                float(w_cd - omega0))
+    det = ThreePhotonDetunings(B, omega0, w_ab - omega0, w_cd - omega0)
+    _check_finite((omega0, det.delta1_rad_s, det.delta2_rad_s),
+                  "three-photon ladder detunings", B)
+    return det
 
 
 def calibrate_hyperfine_A(params: AtomParams, B: float = 650e-4,

@@ -153,7 +153,11 @@ def cmd_plan(args) -> int:
 
 
 def _parse_ones(values):
-    return [tuple(int(x) for x in v.split(",")) for v in values or []]
+    try:
+        return [tuple(int(x) for x in v.split(",")) for v in values or []]
+    except ValueError as exc:
+        raise ConfigError(f"--one takes integer site coordinates I,J,K "
+                          f"({exc})") from None
 
 
 def cmd_compile(args) -> int:
@@ -295,7 +299,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except (ConfigError, OSError) as exc:   # OSError: an input or output file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PhysicsError as exc:

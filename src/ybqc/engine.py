@@ -38,15 +38,14 @@ import numpy as np
 from scipy.linalg import expm
 
 from .addressing import GradientConfig, LatticeGeometry, site_field
-from .atomic import (AtomParams, f32_energies, ground_qubit_splitting,
-                     ground_state_energy, three_photon_detunings,
-                     transition_frequency, aux_branch)
-from .constants import h
+from .atomic import (EM12, EM32, EP12, EP32, GM, GP, AtomParams,
+                     register_levels, three_photon_detunings)
 from .dipole import pair_coupling
 from .errors import ConfigError, IntegratorError
 
-# Per-atom level indices
-GM, GP, EM32, EM12, EP12, EP32, LOST = range(7)
+# Per-atom level indices: the register levels of `atomic.register_levels`
+# (GM, GP, EM32, EM12, EP12, EP32) plus an absorbing LOST label
+LOST = 6
 NLEV = 7
 E_LEVELS = (EM32, EM12, EP12, EP32)
 G_LEVELS = (GM, GP)
@@ -193,31 +192,6 @@ class RegisterState:
 
 
 # ---------------------------------------------------------------------------
-# level data
-
-def level_energy_hz(params: AtomParams, B: float, level: int) -> float:
-    """Energy (Hz) of a register level at field B, per-manifold zero."""
-    if level == GM:
-        return ground_state_energy(params, B, -0.5)
-    if level == GP:
-        return ground_state_energy(params, B, +0.5)
-    if level == LOST:
-        return 0.0
-    E = f32_energies(params, B)
-    return float(E[(EM32, EM12, EP12, EP32).index(level)])
-
-
-def level_moment_j_per_t(params: AtomParams, B: float, level: int,
-                         dB: float = 1e-7) -> float:
-    """z magnetic moment of a level: -h dE/dB by finite difference."""
-    if level == LOST:
-        return 0.0
-    lo = max(B - dB, 1e-12)
-    dE = level_energy_hz(params, B + dB, level) - level_energy_hz(params, lo, level)
-    return -h * dE / (B + dB - lo)
-
-
-# ---------------------------------------------------------------------------
 # Hamiltonian construction
 
 def light_shift_compensation(delta1: float, delta2: float,
@@ -252,54 +226,43 @@ def _resolve_reference(reg: RegisterState, target: tuple):
     return reg.sites[0]
 
 
-def _single_atom_hamiltonian(params, B, B_ref, pulse) -> np.ndarray:
-    """7x7 rotating-frame block (rad/s) for one atom at local field B."""
-    hmat = np.zeros((NLEV, NLEV), complex)
-    om = pulse.rabi_rad_s
-    ph = np.exp(1j * pulse.phase_rad)
-    kind = pulse.transition
-    if kind == "optical_pair":
-        br = aux_branch(params)
-        for glev, elev, mF in ((GP, EP32, 1.5), (GM, EM32, -1.5)):
-            mi = 0.5 if glev == GP else -0.5
-            f_here = transition_frequency(params, mi, (mF, br), B)
-            f_ref = transition_frequency(params, mi, (mF, br), B_ref)
-            wL = 2 * math.pi * f_ref + pulse.detuning_rad_s
-            hmat[elev, elev] = 2 * math.pi * f_here - wL
-            hmat[elev, glev] = om / 2 * ph
-            hmat[glev, elev] = om / 2 * np.conj(ph)
-    elif kind == "three_photon":
+# Drive legs (lower, upper) of each transition.  The three 3-photon legs
+# share one laser.  The rf leg runs from g+ up to g-: the positive 171Yb
+# nuclear moment puts m_I = +1/2 lowest.
+LEGS = {"optical_pair": ((GP, EP32), (GM, EM32)),
+        "three_photon": ((EM32, EM12), (EM12, EP12), (EP12, EP32)),
+        "rf": ((GP, GM),),
+        "aux_flip": ((EM32, EP32),)}
+
+
+def _laser_frequencies(params, B_ref, pulse) -> tuple:
+    """Laser angular frequency (rad/s) of each drive leg: resonant at the
+    reference field B_ref, plus the pulse detuning; the 3-photon laser
+    also carries the light-shift compensation."""
+    if pulse.transition not in LEGS:
+        raise ConfigError(f"unknown pulse transition {pulse.transition!r}")
+    if pulse.transition == "three_photon":
         det = three_photon_detunings(params, B_ref)
         eps = 0.0
-        if pulse.compensate_light_shift and om > 0:
+        if pulse.compensate_light_shift and pulse.rabi_rad_s > 0:
             eps = light_shift_compensation(det.delta1_rad_s,
-                                           det.delta2_rad_s, om)
-        wL = det.omega0_rad_s + eps + pulse.detuning_rad_s
-        w = 2 * math.pi * f32_energies(params, B)
-        ladder = (EM32, EM12, EP12, EP32)
-        cum = 0.0
-        for n in range(1, 4):
-            cum += (w[n] - w[n - 1]) - wL
-            hmat[ladder[n], ladder[n]] = cum
-        for n in range(3):
-            hmat[ladder[n + 1], ladder[n]] = om / 2 * ph
-            hmat[ladder[n], ladder[n + 1]] = om / 2 * np.conj(ph)
-    elif kind == "rf":
-        wL = 2 * math.pi * ground_qubit_splitting(params, B_ref) \
-            + pulse.detuning_rad_s
-        hmat[GP, GP] = 2 * math.pi * ground_qubit_splitting(params, B) - wL
-        hmat[GP, GM] = om / 2 * ph
-        hmat[GM, GP] = om / 2 * np.conj(ph)
-    elif kind == "aux_flip":
-        def f_ad(Bv):
-            E = f32_energies(params, Bv)
-            return E[3] - E[0]
-        wL = 2 * math.pi * f_ad(B_ref) + pulse.detuning_rad_s
-        hmat[EP32, EP32] = 2 * math.pi * f_ad(B) - wL
-        hmat[EP32, EM32] = om / 2 * ph
-        hmat[EM32, EP32] = om / 2 * np.conj(ph)
-    else:
-        raise ConfigError(f"unknown pulse transition {kind!r}")
+                                           det.delta2_rad_s, pulse.rabi_rad_s)
+        return (det.omega0_rad_s + eps + pulse.detuning_rad_s,) * 3
+    E = register_levels(params, B_ref).energy_hz
+    return tuple(2 * math.pi * (E[up] - E[lo]) + pulse.detuning_rad_s
+                 for lo, up in LEGS[pulse.transition])
+
+
+def _single_atom_hamiltonian(energy_hz, lasers, pulse) -> np.ndarray:
+    """7x7 rotating-frame block (rad/s) for one atom whose register levels
+    sit at `energy_hz` (Hz), driven by `lasers` (rad/s, one per leg)."""
+    hmat = np.zeros((NLEV, NLEV), complex)
+    coupling = pulse.rabi_rad_s / 2 * np.exp(1j * pulse.phase_rad)
+    for (lo, up), wL in zip(LEGS[pulse.transition], lasers):
+        hmat[up, up] = hmat[lo, lo] \
+            + (2 * math.pi * (energy_hz[up] - energy_hz[lo]) - wL)
+        hmat[up, lo] = coupling
+        hmat[lo, up] = np.conj(coupling)
     return hmat
 
 
@@ -325,8 +288,10 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     config, pulse = segment.config, segment.pulse
     n = reg.n_atoms
     B_ref = site_field(geom, config, _resolve_reference(reg, pulse.target))
+    lasers = _laser_frequencies(params, B_ref, pulse)
     hs = np.stack([_single_atom_hamiltonian(
-        params, site_field(geom, config, s), B_ref, pulse) for s in reg.sites])
+        register_levels(params, site_field(geom, config, s)).energy_hz,
+        lasers, pulse) for s in reg.sites])
     labels = basis_labels(n)
     # block of each basis state, coded by its atoms' groups as base-7
     # digits; ascending basis order within a block is the Cartesian order
@@ -363,8 +328,8 @@ def _dipole_diagonal(params: AtomParams, geom: LatticeGeometry, sites: tuple,
     7^n basis; computed once per register, field and scale."""
     n = len(sites)
     moments = np.array(
-        [[level_moment_j_per_t(params, site_field(geom, config, s), lv)
-          for lv in range(NLEV)] for s in sites])
+        [register_levels(params, site_field(geom, config, s)).moment_j_per_t
+         + (0.0,) for s in sites])     # LOST carries no moment
     labels = basis_labels(n)
     dd = np.zeros(NLEV ** n)
     for i in range(n):

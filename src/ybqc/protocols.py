@@ -17,12 +17,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .addressing import GradientConfig, check_resolvable, site_field
-from .atomic import three_photon_detunings
+from .atomic import register_levels, three_photon_detunings
 from .dipole import pair_coupling
 from .engine import (EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, NoiseParams,
                      Pulse, PulseSegment, RegisterState, apply_segment,
-                     basis_labels, blow_away, level_moment_j_per_t,
-                     light_shift_compensation)
+                     basis_labels, blow_away, light_shift_compensation)
 from .errors import ConfigError, GeometryError, ProtocolOrderError
 
 DEFAULT_TRANSFER_RABI = 2 * math.pi * 500.0  # 1 ms pi-pulse
@@ -145,14 +144,11 @@ def cnot_pulse_parameters(params, geom, config, control_site, target_site):
     |10> <-> |11> line for a control/target pair."""
     coupling = pair_coupling(geom.position_m(control_site),
                              geom.position_m(target_site))
-    B_c = site_field(geom, config, control_site)
-    B_t = site_field(geom, config, target_site)
-    m_c0 = level_moment_j_per_t(params, B_c, EM32)
-    m_c1 = level_moment_j_per_t(params, B_c, EP32)
-    m_t0 = level_moment_j_per_t(params, B_t, EM32)
-    m_t1 = level_moment_j_per_t(params, B_t, EP32)
-    shift_hz = coupling * (m_c1 - m_c0) * (m_t1 - m_t0)
-    detuning_rad_s = 2 * math.pi * coupling * m_c1 * (m_t1 - m_t0)
+    m_c, m_t = (register_levels(params, site_field(geom, config, s))
+                .moment_j_per_t for s in (control_site, target_site))
+    shift_hz = coupling * (m_c[EP32] - m_c[EM32]) * (m_t[EP32] - m_t[EM32])
+    detuning_rad_s = 2 * math.pi * coupling * m_c[EP32] \
+        * (m_t[EP32] - m_t[EM32])
     return shift_hz, detuning_rad_s
 
 

@@ -349,6 +349,10 @@ def simulate_circuit(circuit_text: str, geom: LatticeGeometry,
             f"{len(sites)} active sites exceed the state-vector limit of "
             f"{MAX_ACTIVE_SITES}")
     ones = {tuple(s) for s in initial_ones}
+    stray = sorted(ones - set(sites))
+    if stray:
+        raise ConfigError(f"initial one {stray[0]} is not an active site of "
+                          f"the circuit {sites}")
     levels = [GP if s in ones else GM for s in sites]
     reg = RegisterState.product(params, geom, sites, levels)
     result = execute_schedule(reg, schedule, noise, rng_seed=seed,

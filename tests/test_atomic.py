@@ -5,10 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from ybqc.atomic import (AtomParams, aux_branch, calibrate_hyperfine_A,
-                         f32_energies, ground_qubit_splitting,
-                         ground_state_energy, lande_g_F,
+from ybqc.atomic import (EM12, EP12, AtomParams, aux_branch,
+                         calibrate_hyperfine_A, ground_qubit_splitting,
+                         ground_state_energy, lande_g_F, register_levels,
                          three_photon_detunings, transition_frequency,
                          transition_slope, zeeman_spectrum)
 from ybqc.constants import GAUSS, h, mu_B, mu_N
@@ -62,15 +63,74 @@ def test_level_count_and_trace(b_gauss=137.0):
     assert abs(trace - dense) <= 1e-9 * scale
 
 
-def test_composition_normalized_and_eigen():
-    params = AtomParams()
-    B = 650 * GAUSS
+# m_F of the dense basis kron(|m_J = 2 .. -2>, |m_I = +1/2, -1/2>)
+DENSE_M_F = np.repeat(np.arange(2.0, -3.0, -1.0), 2) + np.tile([0.5, -0.5], 5)
+
+
+def dense_block_slopes(params, B):
+    """Hellmann-Feynman oracle: <v|dH/dB|v> over the eigenvectors (eigh)
+    of each m_F block of the dense Hamiltonian, ascending in energy, as
+    {m_F: [slopes]}.  H is linear in B, so dH/dB = H(1 T) - H(0)."""
+    H = dense_hamiltonian(params, B)
+    dH = dense_hamiltonian(params, 1.0) - dense_hamiltonian(params, 0.0)
+    out = {}
+    for m in np.unique(DENSE_M_F):
+        idx = np.flatnonzero(DENSE_M_F == m)
+        _, V = np.linalg.eigh(H[np.ix_(idx, idx)])
+        out[float(m)] = list(np.einsum("ik,ij,jk->k", V,
+                                       dH[np.ix_(idx, idx)], V))
+    return out
+
+
+SIGNED_A = st.floats(1e9, 1e10).flatmap(
+    lambda a: st.sampled_from([a, -a]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=SIGNED_A, B=st.floats(0.0, 2.0, exclude_min=True),
+       linear=st.booleans())
+def test_slopes_match_hellmann_feynman_oracle(A, B, linear):
+    params = AtomParams(hyperfine_A_3P2_hz=A, linear_zeeman=linear)
     spec = zeeman_spectrum(params, B)
-    for lv in spec.levels:
-        norm = sum(a * a for _, _, a in lv.composition)
-        assert abs(norm - 1.0) < 1e-12
-        for mJ, mI, _a in lv.composition:
-            assert abs(mJ + mI - lv.m_F) < 1e-12
+    if linear:
+        # strictly linear energies: the unit-step difference is the slope
+        step = zeeman_spectrum(params, B + 1.0)
+        for lv, lv1 in zip(spec.levels, step.levels):
+            assert lv.slope_hz_per_t == pytest.approx(
+                lv1.energy_hz - lv.energy_hz, rel=1e-9, abs=1.0)
+        return
+    oracle = dense_block_slopes(params, B)
+    scale = max(abs(s) for slopes in oracle.values() for s in slopes)
+    for m_F, want in oracle.items():
+        block = sorted((lv for lv in spec.levels if lv.m_F == m_F),
+                       key=lambda lv: lv.energy_hz)
+        assert [lv.slope_hz_per_t for lv in block] \
+            == pytest.approx(want, abs=1e-12 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(A=SIGNED_A, B=st.floats(1e-4, 2.0), linear=st.booleans())
+def test_register_moments_match_central_difference(A, B, linear):
+    params = AtomParams(hyperfine_A_3P2_hz=A, linear_zeeman=linear)
+    dB = 1e-5
+    lo, hi = register_levels(params, B - dB), register_levels(params, B + dB)
+    fd = [-h * (e1 - e0) / (2 * dB)
+          for e0, e1 in zip(lo.energy_hz, hi.energy_hz)]
+    assert register_levels(params, B).moment_j_per_t \
+        == pytest.approx(fd, rel=1e-6)
+
+
+def test_exact_crossing_keeps_the_diagonal_slopes():
+    # a subnormal A underflows the off-diagonal to 0, so at B = 0 the 2x2
+    # blocks cross exactly; each branch keeps a diagonal slope, the
+    # smaller one below
+    params = AtomParams(hyperfine_A_3P2_hz=5e-324)
+    spec = zeeman_spectrum(params, 0.0)
+    dH = np.diag(dense_hamiltonian(params, 1.0)
+                 - dense_hamiltonian(params, 0.0))
+    for m in (-1.5, -0.5, 0.5, 1.5):
+        got = [spec.level(m, b).slope_hz_per_t for b in ("lower", "upper")]
+        assert got == pytest.approx(sorted(dH[DENSE_M_F == m]), rel=1e-12)
 
 
 def test_zero_field_splitting_is_five_halves_A():
@@ -163,8 +223,8 @@ def test_detuning_sum_rule():
     for bg in (10.0, 650.0, 5000.0):
         B = bg * GAUSS
         det = three_photon_detunings(params, B)
-        E = f32_energies(params, B)
-        w_bc = 2 * math.pi * (E[2] - E[1])
+        E = register_levels(params, B).energy_hz
+        w_bc = 2 * math.pi * (E[EP12] - E[EM12])
         assert det.delta1_rad_s + det.delta2_rad_s == pytest.approx(
             -(w_bc - det.omega0_rad_s), abs=1e-3)
 

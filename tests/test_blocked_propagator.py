@@ -10,13 +10,13 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from ybqc.addressing import LatticeGeometry, site_field
-from ybqc.atomic import AtomParams
+from ybqc.atomic import AtomParams, register_levels
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.dipole import pair_coupling
 from ybqc.engine import (GM, GP, NLEV, NoiseParams, RegisterState,
-                         _gamma_levels, _resolve_reference,
-                         _single_atom_hamiltonian, apply_segment,
-                         basis_labels, level_moment_j_per_t)
+                         _gamma_levels, _laser_frequencies,
+                         _resolve_reference, _single_atom_hamiltonian,
+                         apply_segment, basis_labels)
 from ybqc.protocols import measure_qubit
 from ybqc.scenario import simulate_circuit
 
@@ -30,14 +30,15 @@ def dense_hamiltonian(reg, segment, dipole_scale=1.0):
     geom, config, pulse = reg.geom, segment.config, segment.pulse
     n = reg.n_atoms
     B_ref = site_field(geom, config, _resolve_reference(reg, pulse.target))
+    lasers = _laser_frequencies(P, B_ref, pulse)
+    tables = [register_levels(P, site_field(geom, config, s))
+              for s in reg.sites]
     H = np.zeros((NLEV ** n, NLEV ** n), complex)
-    for i, site in enumerate(reg.sites):
-        hi = _single_atom_hamiltonian(P, site_field(geom, config, site),
-                                      B_ref, pulse)
+    for i, table in enumerate(tables):
+        hi = _single_atom_hamiltonian(table.energy_hz, lasers, pulse)
         H += np.kron(np.kron(np.eye(NLEV ** i), hi),
                      np.eye(NLEV ** (n - 1 - i)))
-    moments = [[level_moment_j_per_t(P, site_field(geom, config, s), lv)
-                for lv in range(NLEV)] for s in reg.sites]
+    moments = [table.moment_j_per_t + (0.0,) for table in tables]
     labels = basis_labels(n)
     for i in range(n):
         for j in range(i + 1, n):

@@ -8,13 +8,13 @@ import pytest
 
 from ybqc.addressing import GradientConfig, LatticeGeometry, plan_gradients
 from ybqc.atomic import (AtomParams, ground_qubit_splitting,
-                         three_photon_detunings)
+                         register_levels, three_photon_detunings)
 from ybqc.constants import GAUSS, h
 from ybqc.dipole import auxiliary_qubit_moments, ddi_coupling
 from ybqc.engine import (AUX, EM32, EP32, GM, GP, LOST, NLEV, NoiseParams,
                          Pulse, PulseSegment, RegisterState, apply_segment,
                          blow_away, evolve, ground_basis_probability,
-                         level_moment_j_per_t, light_shift_compensation,
+                         light_shift_compensation,
                          segment_hamiltonian)
 from ybqc.errors import ConfigError, IntegratorError
 from ybqc.protocols import ladder_gap
@@ -133,7 +133,7 @@ def test_dipole_diagonal_matches_pair_formula():
                 return H[b, k, k]
         raise AssertionError("basis state not in a live block")
 
-    m = level_moment_j_per_t(P, CFG.B0_t, EP32)
+    m = register_levels(P, CFG.B0_t).moment_j_per_t[EP32]
     want = 2 * math.pi * ddi_coupling(m, m, geom.spacing_m, math.pi / 2)
     assert diagonal_entry(segment_hamiltonian(reg, seg)).real \
         == pytest.approx(want, rel=1e-9)
@@ -144,8 +144,8 @@ def test_dipole_diagonal_matches_pair_formula():
 
 def test_level_moments_near_low_field_values():
     m0, m1 = auxiliary_qubit_moments(P)
-    got0 = level_moment_j_per_t(P, 100 * GAUSS, EM32)
-    got1 = level_moment_j_per_t(P, 100 * GAUSS, EP32)
+    got0, got1 = (register_levels(P, 100 * GAUSS).moment_j_per_t[lv]
+                  for lv in (EM32, EP32))
     assert got0 == pytest.approx(m0, rel=0.05)
     assert got1 == pytest.approx(m1, rel=0.05)
 
