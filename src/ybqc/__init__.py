@@ -2,25 +2,23 @@
 gradient-addressed 171Yb optical-lattice qubit register."""
 
 from .atomic import (AtomParams, ThreePhotonDetunings, ZeemanLevel,
-                     ZeemanSpectrum, calibrate_hyperfine_A,
-                     ground_qubit_splitting, three_photon_detunings,
-                     transition_frequency, zeeman_spectrum)
+                     ZeemanSpectrum, calibrate_hyperfine_A, register_levels,
+                     three_photon_detunings, zeeman_spectrum)
 from .addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                          resonance_map, validate_gradients)
 from .dipole import (auxiliary_qubit_moments, cnot_shift, ddi_coupling,
                      pair_coupling, pair_levels)
 from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
-                     RegisterState, apply_segment, evolve)
-from .protocols import (cnot, measure_qubit, select_layer,
-                        single_qubit_gate, three_photon_scan, transfer)
+                     RegisterState, apply_segment)
+from .protocols import measure_qubit, select_layer, three_photon_scan
 from .compiler import compile_circuit, execute_schedule, parse_circuit
 from .feasibility import (build_feasibility_report, decoherence_budget,
                           lattice_depth_report, pi_pulse_intensity,
                           scattering_rate)
 from .scenario import (load_atom_params, load_scenario, run_scenario,
                        simulate_circuit)
-from .errors import (AddressingError, ConfigError, GeometryError,
-                     IntegratorError, PhysicsError, PlanningError,
-                     ProtocolOrderError, ScenarioError)
+from .errors import (ConfigError, GeometryError, IntegratorError,
+                     PhysicsError, PlanningError, ProtocolOrderError,
+                     ScenarioError)
 
 __version__ = "0.1.0"

@@ -17,9 +17,12 @@ import numpy as np
 
 from .atomic import EP32, GP, AtomParams, register_levels
 from .constants import h
-from .errors import AddressingError, ConfigError, PlanningError
+from .errors import ConfigError, PlanningError
 
 DEFAULT_SAFETY_FACTOR = 10.0
+# Gradient headroom over the linear estimate: covers the residual Zeeman
+# nonlinearity across the lattice.
+PLAN_HEADROOM = 1.01
 
 
 @dataclass(frozen=True)
@@ -143,20 +146,19 @@ def validate_gradients(geom: LatticeGeometry,
 
 def plan_gradients(geom: LatticeGeometry, target_gap_hz: float,
                    params: AtomParams, B0_t: float = 100e-4,
-                   safety_factor: float = DEFAULT_SAFETY_FACTOR,
-                   headroom: float = 1.01) -> GradientConfig:
+                   safety_factor: float = DEFAULT_SAFETY_FACTOR
+                   ) -> GradientConfig:
     """Minimal (Gx, Gy) giving per-site gaps >= target on the addressed line.
 
-    Gy = n_x * Gx satisfies the sufficient condition with equality; the
-    small headroom factor covers the residual Zeeman nonlinearity across
-    the lattice.  Gz is set equal to Gy for layer selection.
+    Gy = n_x * Gx satisfies the sufficient condition with equality, with
+    PLAN_HEADROOM on top.  Gz is set equal to Gy for layer selection.
     """
     if target_gap_hz <= 0:
         raise PlanningError("target gap must be positive")
     slope = abs(_addressed_line(params, B0_t)[1])
     if not 0 < slope < math.inf:
         raise PlanningError("addressed transition has no field slope at B0")
-    g_unit = headroom * target_gap_hz / (slope * geom.spacing_m)
+    g_unit = PLAN_HEADROOM * target_gap_hz / (slope * geom.spacing_m)
     if geom.n_x > 1:
         gx = g_unit
         gy = geom.n_x * gx
@@ -171,22 +173,3 @@ def plan_gradients(geom: LatticeGeometry, target_gap_hz: float,
             f"gradient range {rng:.3e} T times safety factor exceeds "
             f"B0 = {B0_t:.3e} T; geometry/gap infeasible at this bias")
     return config
-
-
-def check_resolvable(geom: LatticeGeometry, config: GradientConfig,
-                     params: AtomParams, target_sites, all_sites,
-                     rabi_rad_s: float, min_ratio: float = 1.5) -> None:
-    """Raise AddressingError unless every non-target site is detuned from
-    every target by at least min_ratio times the pulse Rabi frequency."""
-    freqs = {s: _addressed_line(params, site_field(geom, config, s))[0]
-             for s in all_sites}
-    width = rabi_rad_s / (2 * math.pi)
-    for t in target_sites:
-        for s in all_sites:
-            if s in target_sites:
-                continue
-            gap = abs(freqs[s] - freqs[t])
-            if gap < min_ratio * width:
-                raise AddressingError(
-                    f"sites {t} and {s} separated by {gap:.1f} Hz, below "
-                    f"{min_ratio} x pulse width {width:.1f} Hz")

@@ -122,13 +122,12 @@ def _block_states(m_F: float, J: float):
     return [(m_F - m_I, m_I) for m_I in (-0.5, +0.5) if abs(m_F - m_I) <= J]
 
 
-def _linear_level(params: AtomParams, m_F: float, branch: str,
+def _linear_level(params: AtomParams, m_F: float, F: float,
                   B: float) -> tuple[float, float]:
     # Linear emulation: zero-field F energies plus a strictly linear
-    # g_F * m_F Zeeman slope.  branch 'lower' is F=3/2 for A>=0.
+    # g_F * m_F Zeeman slope.
     A = params.hyperfine_A_3P2_hz
     J, I = params.electronic_J_3P2, params.nuclear_spin
-    F = 1.5 if (branch == "lower") == (A >= 0) else 2.5
     E0 = A * (F * (F + 1) - J * (J + 1) - I * (I + 1)) / 2
     k = lande_g_F(params.g_J_3P2, F, J, I) * m_F * mu_B
     return E0 + k * B / h, k / h
@@ -161,21 +160,23 @@ def zeeman_spectrum(params: AtomParams, B: float) -> ZeemanSpectrum:
         k = gJ * mu_B * mJ - gI * mu_N * mI
         return A * mJ * mI + k * B / h, k / h
 
+    # 1x1 blocks: stretched states belong to F=5/2 at zero field, i.e.
+    # the 'upper' branch for A>0 and 'lower' for A<0.  In the 2x2 blocks
+    # 'lower' is F=3/2 for A>=0.
+    stretched = "upper" if A > 0 else "lower"
+    lower_upper_F = (1.5, 2.5) if A >= 0 else (2.5, 1.5)
     levels = []
     for twice_mF in range(-5, 6, 2):
         m_F = twice_mF / 2
         states = _block_states(m_F, J)
-        if params.linear_zeeman:
-            for branch in (["lower", "upper"] if len(states) == 2
-                           else ["lower" if A >= 0 else "upper"]):
-                levels.append(ZeemanLevel(
-                    m_F, branch, *_linear_level(params, m_F, branch, B)))
-            continue
         if len(states) == 1:
-            # 1x1 blocks: stretched states belong to F=5/2 at zero field,
-            # i.e. the 'upper' branch for A>0 and 'lower' for A<0.
-            branch = "upper" if A > 0 else "lower"
-            levels.append(ZeemanLevel(m_F, branch, *diagonal(*states[0])))
+            levels.append(ZeemanLevel(m_F, stretched, *(
+                _linear_level(params, m_F, 2.5, B) if params.linear_zeeman
+                else diagonal(*states[0]))))
+        elif params.linear_zeeman:
+            for branch, F in zip(("lower", "upper"), lower_upper_F):
+                levels.append(ZeemanLevel(
+                    m_F, branch, *_linear_level(params, m_F, F, B)))
         else:
             # states: (mJ1, -1/2), (mJ2, +1/2) with mJ2 = mJ1 - 1
             (d1, s1), (d2, s2) = (diagonal(*st) for st in states)
@@ -195,20 +196,6 @@ def zeeman_spectrum(params: AtomParams, B: float) -> ZeemanSpectrum:
                                                  lv.slope_hz_per_t)],
                   "3P2 Zeeman energies", B)
     return ZeemanSpectrum(B, tuple(levels))
-
-
-def ground_state_energy(params: AtomParams, B: float, m_I: float) -> float:
-    """1S0 nuclear Zeeman energy in Hz: -moment * B * (m_I / (1/2)) / h."""
-    if m_I not in (-0.5, +0.5):
-        raise ConfigError("ground m_I must be +/-1/2")
-    return -params.nuclear_moment_j_per_t * B * (m_I / 0.5) / h
-
-
-def ground_qubit_splitting(params: AtomParams, B: float) -> float:
-    """NMR frequency of the 1S0 nuclear-spin qubit in Hz."""
-    if B < 0:
-        raise ConfigError("B must be >= 0")
-    return 2 * params.nuclear_moment_j_per_t * B / h
 
 
 def aux_branch(params: AtomParams) -> str:
@@ -236,25 +223,6 @@ def register_levels(params: AtomParams, B: float) -> RegisterLevels:
     moment = (-mu, mu, *(-h * lv.slope_hz_per_t for lv in excited))
     _check_finite(energy + moment, "register level energies", B)
     return RegisterLevels(B, energy, moment)
-
-
-def transition_frequency(params: AtomParams, ground_m_I: float,
-                         excited: tuple[float, str], B: float) -> float:
-    """Optical resonance offset (Hz) from the zero-field line center."""
-    m_F, branch = excited
-    spec = zeeman_spectrum(params, B)
-    return spec.level(m_F, branch).energy_hz - ground_state_energy(
-        params, B, ground_m_I)
-
-
-def transition_slope(params: AtomParams, ground_m_I: float,
-                     excited: tuple[float, str], B: float) -> float:
-    """d(transition frequency)/dB in Hz/T: the excited level's closed-form
-    slope minus the ground level's."""
-    m_F, branch = excited
-    ground_slope = -params.nuclear_moment_j_per_t * (ground_m_I / 0.5) / h
-    return zeeman_spectrum(params, B).level(m_F, branch).slope_hz_per_t \
-        - ground_slope
 
 
 def three_photon_detunings(params: AtomParams, B: float) -> ThreePhotonDetunings:

@@ -24,7 +24,7 @@ import numpy as np
 from .addressing import LatticeGeometry, plan_gradients, site_field
 from .atomic import AtomParams
 from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
-                     RegisterState, apply_segment, blow_away)
+                     RegisterState, apply_segment)
 from .errors import ConfigError
 from .protocols import (cnot_pulse, ladder_gap, measure_qubit,
                         rotation_pulse, transfer_pulse)
@@ -95,8 +95,8 @@ def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
             pulses = (leg, gate, leg)
         elif op[0] == "CNOT":
             _, control, target = op
-            flip, _ = cnot_pulse(params, geom, config, control, target,
-                                 n_meta + 2.0)
+            flip = cnot_pulse(params, geom, config, control, target,
+                              n_meta + 2.0)
             control_leg = transfer_pulse(("site", control),
                                          TRANSFER_RABI_2Q_RAD_S, n_meta + 0.5)
             target_leg = transfer_pulse(("site", target),
@@ -138,14 +138,11 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
     rng = np.random.default_rng(rng_seed) if has_measure else None
     outcomes, reports = [], []
     for seg in schedule.segments:
-        kind = seg.pulse.transition
-        if kind == "measure":
+        if seg.pulse.transition == "measure":
             site = seg.pulse.target[1]
             bit, reg, rep = measure_qubit(reg, site, noise, rng)
             outcomes.append((tuple(site), bit))
             reports.append(rep)
-        elif kind == "blow_away":
-            reg, _ = blow_away(reg)
         else:
             reg = apply_segment(reg, seg, noise, dipole_scale)
     return ExecutionResult(reg, outcomes, reports)

@@ -91,10 +91,10 @@ class Pulse:
 
     transition: 'optical_pair' (simultaneous pi-pulse legs on
     g+ <-> e+3/2 and g- <-> e-3/2), 'three_photon' (single drive through
-    the F=3/2 ladder), 'rf' (ground-qubit NMR drive), 'aux_flip'
-    (effective drive on the auxiliary e-3/2 <-> e+3/2 pair used by the
-    CNOT), 'blow_away' (radiation-pressure removal of all 1S0
-    population, no Hamiltonian), or 'measure'.
+    the F=3/2 ladder, with light-shift compensation), 'rf' (ground-qubit
+    NMR drive), 'aux_flip' (effective drive on the auxiliary
+    e-3/2 <-> e+3/2 pair used by the CNOT), or 'measure' (executed by
+    `compiler.execute_schedule`, not by the engine).
     """
     transition: str
     duration_s: float
@@ -102,7 +102,6 @@ class Pulse:
     detuning_rad_s: float = 0.0
     phase_rad: float = 0.0
     target: tuple = ("all",)
-    compensate_light_shift: bool = True
     metastable_weight: float = 0.0  # annotation for the decoherence budget
 
     def __post_init__(self):
@@ -244,7 +243,7 @@ def _laser_frequencies(params, B_ref, pulse) -> tuple:
     if pulse.transition == "three_photon":
         det = three_photon_detunings(params, B_ref)
         eps = 0.0
-        if pulse.compensate_light_shift and pulse.rabi_rad_s > 0:
+        if pulse.rabi_rad_s > 0:
             eps = light_shift_compensation(det.delta1_rad_s,
                                            det.delta2_rad_s, pulse.rabi_rad_s)
         return (det.omega0_rad_s + eps + pulse.detuning_rad_s,) * 3
@@ -353,11 +352,13 @@ def _gamma_levels(noise: NoiseParams) -> np.ndarray:
 
 
 def segment_propagator(reg: RegisterState, segment: PulseSegment,
-                       noise: NoiseParams, dt: float,
+                       noise: NoiseParams,
                        dipole_scale: float = 1.0) -> list:
-    """Propagators over dt of the live blocks, as (indices, blocks) pairs
-    like `segment_hamiltonian`, with the decay rates as -i Gamma/2 on the
-    diagonal; blocks of equal size are exponentiated in one call."""
+    """Propagators over the whole segment of the live blocks, as
+    (indices, blocks) pairs like `segment_hamiltonian`, with the decay
+    rates as -i Gamma/2 on the diagonal; blocks of equal size are
+    exponentiated in one call."""
+    dt = segment.pulse.duration_s
     rates = _gamma_levels(noise)
     labels = basis_labels(reg.n_atoms)
     out = []
@@ -379,28 +380,12 @@ def apply_propagator(reg: RegisterState, U: list,
     after = float(np.vdot(amps, amps).real)
     if not noise_on and abs(after - before) > UNITARITY_TOL:
         raise IntegratorError(
-            f"unitarity deviation {abs(after - before):.2e} per step "
-            "exceeds 1e-6; use a smaller dt")
+            f"unitarity deviation {abs(after - before):.2e} over one "
+            "segment exceeds 1e-6")
     out = RegisterState(reg.params, reg.geom, reg.sites, amps,
                         reg.leaked + (before - after))
     out.check_accounting()
     return out
-
-
-def _noise_on(noise: NoiseParams) -> bool:
-    return noise.photon_scattering_rate_hz > 0 \
-        or not math.isinf(noise.lifetime_3P2_s)
-
-
-def evolve(reg: RegisterState, segment: PulseSegment, noise: NoiseParams,
-           dt: float, dipole_scale: float = 1.0) -> RegisterState:
-    """Propagate through dt <= segment duration of the segment drive."""
-    if dt <= 0:
-        raise ConfigError("dt must be positive")
-    if dt > segment.pulse.duration_s * (1 + 1e-12):
-        raise ConfigError("dt exceeds the segment duration")
-    U = segment_propagator(reg, segment, noise, dt, dipole_scale)
-    return apply_propagator(reg, U, _noise_on(noise))
 
 
 def apply_segment(reg: RegisterState, segment: PulseSegment,
@@ -409,7 +394,10 @@ def apply_segment(reg: RegisterState, segment: PulseSegment,
     """Propagate through the whole segment (exact exponentiation)."""
     if segment.pulse.duration_s == 0.0:
         return reg.copy()
-    return evolve(reg, segment, noise, segment.pulse.duration_s, dipole_scale)
+    noise_on = noise.photon_scattering_rate_hz > 0 \
+        or not math.isinf(noise.lifetime_3P2_s)
+    return apply_propagator(
+        reg, segment_propagator(reg, segment, noise, dipole_scale), noise_on)
 
 
 def ground_basis_probability(reg: RegisterState, bits: dict) -> float:

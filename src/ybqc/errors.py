@@ -21,10 +21,6 @@ class DegenerateManifoldError(PhysicsError):
     """Requested quantity is ill-conditioned on a degenerate manifold."""
 
 
-class AddressingError(PhysicsError):
-    """Sites cannot be spectrally resolved under the current gradients."""
-
-
 class PlanningError(PhysicsError):
     """No gradient configuration satisfies the requested constraints."""
 

@@ -52,14 +52,17 @@ def recoil_energy_j(params: AtomParams) -> float:
             f"{params.wavelength_lattice_m!r} m") from None
 
 
-def lowest_band_width_recoils(depth_recoils: float,
-                              fourier_order: int = 24) -> float:
+# Plane waves exp(2ikx) with |k| <= FOURIER_ORDER in the band calculation.
+FOURIER_ORDER = 24
+
+
+def lowest_band_width_recoils(depth_recoils: float) -> float:
     """Lowest-band width of the 1D sinusoidal lattice (Mathieu problem),
     in recoil units, from a plane-wave diagonalization."""
     s = depth_recoils
 
     def band_energy(q):
-        ks = np.arange(-fourier_order, fourier_order + 1)
+        ks = np.arange(-FOURIER_ORDER, FOURIER_ORDER + 1)
         diag = (2 * ks + q) ** 2 + s / 2
         off = -s / 4 * np.ones(len(diag) - 1)
         vals = eigh_tridiagonal(diag, off, select="i",
@@ -151,10 +154,14 @@ def decoherence_budget(schedule: PulseSchedule,
     Matches the pulse engine's norm-loss bookkeeping (3P2 decay plus
     lattice photon scattering); tunneling-driven site loss is reported by
     lattice_depth_report instead since the engine does not model motion.
+    Only the segments the engine evolves count: `measure` segments are
+    left out, so `total_duration_s` here is the evolved time, not the
+    schedule's.
     """
-    total = schedule.total_duration_s
-    meta_time = sum(s.pulse.metastable_weight * s.pulse.duration_s
-                    for s in schedule.segments)
+    evolved = [s.pulse for s in schedule.segments
+               if s.pulse.transition != "measure"]
+    total = sum(p.duration_s for p in evolved)
+    meta_time = sum(p.metastable_weight * p.duration_s for p in evolved)
     decay = 1.0 if math.isinf(noise.lifetime_3P2_s) else \
         math.exp(-meta_time / noise.lifetime_3P2_s)
     scatter = math.exp(-schedule.n_atoms

@@ -1,12 +1,11 @@
-"""Pulse builders and the gate and measurement protocols that use them.
+"""Pulse builders, layer selection and measurement.
 
 The builders (`transfer_pulse`, `rotation_pulse`, `cnot_pulse`) take no
 register and return one engine `Pulse`; `compiler.compile_circuit` is a
-loop over them.  The protocols (coherent 1S0 <-> 3P2 `transfer`, gradient
-`select_layer`, the 3-photon `single_qubit_gate`, the dipole-shift `cnot`)
-check the register, build the same pulses, apply them and report.
-`measure_qubit` is projective measurement with MOT fluorescence
-branching-loss bookkeeping.
+loop over them and `compiler.execute_schedule` runs the result, so every
+gate reaches the engine through one path.  `select_layer` keeps one
+z-layer by gradient transfer and blow-away.  `measure_qubit` is
+projective measurement with MOT fluorescence branching-loss bookkeeping.
 """
 
 from __future__ import annotations
@@ -16,10 +15,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .addressing import GradientConfig, check_resolvable, site_field
+from .addressing import GradientConfig, site_field
 from .atomic import register_levels, three_photon_detunings
 from .dipole import pair_coupling
-from .engine import (EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, NoiseParams,
+from .engine import (EM12, EM32, EP12, EP32, GP, G_LEVELS, NoiseParams,
                      Pulse, PulseSegment, RegisterState, apply_segment,
                      basis_labels, blow_away, light_shift_compensation)
 from .errors import ConfigError, GeometryError, ProtocolOrderError
@@ -28,6 +27,8 @@ DEFAULT_TRANSFER_RABI = 2 * math.pi * 500.0  # 1 ms pi-pulse
 # CNOT Rabi frequency over the unscaled conditional shift: spectral
 # selectivity against the off-resonant |00> <-> |01> line.
 CNOT_RABI_FACTOR = 0.1
+# Time grid of the exact ladder scan, over 1.5 effective pi times.
+SCAN_SAMPLES = 40001
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +45,7 @@ class ThreePhotonScan:
     leakage: float              # population left in the intermediate states
 
 
-def _ladder_hamiltonian(det, rabi, compensate=True):
+def _ladder_hamiltonian(det, rabi, compensate):
     eps = light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s,
                                    rabi) if compensate else 0.0
     H = np.zeros((4, 4))
@@ -56,8 +57,7 @@ def _ladder_hamiltonian(det, rabi, compensate=True):
     return H
 
 
-def three_photon_scan(params, B, rabi, compensate=True,
-                      n_samples=40001) -> ThreePhotonScan:
+def three_photon_scan(params, B, rabi, compensate=True) -> ThreePhotonScan:
     """Exact 4-level simulation of the 3-photon drive starting in state a.
 
     Returns the first-maximum pi time of the a->d transfer together with
@@ -77,7 +77,7 @@ def three_photon_scan(params, B, rabi, compensate=True,
         amps = phases @ V.T  # (nt, 4)
         return np.abs(amps) ** 2
 
-    ts = np.linspace(0.0, 1.5 * t_pred, n_samples)
+    ts = np.linspace(0.0, 1.5 * t_pred, SCAN_SAMPLES)
     P = populations(ts)
     Pd = P[:, 3]
     # The a->d envelope carries a small fast ripple from the detuned
@@ -153,12 +153,12 @@ def cnot_pulse_parameters(params, geom, config, control_site, target_site):
 
 
 def cnot_pulse(params, geom, config, control_site, target_site,
-               weight: float, dipole_scale: float = 1.0):
+               weight: float) -> Pulse:
     """aux_flip pi-pulse of the dipole-shift CNOT on adjacent sites.
 
-    The laser sits on the |10> <-> |11> line shifted at `dipole_scale`;
-    the Rabi frequency is CNOT_RABI_FACTOR times the unscaled shift.
-    Returns the pulse and the conditional shift (Hz) at `dipole_scale`.
+    The laser sits on the nominal |10> <-> |11> line and the Rabi
+    frequency is CNOT_RABI_FACTOR times the nominal conditional shift;
+    the engine's `dipole_scale` scales only its dipole diagonal.
     """
     control_site, target_site = tuple(control_site), tuple(target_site)
     if sum(abs(a - b) for a, b in zip(control_site, target_site)) != 1:
@@ -168,53 +168,12 @@ def cnot_pulse(params, geom, config, control_site, target_site,
     shift_hz, detuning = cnot_pulse_parameters(params, geom, config,
                                                control_site, target_site)
     rabi = 2 * math.pi * abs(shift_hz) * CNOT_RABI_FACTOR
-    pulse = Pulse("aux_flip", math.pi / rabi, rabi,
-                  detuning_rad_s=dipole_scale * detuning,
-                  target=("site", target_site), metastable_weight=weight)
-    return pulse, dipole_scale * shift_hz
+    return Pulse("aux_flip", math.pi / rabi, rabi, detuning_rad_s=detuning,
+                 target=("site", target_site), metastable_weight=weight)
 
 
 # ---------------------------------------------------------------------------
-# transfer and layer selection
-
-@dataclass(frozen=True)
-class TransferReport:
-    direction: str
-    sites: tuple
-    excited_population: dict    # per site, after the pulse
-    ground_population: dict
-
-
-def transfer(reg: RegisterState, sites, direction: str,
-             config: GradientConfig, noise: NoiseParams | None = None,
-             rabi: float = DEFAULT_TRANSFER_RABI):
-    """Simultaneous pi-pulses on both qubit legs of the optical transition.
-
-    Addressed sites are driven one segment at a time, after checking that
-    every other site is resolved from them; a transfer of the whole
-    register under zero gradients collapses to one global segment.
-    """
-    if direction not in ("to_metastable", "to_ground"):
-        raise ConfigError("direction must be 'to_metastable' or 'to_ground'")
-    noise = noise or NoiseParams.off()
-    sites = [tuple(s) for s in sites]
-    if (set(sites) == set(reg.sites)
-            and config.Gx_t_per_m == config.Gy_t_per_m
-            == config.Gz_t_per_m == 0.0):
-        pulses = [transfer_pulse(("all",), rabi, 0.5 * len(sites))]
-    else:
-        check_resolvable(reg.geom, config, reg.params, sites,
-                         list(reg.sites), rabi)
-        pulses = [transfer_pulse(("site", s), rabi, 0.5) for s in sites]
-    out = reg
-    for pulse in pulses:
-        out = apply_segment(out, PulseSegment(config, pulse), noise)
-    surv = max(out.survival, 1e-300)
-    excited = {s: _aux_fraction(out, s) for s in sites}
-    ground = {s: sum(out.population(s, lv) for lv in G_LEVELS) / surv
-              for s in sites}
-    return out, TransferReport(direction, tuple(sites), excited, ground)
-
+# layer selection
 
 @dataclass(frozen=True)
 class SelectionReport:
@@ -245,106 +204,6 @@ def select_layer(reg: RegisterState, z_index: int, config: GradientConfig,
 
 
 # ---------------------------------------------------------------------------
-# gates
-
-@dataclass(frozen=True)
-class GateReport:
-    kind: str
-    duration_s: float
-    rabi_rad_s: float
-    omega_eff_rad_s: float = 0.0
-    predicted_pi_time_s: float = 0.0
-    simulated_pi_time_s: float = 0.0
-    leakage: float = 0.0
-    achieved_rotation_rad: float = 0.0
-    shift_hz: float = 0.0
-    conditional: bool = True
-    off_resonant_excitation: float = 0.0
-    warnings: tuple = ()
-
-
-def _aux_fraction(reg: RegisterState, site) -> float:
-    surv = reg.survival
-    if surv <= 1e-300:
-        return 0.0
-    return sum(reg.population(site, lv) for lv in (EM32, EP32)) / surv
-
-
-def single_qubit_gate(reg: RegisterState, site, angle: float, axis: float,
-                      B: float, rabi: float,
-                      noise: NoiseParams | None = None,
-                      config: GradientConfig | None = None,
-                      dipole_scale: float = 1.0):
-    """3-photon rotation of the auxiliary qubit at one site (see
-    `rotation_pulse`).  The atom must already sit in the e(+/-3/2)
-    manifold."""
-    noise = noise or NoiseParams.off()
-    site = tuple(site)
-    if reg.survival <= 1e-300:
-        return reg.copy(), GateReport("single_qubit", 0.0, rabi)
-    if _aux_fraction(reg, site) < 0.99:
-        raise ProtocolOrderError(
-            f"atom at {site} is not in the auxiliary manifold; run transfer "
-            "first")
-    config = config or GradientConfig(B0_t=B)
-    B_loc = site_field(reg.geom, config, site)
-    warnings = ()
-    min_d = ladder_gap(reg.params, B_loc)
-    if rabi > 0.3 * min_d:
-        warnings = (f"rabi/min(Delta) = {rabi / min_d:.2f} exceeds 0.3; "
-                    "the effective 3-photon model is unreliable",)
-    if angle == 0.0:
-        return reg.copy(), GateReport("single_qubit", 0.0, rabi,
-                                      warnings=warnings)
-    pulse, scan = rotation_pulse(reg.params, B_loc, site, angle, rabi,
-                                 float(reg.n_atoms), axis)
-    before = reg.level_populations(site)
-    out = apply_segment(reg, PulseSegment(config, pulse), noise, dipole_scale)
-    surv = max(out.survival, 1e-300)
-    after = out.level_populations(site)
-    leakage = (after[EM12] + after[EP12]) / surv
-    # rotation inferred from the population moved between the aux levels,
-    # meaningful for basis-state inputs
-    frac_before = before[EP32] / max(before[EM32] + before[EP32], 1e-300)
-    frac_after = after[EP32] / max(after[EM32] + after[EP32], 1e-300)
-    moved = min(1.0, max(0.0, abs(frac_after - frac_before)))
-    achieved = 2 * math.asin(math.sqrt(moved))
-    return out, GateReport(
-        "single_qubit", pulse.duration_s, rabi,
-        omega_eff_rad_s=scan.omega_eff_rad_s,
-        predicted_pi_time_s=scan.predicted_pi_time_s,
-        simulated_pi_time_s=scan.pi_time_s,
-        leakage=leakage, achieved_rotation_rad=achieved, warnings=warnings)
-
-
-def cnot(reg: RegisterState, control_site, target_site,
-         config: GradientConfig, noise: NoiseParams | None = None,
-         dipole_scale: float = 1.0):
-    """Dipole-shift CNOT: pi-pulse at the shifted |10> <-> |11> frequency
-    (see `cnot_pulse`).  Both atoms must already be in the auxiliary
-    manifold."""
-    noise = noise or NoiseParams.off()
-    for s in (control_site, target_site):
-        if _aux_fraction(reg, s) < 0.99:
-            raise ProtocolOrderError(
-                f"atom at {tuple(s)} is not in the auxiliary manifold")
-    pulse, shift_hz = cnot_pulse(reg.params, reg.geom, config, control_site,
-                                 target_site, float(reg.n_atoms),
-                                 dipole_scale)
-    out = apply_segment(reg, PulseSegment(config, pulse), noise, dipole_scale)
-    rabi = pulse.rabi_rad_s
-    delta = 2 * math.pi * abs(shift_hz)
-    off_res = rabi ** 2 / (rabi ** 2 + delta ** 2) if delta > 0 else 1.0
-    return out, GateReport(
-        "cnot", pulse.duration_s, rabi, shift_hz=shift_hz,
-        conditional=abs(shift_hz) > 0.0,
-        off_resonant_excitation=off_res,
-        warnings=() if abs(shift_hz) > 0 else
-        ("dipole shift is zero: target flips regardless of the control "
-         "state (conditionality lost)",))
-
-
-# ---------------------------------------------------------------------------
 # measurement
 
 @dataclass(frozen=True)
@@ -356,34 +215,35 @@ class DetectionReport:
     branching_loss_flag: bool
 
 
-def measure_qubit(reg: RegisterState, site, noise: NoiseParams,
-                  rng_seed, project: float = +0.5):
+def measure_qubit(reg: RegisterState, site, noise: NoiseParams, rng_seed):
     """Projective measurement of one qubit via selective return and MOT
     fluorescence.
 
     Protocol order (caller's responsibility): all qubits were transferred
-    to 3P2 first; this routine returns the selected qubit's chosen state
-    to 1S0 (an ideal pi-pulse; the transfer imperfection physics lives in
-    `transfer`) and samples the fluorescence outcome.  Fluorescence means
-    the atom ended in the ground state -> outcome 1 for project=+1/2.
+    to 3P2 first; this routine returns the selected qubit's e+3/2 state
+    to 1S0 m_I=+1/2 (an ideal pi-pulse; the transfer imperfection physics
+    lives in the compiled transfer pulses) and samples the fluorescence
+    outcome.  Fluorescence means the atom ended in the ground state ->
+    outcome 1.  An atom with more population in the intermediate levels
+    e+/-1/2 than in e+/-3/2 is mid-protocol and raises
+    ProtocolOrderError; the small ladder residue of a 3-photon rotation
+    does not.
     """
     if rng_seed is None:
         raise ConfigError("measurement requires an explicit rng seed "
                           "(strict-deterministic mode)")
     rng = np.random.default_rng(rng_seed)  # a Generator passes through
     site = tuple(site)
-    surv = reg.survival
     pops = reg.level_populations(site)
-    if surv > 1e-300 and (pops[EM12] + pops[EP12]) / surv > 0.01:
+    if pops[EM12] + pops[EP12] > pops[EM32] + pops[EP32]:
         raise ProtocolOrderError(
-            f"atom at {site} has population in the intermediate e levels; "
+            f"atom at {site} sits mostly in the intermediate e levels; "
             "measurement protocol out of order")
-    glev, elev = (GP, EP32) if project > 0 else (GM, EM32)
     axis = reg.site_index(site)
     moved = np.moveaxis(reg._tensor(), axis, 0)
     swapped = moved.copy()
-    swapped[glev] = -1j * moved[elev]
-    swapped[elev] = -1j * moved[glev]
+    swapped[GP] = -1j * moved[EP32]
+    swapped[EP32] = -1j * moved[GP]
     amps = np.moveaxis(swapped, 0, axis).reshape(-1)
     work = RegisterState(reg.params, reg.geom, reg.sites, amps, reg.leaked)
 

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from ybqc.addressing import (GradientConfig, LatticeGeometry,
-                             check_resolvable, field_range, plan_gradients,
-                             resonance_map, site_field, validate_gradients)
-from ybqc.atomic import AtomParams, transition_slope
+from ybqc.addressing import (GradientConfig, LatticeGeometry, field_range,
+                             plan_gradients, resonance_map, site_field,
+                             validate_gradients)
+from ybqc.atomic import AtomParams
 from ybqc.constants import CM, GAUSS
-from ybqc.errors import AddressingError, ConfigError, PlanningError
+from ybqc.errors import ConfigError, PlanningError
 
 
 def test_site_field_example():
@@ -122,21 +122,6 @@ def test_single_site_lattice():
     assert len(rmap.entries) == 1
     assert math.isinf(rmap.min_gap_hz)
     assert validate_gradients(geom, cfg).unique_ok
-
-
-def test_check_resolvable_names_offender():
-    params = AtomParams()
-    geom = LatticeGeometry(3, 1, 1)
-    cfg = plan_gradients(geom, 1000.0, params)
-    sites = geom.sites(layer=0)
-    # 2 pi x 25 Hz pulse against a 1 kHz gap: resolvable
-    check_resolvable(geom, cfg, params, [sites[0]], sites,
-                     2 * math.pi * 25.0)
-    # a pulse as wide as the gap is not
-    with pytest.raises(AddressingError) as err:
-        check_resolvable(geom, cfg, params, [sites[0]], sites,
-                         2 * math.pi * 1000.0)
-    assert "(0, 0, 0)" in str(err.value)
 
 
 def test_config_validation():

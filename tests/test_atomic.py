@@ -7,11 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybqc.atomic import (EM12, EP12, AtomParams, aux_branch,
-                         calibrate_hyperfine_A, ground_qubit_splitting,
-                         ground_state_energy, lande_g_F, register_levels,
-                         three_photon_detunings, transition_frequency,
-                         transition_slope, zeeman_spectrum)
+from ybqc.atomic import (EM12, EP12, EP32, GM, GP, AtomParams, aux_branch,
+                         calibrate_hyperfine_A, lande_g_F, register_levels,
+                         three_photon_detunings, zeeman_spectrum)
 from ybqc.constants import GAUSS, h, mu_B, mu_N
 from ybqc.errors import ConfigError, DegenerateManifoldError
 
@@ -190,30 +188,47 @@ def test_ground_splitting_closed_form():
     params = AtomParams()
     B = 100 * GAUSS
     expected = 2 * 0.49367 * mu_N * B / h
-    assert ground_qubit_splitting(params, B) == pytest.approx(expected,
-                                                              rel=1e-12)
-    assert ground_state_energy(params, B, +0.5) \
-        == pytest.approx(-0.49367 * mu_N * B / h, rel=1e-12)
-    assert ground_state_energy(params, B, -0.5) \
-        == pytest.approx(+0.49367 * mu_N * B / h, rel=1e-12)
+    E = register_levels(params, B).energy_hz
+    assert E[GM] - E[GP] == pytest.approx(expected, rel=1e-12)
+    assert E[GP] == pytest.approx(-0.49367 * mu_N * B / h, rel=1e-12)
+    assert E[GM] == pytest.approx(+0.49367 * mu_N * B / h, rel=1e-12)
 
 
 def test_transition_frequency_and_slope_consistent():
+    # the addressed line g+ <-> e+3/2 from the register level table
     params = AtomParams()
     B = 100 * GAUSS
-    f = transition_frequency(params, +0.5, (1.5, "lower"), B)
+
+    def line(B):
+        E = register_levels(params, B).energy_hz
+        return E[EP32] - E[GP]
+
     spec = zeeman_spectrum(params, B)
-    assert f == pytest.approx(spec.level(1.5, "lower").energy_hz
-                              - ground_state_energy(params, B, +0.5),
-                              rel=1e-12)
-    slope = transition_slope(params, +0.5, (1.5, "lower"), B)
+    assert line(B) == pytest.approx(spec.level(1.5, "lower").energy_hz
+                                    + 0.49367 * mu_N * B / h, rel=1e-12)
+    m = register_levels(params, B).moment_j_per_t
+    slope = (m[GP] - m[EP32]) / h
     dB = 1e-6
-    fd = (transition_frequency(params, +0.5, (1.5, "lower"), B + dB)
-          - transition_frequency(params, +0.5, (1.5, "lower"), B - dB)) \
-        / (2 * dB)
+    fd = (line(B + dB) - line(B - dB)) / (2 * dB)
     assert slope == pytest.approx(fd, rel=1e-6)
     # about 3.76 MHz/G for the 2.7 mu_B transition at low field
     assert slope * GAUSS == pytest.approx(3.76e6, rel=0.02)
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_linear_zeeman_stretched_levels_match_exact(sign):
+    # m_F = +/-5/2 exist only in F = 5/2: the linear emulation must give
+    # them the F = 5/2 energy, slope and branch label of the exact spectrum
+    exact = AtomParams(hyperfine_A_3P2_hz=sign * 2.6777e9)
+    linear = AtomParams(hyperfine_A_3P2_hz=sign * 2.6777e9,
+                        linear_zeeman=True)
+    for m_F in (-2.5, 2.5):
+        (want,), (got,) = ([lv for lv in zeeman_spectrum(p, GAUSS).levels
+                            if lv.m_F == m_F] for p in (exact, linear))
+        assert got.branch == want.branch
+        assert got.energy_hz == pytest.approx(want.energy_hz, rel=1e-3)
+        assert got.slope_hz_per_t == pytest.approx(want.slope_hz_per_t,
+                                                   rel=1e-3)
 
 
 def test_detuning_sum_rule():

@@ -7,16 +7,14 @@ import numpy as np
 import pytest
 
 from ybqc.addressing import GradientConfig, LatticeGeometry, plan_gradients
-from ybqc.atomic import (AtomParams, ground_qubit_splitting,
-                         register_levels, three_photon_detunings)
-from ybqc.constants import GAUSS, h
+from ybqc.atomic import AtomParams, register_levels, three_photon_detunings
+from ybqc.constants import GAUSS
 from ybqc.dipole import auxiliary_qubit_moments, ddi_coupling
-from ybqc.engine import (AUX, EM32, EP32, GM, GP, LOST, NLEV, NoiseParams,
-                         Pulse, PulseSegment, RegisterState, apply_segment,
-                         blow_away, evolve, ground_basis_probability,
-                         light_shift_compensation,
-                         segment_hamiltonian)
-from ybqc.errors import ConfigError, IntegratorError
+from ybqc.engine import (EM32, EP32, GM, GP, NLEV, NoiseParams, Pulse,
+                         PulseSegment, RegisterState, apply_segment,
+                         blow_away, ground_basis_probability,
+                         light_shift_compensation, segment_hamiltonian)
+from ybqc.errors import IntegratorError
 from ybqc.protocols import ladder_gap
 
 P = AtomParams()
@@ -156,15 +154,6 @@ def test_unitarity_guard_trips_on_bad_amplitudes():
     reg = RegisterState(P, GEOM, [(0, 0, 0)], amps, leaked=0.0)
     with pytest.raises(IntegratorError):
         reg.check_accounting()
-
-
-def test_evolve_validates_dt():
-    reg = single(GM)
-    seg = PulseSegment(CFG, Pulse("rf", 1e-3, 2 * math.pi * 100))
-    with pytest.raises(ConfigError):
-        evolve(reg, seg, OFF, 0.0)
-    with pytest.raises(ConfigError):
-        evolve(reg, seg, OFF, 2e-3)
 
 
 def test_blow_away_filters_ground():

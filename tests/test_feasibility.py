@@ -8,7 +8,9 @@ import pytest
 from ybqc.addressing import GradientConfig, LatticeGeometry
 from ybqc.atomic import AtomParams
 from ybqc.constants import GAUSS, h, k_B
-from ybqc.engine import NoiseParams, Pulse, PulseSchedule, PulseSegment
+from ybqc.compiler import compile_circuit
+from ybqc.engine import (GM, NoiseParams, Pulse, PulseSchedule, PulseSegment,
+                         RegisterState, apply_segment)
 from ybqc.errors import ConfigError
 from ybqc.feasibility import (bias_field_check, build_feasibility_report,
                               decoherence_budget, lattice_depth_report,
@@ -108,6 +110,24 @@ def test_decoherence_budget_matches_engine_bookkeeping():
         budget.decay_survival * budget.scattering_survival, rel=1e-12)
     # noise off: no loss
     assert decoherence_budget(sched, NoiseParams.off()).survival == 1.0
+
+
+@pytest.mark.parametrize("circuit,sites", [
+    ("X 0 0 1.0\nMEAS 0 0", [(0, 0, 0)]),
+    ("CNOT 0 0 1 0\nMEAS 0 0\nMEAS 1 0", [(0, 0, 0), (1, 0, 0)])],
+    ids=["X-MEAS", "CNOT-MEAS-MEAS"])
+def test_decoherence_budget_skips_measure_segments(circuit, sites):
+    # the executor evolves nothing during 'measure' segments, so the
+    # budget must not charge them either
+    noise = NoiseParams(lifetime_3P2_s=2.0, photon_scattering_rate_hz=1.0)
+    geom = LatticeGeometry(2, 1, 1)
+    sched = compile_circuit(circuit, geom, P, noise)
+    reg = RegisterState.product(P, geom, sites, [GM] * len(sites))
+    for seg in sched.segments:
+        if seg.pulse.transition != "measure":
+            reg = apply_segment(reg, seg, noise)
+    assert decoherence_budget(sched, noise).survival \
+        == pytest.approx(reg.survival, rel=1e-3)
 
 
 def test_report_structure_and_verdicts():

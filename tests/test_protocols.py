@@ -1,5 +1,6 @@
 """Protocol-level tests: transfer fidelity, layer selection, 3-photon
-gates, the dipole-shift CNOT, and projective measurement."""
+gates, the dipole-shift CNOT, and projective measurement.  Gates are
+built with the pulse builders and run through `engine.apply_segment`."""
 
 import math
 
@@ -13,16 +14,22 @@ from ybqc.compiler import (BIAS_FIELD_T, GATE_RABI_FRACTION, TARGET_GAP_HZ,
                            TRANSFER_RABI_1Q_RAD_S, TRANSFER_RABI_2Q_RAD_S,
                            compile_circuit, execute_schedule, parse_circuit)
 from ybqc.constants import GAUSS
-from ybqc.engine import (EM32, EP32, GM, GP, NLEV, NoiseParams, RegisterState)
-from ybqc.errors import (AddressingError, ConfigError, GeometryError,
-                         ProtocolOrderError)
-from ybqc.protocols import (cnot, cnot_pulse_parameters, ladder_gap,
-                            measure_qubit, select_layer, single_qubit_gate,
-                            three_photon_scan, transfer)
+from ybqc.engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
+                         PulseSegment, RegisterState, apply_segment)
+from ybqc.errors import ConfigError, GeometryError, ProtocolOrderError
+from ybqc.protocols import (DEFAULT_TRANSFER_RABI, cnot_pulse,
+                            cnot_pulse_parameters, ladder_gap, measure_qubit,
+                            rotation_pulse, select_layer, three_photon_scan,
+                            transfer_pulse)
 
 P = AtomParams()
 PCAL = calibrate_hyperfine_A(P)
 OFF = NoiseParams.off()
+
+
+def _fraction(reg, site, levels):
+    """Population of `levels` at `site` over the register survival."""
+    return sum(reg.population(site, lv) for lv in levels) / reg.survival
 
 
 # ---------------------------------------------------------------------------
@@ -57,13 +64,14 @@ def test_scan_zero_rabi_rejected():
 def test_transfer_round_trip():
     geom = LatticeGeometry(2, 1, 1)
     cfg = plan_gradients(geom, 1000.0, P)
-    reg = RegisterState.product(P, geom, [(0, 0, 0)], [GM])
-    up, rep = transfer(reg, [(0, 0, 0)], "to_metastable", cfg, OFF,
-                       rabi=2 * math.pi * 25)
-    assert rep.excited_population[(0, 0, 0)] > 0.999
-    down, rep2 = transfer(up, [(0, 0, 0)], "to_ground", cfg, OFF,
-                          rabi=2 * math.pi * 25)
-    assert rep2.ground_population[(0, 0, 0)] > 0.998
+    site = (0, 0, 0)
+    reg = RegisterState.product(P, geom, [site], [GM])
+    leg = PulseSegment(cfg, transfer_pulse(("site", site),
+                                           2 * math.pi * 25, 0.5))
+    up = apply_segment(reg, leg, OFF)
+    assert _fraction(up, site, (EM32, EP32)) > 0.999
+    down = apply_segment(up, leg, OFF)
+    assert _fraction(down, site, (GM, GP)) > 0.998
     down.check_accounting()
 
 
@@ -73,19 +81,10 @@ def test_transfer_superposition_both_legs():
     amps = np.zeros(NLEV, complex)
     amps[GM] = amps[GP] = 1 / math.sqrt(2)
     reg = RegisterState(P, geom, [(0, 0, 0)], amps)
-    up, _ = transfer(reg, [(0, 0, 0)], "to_metastable", cfg, OFF)
+    up = apply_segment(reg, PulseSegment(cfg, transfer_pulse(
+        ("all",), DEFAULT_TRANSFER_RABI, 0.5)), OFF)
     assert up.population((0, 0, 0), EM32) == pytest.approx(0.5, abs=1e-6)
     assert up.population((0, 0, 0), EP32) == pytest.approx(0.5, abs=1e-6)
-
-
-def test_transfer_unresolvable_raises():
-    geom = LatticeGeometry(2, 1, 1)
-    cfg = GradientConfig(100 * GAUSS)  # no gradients: sites degenerate
-    reg = RegisterState.product(P, geom, [(0, 0, 0), (1, 0, 0)], [GM, GM])
-    with pytest.raises(AddressingError):
-        transfer(reg, [(0, 0, 0)], "to_metastable", cfg, OFF)
-    with pytest.raises(ConfigError):
-        transfer(reg, [(0, 0, 0)], "sideways", cfg, OFF)
 
 
 def test_layer_selection_keeps_target_layer():
@@ -105,42 +104,21 @@ def test_layer_selection_keeps_target_layer():
 # ---------------------------------------------------------------------------
 # single-qubit gate
 
-def _aux_register(bias_t, level=EM32, geom=None, sites=None, levels=None):
-    geom = geom or LatticeGeometry(1, 1, 1)
-    sites = sites or [(0, 0, 0)]
-    levels = levels or [level]
-    return RegisterState.product(PCAL, geom, sites, levels)
-
-
 def test_single_qubit_pi_gate_flips_aux():
-    cfg = GradientConfig(650 * GAUSS)
-    reg = _aux_register(650 * GAUSS)
-    det = three_photon_detunings(PCAL, 650 * GAUSS)
-    rabi = 0.05 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
-    out, rep = single_qubit_gate(reg, (0, 0, 0), math.pi, 0.0,
-                                 650 * GAUSS, rabi, OFF, cfg)
-    assert out.population((0, 0, 0), EP32) > 0.99
-    assert rep.leakage < 5e-3
-    assert rep.achieved_rotation_rad == pytest.approx(math.pi, rel=0.05)
-
-
-def test_single_qubit_gate_requires_aux_manifold():
-    cfg = GradientConfig(650 * GAUSS)
-    reg = RegisterState.product(PCAL, LatticeGeometry(1, 1, 1),
-                                [(0, 0, 0)], [GM])
-    with pytest.raises(ProtocolOrderError):
-        single_qubit_gate(reg, (0, 0, 0), math.pi, 0.0, 650 * GAUSS,
-                          2 * math.pi * 1e5, OFF, cfg)
-
-
-def test_single_qubit_gate_warns_on_strong_drive():
-    cfg = GradientConfig(650 * GAUSS)
-    reg = _aux_register(650 * GAUSS)
-    det = three_photon_detunings(PCAL, 650 * GAUSS)
-    rabi = 0.5 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
-    _, rep = single_qubit_gate(reg, (0, 0, 0), 0.0, 0.0, 650 * GAUSS,
-                               rabi, OFF, cfg)
-    assert rep.warnings
+    B = 650 * GAUSS
+    site = (0, 0, 0)
+    reg = RegisterState.product(PCAL, LatticeGeometry(1, 1, 1), [site],
+                                [EM32])
+    pulse, _ = rotation_pulse(PCAL, B, site, math.pi,
+                              0.05 * ladder_gap(PCAL, B), 1.0)
+    out = apply_segment(reg, PulseSegment(GradientConfig(B), pulse), OFF)
+    assert out.population(site, EP32) > 0.99
+    assert _fraction(out, site, (EM12, EP12)) < 5e-3
+    # rotation inferred from the population moved into e+3/2
+    moved = out.population(site, EP32) \
+        / (out.population(site, EM32) + out.population(site, EP32))
+    assert 2 * math.asin(math.sqrt(moved)) == pytest.approx(math.pi,
+                                                            rel=0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +133,11 @@ def _two_aux(levels):
 
 @pytest.mark.parametrize("control,flip", [(EM32, False), (EP32, True)])
 def test_cnot_truth_behavior(control, flip):
-    _, cfg, reg = _two_aux([control, EM32])
-    out, rep = cnot(reg, (0, 0, 0), (1, 0, 0), cfg, noise=OFF)
-    assert rep.conditional
+    geom, cfg, reg = _two_aux([control, EM32])
+    shift, _det = cnot_pulse_parameters(P, geom, cfg, (0, 0, 0), (1, 0, 0))
+    assert shift != 0.0     # conditional
+    pulse = cnot_pulse(P, geom, cfg, (0, 0, 0), (1, 0, 0), 2.0)
+    out = apply_segment(reg, PulseSegment(cfg, pulse), OFF)
     p_flip = out.population((1, 0, 0), EP32)
     if flip:
         assert p_flip > 0.98
@@ -172,27 +152,11 @@ def test_cnot_shift_sign_and_magnitude():
     assert abs(shift) == pytest.approx(40.22 / 2, rel=0.02)
 
 
-def test_cnot_requires_adjacent_and_aux():
+def test_cnot_pulse_requires_adjacent_sites():
     geom = LatticeGeometry(3, 1, 1)
     cfg = plan_gradients(geom, 1000.0, P)
-    reg = RegisterState.product(P, geom, [(0, 0, 0), (2, 0, 0)],
-                                [EM32, EM32])
     with pytest.raises(GeometryError):
-        cnot(reg, (0, 0, 0), (2, 0, 0), cfg, noise=OFF)
-    reg2 = RegisterState.product(P, geom, [(0, 0, 0), (1, 0, 0)],
-                                 [GM, EM32])
-    with pytest.raises(ProtocolOrderError):
-        cnot(reg2, (0, 0, 0), (1, 0, 0), cfg, noise=OFF)
-
-
-def test_cnot_conditionality_vanishes_without_dipole():
-    _, cfg, reg0 = _two_aux([EM32, EM32])
-    out0, rep = cnot(reg0, (0, 0, 0), (1, 0, 0), cfg, noise=OFF,
-                     dipole_scale=0.0)
-    assert not rep.conditional
-    assert rep.warnings
-    # target flips even though the control is 0
-    assert out0.population((1, 0, 0), EP32) > 0.98
+        cnot_pulse(P, geom, cfg, (0, 0, 0), (2, 0, 0), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +210,11 @@ def test_measurement_requires_seed_and_protocol_order():
                                 [(0, 0, 0)], [3])  # intermediate e level
     with pytest.raises(ProtocolOrderError):
         measure_qubit(bad, (0, 0, 0), NoiseParams(), 1)
+    # a 2% ladder residue next to the auxiliary qubit is no protocol error
+    amps = np.zeros(NLEV, complex)
+    amps[[EM12, EM32, EP32]] = np.sqrt([0.02, 0.48, 0.5])
+    measure_qubit(RegisterState(P, LatticeGeometry(1, 1, 1), [(0, 0, 0)],
+                                amps), (0, 0, 0), NoiseParams(), 1)
 
 
 def test_measurement_branching_loss_report():
@@ -260,39 +229,38 @@ def test_measurement_branching_loss_report():
 
 
 # ---------------------------------------------------------------------------
-# compiled schedule vs protocol calls
+# compiled schedule vs hand-sequenced builders
 
 def _protocol_path(circuit_op, geom, noise, dipole_scale):
-    """Run one gate through transfer / single_qubit_gate / cnot at the
-    compiler's gradients and Rabi rates, starting from all-ground."""
+    """Run one gate as hand-sequenced builder pulses at the compiler's
+    gradients and Rabi rates, starting from all-ground."""
     cfg = plan_gradients(geom, TARGET_GAP_HZ, P, B0_t=BIAS_FIELD_T)
     if circuit_op[0] == "X":
         _, site, theta = circuit_op
         reg = RegisterState.product(P, geom, [site], [GM])
-        reg, _ = transfer(reg, [site], "to_metastable", cfg, noise,
-                          rabi=TRANSFER_RABI_1Q_RAD_S)
+        leg = transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S, 0.5)
         B = site_field(geom, cfg, site)
-        reg, _ = single_qubit_gate(reg, site, theta, 0.0, B,
-                                   GATE_RABI_FRACTION * ladder_gap(P, B),
-                                   noise, cfg, dipole_scale)
-        reg, _ = transfer(reg, [site], "to_ground", cfg, noise,
-                          rabi=TRANSFER_RABI_1Q_RAD_S)
-        return reg
-    _, control, target = circuit_op
-    reg = RegisterState.product(P, geom, [control, target], [GP, GM])
-    for site, direction in ((control, "to_metastable"),
-                            (target, "to_metastable")):
-        reg, _ = transfer(reg, [site], direction, cfg, noise,
-                          rabi=TRANSFER_RABI_2Q_RAD_S)
-    reg, _ = cnot(reg, control, target, cfg, noise, dipole_scale)
-    for site in (target, control):
-        reg, _ = transfer(reg, [site], "to_ground", cfg, noise,
-                          rabi=TRANSFER_RABI_2Q_RAD_S)
+        gate, _ = rotation_pulse(P, B, site, theta,
+                                 GATE_RABI_FRACTION * ladder_gap(P, B), 1.0)
+        pulses = (leg, gate, leg)
+    else:
+        _, control, target = circuit_op
+        reg = RegisterState.product(P, geom, [control, target], [GP, GM])
+        control_leg, target_leg = (
+            transfer_pulse(("site", s), TRANSFER_RABI_2Q_RAD_S, 0.5)
+            for s in (control, target))
+        pulses = (control_leg, target_leg,
+                  cnot_pulse(P, geom, cfg, control, target, 2.0),
+                  target_leg, control_leg)
+    for pulse in pulses:
+        reg = apply_segment(reg, PulseSegment(cfg, pulse), noise,
+                            dipole_scale)
     return reg
 
 
 @pytest.mark.parametrize("circuit,dipole_scale", [
-    ("X 0 0 1.2", 1.0), ("X 0 0 1.2", 0.5), ("CNOT 0 0 1 0", 1.0)])
+    ("X 0 0 1.2", 1.0), ("X 0 0 1.2", 0.5), ("CNOT 0 0 1 0", 1.0),
+    ("CNOT 0 0 1 0", 0.5)])
 def test_compiled_path_matches_protocol_path(circuit, dipole_scale):
     geom = LatticeGeometry(2, 1, 1)
     noise = NoiseParams()

@@ -36,6 +36,21 @@ def test_off_lattice_circuit_site_exits_2(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_rare_measurement_branch_exits_0(tmp_path):
+    # the first measurement samples a rare branch; renormalising lifts the
+    # second site's 3-photon ladder residue just above 1% of the
+    # conditional norm, which is still no protocol-order error
+    (tmp_path / "c.txt").write_text(
+        "X 1 0 0.3662975959979332\nX 0 0 2.47374393687711\n"
+        "CNOT 1 0 0 0\nMEAS 0 0\nMEAS 1 0\n")
+    scn = _scenario(tmp_path, pipeline=["simulate"],
+                    lattice={"n_x": 2, "n_y": 1, "n_z": 1},
+                    circuit_file="c.txt", initial_ones=[[1, 0, 0]],
+                    seed=1541847838)
+    assert cli_main(["run", scn]) == 0
+    assert (tmp_path / "out" / "result.json").is_file()
+
+
 @pytest.mark.parametrize("argv, name", [
     (["compile", "--circuit", "missing.txt"], "missing.txt"),
     (["simulate", "--circuit", "missing.txt", "--seed", "1"], "missing.txt"),

@@ -1,6 +1,10 @@
-"""Every import in the package modules is used (stdlib `ast` only).
-The package `__init__.py`, names listed in `__all__` and `from __future__`
-are exempt as re-exports."""
+"""Source checks on the package modules (stdlib `ast` only).
+
+Every import is used; the package `__init__.py`, names listed in
+`__all__` and `from __future__` are exempt as re-exports.  Outside the
+engine, only `compiler.execute_schedule` and `protocols.select_layer`
+apply segments or blow away atoms, so gates reach the engine through one
+path."""
 
 import ast
 from pathlib import Path
@@ -43,3 +47,40 @@ def test_checker_flags_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ENGINE_ENTRY_POINTS = {"apply_segment", "blow_away"}
+ALLOWED_CALLERS = {("compiler", "execute_schedule"),
+                   ("protocols", "select_layer")}
+
+
+def engine_callers(module: str, source: str) -> set[tuple[str, str]]:
+    """(module, top-level function) pairs that call an engine entry point."""
+    found = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else \
+                func.attr if isinstance(func, ast.Attribute) else None
+            if name in ENGINE_ENTRY_POINTS:
+                found.add((module, getattr(top, "name", "<module>")))
+    return found
+
+
+def test_checker_finds_engine_callers():
+    assert engine_callers("m", "def f(r):\n    return engine.blow_away(r)\n"
+                          "def g(r):\n    apply_segment(r, s, n)\n"
+                          "def h(r):\n    return r\n") \
+        == {("m", "f"), ("m", "g")}
+    assert engine_callers("m", "x = apply_segment(r, s, n)\n") \
+        == {("m", "<module>")}
+
+
+def test_only_the_executor_and_layer_selection_drive_the_engine():
+    callers = set()
+    for path in MODULES:
+        if path.stem != "engine":
+            callers |= engine_callers(path.stem, path.read_text())
+    assert callers <= ALLOWED_CALLERS
