@@ -23,8 +23,13 @@ connected components of that atom's 7x7 coupling pattern, e.g.
 {g+, e+3/2}, {g-, e-3/2}, {e-1/2}, {e+1/2}, {lost} under the optical
 pair drive), and its basis is the Cartesian product of those groups.
 Only the live blocks, those holding a nonzero amplitude, are assembled
-and exponentiated; the 7^n x 7^n register matrix is never built.  The
-dense kron-sum propagator is the test oracle in
+and exponentiated; the 7^n x 7^n register matrix is never built.  Blocks
+of one size form one stack: 1x1 stacks are `np.exp`, larger ones one
+vectorised Pade-13 scaling and squaring (`_expm_stack`) with one scaling
+exponent per stack.  Each site's level table at its local field is
+computed once per register and field config (`_site_levels`) and read
+by both the drive blocks and the dipole diagonal.  The dense kron-sum
+propagator and scipy's `expm` are the test oracle in
 tests/test_blocked_propagator.py.
 """
 
@@ -35,11 +40,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from .addressing import GradientConfig, LatticeGeometry, site_field
 from .atomic import (EM12, EM32, EP12, EP32, GM, GP, AtomParams,
-                     register_levels, three_photon_detunings)
+                     RegisterLevels, register_levels, three_photon_detunings)
 from .dipole import pair_coupling
 from .errors import ConfigError, IntegratorError
 
@@ -49,7 +53,6 @@ LOST = 6
 NLEV = 7
 E_LEVELS = (EM32, EM12, EP12, EP32)
 G_LEVELS = (GM, GP)
-AUX = {0: EM32, 1: EP32}           # logical value -> auxiliary level
 
 UNITARITY_TOL = 1e-6
 
@@ -288,9 +291,8 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     n = reg.n_atoms
     B_ref = site_field(geom, config, _resolve_reference(reg, pulse.target))
     lasers = _laser_frequencies(params, B_ref, pulse)
-    hs = np.stack([_single_atom_hamiltonian(
-        register_levels(params, site_field(geom, config, s)).energy_hz,
-        lasers, pulse) for s in reg.sites])
+    hs = np.stack([_single_atom_hamiltonian(table.energy_hz, lasers, pulse)
+                   for table in _site_levels(params, geom, reg.sites, config)])
     labels = basis_labels(n)
     # block of each basis state, coded by its atoms' groups as base-7
     # digits; ascending basis order within a block is the Cartesian order
@@ -320,6 +322,15 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
 
 
 @lru_cache(maxsize=64)
+def _site_levels(params: AtomParams, geom: LatticeGeometry, sites: tuple,
+                 config: GradientConfig) -> tuple[RegisterLevels, ...]:
+    """Level table of each active site at its local field; computed once
+    per register and field (the tables are frozen)."""
+    return tuple(register_levels(params, site_field(geom, config, s))
+                 for s in sites)
+
+
+@lru_cache(maxsize=64)
 def _dipole_diagonal(params: AtomParams, geom: LatticeGeometry, sites: tuple,
                      config: GradientConfig,
                      dipole_scale: float) -> np.ndarray:
@@ -327,8 +338,8 @@ def _dipole_diagonal(params: AtomParams, geom: LatticeGeometry, sites: tuple,
     7^n basis; computed once per register, field and scale."""
     n = len(sites)
     moments = np.array(
-        [register_levels(params, site_field(geom, config, s)).moment_j_per_t
-         + (0.0,) for s in sites])     # LOST carries no moment
+        [table.moment_j_per_t + (0.0,)   # LOST carries no moment
+         for table in _site_levels(params, geom, sites, config)])
     labels = basis_labels(n)
     dd = np.zeros(NLEV ** n)
     for i in range(n):
@@ -351,13 +362,51 @@ def _gamma_levels(noise: NoiseParams) -> np.ndarray:
     return per_level
 
 
+# Pade-13 numerator coefficients and the 1-norm up to which the
+# approximant meets double precision without scaling (Higham, SIAM J.
+# Matrix Anal. Appl. 26, 1179 (2005))
+PADE13 = (64764752532480000., 32382376266240000., 7771770303897600.,
+          1187353796428800., 129060195264000., 10559470521600.,
+          670442572800., 33522128640., 1323241920., 40840800., 960960.,
+          16380., 182., 1.)
+THETA13 = 5.371920351148152
+
+
+def _expm_stack(A: np.ndarray) -> np.ndarray:
+    """exp of each matrix of the (nb, d, d) stack `A`.
+
+    1x1 stacks are `np.exp`.  Larger stacks take one Pade-13 scaling
+    and squaring for the whole stack, vectorised over the batch: every
+    matrix is scaled by the same 2^-s, s taken from the largest 1-norm.
+    """
+    if A.shape[-1] == 1:
+        return np.exp(A)
+    norm = np.abs(A).sum(axis=-2).max()
+    s = math.ceil(math.log2(norm / THETA13)) if norm > THETA13 else 0
+    A = A / 2.0 ** s
+    b = PADE13
+    ident = np.eye(A.shape[-1])
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+             + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * ident)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) \
+        + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * ident
+    del A2, A4, A6              # a 1024-state stack holds 16 MB per power
+    R = np.linalg.solve(V - U, V + U)
+    for _ in range(s):
+        R = R @ R
+    return R
+
+
 def segment_propagator(reg: RegisterState, segment: PulseSegment,
                        noise: NoiseParams,
                        dipole_scale: float = 1.0) -> list:
     """Propagators over the whole segment of the live blocks, as
     (indices, blocks) pairs like `segment_hamiltonian`, with the decay
     rates as -i Gamma/2 on the diagonal; blocks of equal size are
-    exponentiated in one call."""
+    exponentiated as one stack by `_expm_stack`."""
     dt = segment.pulse.duration_s
     rates = _gamma_levels(noise)
     labels = basis_labels(reg.n_atoms)
@@ -365,7 +414,7 @@ def segment_propagator(reg: RegisterState, segment: PulseSegment,
     for idx, H in segment_hamiltonian(reg, segment, dipole_scale):
         d = idx.shape[1]
         H[:, np.arange(d), np.arange(d)] -= 0.5j * rates[labels[idx]].sum(-1)
-        out.append((idx, expm(-1j * dt * H)))
+        out.append((idx, _expm_stack(-1j * dt * H)))
     return out
 
 

@@ -3,17 +3,15 @@ tolerance, one printed pass/fail line each."""
 
 import json
 import math
-import sys
 import time
 
 import numpy as np
-import pytest
 
 from ybqc.addressing import LatticeGeometry, plan_gradients, resonance_map, validate_gradients
 from ybqc.atomic import (AtomParams, calibrate_hyperfine_A,
                          three_photon_detunings, zeeman_spectrum)
 from ybqc.compiler import compile_circuit, execute_schedule
-from ybqc.constants import CM, GAUSS, h, mu_B, mu_N
+from ybqc.constants import CM, GAUSS, mu_B, mu_N
 from ybqc.dipole import cnot_shift, ddi_coupling
 from ybqc.engine import (GM, GP, NoiseParams, RegisterState,
                          ground_basis_probability)

@@ -1,6 +1,7 @@
 """Blocked propagator against the dense oracle: random <=3-site circuits
-run segment by segment through both, plus a memory guard that fails if a
-7^n x 7^n register matrix comes back."""
+run segment by segment through both, the stacked exponential against
+scipy's `expm`, plus a memory guard that fails if a 7^n x 7^n register
+matrix comes back."""
 
 import math
 import tracemalloc
@@ -14,13 +15,16 @@ from ybqc.atomic import AtomParams, register_levels
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.dipole import pair_coupling
 from ybqc.engine import (GM, GP, NLEV, NoiseParams, RegisterState,
-                         _gamma_levels, _laser_frequencies,
+                         _expm_stack, _gamma_levels, _laser_frequencies,
                          _resolve_reference, _single_atom_hamiltonian,
                          apply_segment, basis_labels)
 from ybqc.protocols import measure_qubit
 from ybqc.scenario import simulate_circuit
 
 P = AtomParams()
+# 3P2 lifetime and lattice scattering far above the defaults: decay
+# rates up to 25/s make the blocks strongly non-Hermitian
+HEAVY_NOISE = NoiseParams(lifetime_3P2_s=0.05, photon_scattering_rate_hz=5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +73,7 @@ def dense_apply_segment(reg, segment, noise, dipole_scale=1.0):
 def circuits(draw, n_sites):
     """1 x n chain: X at a random angle on one site, 0-2 adjacent CNOTs
     either way, MEAS on every site (the rotated one first), random
-    initial ones, noise on or off."""
+    initial ones, default, heavy or no noise."""
     rotated = draw(st.integers(0, n_sites - 1))
     lines = [f"X {rotated} 0 {draw(st.floats(0.1, math.pi))!r}"]
     for _ in range(draw(st.integers(0, 2))):
@@ -79,7 +83,8 @@ def circuits(draw, n_sites):
     order = [rotated] + [i for i in range(n_sites) if i != rotated]
     lines += [f"MEAS {i} 0" for i in order]
     ones = [(i, 0, 0) for i in range(n_sites) if draw(st.booleans())]
-    noise = NoiseParams() if draw(st.booleans()) else NoiseParams.off()
+    noise = draw(st.sampled_from([NoiseParams(), HEAVY_NOISE,
+                                  NoiseParams.off()]))
     seed = draw(st.integers(0, 2 ** 32 - 1))
     return "\n".join(lines) + "\n", ones, noise, seed
 
@@ -128,6 +133,36 @@ def test_two_site_circuits_match_dense_oracle(case):
 @given(case=circuits(3))
 def test_three_site_circuits_match_dense_oracle(case):
     _check_against_dense(3, *case)
+
+
+def _hermitian(rng, nb, d, norm):
+    """nb random Hermitian d x d matrices, each of 1-norm `norm`."""
+    H = rng.normal(size=(nb, d, d)) + 1j * rng.normal(size=(nb, d, d))
+    H = H + H.conj().transpose(0, 2, 1)
+    return H * (norm / np.abs(H).sum(axis=-2).max(axis=-1))[:, None, None]
+
+
+def _check_kernel(A):
+    got = _expm_stack(A)
+    for a, u in zip(A, got):
+        assert np.max(np.abs(u - expm(a))) < 1e-10
+
+
+def test_stacked_exponential_matches_scipy():
+    rng = np.random.default_rng(7)
+    _check_kernel(-1j * rng.normal(size=(50, 1, 1))
+                  - rng.uniform(0, 3, size=(50, 1, 1)))
+    for d in (2, 4, 16):
+        _check_kernel(np.zeros((3, d, d), complex))
+        # one stack, one scaling exponent for 1-norms from 1e-3 to 1.4e5
+        _check_kernel(-1j * np.concatenate(
+            [_hermitian(rng, 5, d, 1e-3), _hermitian(rng, 5, d, 1.4e5)]))
+        # heavy decay: rates up to 25/s over 0.2 s next to Rabi-scale
+        # couplings
+        gamma = rng.uniform(0, 25, size=(10, d))
+        H = _hermitian(rng, 10, d, 3e3)
+        H[:, np.arange(d), np.arange(d)] -= 0.5j * gamma
+        _check_kernel(-1j * 0.2 * H)
 
 
 def test_register_memory_stays_far_below_one_dense_matrix():

@@ -14,7 +14,7 @@ from ybqc.atomic import AtomParams, three_photon_detunings
 from ybqc.cli import main as cli_main
 from ybqc.compiler import compile_circuit, execute_schedule, parse_circuit
 from ybqc.constants import GAUSS
-from ybqc.engine import GM, GP, NoiseParams, RegisterState
+from ybqc.engine import GM, NoiseParams, RegisterState
 from ybqc.errors import ConfigError, GeometryError, ScenarioError
 from ybqc.scenario import (atom_params_from_dict, emit_addressing_spectrum,
                            emit_detuning_curves, load_atom_params,

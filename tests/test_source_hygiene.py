@@ -1,18 +1,22 @@
-"""Source checks on the package modules (stdlib `ast` only).
+"""Source checks on the package modules and the tests (stdlib `ast` only).
 
 Every import is used; the package `__init__.py`, names listed in
 `__all__` and `from __future__` are exempt as re-exports.  Outside the
 engine, only `compiler.execute_schedule` and `protocols.select_layer`
 apply segments or blow away atoms, so gates reach the engine through one
-path."""
+path.  No package module imports `expm`: the engine's own stacked kernel
+exponentiates every block, and scipy's `expm` serves only the tests'
+dense oracle."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "ybqc"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "ybqc"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -44,9 +48,32 @@ def test_checker_flags_an_unused_import():
     assert unused_imports("from a import b\n__all__ = ['b']\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p:
+                         p.name if p.parent == SRC else f"tests/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def expm_references(source: str) -> list[int]:
+    """Lines that import `expm` or read it as an attribute."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and any(
+                "expm" in alias.name.split(".") for alias in node.names) \
+                or isinstance(node, ast.Attribute) and node.attr == "expm":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_checker_finds_expm():
+    assert expm_references("from scipy.linalg import expm as e\n"
+                           "import scipy.linalg as sl\n"
+                           "u = sl.expm(a)\nv = _expm_stack(a)\n") == [1, 3]
+
+
+def test_package_does_not_use_expm():
+    found = {p.name: expm_references(p.read_text()) for p in SRC.glob("*.py")}
+    assert {name: lines for name, lines in found.items() if lines} == {}
 
 
 ENGINE_ENTRY_POINTS = {"apply_segment", "blow_away"}
