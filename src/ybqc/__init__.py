@@ -10,7 +10,7 @@ from .dipole import (auxiliary_qubit_moments, cnot_shift, ddi_coupling,
                      pair_coupling, pair_levels)
 from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
                      RegisterState, apply_segment)
-from .protocols import measure_qubit, select_layer, three_photon_scan
+from .protocols import measure_qubit, three_photon_scan
 from .compiler import compile_circuit, execute_schedule, parse_circuit
 from .feasibility import (build_feasibility_report, decoherence_budget,
                           lattice_depth_report, pi_pulse_intensity,

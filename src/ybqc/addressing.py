@@ -11,7 +11,7 @@ distinctness for integer site indices).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -35,8 +35,8 @@ class LatticeGeometry:
     def __post_init__(self):
         if min(self.n_x, self.n_y, self.n_z) < 1:
             raise ConfigError("site counts must be >= 1")
-        if self.spacing_m <= 0:
-            raise ConfigError("lattice spacing must be positive")
+        if not 0 < self.spacing_m < math.inf:
+            raise ConfigError("lattice spacing must be finite and positive")
 
     def sites(self, layer: int | None = None):
         ks = range(self.n_z) if layer is None else [layer]
@@ -60,8 +60,8 @@ class GradientConfig:
     safety_factor: float = DEFAULT_SAFETY_FACTOR
 
     def __post_init__(self):
-        if self.B0_t <= 0:
-            raise ConfigError("bias field B0 must be positive")
+        if not 0 < self.B0_t < math.inf:
+            raise ConfigError("bias field B0 must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,10 @@ def _addressed_line(params: AtomParams, B: float) -> tuple[float, float]:
 
 
 def resonance_map(geom: LatticeGeometry, config: GradientConfig,
-                  params: AtomParams, layer: int = 0) -> ResonanceMap:
-    """Addressed-line frequency at every site of one x-y layer."""
+                  params: AtomParams) -> ResonanceMap:
+    """Addressed-line frequency at every site of the addressed z = 0 layer."""
     entries = {}
-    for site in geom.sites(layer=layer):
+    for site in geom.sites(layer=0):
         B = site_field(geom, config, site)
         entries[site] = (B, _addressed_line(params, B)[0])
     freqs = [f for _, f in entries.values()]
@@ -151,10 +151,13 @@ def plan_gradients(geom: LatticeGeometry, target_gap_hz: float,
     """Minimal (Gx, Gy) giving per-site gaps >= target on the addressed line.
 
     Gy = n_x * Gx satisfies the sufficient condition with equality, with
-    PLAN_HEADROOM on top.  Gz is set equal to Gy for layer selection.
+    PLAN_HEADROOM on top.  Gz = max(Gy, one gap step) keeps the z gradient
+    of the reference 3D design, so the bias-safety check below covers the
+    field range of every layer of a multi-layer lattice.
     """
-    if target_gap_hz <= 0:
-        raise PlanningError("target gap must be positive")
+    if not 0 < target_gap_hz < math.inf:
+        raise PlanningError("target gap must be finite and positive")
+    config = GradientConfig(B0_t, safety_factor=safety_factor)  # checks B0
     slope = abs(_addressed_line(params, B0_t)[1])
     if not 0 < slope < math.inf:
         raise PlanningError("addressed transition has no field slope at B0")
@@ -165,8 +168,8 @@ def plan_gradients(geom: LatticeGeometry, target_gap_hz: float,
     else:
         gx = 0.0
         gy = g_unit if geom.n_y > 1 else 0.0
-    gz = max(gy, g_unit)
-    config = GradientConfig(B0_t, gx, gy, gz, safety_factor)
+    config = replace(config, Gx_t_per_m=gx, Gy_t_per_m=gy,
+                     Gz_t_per_m=max(gy, g_unit))
     rng = field_range(geom, config)
     if B0_t < safety_factor * rng:
         raise PlanningError(

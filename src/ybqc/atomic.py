@@ -225,18 +225,19 @@ def register_levels(params: AtomParams, B: float) -> RegisterLevels:
     return RegisterLevels(B, energy, moment)
 
 
-def three_photon_detunings(params: AtomParams, B: float) -> ThreePhotonDetunings:
-    """Detunings Delta1, Delta2 of the 3-photon ladder at field B.
+def ladder_detunings(levels: RegisterLevels) -> ThreePhotonDetunings:
+    """Detunings Delta1, Delta2 of the 3-photon ladder of one level table.
 
     The drive frequency omega0 is the 3-photon-resonance choice
     omega0 = (E_d - E_a) / (3 hbar), which makes the a->d oscillation
     resonant by construction.
     """
+    B = levels.field_t
     if B <= 0:
         raise DegenerateManifoldError(
             "three-photon detunings are ill-conditioned at B=0 "
             "(degenerate F=3/2 sublevels)")
-    E = register_levels(params, B).energy_hz[EM32:]
+    E = levels.energy_hz[EM32:]
     w_ab = 2 * math.pi * (E[1] - E[0])
     w_bc = 2 * math.pi * (E[2] - E[1])
     w_cd = 2 * math.pi * (E[3] - E[2])
@@ -245,6 +246,11 @@ def three_photon_detunings(params: AtomParams, B: float) -> ThreePhotonDetunings
     _check_finite((omega0, det.delta1_rad_s, det.delta2_rad_s),
                   "three-photon ladder detunings", B)
     return det
+
+
+def three_photon_detunings(params: AtomParams, B: float) -> ThreePhotonDetunings:
+    """Detunings Delta1, Delta2 of the 3-photon ladder at field B."""
+    return ladder_detunings(register_levels(params, B))
 
 
 def calibrate_hyperfine_A(params: AtomParams, B: float = 650e-4,

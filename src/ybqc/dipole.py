@@ -34,8 +34,9 @@ class PairLevels:
 
 def ddi_coupling(m1: float, m2: float, r: float, theta: float) -> float:
     """Secular dipole-dipole energy in Hz for z-aligned moments."""
-    if r <= 0:
-        raise PhysicsError("dipole pair requires strictly positive separation")
+    if not 0 < r < math.inf:
+        raise PhysicsError("dipole pair requires a finite, strictly positive "
+                           "separation")
     return _K_DD * m1 * m2 * (1 - 3 * math.cos(theta) ** 2) / r ** 3
 
 

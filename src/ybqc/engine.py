@@ -28,8 +28,9 @@ of one size form one stack: 1x1 stacks are `np.exp`, larger ones one
 vectorised Pade-13 scaling and squaring (`_expm_stack`) with one scaling
 exponent per stack.  Each site's level table at its local field is
 computed once per register and field config (`_site_levels`) and read
-by both the drive blocks and the dipole diagonal.  The dense kron-sum
-propagator and scipy's `expm` are the test oracle in
+by the drive blocks, the dipole diagonal and the lasers, which sit on
+the resonance of one active reference site (`_reference_index`).  The
+dense kron-sum propagator and scipy's `expm` are the test oracle in
 tests/test_blocked_propagator.py.
 """
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .addressing import GradientConfig, LatticeGeometry, site_field
 from .atomic import (EM12, EM32, EP12, EP32, GM, GP, AtomParams,
-                     RegisterLevels, register_levels, three_photon_detunings)
+                     RegisterLevels, ladder_detunings, register_levels)
 from .dipole import pair_coupling
 from .errors import ConfigError, IntegratorError
 
@@ -94,10 +95,11 @@ class Pulse:
 
     transition: 'optical_pair' (simultaneous pi-pulse legs on
     g+ <-> e+3/2 and g- <-> e-3/2), 'three_photon' (single drive through
-    the F=3/2 ladder, with light-shift compensation), 'rf' (ground-qubit
-    NMR drive), 'aux_flip' (effective drive on the auxiliary
-    e-3/2 <-> e+3/2 pair used by the CNOT), or 'measure' (executed by
-    `compiler.execute_schedule`, not by the engine).
+    the F=3/2 ladder, with light-shift compensation), 'aux_flip'
+    (effective drive on the auxiliary e-3/2 <-> e+3/2 pair used by the
+    CNOT), or 'measure' (executed by `compiler.execute_schedule`, not by
+    the engine).  target: ("site", s), an active site whose resonance the
+    lasers hit, or ("all",), which takes the first active site.
     """
     transition: str
     duration_s: float
@@ -219,38 +221,38 @@ def light_shift_compensation(delta1: float, delta2: float,
     return eps
 
 
-def _resolve_reference(reg: RegisterState, target: tuple):
-    kind = target[0]
-    if kind == "site":
-        return tuple(target[1])
-    if kind == "layer":
-        return (0, 0, target[1])
-    return reg.sites[0]
+def _reference_index(reg: RegisterState, target: tuple) -> int:
+    """Position in `reg.sites` of the site whose resonance the lasers
+    hit: the target site, or the first active site for ("all",)."""
+    if target == ("all",):
+        return 0
+    if target[0] == "site" and tuple(target[1]) in reg.sites:
+        return reg.site_index(target[1])
+    raise ConfigError(f"pulse target {target!r} is neither ('all',) nor "
+                      "an active site of the register")
 
 
 # Drive legs (lower, upper) of each transition.  The three 3-photon legs
-# share one laser.  The rf leg runs from g+ up to g-: the positive 171Yb
-# nuclear moment puts m_I = +1/2 lowest.
+# share one laser.
 LEGS = {"optical_pair": ((GP, EP32), (GM, EM32)),
         "three_photon": ((EM32, EM12), (EM12, EP12), (EP12, EP32)),
-        "rf": ((GP, GM),),
         "aux_flip": ((EM32, EP32),)}
 
 
-def _laser_frequencies(params, B_ref, pulse) -> tuple:
-    """Laser angular frequency (rad/s) of each drive leg: resonant at the
-    reference field B_ref, plus the pulse detuning; the 3-photon laser
-    also carries the light-shift compensation."""
+def _laser_frequencies(ref: RegisterLevels, pulse) -> tuple:
+    """Laser angular frequency (rad/s) of each drive leg: resonant on the
+    reference site's level table `ref`, plus the pulse detuning; the
+    3-photon laser also carries the light-shift compensation."""
     if pulse.transition not in LEGS:
         raise ConfigError(f"unknown pulse transition {pulse.transition!r}")
     if pulse.transition == "three_photon":
-        det = three_photon_detunings(params, B_ref)
+        det = ladder_detunings(ref)
         eps = 0.0
         if pulse.rabi_rad_s > 0:
             eps = light_shift_compensation(det.delta1_rad_s,
                                            det.delta2_rad_s, pulse.rabi_rad_s)
         return (det.omega0_rad_s + eps + pulse.detuning_rad_s,) * 3
-    E = register_levels(params, B_ref).energy_hz
+    E = ref.energy_hz
     return tuple(2 * math.pi * (E[up] - E[lo]) + pulse.detuning_rad_s
                  for lo, up in LEGS[pulse.transition])
 
@@ -289,10 +291,11 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     params, geom = reg.params, reg.geom
     config, pulse = segment.config, segment.pulse
     n = reg.n_atoms
-    B_ref = site_field(geom, config, _resolve_reference(reg, pulse.target))
-    lasers = _laser_frequencies(params, B_ref, pulse)
+    tables = _site_levels(params, geom, reg.sites, config)
+    lasers = _laser_frequencies(tables[_reference_index(reg, pulse.target)],
+                                pulse)
     hs = np.stack([_single_atom_hamiltonian(table.energy_hz, lasers, pulse)
-                   for table in _site_levels(params, geom, reg.sites, config)])
+                   for table in tables])
     labels = basis_labels(n)
     # block of each basis state, coded by its atoms' groups as base-7
     # digits; ascending basis order within a block is the Cartesian order
@@ -458,27 +461,3 @@ def ground_basis_probability(reg: RegisterState, bits: dict) -> float:
         want = GP if bit else GM
         mask &= labels[:, reg.site_index(site)] == want
     return float((np.abs(reg.amps) ** 2)[mask].sum())
-
-
-# ---------------------------------------------------------------------------
-# incoherent operations
-
-def blow_away(reg: RegisterState) -> tuple[RegisterState, dict]:
-    """Radiation-pressure removal of all remaining 1S0 population.
-
-    Modeled as a perfect filter: every basis component with any atom in a
-    ground level is removed and its mass booked as leaked.  Returns the
-    filtered register and the per-site removed mass.
-    """
-    in_ground = np.isin(basis_labels(reg.n_atoms), G_LEVELS)
-    removed = {}
-    probs = np.abs(reg.amps) ** 2
-    for i, site in enumerate(reg.sites):
-        removed[site] = float(probs[in_ground[:, i]].sum())
-    keep = ~in_ground.any(axis=1)
-    amps = np.where(keep, reg.amps, 0.0)
-    lost = reg.survival - float(np.vdot(amps, amps).real)
-    out = RegisterState(reg.params, reg.geom, reg.sites, amps,
-                        reg.leaked + lost)
-    out.check_accounting()
-    return out, removed

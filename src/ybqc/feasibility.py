@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .addressing import (GradientConfig, LatticeGeometry, field_range,
-                         plan_gradients)
+from .addressing import (GradientConfig, LatticeGeometry, plan_gradients,
+                         validate_gradients)
 from .atomic import AtomParams
 from .constants import c, h, hbar, k_B
 from .engine import NoiseParams, PulseSchedule
@@ -116,25 +116,6 @@ def scattering_rate(depth_uk: float, params: AtomParams) -> float:
     gamma = 1 / params.lifetime_1P1_s
     inv_delta_eff = 1 / (w0 - w) + 1 / (w0 + w)
     return gamma * (u0 / hbar) * inv_delta_eff * (w / w0) ** 3
-
-
-@dataclass(frozen=True)
-class BiasVerdict:
-    ok: bool
-    bias_field_t: float
-    field_range_t: float
-    safety_factor: float
-    margin: float   # B0 / (safety_factor * range)
-
-
-def bias_field_check(geom: LatticeGeometry,
-                     config: GradientConfig) -> BiasVerdict:
-    """Verify the bias field dominates the gradient-induced range."""
-    rng = field_range(geom, config)
-    need = config.safety_factor * rng
-    margin = math.inf if need == 0 else config.B0_t / need
-    return BiasVerdict(config.B0_t >= need, config.B0_t, rng,
-                       config.safety_factor, margin)
 
 
 @dataclass(frozen=True)
@@ -261,10 +242,12 @@ def build_feasibility_report(params: AtomParams | None = None,
 
     full_cfg = GradientConfig(100e-4, plan.Gx_t_per_m, plan.Gy_t_per_m,
                               plan.Gy_t_per_m)
-    verdict = bias_field_check(LatticeGeometry(10, 10, 10, geom.spacing_m),
-                               full_cfg)
-    items.append(_check("bias_field_100g_sufficient", float(verdict.ok),
+    bias = validate_gradients(LatticeGeometry(10, 10, 10, geom.spacing_m),
+                              full_cfg)
+    need = full_cfg.safety_factor * bias.field_range_t
+    margin = math.inf if need == 0 else full_cfg.B0_t / need
+    items.append(_check("bias_field_100g_sufficient", float(bias.bias_ok),
                         True, None, "bool",
-                        f"margin {verdict.margin:.1f}x over the "
-                        f"{verdict.safety_factor:g}x safety factor"))
+                        f"margin {margin:.1f}x over the "
+                        f"{full_cfg.safety_factor:g}x safety factor"))
     return FeasibilityReport(tuple(items))

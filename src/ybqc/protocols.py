@@ -1,29 +1,27 @@
-"""Pulse builders, layer selection and measurement.
+"""Pulse builders and measurement.
 
 The builders (`transfer_pulse`, `rotation_pulse`, `cnot_pulse`) take no
 register and return one engine `Pulse`; `compiler.compile_circuit` is a
 loop over them and `compiler.execute_schedule` runs the result, so every
-gate reaches the engine through one path.  `select_layer` keeps one
-z-layer by gradient transfer and blow-away.  `measure_qubit` is
-projective measurement with MOT fluorescence branching-loss bookkeeping.
+gate reaches the engine through one path.  `measure_qubit` is projective
+measurement with MOT fluorescence branching-loss bookkeeping.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .addressing import GradientConfig, site_field
+from .addressing import site_field
 from .atomic import register_levels, three_photon_detunings
 from .dipole import pair_coupling
 from .engine import (EM12, EM32, EP12, EP32, GP, G_LEVELS, NoiseParams,
-                     Pulse, PulseSegment, RegisterState, apply_segment,
-                     basis_labels, blow_away, light_shift_compensation)
+                     Pulse, RegisterState, basis_labels,
+                     light_shift_compensation)
 from .errors import ConfigError, GeometryError, ProtocolOrderError
 
-DEFAULT_TRANSFER_RABI = 2 * math.pi * 500.0  # 1 ms pi-pulse
 # CNOT Rabi frequency over the unscaled conditional shift: spectral
 # selectivity against the off-resonant |00> <-> |01> line.
 CNOT_RABI_FACTOR = 0.1
@@ -114,7 +112,7 @@ def three_photon_scan(params, B, rabi, compensate=True) -> ThreePhotonScan:
 
 def transfer_pulse(target: tuple, rabi: float, weight: float) -> Pulse:
     """Optical-pair pi-pulse (both qubit legs at once) on a target:
-    ("site", s), ("layer", z) or ("all",)."""
+    ("site", s) or ("all",)."""
     return Pulse("optical_pair", math.pi / rabi, rabi, target=target,
                  metastable_weight=weight)
 
@@ -170,37 +168,6 @@ def cnot_pulse(params, geom, config, control_site, target_site,
     rabi = 2 * math.pi * abs(shift_hz) * CNOT_RABI_FACTOR
     return Pulse("aux_flip", math.pi / rabi, rabi, detuning_rad_s=detuning,
                  target=("site", target_site), metastable_weight=weight)
-
-
-# ---------------------------------------------------------------------------
-# layer selection
-
-@dataclass(frozen=True)
-class SelectionReport:
-    z_index: int
-    removed_mass: dict          # per site, blown away during the filter
-    selection_error: dict       # per site: loss (selected) / survival (other)
-    survival: float
-
-
-def select_layer(reg: RegisterState, z_index: int, config: GradientConfig,
-                 noise: NoiseParams | None = None,
-                 rabi: float = DEFAULT_TRANSFER_RABI):
-    """Keep one x-y layer: transfer it to 3P2, blow away the remaining
-    ground-state atoms, transfer back.  Only the z gradient is applied
-    during the transfers (the x/y gradients come on afterwards)."""
-    if not 0 <= z_index < reg.geom.n_z:
-        raise IndexError(f"layer {z_index} outside lattice with n_z={reg.geom.n_z}")
-    noise = noise or NoiseParams.off()
-    segment = PulseSegment(
-        replace(config, Gx_t_per_m=0.0, Gy_t_per_m=0.0),
-        transfer_pulse(("layer", z_index), rabi, 0.5 * reg.n_atoms))
-    out = apply_segment(reg, segment, noise)
-    out, removed = blow_away(out)
-    out = apply_segment(out, segment, noise)
-    error = {s: removed[s] if s[2] == z_index else 1.0 - removed[s]
-             for s in reg.sites}
-    return out, SelectionReport(z_index, removed, error, out.survival)
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,8 @@ def load_atom_params(path) -> AtomParams:
 def emit_detuning_curves(params: AtomParams, b_min_gauss: float,
                          b_max_gauss: float, steps: int) -> str:
     """CSV of the ladder detunings Delta1, Delta2 over a field range."""
-    if not 0 < b_min_gauss < b_max_gauss:
-        raise ConfigError("field range requires 0 < B_min < B_max")
+    if not 0 < b_min_gauss < b_max_gauss < math.inf:
+        raise ConfigError("field range requires 0 < B_min < B_max < inf")
     if steps < 2:
         raise ConfigError("a sweep needs at least 2 steps")
     lines = ["B_gauss,delta1_hz,delta2_hz"]
@@ -152,8 +152,8 @@ def emit_detuning_curves(params: AtomParams, b_min_gauss: float,
 def emit_level_sweep(params: AtomParams, b_min_gauss: float,
                      b_max_gauss: float, steps: int) -> str:
     """CSV of all 3P2 Zeeman level energies over a field range."""
-    if not 0 <= b_min_gauss < b_max_gauss:
-        raise ConfigError("field range requires 0 <= B_min < B_max")
+    if not 0 <= b_min_gauss < b_max_gauss < math.inf:
+        raise ConfigError("field range requires 0 <= B_min < B_max < inf")
     if steps < 2:
         raise ConfigError("a sweep needs at least 2 steps")
     lines = ["B_gauss,m_F,branch,energy_hz"]
@@ -166,10 +166,11 @@ def emit_level_sweep(params: AtomParams, b_min_gauss: float,
 
 
 def emit_addressing_spectrum(geom: LatticeGeometry, config: GradientConfig,
-                             params: AtomParams, layer: int = 0) -> str:
-    """CSV comb of the addressed resonances, one row per site, sorted by
-    frequency: columns i, j, B_gauss, f_offset_hz."""
-    rmap = resonance_map(geom, config, params, layer=layer)
+                             params: AtomParams) -> str:
+    """CSV comb of the addressed resonances, one row per site of the
+    addressed z = 0 layer, sorted by frequency: columns i, j, B_gauss,
+    f_offset_hz."""
+    rmap = resonance_map(geom, config, params)
     rows = sorted(((f, B, s) for s, (B, f) in rmap.entries.items()),
                   key=lambda r: (r[0], r[2]))
     lines = ["i,j,B_gauss,f_offset_hz"]

@@ -195,9 +195,9 @@ def test_criterion_9_property_suites(tmp_path):
                 > 1e-9:
             failures.append(f"eigensolver at {bg} G")
 
-    # detuned-Rabi closed form to 1e-8
+    # detuned-Rabi closed form to 1e-8 on the one-leg aux_flip drive
     from ybqc.addressing import GradientConfig
-    from ybqc.engine import Pulse, PulseSegment, apply_segment
+    from ybqc.engine import EM32, EP32, Pulse, PulseSegment, apply_segment
     cfg = GradientConfig(100 * GAUSS)
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -205,18 +205,18 @@ def test_criterion_9_property_suites(tmp_path):
         delta = float(rng.uniform(-3000, 3000)) * 2 * math.pi
         t = float(rng.uniform(1e-5, 2e-2))
         r0 = RegisterState.product(params, LatticeGeometry(1, 1, 1),
-                                   [(0, 0, 0)], [GM])
+                                   [(0, 0, 0)], [EM32])
         out = apply_segment(r0, PulseSegment(
-            cfg, Pulse("rf", t, rabi, detuning_rad_s=delta)),
+            cfg, Pulse("aux_flip", t, rabi, detuning_rad_s=delta)),
             NoiseParams.off())
         W = math.hypot(rabi, delta)
         want = (rabi / W) ** 2 * math.sin(W * t / 2) ** 2
-        if abs(out.population((0, 0, 0), GP) - want) > 1e-8:
+        if abs(out.population((0, 0, 0), EP32) - want) > 1e-8:
             failures.append("detuned Rabi closed form")
             break
 
     # measurement statistics 0.5 +/- 0.02 on 1e4 seeded trials
-    from ybqc.engine import EM32, EP32, NLEV
+    from ybqc.engine import NLEV
     amps = np.zeros(NLEV, complex)
     amps[EM32] = amps[EP32] = 1 / math.sqrt(2)
     sup = RegisterState(params, LatticeGeometry(1, 1, 1), [(0, 0, 0)], amps)

@@ -16,7 +16,7 @@ from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.dipole import pair_coupling
 from ybqc.engine import (GM, GP, NLEV, NoiseParams, RegisterState,
                          _expm_stack, _gamma_levels, _laser_frequencies,
-                         _resolve_reference, _single_atom_hamiltonian,
+                         _reference_index, _single_atom_hamiltonian,
                          apply_segment, basis_labels)
 from ybqc.protocols import measure_qubit
 from ybqc.scenario import simulate_circuit
@@ -33,10 +33,10 @@ HEAVY_NOISE = NoiseParams(lifetime_3P2_s=0.05, photon_scattering_rate_hz=5.0)
 def dense_hamiltonian(reg, segment, dipole_scale=1.0):
     geom, config, pulse = reg.geom, segment.config, segment.pulse
     n = reg.n_atoms
-    B_ref = site_field(geom, config, _resolve_reference(reg, pulse.target))
-    lasers = _laser_frequencies(P, B_ref, pulse)
     tables = [register_levels(P, site_field(geom, config, s))
               for s in reg.sites]
+    lasers = _laser_frequencies(tables[_reference_index(reg, pulse.target)],
+                                pulse)
     H = np.zeros((NLEV ** n, NLEV ** n), complex)
     for i, table in enumerate(tables):
         hi = _single_atom_hamiltonian(table.energy_hz, lasers, pulse)

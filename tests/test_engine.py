@@ -12,9 +12,9 @@ from ybqc.constants import GAUSS
 from ybqc.dipole import auxiliary_qubit_moments, ddi_coupling
 from ybqc.engine import (EM32, EP32, GM, GP, NLEV, NoiseParams, Pulse,
                          PulseSegment, RegisterState, apply_segment,
-                         blow_away, ground_basis_probability,
-                         light_shift_compensation, segment_hamiltonian)
-from ybqc.errors import IntegratorError
+                         ground_basis_probability, light_shift_compensation,
+                         segment_hamiltonian)
+from ybqc.errors import ConfigError, IntegratorError
 from ybqc.protocols import ladder_gap
 
 P = AtomParams()
@@ -35,17 +35,17 @@ def test_product_state_and_accounting():
 
 
 def test_zero_duration_is_identity():
-    reg = single(GM)
-    seg = PulseSegment(CFG, Pulse("rf", 0.0, 2 * math.pi * 100))
+    reg = single(EM32)
+    seg = PulseSegment(CFG, Pulse("aux_flip", 0.0, 2 * math.pi * 100))
     out = apply_segment(reg, seg, OFF)
     assert np.allclose(out.amps, reg.amps)
 
 
-def test_resonant_rf_pi_pulse():
+def test_resonant_aux_flip_pi_pulse():
     rabi = 2 * math.pi * 50.0
-    seg = PulseSegment(CFG, Pulse("rf", math.pi / rabi, rabi))
-    out = apply_segment(single(GM), seg, OFF)
-    assert out.population((0, 0, 0), GP) == pytest.approx(1.0, abs=1e-9)
+    seg = PulseSegment(CFG, Pulse("aux_flip", math.pi / rabi, rabi))
+    out = apply_segment(single(EM32), seg, OFF)
+    assert out.population((0, 0, 0), EP32) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_detuned_rabi_closed_form():
@@ -55,12 +55,13 @@ def test_detuned_rabi_closed_form():
         rabi = float(rng.uniform(10, 2000)) * 2 * math.pi
         delta = float(rng.uniform(-3000, 3000)) * 2 * math.pi
         t = float(rng.uniform(1e-5, 2e-2))
-        seg = PulseSegment(CFG, Pulse("rf", t, rabi, detuning_rad_s=delta))
-        out = apply_segment(single(GM), seg, OFF)
+        seg = PulseSegment(CFG, Pulse("aux_flip", t, rabi,
+                                      detuning_rad_s=delta))
+        out = apply_segment(single(EM32), seg, OFF)
         W = math.hypot(rabi, delta)
         want = (rabi / W) ** 2 * math.sin(W * t / 2) ** 2
-        assert out.population((0, 0, 0), GP) == pytest.approx(want,
-                                                              abs=1e-8)
+        assert out.population((0, 0, 0), EP32) == pytest.approx(want,
+                                                                abs=1e-8)
 
 
 def test_optical_pair_drives_both_legs():
@@ -90,7 +91,7 @@ def test_norm_conserved_without_noise():
     rng = np.random.default_rng(3)
     reg = single(GM)
     for _ in range(20):
-        kind = rng.choice(["rf", "optical_pair", "aux_flip"])
+        kind = rng.choice(["three_photon", "optical_pair", "aux_flip"])
         rabi = float(rng.uniform(10, 500)) * 2 * math.pi
         seg = PulseSegment(CFG, Pulse(str(kind), float(rng.uniform(1e-4, 5e-3)),
                                       rabi,
@@ -104,7 +105,7 @@ def test_noise_decays_norm_with_exact_rate():
     noise = NoiseParams(lifetime_3P2_s=2.0, photon_scattering_rate_hz=0.0)
     reg = single(EP32)
     t = 0.5
-    seg = PulseSegment(CFG, Pulse("rf", t, 0.0))
+    seg = PulseSegment(CFG, Pulse("aux_flip", t, 0.0))
     out = apply_segment(reg, seg, noise)
     assert out.survival == pytest.approx(math.exp(-t / 2.0), rel=1e-9)
     assert out.leaked == pytest.approx(1 - math.exp(-t / 2.0), rel=1e-9)
@@ -119,7 +120,7 @@ def test_dipole_diagonal_matches_pair_formula():
     geom = LatticeGeometry(2, 1, 1)
     reg = RegisterState.product(P, geom, [(0, 0, 0), (1, 0, 0)],
                                 [EP32, EP32])
-    seg = PulseSegment(CFG, Pulse("rf", 1e-3, 0.0))
+    seg = PulseSegment(CFG, Pulse("aux_flip", 1e-3, 0.0))
     idx = (NLEV * EP32 + EP32)
 
     def diagonal_entry(blocks):
@@ -156,17 +157,13 @@ def test_unitarity_guard_trips_on_bad_amplitudes():
         reg.check_accounting()
 
 
-def test_blow_away_filters_ground():
-    geom = LatticeGeometry(2, 1, 1)
-    amps = np.zeros(NLEV ** 2, complex)
-    amps[NLEV * GM + EP32] = 1 / math.sqrt(2)    # atom0 ground, atom1 e
-    amps[NLEV * EP32 + EP32] = 1 / math.sqrt(2)  # both excited
-    reg = RegisterState(P, geom, [(0, 0, 0), (1, 0, 0)], amps)
-    out, removed = blow_away(reg)
-    assert removed[(0, 0, 0)] == pytest.approx(0.5, abs=1e-12)
-    assert removed[(1, 0, 0)] == pytest.approx(0.0, abs=1e-12)
-    assert out.survival == pytest.approx(0.5, abs=1e-12)
-    assert out.leaked == pytest.approx(0.5, abs=1e-12)
+@pytest.mark.parametrize("target", [("site", (1, 0, 0)), ("layer", 0)],
+                         ids=["spectator-site", "layer"])
+def test_pulse_target_outside_the_register_is_rejected(target):
+    seg = PulseSegment(CFG, Pulse("optical_pair", 1e-3, 2 * math.pi * 500,
+                                  target=target))
+    with pytest.raises(ConfigError, match="active site"):
+        apply_segment(single(GM), seg, OFF)
 
 
 def test_ground_basis_probability():

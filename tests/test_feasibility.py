@@ -5,17 +5,18 @@ import math
 
 import pytest
 
-from ybqc.addressing import GradientConfig, LatticeGeometry
+from ybqc.addressing import (GradientConfig, LatticeGeometry,
+                             validate_gradients)
 from ybqc.atomic import AtomParams
 from ybqc.constants import GAUSS, h, k_B
 from ybqc.compiler import compile_circuit
 from ybqc.engine import (GM, NoiseParams, Pulse, PulseSchedule, PulseSegment,
                          RegisterState, apply_segment)
 from ybqc.errors import ConfigError
-from ybqc.feasibility import (bias_field_check, build_feasibility_report,
-                              decoherence_budget, lattice_depth_report,
-                              lowest_band_width_recoils, pi_pulse_intensity,
-                              recoil_energy_j, scattering_rate)
+from ybqc.feasibility import (build_feasibility_report, decoherence_budget,
+                              lattice_depth_report, lowest_band_width_recoils,
+                              pi_pulse_intensity, recoil_energy_j,
+                              scattering_rate)
 
 P = AtomParams()
 
@@ -81,23 +82,28 @@ def test_scattering_rate_reference():
 
 
 def test_bias_field_check():
+    # one rule, B0 >= safety_factor * field range, read by the report
     geom = LatticeGeometry(10, 10, 10)
     cfg = GradientConfig(100 * GAUSS, 10 * GAUSS / 1e-2, 100 * GAUSS / 1e-2,
                          100 * GAUSS / 1e-2)
-    v = bias_field_check(geom, cfg)
-    assert v.ok
-    assert v.margin > 1.0
+    assert validate_gradients(geom, cfg).bias_ok
     weak = GradientConfig(0.001 * GAUSS, 10 * GAUSS / 1e-2,
                           100 * GAUSS / 1e-2, 100 * GAUSS / 1e-2)
-    assert not bias_field_check(geom, weak).ok
+    assert not validate_gradients(geom, weak).bias_ok
+    item, = (it for it in build_feasibility_report(P).items
+             if it.quantity == "bias_field_100g_sufficient")
+    assert item.passed
+    margin = float(item.note.split("x", 1)[0].removeprefix("margin "))
+    assert margin > 1.0
 
 
 def test_decoherence_budget_matches_engine_bookkeeping():
     noise = NoiseParams(lifetime_3P2_s=15.0, photon_scattering_rate_hz=0.2)
     cfg = GradientConfig(100 * GAUSS)
     segs = (
-        PulseSegment(cfg, Pulse("rf", 0.1, 0.0, metastable_weight=0.0)),
-        PulseSegment(cfg, Pulse("rf", 0.2, 0.0, metastable_weight=2.0)),
+        PulseSegment(cfg, Pulse("aux_flip", 0.1, 0.0, metastable_weight=0.0)),
+        PulseSegment(cfg, Pulse("aux_flip", 0.2, 0.0,
+                                metastable_weight=2.0)),
     )
     sched = PulseSchedule(segs, n_atoms=2)
     budget = decoherence_budget(sched, noise)

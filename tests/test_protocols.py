@@ -1,5 +1,4 @@
-"""Protocol-level tests: transfer fidelity, layer selection, 3-photon
-gates, the dipole-shift CNOT, and projective measurement.  Gates are
+"""Protocol-level tests: transfer fidelity, 3-photon gates, the dipole-shift CNOT, and projective measurement.  Gates are
 built with the pulse builders and run through `engine.apply_segment`."""
 
 import math
@@ -17,9 +16,8 @@ from ybqc.constants import GAUSS
 from ybqc.engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
                          PulseSegment, RegisterState, apply_segment)
 from ybqc.errors import ConfigError, GeometryError, ProtocolOrderError
-from ybqc.protocols import (DEFAULT_TRANSFER_RABI, cnot_pulse,
-                            cnot_pulse_parameters, ladder_gap, measure_qubit,
-                            rotation_pulse, select_layer, three_photon_scan,
+from ybqc.protocols import (cnot_pulse, cnot_pulse_parameters, ladder_gap,
+                            measure_qubit, rotation_pulse, three_photon_scan,
                             transfer_pulse)
 
 P = AtomParams()
@@ -59,7 +57,7 @@ def test_scan_zero_rabi_rejected():
 
 
 # ---------------------------------------------------------------------------
-# transfer / layer selection
+# transfer
 
 def test_transfer_round_trip():
     geom = LatticeGeometry(2, 1, 1)
@@ -82,23 +80,9 @@ def test_transfer_superposition_both_legs():
     amps[GM] = amps[GP] = 1 / math.sqrt(2)
     reg = RegisterState(P, geom, [(0, 0, 0)], amps)
     up = apply_segment(reg, PulseSegment(cfg, transfer_pulse(
-        ("all",), DEFAULT_TRANSFER_RABI, 0.5)), OFF)
+        ("all",), 2 * math.pi * 500.0, 0.5)), OFF)
     assert up.population((0, 0, 0), EM32) == pytest.approx(0.5, abs=1e-6)
     assert up.population((0, 0, 0), EP32) == pytest.approx(0.5, abs=1e-6)
-
-
-def test_layer_selection_keeps_target_layer():
-    geom = LatticeGeometry(1, 1, 2)
-    # layer gap ~10 kHz like the reference design (Gz = Gy of a 10-wide
-    # plan) so a 500 Hz transfer stays selective
-    cfg = plan_gradients(LatticeGeometry(10, 10, 2), 1000.0, P)
-    reg = RegisterState.product(P, geom, [(0, 0, 0), (0, 0, 1)], [GM, GP])
-    out, rep = select_layer(reg, 0, cfg, OFF)
-    assert rep.selection_error[(0, 0, 0)] < 1e-2   # kept atom survives
-    assert rep.selection_error[(0, 0, 1)] < 1e-2   # other layer removed
-    assert out.population((0, 0, 0), GM) / max(out.survival, 1e-300) > 0.98
-    with pytest.raises(IndexError):
-        select_layer(reg, 5, cfg, OFF)
 
 
 # ---------------------------------------------------------------------------

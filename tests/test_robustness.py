@@ -62,6 +62,13 @@ def test_rare_measurement_branch_exits_0(tmp_path):
      "(5, 5, 0)"),
     (["simulate", "--circuit", "c.txt", "--seed", "1", "--one", "1,0"],
      "(1, 0)"),
+    (["detunings", "--b-min-gauss", "1", "--b-max-gauss", "inf",
+      "--steps", "3"], "B_max < inf"),
+    (["levels", "--b-gauss", "0", "--b-max-gauss", "inf"], "B_max < inf"),
+    (["address", "--spacing-m", "nan"], "lattice spacing"),
+    (["plan", "--b0-gauss", "nan"], "bias field B0"),
+    (["address", "--b0-gauss", "inf", "--gx-g-per-cm", "1"],
+     "bias field B0"),
 ])
 def test_cli_file_and_flag_errors_exit_2(tmp_path, monkeypatch, capsys,
                                          argv, name):
@@ -71,6 +78,18 @@ def test_cli_file_and_flag_errors_exit_2(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["plan", "--target-gap-hz", "nan"], "target gap"),
+    (["ddi", "--spacing-m", "nan"], "separation"),
+])
+def test_cli_non_finite_physics_input_exits_3(capsys, argv, name):
+    assert cli_main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("physics error: ") and name in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_initial_one_off_the_circuit_exits_2(tmp_path, capsys):

@@ -2,9 +2,8 @@
 
 Every import is used; the package `__init__.py`, names listed in
 `__all__` and `from __future__` are exempt as re-exports.  Outside the
-engine, only `compiler.execute_schedule` and `protocols.select_layer`
-apply segments or blow away atoms, so gates reach the engine through one
-path.  No package module imports `expm`: the engine's own stacked kernel
+engine, only `compiler.execute_schedule` applies segments, so gates
+reach the engine through one path.  No package module imports `expm`: the engine's own stacked kernel
 exponentiates every block, and scipy's `expm` serves only the tests'
 dense oracle."""
 
@@ -76,9 +75,8 @@ def test_package_does_not_use_expm():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-ENGINE_ENTRY_POINTS = {"apply_segment", "blow_away"}
-ALLOWED_CALLERS = {("compiler", "execute_schedule"),
-                   ("protocols", "select_layer")}
+ENGINE_ENTRY_POINTS = {"apply_segment"}
+ALLOWED_CALLERS = {("compiler", "execute_schedule")}
 
 
 def engine_callers(module: str, source: str) -> set[tuple[str, str]]:
@@ -97,7 +95,8 @@ def engine_callers(module: str, source: str) -> set[tuple[str, str]]:
 
 
 def test_checker_finds_engine_callers():
-    assert engine_callers("m", "def f(r):\n    return engine.blow_away(r)\n"
+    assert engine_callers("m", "def f(r):\n"
+                          "    return engine.apply_segment(r, s, n)\n"
                           "def g(r):\n    apply_segment(r, s, n)\n"
                           "def h(r):\n    return r\n") \
         == {("m", "f"), ("m", "g")}
@@ -105,7 +104,7 @@ def test_checker_finds_engine_callers():
         == {("m", "<module>")}
 
 
-def test_only_the_executor_and_layer_selection_drive_the_engine():
+def test_only_the_executor_drives_the_engine():
     callers = set()
     for path in MODULES:
         if path.stem != "engine":
