@@ -7,7 +7,7 @@ from .atomic import (AtomParams, ThreePhotonDetunings, ZeemanLevel,
 from .addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                          resonance_map, validate_gradients)
 from .dipole import (auxiliary_qubit_moments, cnot_shift, ddi_coupling,
-                     pair_coupling, pair_levels)
+                     pair_coupling)
 from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
                      RegisterState, apply_segment)
 from .protocols import measure_qubit, three_photon_scan

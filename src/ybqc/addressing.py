@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .atomic import EP32, GP, AtomParams, register_levels
+from .atomic import EP32, GP, AtomParams, RegisterLevels, register_levels
 from .constants import h
 from .errors import ConfigError, PlanningError
 
@@ -88,6 +89,15 @@ def site_field(geom: LatticeGeometry, config: GradientConfig, site) -> float:
     x, y, z = geom.position_m(site)
     return float(config.B0_t + config.Gx_t_per_m * x
                  + config.Gy_t_per_m * y + config.Gz_t_per_m * z)
+
+
+@lru_cache(maxsize=64)
+def site_levels(params: AtomParams, geom: LatticeGeometry, sites: tuple,
+                config: GradientConfig) -> tuple[RegisterLevels, ...]:
+    """Level table of each of `sites` at its local field, cached per
+    register and field config; the pulse builders and the engine share it."""
+    return tuple(register_levels(params, site_field(geom, config, s))
+                 for s in sites)
 
 
 def field_range(geom: LatticeGeometry, config: GradientConfig) -> float:

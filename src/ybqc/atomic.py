@@ -148,8 +148,8 @@ def zeeman_spectrum(params: AtomParams, B: float) -> ZeemanSpectrum:
     Hellmann-Feynman: off does not depend on B, so
     dE/dB = (d1' + d2')/2 +/- (d1 - d2)(d1' - d2') / (4 rad).
     """
-    if B < 0:
-        raise ConfigError("B must be >= 0")
+    if not 0 <= B < math.inf:
+        raise ConfigError(f"B must be finite and >= 0, got {B!r} T")
     A = params.hyperfine_A_3P2_hz
     J, I = float(params.electronic_J_3P2), params.nuclear_spin
     gJ = params.g_J_3P2

@@ -21,13 +21,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .addressing import LatticeGeometry, plan_gradients, site_field
+from .addressing import LatticeGeometry, plan_gradients, site_levels
 from .atomic import AtomParams
 from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
                      RegisterState, apply_segment)
 from .errors import ConfigError
-from .protocols import (cnot_pulse, ladder_gap, measure_qubit,
-                        rotation_pulse, transfer_pulse)
+from .protocols import (cnot_pulse, measure_qubit, rotation_pulse,
+                        transfer_pulse)
 
 TARGET_GAP_HZ = 1000.0
 BIAS_FIELD_T = 100e-4
@@ -36,7 +36,6 @@ BIAS_FIELD_T = 100e-4
 # detunes the transfer of the second atom.
 TRANSFER_RABI_1Q_RAD_S = 2 * math.pi * 25.0
 TRANSFER_RABI_2Q_RAD_S = 2 * math.pi * 100.0
-GATE_RABI_FRACTION = 0.05     # of min(|Delta1|, |Delta2|)
 
 
 def parse_circuit(text: str):
@@ -72,12 +71,16 @@ def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
     """
     if isinstance(circuit, str):
         circuit = parse_circuit(circuit)
-    sites = {s for op in circuit for s in op[1:] if isinstance(s, tuple)}
-    outside = sorted(s for s in sites if not geom.contains(s))
+    sites = tuple(sorted({s for op in circuit for s in op[1:]
+                          if isinstance(s, tuple)}))
+    outside = [s for s in sites if not geom.contains(s)]
     if outside:
         raise ConfigError(f"circuit site {outside[0][:2]} outside the "
                           f"{geom.n_x}x{geom.n_y} lattice")
     config = plan_gradients(geom, TARGET_GAP_HZ, params, B0_t=BIAS_FIELD_T)
+    # the sorted sites key the register `simulate_circuit` builds, so the
+    # engine reads the same cached tables
+    levels = dict(zip(sites, site_levels(params, geom, sites, config)))
     flat = replace(config, Gx_t_per_m=0.0, Gy_t_per_m=0.0, Gz_t_per_m=0.0)
 
     segments = []
@@ -86,17 +89,14 @@ def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
         n_meta = float(len(in_metastable))
         if op[0] == "X":
             _, site, theta = op
-            B_loc = site_field(geom, config, site)
-            gate, _ = rotation_pulse(
-                params, B_loc, site, theta,
-                GATE_RABI_FRACTION * ladder_gap(params, B_loc), n_meta + 1.0)
+            gate = rotation_pulse(levels[site], site, theta, n_meta + 1.0)
             leg = transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S,
                                  n_meta + 0.5)
             pulses = (leg, gate, leg)
         elif op[0] == "CNOT":
             _, control, target = op
-            flip = cnot_pulse(params, geom, config, control, target,
-                              n_meta + 2.0)
+            flip = cnot_pulse(geom, control, target, levels[control],
+                              levels[target], n_meta + 2.0)
             control_leg = transfer_pulse(("site", control),
                                          TRANSFER_RABI_2Q_RAD_S, n_meta + 0.5)
             target_leg = transfer_pulse(("site", target),

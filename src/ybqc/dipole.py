@@ -13,7 +13,6 @@ with theta the angle between z and the separation vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,19 +23,13 @@ from .atomic import AtomParams, lande_g_F
 _K_DD = mu_0 / (4 * math.pi * h)  # Hz per (J/T)^2 / m^3
 
 
-@dataclass(frozen=True)
-class PairLevels:
-    spacing_m: float
-    # energies (Hz) of the two-atom logical states, dipole shift included
-    levels_hz: dict  # keys '00', '01', '10', '11'
-    shift_10_11_vs_00_01_hz: float
-
-
 def ddi_coupling(m1: float, m2: float, r: float, theta: float) -> float:
     """Secular dipole-dipole energy in Hz for z-aligned moments."""
     if not 0 < r < math.inf:
         raise PhysicsError("dipole pair requires a finite, strictly positive "
                            "separation")
+    if not all(map(math.isfinite, (m1, m2, theta))):
+        raise PhysicsError("dipole pair requires finite moments and angle")
     return _K_DD * m1 * m2 * (1 - 3 * math.cos(theta) ** 2) / r ** 3
 
 
@@ -63,29 +56,10 @@ def auxiliary_qubit_moments(params: AtomParams) -> tuple[float, float]:
     return (m, -m)
 
 
-def pair_levels(spacing: float, theta: float,
-                moments: tuple[float, float],
-                zeeman_hz: tuple[float, float] = (0.0, 0.0)) -> PairLevels:
-    """Two-atom logical levels |00>,|01>,|10>,|11> with the dipole shift.
-
-    moments/zeeman_hz are indexed by logical value (0 -> m_F=-3/2,
-    1 -> m_F=+3/2).  The conditional shift is
-    [E(11)-E(10)] - [E(01)-E(00)].
-    """
-    m = moments
-    z = zeeman_hz
-    levels = {}
-    for s1 in (0, 1):
-        for s2 in (0, 1):
-            dd = ddi_coupling(m[s1], m[s2], spacing, theta)
-            levels[f"{s1}{s2}"] = z[s1] + z[s2] + dd
-    shift = (levels["11"] - levels["10"]) - (levels["01"] - levels["00"])
-    return PairLevels(spacing, levels, shift)
-
-
 def cnot_shift(spacing: float, params: AtomParams | None = None,
                theta: float = 0.0) -> float:
-    """Conditional shift (Hz) of the |10><->|11> line at the given spacing."""
-    params = params or AtomParams()
-    return pair_levels(spacing, theta,
-                       auxiliary_qubit_moments(params)).shift_10_11_vs_00_01_hz
+    """Conditional shift (Hz) of the |10><->|11> line at the given spacing:
+    [E(11) - E(10)] - [E(01) - E(00)] of the secular coupling, which is
+    the coupling of the moment differences m1 - m0 of the two atoms."""
+    m0, m1 = auxiliary_qubit_moments(params or AtomParams())
+    return ddi_coupling(m1 - m0, m1 - m0, spacing, theta)

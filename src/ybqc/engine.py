@@ -26,11 +26,11 @@ Only the live blocks, those holding a nonzero amplitude, are assembled
 and exponentiated; the 7^n x 7^n register matrix is never built.  Blocks
 of one size form one stack: 1x1 stacks are `np.exp`, larger ones one
 vectorised Pade-13 scaling and squaring (`_expm_stack`) with one scaling
-exponent per stack.  Each site's level table at its local field is
-computed once per register and field config (`_site_levels`) and read
-by the drive blocks, the dipole diagonal and the lasers, which sit on
-the resonance of one active reference site (`_reference_index`).  The
-dense kron-sum propagator and scipy's `expm` are the test oracle in
+exponent per stack.  The drive blocks, the dipole diagonal and the
+lasers read each site's cached level table (`addressing.site_levels`,
+shared with the pulse builders); the lasers sit on the resonance of one
+active reference site (`_reference_index`).  The dense kron-sum
+propagator and scipy's `expm` are the test oracle in
 tests/test_blocked_propagator.py.
 """
 
@@ -42,9 +42,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .addressing import GradientConfig, LatticeGeometry, site_field
+from .addressing import GradientConfig, LatticeGeometry, site_levels
 from .atomic import (EM12, EM32, EP12, EP32, GM, GP, AtomParams,
-                     RegisterLevels, ladder_detunings, register_levels)
+                     RegisterLevels, ladder_detunings)
 from .dipole import pair_coupling
 from .errors import ConfigError, IntegratorError
 
@@ -189,7 +189,7 @@ class RegisterState:
         return float(self.level_populations(site)[level])
 
     def check_accounting(self, tol: float = 1e-9) -> None:
-        if abs(self.survival + self.leaked - 1.0) > tol:
+        if not abs(self.survival + self.leaked - 1.0) <= tol:
             raise IntegratorError(
                 f"norm accounting violated: survival {self.survival} "
                 f"+ leaked {self.leaked} != 1")
@@ -291,7 +291,7 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     params, geom = reg.params, reg.geom
     config, pulse = segment.config, segment.pulse
     n = reg.n_atoms
-    tables = _site_levels(params, geom, reg.sites, config)
+    tables = site_levels(params, geom, reg.sites, config)
     lasers = _laser_frequencies(tables[_reference_index(reg, pulse.target)],
                                 pulse)
     hs = np.stack([_single_atom_hamiltonian(table.energy_hz, lasers, pulse)
@@ -325,15 +325,6 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
 
 
 @lru_cache(maxsize=64)
-def _site_levels(params: AtomParams, geom: LatticeGeometry, sites: tuple,
-                 config: GradientConfig) -> tuple[RegisterLevels, ...]:
-    """Level table of each active site at its local field; computed once
-    per register and field (the tables are frozen)."""
-    return tuple(register_levels(params, site_field(geom, config, s))
-                 for s in sites)
-
-
-@lru_cache(maxsize=64)
 def _dipole_diagonal(params: AtomParams, geom: LatticeGeometry, sites: tuple,
                      config: GradientConfig,
                      dipole_scale: float) -> np.ndarray:
@@ -342,7 +333,7 @@ def _dipole_diagonal(params: AtomParams, geom: LatticeGeometry, sites: tuple,
     n = len(sites)
     moments = np.array(
         [table.moment_j_per_t + (0.0,)   # LOST carries no moment
-         for table in _site_levels(params, geom, sites, config)])
+         for table in site_levels(params, geom, sites, config)])
     labels = basis_labels(n)
     dd = np.zeros(NLEV ** n)
     for i in range(n):
@@ -430,7 +421,7 @@ def apply_propagator(reg: RegisterState, U: list,
     for idx, blocks in U:
         amps[idx] = (blocks @ reg.amps[idx][..., None])[..., 0]
     after = float(np.vdot(amps, amps).real)
-    if not noise_on and abs(after - before) > UNITARITY_TOL:
+    if not noise_on and not abs(after - before) <= UNITARITY_TOL:
         raise IntegratorError(
             f"unitarity deviation {abs(after - before):.2e} over one "
             "segment exceeds 1e-6")

@@ -3,8 +3,11 @@
 The builders (`transfer_pulse`, `rotation_pulse`, `cnot_pulse`) take no
 register and return one engine `Pulse`; `compiler.compile_circuit` is a
 loop over them and `compiler.execute_schedule` runs the result, so every
-gate reaches the engine through one path.  `measure_qubit` is projective
-measurement with MOT fluorescence branching-loss bookkeeping.
+gate reaches the engine through one path.  The builders read the sites'
+level tables of `addressing.site_levels`, which the engine reads too, and
+the 3-photon scan evolves the engine's own ladder block.  `measure_qubit`
+is projective measurement with MOT fluorescence branching-loss
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -14,17 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .addressing import site_field
-from .atomic import register_levels, three_photon_detunings
+from .atomic import RegisterLevels, ladder_detunings
 from .dipole import pair_coupling
 from .engine import (EM12, EM32, EP12, EP32, GP, G_LEVELS, NoiseParams,
-                     Pulse, RegisterState, basis_labels,
-                     light_shift_compensation)
+                     Pulse, RegisterState, _laser_frequencies,
+                     _single_atom_hamiltonian, basis_labels)
 from .errors import ConfigError, GeometryError, ProtocolOrderError
 
 # CNOT Rabi frequency over the unscaled conditional shift: spectral
 # selectivity against the off-resonant |00> <-> |01> line.
 CNOT_RABI_FACTOR = 0.1
+GATE_RABI_FRACTION = 0.05     # 3-photon Rabi over min(|Delta1|, |Delta2|)
 # Time grid of the exact ladder scan, over 1.5 effective pi times.
 SCAN_SAMPLES = 40001
 
@@ -34,39 +37,31 @@ SCAN_SAMPLES = 40001
 
 @dataclass(frozen=True)
 class ThreePhotonScan:
-    field_t: float
-    rabi_rad_s: float
-    omega_eff_rad_s: float      # Omega^3 / (4 Delta1 Delta2), signed
-    predicted_pi_time_s: float
+    predicted_pi_time_s: float  # pi / |Omega^3 / (4 Delta1 Delta2)|
     pi_time_s: float            # first maximum of the a->d population
     transfer_probability: float
     leakage: float              # population left in the intermediate states
 
 
-def _ladder_hamiltonian(det, rabi, compensate):
-    eps = light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s,
-                                   rabi) if compensate else 0.0
-    H = np.zeros((4, 4))
-    H[1, 1] = det.delta1_rad_s - eps
-    H[2, 2] = -det.delta2_rad_s - 2 * eps
-    H[3, 3] = -3 * eps
-    for n in range(3):
-        H[n, n + 1] = H[n + 1, n] = rabi / 2
-    return H
+def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
+    """Exact 4-level simulation of the 3-photon drive starting in state a,
+    for one atom with level table `levels`.
 
-
-def three_photon_scan(params, B, rabi, compensate=True) -> ThreePhotonScan:
-    """Exact 4-level simulation of the 3-photon drive starting in state a.
-
-    Returns the first-maximum pi time of the a->d transfer together with
-    the effective-model prediction Omega_eff = Omega^3 / (4 Delta1 Delta2).
+    The ladder Hamiltonian is the engine's e-3/2 .. e+3/2 block of the
+    light-shift-compensated drive.  Returns the first-maximum pi time of
+    the a->d transfer together with the effective-model prediction
+    Omega_eff = Omega^3 / (4 Delta1 Delta2).
     """
-    det = three_photon_detunings(params, B)
+    det = ladder_detunings(levels)
     omega_eff = rabi ** 3 / (4 * det.delta1_rad_s * det.delta2_rad_s)
     if omega_eff == 0.0:
         raise ConfigError("zero Rabi frequency has no pi time")
     t_pred = math.pi / abs(omega_eff)
-    H = _ladder_hamiltonian(det, rabi, compensate)
+    drive = Pulse("three_photon", t_pred, rabi)
+    ladder = slice(EM32, EP32 + 1)
+    H = _single_atom_hamiltonian(levels.energy_hz,
+                                 _laser_frequencies(levels, drive),
+                                 drive)[ladder, ladder].real
     w, V = np.linalg.eigh(H)
     c = V[0, :]  # overlap of eigenvectors with the initial state a
 
@@ -103,8 +98,8 @@ def three_photon_scan(params, B, rabi, compensate=True) -> ThreePhotonScan:
         if denom != 0:
             t_pi = t_pi + 0.5 * dt * (ym - yp) / denom
     Ppi = populations(np.array([t_pi]))[0]
-    return ThreePhotonScan(B, rabi, omega_eff, t_pred, float(t_pi),
-                           float(Ppi[3]), float(Ppi[1] + Ppi[2]))
+    return ThreePhotonScan(t_pred, float(t_pi), float(Ppi[3]),
+                           float(Ppi[1] + Ppi[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -117,41 +112,38 @@ def transfer_pulse(target: tuple, rabi: float, weight: float) -> Pulse:
                  metastable_weight=weight)
 
 
-def ladder_gap(params, B) -> float:
-    """Smaller 3-photon ladder detuning min(|Delta1|, |Delta2|) (rad/s)."""
-    det = three_photon_detunings(params, B)
-    return min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+def rotation_pulse(levels: RegisterLevels, site, angle: float,
+                   weight: float, axis: float = 0.0) -> Pulse:
+    """3-photon rotation by `angle` of the auxiliary qubit at `site` (level
+    table `levels`), timed by the exact ladder scan.  `axis` is the
+    azimuth of the rotation axis in the auxiliary-qubit equatorial plane;
+    it maps onto one third of the drive phase because the effective
+    coupling is third order in the field."""
+    det = ladder_detunings(levels)
+    rabi = GATE_RABI_FRACTION * min(abs(det.delta1_rad_s),
+                                    abs(det.delta2_rad_s))
+    scan = three_photon_scan(levels, rabi)
+    return Pulse("three_photon", (angle / math.pi) * scan.pi_time_s, rabi,
+                 phase_rad=axis / 3, target=("site", tuple(site)),
+                 metastable_weight=weight)
 
 
-def rotation_pulse(params, B, site, angle: float, rabi: float,
-                   weight: float, axis: float = 0.0):
-    """3-photon rotation by `angle` of the auxiliary qubit at `site`
-    (local field B), timed by the exact ladder scan; returns the pulse and
-    the scan.  `axis` is the azimuth of the rotation axis in the
-    auxiliary-qubit equatorial plane; it maps onto one third of the drive
-    phase because the effective coupling is third order in the field."""
-    scan = three_photon_scan(params, B, rabi)
-    pulse = Pulse("three_photon", (angle / math.pi) * scan.pi_time_s, rabi,
-                  phase_rad=axis / 3, target=("site", tuple(site)),
-                  metastable_weight=weight)
-    return pulse, scan
-
-
-def cnot_pulse_parameters(params, geom, config, control_site, target_site):
+def cnot_pulse_parameters(geom, control_site, target_site, control_levels,
+                          target_levels):
     """Conditional shift (Hz) and resonant laser detuning (rad/s) of the
-    |10> <-> |11> line for a control/target pair."""
+    |10> <-> |11> line for a control/target pair and their level tables."""
     coupling = pair_coupling(geom.position_m(control_site),
                              geom.position_m(target_site))
-    m_c, m_t = (register_levels(params, site_field(geom, config, s))
-                .moment_j_per_t for s in (control_site, target_site))
+    m_c = control_levels.moment_j_per_t
+    m_t = target_levels.moment_j_per_t
     shift_hz = coupling * (m_c[EP32] - m_c[EM32]) * (m_t[EP32] - m_t[EM32])
     detuning_rad_s = 2 * math.pi * coupling * m_c[EP32] \
         * (m_t[EP32] - m_t[EM32])
     return shift_hz, detuning_rad_s
 
 
-def cnot_pulse(params, geom, config, control_site, target_site,
-               weight: float) -> Pulse:
+def cnot_pulse(geom, control_site, target_site, control_levels,
+               target_levels, weight: float) -> Pulse:
     """aux_flip pi-pulse of the dipole-shift CNOT on adjacent sites.
 
     The laser sits on the nominal |10> <-> |11> line and the Rabi
@@ -163,8 +155,8 @@ def cnot_pulse(params, geom, config, control_site, target_site,
         raise GeometryError(
             f"CNOT sites {control_site}, {target_site} are not adjacent "
             "(no routing in scope)")
-    shift_hz, detuning = cnot_pulse_parameters(params, geom, config,
-                                               control_site, target_site)
+    shift_hz, detuning = cnot_pulse_parameters(
+        geom, control_site, target_site, control_levels, target_levels)
     rabi = 2 * math.pi * abs(shift_hz) * CNOT_RABI_FACTOR
     return Pulse("aux_flip", math.pi / rabi, rabi, detuning_rad_s=detuning,
                  target=("site", target_site), metastable_weight=weight)

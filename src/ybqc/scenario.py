@@ -339,6 +339,8 @@ def simulate_circuit(circuit_text: str, geom: LatticeGeometry,
                      dipole_scale: float = 1.0):
     """Compile a circuit, run it through the pulse engine, and return the
     schedule, final register, and measurement record."""
+    if not math.isfinite(dipole_scale):
+        raise ConfigError(f"dipole_scale must be finite, got {dipole_scale!r}")
     schedule = compile_circuit(circuit_text, geom, params, noise)
     sites = sorted({tuple(s.pulse.target[1])
                     for s in schedule.segments

@@ -7,7 +7,7 @@ import pytest
 
 from ybqc.atomic import AtomParams
 from ybqc.dipole import (auxiliary_qubit_moments, cnot_shift, ddi_coupling,
-                         pair_coupling, pair_levels)
+                         pair_coupling)
 from ybqc.errors import PhysicsError
 
 # independent CODATA-2022 literals (not imported from the package)
@@ -98,16 +98,3 @@ def test_conditional_shift_is_four_times_ddi():
     # (m1 - m0)^2 = 4 m1^2 for opposite equal moments
     assert shift == pytest.approx(4 * single, rel=1e-12)
     assert abs(shift) == pytest.approx(40.2, rel=0.01)
-
-
-def test_pair_levels_shift_definition():
-    m = (2.7 * MU_B, -2.7 * MU_B)
-    z = (100.0, -250.0)
-    pl = pair_levels(SPACING, 0.0, m, z)
-    want = (pl.levels_hz["11"] - pl.levels_hz["10"]) \
-        - (pl.levels_hz["01"] - pl.levels_hz["00"])
-    assert pl.shift_10_11_vs_00_01_hz == pytest.approx(want, rel=1e-12)
-    # single-atom Zeeman terms cancel out of the conditional shift
-    pl0 = pair_levels(SPACING, 0.0, m, (0.0, 0.0))
-    assert pl.shift_10_11_vs_00_01_hz == pytest.approx(
-        pl0.shift_10_11_vs_00_01_hz, rel=1e-12)

@@ -11,11 +11,10 @@ from ybqc.atomic import AtomParams, register_levels, three_photon_detunings
 from ybqc.constants import GAUSS
 from ybqc.dipole import auxiliary_qubit_moments, ddi_coupling
 from ybqc.engine import (EM32, EP32, GM, GP, NLEV, NoiseParams, Pulse,
-                         PulseSegment, RegisterState, apply_segment,
-                         ground_basis_probability, light_shift_compensation,
-                         segment_hamiltonian)
+                         PulseSegment, RegisterState, apply_propagator,
+                         apply_segment, ground_basis_probability,
+                         light_shift_compensation, segment_hamiltonian)
 from ybqc.errors import ConfigError, IntegratorError
-from ybqc.protocols import ladder_gap
 
 P = AtomParams()
 GEOM = LatticeGeometry(3, 1, 1)
@@ -157,6 +156,16 @@ def test_unitarity_guard_trips_on_bad_amplitudes():
         reg.check_accounting()
 
 
+def test_guards_trip_on_nan():
+    # a NaN comparison is False, so each guard must fail unless it passes
+    with pytest.raises(IntegratorError, match="accounting"):
+        RegisterState(P, GEOM, [(0, 0, 0)], single().amps,
+                      leaked=math.nan).check_accounting()
+    nan_block = [(np.arange(NLEV)[None, :], np.full((1, NLEV, NLEV), math.nan))]
+    with pytest.raises(IntegratorError, match="unitarity"):
+        apply_propagator(single(), nan_block, noise_on=False)
+
+
 @pytest.mark.parametrize("target", [("site", (1, 0, 0)), ("layer", 0)],
                          ids=["spectator-site", "layer"])
 def test_pulse_target_outside_the_register_is_rejected(target):
@@ -183,11 +192,15 @@ def _light_shift_80_steps(delta1, delta2, rabi):
     return eps
 
 
+def _ladder_gap(det):
+    return min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+
+
 @pytest.mark.parametrize("gap_fraction", [0.05, 0.3, 1.0])
 def test_light_shift_compensation_stops_at_the_fixed_point(gap_fraction):
     B = 650 * GAUSS
     det = three_photon_detunings(P, B)
-    rabi = gap_fraction * ladder_gap(P, B)
+    rabi = gap_fraction * _ladder_gap(det)
     assert light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s,
                                     rabi) \
         == _light_shift_80_steps(det.delta1_rad_s, det.delta2_rad_s, rabi)
@@ -198,4 +211,4 @@ def test_light_shift_compensation_raises_when_it_diverges():
     det = three_photon_detunings(P, B)
     with pytest.raises(IntegratorError):
         light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s,
-                                 3.0 * ladder_gap(P, B))
+                                 3.0 * _ladder_gap(det))

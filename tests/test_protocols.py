@@ -7,18 +7,19 @@ import numpy as np
 import pytest
 
 from ybqc.addressing import (GradientConfig, LatticeGeometry, plan_gradients,
-                             site_field)
-from ybqc.atomic import AtomParams, calibrate_hyperfine_A, three_photon_detunings
-from ybqc.compiler import (BIAS_FIELD_T, GATE_RABI_FRACTION, TARGET_GAP_HZ,
+                             site_levels)
+from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, register_levels,
+                         three_photon_detunings)
+from ybqc.compiler import (BIAS_FIELD_T, TARGET_GAP_HZ,
                            TRANSFER_RABI_1Q_RAD_S, TRANSFER_RABI_2Q_RAD_S,
                            compile_circuit, execute_schedule, parse_circuit)
 from ybqc.constants import GAUSS
 from ybqc.engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
-                         PulseSegment, RegisterState, apply_segment)
+                         Pulse, PulseSegment, RegisterState, apply_segment,
+                         light_shift_compensation)
 from ybqc.errors import ConfigError, GeometryError, ProtocolOrderError
-from ybqc.protocols import (cnot_pulse, cnot_pulse_parameters, ladder_gap,
-                            measure_qubit, rotation_pulse, three_photon_scan,
-                            transfer_pulse)
+from ybqc.protocols import (cnot_pulse, cnot_pulse_parameters, measure_qubit,
+                            rotation_pulse, three_photon_scan, transfer_pulse)
 
 P = AtomParams()
 PCAL = calibrate_hyperfine_A(P)
@@ -36,7 +37,7 @@ def _fraction(reg, site, levels):
 def test_scan_pi_time_tracks_effective_model():
     det = three_photon_detunings(PCAL, 650 * GAUSS)
     rabi = 0.05 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
-    scan = three_photon_scan(PCAL, 650 * GAUSS, rabi)
+    scan = three_photon_scan(register_levels(PCAL, 650 * GAUSS), rabi)
     assert scan.pi_time_s == pytest.approx(scan.predicted_pi_time_s,
                                            rel=0.05)
     assert scan.transfer_probability > 0.99
@@ -44,16 +45,28 @@ def test_scan_pi_time_tracks_effective_model():
 
 
 def test_scan_uncompensated_transfer_degrades():
-    good = three_photon_scan(PCAL, 650 * GAUSS, 2 * math.pi * 985e3)
-    bad = three_photon_scan(PCAL, 650 * GAUSS, 2 * math.pi * 985e3,
-                            compensate=False)
-    assert good.transfer_probability > 0.99
-    assert bad.transfer_probability < 0.9
+    # engine pulses of the scan's pi time: the compensated drive transfers,
+    # a drive detuned by -eps (no light-shift compensation) does not
+    B, rabi, site = 650 * GAUSS, 2 * math.pi * 985e3, (0, 0, 0)
+    scan = three_photon_scan(register_levels(PCAL, B), rabi)
+    det = three_photon_detunings(PCAL, B)
+    eps = light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s, rabi)
+    reg = RegisterState.product(PCAL, LatticeGeometry(1, 1, 1), [site],
+                                [EM32])
+
+    def transfer(detuning):
+        pulse = Pulse("three_photon", scan.pi_time_s, rabi,
+                      detuning_rad_s=detuning, target=("site", site))
+        out = apply_segment(reg, PulseSegment(GradientConfig(B), pulse), OFF)
+        return out.population(site, EP32)
+
+    assert transfer(0.0) > 0.99
+    assert transfer(-eps) < 0.9
 
 
 def test_scan_zero_rabi_rejected():
     with pytest.raises(ConfigError):
-        three_photon_scan(PCAL, 650 * GAUSS, 0.0)
+        three_photon_scan(register_levels(PCAL, 650 * GAUSS), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +106,7 @@ def test_single_qubit_pi_gate_flips_aux():
     site = (0, 0, 0)
     reg = RegisterState.product(PCAL, LatticeGeometry(1, 1, 1), [site],
                                 [EM32])
-    pulse, _ = rotation_pulse(PCAL, B, site, math.pi,
-                              0.05 * ladder_gap(PCAL, B), 1.0)
+    pulse = rotation_pulse(register_levels(PCAL, B), site, math.pi, 1.0)
     out = apply_segment(reg, PulseSegment(GradientConfig(B), pulse), OFF)
     assert out.population(site, EP32) > 0.99
     assert _fraction(out, site, (EM12, EP12)) < 5e-3
@@ -115,12 +127,17 @@ def _two_aux(levels):
     return geom, cfg, reg
 
 
+def _levels(geom, cfg, *sites):
+    return site_levels(P, geom, sites, cfg)
+
+
 @pytest.mark.parametrize("control,flip", [(EM32, False), (EP32, True)])
 def test_cnot_truth_behavior(control, flip):
     geom, cfg, reg = _two_aux([control, EM32])
-    shift, _det = cnot_pulse_parameters(P, geom, cfg, (0, 0, 0), (1, 0, 0))
+    tables = _levels(geom, cfg, (0, 0, 0), (1, 0, 0))
+    shift, _det = cnot_pulse_parameters(geom, (0, 0, 0), (1, 0, 0), *tables)
     assert shift != 0.0     # conditional
-    pulse = cnot_pulse(P, geom, cfg, (0, 0, 0), (1, 0, 0), 2.0)
+    pulse = cnot_pulse(geom, (0, 0, 0), (1, 0, 0), *tables, 2.0)
     out = apply_segment(reg, PulseSegment(cfg, pulse), OFF)
     p_flip = out.population((1, 0, 0), EP32)
     if flip:
@@ -131,7 +148,9 @@ def test_cnot_truth_behavior(control, flip):
 
 def test_cnot_shift_sign_and_magnitude():
     geom, cfg, _ = _two_aux([EM32, EM32])
-    shift, _det = cnot_pulse_parameters(P, geom, cfg, (0, 0, 0), (1, 0, 0))
+    shift, _det = cnot_pulse_parameters(
+        geom, (0, 0, 0), (1, 0, 0),
+        *_levels(geom, cfg, (0, 0, 0), (1, 0, 0)))
     # in-plane pair: angular factor +1 instead of the axial -2
     assert abs(shift) == pytest.approx(40.22 / 2, rel=0.02)
 
@@ -140,7 +159,8 @@ def test_cnot_pulse_requires_adjacent_sites():
     geom = LatticeGeometry(3, 1, 1)
     cfg = plan_gradients(geom, 1000.0, P)
     with pytest.raises(GeometryError):
-        cnot_pulse(P, geom, cfg, (0, 0, 0), (2, 0, 0), 2.0)
+        cnot_pulse(geom, (0, 0, 0), (2, 0, 0),
+                   *_levels(geom, cfg, (0, 0, 0), (2, 0, 0)), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,9 +243,8 @@ def _protocol_path(circuit_op, geom, noise, dipole_scale):
         _, site, theta = circuit_op
         reg = RegisterState.product(P, geom, [site], [GM])
         leg = transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S, 0.5)
-        B = site_field(geom, cfg, site)
-        gate, _ = rotation_pulse(P, B, site, theta,
-                                 GATE_RABI_FRACTION * ladder_gap(P, B), 1.0)
+        gate = rotation_pulse(_levels(geom, cfg, site)[0], site, theta,
+                              1.0)
         pulses = (leg, gate, leg)
     else:
         _, control, target = circuit_op
@@ -234,7 +253,8 @@ def _protocol_path(circuit_op, geom, noise, dipole_scale):
             transfer_pulse(("site", s), TRANSFER_RABI_2Q_RAD_S, 0.5)
             for s in (control, target))
         pulses = (control_leg, target_leg,
-                  cnot_pulse(P, geom, cfg, control, target, 2.0),
+                  cnot_pulse(geom, control, target,
+                             *_levels(geom, cfg, control, target), 2.0),
                   target_leg, control_leg)
     for pulse in pulses:
         reg = apply_segment(reg, PulseSegment(cfg, pulse), noise,

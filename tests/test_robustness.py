@@ -69,6 +69,12 @@ def test_rare_measurement_branch_exits_0(tmp_path):
     (["plan", "--b0-gauss", "nan"], "bias field B0"),
     (["address", "--b0-gauss", "inf", "--gx-g-per-cm", "1"],
      "bias field B0"),
+    (["levels", "--b-gauss", "nan"], "B must be finite"),
+    (["detunings", "--b-gauss", "nan"], "B must be finite"),
+    (["simulate", "--circuit", "c.txt", "--seed", "1", "--dipole-scale",
+      "nan"], "dipole_scale"),
+    (["simulate", "--circuit", "c.txt", "--seed", "1", "--dipole-scale",
+      "inf"], "dipole_scale"),
 ])
 def test_cli_file_and_flag_errors_exit_2(tmp_path, monkeypatch, capsys,
                                          argv, name):
@@ -83,6 +89,8 @@ def test_cli_file_and_flag_errors_exit_2(tmp_path, monkeypatch, capsys,
 @pytest.mark.parametrize("argv, name", [
     (["plan", "--target-gap-hz", "nan"], "target gap"),
     (["ddi", "--spacing-m", "nan"], "separation"),
+    (["ddi", "--theta-rad", "nan"], "finite moments and angle"),
+    (["ddi", "--m1-mub", "nan"], "finite moments and angle"),
 ])
 def test_cli_non_finite_physics_input_exits_3(capsys, argv, name):
     assert cli_main(argv) == 3
@@ -100,6 +108,20 @@ def test_initial_one_off_the_circuit_exits_2(tmp_path, capsys):
     assert cli_main(["run", scn]) == 2
     err = capsys.readouterr().err
     assert "(1, 1, 0)" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+def test_overflowing_dipole_scale_exits_2(tmp_path, capsys):
+    # the literal 1e400 reads as inf
+    (tmp_path / "c.txt").write_text("X 0 0 1.0\nCNOT 0 0 1 0\nMEAS 0 0\n")
+    scn = tmp_path / "scn.json"
+    scn.write_text('{"pipeline": ["simulate"], "circuit_file": "c.txt", '
+                   '"lattice": {"n_x": 2, "n_y": 1, "n_z": 1}, "seed": 1, '
+                   '"dipole_scale": 1e400}')
+    assert cli_main(["run", str(scn)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "dipole_scale" in err
+    assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
 
 

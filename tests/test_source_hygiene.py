@@ -3,9 +3,11 @@
 Every import is used; the package `__init__.py`, names listed in
 `__all__` and `from __future__` are exempt as re-exports.  Outside the
 engine, only `compiler.execute_schedule` applies segments, so gates
-reach the engine through one path.  No package module imports `expm`: the engine's own stacked kernel
-exponentiates every block, and scipy's `expm` serves only the tests'
-dense oracle."""
+reach the engine through one path.  The compiler, the pulse builders and
+the engine build no level table from a bare field: they read the cached
+per-site tables of `addressing.site_levels`.  No package module imports
+`expm`: the engine's own stacked kernel exponentiates every block, and
+scipy's `expm` serves only the tests' dense oracle."""
 
 import ast
 from pathlib import Path
@@ -77,10 +79,15 @@ def test_package_does_not_use_expm():
 
 ENGINE_ENTRY_POINTS = {"apply_segment"}
 ALLOWED_CALLERS = {("compiler", "execute_schedule")}
+# Builders of a level table from a bare field.  The pulse path reads the
+# cached per-site tables of `addressing.site_levels` instead.
+LEVEL_TABLE_BUILDERS = {"register_levels", "three_photon_detunings",
+                        "zeeman_spectrum"}
+PULSE_PATH = ("compiler", "protocols", "engine")
 
 
-def engine_callers(module: str, source: str) -> set[tuple[str, str]]:
-    """(module, top-level function) pairs that call an engine entry point."""
+def callers(module: str, source: str, names: set) -> set[tuple[str, str]]:
+    """(module, top-level function) pairs that call any of `names`."""
     found = set()
     for top in ast.parse(source).body:
         for node in ast.walk(top):
@@ -89,24 +96,43 @@ def engine_callers(module: str, source: str) -> set[tuple[str, str]]:
             func = node.func
             name = func.id if isinstance(func, ast.Name) else \
                 func.attr if isinstance(func, ast.Attribute) else None
-            if name in ENGINE_ENTRY_POINTS:
+            if name in names:
                 found.add((module, getattr(top, "name", "<module>")))
     return found
 
 
 def test_checker_finds_engine_callers():
-    assert engine_callers("m", "def f(r):\n"
-                          "    return engine.apply_segment(r, s, n)\n"
-                          "def g(r):\n    apply_segment(r, s, n)\n"
-                          "def h(r):\n    return r\n") \
+    assert callers("m", "def f(r):\n"
+                   "    return engine.apply_segment(r, s, n)\n"
+                   "def g(r):\n    apply_segment(r, s, n)\n"
+                   "def h(r):\n    return r\n", ENGINE_ENTRY_POINTS) \
         == {("m", "f"), ("m", "g")}
-    assert engine_callers("m", "x = apply_segment(r, s, n)\n") \
-        == {("m", "<module>")}
+    assert callers("m", "x = apply_segment(r, s, n)\n",
+                   ENGINE_ENTRY_POINTS) == {("m", "<module>")}
 
 
 def test_only_the_executor_drives_the_engine():
-    callers = set()
+    found = set()
     for path in MODULES:
         if path.stem != "engine":
-            callers |= engine_callers(path.stem, path.read_text())
-    assert callers <= ALLOWED_CALLERS
+            found |= callers(path.stem, path.read_text(), ENGINE_ENTRY_POINTS)
+    assert found <= ALLOWED_CALLERS
+
+
+def test_checker_finds_level_table_builders():
+    source = ("def f(p, B):\n    return atomic.register_levels(p, B)\n"
+              "def g(p, B):\n    return three_photon_detunings(p, B)\n"
+              "class C:\n    def h(self):\n"
+              "        return zeeman_spectrum(self.p, 1.0)\n"
+              "def k(t):\n    return ladder_detunings(t)\n")
+    assert callers("m", source, LEVEL_TABLE_BUILDERS) \
+        == {("m", "f"), ("m", "g"), ("m", "C")}
+
+
+def test_pulse_path_reads_the_cached_level_tables():
+    found = set()
+    for path in MODULES:
+        if path.stem in PULSE_PATH:
+            found |= callers(path.stem, path.read_text(),
+                             LEVEL_TABLE_BUILDERS)
+    assert found == set()
