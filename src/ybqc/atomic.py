@@ -94,7 +94,6 @@ class ZeemanLevel:
 
 @dataclass(frozen=True)
 class ZeemanSpectrum:
-    field_t: float
     levels: tuple[ZeemanLevel, ...]
 
     def level(self, m_F: float, branch: str) -> ZeemanLevel:
@@ -106,7 +105,6 @@ class ZeemanSpectrum:
 
 @dataclass(frozen=True)
 class ThreePhotonDetunings:
-    field_t: float
     omega0_rad_s: float   # drive angular frequency, one third of the a->d splitting
     delta1_rad_s: float   # omega_ab - omega0
     delta2_rad_s: float   # omega_cd - omega0
@@ -195,7 +193,7 @@ def zeeman_spectrum(params: AtomParams, B: float) -> ZeemanSpectrum:
     _check_finite([x for lv in levels for x in (lv.energy_hz,
                                                  lv.slope_hz_per_t)],
                   "3P2 Zeeman energies", B)
-    return ZeemanSpectrum(B, tuple(levels))
+    return ZeemanSpectrum(tuple(levels))
 
 
 def aux_branch(params: AtomParams) -> str:
@@ -242,7 +240,7 @@ def ladder_detunings(levels: RegisterLevels) -> ThreePhotonDetunings:
     w_bc = 2 * math.pi * (E[2] - E[1])
     w_cd = 2 * math.pi * (E[3] - E[2])
     omega0 = (w_ab + w_bc + w_cd) / 3
-    det = ThreePhotonDetunings(B, omega0, w_ab - omega0, w_cd - omega0)
+    det = ThreePhotonDetunings(omega0, w_ab - omega0, w_cd - omega0)
     _check_finite((omega0, det.delta1_rad_s, det.delta2_rad_s),
                   "three-photon ladder detunings", B)
     return det
@@ -253,17 +251,21 @@ def three_photon_detunings(params: AtomParams, B: float) -> ThreePhotonDetunings
     return ladder_detunings(register_levels(params, B))
 
 
-def calibrate_hyperfine_A(params: AtomParams, B: float = 650e-4,
-                          target_rad_s: float = 2 * math.pi * 20e6,
-                          a_min_hz: float = 1e9,
-                          a_max_hz: float = 1e10) -> AtomParams:
+# The 3-photon operating point and the bracket searched for A(3P2)
+CALIBRATION_FIELD_T = 650e-4
+CALIBRATION_DETUNING_RAD_S = 2 * math.pi * 20e6
+CALIBRATION_A_BRACKET_HZ = (1e9, 1e10)
+
+
+def calibrate_hyperfine_A(params: AtomParams) -> AtomParams:
     """Return params with A(3P2) pinned so that the geometric mean of
-    |Delta1|, |Delta2| at field B equals the target."""
+    |Delta1|, |Delta2| at CALIBRATION_FIELD_T is CALIBRATION_DETUNING_RAD_S."""
 
     def mismatch(A):
         p = replace(params, hyperfine_A_3P2_hz=A)
-        d = three_photon_detunings(p, B)
-        return math.sqrt(abs(d.delta1_rad_s * d.delta2_rad_s)) - target_rad_s
+        d = three_photon_detunings(p, CALIBRATION_FIELD_T)
+        return math.sqrt(abs(d.delta1_rad_s * d.delta2_rad_s)) \
+            - CALIBRATION_DETUNING_RAD_S
 
-    A_cal = brentq(mismatch, a_min_hz, a_max_hz)
+    A_cal = brentq(mismatch, *CALIBRATION_A_BRACKET_HZ)
     return replace(params, hyperfine_A_3P2_hz=A_cal)

@@ -56,10 +56,10 @@ def _add_atom_flags(p):
                         "operating point (2 pi x 20 MHz at 650 G)")
 
 
-def _add_lattice_flags(p, nx=10, ny=10, nz=1):
+def _add_lattice_flags(p, nx=10, ny=10):
     p.add_argument("--nx", type=int, default=nx)
     p.add_argument("--ny", type=int, default=ny)
-    p.add_argument("--nz", type=int, default=nz)
+    p.add_argument("--nz", type=int, default=1)
     p.add_argument("--spacing-m", type=float, default=266e-9)
 
 
@@ -183,8 +183,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_feasibility(args) -> int:
     params = _atom_params(args)
-    report = build_feasibility_report(params,
-                                      depth_recoils=args.depth_recoils)
+    report = build_feasibility_report(params, LatticeGeometry(),
+                                      args.depth_recoils)
     _write_or_print(report.to_json() + "\n", args.out)
     return EXIT_OK
 

@@ -78,8 +78,6 @@ def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
         raise ConfigError(f"circuit site {outside[0][:2]} outside the "
                           f"{geom.n_x}x{geom.n_y} lattice")
     config = plan_gradients(geom, TARGET_GAP_HZ, params, B0_t=BIAS_FIELD_T)
-    # the sorted sites key the register `simulate_circuit` builds, so the
-    # engine reads the same cached tables
     levels = dict(zip(sites, site_levels(params, geom, sites, config)))
     flat = replace(config, Gx_t_per_m=0.0, Gy_t_per_m=0.0, Gz_t_per_m=0.0)
 
@@ -116,7 +114,7 @@ def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
         else:
             raise ConfigError(f"unsupported gate {op[0]!r}")
         segments.extend(PulseSegment(config, p) for p in pulses)
-    return PulseSchedule(tuple(segments), n_atoms=len(sites))
+    return PulseSchedule(tuple(segments), sites)
 
 
 @dataclass

@@ -19,9 +19,9 @@ convention-stable phases are physical; all phases are deterministic.
 Blocked propagation: every drive couples fixed level pairs of one atom,
 and the dipole and decay terms are diagonal, so the register Hamiltonian
 is block-diagonal.  A block is one coupled level group per atom (the
-connected components of that atom's 7x7 coupling pattern, e.g.
-{g+, e+3/2}, {g-, e-3/2}, {e-1/2}, {e+1/2}, {lost} under the optical
-pair drive), and its basis is the Cartesian product of those groups.
+groups that the drive's legs join, `GROUPS`, e.g. {g+, e+3/2},
+{g-, e-3/2}, {e-1/2}, {e+1/2}, {lost} under the optical pair drive),
+and its basis is the Cartesian product of those groups.
 Only the live blocks, those holding a nonzero amplitude, are assembled
 and exponentiated; the 7^n x 7^n register matrix is never built.  Blocks
 of one size form one stack: 1x1 stacks are `np.exp`, larger ones one
@@ -56,6 +56,7 @@ E_LEVELS = (EM32, EM12, EP12, EP32)
 G_LEVELS = (GM, GP)
 
 UNITARITY_TOL = 1e-6
+ACCOUNTING_TOL = 1e-9
 
 
 @lru_cache(maxsize=None)
@@ -125,7 +126,11 @@ class PulseSegment:
 @dataclass(frozen=True)
 class PulseSchedule:
     segments: tuple[PulseSegment, ...]
-    n_atoms: int = 0
+    sites: tuple[tuple[int, int, int], ...]   # the active sites, sorted
+
+    @property
+    def n_atoms(self) -> int:
+        return len(self.sites)
 
     @property
     def total_duration_s(self) -> float:
@@ -188,8 +193,8 @@ class RegisterState:
     def population(self, site, level: int) -> float:
         return float(self.level_populations(site)[level])
 
-    def check_accounting(self, tol: float = 1e-9) -> None:
-        if not abs(self.survival + self.leaked - 1.0) <= tol:
+    def check_accounting(self) -> None:
+        if not abs(self.survival + self.leaked - 1.0) <= ACCOUNTING_TOL:
             raise IntegratorError(
                 f"norm accounting violated: survival {self.survival} "
                 f"+ leaked {self.leaked} != 1")
@@ -239,6 +244,21 @@ LEGS = {"optical_pair": ((GP, EP32), (GM, EM32)),
         "aux_flip": ((EM32, EP32),)}
 
 
+def _leg_groups(legs) -> np.ndarray:
+    """Coupled level group of each per-atom level under the drive legs
+    `legs`, named by the group's lowest level."""
+    group = np.arange(NLEV)
+    for _ in legs:              # one pass per leg joins any chain of legs
+        for lo, up in legs:
+            group[lo] = group[up] = min(group[lo], group[up])
+    return group
+
+
+# Level groups of every transition: a drive at any Rabi frequency > 0
+# couples exactly its legs, so the groups are fixed by LEGS alone.
+GROUPS = {transition: _leg_groups(legs) for transition, legs in LEGS.items()}
+
+
 def _laser_frequencies(ref: RegisterLevels, pulse) -> tuple:
     """Laser angular frequency (rad/s) of each drive leg: resonant on the
     reference site's level table `ref`, plus the pulse detuning; the
@@ -270,15 +290,6 @@ def _single_atom_hamiltonian(energy_hz, lasers, pulse) -> np.ndarray:
     return hmat
 
 
-def _coupled_groups(hmat: np.ndarray) -> np.ndarray:
-    """Coupled level group of each level of one atom's 7x7 block, named
-    by the group's lowest level (connected components of |hmat| > 0)."""
-    reach = ((hmat != 0) | np.eye(NLEV, dtype=bool)).astype(np.int8)
-    for _ in range(3):          # paths of up to 8 > NLEV - 1 hops
-        reach = ((reach @ reach) > 0).astype(np.int8)
-    return reach.argmax(axis=1)
-
-
 def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
                         dipole_scale: float = 1.0) -> list:
     """Live blocks of the register Hamiltonian (rad/s) for one segment.
@@ -299,8 +310,8 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     labels = basis_labels(n)
     # block of each basis state, coded by its atoms' groups as base-7
     # digits; ascending basis order within a block is the Cartesian order
-    group = np.stack([_coupled_groups(h_i) for h_i in hs])
-    block = group[np.arange(n), labels] @ NLEV ** np.arange(n - 1, -1, -1)
+    groups = GROUPS[pulse.transition][labels]
+    block = groups @ NLEV ** np.arange(n - 1, -1, -1)
     states = np.flatnonzero(np.isin(block, block[reg.amps != 0]))
     states = states[np.argsort(block[states], kind="stable")]
     _, sizes = np.unique(block[states], return_counts=True)
@@ -435,6 +446,8 @@ def apply_segment(reg: RegisterState, segment: PulseSegment,
                   noise: NoiseParams,
                   dipole_scale: float = 1.0) -> RegisterState:
     """Propagate through the whole segment (exact exponentiation)."""
+    if not math.isfinite(dipole_scale):
+        raise ConfigError(f"dipole_scale must be finite, got {dipole_scale!r}")
     if segment.pulse.duration_s == 0.0:
         return reg.copy()
     noise_on = noise.photon_scattering_rate_hz > 0 \

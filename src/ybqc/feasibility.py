@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .addressing import (GradientConfig, LatticeGeometry, plan_gradients,
-                         validate_gradients)
+from .addressing import LatticeGeometry, plan_gradients, validate_gradients
 from .atomic import AtomParams
 from .constants import c, h, hbar, k_B
 from .engine import NoiseParams, PulseSchedule
@@ -74,18 +73,16 @@ def lowest_band_width_recoils(depth_recoils: float) -> float:
 
 @dataclass(frozen=True)
 class LatticeDepthReport:
-    depth_recoils: float
-    recoil_energy_j: float
-    recoil_energy_uk: float
     depth_uk: float
     tunneling_rate_hz: float
-    hold_time_s: float
-    hold_survival: float
-    no_lattice: bool
+    hold_survival: float    # site retention over HOLD_TIME_S
 
 
-def lattice_depth_report(depth_recoils: float, params: AtomParams,
-                         hold_time_s: float = 5.0) -> LatticeDepthReport:
+HOLD_TIME_S = 5.0   # one experiment: site retention and idle survival
+
+
+def lattice_depth_report(depth_recoils: float,
+                         params: AtomParams) -> LatticeDepthReport:
     """Depth in uK, lowest-band tunneling rate, and site retention."""
     if not 0 <= depth_recoils < math.inf:
         raise ConfigError("lattice depth must be finite and >= 0")
@@ -93,10 +90,8 @@ def lattice_depth_report(depth_recoils: float, params: AtomParams,
     e_r_uk = e_r / k_B * 1e6
     width = lowest_band_width_recoils(depth_recoils)
     tunneling_hz = width / 4 * e_r / h
-    return LatticeDepthReport(
-        depth_recoils, e_r, e_r_uk, depth_recoils * e_r_uk, tunneling_hz,
-        hold_time_s, math.exp(-tunneling_hz * hold_time_s),
-        no_lattice=depth_recoils == 0.0)
+    return LatticeDepthReport(depth_recoils * e_r_uk, tunneling_hz,
+                              math.exp(-tunneling_hz * HOLD_TIME_S))
 
 
 def scattering_rate(depth_uk: float, params: AtomParams) -> float:
@@ -125,7 +120,6 @@ class BudgetReport:
     decay_survival: float
     scattering_survival: float
     survival: float     # product of the channels the pulse engine models
-    breakdown: dict
 
 
 def decoherence_budget(schedule: PulseSchedule,
@@ -147,9 +141,7 @@ def decoherence_budget(schedule: PulseSchedule,
         math.exp(-meta_time / noise.lifetime_3P2_s)
     scatter = math.exp(-schedule.n_atoms
                        * noise.photon_scattering_rate_hz * total)
-    return BudgetReport(total, meta_time, decay, scatter, decay * scatter,
-                        {"metastable_decay": decay,
-                         "photon_scattering": scatter})
+    return BudgetReport(total, meta_time, decay, scatter, decay * scatter)
 
 
 # ---------------------------------------------------------------------------
@@ -197,15 +189,10 @@ class FeasibilityReport:
         return json.dumps(payload, indent=2, sort_keys=False)
 
 
-def build_feasibility_report(params: AtomParams | None = None,
-                             geom: LatticeGeometry | None = None,
-                             depth_recoils: float = 50.0,
-                             noise: NoiseParams | None = None
-                             ) -> FeasibilityReport:
-    """All derived experimental parameters with pass/fail verdicts."""
-    params = params or AtomParams()
-    geom = geom or LatticeGeometry(10, 10, 10)
-    noise = noise or NoiseParams()
+def build_feasibility_report(params: AtomParams, geom: LatticeGeometry,
+                             depth_recoils: float) -> FeasibilityReport:
+    """All derived experimental parameters with pass/fail verdicts; of
+    `geom` only the lattice spacing enters."""
     items = []
 
     intensity = pi_pulse_intensity(100e-6, params.linewidth_1S0_3P2_hz,
@@ -220,13 +207,13 @@ def build_feasibility_report(params: AtomParams | None = None,
     items.append(_check("tunneling_rate_hz", depth.tunneling_rate_hz, None,
                         None, "info",
                         f"lowest-band rate; retention over "
-                        f"{depth.hold_time_s:g} s = {depth.hold_survival:.3f}"))
+                        f"{HOLD_TIME_S:g} s = {depth.hold_survival:.3f}"))
 
     rate = scattering_rate(depth.depth_uk, params)
     items.append(_check("photon_scattering_rate_hz", rate, 0.2, 3.0,
                         "factor", "lattice light on the 1S0-1P1 line"))
     items.append(_check(
-        "idle_survival_5s", math.exp(-rate * 5.0), None, None, "info",
+        "idle_survival_5s", math.exp(-rate * HOLD_TIME_S), None, None, "info",
         "scattering-limited survival over a 5 s experiment; sits in "
         "tension with multi-second coherence and is surfaced, not hidden"))
 
@@ -240,14 +227,12 @@ def build_feasibility_report(params: AtomParams | None = None,
     items.append(_check("gradient_y_g_per_cm", plan.Gy_t_per_m * 1e2, 100.0,
                         0.25, "relative", "planned for a 1 kHz gap"))
 
-    full_cfg = GradientConfig(100e-4, plan.Gx_t_per_m, plan.Gy_t_per_m,
-                              plan.Gy_t_per_m)
     bias = validate_gradients(LatticeGeometry(10, 10, 10, geom.spacing_m),
-                              full_cfg)
-    need = full_cfg.safety_factor * bias.field_range_t
-    margin = math.inf if need == 0 else full_cfg.B0_t / need
+                              plan)
+    need = plan.safety_factor * bias.field_range_t
+    margin = math.inf if need == 0 else plan.B0_t / need
     items.append(_check("bias_field_100g_sufficient", float(bias.bias_ok),
                         True, None, "bool",
                         f"margin {margin:.1f}x over the "
-                        f"{full_cfg.safety_factor:g}x safety factor"))
+                        f"{plan.safety_factor:g}x safety factor"))
     return FeasibilityReport(tuple(items))

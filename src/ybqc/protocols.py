@@ -51,6 +51,13 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
     light-shift-compensated drive.  Returns the first-maximum pi time of
     the a->d transfer together with the effective-model prediction
     Omega_eff = Omega^3 / (4 Delta1 Delta2).
+
+    The pi time is the argmax of the a->d population on a grid over 1.5
+    predicted pi times, refined by a parabola through its neighbours.
+    Between 20 G and 1.5 T, at Rabi frequencies of 0.5 % to 30 % of
+    min(|Delta1|, |Delta2|), the pi time is 0.997 to 1.071 of the
+    prediction, so the grid holds one maximum of the a->d envelope: the
+    next one lies near 3 pi times.
     """
     det = ladder_detunings(levels)
     omega_eff = rabi ** 3 / (4 * det.delta1_rad_s * det.delta2_rad_s)
@@ -73,22 +80,7 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
     ts = np.linspace(0.0, 1.5 * t_pred, SCAN_SAMPLES)
     P = populations(ts)
     Pd = P[:, 3]
-    # The a->d envelope carries a small fast ripple from the detuned
-    # intermediate states, so naive peak hunting latches onto ripple
-    # maxima on the rising slope.  The first upward half-maximum crossing
-    # pins the envelope (pi time = twice the half-maximum time for a
-    # sin^2 envelope); a windowed argmax around that estimate refines it.
-    half = 0.5 * Pd.max()
-    k = int(np.argmax(Pd >= half))
-    if k > 0 and Pd[k] != Pd[k - 1]:
-        t_half = ts[k - 1] + (half - Pd[k - 1]) * (ts[k] - ts[k - 1]) \
-            / (Pd[k] - Pd[k - 1])
-    else:
-        t_half = ts[k]
-    t_est = 2 * t_half
-    lo = min(int(np.searchsorted(ts, 0.8 * t_est)), len(ts) - 2)
-    hi = max(min(int(np.searchsorted(ts, 1.2 * t_est)) + 1, len(ts)), lo + 1)
-    idx = lo + int(np.argmax(Pd[lo:hi]))
+    idx = int(np.argmax(Pd))
     t_pi = ts[idx]
     if 0 < idx < len(ts) - 1:
         # parabolic refinement around the grid maximum
@@ -113,19 +105,16 @@ def transfer_pulse(target: tuple, rabi: float, weight: float) -> Pulse:
 
 
 def rotation_pulse(levels: RegisterLevels, site, angle: float,
-                   weight: float, axis: float = 0.0) -> Pulse:
-    """3-photon rotation by `angle` of the auxiliary qubit at `site` (level
-    table `levels`), timed by the exact ladder scan.  `axis` is the
-    azimuth of the rotation axis in the auxiliary-qubit equatorial plane;
-    it maps onto one third of the drive phase because the effective
-    coupling is third order in the field."""
+                   weight: float) -> Pulse:
+    """3-photon x rotation by `angle` of the auxiliary qubit at `site`
+    (level table `levels`), timed by the exact ladder scan; the drive
+    phase is zero."""
     det = ladder_detunings(levels)
     rabi = GATE_RABI_FRACTION * min(abs(det.delta1_rad_s),
                                     abs(det.delta2_rad_s))
     scan = three_photon_scan(levels, rabi)
     return Pulse("three_photon", (angle / math.pi) * scan.pi_time_s, rabi,
-                 phase_rad=axis / 3, target=("site", tuple(site)),
-                 metastable_weight=weight)
+                 target=("site", tuple(site)), metastable_weight=weight)
 
 
 def cnot_pulse_parameters(geom, control_site, target_site, control_levels,

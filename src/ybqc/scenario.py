@@ -213,8 +213,8 @@ class Scenario:
     pipeline: tuple[str, ...]
     params: AtomParams
     geom: LatticeGeometry
-    gradients: GradientConfig | None   # None -> plan from target gap
-    target_gap_hz: float
+    gradients: GradientConfig     # B0 and safety factor of a planned gap
+    target_gap_hz: float | None   # None: the gradients as given
     noise: NoiseParams
     circuit_text: str | None
     initial_ones: tuple[tuple[int, int, int], ...]
@@ -277,18 +277,17 @@ def load_scenario(path) -> Scenario:
                    "safety_factor", "target_gap_hz"})
     g = {key: _read(float, f"gradients.{key}", value)
          for key, value in grad.items()}
-    target_gap_hz = g.pop("target_gap_hz", 1000.0)
-    gradients = None
-    if any(k.startswith("G") for k in g):
-        try:
-            gradients = GradientConfig(
-                g.get("B0_gauss", 100.0) * GAUSS,
-                g.get("Gx_g_per_cm", 0.0) * GAUSS / CM,
-                g.get("Gy_g_per_cm", 0.0) * GAUSS / CM,
-                g.get("Gz_g_per_cm", 0.0) * GAUSS / CM,
-                g.get("safety_factor", 10.0))
-        except ConfigError as exc:
-            raise ScenarioError(str(exc)) from exc
+    target_gap_hz = None if any(k.startswith("G") for k in g) \
+        else g.get("target_gap_hz", 1000.0)
+    try:
+        gradients = GradientConfig(
+            g.get("B0_gauss", 100.0) * GAUSS,
+            g.get("Gx_g_per_cm", 0.0) * GAUSS / CM,
+            g.get("Gy_g_per_cm", 0.0) * GAUSS / CM,
+            g.get("Gz_g_per_cm", 0.0) * GAUSS / CM,
+            g.get("safety_factor", 10.0))
+    except ConfigError as exc:
+        raise ScenarioError(str(exc)) from exc
 
     noise = _params_from_dict(NoiseParams, "noise", data.get("noise", {}))
 
@@ -328,9 +327,10 @@ def load_scenario(path) -> Scenario:
 # pipeline
 
 def _resolve_gradients(scn: Scenario) -> GradientConfig:
-    if scn.gradients is not None:
+    if scn.target_gap_hz is None:
         return scn.gradients
-    return plan_gradients(scn.geom, scn.target_gap_hz, scn.params)
+    return plan_gradients(scn.geom, scn.target_gap_hz, scn.params,
+                          scn.gradients.B0_t, scn.gradients.safety_factor)
 
 
 def simulate_circuit(circuit_text: str, geom: LatticeGeometry,
@@ -339,12 +339,8 @@ def simulate_circuit(circuit_text: str, geom: LatticeGeometry,
                      dipole_scale: float = 1.0):
     """Compile a circuit, run it through the pulse engine, and return the
     schedule, final register, and measurement record."""
-    if not math.isfinite(dipole_scale):
-        raise ConfigError(f"dipole_scale must be finite, got {dipole_scale!r}")
     schedule = compile_circuit(circuit_text, geom, params, noise)
-    sites = sorted({tuple(s.pulse.target[1])
-                    for s in schedule.segments
-                    if s.pulse.target[0] == "site"})
+    sites = list(schedule.sites)
     if not sites:
         raise ConfigError("circuit addresses no sites")
     if len(sites) > MAX_ACTIVE_SITES:
@@ -388,7 +384,7 @@ def build_artifacts(scn: Scenario) -> dict[str, str]:
     for stage in scn.pipeline:
         if stage == "feasibility":
             rep = build_feasibility_report(scn.params, scn.geom,
-                                           scn.depth_recoils, scn.noise)
+                                           scn.depth_recoils)
             artifacts["feasibility.json"] = rep.to_json() + "\n"
         elif stage == "detunings":
             artifacts["detunings.csv"] = emit_detuning_curves(

@@ -182,7 +182,7 @@ def test_criterion_9_property_suites(tmp_path):
                                 [GM, GM])
     res = execute_schedule(reg, sched, noise, rng_seed=21)
     try:
-        res.register.check_accounting(tol=1e-9)
+        res.register.check_accounting()
     except Exception:
         failures.append("norm accounting")
 

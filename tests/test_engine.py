@@ -10,10 +10,12 @@ from ybqc.addressing import GradientConfig, LatticeGeometry, plan_gradients
 from ybqc.atomic import AtomParams, register_levels, three_photon_detunings
 from ybqc.constants import GAUSS
 from ybqc.dipole import auxiliary_qubit_moments, ddi_coupling
-from ybqc.engine import (EM32, EP32, GM, GP, NLEV, NoiseParams, Pulse,
-                         PulseSegment, RegisterState, apply_propagator,
-                         apply_segment, ground_basis_probability,
-                         light_shift_compensation, segment_hamiltonian)
+from ybqc.engine import (EM32, EP32, GM, GP, GROUPS, LEGS, NLEV,
+                         NoiseParams, Pulse, PulseSegment, RegisterState,
+                         _laser_frequencies, _single_atom_hamiltonian,
+                         apply_propagator, apply_segment,
+                         ground_basis_probability, light_shift_compensation,
+                         segment_hamiltonian)
 from ybqc.errors import ConfigError, IntegratorError
 
 P = AtomParams()
@@ -138,6 +140,30 @@ def test_dipole_diagonal_matches_pair_formula():
     # dipole_scale=0 switches the interaction off
     assert diagonal_entry(segment_hamiltonian(reg, seg,
                                               dipole_scale=0.0)) == 0.0
+
+
+def _coupled_components(hmat):
+    """Connected components of |hmat| > 0 for one atom's 7x7 block, each
+    level named by its component's lowest level: boolean squarings of
+    the reach matrix."""
+    reach = ((hmat != 0) | np.eye(NLEV, dtype=bool)).astype(np.int8)
+    for _ in range(3):          # paths of up to 8 > NLEV - 1 hops
+        reach = ((reach @ reach) > 0).astype(np.int8)
+    return reach.argmax(axis=1)
+
+
+@pytest.mark.parametrize("transition", sorted(LEGS))
+def test_level_groups_are_the_components_of_the_driven_block(transition):
+    # any Rabi frequency > 0 and any phase couple exactly the drive's legs
+    rng = np.random.default_rng(5)
+    levels = register_levels(P, 650 * GAUSS)
+    for rabi in (1e-3, 2 * math.pi * 50.0, 1e6):
+        pulse = Pulse(transition, 1e-3, rabi,
+                      phase_rad=float(rng.uniform(0, 2 * math.pi)))
+        hmat = _single_atom_hamiltonian(
+            levels.energy_hz, _laser_frequencies(levels, pulse), pulse)
+        assert GROUPS[transition].tolist() \
+            == _coupled_components(hmat).tolist()
 
 
 def test_level_moments_near_low_field_values():

@@ -63,7 +63,7 @@ def test_tunneling_against_deep_lattice_asymptote():
 
 
 def test_hold_survival_at_operating_depth():
-    rep = lattice_depth_report(50.0, P, hold_time_s=5.0)
+    rep = lattice_depth_report(50.0, P)
     assert rep.tunneling_rate_hz < 1.0
     assert rep.hold_survival == pytest.approx(
         math.exp(-rep.tunneling_rate_hz * 5.0), rel=1e-12)
@@ -90,7 +90,8 @@ def test_bias_field_check():
     weak = GradientConfig(0.001 * GAUSS, 10 * GAUSS / 1e-2,
                           100 * GAUSS / 1e-2, 100 * GAUSS / 1e-2)
     assert not validate_gradients(geom, weak).bias_ok
-    item, = (it for it in build_feasibility_report(P).items
+    item, = (it for it in build_feasibility_report(
+                 P, LatticeGeometry(), 50.0).items
              if it.quantity == "bias_field_100g_sufficient")
     assert item.passed
     margin = float(item.note.split("x", 1)[0].removeprefix("margin "))
@@ -105,7 +106,7 @@ def test_decoherence_budget_matches_engine_bookkeeping():
         PulseSegment(cfg, Pulse("aux_flip", 0.2, 0.0,
                                 metastable_weight=2.0)),
     )
-    sched = PulseSchedule(segs, n_atoms=2)
+    sched = PulseSchedule(segs, sites=((0, 0, 0), (1, 0, 0)))
     budget = decoherence_budget(sched, noise)
     assert budget.total_duration_s == pytest.approx(0.3)
     assert budget.metastable_atom_time_s == pytest.approx(0.4)
@@ -137,7 +138,7 @@ def test_decoherence_budget_skips_measure_segments(circuit, sites):
 
 
 def test_report_structure_and_verdicts():
-    rep = build_feasibility_report(P)
+    rep = build_feasibility_report(P, LatticeGeometry(), 50.0)
     names = [it.quantity for it in rep.items]
     for want in ("pi_pulse_intensity_w_per_m2", "lattice_depth_uk",
                  "photon_scattering_rate_hz", "gradient_x_g_per_cm",

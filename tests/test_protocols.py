@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ybqc.addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                              site_levels)
-from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, register_levels,
-                         three_photon_detunings)
+from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, ladder_detunings,
+                         register_levels, three_photon_detunings)
 from ybqc.compiler import (BIAS_FIELD_T, TARGET_GAP_HZ,
                            TRANSFER_RABI_1Q_RAD_S, TRANSFER_RABI_2Q_RAD_S,
                            compile_circuit, execute_schedule, parse_circuit)
@@ -42,6 +43,20 @@ def test_scan_pi_time_tracks_effective_model():
                                            rel=0.05)
     assert scan.transfer_probability > 0.99
     assert scan.leakage < 5e-3
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_b=st.floats(math.log10(20 * GAUSS), math.log10(1.5)),
+       fraction=st.floats(0.005, 0.3), calibrated=st.booleans())
+def test_scan_finds_the_first_envelope_maximum(log_b, fraction, calibrated):
+    # the grid spans 1.5 predicted pi times and holds one envelope
+    # maximum, so its argmax is the pi time
+    levels = register_levels(PCAL if calibrated else P, 10 ** log_b)
+    det = ladder_detunings(levels)
+    rabi = fraction * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+    scan = three_photon_scan(levels, rabi)
+    assert 0.95 < scan.pi_time_s / scan.predicted_pi_time_s < 1.15
+    assert scan.transfer_probability > 0.98
 
 
 def test_scan_uncompensated_transfer_degrades():

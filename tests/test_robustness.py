@@ -6,14 +6,19 @@ test fuzzing the value type of every scenario key."""
 import json
 import math
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ybqc.addressing import LatticeGeometry
 from ybqc.atomic import AtomParams
 from ybqc.cli import main as cli_main
-from ybqc.engine import NoiseParams
+from ybqc.compiler import compile_circuit, execute_schedule
+from ybqc.engine import GM, NoiseParams, RegisterState, apply_segment
+from ybqc.errors import ConfigError, PlanningError
+from ybqc.scenario import run_scenario
 
 
 def _scenario(tmp_path, **data):
@@ -121,6 +126,45 @@ def test_overflowing_dipole_scale_exits_2(tmp_path, capsys):
     assert cli_main(["run", str(scn)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "dipole_scale" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scale", [math.inf, math.nan], ids=["inf", "nan"])
+def test_non_finite_dipole_scale_is_rejected_by_the_engine(scale):
+    # library callers get the CLI's ConfigError, before any numpy warning
+    geom, noise = LatticeGeometry(2, 1, 1), NoiseParams()
+    schedule = compile_circuit("X 0 0 1.0\nCNOT 0 0 1 0\n", geom,
+                               AtomParams(), noise)
+    reg = RegisterState.product(AtomParams(), geom, schedule.sites, [GM, GM])
+    flip, = (s for s in schedule.segments if s.pulse.transition == "aux_flip")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="dipole_scale"):
+            execute_schedule(reg, schedule, noise, dipole_scale=scale)
+        with pytest.raises(ConfigError, match="dipole_scale"):
+            apply_segment(reg, flip, noise, dipole_scale=scale)
+
+
+def test_planned_scenario_uses_its_bias_field(tmp_path):
+    scn = _scenario(tmp_path, pipeline=["address"],
+                    lattice={"n_x": 3, "n_y": 2, "n_z": 1},
+                    gradients={"B0_gauss": 200, "target_gap_hz": 1000})
+    assert cli_main(["run", scn]) == 0
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[1:]
+    fields = [float(row.split(",")[2]) for row in rows]
+    assert len(fields) == 6 and all(200.0 <= b < 201.0 for b in fields)
+
+
+def test_planned_scenario_uses_its_safety_factor(tmp_path, capsys):
+    scn = _scenario(tmp_path, pipeline=["address"],
+                    lattice={"n_x": 2, "n_y": 1, "n_z": 1},
+                    gradients={"safety_factor": 1e6})
+    with pytest.raises(PlanningError, match="safety factor"):
+        run_scenario(scn)
+    assert cli_main(["run", scn]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("physics error: ") and "safety factor" in err
     assert len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
 

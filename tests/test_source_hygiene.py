@@ -7,7 +7,9 @@ reach the engine through one path.  The compiler, the pulse builders and
 the engine build no level table from a bare field: they read the cached
 per-site tables of `addressing.site_levels`.  No package module imports
 `expm`: the engine's own stacked kernel exponentiates every block, and
-scipy's `expm` serves only the tests' dense oracle."""
+scipy's `expm` serves only the tests' dense oracle.  Every defaulted
+parameter of a package function is passed by some call in the package:
+a knob that every caller leaves at its default is a constant."""
 
 import ast
 from pathlib import Path
@@ -136,3 +138,60 @@ def test_pulse_path_reads_the_cached_level_tables():
             found |= callers(path.stem, path.read_text(),
                              LEVEL_TABLE_BUILDERS)
     assert found == set()
+
+
+# Defaulted parameters that only callers outside the package pass.
+KNOB_ALLOWLIST = {"cli.main(argv)"}
+
+
+def unpassed_knobs(sources: dict[str, str]) -> list[str]:
+    """`module.function(parameter)` for every defaulted parameter of a
+    function or method in `sources` ({module: source}; dunder methods
+    exempt) that no call in `sources` passes, by keyword or position.
+    Calls match by the called name; a method call binds `self`."""
+    knobs, calls = {}, []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = {id(f) for c in ast.walk(tree)
+                   if isinstance(c, ast.ClassDef) for f in c.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) \
+                    and not node.name.startswith("__"):
+                a = node.args
+                pos = a.posonlyargs + a.args
+                first = len(pos) - len(a.defaults)
+                bound = id(node) in methods
+                for i, arg in enumerate(pos[first:], first - bound):
+                    knobs[f"{module}.{node.name}({arg.arg})"] = \
+                        (node.name, arg.arg, i)
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        knobs[f"{module}.{node.name}({arg.arg})"] = \
+                            (node.name, arg.arg, None)
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                calls.append((name, len(node.args),
+                              {k.arg for k in node.keywords}))
+    return sorted(
+        knob for knob, (func, param, index) in knobs.items()
+        if not any(name == func and (param in keywords or index is not None
+                                     and n_args > index)
+                   for name, n_args, keywords in calls))
+
+
+def test_checker_finds_unpassed_knobs():
+    source = ("def f(a, b=1, c=2, *, d=3):\n    return a\n"
+              "class C:\n"
+              "    def __init__(self, x=0):\n        self.x = x\n"
+              "    def m(self, y=1, z=2):\n        return y\n"
+              "def g():\n    f(0, 5, d=4)\n    C().m(1)\n")
+    assert unpassed_knobs({"m": source}) == ["m.f(c)", "m.m(z)"]
+    assert unpassed_knobs({"m": "def f(a=1):\n    return a\n",
+                           "n": "from m import f\nf(a=2)\n"}) == []
+
+
+def test_every_knob_is_passed_inside_the_package():
+    sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
+    assert set(unpassed_knobs(sources)) == KNOB_ALLOWLIST
