@@ -39,10 +39,9 @@ class LatticeGeometry:
         if not 0 < self.spacing_m < math.inf:
             raise ConfigError("lattice spacing must be finite and positive")
 
-    def sites(self, layer: int | None = None):
-        ks = range(self.n_z) if layer is None else [layer]
-        return [(i, j, k) for k in ks
-                for j in range(self.n_y) for i in range(self.n_x)]
+    def sites(self):
+        """Sites of the addressed z = 0 layer, row by row."""
+        return [(i, j, 0) for j in range(self.n_y) for i in range(self.n_x)]
 
     def contains(self, site) -> bool:
         i, j, k = site
@@ -119,7 +118,7 @@ def resonance_map(geom: LatticeGeometry, config: GradientConfig,
                   params: AtomParams) -> ResonanceMap:
     """Addressed-line frequency at every site of the addressed z = 0 layer."""
     entries = {}
-    for site in geom.sites(layer=0):
+    for site in geom.sites():
         B = site_field(geom, config, site)
         entries[site] = (B, _addressed_line(params, B)[0])
     freqs = [f for _, f in entries.values()]
@@ -131,27 +130,31 @@ def resonance_map(geom: LatticeGeometry, config: GradientConfig,
     return ResonanceMap(entries, min_gap)
 
 
+def nearest_fields(geom: LatticeGeometry, config: GradientConfig,
+                   sites) -> tuple[float, tuple | None]:
+    """Smallest local-field difference between two of `sites` (inf for
+    fewer than two) and the first pair whose fields coincide, if any."""
+    fields = sorted((site_field(geom, config, s), s) for s in sites)
+    min_diff, colliding = math.inf, None
+    for (b1, s1), (b2, s2) in zip(fields, fields[1:]):
+        if b2 - b1 < min_diff:
+            min_diff = b2 - b1
+            if min_diff == 0.0:
+                colliding = (s1, s2)
+    return min_diff, colliding
+
+
 def validate_gradients(geom: LatticeGeometry,
                        config: GradientConfig) -> GradientReport:
-    """Check Eq.-style sufficient condition and exact per-site uniqueness."""
+    """Check Eq.-style sufficient condition and exact per-site uniqueness
+    over the addressed z = 0 layer."""
     eq1_ok = geom.n_x * config.Gx_t_per_m <= config.Gy_t_per_m
-    sites = geom.sites(layer=0)
-    fields = [(site_field(geom, config, s), s) for s in sites]
-    fields.sort()
-    min_diff = math.inf
-    colliding = None
-    for (b1, s1), (b2, s2) in zip(fields, fields[1:]):
-        d = b2 - b1
-        if d < min_diff:
-            min_diff = d
-            if d == 0.0:
-                colliding = (s1, s2)
-    unique_ok = len(sites) < 2 or min_diff > 0.0
+    min_diff, colliding = nearest_fields(geom, config, geom.sites())
     rng = field_range(geom, config)
     bias_ok = config.B0_t >= config.safety_factor * rng
-    return GradientReport(bool(eq1_ok), bool(unique_ok),
-                          float(min_diff) if len(sites) > 1 else math.inf,
-                          colliding, bool(bias_ok), float(rng))
+    return GradientReport(bool(eq1_ok), bool(min_diff > 0.0),
+                          float(min_diff), colliding, bool(bias_ok),
+                          float(rng))
 
 
 def plan_gradients(geom: LatticeGeometry, target_gap_hz: float,

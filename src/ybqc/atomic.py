@@ -50,7 +50,6 @@ class AtomParams:
     g_J_3P2: float = 1.5
     hyperfine_A_3P2_hz: float = DEFAULT_HYPERFINE_A_3P2_HZ
     mass_kg: float = 171 * atomic_mass
-    lifetime_3P2_s: float = 15.0
     linewidth_1S0_3P2_hz: float = 0.010
     lifetime_1P1_s: float = 5.5e-9
     wavelength_1S0_3P2_m: float = 507e-9
@@ -68,9 +67,9 @@ class AtomParams:
         if self.hyperfine_A_3P2_hz == 0.0 and not self.linear_zeeman:
             raise ConfigError(
                 "hyperfine A = 0 only makes sense with linear_zeeman=True")
-        for name in ("mass_kg", "lifetime_3P2_s", "linewidth_1S0_3P2_hz",
-                     "lifetime_1P1_s", "wavelength_1S0_3P2_m",
-                     "wavelength_1S0_1P1_m", "wavelength_lattice_m"):
+        for name in ("mass_kg", "linewidth_1S0_3P2_hz", "lifetime_1P1_s",
+                     "wavelength_1S0_3P2_m", "wavelength_1S0_1P1_m",
+                     "wavelength_lattice_m"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and positive")
 

@@ -116,14 +116,13 @@ def cmd_ddi(args) -> int:
 def cmd_address(args) -> int:
     params = _atom_params(args)
     geom = _geometry(args)
-    if args.gx_g_per_cm is None and args.gy_g_per_cm is None:
+    explicit = (args.gx_g_per_cm, args.gy_g_per_cm, args.gz_g_per_cm)
+    if all(g is None for g in explicit):
         config = plan_gradients(geom, args.target_gap_hz, params,
                                 B0_t=args.b0_gauss * GAUSS)
-    else:
+    else:   # any explicit gradient: the others are zero, as in a scenario
         config = GradientConfig(args.b0_gauss * GAUSS,
-                                (args.gx_g_per_cm or 0.0) * GAUSS / CM,
-                                (args.gy_g_per_cm or 0.0) * GAUSS / CM,
-                                (args.gz_g_per_cm or 0.0) * GAUSS / CM)
+                                *((g or 0.0) * GAUSS / CM for g in explicit))
     report = validate_gradients(geom, config)
     if not report.unique_ok:
         raise PhysicsError(
@@ -160,10 +159,16 @@ def _parse_ones(values):
                           f"({exc})") from None
 
 
+def _circuit_gradients(geom, params) -> GradientConfig:
+    """The circuit commands' gradients: planned for 1 kHz gaps at 100 G."""
+    return plan_gradients(geom, 1000.0, params, B0_t=100 * GAUSS)
+
+
 def cmd_compile(args) -> int:
     params = _atom_params(args)
     geom = _geometry(args)
     schedule = compile_circuit(Path(args.circuit).read_text(), geom, params,
+                               _circuit_gradients(geom, params),
                                NoiseParams())
     _write_or_print(schedule_to_json(schedule) + "\n", args.out)
     return EXIT_OK
@@ -174,9 +179,9 @@ def cmd_simulate(args) -> int:
     geom = _geometry(args)
     noise = NoiseParams.off() if args.noise_off else NoiseParams()
     schedule, result = simulate_circuit(
-        Path(args.circuit).read_text(), geom, params, noise,
-        seed=args.seed, initial_ones=_parse_ones(args.one),
-        dipole_scale=args.dipole_scale)
+        Path(args.circuit).read_text(), geom, params,
+        _circuit_gradients(geom, params), noise, seed=args.seed,
+        initial_ones=_parse_ones(args.one), dipole_scale=args.dipole_scale)
     _write_or_print(result_to_json(schedule, result) + "\n", args.out)
     return EXIT_OK
 

@@ -9,7 +9,7 @@ addressed z=0 layer; `#` starts a comment):
 
 `compile_circuit` is a loop over the gates that strings the `protocols`
 pulse builders into the full segment list: transfer pulses, gate drives
-and return transfers under the planned gradients.  Measurements become
+and return transfers under the caller's gradients.  Measurements become
 'measure' pseudo-segments.  `execute_schedule` runs the segments through
 the pulse engine.
 """
@@ -21,16 +21,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .addressing import LatticeGeometry, plan_gradients, site_levels
+from .addressing import (GradientConfig, LatticeGeometry, nearest_fields,
+                         site_levels)
 from .atomic import AtomParams
 from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
                      RegisterState, apply_segment)
-from .errors import ConfigError
+from .errors import ConfigError, PlanningError
 from .protocols import (cnot_pulse, measure_qubit, rotation_pulse,
                         transfer_pulse)
 
-TARGET_GAP_HZ = 1000.0
-BIAS_FIELD_T = 100e-4
 # Slow enough that a spectator one addressing gap away stays below
 # 1e-3 excitation; faster for CNOT prep where the ~40 Hz dipole shift
 # detunes the transfer of the second atom.
@@ -63,11 +62,13 @@ def parse_circuit(text: str):
 
 
 def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
+                    config: GradientConfig,
                     noise: NoiseParams) -> PulseSchedule:
-    """Emit the full pulse schedule realizing the circuit.
+    """Emit the full pulse schedule realizing the circuit under `config`.
 
     Supported gates: single-qubit rotations about x, adjacent-site CNOT,
-    and measurement (no routing).
+    and measurement (no routing).  Circuit sites that share one local
+    field cannot be told apart: PlanningError.
     """
     if isinstance(circuit, str):
         circuit = parse_circuit(circuit)
@@ -77,7 +78,10 @@ def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
     if outside:
         raise ConfigError(f"circuit site {outside[0][:2]} outside the "
                           f"{geom.n_x}x{geom.n_y} lattice")
-    config = plan_gradients(geom, TARGET_GAP_HZ, params, B0_t=BIAS_FIELD_T)
+    shared = nearest_fields(geom, config, sites)[1]
+    if shared:
+        raise PlanningError(f"circuit sites {shared[0][:2]} and "
+                            f"{shared[1][:2]} share one local field")
     levels = dict(zip(sites, site_levels(params, geom, sites, config)))
     flat = replace(config, Gx_t_per_m=0.0, Gy_t_per_m=0.0, Gz_t_per_m=0.0)
 

@@ -1,14 +1,14 @@
 """Pulse-level state-vector simulation of the atom register.
 
-Each active atom carries seven levels: the 1S0 nuclear-spin qubit
-(g-, g+), the 3P2(F=3/2) manifold (e -3/2 .. e +3/2), and an absorbing
-LOST label.  The register is the tensor product over active sites
-(spectator sites are not represented).  Evolution is rotating-frame,
+Each active atom carries the six `atomic.register_levels` levels: the
+1S0 nuclear-spin qubit (g-, g+) and the 3P2(F=3/2) manifold
+(e -3/2 .. e +3/2).  The register is the tensor product over active
+sites (spectator sites are not represented).  Evolution is rotating-frame,
 piecewise-constant-Hamiltonian, with per-site detunings from the
 gradient-resolved resonances and the always-on secular dipole-dipole
 diagonal.  3P2 decay and lattice photon scattering enter as a
-norm-decaying anti-Hermitian term; the removed mass is tracked so that
-||amplitudes||^2 + leaked = 1 at all times.
+norm-decaying anti-Hermitian term; the removed mass (lost atoms) is
+tracked so that ||amplitudes||^2 + leaked = 1 at all times.
 
 Frame convention: within each segment every undriven level co-rotates
 with its own local resonance (zero diagonal); levels reached by a drive
@@ -20,10 +20,10 @@ Blocked propagation: every drive couples fixed level pairs of one atom,
 and the dipole and decay terms are diagonal, so the register Hamiltonian
 is block-diagonal.  A block is one coupled level group per atom (the
 groups that the drive's legs join, `GROUPS`, e.g. {g+, e+3/2},
-{g-, e-3/2}, {e-1/2}, {e+1/2}, {lost} under the optical pair drive),
+{g-, e-3/2}, {e-1/2}, {e+1/2} under the optical pair drive),
 and its basis is the Cartesian product of those groups.
 Only the live blocks, those holding a nonzero amplitude, are assembled
-and exponentiated; the 7^n x 7^n register matrix is never built.  Blocks
+and exponentiated; the 6^n x 6^n register matrix is never built.  Blocks
 of one size form one stack: 1x1 stacks are `np.exp`, larger ones one
 vectorised Pade-13 scaling and squaring (`_expm_stack`) with one scaling
 exponent per stack.  The drive blocks, the dipole diagonal and the
@@ -49,9 +49,8 @@ from .dipole import pair_coupling
 from .errors import ConfigError, IntegratorError
 
 # Per-atom level indices: the register levels of `atomic.register_levels`
-# (GM, GP, EM32, EM12, EP12, EP32) plus an absorbing LOST label
-LOST = 6
-NLEV = 7
+# (GM, GP, EM32, EM12, EP12, EP32)
+NLEV = 6
 E_LEVELS = (EM32, EM12, EP12, EP32)
 G_LEVELS = (GM, GP)
 
@@ -61,7 +60,7 @@ ACCOUNTING_TOL = 1e-9
 
 @lru_cache(maxsize=None)
 def basis_labels(n_atoms: int) -> np.ndarray:
-    """Read-only (7^n, n) table: row b lists each atom's level in basis
+    """Read-only (6^n, n) table: row b lists each atom's level in basis
     state b (atom 0 is the most significant digit)."""
     labels = np.array(list(np.ndindex(*(NLEV,) * n_atoms)))
     labels.flags.writeable = False
@@ -138,7 +137,7 @@ class PulseSchedule:
 
 
 class RegisterState:
-    """Amplitudes of the active atoms over the 7-level basis."""
+    """Amplitudes of the active atoms over the 6-level basis."""
 
     def __init__(self, params: AtomParams, geom: LatticeGeometry,
                  sites, amps: np.ndarray, leaked: float = 0.0):
@@ -178,17 +177,10 @@ class RegisterState:
     def site_index(self, site) -> int:
         return self.sites.index(tuple(site))
 
-    def _tensor(self) -> np.ndarray:
-        return self.amps.reshape((NLEV,) * self.n_atoms)
-
-    def reduced_density(self, site) -> np.ndarray:
-        """Unnormalized 7x7 reduced density matrix of one atom."""
-        a = np.moveaxis(self._tensor(), self.site_index(site), 0)
-        m = a.reshape(NLEV, -1)
-        return m @ m.conj().T
-
     def level_populations(self, site) -> np.ndarray:
-        return np.diag(self.reduced_density(site)).real
+        """Unnormalized population of each level of one atom."""
+        levels = basis_labels(self.n_atoms)[:, self.site_index(site)]
+        return np.bincount(levels, np.abs(self.amps) ** 2, NLEV)
 
     def population(self, site, level: int) -> float:
         return float(self.level_populations(site)[level])
@@ -278,7 +270,7 @@ def _laser_frequencies(ref: RegisterLevels, pulse) -> tuple:
 
 
 def _single_atom_hamiltonian(energy_hz, lasers, pulse) -> np.ndarray:
-    """7x7 rotating-frame block (rad/s) for one atom whose register levels
+    """6x6 rotating-frame block (rad/s) for one atom whose register levels
     sit at `energy_hz` (Hz), driven by `lasers` (rad/s, one per leg)."""
     hmat = np.zeros((NLEV, NLEV), complex)
     coupling = pulse.rabi_rad_s / 2 * np.exp(1j * pulse.phase_rad)
@@ -308,7 +300,7 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     hs = np.stack([_single_atom_hamiltonian(table.energy_hz, lasers, pulse)
                    for table in tables])
     labels = basis_labels(n)
-    # block of each basis state, coded by its atoms' groups as base-7
+    # block of each basis state, coded by its atoms' groups as base-6
     # digits; ascending basis order within a block is the Cartesian order
     groups = GROUPS[pulse.transition][labels]
     block = groups @ NLEV ** np.arange(n - 1, -1, -1)
@@ -340,11 +332,10 @@ def _dipole_diagonal(params: AtomParams, geom: LatticeGeometry, sites: tuple,
                      config: GradientConfig,
                      dipole_scale: float) -> np.ndarray:
     """Read-only always-on secular dipole-dipole diagonal (rad/s) over the
-    7^n basis; computed once per register, field and scale."""
+    6^n basis; computed once per register, field and scale."""
     n = len(sites)
-    moments = np.array(
-        [table.moment_j_per_t + (0.0,)   # LOST carries no moment
-         for table in site_levels(params, geom, sites, config)])
+    moments = np.array([table.moment_j_per_t for table in
+                        site_levels(params, geom, sites, config)])
     labels = basis_labels(n)
     dd = np.zeros(NLEV ** n)
     for i in range(n):
@@ -357,13 +348,10 @@ def _dipole_diagonal(params: AtomParams, geom: LatticeGeometry, sites: tuple,
 
 
 def _gamma_levels(noise: NoiseParams) -> np.ndarray:
-    """Norm-decay rate (1/s) of each per-atom level."""
-    decay = 0.0 if math.isinf(noise.lifetime_3P2_s) else 1 / noise.lifetime_3P2_s
-    per_level = np.zeros(NLEV)
-    for lv in E_LEVELS:
-        per_level[lv] = decay + noise.photon_scattering_rate_hz
-    for lv in G_LEVELS:
-        per_level[lv] = noise.photon_scattering_rate_hz
+    """Norm-decay rate (1/s) of each per-atom level: lattice scattering on
+    every level, 3P2 decay on the e levels."""
+    per_level = np.full(NLEV, noise.photon_scattering_rate_hz)
+    per_level[list(E_LEVELS)] += 1 / noise.lifetime_3P2_s   # 0 at inf
     return per_level
 
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .atomic import RegisterLevels, ladder_detunings
 from .dipole import pair_coupling
-from .engine import (EM12, EM32, EP12, EP32, GP, G_LEVELS, NoiseParams,
-                     Pulse, RegisterState, _laser_frequencies,
+from .engine import (EM12, EM32, EP12, EP32, GP, G_LEVELS, NLEV,
+                     NoiseParams, Pulse, RegisterState, _laser_frequencies,
                      _single_atom_hamiltonian, basis_labels)
 from .errors import ConfigError, GeometryError, ProtocolOrderError
 
@@ -188,7 +188,7 @@ def measure_qubit(reg: RegisterState, site, noise: NoiseParams, rng_seed):
             f"atom at {site} sits mostly in the intermediate e levels; "
             "measurement protocol out of order")
     axis = reg.site_index(site)
-    moved = np.moveaxis(reg._tensor(), axis, 0)
+    moved = np.moveaxis(reg.amps.reshape((NLEV,) * reg.n_atoms), axis, 0)
     swapped = moved.copy()
     swapped[GP] = -1j * moved[EP32]
     swapped[EP32] = -1j * moved[GP]

@@ -334,12 +334,12 @@ def _resolve_gradients(scn: Scenario) -> GradientConfig:
 
 
 def simulate_circuit(circuit_text: str, geom: LatticeGeometry,
-                     params: AtomParams, noise: NoiseParams,
-                     seed: int | None, initial_ones=(),
+                     params: AtomParams, config: GradientConfig,
+                     noise: NoiseParams, seed: int | None, initial_ones=(),
                      dipole_scale: float = 1.0):
-    """Compile a circuit, run it through the pulse engine, and return the
-    schedule, final register, and measurement record."""
-    schedule = compile_circuit(circuit_text, geom, params, noise)
+    """Compile a circuit under the gradients `config` and run it through
+    the pulse engine; return the schedule and the execution result."""
+    schedule = compile_circuit(circuit_text, geom, params, config, noise)
     sites = list(schedule.sites)
     if not sites:
         raise ConfigError("circuit addresses no sites")
@@ -406,8 +406,9 @@ def build_artifacts(scn: Scenario) -> dict[str, str]:
                 "field_range_t": report.field_range_t}, indent=2) + "\n"
         elif stage == "simulate":
             schedule, result = simulate_circuit(
-                scn.circuit_text, scn.geom, scn.params, scn.noise,
-                scn.seed, scn.initial_ones, scn.dipole_scale)
+                scn.circuit_text, scn.geom, scn.params,
+                _resolve_gradients(scn), scn.noise, scn.seed,
+                scn.initial_ones, scn.dipole_scale)
             artifacts["schedule.json"] = schedule_to_json(schedule) + "\n"
             artifacts["result.json"] = result_to_json(schedule, result) + "\n"
     return artifacts

@@ -137,7 +137,8 @@ def test_criterion_8_end_to_end_cnot():
     params = AtomParams()
     geom = LatticeGeometry(2, 1, 1)
     noise = NoiseParams()
-    sched = compile_circuit("CNOT 0 0 1 0", geom, params, noise)
+    sched = compile_circuit("CNOT 0 0 1 0", geom, params,
+                            plan_gradients(geom, 1000.0, params), noise)
     sites = [(0, 0, 0), (1, 0, 0)]
 
     def truth_run(c, t, scale):
@@ -177,7 +178,8 @@ def test_criterion_9_property_suites(tmp_path):
     geom = LatticeGeometry(2, 1, 1)
     noise = NoiseParams()
     sched = compile_circuit("X 0 0 3.141592653589793\nCNOT 0 0 1 0\n"
-                            "MEAS 0 0\nMEAS 1 0", geom, params, noise)
+                            "MEAS 0 0\nMEAS 1 0", geom, params,
+                            plan_gradients(geom, 1000.0, params), noise)
     reg = RegisterState.product(params, geom, [(0, 0, 0), (1, 0, 0)],
                                 [GM, GM])
     res = execute_schedule(reg, sched, noise, rng_seed=21)

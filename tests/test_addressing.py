@@ -28,7 +28,8 @@ def test_field_range_brute_force():
     geom = LatticeGeometry(4, 3, 2)
     cfg = GradientConfig(100 * GAUSS, 7 * GAUSS / CM, 31 * GAUSS / CM,
                          2 * GAUSS / CM)
-    fields = [site_field(geom, cfg, s) for s in geom.sites()]
+    fields = [site_field(geom, cfg, s)
+              for s in itertools.product(range(4), range(3), range(2))]
     assert field_range(geom, cfg) == pytest.approx(
         max(fields) - min(fields), rel=1e-12)
 
@@ -38,7 +39,7 @@ def test_uniqueness_matches_all_pairs_brute_force():
     # Gy = n_x * Gx exactly: every site unique (strict ladder)
     cfg = GradientConfig(100 * GAUSS, GAUSS / CM, 5 * GAUSS / CM)
     rep = validate_gradients(geom, cfg)
-    fields = [site_field(geom, cfg, s) for s in geom.sites(layer=0)]
+    fields = [site_field(geom, cfg, s) for s in geom.sites()]
     brute = min(abs(a - b) for a, b in itertools.combinations(fields, 2))
     assert rep.unique_ok
     assert rep.min_field_diff_t == pytest.approx(brute, rel=1e-9)

@@ -1,6 +1,6 @@
 """Blocked propagator against the dense oracle: random <=3-site circuits
 run segment by segment through both, the stacked exponential against
-scipy's `expm`, plus a memory guard that fails if a 7^n x 7^n register
+scipy's `expm`, plus a memory guard that fails if a 6^n x 6^n register
 matrix comes back."""
 
 import math
@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from ybqc.addressing import LatticeGeometry, site_field
+from ybqc.addressing import LatticeGeometry, plan_gradients, site_field
 from ybqc.atomic import AtomParams, register_levels
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.dipole import pair_coupling
@@ -91,7 +91,8 @@ def circuits(draw, n_sites):
 
 def _check_against_dense(n_sites, circuit, ones, noise, seed):
     geom = LatticeGeometry(n_sites, 1, 1)
-    schedule = compile_circuit(circuit, geom, P, noise)
+    schedule = compile_circuit(circuit, geom, P,
+                               plan_gradients(geom, 1000.0, P), noise)
     sites = [(i, 0, 0) for i in range(n_sites)]
     start = RegisterState.product(P, geom, sites,
                                   [GP if s in ones else GM for s in sites])
@@ -166,12 +167,14 @@ def test_stacked_exponential_matches_scipy():
 
 
 def test_register_memory_stays_far_below_one_dense_matrix():
-    # one dense 2401 x 2401 complex matrix alone is 92 MB
+    # one dense 1296 x 1296 complex matrix alone is 27 MB
     geom = LatticeGeometry(2, 2, 1)
     circuit = "MEAS 0 0\nMEAS 1 0\nMEAS 0 1\nMEAS 1 1\n"
     tracemalloc.start()
     try:
-        _, result = simulate_circuit(circuit, geom, P, NoiseParams(), 5,
+        _, result = simulate_circuit(circuit, geom, P,
+                                     plan_gradients(geom, 1000.0, P),
+                                     NoiseParams(), 5,
                                      initial_ones=[(1, 0, 0), (0, 1, 0)])
         _, peak = tracemalloc.get_traced_memory()
     finally:

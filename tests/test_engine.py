@@ -143,7 +143,7 @@ def test_dipole_diagonal_matches_pair_formula():
 
 
 def _coupled_components(hmat):
-    """Connected components of |hmat| > 0 for one atom's 7x7 block, each
+    """Connected components of |hmat| > 0 for one atom's 6x6 block, each
     level named by its component's lowest level: boolean squarings of
     the reach matrix."""
     reach = ((hmat != 0) | np.eye(NLEV, dtype=bool)).astype(np.int8)

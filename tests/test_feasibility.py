@@ -6,7 +6,7 @@ import math
 import pytest
 
 from ybqc.addressing import (GradientConfig, LatticeGeometry,
-                             validate_gradients)
+                             plan_gradients, validate_gradients)
 from ybqc.atomic import AtomParams
 from ybqc.constants import GAUSS, h, k_B
 from ybqc.compiler import compile_circuit
@@ -128,7 +128,8 @@ def test_decoherence_budget_skips_measure_segments(circuit, sites):
     # budget must not charge them either
     noise = NoiseParams(lifetime_3P2_s=2.0, photon_scattering_rate_hz=1.0)
     geom = LatticeGeometry(2, 1, 1)
-    sched = compile_circuit(circuit, geom, P, noise)
+    sched = compile_circuit(circuit, geom, P,
+                            plan_gradients(geom, 1000.0, P), noise)
     reg = RegisterState.product(P, geom, sites, [GM] * len(sites))
     for seg in sched.segments:
         if seg.pulse.transition != "measure":

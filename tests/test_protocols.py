@@ -11,8 +11,7 @@ from ybqc.addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                              site_levels)
 from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, ladder_detunings,
                          register_levels, three_photon_detunings)
-from ybqc.compiler import (BIAS_FIELD_T, TARGET_GAP_HZ,
-                           TRANSFER_RABI_1Q_RAD_S, TRANSFER_RABI_2Q_RAD_S,
+from ybqc.compiler import (TRANSFER_RABI_1Q_RAD_S, TRANSFER_RABI_2Q_RAD_S,
                            compile_circuit, execute_schedule, parse_circuit)
 from ybqc.constants import GAUSS
 from ybqc.engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
@@ -253,7 +252,7 @@ def test_measurement_branching_loss_report():
 def _protocol_path(circuit_op, geom, noise, dipole_scale):
     """Run one gate as hand-sequenced builder pulses at the compiler's
     gradients and Rabi rates, starting from all-ground."""
-    cfg = plan_gradients(geom, TARGET_GAP_HZ, P, B0_t=BIAS_FIELD_T)
+    cfg = plan_gradients(geom, 1000.0, P)
     if circuit_op[0] == "X":
         _, site, theta = circuit_op
         reg = RegisterState.product(P, geom, [site], [GM])
@@ -284,7 +283,8 @@ def test_compiled_path_matches_protocol_path(circuit, dipole_scale):
     geom = LatticeGeometry(2, 1, 1)
     noise = NoiseParams()
     (op,) = parse_circuit(circuit)
-    sched = compile_circuit(circuit, geom, P, noise)
+    sched = compile_circuit(circuit, geom, P,
+                            plan_gradients(geom, 1000.0, P), noise)
     sites = sorted(s for s in op[1:] if isinstance(s, tuple))
     levels = [GP, GM] if op[0] == "CNOT" else [GM]
     reg = RegisterState.product(P, geom, sites, levels)

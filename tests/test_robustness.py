@@ -12,10 +12,12 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybqc.addressing import LatticeGeometry
+from ybqc.addressing import (GradientConfig, LatticeGeometry, plan_gradients,
+                             site_field)
 from ybqc.atomic import AtomParams
 from ybqc.cli import main as cli_main
 from ybqc.compiler import compile_circuit, execute_schedule
+from ybqc.constants import CM, GAUSS
 from ybqc.engine import GM, NoiseParams, RegisterState, apply_segment
 from ybqc.errors import ConfigError, PlanningError
 from ybqc.scenario import run_scenario
@@ -135,7 +137,9 @@ def test_non_finite_dipole_scale_is_rejected_by_the_engine(scale):
     # library callers get the CLI's ConfigError, before any numpy warning
     geom, noise = LatticeGeometry(2, 1, 1), NoiseParams()
     schedule = compile_circuit("X 0 0 1.0\nCNOT 0 0 1 0\n", geom,
-                               AtomParams(), noise)
+                               AtomParams(),
+                               plan_gradients(geom, 1000.0, AtomParams()),
+                               noise)
     reg = RegisterState.product(AtomParams(), geom, schedule.sites, [GM, GM])
     flip, = (s for s in schedule.segments if s.pulse.transition == "aux_flip")
     with warnings.catch_warnings():
@@ -169,6 +173,60 @@ def test_planned_scenario_uses_its_safety_factor(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _schedule_segments(tmp_path):
+    return json.loads((tmp_path / "out" / "schedule.json").read_text()
+                      )["segments"]
+
+
+def test_simulate_compiles_under_the_scenario_bias_field(tmp_path):
+    # every pulse sees each circuit site at its spectrum.csv field
+    (tmp_path / "c.txt").write_text("X 0 0 1.0\nCNOT 0 0 1 0\n")
+    scn = _scenario(tmp_path, pipeline=["simulate", "address"],
+                    lattice={"n_x": 2, "n_y": 1, "n_z": 1},
+                    gradients={"B0_gauss": 200}, circuit_file="c.txt")
+    assert cli_main(["run", scn]) == 0
+    rows = (tmp_path / "out" / "spectrum.csv").read_text().splitlines()[1:]
+    fields = {(int(i), int(j), 0): float(b)
+              for i, j, b, _f in (row.split(",") for row in rows)}
+    geom = LatticeGeometry(2, 1, 1)
+    segments = _schedule_segments(tmp_path)
+    assert len(segments) == 8
+    for seg in segments:
+        config = GradientConfig(**seg["gradients"])
+        for site, b_gauss in fields.items():
+            assert site_field(geom, config, site) / GAUSS == b_gauss
+
+
+def test_explicit_scenario_gradients_reach_the_schedule(tmp_path):
+    (tmp_path / "c.txt").write_text("X 0 0 1.0\nX 1 0 1.0\n")
+    scn = _scenario(tmp_path, pipeline=["simulate"],
+                    lattice={"n_x": 2, "n_y": 1, "n_z": 1},
+                    gradients={"Gx_g_per_cm": 3, "Gy_g_per_cm": 7},
+                    circuit_file="c.txt")
+    assert cli_main(["run", scn]) == 0
+    assert {tuple(seg["gradients"].values())
+            for seg in _schedule_segments(tmp_path)} \
+        == {(100 * GAUSS, 3 * GAUSS / CM, 7 * GAUSS / CM, 0.0)}
+
+
+def test_circuit_sites_sharing_one_field_exit_3(tmp_path, capsys):
+    circuit = "X 0 0 3.141592653589793\nMEAS 0 0\nMEAS 1 0\n"
+    (tmp_path / "c.txt").write_text(circuit)
+    scn = _scenario(tmp_path, pipeline=["simulate"],
+                    lattice={"n_x": 2, "n_y": 1, "n_z": 1},
+                    gradients={"Gx_g_per_cm": 0, "Gy_g_per_cm": 0},
+                    circuit_file="c.txt", seed=1)
+    assert cli_main(["run", scn]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("physics error: ") and "(0, 0) and (1, 0)" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+    geom = LatticeGeometry(2, 1, 1)
+    with pytest.raises(PlanningError, match="share one local field"):
+        compile_circuit(circuit, geom, AtomParams(),
+                        GradientConfig(100 * GAUSS), NoiseParams())
+
+
 @pytest.mark.parametrize("data", [
     {"lattice": {"n_x": "abc"}},
     {"seed": "x"},
@@ -181,6 +239,7 @@ def test_planned_scenario_uses_its_safety_factor(tmp_path, capsys):
     {"lattice": 5},
     {"pipeline": "feasibility"},
     {"output_dir": 3},
+    {"atom": {"lifetime_3P2_s": 0.001}},    # a noise parameter only
 ])
 def test_malformed_scenario_value_exits_2(tmp_path, capsys, data):
     assert cli_main(["run", _scenario(tmp_path, **data)]) == 2

@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from ybqc.addressing import LatticeGeometry
+from ybqc.addressing import LatticeGeometry, plan_gradients
 from ybqc.atomic import AtomParams, three_photon_detunings
 from ybqc.cli import main as cli_main
 from ybqc.compiler import compile_circuit, execute_schedule, parse_circuit
@@ -49,7 +49,7 @@ def test_parse_circuit():
 def test_compile_emits_transfer_sandwich():
     geom = LatticeGeometry(2, 1, 1)
     sched = compile_circuit("X 0 0 1.5707963267948966", geom, P,
-                            NoiseParams())
+                            plan_gradients(geom, 1000.0, P), NoiseParams())
     kinds = [s.pulse.transition for s in sched.segments]
     assert kinds == ["optical_pair", "three_photon", "optical_pair"]
     assert sched.n_atoms == 1
@@ -58,12 +58,14 @@ def test_compile_emits_transfer_sandwich():
 def test_compile_cnot_nonadjacent_rejected():
     geom = LatticeGeometry(3, 1, 1)
     with pytest.raises(GeometryError):
-        compile_circuit("CNOT 0 0 2 0", geom, P, NoiseParams())
+        compile_circuit("CNOT 0 0 2 0", geom, P,
+                        plan_gradients(geom, 1000.0, P), NoiseParams())
 
 
 def test_execute_requires_seed_for_measurements():
     geom = LatticeGeometry(1, 1, 1)
-    sched = compile_circuit("MEAS 0 0", geom, P, NoiseParams())
+    sched = compile_circuit("MEAS 0 0", geom, P,
+                            plan_gradients(geom, 1000.0, P), NoiseParams())
     reg = RegisterState.product(P, geom, [(0, 0, 0)], [GM])
     with pytest.raises(ConfigError):
         execute_schedule(reg, sched, NoiseParams(), rng_seed=None)
@@ -71,8 +73,9 @@ def test_execute_requires_seed_for_measurements():
 
 def test_simulated_circuit_truth_values():
     geom = LatticeGeometry(2, 1, 1)
-    _sched, result = simulate_circuit(BELL, geom, P, NoiseParams.off(),
-                                      seed=123)
+    _sched, result = simulate_circuit(BELL, geom, P,
+                                      plan_gradients(geom, 1000.0, P),
+                                      NoiseParams.off(), seed=123)
     bits = dict(result.outcomes)
     # X flips the control to 1; CNOT then flips the target
     assert bits[(0, 0, 0)] == 1
@@ -215,7 +218,7 @@ def test_detunings_near_650g_are_about_20mhz():
 
 
 def test_addressing_spectrum_rows_and_sorting():
-    from ybqc.addressing import plan_gradients, resonance_map
+    from ybqc.addressing import resonance_map
     geom = LatticeGeometry(10, 10, 1)
     cfg = plan_gradients(geom, 1000.0, P)
     text = emit_addressing_spectrum(geom, cfg, P)
@@ -254,6 +257,9 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("address", "--nx", "2", "--ny", "1",
                    "--gx-g-per-cm", "0", "--gy-g-per-cm", "0",
                    "--out", str(tmp_path / "s.csv")) == 3
+    # a lone z gradient is explicit too, and leaves z = 0 at one field
+    assert run_cli("address", "--nx", "2", "--ny", "1",
+                   "--gz-g-per-cm", "50") == 3
     # simulate is deterministic given the seed
     out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
     assert run_cli("simulate", "--circuit", str(circuit), "--nx", "2",

@@ -1,15 +1,19 @@
-"""Source checks on the package modules and the tests (stdlib `ast` only).
+"""Source checks on the package modules and the tests (stdlib `ast`,
+plus one check on the imported engine).
 
 Every import is used; the package `__init__.py`, names listed in
 `__all__` and `from __future__` are exempt as re-exports.  Outside the
 engine, only `compiler.execute_schedule` applies segments, so gates
 reach the engine through one path.  The compiler, the pulse builders and
 the engine build no level table from a bare field: they read the cached
-per-site tables of `addressing.site_levels`.  No package module imports
-`expm`: the engine's own stacked kernel exponentiates every block, and
-scipy's `expm` serves only the tests' dense oracle.  Every defaulted
-parameter of a package function is passed by some call in the package:
-a knob that every caller leaves at its default is a constant."""
+per-site tables of `addressing.site_levels`.  The compiler plans no
+gradients: it compiles under its caller's.  The engine's per-atom basis
+is the register level table, with no level of its own.  No package
+module imports `expm`: the engine's own stacked kernel exponentiates
+every block, and scipy's `expm` serves only the tests' dense oracle.
+Every defaulted parameter of a package function is passed by some call
+in the package: a knob that every caller leaves at its default is a
+constant."""
 
 import ast
 from pathlib import Path
@@ -138,6 +142,17 @@ def test_pulse_path_reads_the_cached_level_tables():
             found |= callers(path.stem, path.read_text(),
                              LEVEL_TABLE_BUILDERS)
     assert found == set()
+
+
+def test_compiler_plans_no_gradients():
+    source = (SRC / "compiler.py").read_text()
+    assert callers("compiler", source, {"plan_gradients"}) == set()
+
+
+def test_engine_basis_is_the_register_level_table():
+    from ybqc.atomic import AtomParams, register_levels
+    from ybqc.engine import NLEV
+    assert NLEV == len(register_levels(AtomParams(), 1e-2).energy_hz)
 
 
 # Defaulted parameters that only callers outside the package pass.
