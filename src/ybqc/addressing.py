@@ -18,7 +18,7 @@ import numpy as np
 
 from .atomic import EP32, GP, AtomParams, RegisterLevels, register_levels
 from .constants import h
-from .errors import ConfigError, PlanningError
+from .errors import ConfigError, PhysicsError, PlanningError
 
 DEFAULT_SAFETY_FACTOR = 10.0
 # Gradient headroom over the linear estimate: covers the residual Zeeman
@@ -62,6 +62,9 @@ class GradientConfig:
     def __post_init__(self):
         if not 0 < self.B0_t < math.inf:
             raise ConfigError("bias field B0 must be finite and positive")
+        if not all(map(math.isfinite, (self.Gx_t_per_m, self.Gy_t_per_m,
+                                       self.Gz_t_per_m))):
+            raise ConfigError("gradients must be finite")
 
 
 @dataclass(frozen=True)
@@ -85,9 +88,13 @@ def site_field(geom: LatticeGeometry, config: GradientConfig, site) -> float:
     """Local field B0 + Gx*x + Gy*y + Gz*z at a lattice site."""
     if not geom.contains(site):
         raise IndexError(f"site {site} outside {geom.n_x}x{geom.n_y}x{geom.n_z} lattice")
-    x, y, z = geom.position_m(site)
-    return float(config.B0_t + config.Gx_t_per_m * x
-                 + config.Gy_t_per_m * y + config.Gz_t_per_m * z)
+    x, y, z = (geom.spacing_m * n for n in site)   # floats: inf, no warning
+    B = float(config.B0_t + config.Gx_t_per_m * x
+              + config.Gy_t_per_m * y + config.Gz_t_per_m * z)
+    if not math.isfinite(B):
+        raise PhysicsError(f"local field at site {site} leaves the "
+                           f"floating-point range")
+    return B
 
 
 @lru_cache(maxsize=64)

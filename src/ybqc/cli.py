@@ -3,29 +3,31 @@
 Subcommands: levels, detunings, ddi, address, plan, simulate, feasibility,
 compile, run.  Exit codes: 0 success, 2 configuration/scenario error,
 3 physics or integrator error.  Stochastic commands require --seed.
+
+Each subcommand reads its flags as scenario keys through
+`scenario.scenario_from_dict`; one named after a pipeline stage prints
+that stage's artifact.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 from pathlib import Path
 
-from .addressing import (GradientConfig, LatticeGeometry, plan_gradients,
-                         validate_gradients)
-from .atomic import (AtomParams, calibrate_hyperfine_A,
-                     three_photon_detunings, zeeman_spectrum)
+from .addressing import validate_gradients
+from .atomic import (calibrate_hyperfine_A, three_photon_detunings,
+                     zeeman_spectrum)
 from .compiler import compile_circuit
 from .constants import GAUSS, CM, mu_B, mu_N
 from .dipole import cnot_shift, ddi_coupling
 from .engine import NoiseParams
 from .errors import ConfigError, PhysicsError
-from .feasibility import build_feasibility_report
-from .scenario import (emit_addressing_spectrum, emit_detuning_curves,
-                       emit_level_sweep, load_atom_params, run_scenario,
-                       result_to_json, schedule_to_json, simulate_circuit)
+from .scenario import (build_stage, resolve_gradients, run_scenario,
+                       scenario_from_dict, schedule_to_json)
 
 EXIT_OK, EXIT_CONFIG, EXIT_PHYSICS = 0, 2, 3
 
@@ -37,69 +39,82 @@ def _write_or_print(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _atom_params(args) -> AtomParams:
-    params = load_atom_params(args.atom_config) if args.atom_config \
-        else AtomParams()
-    if getattr(args, "calibrate", False):
-        params = calibrate_hyperfine_A(params)
-    return params
+def _scenario(args, **data):
+    """The scenario keys `data`, built from the flags, read by the
+    scenario readers; --calibrate then pins the hyperfine constant."""
+    if args.atom_config:
+        data["atom_config"] = args.atom_config
+    scn = scenario_from_dict(data, Path())
+    if args.calibrate:
+        scn = dataclasses.replace(scn,
+                                  params=calibrate_hyperfine_A(scn.params))
+    return scn
 
 
-def _geometry(args) -> LatticeGeometry:
-    return LatticeGeometry(args.nx, args.ny, args.nz, args.spacing_m)
+def _print_stage(args, stage: str, artifact: str, **data) -> int:
+    """Print the `artifact` file of the scenario stage `stage`."""
+    scn = _scenario(args, pipeline=[stage], **data)
+    _write_or_print(build_stage(scn, stage)[artifact], args.out)
+    return EXIT_OK
 
 
-def _add_atom_flags(p):
+def _lattice(args) -> dict:
+    return {"n_x": args.nx, "n_y": args.ny, "n_z": args.nz,
+            "spacing_m": args.spacing_m}
+
+
+def _add_command(sub, name: str, func, help_: str, lattice=None):
+    """A subcommand with the atom flags, --out and, given the (nx, ny)
+    defaults `lattice`, the lattice flags."""
+    p = sub.add_parser(name, help=help_)
+    p.set_defaults(func=func)
     p.add_argument("--atom-config", help="key-value atom parameter file")
     p.add_argument("--calibrate", action="store_true",
                    help="pin the 3P2 hyperfine constant to the 3-photon "
                         "operating point (2 pi x 20 MHz at 650 G)")
-
-
-def _add_lattice_flags(p, nx=10, ny=10):
-    p.add_argument("--nx", type=int, default=nx)
-    p.add_argument("--ny", type=int, default=ny)
-    p.add_argument("--nz", type=int, default=1)
-    p.add_argument("--spacing-m", type=float, default=266e-9)
+    p.add_argument("--out")
+    if lattice:
+        p.add_argument("--nx", type=int, default=lattice[0])
+        p.add_argument("--ny", type=int, default=lattice[1])
+        p.add_argument("--nz", type=int, default=1)
+        p.add_argument("--spacing-m", type=float, default=266e-9)
+    return p
 
 
 # ---------------------------------------------------------------------------
 # command bodies
 
 def cmd_levels(args) -> int:
-    params = _atom_params(args)
     if args.b_max_gauss is not None:
-        text = emit_level_sweep(params, args.b_gauss, args.b_max_gauss,
-                                args.steps)
-    else:
-        spec = zeeman_spectrum(params, args.b_gauss * GAUSS)
-        lines = ["m_F,branch,energy_hz"]
-        for lv in sorted(spec.levels, key=lambda l: l.energy_hz):
-            lines.append(f"{lv.m_F!r},{lv.branch},{lv.energy_hz!r}")
-        text = "\n".join(lines) + "\n"
-    _write_or_print(text, args.out)
+        return _print_stage(args, "levels", "levels.csv", sweep={
+            "b_min_gauss": args.b_gauss, "b_max_gauss": args.b_max_gauss,
+            "steps": args.steps})
+    spec = zeeman_spectrum(_scenario(args).params, args.b_gauss * GAUSS)
+    lines = ["m_F,branch,energy_hz"]
+    for lv in sorted(spec.levels, key=lambda l: l.energy_hz):
+        lines.append(f"{lv.m_F!r},{lv.branch},{lv.energy_hz!r}")
+    _write_or_print("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_detunings(args) -> int:
-    params = _atom_params(args)
-    if args.b_gauss is not None:
-        det = three_photon_detunings(params, args.b_gauss * GAUSS)
-        _write_or_print(json.dumps({
-            "B_gauss": args.b_gauss,
-            "delta1_hz": det.delta1_rad_s / (2 * math.pi),
-            "delta2_hz": det.delta2_rad_s / (2 * math.pi),
-            "omega0_hz": det.omega0_rad_s / (2 * math.pi)},
-            indent=2) + "\n", args.out)
-    else:
-        _write_or_print(emit_detuning_curves(
-            params, args.b_min_gauss, args.b_max_gauss, args.steps),
-            args.out)
+    if args.b_gauss is None:
+        return _print_stage(args, "detunings", "detunings.csv", sweep={
+            "b_min_gauss": args.b_min_gauss, "b_max_gauss": args.b_max_gauss,
+            "steps": args.steps})
+    det = three_photon_detunings(_scenario(args).params,
+                                 args.b_gauss * GAUSS)
+    _write_or_print(json.dumps({
+        "B_gauss": args.b_gauss,
+        "delta1_hz": det.delta1_rad_s / (2 * math.pi),
+        "delta2_hz": det.delta2_rad_s / (2 * math.pi),
+        "omega0_hz": det.omega0_rad_s / (2 * math.pi)},
+        indent=2) + "\n", args.out)
     return EXIT_OK
 
 
 def cmd_ddi(args) -> int:
-    params = _atom_params(args)
+    params = _scenario(args).params
     m1 = args.m1_mub * mu_B + args.m1_mun * mu_N
     m2 = args.m2_mub * mu_B + args.m2_mun * mu_N
     payload = {
@@ -114,29 +129,21 @@ def cmd_ddi(args) -> int:
 
 
 def cmd_address(args) -> int:
-    params = _atom_params(args)
-    geom = _geometry(args)
-    explicit = (args.gx_g_per_cm, args.gy_g_per_cm, args.gz_g_per_cm)
-    if all(g is None for g in explicit):
-        config = plan_gradients(geom, args.target_gap_hz, params,
-                                B0_t=args.b0_gauss * GAUSS)
-    else:   # any explicit gradient: the others are zero, as in a scenario
-        config = GradientConfig(args.b0_gauss * GAUSS,
-                                *((g or 0.0) * GAUSS / CM for g in explicit))
-    report = validate_gradients(geom, config)
-    if not report.unique_ok:
-        raise PhysicsError(
-            f"gradients leave sites degenerate: {report.colliding_pair}")
-    _write_or_print(emit_addressing_spectrum(geom, config, params), args.out)
-    return EXIT_OK
+    gradients = {"B0_gauss": args.b0_gauss,
+                 "target_gap_hz": args.target_gap_hz}
+    for axis in "xyz":
+        g = getattr(args, f"g{axis}_g_per_cm")
+        if g is not None:
+            gradients[f"G{axis}_g_per_cm"] = g
+    return _print_stage(args, "address", "spectrum.csv",
+                        lattice=_lattice(args), gradients=gradients)
 
 
 def cmd_plan(args) -> int:
-    params = _atom_params(args)
-    geom = _geometry(args)
-    config = plan_gradients(geom, args.target_gap_hz, params,
-                            B0_t=args.b0_gauss * GAUSS)
-    report = validate_gradients(geom, config)
+    scn = _scenario(args, lattice=_lattice(args), gradients={
+        "B0_gauss": args.b0_gauss, "target_gap_hz": args.target_gap_hz})
+    config = resolve_gradients(scn)
+    report = validate_gradients(scn.geom, config)
     payload = {
         "B0_gauss": config.B0_t / GAUSS,
         "Gx_g_per_cm": config.Gx_t_per_m * CM / GAUSS,
@@ -151,47 +158,33 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
-def _parse_ones(values):
+def cmd_compile(args) -> int:
+    scn = _scenario(args, lattice=_lattice(args), circuit_file=args.circuit)
+    schedule = compile_circuit(scn.circuit_text, scn.geom, scn.params,
+                               resolve_gradients(scn), scn.noise)
+    _write_or_print(schedule_to_json(schedule) + "\n", args.out)
+    return EXIT_OK
+
+
+def _parse_ones(values) -> list[list[int]]:
     try:
-        return [tuple(int(x) for x in v.split(",")) for v in values or []]
+        return [[int(x) for x in v.split(",")] for v in values or []]
     except ValueError as exc:
         raise ConfigError(f"--one takes integer site coordinates I,J,K "
                           f"({exc})") from None
 
 
-def _circuit_gradients(geom, params) -> GradientConfig:
-    """The circuit commands' gradients: planned for 1 kHz gaps at 100 G."""
-    return plan_gradients(geom, 1000.0, params, B0_t=100 * GAUSS)
-
-
-def cmd_compile(args) -> int:
-    params = _atom_params(args)
-    geom = _geometry(args)
-    schedule = compile_circuit(Path(args.circuit).read_text(), geom, params,
-                               _circuit_gradients(geom, params),
-                               NoiseParams())
-    _write_or_print(schedule_to_json(schedule) + "\n", args.out)
-    return EXIT_OK
-
-
 def cmd_simulate(args) -> int:
-    params = _atom_params(args)
-    geom = _geometry(args)
-    noise = NoiseParams.off() if args.noise_off else NoiseParams()
-    schedule, result = simulate_circuit(
-        Path(args.circuit).read_text(), geom, params,
-        _circuit_gradients(geom, params), noise, seed=args.seed,
+    noise = dataclasses.asdict(NoiseParams.off()) if args.noise_off else {}
+    return _print_stage(
+        args, "simulate", "result.json", lattice=_lattice(args),
+        circuit_file=args.circuit, seed=args.seed, noise=noise,
         initial_ones=_parse_ones(args.one), dipole_scale=args.dipole_scale)
-    _write_or_print(result_to_json(schedule, result) + "\n", args.out)
-    return EXIT_OK
 
 
 def cmd_feasibility(args) -> int:
-    params = _atom_params(args)
-    report = build_feasibility_report(params, LatticeGeometry(),
-                                      args.depth_recoils)
-    _write_or_print(report.to_json() + "\n", args.out)
-    return EXIT_OK
+    return _print_stage(args, "feasibility", "feasibility.json",
+                        depth_recoils=args.depth_recoils)
 
 
 def cmd_run(args) -> int:
@@ -210,28 +203,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "register.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("levels", help="3P2 Zeeman spectrum (CSV)")
-    _add_atom_flags(p)
+    p = _add_command(sub, "levels", cmd_levels, "3P2 Zeeman spectrum (CSV)")
     p.add_argument("--b-gauss", type=float, default=100.0)
     p.add_argument("--b-max-gauss", type=float,
                    help="sweep upper bound; --b-gauss becomes the lower")
-    p.add_argument("--steps", type=int, default=200)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_levels)
+    p.add_argument("--steps", type=int, default=200,
+                   help="sweep fields, at most 400")
 
-    p = sub.add_parser("detunings",
-                       help="3-photon ladder detunings (JSON or CSV sweep)")
-    _add_atom_flags(p)
+    p = _add_command(sub, "detunings", cmd_detunings,
+                     "3-photon ladder detunings (JSON or CSV sweep)")
     p.add_argument("--b-gauss", type=float,
                    help="single field point (JSON output)")
     p.add_argument("--b-min-gauss", type=float, default=10.0)
     p.add_argument("--b-max-gauss", type=float, default=20000.0)
     p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_detunings)
 
-    p = sub.add_parser("ddi", help="dipole-dipole coupling (JSON)")
-    _add_atom_flags(p)
+    p = _add_command(sub, "ddi", cmd_ddi, "dipole-dipole coupling (JSON)")
     p.add_argument("--spacing-m", type=float, default=266e-9)
     p.add_argument("--theta-rad", type=float, default=0.0)
     p.add_argument("--m1-mub", type=float, default=0.0,
@@ -240,42 +227,27 @@ def build_parser() -> argparse.ArgumentParser:
                    help="moment 1, nuclear-magneton part")
     p.add_argument("--m2-mub", type=float, default=0.0)
     p.add_argument("--m2-mun", type=float, default=0.0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_ddi)
 
-    p = sub.add_parser("address",
-                       help="per-site resonance spectrum (spectrum.csv)")
-    _add_atom_flags(p)
-    _add_lattice_flags(p)
+    p = _add_command(sub, "address", cmd_address,
+                     "per-site resonance spectrum (spectrum.csv)", (10, 10))
     p.add_argument("--b0-gauss", type=float, default=100.0)
     p.add_argument("--gx-g-per-cm", type=float)
     p.add_argument("--gy-g-per-cm", type=float)
     p.add_argument("--gz-g-per-cm", type=float)
     p.add_argument("--target-gap-hz", type=float, default=1000.0,
                    help="used when no explicit gradients are given")
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_address)
 
-    p = sub.add_parser("plan", help="minimal gradients for a target gap")
-    _add_atom_flags(p)
-    _add_lattice_flags(p)
+    p = _add_command(sub, "plan", cmd_plan,
+                     "minimal gradients for a target gap", (10, 10))
     p.add_argument("--b0-gauss", type=float, default=100.0)
     p.add_argument("--target-gap-hz", type=float, default=1000.0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_plan)
 
-    p = sub.add_parser("compile",
-                       help="compile a circuit file to a pulse schedule")
-    _add_atom_flags(p)
-    _add_lattice_flags(p, nx=2, ny=2)
+    p = _add_command(sub, "compile", cmd_compile,
+                     "compile a circuit file to a pulse schedule", (2, 2))
     p.add_argument("--circuit", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_compile)
 
-    p = sub.add_parser("simulate",
-                       help="compile and simulate a circuit file")
-    _add_atom_flags(p)
-    _add_lattice_flags(p, nx=2, ny=2)
+    p = _add_command(sub, "simulate", cmd_simulate,
+                     "compile and simulate a circuit file", (2, 2))
     p.add_argument("--circuit", required=True)
     p.add_argument("--seed", type=int, required=True,
                    help="rng seed (mandatory: runs are reproducible)")
@@ -283,15 +255,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help="site starting in logical 1 (repeatable)")
     p.add_argument("--noise-off", action="store_true")
     p.add_argument("--dipole-scale", type=float, default=1.0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("feasibility",
-                       help="experimental-parameter checks (JSON)")
-    _add_atom_flags(p)
+    p = _add_command(sub, "feasibility", cmd_feasibility,
+                     "experimental-parameter checks (JSON)")
     p.add_argument("--depth-recoils", type=float, default=50.0)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_feasibility)
 
     p = sub.add_parser("run", help="execute a scenario file")
     p.add_argument("scenario")

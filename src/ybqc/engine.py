@@ -76,10 +76,12 @@ class NoiseParams:
     detection_scatter_rate_hz: float = 8e6
 
     def __post_init__(self):
-        if self.lifetime_3P2_s <= 0 and not math.isinf(self.lifetime_3P2_s):
+        if not self.lifetime_3P2_s > 0:     # +inf: 3P2 never decays
             raise ConfigError("3P2 lifetime must be positive")
-        if self.photon_scattering_rate_hz < 0:
-            raise ConfigError("scattering rate must be >= 0")
+        for name in ("photon_scattering_rate_hz", "detection_time_s",
+                     "detection_scatter_rate_hz"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and >= 0")
         if not 0 <= self.branching_1P1_to_3D <= 1:
             raise ConfigError("branching ratio must lie in [0, 1]")
 

@@ -64,9 +64,11 @@ def lowest_band_width_recoils(depth_recoils: float) -> float:
         ks = np.arange(-FOURIER_ORDER, FOURIER_ORDER + 1)
         diag = (2 * ks + q) ** 2 + s / 2
         off = -s / 4 * np.ones(len(diag) - 1)
-        vals = eigh_tridiagonal(diag, off, select="i",
-                                select_range=(0, 0))[0]
-        return vals[0]
+        try:
+            return eigh_tridiagonal(diag, off, select="i",
+                                    select_range=(0, 0))[0][0]
+        except np.linalg.LinAlgError:
+            raise PhysicsError(f"no lowest band at {s!r} recoils") from None
 
     return abs(band_energy(1.0) - band_energy(0.0))
 

@@ -55,7 +55,7 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
     The pi time is the argmax of the a->d population on a grid over 1.5
     predicted pi times, refined by a parabola through its neighbours.
     Between 20 G and 1.5 T, at Rabi frequencies of 0.5 % to 30 % of
-    min(|Delta1|, |Delta2|), the pi time is 0.997 to 1.071 of the
+    min(|Delta1|, |Delta2|), the pi time is 0.995 to 1.071 of the
     prediction, so the grid holds one maximum of the a->d envelope: the
     next one lies near 3 pi times.
     """

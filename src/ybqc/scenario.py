@@ -6,7 +6,10 @@ its parameters.  Every numeric key carries an explicit unit suffix so
 unit errors fail loudly at load time.  All artifacts are computed in
 memory first and written together with a manifest of SHA-256 content
 hashes, so a failing pipeline leaves no partial outputs and reruns are
-byte-identical.
+byte-identical.  `scenario_from_dict` reads the parsed object; the CLI
+builds one from its flags.  Unknown keys, wrong types and missing units
+raise ScenarioError, out-of-range values the parameter classes'
+ConfigError.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .atomic import AtomParams, three_photon_detunings, zeeman_spectrum
 from .compiler import compile_circuit, execute_schedule
 from .constants import GAUSS, CM
 from .engine import NoiseParams, PulseSchedule, RegisterState, GM, GP
-from .errors import ConfigError, ScenarioError
+from .errors import ConfigError, PhysicsError, ScenarioError
 from .feasibility import build_feasibility_report
 
 PIPELINE_STAGES = ("feasibility", "detunings", "levels", "address",
@@ -39,6 +42,9 @@ _UNITLESS_OK = {"n_x", "n_y", "n_z", "steps", "seed", "safety_factor",
                 "branching_1P1_to_3D", "dipole_scale"}
 _UNIT_SUFFIXES = ("_hz", "_rad_s", "_s", "_m", "_kg", "_t", "_t_per_m",
                   "_gauss", "_g_per_cm", "_uk")
+# Fields of a level sweep at most: each field writes all ten 3P2 levels,
+# so the cap bounds a sweep's CSV at 4000 rows.
+LEVEL_SWEEP_MAX_STEPS = 400
 # Six sites cost minutes and gigabytes: off-resonant transfer residues
 # keep every spectator's 3-photon ladder group live, so blocks reach 4^6.
 MAX_ACTIVE_SITES = 5
@@ -90,10 +96,7 @@ def _params_from_dict(cls, section: str, data: dict):
         if not (number or isinstance(fields[key].default, bool)):
             raise ScenarioError(f"scenario key '{section}.{key}' must be a "
                                 f"number, got {value!r}")
-    try:
-        return cls(**data)
-    except ConfigError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return cls(**data)
 
 
 # ---------------------------------------------------------------------------
@@ -151,13 +154,15 @@ def emit_detuning_curves(params: AtomParams, b_min_gauss: float,
 
 def emit_level_sweep(params: AtomParams, b_min_gauss: float,
                      b_max_gauss: float, steps: int) -> str:
-    """CSV of all 3P2 Zeeman level energies over a field range."""
+    """CSV of all 3P2 Zeeman level energies at min(steps,
+    LEVEL_SWEEP_MAX_STEPS) fields over a field range."""
     if not 0 <= b_min_gauss < b_max_gauss < math.inf:
         raise ConfigError("field range requires 0 <= B_min < B_max < inf")
     if steps < 2:
         raise ConfigError("a sweep needs at least 2 steps")
     lines = ["B_gauss,m_F,branch,energy_hz"]
-    for b in np.linspace(b_min_gauss, b_max_gauss, steps):
+    for b in np.linspace(b_min_gauss, b_max_gauss,
+                         min(steps, LEVEL_SWEEP_MAX_STEPS)):
         spec = zeeman_spectrum(params, float(b) * GAUSS)
         for lv in spec.levels:
             lines.append(f"{float(b)!r},{lv.m_F!r},{lv.branch},"
@@ -235,6 +240,12 @@ def load_scenario(path) -> Scenario:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path}: invalid JSON: {exc}")
+    return scenario_from_dict(data, path.parent)
+
+
+def scenario_from_dict(data, base_dir: Path) -> Scenario:
+    """The scenario of a parsed JSON object; its file keys are paths
+    relative to `base_dir`."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario root must be a JSON object")
 
@@ -253,7 +264,7 @@ def load_scenario(path) -> Scenario:
     if "atom" in data and "atom_config" in data:
         raise ScenarioError("give either 'atom' or 'atom_config', not both")
     if "atom_config" in data:
-        cfg_path = _path(path.parent, data, "atom_config")
+        cfg_path = _path(base_dir, data, "atom_config")
         if not cfg_path.is_file():
             raise ScenarioError(f"atom_config file {cfg_path} does not exist")
         params = load_atom_params(cfg_path)
@@ -262,14 +273,11 @@ def load_scenario(path) -> Scenario:
 
     lat = data.get("lattice", {})
     _known_fields("lattice", lat, {"n_x", "n_y", "n_z", "spacing_m"})
-    try:
-        geom = LatticeGeometry(
-            _read(int, "lattice.n_x", lat.get("n_x", 10)),
-            _read(int, "lattice.n_y", lat.get("n_y", 10)),
-            _read(int, "lattice.n_z", lat.get("n_z", 1)),
-            _read(float, "lattice.spacing_m", lat.get("spacing_m", 266e-9)))
-    except ConfigError as exc:
-        raise ScenarioError(str(exc)) from exc
+    geom = LatticeGeometry(
+        _read(int, "lattice.n_x", lat.get("n_x", 10)),
+        _read(int, "lattice.n_y", lat.get("n_y", 10)),
+        _read(int, "lattice.n_z", lat.get("n_z", 1)),
+        _read(float, "lattice.spacing_m", lat.get("spacing_m", 266e-9)))
 
     grad = data.get("gradients", {})
     _known_fields("gradients", grad,
@@ -279,21 +287,18 @@ def load_scenario(path) -> Scenario:
          for key, value in grad.items()}
     target_gap_hz = None if any(k.startswith("G") for k in g) \
         else g.get("target_gap_hz", 1000.0)
-    try:
-        gradients = GradientConfig(
-            g.get("B0_gauss", 100.0) * GAUSS,
-            g.get("Gx_g_per_cm", 0.0) * GAUSS / CM,
-            g.get("Gy_g_per_cm", 0.0) * GAUSS / CM,
-            g.get("Gz_g_per_cm", 0.0) * GAUSS / CM,
-            g.get("safety_factor", 10.0))
-    except ConfigError as exc:
-        raise ScenarioError(str(exc)) from exc
+    gradients = GradientConfig(
+        g.get("B0_gauss", 100.0) * GAUSS,
+        g.get("Gx_g_per_cm", 0.0) * GAUSS / CM,
+        g.get("Gy_g_per_cm", 0.0) * GAUSS / CM,
+        g.get("Gz_g_per_cm", 0.0) * GAUSS / CM,
+        g.get("safety_factor", 10.0))
 
     noise = _params_from_dict(NoiseParams, "noise", data.get("noise", {}))
 
     circuit_text = None
     if "circuit_file" in data:
-        cpath = _path(path.parent, data, "circuit_file")
+        cpath = _path(base_dir, data, "circuit_file")
         if not cpath.is_file():
             raise ScenarioError(f"circuit file {cpath} does not exist")
         circuit_text = cpath.read_text()
@@ -303,10 +308,13 @@ def load_scenario(path) -> Scenario:
 
     ones = data.get("initial_ones", [])
     if not (isinstance(ones, list)
-            and all(isinstance(s, list) and len(s) == 3 for s in ones)):
+            and all(isinstance(s, list) for s in ones)):
         raise ScenarioError("initial_ones entries must be [i, j, k]")
     ones = tuple(tuple(_read(int, "initial_ones", v) for v in s)
                  for s in ones)
+    for site in ones:
+        if len(site) != 3:
+            raise ScenarioError(f"initial one {site} must be [i, j, k]")
 
     sweep = data.get("sweep", {})
     _known_fields("sweep", sweep, {"b_min_gauss", "b_max_gauss", "steps"})
@@ -320,13 +328,14 @@ def load_scenario(path) -> Scenario:
         _read(int, "sweep.steps", sweep.get("steps", 2000)),
         _read(float, "depth_recoils", data.get("depth_recoils", 50.0)),
         _read(float, "dipole_scale", data.get("dipole_scale", 1.0)),
-        _path(path.parent, data, "output_dir", "out"))
+        _path(base_dir, data, "output_dir", "out"))
 
 
 # ---------------------------------------------------------------------------
 # pipeline
 
-def _resolve_gradients(scn: Scenario) -> GradientConfig:
+def resolve_gradients(scn: Scenario) -> GradientConfig:
+    """The scenario's gradients: as given, or planned for its target gap."""
     if scn.target_gap_hz is None:
         return scn.gradients
     return plan_gradients(scn.geom, scn.target_gap_hz, scn.params,
@@ -377,40 +386,47 @@ def result_to_json(schedule: PulseSchedule, result) -> str:
     return json.dumps(payload, indent=2)
 
 
+def build_stage(scn: Scenario, stage: str) -> dict[str, str]:
+    """Run one pipeline stage; return its {filename: content} without
+    touching the filesystem."""
+    if stage == "feasibility":
+        rep = build_feasibility_report(scn.params, scn.geom,
+                                       scn.depth_recoils)
+        return {"feasibility.json": rep.to_json() + "\n"}
+    if stage == "detunings":
+        return {"detunings.csv": emit_detuning_curves(
+            scn.params, scn.sweep_min_gauss, scn.sweep_max_gauss,
+            scn.sweep_steps)}
+    if stage == "levels":
+        return {"levels.csv": emit_level_sweep(
+            scn.params, scn.sweep_min_gauss, scn.sweep_max_gauss,
+            scn.sweep_steps)}
+    if stage == "address":
+        config = resolve_gradients(scn)
+        report = validate_gradients(scn.geom, config)
+        if not report.unique_ok:
+            raise PhysicsError(f"gradients leave sites degenerate: "
+                               f"{report.colliding_pair}")
+        return {"spectrum.csv": emit_addressing_spectrum(scn.geom, config,
+                                                         scn.params),
+                "addressing_report.json": json.dumps({
+                    "eq1_ok": report.eq1_ok, "unique_ok": report.unique_ok,
+                    "min_field_diff_t": report.min_field_diff_t,
+                    "bias_ok": report.bias_ok,
+                    "field_range_t": report.field_range_t}, indent=2) + "\n"}
+    schedule, result = simulate_circuit(      # the "simulate" stage
+        scn.circuit_text, scn.geom, scn.params, resolve_gradients(scn),
+        scn.noise, scn.seed, scn.initial_ones, scn.dipole_scale)
+    return {"schedule.json": schedule_to_json(schedule) + "\n",
+            "result.json": result_to_json(schedule, result) + "\n"}
+
+
 def build_artifacts(scn: Scenario) -> dict[str, str]:
     """Run every pipeline stage; return {filename: content} without
     touching the filesystem."""
     artifacts: dict[str, str] = {}
     for stage in scn.pipeline:
-        if stage == "feasibility":
-            rep = build_feasibility_report(scn.params, scn.geom,
-                                           scn.depth_recoils)
-            artifacts["feasibility.json"] = rep.to_json() + "\n"
-        elif stage == "detunings":
-            artifacts["detunings.csv"] = emit_detuning_curves(
-                scn.params, scn.sweep_min_gauss, scn.sweep_max_gauss,
-                scn.sweep_steps)
-        elif stage == "levels":
-            artifacts["levels.csv"] = emit_level_sweep(
-                scn.params, scn.sweep_min_gauss, scn.sweep_max_gauss,
-                min(scn.sweep_steps, 400))
-        elif stage == "address":
-            config = _resolve_gradients(scn)
-            artifacts["spectrum.csv"] = emit_addressing_spectrum(
-                scn.geom, config, scn.params)
-            report = validate_gradients(scn.geom, config)
-            artifacts["addressing_report.json"] = json.dumps({
-                "eq1_ok": report.eq1_ok, "unique_ok": report.unique_ok,
-                "min_field_diff_t": report.min_field_diff_t,
-                "bias_ok": report.bias_ok,
-                "field_range_t": report.field_range_t}, indent=2) + "\n"
-        elif stage == "simulate":
-            schedule, result = simulate_circuit(
-                scn.circuit_text, scn.geom, scn.params,
-                _resolve_gradients(scn), scn.noise, scn.seed,
-                scn.initial_ones, scn.dipole_scale)
-            artifacts["schedule.json"] = schedule_to_json(schedule) + "\n"
-            artifacts["result.json"] = result_to_json(schedule, result) + "\n"
+        artifacts.update(build_stage(scn, stage))
     return artifacts
 
 

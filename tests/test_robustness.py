@@ -1,12 +1,16 @@
 """Bad inputs end in exit code 2 or 3 with a one-line message, never a
 traceback: off-lattice circuit sites, missing files and malformed flags,
-malformed scenario values, atom constants that overflow, and a property
-test fuzzing the value type of every scenario key."""
+malformed scenario values, atom constants that overflow, noise
+parameters out of range, and property tests fuzzing the value type of
+every scenario key and the values of the CLI flags."""
 
+import io
 import json
 import math
+import re
 import tempfile
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -20,7 +24,7 @@ from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.constants import CM, GAUSS
 from ybqc.engine import GM, NoiseParams, RegisterState, apply_segment
 from ybqc.errors import ConfigError, PlanningError
-from ybqc.scenario import run_scenario
+from ybqc.scenario import load_scenario, run_scenario
 
 
 def _scenario(tmp_path, **data):
@@ -227,6 +231,30 @@ def test_circuit_sites_sharing_one_field_exit_3(tmp_path, capsys):
                         GradientConfig(100 * GAUSS), NoiseParams())
 
 
+@pytest.mark.parametrize("noise", [
+    {"lifetime_3P2_s": -math.inf},
+    {"lifetime_3P2_s": math.nan},
+    {"photon_scattering_rate_hz": math.nan},
+    {"detection_time_s": math.nan},
+    {"detection_scatter_rate_hz": -1.0},
+    {"detection_scatter_rate_hz": math.nan},
+], ids=lambda noise: "=".join(map(str, *noise.items())))
+def test_out_of_range_noise_exits_2_at_load(tmp_path, capsys, noise):
+    (name, value), = noise.items()
+    (tmp_path / "c.txt").write_text("X 0 0 1.0\nMEAS 0 0\n")
+    scn = _scenario(tmp_path, pipeline=["simulate"],
+                    lattice={"n_x": 1, "n_y": 1, "n_z": 1},
+                    circuit_file="c.txt", seed=1, noise=noise)
+    with pytest.raises(ConfigError):
+        load_scenario(scn)
+    assert cli_main(["run", scn]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ConfigError):
+        NoiseParams(**{name: value})
+
+
 @pytest.mark.parametrize("data", [
     {"lattice": {"n_x": "abc"}},
     {"seed": "x"},
@@ -364,3 +392,61 @@ SIGNED_DECADES = st.integers(-308, 308).flatmap(
 def test_fuzzed_zeeman_constants_exit_0_2_or_3(atom, stage, steps):
     _run_and_check_csv({"pipeline": [stage], "atom": atom,
                         "sweep": {"steps": steps}})
+
+
+# ---------------------------------------------------------------------------
+# fuzzed CLI flags: the flags reach the scenario readers and stage bodies
+
+VALUE = st.sampled_from(["nan", "inf", "-inf", "-1", "-2.5", "0", "1e-300",
+                         "650", str(10 ** 30), "1e308"])
+# lattices of at most 3x3 and sweeps of at most 5 fields keep it cheap
+COUNT = st.sampled_from(["-1", "0", "1", "2", "3"])
+STEPS = st.sampled_from(["-1", "0", "1", "2", "5"])
+LATTICE = {"--nz": COUNT, "--spacing-m": VALUE}
+COMMANDS = {
+    "levels": ({"--steps": STEPS},
+               {"--b-gauss": VALUE, "--b-max-gauss": VALUE}),
+    "detunings": ({"--steps": STEPS},
+                  {"--b-gauss": VALUE, "--b-min-gauss": VALUE,
+                   "--b-max-gauss": VALUE}),
+    "address": ({"--nx": COUNT, "--ny": COUNT},
+                LATTICE | {"--b0-gauss": VALUE, "--gx-g-per-cm": VALUE,
+                           "--gy-g-per-cm": VALUE, "--gz-g-per-cm": VALUE,
+                           "--target-gap-hz": VALUE}),
+    "plan": ({"--nx": COUNT, "--ny": COUNT},
+             LATTICE | {"--b0-gauss": VALUE, "--target-gap-hz": VALUE}),
+    "feasibility": ({}, {"--depth-recoils": VALUE}),
+}
+
+
+@st.composite
+def cli_argv(draw):
+    """argv of one subcommand: its bounding flags, some of its others
+    and maybe --calibrate, each as --flag=value so "-inf" stays a value."""
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    required, optional = COMMANDS[command]
+    names = sorted(required) + draw(st.lists(
+        st.sampled_from(sorted(optional)), unique=True, max_size=3))
+    flags = required | optional
+    argv = [command] + [f"{name}={draw(flags[name])}" for name in names]
+    return argv + ["--calibrate"] * draw(st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=cli_argv())
+def test_fuzzed_cli_flags_exit_0_2_or_3(argv):
+    out, err = io.StringIO(), io.StringIO()
+    usage = False
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:     # argparse rejects the value itself
+            code, usage = exc.code, True
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if not usage:
+        assert len(err.getvalue().strip().splitlines()) <= 1
+    if code:
+        assert out.getvalue() == ""
+    else:
+        assert not re.search(r"\b(nan|inf|NaN|Infinity)\b", out.getvalue())

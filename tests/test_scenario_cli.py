@@ -15,7 +15,8 @@ from ybqc.cli import main as cli_main
 from ybqc.compiler import compile_circuit, execute_schedule, parse_circuit
 from ybqc.constants import GAUSS
 from ybqc.engine import GM, NoiseParams, RegisterState
-from ybqc.errors import ConfigError, GeometryError, ScenarioError
+from ybqc.errors import (ConfigError, GeometryError, PhysicsError,
+                         ScenarioError)
 from ybqc.scenario import (atom_params_from_dict, emit_addressing_spectrum,
                            emit_detuning_curves, load_atom_params,
                            load_scenario, parse_keyvalue, run_scenario,
@@ -300,3 +301,94 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     assert abs(payload["coupling_hz"]) == pytest.approx(99.7e-9, rel=0.02)
+
+
+# ---------------------------------------------------------------------------
+# one front end: a subcommand named after a pipeline stage prints the
+# artifact that the stage writes for the same inputs
+
+PARITY = {
+    # both front ends write at most 400 fields of a level sweep
+    "levels-capped": (
+        ["levels", "--b-gauss", "10", "--b-max-gauss", "100", "--steps",
+         "1000"],
+        {"pipeline": ["levels"], "sweep": {"b_min_gauss": 10,
+                                           "b_max_gauss": 100,
+                                           "steps": 1000}},
+        "levels.csv"),
+    "detunings": (
+        ["detunings", "--b-min-gauss", "10", "--b-max-gauss", "2000",
+         "--steps", "30"],
+        {"pipeline": ["detunings"], "sweep": {"b_min_gauss": 10,
+                                              "b_max_gauss": 2000,
+                                              "steps": 30}},
+        "detunings.csv"),
+    "address-planned": (
+        ["address", "--nx", "3", "--ny", "2", "--b0-gauss", "200",
+         "--target-gap-hz", "500"],
+        {"pipeline": ["address"], "lattice": {"n_x": 3, "n_y": 2},
+         "gradients": {"B0_gauss": 200, "target_gap_hz": 500}},
+        "spectrum.csv"),
+    "address-explicit": (
+        ["address", "--nx", "2", "--ny", "2", "--gx-g-per-cm", "3",
+         "--gy-g-per-cm", "7"],
+        {"pipeline": ["address"], "lattice": {"n_x": 2, "n_y": 2},
+         "gradients": {"Gx_g_per_cm": 3, "Gy_g_per_cm": 7}},
+        "spectrum.csv"),
+    # a lone z gradient leaves the z = 0 layer at one field: exit 3 in both
+    "address-degenerate": (
+        ["address", "--nx", "2", "--ny", "1", "--gz-g-per-cm", "50"],
+        {"pipeline": ["address"], "lattice": {"n_x": 2, "n_y": 1},
+         "gradients": {"Gz_g_per_cm": 50}},
+        None),
+    "simulate": (
+        ["simulate", "--circuit", "bell.txt", "--nx", "2", "--ny", "1",
+         "--seed", "5", "--one", "1,0,0", "--dipole-scale", "0.5"],
+        {"pipeline": ["simulate"], "lattice": {"n_x": 2, "n_y": 1},
+         "circuit_file": "bell.txt", "seed": 5, "initial_ones": [[1, 0, 0]],
+         "dipole_scale": 0.5},
+        "result.json"),
+    "simulate-noise-off": (
+        ["simulate", "--circuit", "bell.txt", "--nx", "2", "--ny", "1",
+         "--seed", "5", "--noise-off"],
+        {"pipeline": ["simulate"], "lattice": {"n_x": 2, "n_y": 1},
+         "circuit_file": "bell.txt", "seed": 5,
+         "noise": {"lifetime_3P2_s": math.inf,
+                   "photon_scattering_rate_hz": 0.0,
+                   "branching_1P1_to_3D": 0.0}},
+        "result.json"),
+    "feasibility": (
+        ["feasibility", "--depth-recoils", "30"],
+        {"pipeline": ["feasibility"], "depth_recoils": 30},
+        "feasibility.json"),
+}
+
+
+@pytest.mark.parametrize("argv, data, artifact", PARITY.values(),
+                         ids=PARITY.keys())
+def test_cli_prints_the_scenario_stage_artifact(tmp_path, monkeypatch,
+                                                argv, data, artifact):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bell.txt").write_text(BELL)
+    scn = tmp_path / "scn.json"
+    scn.write_text(json.dumps(dict(data, output_dir="out")))
+    if artifact is None:
+        assert cli_main(argv + ["--out", "cli.out"]) == 3
+        with pytest.raises(PhysicsError, match="degenerate"):
+            run_scenario(scn)
+        assert not (tmp_path / "cli.out").exists()
+        assert not (tmp_path / "out").exists()
+        return
+    assert cli_main(argv + ["--out", "cli.out"]) == 0
+    run_scenario(scn)
+    assert (tmp_path / "cli.out").read_bytes() \
+        == (tmp_path / "out" / artifact).read_bytes()
+
+
+def test_level_sweep_writes_at_most_400_fields(tmp_path):
+    argv, _data, _artifact = PARITY["levels-capped"]
+    out = tmp_path / "levels.csv"
+    assert cli_main(argv + ["--out", str(out)]) == 0
+    fields = {line.split(",")[0]
+              for line in out.read_text().splitlines()[1:]}
+    assert len(fields) == 400

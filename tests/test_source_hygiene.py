@@ -7,7 +7,9 @@ engine, only `compiler.execute_schedule` applies segments, so gates
 reach the engine through one path.  The compiler, the pulse builders and
 the engine build no level table from a bare field: they read the cached
 per-site tables of `addressing.site_levels`.  The compiler plans no
-gradients: it compiles under its caller's.  The engine's per-atom basis
+gradients: it compiles under its caller's.  The CLI constructs no atom,
+lattice, gradient or noise parameters and plans no gradients: the
+scenario readers own those rules.  The engine's per-atom basis
 is the register level table, with no level of its own.  No package
 module imports `expm`: the engine's own stacked kernel exponentiates
 every block, and scipy's `expm` serves only the tests' dense oracle.
@@ -147,6 +149,16 @@ def test_pulse_path_reads_the_cached_level_tables():
 def test_compiler_plans_no_gradients():
     source = (SRC / "compiler.py").read_text()
     assert callers("compiler", source, {"plan_gradients"}) == set()
+
+
+# The scenario readers' rules; the CLI passes them its flags as keys.
+READER_RULES = {"AtomParams", "LatticeGeometry", "GradientConfig",
+                "NoiseParams", "plan_gradients"}
+
+
+def test_cli_leaves_the_input_rules_to_the_scenario_readers():
+    source = (SRC / "cli.py").read_text()
+    assert callers("cli", source, READER_RULES) == set()
 
 
 def test_engine_basis_is_the_register_level_table():
