@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 from scipy.optimize import brentq
 
@@ -42,11 +43,13 @@ GM, GP, EM32, EM12, EP12, EP32 = range(6)
 
 @dataclass(frozen=True)
 class AtomParams:
-    """Static atomic data; every numeric field carries an SI-unit suffix."""
+    """Static atomic data; every numeric field carries an SI-unit suffix.
+    The spins I = 1/2 and J = 2 define the qubit and its gate manifold,
+    so they are constants, not fields."""
 
-    nuclear_spin: float = 0.5
+    nuclear_spin: ClassVar[float] = 0.5
+    electronic_J_3P2: ClassVar[int] = 2
     nuclear_moment_mu_n: float = 0.49367
-    electronic_J_3P2: int = 2
     g_J_3P2: float = 1.5
     hyperfine_A_3P2_hz: float = DEFAULT_HYPERFINE_A_3P2_HZ
     mass_kg: float = 171 * atomic_mass
@@ -55,18 +58,10 @@ class AtomParams:
     wavelength_1S0_3P2_m: float = 507e-9
     wavelength_1S0_1P1_m: float = 399e-9
     wavelength_lattice_m: float = 532e-9
-    # Emulation switch: strictly linear Zeeman shifts (kills the
-    # nonlinearity that generates the 3-photon detunings).
-    linear_zeeman: bool = False
 
     def __post_init__(self):
-        if self.nuclear_spin != 0.5:
-            raise ConfigError("nuclear_spin must be 1/2 for 171Yb")
-        if self.electronic_J_3P2 != 2:
-            raise ConfigError("electronic J must be 2 for the 3P2 state")
-        if self.hyperfine_A_3P2_hz == 0.0 and not self.linear_zeeman:
-            raise ConfigError(
-                "hyperfine A = 0 only makes sense with linear_zeeman=True")
+        if self.hyperfine_A_3P2_hz == 0.0:
+            raise ConfigError("hyperfine A must be nonzero")
         for name in ("mass_kg", "linewidth_1S0_3P2_hz", "lifetime_1P1_s",
                      "wavelength_1S0_3P2_m", "wavelength_1S0_1P1_m",
                      "wavelength_lattice_m"):
@@ -119,17 +114,6 @@ def _block_states(m_F: float, J: float):
     return [(m_F - m_I, m_I) for m_I in (-0.5, +0.5) if abs(m_F - m_I) <= J]
 
 
-def _linear_level(params: AtomParams, m_F: float, F: float,
-                  B: float) -> tuple[float, float]:
-    # Linear emulation: zero-field F energies plus a strictly linear
-    # g_F * m_F Zeeman slope.
-    A = params.hyperfine_A_3P2_hz
-    J, I = params.electronic_J_3P2, params.nuclear_spin
-    E0 = A * (F * (F + 1) - J * (J + 1) - I * (I + 1)) / 2
-    k = lande_g_F(params.g_J_3P2, F, J, I) * m_F * mu_B
-    return E0 + k * B / h, k / h
-
-
 def _check_finite(values, what: str, B: float) -> None:
     if not all(map(math.isfinite, values)):
         raise PhysicsError(
@@ -159,21 +143,14 @@ def zeeman_spectrum(params: AtomParams, B: float) -> ZeemanSpectrum:
 
     # 1x1 blocks: stretched states belong to F=5/2 at zero field, i.e.
     # the 'upper' branch for A>0 and 'lower' for A<0.  In the 2x2 blocks
-    # 'lower' is F=3/2 for A>=0.
+    # 'lower' is F=3/2 for A>0.
     stretched = "upper" if A > 0 else "lower"
-    lower_upper_F = (1.5, 2.5) if A >= 0 else (2.5, 1.5)
     levels = []
     for twice_mF in range(-5, 6, 2):
         m_F = twice_mF / 2
         states = _block_states(m_F, J)
         if len(states) == 1:
-            levels.append(ZeemanLevel(m_F, stretched, *(
-                _linear_level(params, m_F, 2.5, B) if params.linear_zeeman
-                else diagonal(*states[0]))))
-        elif params.linear_zeeman:
-            for branch, F in zip(("lower", "upper"), lower_upper_F):
-                levels.append(ZeemanLevel(
-                    m_F, branch, *_linear_level(params, m_F, F, B)))
+            levels.append(ZeemanLevel(m_F, stretched, *diagonal(*states[0])))
         else:
             # states: (mJ1, -1/2), (mJ2, +1/2) with mJ2 = mJ1 - 1
             (d1, s1), (d2, s2) = (diagonal(*st) for st in states)

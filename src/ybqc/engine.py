@@ -107,7 +107,6 @@ class Pulse:
     duration_s: float
     rabi_rad_s: float = 0.0
     detuning_rad_s: float = 0.0
-    phase_rad: float = 0.0
     target: tuple = ("all",)
     metastable_weight: float = 0.0  # annotation for the decoherence budget
 
@@ -273,14 +272,13 @@ def _laser_frequencies(ref: RegisterLevels, pulse) -> tuple:
 
 def _single_atom_hamiltonian(energy_hz, lasers, pulse) -> np.ndarray:
     """6x6 rotating-frame block (rad/s) for one atom whose register levels
-    sit at `energy_hz` (Hz), driven by `lasers` (rad/s, one per leg)."""
-    hmat = np.zeros((NLEV, NLEV), complex)
-    coupling = pulse.rabi_rad_s / 2 * np.exp(1j * pulse.phase_rad)
+    sit at `energy_hz` (Hz), driven by `lasers` (rad/s, one per leg).
+    Every drive has phase 0, so the block is real symmetric."""
+    hmat = np.zeros((NLEV, NLEV))
     for (lo, up), wL in zip(LEGS[pulse.transition], lasers):
         hmat[up, up] = hmat[lo, lo] \
             + (2 * math.pi * (energy_hz[up] - energy_hz[lo]) - wL)
-        hmat[up, lo] = coupling
-        hmat[lo, up] = np.conj(coupling)
+        hmat[up, lo] = hmat[lo, up] = pulse.rabi_rad_s / 2
     return hmat
 
 

@@ -53,12 +53,22 @@ def recoil_energy_j(params: AtomParams) -> float:
 
 # Plane waves exp(2ikx) with |k| <= FOURIER_ORDER in the band calculation.
 FOURIER_ORDER = 24
+# Depth above which the band width comes from the deep-lattice form: the
+# plane-wave width, a difference of two band energies of about sqrt(s),
+# sinks into rounding noise near 250 recoils.
+DEEP_LATTICE_RECOILS = 200.0
 
 
 def lowest_band_width_recoils(depth_recoils: float) -> float:
     """Lowest-band width of the 1D sinusoidal lattice (Mathieu problem),
-    in recoil units, from a plane-wave diagonalization."""
+    in recoil units: a plane-wave diagonalization up to
+    DEEP_LATTICE_RECOILS, the deep-lattice asymptote
+    16/sqrt(pi) s^(3/4) exp(-2 sqrt(s)) above (0.968 of it at 200
+    recoils)."""
     s = depth_recoils
+    if s > DEEP_LATTICE_RECOILS:
+        return 16 / math.sqrt(math.pi) * s ** 0.75 \
+            * math.exp(-2 * math.sqrt(s))
 
     def band_energy(q):
         ks = np.arange(-FOURIER_ORDER, FOURIER_ORDER + 1)
@@ -112,7 +122,11 @@ def scattering_rate(depth_uk: float, params: AtomParams) -> float:
         raise ConfigError("lattice light must be red of the 1S0-1P1 line")
     gamma = 1 / params.lifetime_1P1_s
     inv_delta_eff = 1 / (w0 - w) + 1 / (w0 + w)
-    return gamma * (u0 / hbar) * inv_delta_eff * (w / w0) ** 3
+    rate = gamma * (u0 / hbar) * inv_delta_eff * (w / w0) ** 3
+    if not math.isfinite(rate):
+        raise PhysicsError(f"lattice scattering rate leaves the "
+                           f"floating-point range at {depth_uk!r} uK")
+    return rate
 
 
 @dataclass(frozen=True)

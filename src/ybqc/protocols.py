@@ -68,7 +68,7 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
     ladder = slice(EM32, EP32 + 1)
     H = _single_atom_hamiltonian(levels.energy_hz,
                                  _laser_frequencies(levels, drive),
-                                 drive)[ladder, ladder].real
+                                 drive)[ladder, ladder]
     w, V = np.linalg.eigh(H)
     c = V[0, :]  # overlap of eigenvectors with the initial state a
 

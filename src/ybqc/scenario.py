@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,7 @@ PIPELINE_STAGES = ("feasibility", "detunings", "levels", "address",
 # Keys whose values are dimensionless counts/fractions and legitimately
 # carry no unit suffix.
 _UNITLESS_OK = {"n_x", "n_y", "n_z", "steps", "seed", "safety_factor",
-                "depth_recoils", "nuclear_spin", "nuclear_moment_mu_n",
-                "electronic_J_3P2", "g_J_3P2", "linear_zeeman",
+                "depth_recoils", "nuclear_moment_mu_n", "g_J_3P2",
                 "branching_1P1_to_3D", "dipole_scale"}
 _UNIT_SUFFIXES = ("_hz", "_rad_s", "_s", "_m", "_kg", "_t", "_t_per_m",
                   "_gauss", "_g_per_cm", "_uk")
@@ -70,13 +69,20 @@ def _known_fields(section: str, data: dict, allowed) -> None:
 
 
 def _read(kind, name: str, value):
-    """kind(value) for the scenario key `name`; a value that does not
-    convert is a ScenarioError naming the key."""
+    """kind(value) for the scenario key `name`; a bool, a value that does
+    not convert, or an int key's value that is not a whole number is a
+    ScenarioError naming the key."""
     try:
-        return kind(value)
+        if isinstance(value, bool):
+            raise TypeError
+        out = kind(value)
     except (TypeError, ValueError, OverflowError):
         raise ScenarioError(f"scenario key '{name}': cannot read {value!r} "
                             f"as {kind.__name__}") from None
+    if kind is int and out != value:
+        raise ScenarioError(f"scenario key '{name}': {value!r} is not a "
+                            "whole number")
+    return out
 
 
 def _path(base: Path, data: dict, key: str, default=None) -> Path:
@@ -87,13 +93,10 @@ def _path(base: Path, data: dict, key: str, default=None) -> Path:
 
 
 def _params_from_dict(cls, section: str, data: dict):
-    """cls(**data) for a parameter dataclass whose non-bool fields take
-    numbers."""
-    fields = cls.__dataclass_fields__
-    _known_fields(section, data, fields)
+    """cls(**data) for a parameter dataclass whose fields take numbers."""
+    _known_fields(section, data, {f.name for f in fields(cls)})
     for key, value in data.items():
-        number = isinstance(value, (int, float)) and not isinstance(value, bool)
-        if not (number or isinstance(fields[key].default, bool)):
+        if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise ScenarioError(f"scenario key '{section}.{key}' must be a "
                                 f"number, got {value!r}")
     return cls(**data)
@@ -113,14 +116,11 @@ def parse_keyvalue(text: str) -> dict:
             raise ScenarioError(f"line {ln}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if val.lower() in ("true", "false"):
-            out[key] = val.lower() == "true"
-        else:
-            try:
-                out[key] = float(val)
-            except ValueError:
-                raise ScenarioError(
-                    f"line {ln}: value for '{key}' is not a number or bool")
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise ScenarioError(
+                f"line {ln}: value for '{key}' is not a number") from None
     return out
 
 
@@ -196,7 +196,7 @@ def schedule_to_json(schedule: PulseSchedule) -> str:
             "duration_s": p.duration_s,
             "rabi_rad_s": p.rabi_rad_s,
             "detuning_rad_s": p.detuning_rad_s,
-            "phase_rad": p.phase_rad,
+            "phase_rad": 0.0,       # every drive has phase 0
             "target": list(p.target[1]) if p.target[0] == "site"
             else list(p.target),
             "target_kind": p.target[0],

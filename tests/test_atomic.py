@@ -85,18 +85,10 @@ SIGNED_A = st.floats(1e9, 1e10).flatmap(
 
 
 @settings(max_examples=60, deadline=None)
-@given(A=SIGNED_A, B=st.floats(0.0, 2.0, exclude_min=True),
-       linear=st.booleans())
-def test_slopes_match_hellmann_feynman_oracle(A, B, linear):
-    params = AtomParams(hyperfine_A_3P2_hz=A, linear_zeeman=linear)
+@given(A=SIGNED_A, B=st.floats(0.0, 2.0, exclude_min=True))
+def test_slopes_match_hellmann_feynman_oracle(A, B):
+    params = AtomParams(hyperfine_A_3P2_hz=A)
     spec = zeeman_spectrum(params, B)
-    if linear:
-        # strictly linear energies: the unit-step difference is the slope
-        step = zeeman_spectrum(params, B + 1.0)
-        for lv, lv1 in zip(spec.levels, step.levels):
-            assert lv.slope_hz_per_t == pytest.approx(
-                lv1.energy_hz - lv.energy_hz, rel=1e-9, abs=1.0)
-        return
     oracle = dense_block_slopes(params, B)
     scale = max(abs(s) for slopes in oracle.values() for s in slopes)
     for m_F, want in oracle.items():
@@ -107,9 +99,9 @@ def test_slopes_match_hellmann_feynman_oracle(A, B, linear):
 
 
 @settings(max_examples=60, deadline=None)
-@given(A=SIGNED_A, B=st.floats(1e-4, 2.0), linear=st.booleans())
-def test_register_moments_match_central_difference(A, B, linear):
-    params = AtomParams(hyperfine_A_3P2_hz=A, linear_zeeman=linear)
+@given(A=SIGNED_A, B=st.floats(1e-4, 2.0))
+def test_register_moments_match_central_difference(A, B):
+    params = AtomParams(hyperfine_A_3P2_hz=A)
     dB = 1e-5
     lo, hi = register_levels(params, B - dB), register_levels(params, B + dB)
     fd = [-h * (e1 - e0) / (2 * dB)
@@ -215,22 +207,6 @@ def test_transition_frequency_and_slope_consistent():
     assert slope * GAUSS == pytest.approx(3.76e6, rel=0.02)
 
 
-@pytest.mark.parametrize("sign", [+1, -1])
-def test_linear_zeeman_stretched_levels_match_exact(sign):
-    # m_F = +/-5/2 exist only in F = 5/2: the linear emulation must give
-    # them the F = 5/2 energy, slope and branch label of the exact spectrum
-    exact = AtomParams(hyperfine_A_3P2_hz=sign * 2.6777e9)
-    linear = AtomParams(hyperfine_A_3P2_hz=sign * 2.6777e9,
-                        linear_zeeman=True)
-    for m_F in (-2.5, 2.5):
-        (want,), (got,) = ([lv for lv in zeeman_spectrum(p, GAUSS).levels
-                            if lv.m_F == m_F] for p in (exact, linear))
-        assert got.branch == want.branch
-        assert got.energy_hz == pytest.approx(want.energy_hz, rel=1e-3)
-        assert got.slope_hz_per_t == pytest.approx(want.slope_hz_per_t,
-                                                   rel=1e-3)
-
-
 def test_detuning_sum_rule():
     # omega_ab + omega_bc + omega_cd = 3 omega0 by construction, so
     # Delta1 + Delta2 = -(omega_bc - omega0)
@@ -242,14 +218,6 @@ def test_detuning_sum_rule():
         w_bc = 2 * math.pi * (E[EP12] - E[EM12])
         assert det.delta1_rad_s + det.delta2_rad_s == pytest.approx(
             -(w_bc - det.omega0_rad_s), abs=1e-3)
-
-
-def test_linear_zeeman_flag_kills_detunings():
-    params = AtomParams(linear_zeeman=True)
-    det = three_photon_detunings(params, 650 * GAUSS)
-    # float cancellation of ~1e10 rad/s level energies leaves urad/s noise
-    assert abs(det.delta1_rad_s) < 1e-3
-    assert abs(det.delta2_rad_s) < 1e-3
 
 
 def test_degenerate_manifold_raises():
@@ -268,11 +236,12 @@ def test_calibration_hits_target():
 
 
 def test_param_validation():
-    with pytest.raises(ConfigError):
+    # I = 1/2 and J = 2 are constants of the atom, not parameters
+    assert (AtomParams.nuclear_spin, AtomParams.electronic_J_3P2) == (0.5, 2)
+    with pytest.raises(TypeError):
         AtomParams(nuclear_spin=1.5)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="nonzero"):
         AtomParams(hyperfine_A_3P2_hz=0.0)
-    AtomParams(hyperfine_A_3P2_hz=0.0, linear_zeeman=True)  # allowed
     with pytest.raises(ConfigError):
         AtomParams(mass_kg=-1.0)
     with pytest.raises(ConfigError):

@@ -13,10 +13,10 @@ from ybqc.compiler import compile_circuit
 from ybqc.engine import (GM, NoiseParams, Pulse, PulseSchedule, PulseSegment,
                          RegisterState, apply_segment)
 from ybqc.errors import ConfigError
-from ybqc.feasibility import (build_feasibility_report, decoherence_budget,
-                              lattice_depth_report, lowest_band_width_recoils,
-                              pi_pulse_intensity, recoil_energy_j,
-                              scattering_rate)
+from ybqc.feasibility import (DEEP_LATTICE_RECOILS, build_feasibility_report,
+                              decoherence_budget, lattice_depth_report,
+                              lowest_band_width_recoils, pi_pulse_intensity,
+                              recoil_energy_j, scattering_rate)
 
 P = AtomParams()
 
@@ -48,18 +48,35 @@ def test_recoil_energy_and_depth():
     assert rep.depth_uk == pytest.approx(10.0, rel=0.15)
 
 
+def deep_lattice_width(s):
+    """4 J / E_r of the deep-lattice tunneling J."""
+    return 16 / math.sqrt(math.pi) * s ** 0.75 * math.exp(-2 * math.sqrt(s))
+
+
 def test_tunneling_against_deep_lattice_asymptote():
     # J/E_r ~ (4/sqrt(pi)) s^(3/4) exp(-2 sqrt(s)) for deep lattices
     for s in (30.0, 50.0):
         width = lowest_band_width_recoils(s)
-        J = width / 4
-        asym = (4 / math.sqrt(math.pi)) * s ** 0.75 * math.exp(
-            -2 * math.sqrt(s))
-        assert J == pytest.approx(asym, rel=0.30)
+        assert width == pytest.approx(deep_lattice_width(s), rel=0.30)
     # free particle: lowest "band" spans a full recoil
     assert lowest_band_width_recoils(0.0) == pytest.approx(1.0, abs=1e-9)
     # monotone suppression with depth
     assert lowest_band_width_recoils(60.0) < lowest_band_width_recoils(40.0)
+
+
+def test_deep_lattice_width_is_the_asymptote():
+    # the plane-wave width is rounding noise at 400 recoils (1.6e-13)
+    assert lowest_band_width_recoils(400.0) \
+        == pytest.approx(deep_lattice_width(400.0), rel=1e-12)
+    assert lowest_band_width_recoils(400.0) < 1e-14
+    # the switch steps by the plane-wave ratio to the asymptote, 0.968
+    below = lowest_band_width_recoils(DEEP_LATTICE_RECOILS)
+    above = lowest_band_width_recoils(math.nextafter(DEEP_LATTICE_RECOILS,
+                                                     math.inf))
+    assert below / above == pytest.approx(0.968, abs=0.002)
+    rep = lattice_depth_report(1e6, P)
+    assert rep.tunneling_rate_hz == 0.0
+    assert f"{rep.hold_survival:.3f}" == "1.000"
 
 
 def test_hold_survival_at_operating_depth():

@@ -102,6 +102,7 @@ def test_cli_file_and_flag_errors_exit_2(tmp_path, monkeypatch, capsys,
     (["ddi", "--spacing-m", "nan"], "separation"),
     (["ddi", "--theta-rad", "nan"], "finite moments and angle"),
     (["ddi", "--m1-mub", "nan"], "finite moments and angle"),
+    (["feasibility", "--depth-recoils", "1e308"], "scattering rate"),
 ])
 def test_cli_non_finite_physics_input_exits_3(capsys, argv, name):
     assert cli_main(argv) == 3
@@ -268,12 +269,57 @@ def test_out_of_range_noise_exits_2_at_load(tmp_path, capsys, noise):
     {"pipeline": "feasibility"},
     {"output_dir": 3},
     {"atom": {"lifetime_3P2_s": 0.001}},    # a noise parameter only
+    {"depth_recoils": True},                # a bool is not a number
+    {"gradients": {"B0_gauss": False}},
 ])
 def test_malformed_scenario_value_exits_2(tmp_path, capsys, data):
     assert cli_main(["run", _scenario(tmp_path, **data)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
+
+
+# (scenario key, the scenario holding value v there, v read back)
+INTEGER_KEYS = [
+    pytest.param("lattice.n_x", lambda v: {"lattice": {"n_x": v}},
+                 lambda scn: scn.geom.n_x, id="lattice.n_x"),
+    pytest.param("seed", lambda v: {"seed": v}, lambda scn: scn.seed,
+                 id="seed"),
+    pytest.param("sweep.steps", lambda v: {"sweep": {"steps": v}},
+                 lambda scn: scn.sweep_steps, id="sweep.steps"),
+    pytest.param("initial_ones", lambda v: {"initial_ones": [[v, 0, 0]]},
+                 lambda scn: scn.initial_ones[0][0], id="initial_ones"),
+]
+
+
+@pytest.mark.parametrize("key, scenario, read_back", INTEGER_KEYS)
+def test_integer_keys_take_whole_numbers_only(tmp_path, capsys, key,
+                                              scenario, read_back):
+    for bad in (2.9, 0.6, True):
+        assert cli_main(["run", _scenario(tmp_path, **scenario(bad))]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+    value = read_back(load_scenario(_scenario(tmp_path, **scenario(2.0))))
+    assert value == 2 and type(value) is int
+
+
+@pytest.mark.parametrize("line", ["linear_zeeman = true",
+                                  "nuclear_spin = 0.5",
+                                  "electronic_J_3P2 = 2"])
+def test_removed_atom_inputs_exit_2_naming_the_key(tmp_path, capsys, line):
+    # the spins are constants and the linear-Zeeman emulation is gone
+    key, _, value = line.partition(" = ")
+    scn = _scenario(tmp_path, atom={key: json.loads(value)})
+    assert cli_main(["run", scn]) == 2
+    err = capsys.readouterr().err
+    assert f"'atom.{key}'" in err and len(err.strip().splitlines()) == 1
+    (tmp_path / "atom.cfg").write_text(line + "\n")
+    assert cli_main(["levels", "--atom-config",
+                     str(tmp_path / "atom.cfg")]) == 2
+    captured = capsys.readouterr()
+    assert key in captured.err and captured.out == ""
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_output_dir_under_a_file_exits_2(tmp_path, capsys):

@@ -90,9 +90,11 @@ def test_simulated_circuit_truth_values():
 
 def test_keyvalue_parsing_and_unknown_key():
     data = parse_keyvalue("hyperfine_A_3P2_hz = 2.6777e9  # comment\n"
-                          "linear_zeeman = false\n")
+                          "g_J_3P2 = 1.5\n")
     params = atom_params_from_dict(data)
     assert params.hyperfine_A_3P2_hz == 2.6777e9
+    with pytest.raises(ScenarioError, match="not a number"):
+        parse_keyvalue("g_J_3P2 = true\n")
     with pytest.raises(ScenarioError) as err:
         atom_params_from_dict({"hyperfine_A_3P2": 1.0})
     assert "hyperfine_A_3P2" in str(err.value)

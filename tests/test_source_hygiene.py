@@ -13,9 +13,9 @@ scenario readers own those rules.  The engine's per-atom basis
 is the register level table, with no level of its own.  No package
 module imports `expm`: the engine's own stacked kernel exponentiates
 every block, and scipy's `expm` serves only the tests' dense oracle.
-Every defaulted parameter of a package function is passed by some call
-in the package: a knob that every caller leaves at its default is a
-constant."""
+Every defaulted parameter of a package function, and every defaulted
+field of a package dataclass, is passed by some call in the package: a
+knob that every caller leaves at its default is a constant."""
 
 import ast
 from pathlib import Path
@@ -169,20 +169,50 @@ def test_engine_basis_is_the_register_level_table():
 
 # Defaulted parameters that only callers outside the package pass.
 KNOB_ALLOWLIST = {"cli.main(argv)"}
+# Parameter dataclasses whose fields reach the constructor as cls(**data)
+# from scenario keys, which no call names.
+FIELD_ALLOWLIST = {"atomic.AtomParams", "engine.NoiseParams"}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def _dataclass_fields(node: ast.ClassDef) -> list[tuple[str, bool]]:
+    """(name, has a default) of each field of a dataclass, in order;
+    ClassVar annotations are not fields."""
+    out = []
+    for stmt in node.body:
+        if isinstance(stmt, ast.AnnAssign) \
+                and isinstance(stmt.target, ast.Name):
+            ann = stmt.annotation
+            ann = ann.value if isinstance(ann, ast.Subscript) else ann
+            if not (isinstance(ann, ast.Name) and ann.id == "ClassVar"):
+                out.append((stmt.target.id, stmt.value is not None))
+    return out
 
 
 def unpassed_knobs(sources: dict[str, str]) -> list[str]:
     """`module.function(parameter)` for every defaulted parameter of a
     function or method in `sources` ({module: source}; dunder methods
-    exempt) that no call in `sources` passes, by keyword or position.
-    Calls match by the called name; a method call binds `self`."""
+    exempt), and `module.Class(field)` for every defaulted field of a
+    dataclass there, that no call in `sources` passes, by keyword or
+    position.  Calls match by the called name; a method call binds
+    `self`."""
     knobs, calls = {}, []
     for module, source in sources.items():
         tree = ast.parse(source)
         methods = {id(f) for c in ast.walk(tree)
                    if isinstance(c, ast.ClassDef) for f in c.body}
         for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef) \
+            if isinstance(node, ast.ClassDef) and _is_dataclass(node):
+                for i, (name, default) in enumerate(_dataclass_fields(node)):
+                    if default:
+                        knobs[f"{module}.{node.name}({name})"] = \
+                            (node.name, name, i)
+            elif isinstance(node, ast.FunctionDef) \
                     and not node.name.startswith("__"):
                 a = node.args
                 pos = a.posonlyargs + a.args
@@ -217,8 +247,17 @@ def test_checker_finds_unpassed_knobs():
     assert unpassed_knobs({"m": source}) == ["m.f(c)", "m.m(z)"]
     assert unpassed_knobs({"m": "def f(a=1):\n    return a\n",
                            "n": "from m import f\nf(a=2)\n"}) == []
+    fields = ("@dataclass(frozen=True)\nclass P:\n    a: int\n"
+              "    b: int = 1\n    c: int = 2\n    k: ClassVar[int] = 3\n"
+              "    d: float = 0.0\n"
+              "@dataclass\nclass Q:\n    e: int = 0\n"
+              "class R:\n    f: int = 0\n"
+              "P(0, 5, d=1.0)\n")
+    assert unpassed_knobs({"m": fields}) == ["m.P(c)", "m.Q(e)"]
 
 
 def test_every_knob_is_passed_inside_the_package():
     sources = {p.stem: p.read_text() for p in SRC.glob("*.py")}
-    assert set(unpassed_knobs(sources)) == KNOB_ALLOWLIST
+    assert {knob for knob in unpassed_knobs(sources)
+            if knob.partition("(")[0] not in FIELD_ALLOWLIST} \
+        == KNOB_ALLOWLIST
