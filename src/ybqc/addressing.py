@@ -16,7 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .atomic import EP32, GP, AtomParams, RegisterLevels, register_levels
+from .atomic import (EP32, GP, AtomParams, RegisterLevels, register_levels,
+                     register_table)
 from .constants import h
 from .errors import ConfigError, PhysicsError, PlanningError
 
@@ -39,9 +40,11 @@ class LatticeGeometry:
         if not 0 < self.spacing_m < math.inf:
             raise ConfigError("lattice spacing must be finite and positive")
 
-    def sites(self):
-        """Sites of the addressed z = 0 layer, row by row."""
-        return [(i, j, 0) for j in range(self.n_y) for i in range(self.n_x)]
+    def sites(self) -> np.ndarray:
+        """Sites of the addressed z = 0 layer, row by row, as an
+        (n_x * n_y, 3) array of lattice indices."""
+        j, i = np.divmod(np.arange(self.n_x * self.n_y), self.n_x)
+        return np.stack((i, j, np.zeros_like(i)), axis=1)
 
     def contains(self, site) -> bool:
         i, j, k = site
@@ -84,17 +87,28 @@ class GradientReport:
     field_range_t: float
 
 
+@np.errstate(over="ignore", invalid="ignore")   # inf and nan raise below
+def site_fields(geom: LatticeGeometry, config: GradientConfig,
+                sites) -> np.ndarray:
+    """Local field B0 + Gx*x + Gy*y + Gz*z at each of `sites`, an
+    (n, 3) array of lattice indices."""
+    sites = np.asarray(sites).reshape(-1, 3)
+    x, y, z = geom.spacing_m * sites.T
+    B = config.B0_t + config.Gx_t_per_m * x + config.Gy_t_per_m * y \
+        + config.Gz_t_per_m * z
+    bad = ~np.isfinite(B)
+    if bad.any():
+        site = tuple(sites[bad][0].tolist())
+        raise PhysicsError(f"local field at site {site} leaves the "
+                           "floating-point range")
+    return B
+
+
 def site_field(geom: LatticeGeometry, config: GradientConfig, site) -> float:
-    """Local field B0 + Gx*x + Gy*y + Gz*z at a lattice site."""
+    """Local field at one lattice site: one entry of `site_fields`."""
     if not geom.contains(site):
         raise IndexError(f"site {site} outside {geom.n_x}x{geom.n_y}x{geom.n_z} lattice")
-    x, y, z = (geom.spacing_m * n for n in site)   # floats: inf, no warning
-    B = float(config.B0_t + config.Gx_t_per_m * x
-              + config.Gy_t_per_m * y + config.Gz_t_per_m * z)
-    if not math.isfinite(B):
-        raise PhysicsError(f"local field at site {site} leaves the "
-                           f"floating-point range")
-    return B
+    return float(site_fields(geom, config, site)[0])
 
 
 @lru_cache(maxsize=64)
@@ -113,42 +127,42 @@ def field_range(geom: LatticeGeometry, config: GradientConfig) -> float:
                              + abs(config.Gz_t_per_m) * (geom.n_z - 1))
 
 
-def _addressed_line(params: AtomParams, B: float) -> tuple[float, float]:
+def _addressed_line(levels: RegisterLevels):
     """Offset (Hz) and field slope (Hz/T) of the addressed transition
-    1S0(m_I=+1/2) <-> 3P2(F=3/2, m_F=+3/2) at field B."""
-    lv = register_levels(params, B)
-    return (lv.energy_hz[EP32] - lv.energy_hz[GP],
-            (lv.moment_j_per_t[GP] - lv.moment_j_per_t[EP32]) / h)
+    1S0(m_I=+1/2) <-> 3P2(F=3/2, m_F=+3/2) of a level table."""
+    return (levels.energy_hz[EP32] - levels.energy_hz[GP],
+            (levels.moment_j_per_t[GP] - levels.moment_j_per_t[EP32]) / h)
 
 
 def resonance_map(geom: LatticeGeometry, config: GradientConfig,
                   params: AtomParams) -> ResonanceMap:
-    """Addressed-line frequency at every site of the addressed z = 0 layer."""
-    entries = {}
-    for site in geom.sites():
-        B = site_field(geom, config, site)
-        entries[site] = (B, _addressed_line(params, B)[0])
-    freqs = [f for _, f in entries.values()]
-    if len(freqs) < 2:
-        min_gap = math.inf
-    else:
-        fs = np.sort(np.asarray(freqs))
-        min_gap = float(np.min(np.diff(fs)))
+    """Addressed-line frequency at every site of the addressed z = 0
+    layer, from one evaluation of the level table over the layer."""
+    sites = geom.sites()
+    fields = site_fields(geom, config, sites)
+    freqs = _addressed_line(register_table(params, fields))[0]
+    entries = dict(zip(map(tuple, sites.tolist()),
+                       zip(fields.tolist(), freqs.tolist())))
+    min_gap = float(np.min(np.diff(np.sort(freqs)))) if freqs.size > 1 \
+        else math.inf
     return ResonanceMap(entries, min_gap)
 
 
-def nearest_fields(geom: LatticeGeometry, config: GradientConfig,
-                   sites) -> tuple[float, tuple | None]:
-    """Smallest local-field difference between two of `sites` (inf for
-    fewer than two) and the first pair whose fields coincide, if any."""
-    fields = sorted((site_field(geom, config, s), s) for s in sites)
-    min_diff, colliding = math.inf, None
-    for (b1, s1), (b2, s2) in zip(fields, fields[1:]):
-        if b2 - b1 < min_diff:
-            min_diff = b2 - b1
-            if min_diff == 0.0:
-                colliding = (s1, s2)
-    return min_diff, colliding
+def nearest_fields(fields: np.ndarray, sites) -> tuple[float, tuple | None]:
+    """Smallest difference between two of `fields` (inf for fewer than
+    two) and the first pair of their `sites` ((n, 3) lattice indices)
+    whose fields coincide, in order of field and then site, if any."""
+    if len(fields) < 2:
+        return math.inf, None
+    sites = np.asarray(sites).reshape(-1, 3)
+    order = np.lexsort((*sites.T[::-1], fields))
+    ordered = fields[order]
+    diffs = ordered[1:] - ordered[:-1]
+    min_diff = float(diffs.min())
+    if min_diff > 0.0:
+        return min_diff, None
+    pair = order[np.argmax(diffs == 0.0):][:2]
+    return 0.0, tuple(map(tuple, sites[pair].tolist()))
 
 
 def validate_gradients(geom: LatticeGeometry,
@@ -156,7 +170,9 @@ def validate_gradients(geom: LatticeGeometry,
     """Check Eq.-style sufficient condition and exact per-site uniqueness
     over the addressed z = 0 layer."""
     eq1_ok = geom.n_x * config.Gx_t_per_m <= config.Gy_t_per_m
-    min_diff, colliding = nearest_fields(geom, config, geom.sites())
+    sites = geom.sites()
+    min_diff, colliding = nearest_fields(site_fields(geom, config, sites),
+                                         sites)
     rng = field_range(geom, config)
     bias_ok = config.B0_t >= config.safety_factor * rng
     return GradientReport(bool(eq1_ok), bool(min_diff > 0.0),
@@ -178,7 +194,7 @@ def plan_gradients(geom: LatticeGeometry, target_gap_hz: float,
     if not 0 < target_gap_hz < math.inf:
         raise PlanningError("target gap must be finite and positive")
     config = GradientConfig(B0_t, safety_factor=safety_factor)  # checks B0
-    slope = abs(_addressed_line(params, B0_t)[1])
+    slope = abs(_addressed_line(register_levels(params, B0_t))[1])
     if not 0 < slope < math.inf:
         raise PlanningError("addressed transition has no field slope at B0")
     g_unit = PLAN_HEADROOM * target_gap_hz / (slope * geom.spacing_m)

@@ -14,6 +14,10 @@ Conventions
   g_I = moment / (mu_N * I).  m_F = m_J + m_I is conserved, so the 10x10
   problem splits into 1x1 blocks (|m_F| = 5/2) and 2x2 blocks solved in
   closed form.
+* One array kernel, `zeeman_table`, evaluates all ten levels at every
+  field of an array B; `register_table` and the elementwise
+  `ladder_detunings` build on it, and the one-field `zeeman_spectrum`
+  and `register_levels` are float views of one of its columns.
 * Branch label: 'lower'/'upper' by energy within each m_F block.  The 2x2
   blocks have a field-independent off-diagonal element, so the ordering is
   an avoided crossing and the label is adiabatically stable at all B.
@@ -26,6 +30,7 @@ import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
+import numpy as np
 from scipy.optimize import brentq
 
 from .constants import atomic_mass, h, mu_B, mu_N
@@ -109,67 +114,84 @@ def lande_g_F(g_J: float, F: float, J: float, I: float) -> float:
     return g_J * (F * (F + 1) + J * (J + 1) - I * (I + 1)) / (2 * F * (F + 1))
 
 
-def _block_states(m_F: float, J: float):
-    """(m_J, m_I) product states in the m_F block, ordered by m_I."""
-    return [(m_F - m_I, m_I) for m_I in (-0.5, +0.5) if abs(m_F - m_I) <= J]
-
-
-def _check_finite(values, what: str, B: float) -> None:
-    if not all(map(math.isfinite, values)):
+def _check_finite(values, what: str, B) -> None:
+    """PhysicsError naming the first field of B at which one of `values`
+    (floats, or arrays whose last axis runs over B) is not finite."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = ~finite.reshape(-1, np.size(B)).all(axis=0)
         raise PhysicsError(
-            f"{what} at B = {B:.6g} T leave the float range; check the atom "
-            "constants g_J_3P2, hyperfine_A_3P2_hz and nuclear_moment_mu_n")
+            f"{what} at B = {float(np.ravel(B)[np.argmax(bad)]):.6g} T "
+            "leave the float range; check the atom constants g_J_3P2, "
+            "hyperfine_A_3P2_hz and nuclear_moment_mu_n")
+
+
+# The ten 3P2 states |m_J, m_I> in the diagonal order of `zeeman_table`:
+# the stretched m_F = -5/2, the |m_J, -1/2> and then the |m_J - 1, +1/2>
+# state of each 2x2 block m_F = -3/2 .. +3/2, and the stretched m_F = +5/2
+_BLOCK_MJ = np.array([[-1.0], [0.0], [1.0], [2.0]])
+_STATE_MJ = np.vstack(([-2.0], _BLOCK_MJ, _BLOCK_MJ - 1, [2.0]))
+_STATE_MI = np.repeat([[-0.5], [-0.5], [0.5], [0.5]], [1, 4, 4, 1], axis=0)
+# <m_J - 1, +1/2| J- I+ |m_J, -1/2> of each block, for J = 2
+_BLOCK_OFF = np.sqrt(6.0 - _BLOCK_MJ * (_BLOCK_MJ - 1))
+
+
+def level_labels(params: AtomParams) -> tuple[tuple[float, str], ...]:
+    """(m_F, branch) of each row of `zeeman_table`.  The stretched
+    |m_F| = 5/2 levels belong to F=5/2 at zero field: the 'upper' branch
+    for A > 0 and 'lower' for A < 0.  In the 2x2 blocks 'lower' is F=3/2
+    for A > 0."""
+    stretched = "upper" if params.hyperfine_A_3P2_hz > 0 else "lower"
+    return ((-2.5, stretched),
+            *((m_F, branch) for m_F in (-1.5, -0.5, 0.5, 1.5)
+              for branch in ("lower", "upper")),
+            (2.5, stretched))
+
+
+@np.errstate(all="ignore")      # overflow surfaces as the PhysicsError
+def zeeman_table(params: AtomParams, B) -> np.ndarray:
+    """Energies (Hz) and field slopes (Hz/T) of all 10 levels of the 3P2
+    (I=1/2, J=2) Zeeman+hyperfine problem at every field of the 1-d
+    array B: a (2, 10, len(B)) array, energies then slopes, whose level
+    rows follow `level_labels`.
+
+    The 1x1 blocks are diagonal; each 2x2 block [[d1, off], [off, d2]]
+    is solved in closed form.  Its slope follows from Hellmann-Feynman:
+    off does not depend on B, so
+    dE/dB = (d1' + d2')/2 +/- (d1 - d2)(d1' - d2') / (4 rad).
+    """
+    B = np.asarray(B, dtype=float)
+    ok = (B >= 0) & (B < math.inf)
+    if not ok.all():
+        raise ConfigError(f"B must be finite and >= 0, got "
+                          f"{float(B[~ok][0])!r} T")
+    A = params.hyperfine_A_3P2_hz
+    k = params.g_J_3P2 * mu_B * _STATE_MJ - params.g_I * mu_N * _STATE_MI
+    # <m_J, m_I|H|m_J, m_I> (Hz) and its slope (Hz/T) for the ten states;
+    # the two levels of each 2x2 block then replace its two states
+    out = np.empty((2, 10, B.size))
+    out[0] = A * _STATE_MJ * _STATE_MI + k * B / h
+    out[1] = k / h
+    mean = (out[:, 1:5] + out[:, 5:9]) / 2
+    half = (out[:, 1:5] - out[:, 5:9]) / 2
+    shift = np.empty_like(half)
+    rad = np.hypot(half[0], (A / 2) * _BLOCK_OFF, out=shift[0])
+    # at an exact crossing (off == 0) the branches keep the diagonal
+    # slopes, the smaller one below
+    shift[1] = np.where(rad != 0, half[0] / rad * half[1], abs(half[1]))
+    np.subtract(mean, shift, out=out[:, 1:9:2])
+    np.add(mean, shift, out=out[:, 2:9:2])
+    _check_finite(out, "3P2 Zeeman energies", B)
+    return out
 
 
 def zeeman_spectrum(params: AtomParams, B: float) -> ZeemanSpectrum:
-    """All 10 levels of the 3P2 (I=1/2, J=2) Zeeman+hyperfine problem,
-    with their energies and field slopes in closed form.
-
-    The slope of a 2x2 block [[d1, off], [off, d2]] follows from
-    Hellmann-Feynman: off does not depend on B, so
-    dE/dB = (d1' + d2')/2 +/- (d1 - d2)(d1' - d2') / (4 rad).
-    """
-    if not 0 <= B < math.inf:
-        raise ConfigError(f"B must be finite and >= 0, got {B!r} T")
-    A = params.hyperfine_A_3P2_hz
-    J, I = float(params.electronic_J_3P2), params.nuclear_spin
-    gJ = params.g_J_3P2
-    gI = params.g_I
-
-    def diagonal(mJ, mI):
-        """<mJ, mI|H|mJ, mI> in Hz and its slope in Hz/T."""
-        k = gJ * mu_B * mJ - gI * mu_N * mI
-        return A * mJ * mI + k * B / h, k / h
-
-    # 1x1 blocks: stretched states belong to F=5/2 at zero field, i.e.
-    # the 'upper' branch for A>0 and 'lower' for A<0.  In the 2x2 blocks
-    # 'lower' is F=3/2 for A>0.
-    stretched = "upper" if A > 0 else "lower"
-    levels = []
-    for twice_mF in range(-5, 6, 2):
-        m_F = twice_mF / 2
-        states = _block_states(m_F, J)
-        if len(states) == 1:
-            levels.append(ZeemanLevel(m_F, stretched, *diagonal(*states[0])))
-        else:
-            # states: (mJ1, -1/2), (mJ2, +1/2) with mJ2 = mJ1 - 1
-            (d1, s1), (d2, s2) = (diagonal(*st) for st in states)
-            mJ1 = states[0][0]
-            # <mJ2, +1/2 | (A/2) J- I+ | mJ1, -1/2>
-            off = (A / 2) * math.sqrt(J * (J + 1) - mJ1 * (mJ1 - 1))
-            mean = (d1 + d2) / 2
-            rad = math.hypot((d1 - d2) / 2, off)
-            # at an exact crossing (off == 0) the branches keep the
-            # diagonal slopes, the smaller one below
-            tilt = (d1 - d2) / 2 / rad * (s1 - s2) / 2 if rad \
-                else abs(s1 - s2) / 2
-            slope = (s1 + s2) / 2
-            levels.append(ZeemanLevel(m_F, "lower", mean - rad, slope - tilt))
-            levels.append(ZeemanLevel(m_F, "upper", mean + rad, slope + tilt))
-    _check_finite([x for lv in levels for x in (lv.energy_hz,
-                                                 lv.slope_hz_per_t)],
-                  "3P2 Zeeman energies", B)
-    return ZeemanSpectrum(tuple(levels))
+    """All 10 levels of the 3P2 manifold at field B: one column of
+    `zeeman_table`."""
+    energy, slopes = zeeman_table(params, [B])[:, :, 0].tolist()
+    return ZeemanSpectrum(tuple(
+        ZeemanLevel(m_F, branch, e, s) for (m_F, branch), e, s in
+        zip(level_labels(params), energy, slopes)))
 
 
 def aux_branch(params: AtomParams) -> str:
@@ -181,33 +203,52 @@ def aux_branch(params: AtomParams) -> str:
 class RegisterLevels:
     """Energies (Hz) and z-moments -h dE/dB (J/T) of the register levels,
     indexed GM, GP, EM32, EM12, EP12, EP32: the 1S0 qubit g-, g+ and the
-    3P2 F=3/2 ladder e-3/2 .. e+3/2."""
-    field_t: float
-    energy_hz: tuple[float, ...]
-    moment_j_per_t: tuple[float, ...]
+    3P2 F=3/2 ladder e-3/2 .. e+3/2.  `register_levels` gives one field
+    as floats; `register_table` gives an array of fields, with one
+    column per field."""
+    field_t: float | np.ndarray
+    energy_hz: tuple[float, ...] | np.ndarray
+    moment_j_per_t: tuple[float, ...] | np.ndarray
+
+
+@np.errstate(all="ignore")      # overflow surfaces as the PhysicsError
+def register_table(params: AtomParams, B) -> RegisterLevels:
+    """Closed-form level table of one atom at every field of the 1-d
+    array B: (6, len(B)) energies and moments."""
+    B = np.asarray(B, dtype=float)
+    energy, slopes = zeeman_table(params, B)
+    # rows of the F=3/2 branch, m_F = -3/2 .. +3/2
+    rows = slice(1, 9, 2) if aux_branch(params) == "lower" else slice(2, 9, 2)
+    mu = params.nuclear_moment_j_per_t
+    out = np.empty((2, 6, B.size))
+    np.divide(mu * B, h, out=out[0, GM])
+    np.negative(out[0, GM], out=out[0, GP])
+    out[0, EM32:] = energy[rows]
+    out[1, GM], out[1, GP] = -mu, mu
+    np.multiply(-h, slopes[rows], out=out[1, EM32:])
+    _check_finite(out, "register level energies", B)
+    return RegisterLevels(B, *out)
 
 
 def register_levels(params: AtomParams, B: float) -> RegisterLevels:
-    """Closed-form level table of one atom at field B."""
-    spec = zeeman_spectrum(params, B)
-    excited = [spec.level(m, aux_branch(params))
-               for m in (-1.5, -0.5, 0.5, 1.5)]
-    mu = params.nuclear_moment_j_per_t
-    energy = (mu * B / h, -mu * B / h, *(lv.energy_hz for lv in excited))
-    moment = (-mu, mu, *(-h * lv.slope_hz_per_t for lv in excited))
-    _check_finite(energy + moment, "register level energies", B)
-    return RegisterLevels(B, energy, moment)
+    """Closed-form level table of one atom at field B: one column of
+    `register_table`."""
+    table = register_table(params, [B])
+    return RegisterLevels(B, tuple(table.energy_hz[:, 0].tolist()),
+                          tuple(table.moment_j_per_t[:, 0].tolist()))
 
 
+@np.errstate(all="ignore")      # overflow surfaces as the PhysicsError
 def ladder_detunings(levels: RegisterLevels) -> ThreePhotonDetunings:
-    """Detunings Delta1, Delta2 of the 3-photon ladder of one level table.
+    """Detunings Delta1, Delta2 of the 3-photon ladder of one level
+    table; of a `register_table`, elementwise, as arrays.
 
     The drive frequency omega0 is the 3-photon-resonance choice
     omega0 = (E_d - E_a) / (3 hbar), which makes the a->d oscillation
     resonant by construction.
     """
     B = levels.field_t
-    if B <= 0:
+    if (np.asarray(B) <= 0).any():
         raise DegenerateManifoldError(
             "three-photon detunings are ill-conditioned at B=0 "
             "(degenerate F=3/2 sublevels)")

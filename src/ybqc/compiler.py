@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .addressing import (GradientConfig, LatticeGeometry, nearest_fields,
-                         site_levels)
+                         site_fields, site_levels)
 from .atomic import AtomParams
 from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
                      RegisterState, apply_segment)
@@ -78,7 +78,7 @@ def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
     if outside:
         raise ConfigError(f"circuit site {outside[0][:2]} outside the "
                           f"{geom.n_x}x{geom.n_y} lattice")
-    shared = nearest_fields(geom, config, sites)[1]
+    shared = nearest_fields(site_fields(geom, config, sites), sites)[1]
     if shared:
         raise PlanningError(f"circuit sites {shared[0][:2]} and "
                             f"{shared[1][:2]} share one local field")

@@ -24,7 +24,8 @@ import numpy as np
 
 from .addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                          resonance_map, validate_gradients)
-from .atomic import AtomParams, three_photon_detunings, zeeman_spectrum
+from .atomic import (AtomParams, ladder_detunings, level_labels,
+                     register_table, zeeman_table)
 from .compiler import compile_circuit, execute_schedule
 from .constants import GAUSS, CM
 from .engine import NoiseParams, PulseSchedule, RegisterState, GM, GP
@@ -69,11 +70,11 @@ def _known_fields(section: str, data: dict, allowed) -> None:
 
 
 def _read(kind, name: str, value):
-    """kind(value) for the scenario key `name`; a bool, a value that does
-    not convert, or an int key's value that is not a whole number is a
-    ScenarioError naming the key."""
+    """kind(value) for the scenario key `name`; a bool, a string, a value
+    that does not convert, or an int key's value that is not a whole
+    number is a ScenarioError naming the key."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, str)):
             raise TypeError
         out = kind(value)
     except (TypeError, ValueError, OverflowError):
@@ -144,11 +145,12 @@ def emit_detuning_curves(params: AtomParams, b_min_gauss: float,
         raise ConfigError("field range requires 0 < B_min < B_max < inf")
     if steps < 2:
         raise ConfigError("a sweep needs at least 2 steps")
+    b = np.linspace(b_min_gauss, b_max_gauss, steps)
+    det = ladder_detunings(register_table(params, b * GAUSS))
     lines = ["B_gauss,delta1_hz,delta2_hz"]
-    for b in np.linspace(b_min_gauss, b_max_gauss, steps):
-        det = three_photon_detunings(params, float(b) * GAUSS)
-        lines.append(f"{float(b)!r},{det.delta1_rad_s / (2 * math.pi)!r},"
-                     f"{det.delta2_rad_s / (2 * math.pi)!r}")
+    lines += [f"{bg!r},{d1!r},{d2!r}" for bg, d1, d2 in zip(
+        b.tolist(), (det.delta1_rad_s / (2 * math.pi)).tolist(),
+        (det.delta2_rad_s / (2 * math.pi)).tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -160,13 +162,13 @@ def emit_level_sweep(params: AtomParams, b_min_gauss: float,
         raise ConfigError("field range requires 0 <= B_min < B_max < inf")
     if steps < 2:
         raise ConfigError("a sweep needs at least 2 steps")
+    b = np.linspace(b_min_gauss, b_max_gauss,
+                    min(steps, LEVEL_SWEEP_MAX_STEPS))
+    energy = zeeman_table(params, b * GAUSS)[0]
     lines = ["B_gauss,m_F,branch,energy_hz"]
-    for b in np.linspace(b_min_gauss, b_max_gauss,
-                         min(steps, LEVEL_SWEEP_MAX_STEPS)):
-        spec = zeeman_spectrum(params, float(b) * GAUSS)
-        for lv in spec.levels:
-            lines.append(f"{float(b)!r},{lv.m_F!r},{lv.branch},"
-                         f"{lv.energy_hz!r}")
+    lines += [f"{bg!r},{m_F!r},{branch},{e!r}"
+              for bg, column in zip(b.tolist(), energy.T.tolist())
+              for (m_F, branch), e in zip(level_labels(params), column)]
     return "\n".join(lines) + "\n"
 
 

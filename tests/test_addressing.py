@@ -9,7 +9,7 @@ import pytest
 from ybqc.addressing import (GradientConfig, LatticeGeometry, field_range,
                              plan_gradients, resonance_map, site_field,
                              validate_gradients)
-from ybqc.atomic import AtomParams
+from ybqc.atomic import EP32, GP, AtomParams, register_levels
 from ybqc.constants import CM, GAUSS
 from ybqc.errors import ConfigError, PlanningError
 
@@ -113,6 +113,20 @@ def test_resonance_comb_monotone_and_nearly_uniform():
     assert np.all(gaps > 0)
     # comb is nearly uniform: second differences are tiny vs the gap
     assert np.max(np.abs(np.diff(gaps))) < 1e-3 * np.min(gaps)
+
+
+def test_comb_is_the_per_site_level_tables_bit_for_bit():
+    # one array evaluation over the layer gives, site by site, the field
+    # of site_field and the addressed line of a one-field level table
+    params = AtomParams(hyperfine_A_3P2_hz=-3e9)
+    geom = LatticeGeometry(7, 5, 1)
+    cfg = GradientConfig(80 * GAUSS, 3 * GAUSS / CM, 23 * GAUSS / CM)
+    rmap = resonance_map(geom, cfg, params)
+    assert list(rmap.entries) == [(i, j, 0) for j in range(5)
+                                  for i in range(7)]
+    for site, (B, f) in rmap.entries.items():
+        E = register_levels(params, site_field(geom, cfg, site)).energy_hz
+        assert (B, f) == (site_field(geom, cfg, site), E[EP32] - E[GP])
 
 
 def test_single_site_lattice():

@@ -8,10 +8,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ybqc.atomic import (EM12, EP12, EP32, GM, GP, AtomParams, aux_branch,
-                         calibrate_hyperfine_A, lande_g_F, register_levels,
-                         three_photon_detunings, zeeman_spectrum)
+                         calibrate_hyperfine_A, ladder_detunings, lande_g_F,
+                         level_labels, register_levels, register_table,
+                         three_photon_detunings, zeeman_spectrum,
+                         zeeman_table)
 from ybqc.constants import GAUSS, h, mu_B, mu_N
-from ybqc.errors import ConfigError, DegenerateManifoldError
+from ybqc.errors import ConfigError, DegenerateManifoldError, PhysicsError
 
 
 def dense_hamiltonian(params, B):
@@ -112,15 +114,90 @@ def test_register_moments_match_central_difference(A, B):
 
 def test_exact_crossing_keeps_the_diagonal_slopes():
     # a subnormal A underflows the off-diagonal to 0, so at B = 0 the 2x2
-    # blocks cross exactly; each branch keeps a diagonal slope, the
-    # smaller one below
-    params = AtomParams(hyperfine_A_3P2_hz=5e-324)
-    spec = zeeman_spectrum(params, 0.0)
-    dH = np.diag(dense_hamiltonian(params, 1.0)
-                 - dense_hamiltonian(params, 0.0))
-    for m in (-1.5, -0.5, 0.5, 1.5):
-        got = [spec.level(m, b).slope_hz_per_t for b in ("lower", "upper")]
-        assert got == pytest.approx(sorted(dH[DENSE_M_F == m]), rel=1e-12)
+    # blocks cross exactly (rad == 0): each branch keeps a diagonal
+    # slope, mean -/+ |s1 - s2|/2, the smaller one below, whichever sign
+    # s1 - s2 takes.  At 1 mT the same kernel call takes the rad != 0
+    # branch.
+    for g_J in (1.5, -1.5):
+        params = AtomParams(g_J_3P2=g_J, hyperfine_A_3P2_hz=5e-324)
+        energy, slopes = zeeman_table(params, [0.0, 1e-3])
+        assert list(energy[1:9:2, 0]) == list(energy[2:9:2, 0])  # rad == 0
+        assert np.all(energy[1:9:2, 1] < energy[2:9:2, 1])
+        spec = zeeman_spectrum(params, 0.0)
+        dH = np.diag(dense_hamiltonian(params, 1.0)
+                     - dense_hamiltonian(params, 0.0))
+        for row, m in zip(range(1, 9, 2), (-1.5, -0.5, 0.5, 1.5)):
+            s1, s2 = dH[DENSE_M_F == m]
+            want = [(s1 + s2) / 2 - abs(s1 - s2) / 2,
+                    (s1 + s2) / 2 + abs(s1 - s2) / 2]
+            got = list(slopes[row:row + 2, 0])
+            assert got == pytest.approx(want, rel=1e-12)
+            assert [spec.level(m, b).slope_hz_per_t
+                    for b in ("lower", "upper")] == got
+            assert list(slopes[row:row + 2, 1]) == pytest.approx(
+                dense_block_slopes(params, 1e-3)[m], rel=1e-12)
+
+
+# random atoms: signed A, and g_J and nuclear moments around 171Yb's
+ATOMS = st.builds(AtomParams, hyperfine_A_3P2_hz=SIGNED_A,
+                  g_J_3P2=st.floats(0.5, 3.0),
+                  nuclear_moment_mu_n=st.floats(-2.0, 2.0))
+# arrays of fields that always hold B = 0
+FIELDS = st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8).map(
+    lambda b: np.array([0.0, *b]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=ATOMS, B=FIELDS)
+def test_kernel_matches_dense_eigensolver_at_every_field(params, B):
+    energy, _ = zeeman_table(params, B)
+    assert energy.shape == (10, len(B))
+    for col, b in zip(energy.T, B):
+        dense = np.linalg.eigvalsh(dense_hamiltonian(params, b))
+        scale = max(1.0, np.abs(dense).max())
+        assert np.max(np.abs(np.sort(col) - dense)) / scale < 1e-9
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(params=ATOMS, B=FIELDS)
+def test_float_views_are_columns_of_the_kernel(params, B):
+    energy, slopes = zeeman_table(params, B)
+    table = register_table(params, B)
+    live = B[B > 0]         # the ladder is degenerate at B = 0
+    det = ladder_detunings(register_table(params, live))
+    for b, *want in zip(live.tolist(), det.omega0_rad_s, det.delta1_rad_s,
+                        det.delta2_rad_s):
+        d = three_photon_detunings(params, b)
+        assert _bits([d.omega0_rad_s, d.delta1_rad_s, d.delta2_rad_s]) \
+            == _bits(want)
+    for n, b in enumerate(B.tolist()):
+        spec = zeeman_spectrum(params, b)
+        assert [(lv.m_F, lv.branch) for lv in spec.levels] \
+            == list(level_labels(params))
+        assert _bits([lv.energy_hz for lv in spec.levels]) \
+            == _bits(energy[:, n])
+        assert _bits([lv.slope_hz_per_t for lv in spec.levels]) \
+            == _bits(slopes[:, n])
+        lv = register_levels(params, b)
+        assert _bits(lv.energy_hz) == _bits(table.energy_hz[:, n])
+        assert _bits(lv.moment_j_per_t) == _bits(table.moment_j_per_t[:, n])
+
+
+def test_kernel_errors_name_the_first_offending_field():
+    with pytest.raises(ConfigError, match=r"got -2\.0 T"):
+        zeeman_table(AtomParams(), [1.0, -2.0, math.nan])
+    with pytest.raises(ConfigError, match="got nan T"):
+        zeeman_table(AtomParams(), [0.0, math.nan, -2.0])
+    # energies k B / h overflow from 1e30 T on; the slopes stay finite
+    with pytest.raises(PhysicsError, match=r"B = 1e\+30 T .*g_J_3P2"):
+        zeeman_table(AtomParams(g_J_3P2=1e280), [1.0, 1e30, 1e40])
+    with pytest.raises(PhysicsError, match=r"B = 1e\+30 T"):
+        ladder_detunings(register_table(AtomParams(g_J_3P2=1e280),
+                                        [1.0, 1e30]))
 
 
 def test_zero_field_splitting_is_five_halves_A():

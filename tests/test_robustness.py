@@ -304,6 +304,31 @@ def test_integer_keys_take_whole_numbers_only(tmp_path, capsys, key,
     assert value == 2 and type(value) is int
 
 
+# (scenario key, the scenario holding the value v there)
+FLOAT_KEYS = [
+    ("gradients.B0_gauss", lambda v: {"gradients": {"B0_gauss": v}}),
+    ("gradients.target_gap_hz",
+     lambda v: {"gradients": {"target_gap_hz": v}}),
+    ("lattice.spacing_m", lambda v: {"lattice": {"spacing_m": v}}),
+    ("sweep.b_min_gauss", lambda v: {"sweep": {"b_min_gauss": v}}),
+    ("depth_recoils", lambda v: {"depth_recoils": v}),
+    ("dipole_scale", lambda v: {"dipole_scale": v}),
+]
+
+
+@pytest.mark.parametrize("key, scenario", FLOAT_KEYS,
+                         ids=[key for key, _ in FLOAT_KEYS])
+def test_numeric_strings_exit_2_naming_the_key(tmp_path, capsys, key,
+                                               scenario):
+    # a number written as a JSON string is not a number, as in the atom
+    # and noise sections
+    for text in ("100", "50", "1e-3"):
+        assert cli_main(["run", _scenario(tmp_path, **scenario(text))]) == 2
+        err = capsys.readouterr().err
+        assert f"'{key}'" in err and len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("line", ["linear_zeeman = true",
                                   "nuclear_spin = 0.5",
                                   "electronic_J_3P2 = 2"])

@@ -6,8 +6,10 @@ Every import is used; the package `__init__.py`, names listed in
 engine, only `compiler.execute_schedule` applies segments, so gates
 reach the engine through one path.  The compiler, the pulse builders and
 the engine build no level table from a bare field: they read the cached
-per-site tables of `addressing.site_levels`.  The compiler plans no
-gradients: it compiles under its caller's.  The CLI constructs no atom,
+per-site tables of `addressing.site_levels`.  The sweeps, the addressing
+comb and the gradient check evaluate all their fields in one array call:
+they build no level table from one field and call no `site_field`.  The
+compiler plans no gradients: it compiles under its caller's.  The CLI constructs no atom,
 lattice, gradient or noise parameters and plans no gradients: the
 scenario readers own those rules.  The engine's per-atom basis
 is the register level table, with no level of its own.  No package
@@ -87,10 +89,12 @@ def test_package_does_not_use_expm():
 
 ENGINE_ENTRY_POINTS = {"apply_segment"}
 ALLOWED_CALLERS = {("compiler", "execute_schedule")}
-# Builders of a level table from a bare field.  The pulse path reads the
-# cached per-site tables of `addressing.site_levels` instead.
+# Builders of a level table from a bare field, and of tables at an array
+# of fields.  The pulse path reads the cached per-site tables of
+# `addressing.site_levels` instead.
 LEVEL_TABLE_BUILDERS = {"register_levels", "three_photon_detunings",
                         "zeeman_spectrum"}
+ARRAY_TABLE_BUILDERS = {"register_table", "zeeman_table"}
 PULSE_PATH = ("compiler", "protocols", "engine")
 
 
@@ -142,8 +146,25 @@ def test_pulse_path_reads_the_cached_level_tables():
     for path in MODULES:
         if path.stem in PULSE_PATH:
             found |= callers(path.stem, path.read_text(),
-                             LEVEL_TABLE_BUILDERS)
+                             LEVEL_TABLE_BUILDERS | ARRAY_TABLE_BUILDERS)
     assert found == set()
+
+
+# Stages that evaluate the level table or the local field at many fields
+# or sites: each makes one array call, never one call per field or site.
+ARRAY_STAGES = {("scenario", "emit_detuning_curves"),
+                ("scenario", "emit_level_sweep"),
+                ("addressing", "resonance_map"),
+                ("addressing", "validate_gradients"),
+                ("addressing", "nearest_fields")}
+
+
+def test_array_stages_make_no_per_field_calls():
+    found = set()
+    for module in {module for module, _ in ARRAY_STAGES}:
+        found |= callers(module, (SRC / f"{module}.py").read_text(),
+                         LEVEL_TABLE_BUILDERS | {"site_field"})
+    assert found & ARRAY_STAGES == set()
 
 
 def test_compiler_plans_no_gradients():
