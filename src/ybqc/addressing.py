@@ -72,8 +72,11 @@ class GradientConfig:
 
 @dataclass(frozen=True)
 class ResonanceMap:
-    """Per-site local field and addressed-transition offset in one layer."""
-    entries: dict  # (i, j, k) -> (B_t, frequency_hz)
+    """Local field and addressed-transition offset of every site of one
+    layer, in comb order: by frequency, then by site."""
+    sites: np.ndarray       # (n, 3) lattice indices
+    fields_t: np.ndarray
+    freqs_hz: np.ndarray
     min_gap_hz: float
 
 
@@ -104,20 +107,17 @@ def site_fields(geom: LatticeGeometry, config: GradientConfig,
     return B
 
 
-def site_field(geom: LatticeGeometry, config: GradientConfig, site) -> float:
-    """Local field at one lattice site: one entry of `site_fields`."""
-    if not geom.contains(site):
-        raise IndexError(f"site {site} outside {geom.n_x}x{geom.n_y}x{geom.n_z} lattice")
-    return float(site_fields(geom, config, site)[0])
-
-
 @lru_cache(maxsize=64)
 def site_levels(params: AtomParams, geom: LatticeGeometry, sites: tuple,
                 config: GradientConfig) -> tuple[RegisterLevels, ...]:
     """Level table of each of `sites` at its local field, cached per
     register and field config; the pulse builders and the engine share it."""
-    return tuple(register_levels(params, site_field(geom, config, s))
-                 for s in sites)
+    for site in sites:
+        if not geom.contains(site):
+            raise IndexError(f"site {site} outside "
+                             f"{geom.n_x}x{geom.n_y}x{geom.n_z} lattice")
+    return tuple(register_levels(params, B)
+                 for B in site_fields(geom, config, sites).tolist())
 
 
 def field_range(geom: LatticeGeometry, config: GradientConfig) -> float:
@@ -141,11 +141,10 @@ def resonance_map(geom: LatticeGeometry, config: GradientConfig,
     sites = geom.sites()
     fields = site_fields(geom, config, sites)
     freqs = _addressed_line(register_table(params, fields))[0]
-    entries = dict(zip(map(tuple, sites.tolist()),
-                       zip(fields.tolist(), freqs.tolist())))
-    min_gap = float(np.min(np.diff(np.sort(freqs)))) if freqs.size > 1 \
-        else math.inf
-    return ResonanceMap(entries, min_gap)
+    order = np.lexsort((*sites.T[::-1], freqs))
+    freqs = freqs[order]
+    min_gap = float(np.min(np.diff(freqs))) if freqs.size > 1 else math.inf
+    return ResonanceMap(sites[order], fields[order], freqs, min_gap)
 
 
 def nearest_fields(fields: np.ndarray, sites) -> tuple[float, tuple | None]:

@@ -15,9 +15,10 @@ Conventions
   problem splits into 1x1 blocks (|m_F| = 5/2) and 2x2 blocks solved in
   closed form.
 * One array kernel, `zeeman_table`, evaluates all ten levels at every
-  field of an array B; `register_table` and the elementwise
-  `ladder_detunings` build on it, and the one-field `zeeman_spectrum`
-  and `register_levels` are float views of one of its columns.
+  field of an array B, with `level_labels` naming its rows;
+  `register_table` and the elementwise `ladder_detunings` build on it.
+  `register_levels`, one column of `register_table` as floats, is the
+  per-site table the pulse path caches.
 * Branch label: 'lower'/'upper' by energy within each m_F block.  The 2x2
   blocks have a field-independent off-diagonal element, so the ordering is
   an avoided crossing and the label is adiabatically stable at all B.
@@ -81,25 +82,6 @@ class AtomParams:
     def g_I(self) -> float:
         """Nuclear g-factor in nuclear magnetons: moment = g_I * mu_N * I."""
         return self.nuclear_moment_mu_n / self.nuclear_spin
-
-
-@dataclass(frozen=True)
-class ZeemanLevel:
-    m_F: float
-    branch: str  # 'lower' | 'upper'
-    energy_hz: float
-    slope_hz_per_t: float  # dE/dB in closed form
-
-
-@dataclass(frozen=True)
-class ZeemanSpectrum:
-    levels: tuple[ZeemanLevel, ...]
-
-    def level(self, m_F: float, branch: str) -> ZeemanLevel:
-        for lv in self.levels:
-            if lv.m_F == m_F and lv.branch == branch:
-                return lv
-        raise ConfigError(f"no 3P2 level with m_F={m_F}, branch={branch!r}")
 
 
 @dataclass(frozen=True)
@@ -185,15 +167,6 @@ def zeeman_table(params: AtomParams, B) -> np.ndarray:
     return out
 
 
-def zeeman_spectrum(params: AtomParams, B: float) -> ZeemanSpectrum:
-    """All 10 levels of the 3P2 manifold at field B: one column of
-    `zeeman_table`."""
-    energy, slopes = zeeman_table(params, [B])[:, :, 0].tolist()
-    return ZeemanSpectrum(tuple(
-        ZeemanLevel(m_F, branch, e, s) for (m_F, branch), e, s in
-        zip(level_labels(params), energy, slopes)))
-
-
 def aux_branch(params: AtomParams) -> str:
     """Branch label of the F=3/2 manifold (the auxiliary-qubit manifold)."""
     return "lower" if params.hyperfine_A_3P2_hz >= 0 else "upper"
@@ -263,11 +236,6 @@ def ladder_detunings(levels: RegisterLevels) -> ThreePhotonDetunings:
     return det
 
 
-def three_photon_detunings(params: AtomParams, B: float) -> ThreePhotonDetunings:
-    """Detunings Delta1, Delta2 of the 3-photon ladder at field B."""
-    return ladder_detunings(register_levels(params, B))
-
-
 # The 3-photon operating point and the bracket searched for A(3P2)
 CALIBRATION_FIELD_T = 650e-4
 CALIBRATION_DETUNING_RAD_S = 2 * math.pi * 20e6
@@ -280,7 +248,7 @@ def calibrate_hyperfine_A(params: AtomParams) -> AtomParams:
 
     def mismatch(A):
         p = replace(params, hyperfine_A_3P2_hz=A)
-        d = three_photon_detunings(p, CALIBRATION_FIELD_T)
+        d = ladder_detunings(register_levels(p, CALIBRATION_FIELD_T))
         return math.sqrt(abs(d.delta1_rad_s * d.delta2_rad_s)) \
             - CALIBRATION_DETUNING_RAD_S
 

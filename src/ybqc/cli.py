@@ -19,8 +19,8 @@ import sys
 from pathlib import Path
 
 from .addressing import validate_gradients
-from .atomic import (calibrate_hyperfine_A, three_photon_detunings,
-                     zeeman_spectrum)
+from .atomic import (calibrate_hyperfine_A, ladder_detunings, level_labels,
+                     register_levels, zeeman_table)
 from .compiler import compile_circuit
 from .constants import GAUSS, CM, mu_B, mu_N
 from .dipole import cnot_shift, ddi_coupling
@@ -89,10 +89,11 @@ def cmd_levels(args) -> int:
         return _print_stage(args, "levels", "levels.csv", sweep={
             "b_min_gauss": args.b_gauss, "b_max_gauss": args.b_max_gauss,
             "steps": args.steps})
-    spec = zeeman_spectrum(_scenario(args).params, args.b_gauss * GAUSS)
+    params = _scenario(args).params
+    energy = zeeman_table(params, [args.b_gauss * GAUSS])[0, :, 0].tolist()
     lines = ["m_F,branch,energy_hz"]
-    for lv in sorted(spec.levels, key=lambda l: l.energy_hz):
-        lines.append(f"{lv.m_F!r},{lv.branch},{lv.energy_hz!r}")
+    lines += [f"{m_F!r},{branch},{e!r}" for e, (m_F, branch) in
+              sorted(zip(energy, level_labels(params)), key=lambda r: r[0])]
     _write_or_print("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
@@ -102,8 +103,8 @@ def cmd_detunings(args) -> int:
         return _print_stage(args, "detunings", "detunings.csv", sweep={
             "b_min_gauss": args.b_min_gauss, "b_max_gauss": args.b_max_gauss,
             "steps": args.steps})
-    det = three_photon_detunings(_scenario(args).params,
-                                 args.b_gauss * GAUSS)
+    det = ladder_detunings(register_levels(_scenario(args).params,
+                                           args.b_gauss * GAUSS))
     _write_or_print(json.dumps({
         "B_gauss": args.b_gauss,
         "delta1_hz": det.delta1_rad_s / (2 * math.pi),

@@ -47,8 +47,10 @@ def parse_circuit(text: str):
         tok = line.split()
         try:
             if tok[0] == "X" and len(tok) == 4:
-                ops.append(("X", (int(tok[1]), int(tok[2]), 0),
-                            float(tok[3])))
+                theta = float(tok[3])
+                if not 0 <= theta < math.inf:
+                    raise ValueError("rotation angle must be finite and >= 0")
+                ops.append(("X", (int(tok[1]), int(tok[2]), 0), theta))
             elif tok[0] == "CNOT" and len(tok) == 5:
                 ops.append(("CNOT", (int(tok[1]), int(tok[2]), 0),
                             (int(tok[3]), int(tok[4]), 0)))

@@ -111,10 +111,10 @@ class Pulse:
     metastable_weight: float = 0.0  # annotation for the decoherence budget
 
     def __post_init__(self):
-        if self.duration_s < 0:
-            raise ConfigError("pulse duration must be >= 0")
-        if self.rabi_rad_s < 0:
-            raise ConfigError("Rabi frequency must be >= 0")
+        if not 0 <= self.duration_s < math.inf:
+            raise ConfigError("pulse duration must be finite and >= 0")
+        if not 0 <= self.rabi_rad_s < math.inf:
+            raise ConfigError("Rabi frequency must be finite and >= 0")
 
 
 @dataclass(frozen=True)

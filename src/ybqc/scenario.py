@@ -2,14 +2,13 @@
 
 A scenario is a JSON file selecting a pipeline (feasibility report,
 detuning sweep, level sweep, addressing spectrum, circuit simulation) and
-its parameters.  Every numeric key carries an explicit unit suffix so
-unit errors fail loudly at load time.  All artifacts are computed in
-memory first and written together with a manifest of SHA-256 content
-hashes, so a failing pipeline leaves no partial outputs and reruns are
-byte-identical.  `scenario_from_dict` reads the parsed object; the CLI
-builds one from its flags.  Unknown keys, wrong types and missing units
-raise ScenarioError, out-of-range values the parameter classes'
-ConfigError.
+its parameters.  Every numeric key names its unit in a suffix, and
+unknown keys are rejected, so unit errors fail loudly at load time.  All
+artifacts are computed in memory first and written together with a
+manifest of SHA-256 content hashes, so a failing pipeline leaves no
+partial outputs and reruns are byte-identical.  `scenario_from_dict` reads the parsed object; the CLI
+builds one from its flags.  Unknown keys and wrong types raise
+ScenarioError, out-of-range values the parameter classes' ConfigError.
 """
 
 from __future__ import annotations
@@ -35,13 +34,6 @@ from .feasibility import build_feasibility_report
 PIPELINE_STAGES = ("feasibility", "detunings", "levels", "address",
                    "simulate")
 
-# Keys whose values are dimensionless counts/fractions and legitimately
-# carry no unit suffix.
-_UNITLESS_OK = {"n_x", "n_y", "n_z", "steps", "seed", "safety_factor",
-                "depth_recoils", "nuclear_moment_mu_n", "g_J_3P2",
-                "branching_1P1_to_3D", "dipole_scale"}
-_UNIT_SUFFIXES = ("_hz", "_rad_s", "_s", "_m", "_kg", "_t", "_t_per_m",
-                  "_gauss", "_g_per_cm", "_uk")
 # Fields of a level sweep at most: each field writes all ten 3P2 levels,
 # so the cap bounds a sweep's CSV at 4000 rows.
 LEVEL_SWEEP_MAX_STEPS = 400
@@ -50,23 +42,12 @@ LEVEL_SWEEP_MAX_STEPS = 400
 MAX_ACTIVE_SITES = 5
 
 
-def _check_unit_key(section: str, key: str, value) -> None:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        return
-    if key in _UNITLESS_OK or key.endswith(_UNIT_SUFFIXES):
-        return
-    raise ScenarioError(
-        f"scenario key '{section}.{key}' is numeric but carries no "
-        "recognized unit suffix")
-
-
 def _known_fields(section: str, data: dict, allowed) -> None:
     if not isinstance(data, dict):
         raise ScenarioError(f"scenario key '{section}' must be a JSON object")
     for key in data:
         if key not in allowed:
             raise ScenarioError(f"unknown key '{section}.{key}'")
-        _check_unit_key(section, key, data[key])
 
 
 def _read(kind, name: str, value):
@@ -165,10 +146,11 @@ def emit_level_sweep(params: AtomParams, b_min_gauss: float,
     b = np.linspace(b_min_gauss, b_max_gauss,
                     min(steps, LEVEL_SWEEP_MAX_STEPS))
     energy = zeeman_table(params, b * GAUSS)[0]
+    labels = level_labels(params)
     lines = ["B_gauss,m_F,branch,energy_hz"]
     lines += [f"{bg!r},{m_F!r},{branch},{e!r}"
               for bg, column in zip(b.tolist(), energy.T.tolist())
-              for (m_F, branch), e in zip(level_labels(params), column)]
+              for (m_F, branch), e in zip(labels, column)]
     return "\n".join(lines) + "\n"
 
 
@@ -178,11 +160,10 @@ def emit_addressing_spectrum(geom: LatticeGeometry, config: GradientConfig,
     addressed z = 0 layer, sorted by frequency: columns i, j, B_gauss,
     f_offset_hz."""
     rmap = resonance_map(geom, config, params)
-    rows = sorted(((f, B, s) for s, (B, f) in rmap.entries.items()),
-                  key=lambda r: (r[0], r[2]))
     lines = ["i,j,B_gauss,f_offset_hz"]
-    for f, B, (i, j, _k) in rows:
-        lines.append(f"{i},{j},{float(B) / GAUSS!r},{float(f)!r}")
+    lines += [f"{i},{j},{B!r},{f!r}" for (i, j, _k), B, f in zip(
+        rmap.sites.tolist(), (rmap.fields_t / GAUSS).tolist(),
+        rmap.freqs_hz.tolist())]
     return "\n".join(lines) + "\n"
 
 

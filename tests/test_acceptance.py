@@ -8,8 +8,8 @@ import time
 import numpy as np
 
 from ybqc.addressing import LatticeGeometry, plan_gradients, resonance_map, validate_gradients
-from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, register_levels,
-                         three_photon_detunings, zeeman_spectrum)
+from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, ladder_detunings,
+                         register_levels, zeeman_table)
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.constants import CM, GAUSS, mu_B, mu_N
 from ybqc.dipole import cnot_shift, ddi_coupling
@@ -83,7 +83,7 @@ def test_criterion_3_gradient_plan():
 def test_criterion_4_three_photon_operating_point():
     t0 = time.perf_counter()
     params = calibrate_hyperfine_A(AtomParams())
-    det = three_photon_detunings(params, 650 * GAUSS)
+    det = ladder_detunings(register_levels(params, 650 * GAUSS))
     geo = math.sqrt(abs(det.delta1_rad_s * det.delta2_rad_s))
     scan = three_photon_scan(register_levels(params, 650 * GAUSS),
                              2 * math.pi * 985e3)
@@ -101,7 +101,7 @@ def test_criterion_4_three_photon_operating_point():
 
 def test_criterion_5_effective_formula_property():
     params = calibrate_hyperfine_A(AtomParams())
-    det = three_photon_detunings(params, 650 * GAUSS)
+    det = ladder_detunings(register_levels(params, 650 * GAUSS))
     min_d = min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
     worst = 0.0
     for frac in (0.02, 0.04, 0.06, 0.08, 0.10):
@@ -191,8 +191,7 @@ def test_criterion_9_property_suites(tmp_path):
     # blockwise vs dense eigensolver to 1e-9
     from test_atomic import dense_hamiltonian
     for bg in (3.0, 650.0, 12000.0):
-        ours = np.sort([lv.energy_hz
-                        for lv in zeeman_spectrum(params, bg * GAUSS).levels])
+        ours = np.sort(zeeman_table(params, [bg * GAUSS])[0, :, 0])
         dense = np.sort(np.linalg.eigvalsh(
             dense_hamiltonian(params, bg * GAUSS)))
         if np.max(np.abs(ours - dense)) / max(1.0, np.abs(dense).max()) \

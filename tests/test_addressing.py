@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from ybqc.addressing import (GradientConfig, LatticeGeometry, field_range,
-                             plan_gradients, resonance_map, site_field,
-                             validate_gradients)
-from ybqc.atomic import EP32, GP, AtomParams, register_levels
+                             plan_gradients, resonance_map, site_fields,
+                             site_levels, validate_gradients)
+from ybqc.atomic import EP32, GP, AtomParams
 from ybqc.constants import CM, GAUSS
 from ybqc.errors import ConfigError, PlanningError
 
@@ -18,18 +18,19 @@ def test_site_field_example():
     # 10 G/cm over one 266 nm spacing: 2.66e-4 G increment
     geom = LatticeGeometry(10, 10, 1)
     cfg = GradientConfig(100 * GAUSS, 10 * GAUSS / CM, 100 * GAUSS / CM)
-    db = site_field(geom, cfg, (1, 0, 0)) - site_field(geom, cfg, (0, 0, 0))
-    assert db / GAUSS == pytest.approx(2.66e-4, rel=1e-9)
+    b0, b1 = site_fields(geom, cfg, [(0, 0, 0), (1, 0, 0)])
+    assert (b1 - b0) / GAUSS == pytest.approx(2.66e-4, rel=1e-9)
+    # the per-site level tables check the lattice
     with pytest.raises(IndexError):
-        site_field(geom, cfg, (10, 0, 0))
+        site_levels(AtomParams(), geom, ((0, 0, 0), (10, 0, 0)), cfg)
 
 
 def test_field_range_brute_force():
     geom = LatticeGeometry(4, 3, 2)
     cfg = GradientConfig(100 * GAUSS, 7 * GAUSS / CM, 31 * GAUSS / CM,
                          2 * GAUSS / CM)
-    fields = [site_field(geom, cfg, s)
-              for s in itertools.product(range(4), range(3), range(2))]
+    fields = site_fields(
+        geom, cfg, list(itertools.product(range(4), range(3), range(2))))
     assert field_range(geom, cfg) == pytest.approx(
         max(fields) - min(fields), rel=1e-12)
 
@@ -39,7 +40,7 @@ def test_uniqueness_matches_all_pairs_brute_force():
     # Gy = n_x * Gx exactly: every site unique (strict ladder)
     cfg = GradientConfig(100 * GAUSS, GAUSS / CM, 5 * GAUSS / CM)
     rep = validate_gradients(geom, cfg)
-    fields = [site_field(geom, cfg, s) for s in geom.sites()]
+    fields = site_fields(geom, cfg, geom.sites()).tolist()
     brute = min(abs(a - b) for a, b in itertools.combinations(fields, 2))
     assert rep.unique_ok
     assert rep.min_field_diff_t == pytest.approx(brute, rel=1e-9)
@@ -71,7 +72,7 @@ def test_plan_round_trip_gap():
     geom = LatticeGeometry(10, 10, 1)
     cfg = plan_gradients(geom, 1000.0, params)
     rmap = resonance_map(geom, cfg, params)
-    assert len(rmap.entries) == 100
+    assert len(rmap.sites) == 100
     assert rmap.min_gap_hz >= 1000.0
     # within 20% of the requested gap (no gross over-provisioning)
     assert rmap.min_gap_hz <= 1200.0
@@ -108,8 +109,7 @@ def test_resonance_comb_monotone_and_nearly_uniform():
     geom = LatticeGeometry(6, 6, 1)
     cfg = plan_gradients(geom, 1000.0, params)
     rmap = resonance_map(geom, cfg, params)
-    freqs = np.sort([f for _, f in rmap.entries.values()])
-    gaps = np.diff(freqs)
+    gaps = np.diff(rmap.freqs_hz)       # in comb order, ascending
     assert np.all(gaps > 0)
     # comb is nearly uniform: second differences are tiny vs the gap
     assert np.max(np.abs(np.diff(gaps))) < 1e-3 * np.min(gaps)
@@ -117,16 +117,21 @@ def test_resonance_comb_monotone_and_nearly_uniform():
 
 def test_comb_is_the_per_site_level_tables_bit_for_bit():
     # one array evaluation over the layer gives, site by site, the field
-    # of site_field and the addressed line of a one-field level table
+    # and the addressed line of the one-field level table of each site,
+    # sorted by frequency and then site; Gx = Gy puts sites (i, j) and
+    # (j, i) on one field, so the site order (i, then j) breaks the ties
     params = AtomParams(hyperfine_A_3P2_hz=-3e9)
     geom = LatticeGeometry(7, 5, 1)
-    cfg = GradientConfig(80 * GAUSS, 3 * GAUSS / CM, 23 * GAUSS / CM)
-    rmap = resonance_map(geom, cfg, params)
-    assert list(rmap.entries) == [(i, j, 0) for j in range(5)
-                                  for i in range(7)]
-    for site, (B, f) in rmap.entries.items():
-        E = register_levels(params, site_field(geom, cfg, site)).energy_hz
-        assert (B, f) == (site_field(geom, cfg, site), E[EP32] - E[GP])
+    sites = [(i, j, 0) for j in range(5) for i in range(7)]
+    for gx in (3 * GAUSS / CM, 23 * GAUSS / CM):
+        cfg = GradientConfig(80 * GAUSS, gx, 23 * GAUSS / CM)
+        rmap = resonance_map(geom, cfg, params)
+        tables = site_levels(params, geom, tuple(sites), cfg)
+        want = sorted((t.energy_hz[EP32] - t.energy_hz[GP], site, t.field_t)
+                      for site, t in zip(sites, tables))
+        assert [(f, tuple(s), B) for f, s, B in zip(
+            rmap.freqs_hz.tolist(), rmap.sites.tolist(),
+            rmap.fields_t.tolist())] == want
 
 
 def test_single_site_lattice():
@@ -134,7 +139,7 @@ def test_single_site_lattice():
     geom = LatticeGeometry(1, 1, 1)
     cfg = GradientConfig(100 * GAUSS)
     rmap = resonance_map(geom, cfg, params)
-    assert len(rmap.entries) == 1
+    assert rmap.sites.tolist() == [[0, 0, 0]]
     assert math.isinf(rmap.min_gap_hz)
     assert validate_gradients(geom, cfg).unique_ok
 

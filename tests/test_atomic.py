@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from ybqc.atomic import (EM12, EP12, EP32, GM, GP, AtomParams, aux_branch,
                          calibrate_hyperfine_A, ladder_detunings, lande_g_F,
                          level_labels, register_levels, register_table,
-                         three_photon_detunings, zeeman_spectrum,
                          zeeman_table)
 from ybqc.constants import GAUSS, h, mu_B, mu_N
 from ybqc.errors import ConfigError, DegenerateManifoldError, PhysicsError
@@ -42,12 +41,18 @@ def dense_hamiltonian(params, B):
     return H
 
 
+def levels_at(params, B):
+    """{(m_F, branch): (energy, slope)} of the 10 levels at field B: one
+    column of the kernel, its rows named by `level_labels`."""
+    energy, slopes = zeeman_table(params, [B])[:, :, 0].tolist()
+    return dict(zip(level_labels(params), zip(energy, slopes)))
+
+
 @pytest.mark.parametrize("b_gauss", [0.0, 1.0, 100.0, 650.0, 5000.0, 20000.0])
 def test_blockwise_matches_dense_eigensolver(b_gauss):
     params = AtomParams()
     B = b_gauss * GAUSS
-    spec = zeeman_spectrum(params, B)
-    ours = np.sort([lv.energy_hz for lv in spec.levels])
+    ours = np.sort(zeeman_table(params, [B])[0, :, 0])
     dense = np.sort(np.linalg.eigvalsh(dense_hamiltonian(params, B)))
     scale = max(1.0, np.abs(dense).max())
     assert np.max(np.abs(ours - dense)) / scale < 1e-9
@@ -55,11 +60,11 @@ def test_blockwise_matches_dense_eigensolver(b_gauss):
 
 def test_level_count_and_trace(b_gauss=137.0):
     params = AtomParams()
-    spec = zeeman_spectrum(params, b_gauss * GAUSS)
-    assert len(spec.levels) == 10
-    trace = sum(lv.energy_hz for lv in spec.levels)
+    energies = [e for e, _ in levels_at(params, b_gauss * GAUSS).values()]
+    assert len(energies) == 10
+    trace = sum(energies)
     dense = np.trace(dense_hamiltonian(params, b_gauss * GAUSS))
-    scale = sum(abs(lv.energy_hz) for lv in spec.levels)
+    scale = sum(map(abs, energies))
     assert abs(trace - dense) <= 1e-9 * scale
 
 
@@ -90,14 +95,12 @@ SIGNED_A = st.floats(1e9, 1e10).flatmap(
 @given(A=SIGNED_A, B=st.floats(0.0, 2.0, exclude_min=True))
 def test_slopes_match_hellmann_feynman_oracle(A, B):
     params = AtomParams(hyperfine_A_3P2_hz=A)
-    spec = zeeman_spectrum(params, B)
+    spec = levels_at(params, B)
     oracle = dense_block_slopes(params, B)
     scale = max(abs(s) for slopes in oracle.values() for s in slopes)
     for m_F, want in oracle.items():
-        block = sorted((lv for lv in spec.levels if lv.m_F == m_F),
-                       key=lambda lv: lv.energy_hz)
-        assert [lv.slope_hz_per_t for lv in block] \
-            == pytest.approx(want, abs=1e-12 * scale)
+        block = sorted(lv for (m, _), lv in spec.items() if m == m_F)
+        assert [s for _, s in block] == pytest.approx(want, abs=1e-12 * scale)
 
 
 @settings(max_examples=60, deadline=None)
@@ -123,7 +126,7 @@ def test_exact_crossing_keeps_the_diagonal_slopes():
         energy, slopes = zeeman_table(params, [0.0, 1e-3])
         assert list(energy[1:9:2, 0]) == list(energy[2:9:2, 0])  # rad == 0
         assert np.all(energy[1:9:2, 1] < energy[2:9:2, 1])
-        spec = zeeman_spectrum(params, 0.0)
+        spec = levels_at(params, 0.0)
         dH = np.diag(dense_hamiltonian(params, 1.0)
                      - dense_hamiltonian(params, 0.0))
         for row, m in zip(range(1, 9, 2), (-1.5, -0.5, 0.5, 1.5)):
@@ -132,8 +135,7 @@ def test_exact_crossing_keeps_the_diagonal_slopes():
                     (s1 + s2) / 2 + abs(s1 - s2) / 2]
             got = list(slopes[row:row + 2, 0])
             assert got == pytest.approx(want, rel=1e-12)
-            assert [spec.level(m, b).slope_hz_per_t
-                    for b in ("lower", "upper")] == got
+            assert [spec[m, b][1] for b in ("lower", "upper")] == got
             assert list(slopes[row:row + 2, 1]) == pytest.approx(
                 dense_block_slopes(params, 1e-3)[m], rel=1e-12)
 
@@ -165,23 +167,22 @@ def _bits(values) -> bytes:
 @settings(max_examples=60, deadline=None)
 @given(params=ATOMS, B=FIELDS)
 def test_float_views_are_columns_of_the_kernel(params, B):
+    # one-field calls (the CLI's `levels` and `detunings`, the per-site
+    # tables) read the same bits as a column of a many-field call
     energy, slopes = zeeman_table(params, B)
     table = register_table(params, B)
     live = B[B > 0]         # the ladder is degenerate at B = 0
     det = ladder_detunings(register_table(params, live))
     for b, *want in zip(live.tolist(), det.omega0_rad_s, det.delta1_rad_s,
                         det.delta2_rad_s):
-        d = three_photon_detunings(params, b)
+        d = ladder_detunings(register_levels(params, b))
         assert _bits([d.omega0_rad_s, d.delta1_rad_s, d.delta2_rad_s]) \
             == _bits(want)
+    assert len(set(level_labels(params))) == 10
     for n, b in enumerate(B.tolist()):
-        spec = zeeman_spectrum(params, b)
-        assert [(lv.m_F, lv.branch) for lv in spec.levels] \
-            == list(level_labels(params))
-        assert _bits([lv.energy_hz for lv in spec.levels]) \
-            == _bits(energy[:, n])
-        assert _bits([lv.slope_hz_per_t for lv in spec.levels]) \
-            == _bits(slopes[:, n])
+        column = zeeman_table(params, [b])
+        assert _bits(column[0, :, 0]) == _bits(energy[:, n])
+        assert _bits(column[1, :, 0]) == _bits(slopes[:, n])
         lv = register_levels(params, b)
         assert _bits(lv.energy_hz) == _bits(table.energy_hz[:, n])
         assert _bits(lv.moment_j_per_t) == _bits(table.moment_j_per_t[:, n])
@@ -202,13 +203,13 @@ def test_kernel_errors_name_the_first_offending_field():
 
 def test_zero_field_splitting_is_five_halves_A():
     params = AtomParams()
-    spec = zeeman_spectrum(params, 0.0)
-    energies = sorted({round(lv.energy_hz, 3) for lv in spec.levels})
+    spec = levels_at(params, 0.0)
+    energies = sorted({round(e, 3) for e, _ in spec.values()})
     assert len(energies) == 2
     assert energies[1] - energies[0] == pytest.approx(
         2.5 * params.hyperfine_A_3P2_hz, rel=1e-12)
     # F=3/2 (4 sublevels) sits below F=5/2 (6) for A > 0
-    lower = [lv for lv in spec.levels if lv.branch == "lower"]
+    lower = [e for (_, b), (e, _) in spec.items() if b == "lower"]
     assert len(lower) == 4
 
 
@@ -219,8 +220,8 @@ def test_low_field_f32_slope_matches_lande_factor():
     B1, B2 = 0.5 * GAUSS, 1.0 * GAUSS
     br = aux_branch(params)
     for mF in (-1.5, -0.5, 0.5, 1.5):
-        e1 = zeeman_spectrum(params, B1).level(mF, br).energy_hz
-        e2 = zeeman_spectrum(params, B2).level(mF, br).energy_hz
+        e1 = levels_at(params, B1)[mF, br][0]
+        e2 = levels_at(params, B2)[mF, br][0]
         slope = (e2 - e1) / (B2 - B1)
         # electronic g_F dominates; nuclear term is a ~1e-4 correction
         assert slope == pytest.approx(gF * mF * mu_B / h, rel=2e-3)
@@ -229,8 +230,8 @@ def test_low_field_f32_slope_matches_lande_factor():
 def test_stretched_state_slope_is_three_bohr_magnetons():
     params = AtomParams()
     B1, B2 = 1.0 * GAUSS, 2.0 * GAUSS
-    e1 = zeeman_spectrum(params, B1).level(2.5, "upper").energy_hz
-    e2 = zeeman_spectrum(params, B2).level(2.5, "upper").energy_hz
+    e1 = levels_at(params, B1)[2.5, "upper"][0]
+    e2 = levels_at(params, B2)[2.5, "upper"][0]
     slope = (e2 - e1) / (B2 - B1)
     # g_F(5/2) = 1.2, m_F = 5/2 -> 3 mu_B, about 4.2 MHz/G
     assert slope == pytest.approx(3 * mu_B / h, rel=2e-3)
@@ -240,17 +241,12 @@ def test_stretched_state_slope_is_three_bohr_magnetons():
 def test_branch_labels_adiabatically_stable():
     params = AtomParams()
     fields = np.linspace(1.0, 20000.0, 300) * GAUSS
-    prev = None
-    for B in fields:
-        spec = zeeman_spectrum(params, B)
-        keys = sorted((lv.m_F, lv.branch) for lv in spec.levels)
-        if prev is not None:
-            assert keys == prev
-        prev = keys
-        # within every 2x2 block, 'lower' stays below 'upper'
-        for mF in (-1.5, -0.5, 0.5, 1.5):
-            assert spec.level(mF, "lower").energy_hz \
-                < spec.level(mF, "upper").energy_hz
+    labels = level_labels(params)
+    energy = zeeman_table(params, fields)[0]
+    # within every 2x2 block, 'lower' stays below 'upper' at every field
+    for mF in (-1.5, -0.5, 0.5, 1.5):
+        assert np.all(energy[labels.index((mF, "lower"))]
+                      < energy[labels.index((mF, "upper"))])
 
 
 def test_ground_splitting_closed_form():
@@ -272,8 +268,7 @@ def test_transition_frequency_and_slope_consistent():
         E = register_levels(params, B).energy_hz
         return E[EP32] - E[GP]
 
-    spec = zeeman_spectrum(params, B)
-    assert line(B) == pytest.approx(spec.level(1.5, "lower").energy_hz
+    assert line(B) == pytest.approx(levels_at(params, B)[1.5, "lower"][0]
                                     + 0.49367 * mu_N * B / h, rel=1e-12)
     m = register_levels(params, B).moment_j_per_t
     slope = (m[GP] - m[EP32]) / h
@@ -290,8 +285,9 @@ def test_detuning_sum_rule():
     params = AtomParams()
     for bg in (10.0, 650.0, 5000.0):
         B = bg * GAUSS
-        det = three_photon_detunings(params, B)
-        E = register_levels(params, B).energy_hz
+        levels = register_levels(params, B)
+        det = ladder_detunings(levels)
+        E = levels.energy_hz
         w_bc = 2 * math.pi * (E[EP12] - E[EM12])
         assert det.delta1_rad_s + det.delta2_rad_s == pytest.approx(
             -(w_bc - det.omega0_rad_s), abs=1e-3)
@@ -299,12 +295,12 @@ def test_detuning_sum_rule():
 
 def test_degenerate_manifold_raises():
     with pytest.raises(DegenerateManifoldError):
-        three_photon_detunings(AtomParams(), 0.0)
+        ladder_detunings(register_levels(AtomParams(), 0.0))
 
 
 def test_calibration_hits_target():
     params = calibrate_hyperfine_A(AtomParams())
-    det = three_photon_detunings(params, 650 * GAUSS)
+    det = ladder_detunings(register_levels(params, 650 * GAUSS))
     geo = math.sqrt(abs(det.delta1_rad_s * det.delta2_rad_s))
     assert geo == pytest.approx(2 * math.pi * 20e6, rel=1e-9)
     # opposite signs at the operating point: drive sits between the
@@ -322,4 +318,4 @@ def test_param_validation():
     with pytest.raises(ConfigError):
         AtomParams(mass_kg=-1.0)
     with pytest.raises(ConfigError):
-        zeeman_spectrum(AtomParams(), -1.0)
+        zeeman_table(AtomParams(), [-1.0])

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
-from ybqc.addressing import LatticeGeometry, plan_gradients, site_field
+from ybqc.addressing import LatticeGeometry, plan_gradients, site_fields
 from ybqc.atomic import AtomParams, register_levels
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.dipole import pair_coupling
@@ -33,8 +33,8 @@ HEAVY_NOISE = NoiseParams(lifetime_3P2_s=0.05, photon_scattering_rate_hz=5.0)
 def dense_hamiltonian(reg, segment, dipole_scale=1.0):
     geom, config, pulse = reg.geom, segment.config, segment.pulse
     n = reg.n_atoms
-    tables = [register_levels(P, site_field(geom, config, s))
-              for s in reg.sites]
+    tables = [register_levels(P, B)
+              for B in site_fields(geom, config, reg.sites).tolist()]
     lasers = _laser_frequencies(tables[_reference_index(reg, pulse.target)],
                                 pulse)
     H = np.zeros((NLEV ** n, NLEV ** n), complex)

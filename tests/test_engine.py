@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ybqc.addressing import GradientConfig, LatticeGeometry, plan_gradients
-from ybqc.atomic import AtomParams, register_levels, three_photon_detunings
+from ybqc.atomic import AtomParams, ladder_detunings, register_levels
 from ybqc.constants import GAUSS
 from ybqc.dipole import auxiliary_qubit_moments, ddi_coupling
 from ybqc.engine import (EM32, EP32, GM, GP, GROUPS, LEGS, NLEV,
@@ -223,7 +223,7 @@ def _ladder_gap(det):
 @pytest.mark.parametrize("gap_fraction", [0.05, 0.3, 1.0])
 def test_light_shift_compensation_stops_at_the_fixed_point(gap_fraction):
     B = 650 * GAUSS
-    det = three_photon_detunings(P, B)
+    det = ladder_detunings(register_levels(P, B))
     rabi = gap_fraction * _ladder_gap(det)
     assert light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s,
                                     rabi) \
@@ -232,7 +232,7 @@ def test_light_shift_compensation_stops_at_the_fixed_point(gap_fraction):
 
 def test_light_shift_compensation_raises_when_it_diverges():
     B = 650 * GAUSS
-    det = three_photon_detunings(P, B)
+    det = ladder_detunings(register_levels(P, B))
     with pytest.raises(IntegratorError):
         light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s,
                                  3.0 * _ladder_gap(det))

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ybqc.addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                              site_levels)
 from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, ladder_detunings,
-                         register_levels, three_photon_detunings)
+                         register_levels)
 from ybqc.compiler import (TRANSFER_RABI_1Q_RAD_S, TRANSFER_RABI_2Q_RAD_S,
                            compile_circuit, execute_schedule, parse_circuit)
 from ybqc.constants import GAUSS
@@ -35,7 +35,7 @@ def _fraction(reg, site, levels):
 # 3-photon scan
 
 def test_scan_pi_time_tracks_effective_model():
-    det = three_photon_detunings(PCAL, 650 * GAUSS)
+    det = ladder_detunings(register_levels(PCAL, 650 * GAUSS))
     rabi = 0.05 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
     scan = three_photon_scan(register_levels(PCAL, 650 * GAUSS), rabi)
     assert scan.pi_time_s == pytest.approx(scan.predicted_pi_time_s,
@@ -63,7 +63,7 @@ def test_scan_uncompensated_transfer_degrades():
     # a drive detuned by -eps (no light-shift compensation) does not
     B, rabi, site = 650 * GAUSS, 2 * math.pi * 985e3, (0, 0, 0)
     scan = three_photon_scan(register_levels(PCAL, B), rabi)
-    det = three_photon_detunings(PCAL, B)
+    det = ladder_detunings(register_levels(PCAL, B))
     eps = light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s, rabi)
     reg = RegisterState.product(PCAL, LatticeGeometry(1, 1, 1), [site],
                                 [EM32])

@@ -1,8 +1,9 @@
 """Bad inputs end in exit code 2 or 3 with a one-line message, never a
-traceback: off-lattice circuit sites, missing files and malformed flags,
-malformed scenario values, atom constants that overflow, noise
-parameters out of range, and property tests fuzzing the value type of
-every scenario key and the values of the CLI flags."""
+traceback: off-lattice circuit sites, non-finite or negative rotation
+angles, missing files and malformed flags, malformed scenario values,
+atom constants that overflow, noise parameters out of range, and
+property tests fuzzing the value type of every scenario key, the values
+of the CLI flags and the lines of circuit files."""
 
 import io
 import json
@@ -14,10 +15,10 @@ from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ybqc.addressing import (GradientConfig, LatticeGeometry, plan_gradients,
-                             site_field)
+                             site_fields)
 from ybqc.atomic import AtomParams
 from ybqc.cli import main as cli_main
 from ybqc.compiler import compile_circuit, execute_schedule
@@ -45,6 +46,19 @@ def test_off_lattice_circuit_site_exits_2(tmp_path, capsys):
     assert cli_main(["run", scn]) == 2
     assert "(5, 0)" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("angle", ["nan", "inf", "-inf", "-1"])
+def test_bad_rotation_angle_exits_2_naming_the_line(tmp_path, capsys, angle):
+    (tmp_path / "c.txt").write_text(f"MEAS 0 0\nX 0 0 {angle}\n")
+    for command in (["compile"], ["simulate", "--seed", "1"]):
+        assert cli_main([*command, "--circuit", str(tmp_path / "c.txt"),
+                         "--nx", "1", "--ny", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: circuit line 2: 'X 0 0 "
+                                       f"{angle}': rotation angle")
+        assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_rare_measurement_branch_exits_0(tmp_path):
@@ -198,8 +212,8 @@ def test_simulate_compiles_under_the_scenario_bias_field(tmp_path):
     assert len(segments) == 8
     for seg in segments:
         config = GradientConfig(**seg["gradients"])
-        for site, b_gauss in fields.items():
-            assert site_field(geom, config, site) / GAUSS == b_gauss
+        at = site_fields(geom, config, list(fields)) / GAUSS
+        assert dict(zip(fields, at.tolist())) == fields
 
 
 def test_explicit_scenario_gradients_reach_the_schedule(tmp_path):
@@ -254,6 +268,25 @@ def test_out_of_range_noise_exits_2_at_load(tmp_path, capsys, noise):
     assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError):
         NoiseParams(**{name: value})
+
+
+# (root key, a number given for it, its reader's message)
+STRUCTURAL_KEYS = [("pipeline", 3, "must be a list of stages"),
+                   ("lattice", 5, "must be a JSON object"),
+                   ("output_dir", 1, "must be a path string"),
+                   ("atom_config", 2.5, "must be a path string"),
+                   ("initial_ones", 3, "entries must be [i, j, k]")]
+
+
+@pytest.mark.parametrize("key, value, message", STRUCTURAL_KEYS,
+                         ids=[key for key, _, _ in STRUCTURAL_KEYS])
+def test_number_for_a_structural_key_exits_2_with_its_reader_message(
+        tmp_path, capsys, key, value, message):
+    assert cli_main(["run", _scenario(tmp_path, **{key: value})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("data", [
@@ -518,6 +551,50 @@ def test_fuzzed_cli_flags_exit_0_2_or_3(argv):
     assert "Traceback" not in err.getvalue()
     if not usage:
         assert len(err.getvalue().strip().splitlines()) <= 1
+    if code:
+        assert out.getvalue() == ""
+    else:
+        assert not re.search(r"\b(nan|inf|NaN|Infinity)\b", out.getvalue())
+
+
+# ---------------------------------------------------------------------------
+# fuzzed circuit files: random gate lines through `compile` and `simulate`
+
+INDEX = st.integers(-1, 2)
+ANGLE = st.one_of(
+    st.floats(0.0, 2 * math.pi).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "-1", "-0.0", "1e20", "1e300",
+                     "1.7e308", "1e400", "x"]))
+JUNK_LINE = st.sampled_from(["Y 0 0 1.0", "X 0 0", "CNOT 0 0 1", "MEAS",
+                             "MEAS 0 0 0", "CNOT a b c d", "X 0.5 0 1",
+                             "# comment", ""])
+GATE_LINE = st.one_of(
+    st.tuples(INDEX, INDEX, ANGLE).map(lambda t: "X {} {} {}".format(*t)),
+    st.tuples(INDEX, INDEX, INDEX, INDEX).map(
+        lambda t: "CNOT {} {} {} {}".format(*t)),
+    st.tuples(INDEX, INDEX).map(lambda t: "MEAS {} {}".format(*t)),
+    JUNK_LINE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(["compile", "simulate"]),
+       lattice=st.sampled_from([(1, 1), (2, 1), (2, 2)]),
+       lines=st.lists(GATE_LINE, min_size=1, max_size=5))
+@example(command="compile", lattice=(1, 1), lines=["X 0 0 nan"])
+def test_fuzzed_circuits_exit_0_2_or_3(command, lattice, lines):
+    with tempfile.TemporaryDirectory() as tmp:
+        circuit = Path(tmp) / "c.txt"
+        circuit.write_text("\n".join(lines) + "\n")
+        argv = [command, "--circuit", str(circuit), "--nx", str(lattice[0]),
+                "--ny", str(lattice[1])]
+        if command == "simulate":
+            argv += ["--seed", "1"]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = cli_main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    assert len(err.getvalue().strip().splitlines()) <= 1
     if code:
         assert out.getvalue() == ""
     else:

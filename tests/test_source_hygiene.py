@@ -8,13 +8,17 @@ reach the engine through one path.  The compiler, the pulse builders and
 the engine build no level table from a bare field: they read the cached
 per-site tables of `addressing.site_levels`.  The sweeps, the addressing
 comb and the gradient check evaluate all their fields in one array call:
-they build no level table from one field and call no `site_field`.  The
-compiler plans no gradients: it compiles under its caller's.  The CLI constructs no atom,
+they build no level table from one field and read no per-site table of
+`site_levels`.  The compiler plans no gradients: it compiles under its
+caller's.  The CLI constructs no atom,
 lattice, gradient or noise parameters and plans no gradients: the
 scenario readers own those rules.  The engine's per-atom basis
 is the register level table, with no level of its own.  No package
 module imports `expm`: the engine's own stacked kernel exponentiates
 every block, and scipy's `expm` serves only the tests' dense oracle.
+Every public top-level function and class is referenced by package code
+outside its own definition; `__init__` re-exports do not count.  Every
+numeric scenario key names its unit in a suffix or is dimensionless.
 Every defaulted parameter of a package function, and every defaulted
 field of a package dataclass, is passed by some call in the package: a
 knob that every caller leaves at its default is a constant."""
@@ -92,8 +96,7 @@ ALLOWED_CALLERS = {("compiler", "execute_schedule")}
 # Builders of a level table from a bare field, and of tables at an array
 # of fields.  The pulse path reads the cached per-site tables of
 # `addressing.site_levels` instead.
-LEVEL_TABLE_BUILDERS = {"register_levels", "three_photon_detunings",
-                        "zeeman_spectrum"}
+LEVEL_TABLE_BUILDERS = {"register_levels"}
 ARRAY_TABLE_BUILDERS = {"register_table", "zeeman_table"}
 PULSE_PATH = ("compiler", "protocols", "engine")
 
@@ -133,9 +136,10 @@ def test_only_the_executor_drives_the_engine():
 
 def test_checker_finds_level_table_builders():
     source = ("def f(p, B):\n    return atomic.register_levels(p, B)\n"
-              "def g(p, B):\n    return three_photon_detunings(p, B)\n"
+              "def g(p, B):\n"
+              "    return ladder_detunings(register_levels(p, B))\n"
               "class C:\n    def h(self):\n"
-              "        return zeeman_spectrum(self.p, 1.0)\n"
+              "        return register_levels(self.p, 1.0)\n"
               "def k(t):\n    return ladder_detunings(t)\n")
     assert callers("m", source, LEVEL_TABLE_BUILDERS) \
         == {("m", "f"), ("m", "g"), ("m", "C")}
@@ -151,7 +155,8 @@ def test_pulse_path_reads_the_cached_level_tables():
 
 
 # Stages that evaluate the level table or the local field at many fields
-# or sites: each makes one array call, never one call per field or site.
+# or sites: each makes one array call, never one call per field or site,
+# and reads no per-site table.
 ARRAY_STAGES = {("scenario", "emit_detuning_curves"),
                 ("scenario", "emit_level_sweep"),
                 ("addressing", "resonance_map"),
@@ -163,8 +168,111 @@ def test_array_stages_make_no_per_field_calls():
     found = set()
     for module in {module for module, _ in ARRAY_STAGES}:
         found |= callers(module, (SRC / f"{module}.py").read_text(),
-                         LEVEL_TABLE_BUILDERS | {"site_field"})
+                         LEVEL_TABLE_BUILDERS | {"site_levels"})
     assert found & ARRAY_STAGES == set()
+
+
+# Public names that no package code references, each kept for a reason:
+# the closed-form budget that the engine's survival is checked against,
+# and the tests' reader of joint ground-basis probabilities.
+DEAD_NAME_ALLOWLIST = {"feasibility.decoherence_budget",
+                       "engine.ground_basis_probability"}
+
+
+def unreferenced_names(sources: dict[str, str]) -> set[str]:
+    """`module.name` of every public top-level function and class in
+    `sources` ({module: source}) that no code in `sources` references
+    outside the name's own definition."""
+    defined, refs = {}, []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            if isinstance(top, (ast.FunctionDef, ast.ClassDef)) \
+                    and not top.name.startswith("_"):
+                defined[f"{module}.{top.name}"] = (top.name, top)
+            for node in ast.walk(top):
+                name = node.id if isinstance(node, ast.Name) else \
+                    node.attr if isinstance(node, ast.Attribute) else \
+                    node.name if isinstance(node, ast.alias) else None
+                refs.append((name, top))
+    return {key for key, (name, own) in defined.items()
+            if not any(n == name and top is not own for n, top in refs)}
+
+
+def test_checker_finds_unreferenced_names():
+    source = ("def f():\n    return f()\n"
+              "def g():\n    return h.x\n"
+              "class C:\n    pass\n"
+              "def _p():\n    return 0\n"
+              "def x():\n    return 1\n")
+    assert unreferenced_names({"m": source, "n": "from m import C\n"}) \
+        == {"m.f", "m.g"}
+
+
+def test_every_public_name_has_a_package_reference():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    assert unreferenced_names(sources) == DEAD_NAME_ALLOWLIST
+
+
+UNIT_SUFFIXES = ("_hz", "_s", "_m", "_kg", "_gauss", "_g_per_cm", "_mu_n")
+DIMENSIONLESS_KEYS = {"n_x", "n_y", "n_z", "steps", "seed", "initial_ones",
+                      "safety_factor", "depth_recoils", "dipole_scale",
+                      "g_J_3P2", "branching_1P1_to_3D"}
+
+
+def numeric_scenario_keys(source: str) -> set[str]:
+    """Keys of the sections that `scenario_from_dict` in `source` passes
+    to `_known_fields` which it reads as numbers with `_read`: by a
+    literal "section.key" name, or by an f"section.{...}" name that
+    reads every key of the section."""
+    func = next(node for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.FunctionDef)
+                and node.name == "scenario_from_dict")
+    assigned = {node.targets[0].id: node.value for node in ast.walk(func)
+                if isinstance(node, ast.Assign)
+                and isinstance(node.targets[0], ast.Name)}
+    sections, read = {}, set()
+    for node in ast.walk(func):
+        if not (isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)):
+            continue
+        if node.func.id == "_known_fields":
+            keys = node.args[2]
+            keys = assigned.get(getattr(keys, "id", None), keys)
+            sections[node.args[0].value] = {k.value for k in keys.elts}
+        elif node.func.id == "_read":
+            name = node.args[1]
+            if isinstance(name, ast.JoinedStr):
+                read.add(name.values[0].value)
+            else:
+                read.add(name.value)
+    return {key for section, keys in sections.items() for key in keys
+            if key in read or f"{section}.{key}" in read
+            or f"{section}." in read}
+
+
+def test_checker_finds_numeric_scenario_keys():
+    source = ("def scenario_from_dict(data):\n"
+              "    top = {'a', 'seed'}\n"
+              "    _known_fields('<root>', data, top)\n"
+              "    _known_fields('lat', data['l'], {'n', 'w_m'})\n"
+              "    _known_fields('g', data['g'], {'x', 'y'})\n"
+              "    n = _read(int, 'lat.n', 1)\n"
+              "    g = {k: _read(float, f'g.{k}', v) for k, v in 1}\n"
+              "    return _read(int, 'seed', data['seed'])\n")
+    assert numeric_scenario_keys(source) == {"seed", "n", "x", "y"}
+
+
+def test_numeric_scenario_keys_carry_a_unit_suffix():
+    from dataclasses import fields
+
+    from ybqc.atomic import AtomParams
+    from ybqc.engine import NoiseParams
+    keys = numeric_scenario_keys((SRC / "scenario.py").read_text())
+    keys |= {f.name for cls in (AtomParams, NoiseParams)
+             for f in fields(cls)}
+    assert {"spacing_m", "B0_gauss", "steps", "mass_kg"} <= keys
+    assert {key for key in keys if not key.endswith(UNIT_SUFFIXES)} \
+        <= DIMENSIONLESS_KEYS
 
 
 def test_compiler_plans_no_gradients():
