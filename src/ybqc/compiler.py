@@ -27,8 +27,8 @@ from .atomic import AtomParams
 from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
                      RegisterState, apply_segment)
 from .errors import ConfigError, PlanningError
-from .protocols import (cnot_pulse, measure_qubit, rotation_pulse,
-                        transfer_pulse)
+from .protocols import (DetectionReport, cnot_pulse, measure_qubit,
+                        rotation_pulse, transfer_pulse)
 
 # Slow enough that a spectator one addressing gap away stays below
 # 1e-3 excitation; faster for CNOT prep where the ~40 Hz dipole shift
@@ -47,7 +47,7 @@ def parse_circuit(text: str):
         tok = line.split()
         try:
             if tok[0] == "X" and len(tok) == 4:
-                theta = float(tok[3])
+                theta = float(tok[3]) + 0.0     # -0.0 becomes +0.0
                 if not 0 <= theta < math.inf:
                     raise ValueError("rotation angle must be finite and >= 0")
                 ops.append(("X", (int(tok[1]), int(tok[2]), 0), theta))
@@ -63,8 +63,8 @@ def parse_circuit(text: str):
     return ops
 
 
-def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
-                    config: GradientConfig,
+def compile_circuit(circuit_text: str, geom: LatticeGeometry,
+                    params: AtomParams, config: GradientConfig,
                     noise: NoiseParams) -> PulseSchedule:
     """Emit the full pulse schedule realizing the circuit under `config`.
 
@@ -72,8 +72,7 @@ def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
     and measurement (no routing).  Circuit sites that share one local
     field cannot be told apart: PlanningError.
     """
-    if isinstance(circuit, str):
-        circuit = parse_circuit(circuit)
+    circuit = parse_circuit(circuit_text)
     sites = tuple(sorted({s for op in circuit for s in op[1:]
                           if isinstance(s, tuple)}))
     outside = [s for s in sites if not geom.contains(s)]
@@ -106,7 +105,7 @@ def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
             target_leg = transfer_pulse(("site", target),
                                         TRANSFER_RABI_2Q_RAD_S, n_meta + 1.5)
             pulses = (control_leg, target_leg, flip, target_leg, control_leg)
-        elif op[0] == "MEAS":
+        else:                   # MEAS
             _, site = op
             if not in_metastable:
                 # measurement stage entry: move every qubit to 3P2 with the
@@ -117,8 +116,6 @@ def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
             pulses = (Pulse("measure", noise.detection_time_s,
                             target=("site", site),
                             metastable_weight=len(in_metastable) - 0.5),)
-        else:
-            raise ConfigError(f"unsupported gate {op[0]!r}")
         segments.extend(PulseSegment(config, p) for p in pulses)
     return PulseSchedule(tuple(segments), sites)
 
@@ -126,8 +123,8 @@ def compile_circuit(circuit, geom: LatticeGeometry, params: AtomParams,
 @dataclass
 class ExecutionResult:
     register: RegisterState
-    outcomes: list            # (site, bit) in measurement order
-    detection_reports: list
+    readouts: list      # (site, bit, probability_one) in measurement order
+    detection: DetectionReport    # the loss of every readout of the run
 
 
 def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
@@ -140,13 +137,12 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
         raise ConfigError("schedule contains measurements: an rng seed is "
                           "required")
     rng = np.random.default_rng(rng_seed) if has_measure else None
-    outcomes, reports = [], []
+    readouts = []
     for seg in schedule.segments:
         if seg.pulse.transition == "measure":
-            site = seg.pulse.target[1]
-            bit, reg, rep = measure_qubit(reg, site, noise, rng)
-            outcomes.append((tuple(site), bit))
-            reports.append(rep)
+            site = tuple(seg.pulse.target[1])
+            bit, reg, p1 = measure_qubit(reg, site, rng)
+            readouts.append((site, bit, p1))
         else:
             reg = apply_segment(reg, seg, noise, dipole_scale)
-    return ExecutionResult(reg, outcomes, reports)
+    return ExecutionResult(reg, readouts, DetectionReport.from_noise(noise))

@@ -24,13 +24,21 @@ _K_DD = mu_0 / (4 * math.pi * h)  # Hz per (J/T)^2 / m^3
 
 
 def ddi_coupling(m1: float, m2: float, r: float, theta: float) -> float:
-    """Secular dipole-dipole energy in Hz for z-aligned moments."""
+    """Secular dipole-dipole energy in Hz for z-aligned moments; a
+    coupling that overflows a float is a PhysicsError."""
     if not 0 < r < math.inf:
         raise PhysicsError("dipole pair requires a finite, strictly positive "
                            "separation")
     if not all(map(math.isfinite, (m1, m2, theta))):
         raise PhysicsError("dipole pair requires finite moments and angle")
-    return _K_DD * m1 * m2 * (1 - 3 * math.cos(theta) ** 2) / r ** 3
+    try:
+        coupling = _K_DD * m1 * m2 * (1 - 3 * math.cos(theta) ** 2) / r ** 3
+    except (OverflowError, ZeroDivisionError):   # r ** 3 out of range
+        coupling = math.nan
+    if not math.isfinite(coupling):
+        raise PhysicsError(f"dipole coupling of moments {m1!r} and {m2!r} "
+                           f"J/T at separation {r!r} m overflows a float")
+    return coupling
 
 
 def pair_coupling(position1_m, position2_m) -> float:

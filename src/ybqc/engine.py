@@ -24,14 +24,14 @@ groups that the drive's legs join, `GROUPS`, e.g. {g+, e+3/2},
 and its basis is the Cartesian product of those groups.
 Only the live blocks, those holding a nonzero amplitude, are assembled
 and exponentiated; the 6^n x 6^n register matrix is never built.  Blocks
-of one size form one stack: 1x1 stacks are `np.exp`, larger ones one
-vectorised Pade-13 scaling and squaring (`_expm_stack`) with one scaling
-exponent per stack.  The drive blocks, the dipole diagonal and the
-lasers read each site's cached level table (`addressing.site_levels`,
-shared with the pulse builders); the lasers sit on the resonance of one
-active reference site (`_reference_index`).  The dense kron-sum
-propagator and scipy's `expm` are the test oracle in
-tests/test_blocked_propagator.py.
+of one size form one stack, applied as soon as it is exponentiated: 1x1
+stacks are `np.exp`, larger ones one vectorised Pade-13 scaling and
+squaring (`_expm_stack`) with one scaling exponent per stack.  The drive
+blocks, the dipole diagonal and the lasers read each site's cached level
+table (`addressing.site_levels`, shared with the pulse builders); the
+lasers sit on the resonance of one active reference site
+(`_reference_index`).  The dense kron-sum propagator and scipy's `expm`
+are the test oracle in tests/test_blocked_propagator.py.
 """
 
 from __future__ import annotations
@@ -171,10 +171,6 @@ class RegisterState:
     def survival(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
 
-    def copy(self) -> "RegisterState":
-        return RegisterState(self.params, self.geom, self.sites,
-                             self.amps.copy(), self.leaked)
-
     def site_index(self, site) -> int:
         return self.sites.index(tuple(site))
 
@@ -182,9 +178,6 @@ class RegisterState:
         """Unnormalized population of each level of one atom."""
         levels = basis_labels(self.n_atoms)[:, self.site_index(site)]
         return np.bincount(levels, np.abs(self.amps) ** 2, NLEV)
-
-    def population(self, site, level: int) -> float:
-        return float(self.level_populations(site)[level])
 
     def check_accounting(self) -> None:
         if not abs(self.survival + self.leaked - 1.0) <= ACCOUNTING_TOL:
@@ -342,6 +335,9 @@ def _dipole_diagonal(params: AtomParams, geom: LatticeGeometry, sites: tuple,
         for j in range(i + 1, n):
             coef = 2 * math.pi * dipole_scale * pair_coupling(
                 geom.position_m(sites[i]), geom.position_m(sites[j]))
+            if not math.isfinite(coef):
+                raise IntegratorError(f"dipole diagonal overflows at "
+                                      f"dipole_scale {dipole_scale!r}")
             dd += coef * moments[i][labels[:, i]] * moments[j][labels[:, j]]
     dd.flags.writeable = False
     return dd
@@ -395,30 +391,34 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
 
 def segment_propagator(reg: RegisterState, segment: PulseSegment,
                        noise: NoiseParams,
-                       dipole_scale: float = 1.0) -> list:
-    """Propagators over the whole segment of the live blocks, as
-    (indices, blocks) pairs like `segment_hamiltonian`, with the decay
-    rates as -i Gamma/2 on the diagonal; blocks of equal size are
-    exponentiated as one stack by `_expm_stack`."""
+                       dipole_scale: float = 1.0) -> np.ndarray:
+    """Amplitudes after the whole segment: each stack of equal-size live
+    blocks, with the decay rates as -i Gamma/2 on the diagonal, is
+    exponentiated by `_expm_stack` and applied at once.  Phases that
+    overflow a float raise IntegratorError before the overflow is used."""
     dt = segment.pulse.duration_s
     rates = _gamma_levels(noise)
     labels = basis_labels(reg.n_atoms)
-    out = []
+    amps = np.zeros_like(reg.amps)
     for idx, H in segment_hamiltonian(reg, segment, dipole_scale):
         d = idx.shape[1]
         H[:, np.arange(d), np.arange(d)] -= 0.5j * rates[labels[idx]].sum(-1)
-        out.append((idx, _expm_stack(-1j * dt * H)))
-    return out
+        try:
+            with np.errstate(over="raise"):
+                U = _expm_stack(-1j * dt * H)
+        except FloatingPointError as exc:
+            raise IntegratorError(
+                f"{segment.pulse.transition} segment of {dt!r} s at "
+                f"dipole_scale {dipole_scale!r}: {exc}") from None
+        amps[idx] = (U @ reg.amps[idx][..., None])[..., 0]
+    return amps
 
 
-def apply_propagator(reg: RegisterState, U: list,
+def apply_propagator(reg: RegisterState, amps: np.ndarray,
                      noise_on: bool) -> RegisterState:
-    """Apply block propagators from `segment_propagator`; amplitudes
-    outside the blocks stay zero."""
+    """The register holding `amps` from `segment_propagator`, checked for
+    unitarity with noise off; the lost norm is added to `leaked`."""
     before = reg.survival
-    amps = np.zeros_like(reg.amps)
-    for idx, blocks in U:
-        amps[idx] = (blocks @ reg.amps[idx][..., None])[..., 0]
     after = float(np.vdot(amps, amps).real)
     if not noise_on and not abs(after - before) <= UNITARITY_TOL:
         raise IntegratorError(
@@ -437,7 +437,7 @@ def apply_segment(reg: RegisterState, segment: PulseSegment,
     if not math.isfinite(dipole_scale):
         raise ConfigError(f"dipole_scale must be finite, got {dipole_scale!r}")
     if segment.pulse.duration_s == 0.0:
-        return reg.copy()
+        return reg
     noise_on = noise.photon_scattering_rate_hz > 0 \
         or not math.isinf(noise.lifetime_3P2_s)
     return apply_propagator(

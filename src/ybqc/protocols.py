@@ -6,8 +6,8 @@ loop over them and `compiler.execute_schedule` runs the result, so every
 gate reaches the engine through one path.  The builders read the sites'
 level tables of `addressing.site_levels`, which the engine reads too, and
 the 3-photon scan evolves the engine's own ladder block.  `measure_qubit`
-is projective measurement with MOT fluorescence branching-loss
-bookkeeping.
+samples and projects one readout; the fluorescence loss, equal for every
+readout of a run, is one `DetectionReport`.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .atomic import RegisterLevels, ladder_detunings
 from .dipole import pair_coupling
-from .engine import (EM12, EM32, EP12, EP32, GP, G_LEVELS, NLEV,
+from .engine import (EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, NLEV,
                      NoiseParams, Pulse, RegisterState, _laser_frequencies,
                      _single_atom_hamiltonian, basis_labels)
 from .errors import ConfigError, GeometryError, ProtocolOrderError
@@ -156,60 +156,55 @@ def cnot_pulse(geom, control_site, target_site, control_levels,
 
 @dataclass(frozen=True)
 class DetectionReport:
-    site: tuple
-    probability_one: float
+    """Loss of each MOT fluorescence readout: noise parameters alone."""
     n_scattered: float
     fluorescence_survival: float
     branching_loss_flag: bool
 
+    @classmethod
+    def from_noise(cls, noise: NoiseParams) -> "DetectionReport":
+        n_sc = noise.detection_time_s * noise.detection_scatter_rate_hz
+        fluor_survival = (1.0 - noise.branching_1P1_to_3D) ** n_sc
+        return cls(n_sc, fluor_survival, 1.0 - fluor_survival > 0.01)
 
-def measure_qubit(reg: RegisterState, site, noise: NoiseParams, rng_seed):
+
+def measure_qubit(reg: RegisterState, site, rng: np.random.Generator):
     """Projective measurement of one qubit via selective return and MOT
-    fluorescence.
+    fluorescence; returns (bit, collapsed register, probability of 1).
 
     Protocol order (caller's responsibility): all qubits were transferred
     to 3P2 first; this routine returns the selected qubit's e+3/2 state
     to 1S0 m_I=+1/2 (an ideal pi-pulse; the transfer imperfection physics
     lives in the compiled transfer pulses) and samples the fluorescence
-    outcome.  Fluorescence means the atom ended in the ground state ->
-    outcome 1.  An atom with more population in the intermediate levels
-    e+/-1/2 than in e+/-3/2 is mid-protocol and raises
+    outcome from `rng`.  Fluorescence means the atom ended in the ground
+    state -> outcome 1.  An atom with more population in the intermediate
+    levels e+/-1/2 than in e+/-3/2 is mid-protocol and raises
     ProtocolOrderError; the small ladder residue of a 3-photon rotation
     does not.
     """
-    if rng_seed is None:
-        raise ConfigError("measurement requires an explicit rng seed "
-                          "(strict-deterministic mode)")
-    rng = np.random.default_rng(rng_seed)  # a Generator passes through
     site = tuple(site)
     pops = reg.level_populations(site)
     if pops[EM12] + pops[EP12] > pops[EM32] + pops[EP32]:
         raise ProtocolOrderError(
             f"atom at {site} sits mostly in the intermediate e levels; "
             "measurement protocol out of order")
-    axis = reg.site_index(site)
-    moved = np.moveaxis(reg.amps.reshape((NLEV,) * reg.n_atoms), axis, 0)
-    swapped = moved.copy()
-    swapped[GP] = -1j * moved[EP32]
-    swapped[EP32] = -1j * moved[GP]
-    amps = np.moveaxis(swapped, 0, axis).reshape(-1)
-    work = RegisterState(reg.params, reg.geom, reg.sites, amps, reg.leaked)
+    levels = basis_labels(reg.n_atoms)[:, reg.site_index(site)]
+    # both masks list the other atoms' states in the same basis order
+    gp, ep = levels == GP, levels == EP32
+    amps = reg.amps.copy()
+    amps[gp], amps[ep] = -1j * reg.amps[ep], -1j * reg.amps[gp]
 
-    p1 = float(sum(work.population(site, lv) for lv in G_LEVELS))
+    pops = np.bincount(levels, np.abs(amps) ** 2, NLEV)
+    p1 = float(pops[GM] + pops[GP])
     outcome = int(rng.random() < p1)
 
-    in_ground = np.isin(basis_labels(reg.n_atoms)[:, axis], G_LEVELS)
+    in_ground = np.isin(levels, G_LEVELS)
     keep = in_ground if outcome == 1 else ~in_ground
-    collapsed = np.where(keep, work.amps, 0.0)
+    collapsed = np.where(keep, amps, 0.0)
     norm = float(np.vdot(collapsed, collapsed).real)
     if norm > 1e-300:
         collapsed = collapsed / math.sqrt(norm)
         out = RegisterState(reg.params, reg.geom, reg.sites, collapsed, 0.0)
     else:
         out = RegisterState(reg.params, reg.geom, reg.sites, collapsed, 1.0)
-
-    n_sc = noise.detection_time_s * noise.detection_scatter_rate_hz
-    fluor_survival = (1.0 - noise.branching_1P1_to_3D) ** n_sc
-    report = DetectionReport(site, p1, n_sc, fluor_survival,
-                             1.0 - fluor_survival > 0.01)
-    return outcome, out, report
+    return outcome, out, p1

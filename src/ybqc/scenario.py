@@ -352,19 +352,19 @@ def simulate_circuit(circuit_text: str, geom: LatticeGeometry,
 
 
 def result_to_json(schedule: PulseSchedule, result) -> str:
-    reg = result.register
+    reg, det = result.register, result.detection
     payload = {
         "outcomes": [{"site": list(site), "bit": bit}
-                     for site, bit in result.outcomes],
+                     for site, bit, _ in result.readouts],
         "survival": reg.survival,
         "leaked": reg.leaked,
         "total_duration_s": schedule.total_duration_s,
-        "detection": [{"site": list(r.site),
-                       "probability_one": r.probability_one,
-                       "n_scattered": r.n_scattered,
-                       "fluorescence_survival": r.fluorescence_survival,
-                       "branching_loss_flag": r.branching_loss_flag}
-                      for r in result.detection_reports],
+        "detection": [{"site": list(site),
+                       "probability_one": p1,
+                       "n_scattered": det.n_scattered,
+                       "fluorescence_survival": det.fluorescence_survival,
+                       "branching_loss_flag": det.branching_loss_flag}
+                      for site, _, p1 in result.readouts],
     }
     return json.dumps(payload, indent=2)
 

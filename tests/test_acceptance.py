@@ -214,7 +214,7 @@ def test_criterion_9_property_suites(tmp_path):
             NoiseParams.off())
         W = math.hypot(rabi, delta)
         want = (rabi / W) ** 2 * math.sin(W * t / 2) ** 2
-        if abs(out.population((0, 0, 0), EP32) - want) > 1e-8:
+        if abs(out.level_populations((0, 0, 0))[EP32] - want) > 1e-8:
             failures.append("detuned Rabi closed form")
             break
 
@@ -224,7 +224,7 @@ def test_criterion_9_property_suites(tmp_path):
     amps[EM32] = amps[EP32] = 1 / math.sqrt(2)
     sup = RegisterState(params, LatticeGeometry(1, 1, 1), [(0, 0, 0)], amps)
     gen = np.random.default_rng(99)
-    ones = sum(measure_qubit(sup, (0, 0, 0), noise, gen)[0]
+    ones = sum(measure_qubit(sup, (0, 0, 0), gen)[0]
                for _ in range(10_000))
     if abs(ones / 10_000 - 0.5) > 0.02:
         failures.append(f"measurement statistics ({ones / 10_000:.3f})")

@@ -57,7 +57,7 @@ def dense_hamiltonian(reg, segment, dipole_scale=1.0):
 def dense_apply_segment(reg, segment, noise, dipole_scale=1.0):
     dt = segment.pulse.duration_s
     if dt == 0.0:
-        return reg.copy()
+        return reg
     gamma = _gamma_levels(noise)[basis_labels(reg.n_atoms)].sum(axis=1)
     M = dense_hamiltonian(reg, segment, dipole_scale) - 0.5j * np.diag(gamma)
     amps = expm(-1j * M * dt) @ reg.amps
@@ -99,16 +99,14 @@ def _check_against_dense(n_sites, circuit, ones, noise, seed):
     blocked = dense = start
     rng_blocked = np.random.default_rng(seed)
     rng_dense = np.random.default_rng(seed)
-    outcomes = []
+    readouts = []
     for seg in schedule.segments:
         if seg.pulse.transition == "measure":
             site = seg.pulse.target[1]
-            bit, blocked, _ = measure_qubit(blocked, site, noise,
-                                            rng_blocked)
-            bit_dense, dense, _ = measure_qubit(dense, site, noise,
-                                                rng_dense)
+            bit, blocked, p1 = measure_qubit(blocked, site, rng_blocked)
+            bit_dense, dense, _ = measure_qubit(dense, site, rng_dense)
             assert bit == bit_dense
-            outcomes.append((site, bit))
+            readouts.append((site, bit, p1))
         else:
             blocked = apply_segment(blocked, seg, noise)
             dense = dense_apply_segment(dense, seg, noise)
@@ -117,9 +115,9 @@ def _check_against_dense(n_sites, circuit, ones, noise, seed):
         assert abs(blocked.leaked - dense.leaked) < 1e-10
 
     # a second run with the same seed, through the executor, repeats
-    # the outcomes and amplitudes exactly
+    # the readouts and amplitudes exactly
     rerun = execute_schedule(start, schedule, noise, rng_seed=seed)
-    assert rerun.outcomes == outcomes
+    assert rerun.readouts == readouts
     assert np.array_equal(rerun.register.amps, blocked.amps)
     assert rerun.register.leaked == blocked.leaked
 

@@ -18,8 +18,10 @@ from ybqc.engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
                          Pulse, PulseSegment, RegisterState, apply_segment,
                          light_shift_compensation)
 from ybqc.errors import ConfigError, GeometryError, ProtocolOrderError
-from ybqc.protocols import (cnot_pulse, cnot_pulse_parameters, measure_qubit,
-                            rotation_pulse, three_photon_scan, transfer_pulse)
+from ybqc.protocols import (DetectionReport, cnot_pulse, cnot_pulse_parameters,
+                            measure_qubit, rotation_pulse, three_photon_scan,
+                            transfer_pulse)
+from ybqc.scenario import simulate_circuit
 
 P = AtomParams()
 PCAL = calibrate_hyperfine_A(P)
@@ -28,7 +30,7 @@ OFF = NoiseParams.off()
 
 def _fraction(reg, site, levels):
     """Population of `levels` at `site` over the register survival."""
-    return sum(reg.population(site, lv) for lv in levels) / reg.survival
+    return reg.level_populations(site)[list(levels)].sum() / reg.survival
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +74,7 @@ def test_scan_uncompensated_transfer_degrades():
         pulse = Pulse("three_photon", scan.pi_time_s, rabi,
                       detuning_rad_s=detuning, target=("site", site))
         out = apply_segment(reg, PulseSegment(GradientConfig(B), pulse), OFF)
-        return out.population(site, EP32)
+        return out.level_populations(site)[EP32]
 
     assert transfer(0.0) > 0.99
     assert transfer(-eps) < 0.9
@@ -108,8 +110,9 @@ def test_transfer_superposition_both_legs():
     reg = RegisterState(P, geom, [(0, 0, 0)], amps)
     up = apply_segment(reg, PulseSegment(cfg, transfer_pulse(
         ("all",), 2 * math.pi * 500.0, 0.5)), OFF)
-    assert up.population((0, 0, 0), EM32) == pytest.approx(0.5, abs=1e-6)
-    assert up.population((0, 0, 0), EP32) == pytest.approx(0.5, abs=1e-6)
+    pops = up.level_populations((0, 0, 0))
+    assert pops[EM32] == pytest.approx(0.5, abs=1e-6)
+    assert pops[EP32] == pytest.approx(0.5, abs=1e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -122,11 +125,11 @@ def test_single_qubit_pi_gate_flips_aux():
                                 [EM32])
     pulse = rotation_pulse(register_levels(PCAL, B), site, math.pi, 1.0)
     out = apply_segment(reg, PulseSegment(GradientConfig(B), pulse), OFF)
-    assert out.population(site, EP32) > 0.99
+    assert out.level_populations(site)[EP32] > 0.99
     assert _fraction(out, site, (EM12, EP12)) < 5e-3
     # rotation inferred from the population moved into e+3/2
-    moved = out.population(site, EP32) \
-        / (out.population(site, EM32) + out.population(site, EP32))
+    pops = out.level_populations(site)
+    moved = pops[EP32] / (pops[EM32] + pops[EP32])
     assert 2 * math.asin(math.sqrt(moved)) == pytest.approx(math.pi,
                                                             rel=0.05)
 
@@ -153,7 +156,7 @@ def test_cnot_truth_behavior(control, flip):
     assert shift != 0.0     # conditional
     pulse = cnot_pulse(geom, (0, 0, 0), (1, 0, 0), *tables, 2.0)
     out = apply_segment(reg, PulseSegment(cfg, pulse), OFF)
-    p_flip = out.population((1, 0, 0), EP32)
+    p_flip = out.level_populations((1, 0, 0))[EP32]
     if flip:
         assert p_flip > 0.98
     else:
@@ -189,61 +192,64 @@ def _superposition_in_aux():
 
 def test_measurement_statistics_on_equal_superposition():
     reg = _superposition_in_aux()
-    noise = NoiseParams()
     rng = np.random.default_rng(12345)
     n = 10_000
     ones = 0
     for _ in range(n):
-        bit, _post, rep = measure_qubit(reg, (0, 0, 0), noise, rng)
+        bit, _post, p1 = measure_qubit(reg, (0, 0, 0), rng)
         ones += bit
-    assert rep.probability_one == pytest.approx(0.5, abs=1e-9)
+    assert p1 == pytest.approx(0.5, abs=1e-9)
     assert ones / n == pytest.approx(0.5, abs=0.02)
 
 
 def test_measurement_collapse_and_determinism():
     reg = _superposition_in_aux()
-    noise = NoiseParams()
-    seq1 = [measure_qubit(reg, (0, 0, 0), noise, seed)[0]
+    seq1 = [measure_qubit(reg, (0, 0, 0), np.random.default_rng(seed))[0]
             for seed in range(200)]
-    seq2 = [measure_qubit(reg, (0, 0, 0), noise, seed)[0]
+    seq2 = [measure_qubit(reg, (0, 0, 0), np.random.default_rng(seed))[0]
             for seed in range(200)]
     assert seq1 == seq2
     assert 0 in seq1 and 1 in seq1
-    bit, post, _ = measure_qubit(reg, (0, 0, 0), noise, 5)
+    bit, post, _ = measure_qubit(reg, (0, 0, 0), np.random.default_rng(5))
     # collapsed register is pure in the measured outcome
-    if bit == 1:
-        assert post.population((0, 0, 0), GP) == pytest.approx(1.0,
-                                                               abs=1e-9)
-    else:
-        assert post.population((0, 0, 0), EM32) == pytest.approx(1.0,
-                                                                 abs=1e-9)
+    pops = post.level_populations((0, 0, 0))
+    assert pops[GP if bit == 1 else EM32] == pytest.approx(1.0, abs=1e-9)
     assert post.survival == pytest.approx(1.0, abs=1e-9)
 
 
 def test_measurement_requires_seed_and_protocol_order():
-    reg = _superposition_in_aux()
-    with pytest.raises(ConfigError):
-        measure_qubit(reg, (0, 0, 0), NoiseParams(), None)
+    # the executor owns the seed rule: a schedule that measures needs one
+    geom = LatticeGeometry(1, 1, 1)
+    sched = compile_circuit("MEAS 0 0", geom, P,
+                            plan_gradients(geom, 1000.0, P), NoiseParams())
+    with pytest.raises(ConfigError, match="rng seed is required"):
+        execute_schedule(_superposition_in_aux(), sched, NoiseParams(),
+                         rng_seed=None)
+    rng = np.random.default_rng(1)
     bad = RegisterState.product(P, LatticeGeometry(1, 1, 1),
                                 [(0, 0, 0)], [3])  # intermediate e level
     with pytest.raises(ProtocolOrderError):
-        measure_qubit(bad, (0, 0, 0), NoiseParams(), 1)
+        measure_qubit(bad, (0, 0, 0), rng)
     # a 2% ladder residue next to the auxiliary qubit is no protocol error
     amps = np.zeros(NLEV, complex)
     amps[[EM12, EM32, EP32]] = np.sqrt([0.02, 0.48, 0.5])
     measure_qubit(RegisterState(P, LatticeGeometry(1, 1, 1), [(0, 0, 0)],
-                                amps), (0, 0, 0), NoiseParams(), 1)
+                                amps), (0, 0, 0), rng)
 
 
 def test_measurement_branching_loss_report():
-    reg = _superposition_in_aux()
-    gentle = NoiseParams()
-    _, _, rep = measure_qubit(reg, (0, 0, 0), gentle, 1)
+    rep = DetectionReport.from_noise(NoiseParams())
     assert rep.n_scattered == pytest.approx(24000.0)
     assert not rep.branching_loss_flag
-    lossy = NoiseParams(branching_1P1_to_3D=1e-6)
-    _, _, rep2 = measure_qubit(reg, (0, 0, 0), lossy, 1)
+    rep2 = DetectionReport.from_noise(NoiseParams(branching_1P1_to_3D=1e-6))
     assert rep2.branching_loss_flag
+    # one report per run, shared by every readout in result.json
+    geom = LatticeGeometry(2, 1, 1)
+    _, result = simulate_circuit("MEAS 0 0\nMEAS 1 0\n", geom, P,
+                                 plan_gradients(geom, 1000.0, P),
+                                 NoiseParams(branching_1P1_to_3D=1e-6), 1)
+    assert result.detection == rep2
+    assert [site for site, _, _ in result.readouts] == [(0, 0, 0), (1, 0, 0)]
 
 
 # ---------------------------------------------------------------------------

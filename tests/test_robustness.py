@@ -126,6 +126,57 @@ def test_cli_non_finite_physics_input_exits_3(capsys, argv, name):
     assert len(captured.err.strip().splitlines()) == 1
 
 
+# couplings and dipole diagonals that leave the float range, on the 2x1
+# circuit X, CNOT, MEAS, MEAS: a traceback, a numpy RuntimeWarning or
+# "-Infinity" in the JSON before they were checked
+FLOAT_RANGE_CIRCUIT = ["--circuit", "c.txt", "--nx", "2", "--ny", "1"]
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["ddi", "--spacing-m", "1e-300"], "dipole coupling"),
+    (["ddi", "--spacing-m", "1e200", "--m1-mub", "1", "--m2-mub", "1"],
+     "dipole coupling"),
+    (["ddi", "--m1-mub", "1e200", "--m2-mub", "1e200"], "dipole coupling"),
+    (["compile", *FLOAT_RANGE_CIRCUIT, "--spacing-m", "1e-110"],
+     "dipole coupling"),
+    (["simulate", *FLOAT_RANGE_CIRCUIT, "--seed", "0", "--spacing-m",
+      "1e-110"], "dipole coupling"),
+    (["simulate", *FLOAT_RANGE_CIRCUIT, "--seed", "0",
+      "--dipole-scale", "1e300"], "dipole diagonal overflows"),
+    (["simulate", *FLOAT_RANGE_CIRCUIT, "--seed", "0",
+      "--dipole-scale=-1e300"], "dipole diagonal overflows"),
+    (["simulate", *FLOAT_RANGE_CIRCUIT, "--seed", "0",
+      "--dipole-scale", "1e30"], "overflow encountered"),
+    (["simulate", *FLOAT_RANGE_CIRCUIT, "--seed", "0",
+      "--dipole-scale", "1e200"], "overflow encountered"),
+], ids=["ddi-near", "ddi-far", "ddi-moments", "compile-near",
+        "simulate-near", "scale-1e300", "scale-minus-1e300", "scale-1e30",
+        "scale-1e200"])
+def test_couplings_out_of_float_range_exit_3(tmp_path, monkeypatch, capsys,
+                                            argv, name):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.txt").write_text("X 0 0 1.0\nCNOT 0 0 1 0\n"
+                                    "MEAS 0 0\nMEAS 1 0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli_main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("physics error: ") and name in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_negative_zero_angle_compiles_to_zero_duration(tmp_path, capsys):
+    (tmp_path / "c.txt").write_text("X 0 0 -0.0\n")
+    assert cli_main(["compile", "--circuit", str(tmp_path / "c.txt"),
+                     "--nx", "1", "--ny", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "-0.0" not in out
+    gate = json.loads(out)["segments"][1]
+    assert gate["transition"] == "three_photon"
+    assert math.copysign(1.0, gate["duration_s"]) == 1.0
+
+
 def test_initial_one_off_the_circuit_exits_2(tmp_path, capsys):
     (tmp_path / "c.txt").write_text("X 0 0 1.0\nMEAS 0 0\n")
     scn = _scenario(tmp_path, pipeline=["simulate"],
@@ -521,6 +572,8 @@ COMMANDS = {
     "plan": ({"--nx": COUNT, "--ny": COUNT},
              LATTICE | {"--b0-gauss": VALUE, "--target-gap-hz": VALUE}),
     "feasibility": ({}, {"--depth-recoils": VALUE}),
+    "ddi": ({}, {"--spacing-m": VALUE, "--m1-mub": VALUE, "--m2-mub": VALUE,
+                 "--theta-rad": VALUE}),
 }
 
 
@@ -579,16 +632,24 @@ GATE_LINE = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(command=st.sampled_from(["compile", "simulate"]),
        lattice=st.sampled_from([(1, 1), (2, 1), (2, 2)]),
-       lines=st.lists(GATE_LINE, min_size=1, max_size=5))
-@example(command="compile", lattice=(1, 1), lines=["X 0 0 nan"])
-def test_fuzzed_circuits_exit_0_2_or_3(command, lattice, lines):
+       lines=st.lists(GATE_LINE, min_size=1, max_size=5),
+       spacing=st.one_of(st.none(), VALUE),
+       scale=st.one_of(st.none(), VALUE))
+@example(command="compile", lattice=(1, 1), lines=["X 0 0 nan"],
+         spacing=None, scale=None)
+def test_fuzzed_circuits_exit_0_2_or_3(command, lattice, lines, spacing,
+                                       scale):
     with tempfile.TemporaryDirectory() as tmp:
         circuit = Path(tmp) / "c.txt"
         circuit.write_text("\n".join(lines) + "\n")
         argv = [command, "--circuit", str(circuit), "--nx", str(lattice[0]),
                 "--ny", str(lattice[1])]
+        if spacing is not None:
+            argv.append(f"--spacing-m={spacing}")
         if command == "simulate":
             argv += ["--seed", "1"]
+            if scale is not None:
+                argv.append(f"--dipole-scale={scale}")
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):
             code = cli_main(argv)
@@ -598,4 +659,5 @@ def test_fuzzed_circuits_exit_0_2_or_3(command, lattice, lines):
     if code:
         assert out.getvalue() == ""
     else:
-        assert not re.search(r"\b(nan|inf|NaN|Infinity)\b", out.getvalue())
+        assert not re.search(r"\b(nan|inf|NaN|Infinity)\b|-0\.0\b",
+                             out.getvalue())

@@ -77,12 +77,12 @@ def test_simulated_circuit_truth_values():
     _sched, result = simulate_circuit(BELL, geom, P,
                                       plan_gradients(geom, 1000.0, P),
                                       NoiseParams.off(), seed=123)
-    bits = dict(result.outcomes)
+    bits = {site: bit for site, bit, _ in result.readouts}
     # X flips the control to 1; CNOT then flips the target
     assert bits[(0, 0, 0)] == 1
     assert bits[(1, 0, 0)] == 1
-    for rep in result.detection_reports:
-        assert rep.probability_one > 0.98
+    for _, _, p1 in result.readouts:
+        assert p1 > 0.98
 
 
 # ---------------------------------------------------------------------------
