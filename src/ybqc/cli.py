@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: levels, detunings, ddi, address, plan, simulate, feasibility,
-compile, run.  Exit codes: 0 success, 2 configuration/scenario error,
-3 physics or integrator error.  Stochastic commands require --seed.
+compile, run.  Exit codes: 0 success, 2 configuration/scenario error
+(sizes too large to allocate included), 3 physics or integrator error.
+Stochastic commands require --seed.
 
 Each subcommand reads its flags as scenario keys through
 `scenario.scenario_from_dict`; one named after a pipeline stage prints
@@ -272,7 +273,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, OSError) as exc:   # OSError: an input or output file
+    # OSError: an input or output file; MemoryError: a size too large to
+    # allocate, e.g. --steps 1000000000000000
+    except (ConfigError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PhysicsError as exc:

@@ -64,10 +64,9 @@ def auxiliary_qubit_moments(params: AtomParams) -> tuple[float, float]:
     return (m, -m)
 
 
-def cnot_shift(spacing: float, params: AtomParams | None = None,
-               theta: float = 0.0) -> float:
+def cnot_shift(spacing: float, params: AtomParams, theta: float) -> float:
     """Conditional shift (Hz) of the |10><->|11> line at the given spacing:
     [E(11) - E(10)] - [E(01) - E(00)] of the secular coupling, which is
     the coupling of the moment differences m1 - m0 of the two atoms."""
-    m0, m1 = auxiliary_qubit_moments(params or AtomParams())
+    m0, m1 = auxiliary_qubit_moments(params)
     return ddi_coupling(m1 - m0, m1 - m0, spacing, theta)

@@ -18,20 +18,20 @@ convention-stable phases are physical; all phases are deterministic.
 
 Blocked propagation: every drive couples fixed level pairs of one atom,
 and the dipole and decay terms are diagonal, so the register Hamiltonian
-is block-diagonal.  A block is one coupled level group per atom (the
-groups that the drive's legs join, `GROUPS`, e.g. {g+, e+3/2},
-{g-, e-3/2}, {e-1/2}, {e+1/2} under the optical pair drive),
-and its basis is the Cartesian product of those groups.
-Only the live blocks, those holding a nonzero amplitude, are assembled
-and exponentiated; the 6^n x 6^n register matrix is never built.  Blocks
-of one size form one stack, applied as soon as it is exponentiated: 1x1
-stacks are `np.exp`, larger ones one vectorised Pade-13 scaling and
-squaring (`_expm_stack`) with one scaling exponent per stack.  The drive
-blocks, the dipole diagonal and the lasers read each site's cached level
-table (`addressing.site_levels`, shared with the pulse builders); the
-lasers sit on the resonance of one active reference site
-(`_reference_index`).  The dense kron-sum propagator and scipy's `expm`
-are the test oracle in tests/test_blocked_propagator.py.
+is block-diagonal.  A block is one coupled level group per atom (the groups
+that the drive's legs join, `GROUPS`, e.g. {g+, e+3/2}, {g-, e-3/2},
+{e-1/2}, {e+1/2} under the optical pair drive), and its basis is the
+Cartesian product of those groups.  Only the live blocks, those holding a
+nonzero amplitude, are assembled and exponentiated; the 6^n x 6^n register
+matrix is never built.  The blocks are real; all groups of a drive have the
+same legs, so blocks of one size share one drive matrix, each with its
+slice of one 6^n diagonal.  Each size is one stack, applied as soon as it
+is exponentiated: 1x1 stacks are `np.exp`, larger ones one vectorised
+Pade-13 scaling and squaring (`_expm_stack`) with one scaling exponent per
+stack.  The blocks and the lasers read each site's cached level table
+(`addressing.site_levels`, shared with the pulse builders); the lasers sit
+on the resonance of one active reference site (`_reference_index`).  The
+dense kron-sum propagator and scipy's `expm` are the test oracle.
 """
 
 from __future__ import annotations
@@ -82,6 +82,9 @@ class NoiseParams:
                      "detection_scatter_rate_hz"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and >= 0")
+        if math.isinf(self.detection_time_s * self.detection_scatter_rate_hz):
+            raise ConfigError("detection_time_s x detection_scatter_rate_hz "
+                              "overflows a float")
         if not 0 <= self.branching_1P1_to_3D <= 1:
             raise ConfigError("branching ratio must lie in [0, 1]")
 
@@ -280,9 +283,11 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     """Live blocks of the register Hamiltonian (rad/s) for one segment.
 
     Returns one (indices, blocks) pair per block size d: `indices` is an
-    (nb, d) array of basis states, `blocks` the (nb, d, d) Hermitian
+    (nb, d) array of basis states, `blocks` the (nb, d, d) real symmetric
     blocks over them.  A block is live when any of its amplitudes is
-    nonzero; the others are never built.
+    nonzero; the others are never built.  Blocks of one size share one
+    drive matrix (Omega/2 on each leg) and carry their slice of one 6^n
+    diagonal: the atoms' level energies, then the dipole terms.
     """
     params, geom = reg.params, reg.geom
     config, pulse = segment.config, segment.pulse
@@ -290,8 +295,7 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     tables = site_levels(params, geom, reg.sites, config)
     lasers = _laser_frequencies(tables[_reference_index(reg, pulse.target)],
                                 pulse)
-    hs = np.stack([_single_atom_hamiltonian(table.energy_hz, lasers, pulse)
-                   for table in tables])
+    hs = [_single_atom_hamiltonian(t.energy_hz, lasers, pulse) for t in tables]
     labels = basis_labels(n)
     # block of each basis state, coded by its atoms' groups as base-6
     # digits; ascending basis order within a block is the Cartesian order
@@ -301,21 +305,17 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     states = states[np.argsort(block[states], kind="stable")]
     _, sizes = np.unique(block[states], return_counts=True)
     size_of = np.repeat(sizes, sizes)
-
-    dd = _dipole_diagonal(params, geom, reg.sites, config, dipole_scale)
+    diagonal = sum(h.diagonal()[labels[:, i]] for i, h in enumerate(hs)) \
+        + _dipole_diagonal(params, geom, reg.sites, config, dipole_scale)
+    leg = (hs[0] != 0) & ~np.eye(NLEV, dtype=bool)  # legs; none at Rabi 0
     out = []
     for d in np.unique(sizes):
         idx = states[size_of == d].reshape(-1, d)
-        L = labels[idx]
-        La, Lb = L[:, :, None, :], L[:, None, :, :]
-        differ = La != Lb
-        n_differ = differ.sum(axis=-1)
-        H = np.zeros(idx.shape + (d,), complex)
-        for i in range(n):
-            # atom i's term couples states equal on every other atom
-            H += np.where(n_differ == differ[..., i],
-                          hs[i][La[..., i], Lb[..., i]], 0.0)
-        H[:, np.arange(d), np.arange(d)] += dd[idx]
+        L = labels[idx[0]]  # first block: differ on one atom, by one leg
+        drive = ((L[:, None] != L[None]).sum(-1) == 1) \
+            & leg[L[:, None], L[None]].any(-1)
+        H = np.repeat(drive[None] * (pulse.rabi_rad_s / 2), len(idx), axis=0)
+        H[:, np.arange(d), np.arange(d)] = diagonal[idx]
         out.append((idx, H))
     return out
 
@@ -392,20 +392,20 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
 def segment_propagator(reg: RegisterState, segment: PulseSegment,
                        noise: NoiseParams,
                        dipole_scale: float = 1.0) -> np.ndarray:
-    """Amplitudes after the whole segment: each stack of equal-size live
-    blocks, with the decay rates as -i Gamma/2 on the diagonal, is
+    """Amplitudes after the whole segment: each stack of real live blocks
+    turns complex as -i dt (H - i Gamma/2), Gamma the decay rates, is
     exponentiated by `_expm_stack` and applied at once.  Phases that
     overflow a float raise IntegratorError before the overflow is used."""
     dt = segment.pulse.duration_s
-    rates = _gamma_levels(noise)
-    labels = basis_labels(reg.n_atoms)
+    rates = _gamma_levels(noise)[basis_labels(reg.n_atoms)].sum(-1)
     amps = np.zeros_like(reg.amps)
     for idx, H in segment_hamiltonian(reg, segment, dipole_scale):
-        d = idx.shape[1]
-        H[:, np.arange(d), np.arange(d)] -= 0.5j * rates[labels[idx]].sum(-1)
+        ar = np.arange(idx.shape[1])
         try:
             with np.errstate(over="raise"):
-                U = _expm_stack(-1j * dt * H)
+                A = -1j * dt * H
+                A[:, ar, ar] -= 0.5 * dt * rates[idx]
+                U = _expm_stack(A)
         except FloatingPointError as exc:
             raise IntegratorError(
                 f"{segment.pulse.transition} segment of {dt!r} s at "

@@ -1,12 +1,14 @@
 """Blocked propagator against the dense oracle: random <=3-site circuits
-run segment by segment through both, the stacked exponential against
-scipy's `expm`, plus a memory guard that fails if a 6^n x 6^n register
-matrix comes back."""
+run segment by segment through both, the live blocks of random <=4-site
+registers against slices of the dense matrix, the stacked exponential
+against scipy's `expm`, plus memory guards that fail if a 6^n x 6^n
+register matrix or complex blocks come back."""
 
 import math
 import tracemalloc
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
@@ -14,10 +16,11 @@ from ybqc.addressing import LatticeGeometry, plan_gradients, site_fields
 from ybqc.atomic import AtomParams, register_levels
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.dipole import pair_coupling
-from ybqc.engine import (GM, GP, NLEV, NoiseParams, RegisterState,
-                         _expm_stack, _gamma_levels, _laser_frequencies,
-                         _reference_index, _single_atom_hamiltonian,
-                         apply_segment, basis_labels)
+from ybqc.engine import (GM, GP, GROUPS, LEGS, NLEV, NoiseParams, Pulse,
+                         PulseSegment, RegisterState, _expm_stack,
+                         _gamma_levels, _laser_frequencies, _reference_index,
+                         _single_atom_hamiltonian, apply_segment,
+                         basis_labels, segment_hamiltonian)
 from ybqc.protocols import measure_qubit
 from ybqc.scenario import simulate_circuit
 
@@ -132,6 +135,87 @@ def test_two_site_circuits_match_dense_oracle(case):
 @given(case=circuits(3))
 def test_three_site_circuits_match_dense_oracle(case):
     _check_against_dense(3, *case)
+
+
+@st.composite
+def live_segments(draw):
+    """A 1 x n chain (n <= 4) with a random live set, fully live or a few
+    states, under a random drive of any transition and a random dipole
+    scale."""
+    n = draw(st.integers(1, 4))
+    geom = LatticeGeometry(n, 1, 1)
+    sites = [(i, 0, 0) for i in range(n)]
+    amps = np.zeros(NLEV ** n, complex)
+    if draw(st.booleans()):
+        amps[:] = 1.0
+    else:
+        amps[draw(st.lists(st.integers(0, NLEV ** n - 1), min_size=1,
+                           max_size=6))] = 1.0
+    target = draw(st.sampled_from([("all",)] + [("site", s) for s in sites]))
+    pulse = Pulse(draw(st.sampled_from(sorted(LEGS))), 1e-3,
+                  draw(st.sampled_from([0.0, 2 * math.pi * 50.0, 3e4])),
+                  draw(st.floats(-1e3, 1e3)), target)
+    reg = RegisterState(P, geom, sites, amps)
+    segment = PulseSegment(plan_gradients(geom, 1000.0, P), pulse)
+    return reg, segment, draw(st.sampled_from([0.0, 1.0, 2.5]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=live_segments())
+def test_live_blocks_are_slices_of_the_dense_hamiltonian(case):
+    reg, segment, dipole_scale = case
+    dense = dense_hamiltonian(reg, segment, dipole_scale)
+    diagonal = np.diagonal(dense)
+    assert not diagonal.imag.any()
+    live = np.zeros(len(dense), bool)
+    for idx, blocks in segment_hamiltonian(reg, segment, dipole_scale):
+        assert blocks.dtype == np.float64
+        for states, H in zip(idx, blocks):
+            want = dense[np.ix_(states, states)]
+            off = ~np.eye(len(states), dtype=bool)
+            assert np.array_equal(H[off], want[off])
+            # the oracle adds the dipole terms pair by pair
+            assert np.max(np.abs(np.diagonal(H) - np.diagonal(want))) \
+                <= 1e-12 * np.abs(diagonal).max()
+            # no dense coupling leaves the block
+            assert np.count_nonzero(dense[states]) == np.count_nonzero(want)
+            live[states] = True
+    # the blocks cover every state of a block holding an amplitude
+    assert live[reg.amps != 0].all()
+
+
+def test_fully_live_five_site_ladder_assembles_small_real_blocks():
+    # the blocks hold 15 MB as float64 (the 1024-state one 8 MB); complex
+    # blocks or (nb, d, d, n) label broadcasts pass 40 MB
+    geom = LatticeGeometry(5, 1, 1)
+    reg = RegisterState(P, geom, [(i, 0, 0) for i in range(5)],
+                        np.full(NLEV ** 5, NLEV ** -2.5, complex))
+    segment = PulseSegment(plan_gradients(geom, 1000.0, P),
+                           Pulse("three_photon", 1e-3, 2 * math.pi * 50.0))
+    tracemalloc.start()
+    try:
+        out = segment_hamiltonian(reg, segment)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [idx.shape[1] for idx, _ in out] == [1, 4, 16, 64, 256, 1024]
+    assert all(H.dtype == np.float64 for _, H in out)
+    assert peak < 40e6
+
+
+@pytest.mark.parametrize("transition", sorted(LEGS))
+def test_every_coupled_group_has_the_same_leg_pattern(transition):
+    # blocks of one size share one drive matrix only if every coupled
+    # level group carries the same legs, at the same places in ascending
+    # level order
+    patterns = set()
+    for g in np.unique(GROUPS[transition]):
+        levels = np.flatnonzero(GROUPS[transition] == g).tolist()
+        if len(levels) > 1:
+            patterns.add(frozenset(
+                tuple(sorted((levels.index(lo), levels.index(up))))
+                for lo, up in LEGS[transition] if lo in levels))
+    assert len(patterns) == 1
 
 
 def _hermitian(rng, nb, d, norm):

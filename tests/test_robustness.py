@@ -304,9 +304,11 @@ def test_circuit_sites_sharing_one_field_exit_3(tmp_path, capsys):
     {"detection_time_s": math.nan},
     {"detection_scatter_rate_hz": -1.0},
     {"detection_scatter_rate_hz": math.nan},
-], ids=lambda noise: "=".join(map(str, *noise.items())))
+    # each factor is finite, the photon count is not: result.json would
+    # hold "n_scattered": Infinity
+    {"detection_time_s": 1e200, "detection_scatter_rate_hz": 1e200},
+], ids=lambda noise: ",".join(f"{k}={v}" for k, v in noise.items()))
 def test_out_of_range_noise_exits_2_at_load(tmp_path, capsys, noise):
-    (name, value), = noise.items()
     (tmp_path / "c.txt").write_text("X 0 0 1.0\nMEAS 0 0\n")
     scn = _scenario(tmp_path, pipeline=["simulate"],
                     lattice={"n_x": 1, "n_y": 1, "n_z": 1},
@@ -318,7 +320,29 @@ def test_out_of_range_noise_exits_2_at_load(tmp_path, capsys, noise):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "out").exists()
     with pytest.raises(ConfigError):
-        NoiseParams(**{name: value})
+        NoiseParams(**noise)
+
+
+# sizes whose arrays exceed any address space, so they fail at once
+HUGE = 1000000000000000
+
+
+@pytest.mark.parametrize("argv", [
+    ["detunings", "--steps", str(HUGE)],
+    ["address", "--nx", "10000000", "--ny", "10000000",
+     "--gx-g-per-cm", "1e-9", "--gy-g-per-cm", "1e-1"],
+    ["run", "scn.json"],
+], ids=["detunings", "address", "run"])
+def test_sizes_too_large_to_allocate_exit_2(tmp_path, monkeypatch, capsys,
+                                            argv):
+    monkeypatch.chdir(tmp_path)
+    _scenario(tmp_path, pipeline=["detunings"], sweep={"steps": HUGE})
+    assert cli_main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "allocate" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
 
 
 # (root key, a number given for it, its reader's message)
@@ -554,10 +578,11 @@ def test_fuzzed_zeeman_constants_exit_0_2_or_3(atom, stage, steps):
 
 VALUE = st.sampled_from(["nan", "inf", "-inf", "-1", "-2.5", "0", "1e-300",
                          "650", str(10 ** 30), "1e308"])
-# lattices of at most 3x3 and sweeps of at most 5 fields keep it cheap;
-# argparse itself rejects "nan" for an integer flag
+# lattices of at most 3x3 and sweeps of at most 5 fields keep it cheap
+# (HUGE steps fail before they allocate); argparse itself rejects "nan"
+# for an integer flag
 COUNT = st.sampled_from(["nan", "-1", "0", "1", "2", "3"])
-STEPS = st.sampled_from(["nan", "-1", "0", "1", "2", "5"])
+STEPS = st.sampled_from(["nan", "-1", "0", "1", "2", "5", str(HUGE)])
 LATTICE = {"--nz": COUNT, "--spacing-m": VALUE}
 COMMANDS = {
     "levels": ({"--steps": STEPS},
