@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .addressing import LatticeGeometry, plan_gradients, validate_gradients
 from .atomic import AtomParams
@@ -69,6 +68,9 @@ def lowest_band_width_recoils(depth_recoils: float) -> float:
     if s > DEEP_LATTICE_RECOILS:
         return 16 / math.sqrt(math.pi) * s ** 0.75 \
             * math.exp(-2 * math.sqrt(s))
+    # the one scipy routine of the package, imported here so that
+    # importing ybqc loads no scipy
+    from scipy.linalg import eigh_tridiagonal
 
     def band_energy(q):
         ks = np.arange(-FOURIER_ORDER, FOURIER_ORDER + 1)

@@ -2,15 +2,19 @@
 closed-form oracles."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.constants
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 
-from ybqc.atomic import (EM12, EP12, EP32, GM, GP, AtomParams, aux_branch,
-                         calibrate_hyperfine_A, ladder_detunings, lande_g_F,
-                         level_labels, register_levels, register_table,
-                         zeeman_table)
+from ybqc import atomic, constants
+from ybqc.atomic import (CALIBRATION_A_BRACKET_HZ, EM12, EP12, EP32, GM, GP,
+                         AtomParams, aux_branch, calibrate_hyperfine_A,
+                         ladder_detunings, lande_g_F, level_labels,
+                         register_levels, register_table, zeeman_table)
 from ybqc.constants import GAUSS, h, mu_B, mu_N
 from ybqc.errors import ConfigError, DegenerateManifoldError, PhysicsError
 
@@ -306,6 +310,55 @@ def test_calibration_hits_target():
     # opposite signs at the operating point: drive sits between the
     # ladder resonances
     assert det.delta1_rad_s * det.delta2_rad_s < 0
+
+
+def test_constants_are_scipy_codata_bit_for_bit():
+    codata = scipy.constants.physical_constants
+    scipy_values = {
+        "c": scipy.constants.c, "h": scipy.constants.h,
+        "hbar": scipy.constants.hbar, "k_B": scipy.constants.k,
+        "mu_0": scipy.constants.mu_0,
+        "mu_B": codata["Bohr magneton"][0],
+        "mu_N": codata["nuclear magneton"][0],
+        "atomic_mass": codata["atomic mass constant"][0]}
+    assert {name: getattr(constants, name) for name in scipy_values} \
+        == scipy_values
+
+
+def _brentq_or_none(params):
+    try:
+        return brentq(partial(atomic._calibration_mismatch, params),
+                      *CALIBRATION_A_BRACKET_HZ)
+    except (ValueError, RuntimeError, PhysicsError):
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(g_J=st.floats(0.3, 4.0), moment=st.floats(-2.0, 2.0))
+@example(g_J=1.5, moment=0.49367)
+@example(g_J=0.6, moment=0.49367)
+@example(g_J=0.0, moment=0.49367)
+def test_calibration_root_is_brentq_bit_for_bit(g_J, moment):
+    """The Brent port lands on the root scipy's brentq finds, to the
+    bit, and raises PhysicsError exactly where brentq raises."""
+    params = AtomParams(g_J_3P2=g_J, nuclear_moment_mu_n=moment)
+    expected = _brentq_or_none(params)
+    if expected is None:
+        with pytest.raises(PhysicsError):
+            calibrate_hyperfine_A(params)
+    else:
+        assert calibrate_hyperfine_A(params).hyperfine_A_3P2_hz == expected
+
+
+def test_calibration_outside_its_bracket_names_the_bracket():
+    with pytest.raises(PhysicsError, match="CALIBRATION_A_BRACKET_HZ"):
+        calibrate_hyperfine_A(AtomParams(g_J_3P2=0.6))
+
+
+def test_calibration_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(atomic, "BRENT_MAXITER", 1)
+    with pytest.raises(PhysicsError, match="did not converge in 1 Brent"):
+        calibrate_hyperfine_A(AtomParams())
 
 
 def test_param_validation():

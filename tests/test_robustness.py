@@ -166,6 +166,18 @@ def test_couplings_out_of_float_range_exit_3(tmp_path, monkeypatch, capsys,
     assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("g_J", ["0.6", "0.0"])
+def test_calibration_outside_its_bracket_exits_3(tmp_path, capsys, g_J):
+    (tmp_path / "atom.cfg").write_text(f"g_J_3P2 = {g_J}\n")
+    assert cli_main(["detunings", "--b-gauss", "650", "--calibrate",
+                     "--atom-config", str(tmp_path / "atom.cfg")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("physics error: no hyperfine A in "
+                                   "CALIBRATION_A_BRACKET_HZ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_negative_zero_angle_compiles_to_zero_duration(tmp_path, capsys):
     (tmp_path / "c.txt").write_text("X 0 0 -0.0\n")
     assert cli_main(["compile", "--circuit", str(tmp_path / "c.txt"),
@@ -602,25 +614,41 @@ COMMANDS = {
 }
 
 
+# atom constants for --atom-config: 0.6 and 0 put the calibration root
+# outside its bracket
+ATOM_CONFIG = st.fixed_dictionaries({
+    "g_J_3P2": st.one_of(st.floats(-4.0, 4.0), st.sampled_from([0.0, 0.6])),
+    "nuclear_moment_mu_n": st.floats(-2.0, 2.0)})
+
+
 @st.composite
 def cli_argv(draw):
     """argv of one subcommand: its bounding flags, some of its others
-    and maybe --calibrate, each as --flag=value so "-inf" stays a value."""
+    and maybe --calibrate, each as --flag=value so "-inf" stays a value;
+    and the atom constants to pass with --atom-config, or None."""
     command = draw(st.sampled_from(sorted(COMMANDS)))
     required, optional = COMMANDS[command]
     names = sorted(required) + draw(st.lists(
         st.sampled_from(sorted(optional)), unique=True, max_size=3))
     flags = required | optional
     argv = [command] + [f"{name}={draw(flags[name])}" for name in names]
-    return argv + ["--calibrate"] * draw(st.booleans())
+    return (argv + ["--calibrate"] * draw(st.booleans()),
+            draw(st.none() | ATOM_CONFIG))
 
 
 @settings(max_examples=150, deadline=None)
-@given(argv=cli_argv())
-def test_fuzzed_cli_flags_exit_0_2_or_3(argv):
+@given(case=cli_argv())
+def test_fuzzed_cli_flags_exit_0_2_or_3(case):
+    argv, atom = case
     out, err = io.StringIO(), io.StringIO()
     usage = False
-    with redirect_stdout(out), redirect_stderr(err):
+    with tempfile.TemporaryDirectory() as tmp, \
+            redirect_stdout(out), redirect_stderr(err):
+        if atom is not None:
+            config = Path(tmp) / "atom.cfg"
+            config.write_text("".join(f"{key} = {value!r}\n"
+                                      for key, value in atom.items()))
+            argv = [*argv, "--atom-config", str(config)]
         try:
             code = cli_main(argv)
         except SystemExit as exc:     # argparse rejects the value itself

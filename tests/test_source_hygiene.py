@@ -21,9 +21,14 @@ outside its own definition; `__init__` re-exports do not count.  Every
 numeric scenario key names its unit in a suffix or is dimensionless.
 Every defaulted parameter of a package function, and every defaulted
 field of a package dataclass, is passed by some call in the package: a
-knob that every caller leaves at its default is a constant."""
+knob that every caller leaves at its default is a constant.  Importing
+the package and running the CLI loads no scipy module: scipy serves the
+lattice band calculation and the tests' oracles only."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -390,3 +395,17 @@ def test_every_knob_is_passed_inside_the_package():
     assert {knob for knob in unpassed_knobs(sources)
             if knob.partition("(")[0] not in FIELD_ALLOWLIST} \
         == KNOB_ALLOWLIST
+
+
+def test_import_and_cli_load_no_scipy():
+    code = ("import sys\nimport ybqc\nimport ybqc.cli\n"
+            "ybqc.cli.main(['levels', '--b-gauss', '100', '--calibrate'])\n"
+            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'],"
+            " file=sys.stderr)\n")
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env={**os.environ, "PYTHONPATH": path},
+                         check=True, timeout=60)
+    assert run.stdout.startswith("m_F,branch,energy_hz\n")
+    assert run.stderr == "[]\n"
