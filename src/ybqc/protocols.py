@@ -22,14 +22,18 @@ from .dipole import pair_coupling
 from .engine import (EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, NLEV,
                      NoiseParams, Pulse, RegisterState, _laser_frequencies,
                      _single_atom_hamiltonian, basis_labels)
-from .errors import ConfigError, GeometryError, ProtocolOrderError
+from .errors import (ConfigError, GeometryError, IntegratorError,
+                     ProtocolOrderError)
 
 # CNOT Rabi frequency over the unscaled conditional shift: spectral
 # selectivity against the off-resonant |00> <-> |01> line.
 CNOT_RABI_FACTOR = 0.1
 GATE_RABI_FRACTION = 0.05     # 3-photon Rabi over min(|Delta1|, |Delta2|)
-# Time grid of the exact ladder scan, over 1.5 effective pi times.
+# Time grid of the exact ladder scan, over 1.5 predicted pi times; only
+# its points in SCAN_WINDOW (in predicted pi times), and one more on
+# each side, are evaluated.
 SCAN_SAMPLES = 40001
+SCAN_WINDOW = (0.95, 1.15)
 
 
 # ---------------------------------------------------------------------------
@@ -55,12 +59,22 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
     The pi time is the argmax of the a->d population on a grid over 1.5
     predicted pi times, refined by a parabola through its neighbours.
     Between 20 G and 1.5 T, at Rabi frequencies of 0.5 % to 30 % of
-    min(|Delta1|, |Delta2|), the pi time is 0.995 to 1.071 of the
-    prediction, so the grid holds one maximum of the a->d envelope: the
-    next one lies near 3 pi times.
+    min(|Delta1|, |Delta2|), the pi time is 0.99 to 1.07 of the
+    prediction, and the next maximum of the a->d envelope lies near 3 pi
+    times.  So only the grid points in SCAN_WINDOW, plus one on each
+    side, are evaluated; an argmax on the first or last of them means
+    the maximum lies outside the window and raises IntegratorError.
     """
     det = ladder_detunings(levels)
-    omega_eff = rabi ** 3 / (4 * det.delta1_rad_s * det.delta2_rad_s)
+    # a float rabi ** 3 raises OverflowError, a numpy one gives inf
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            omega_eff = rabi ** 3 / (4 * det.delta1_rad_s * det.delta2_rad_s)
+    except OverflowError:
+        omega_eff = math.inf
+    if not math.isfinite(omega_eff):
+        raise ConfigError(f"Rabi frequency {rabi} rad/s gives a non-finite "
+                          "3-photon Rabi frequency")
     if omega_eff == 0.0:
         raise ConfigError("zero Rabi frequency has no pi time")
     t_pred = math.pi / abs(omega_eff)
@@ -78,17 +92,21 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
         return np.abs(amps) ** 2
 
     ts = np.linspace(0.0, 1.5 * t_pred, SCAN_SAMPLES)
-    P = populations(ts)
-    Pd = P[:, 3]
+    lo = max(int(np.searchsorted(ts, SCAN_WINDOW[0] * t_pred)) - 1, 0)
+    hi = int(np.searchsorted(ts, SCAN_WINDOW[1] * t_pred, "right")) + 1
+    Pd = populations(ts[lo:hi])[:, 3]
     idx = int(np.argmax(Pd))
-    t_pi = ts[idx]
-    if 0 < idx < len(ts) - 1:
-        # parabolic refinement around the grid maximum
-        dt = ts[1] - ts[0]
-        y0, ym, yp = Pd[idx], Pd[idx - 1], Pd[idx + 1]
-        denom = ym - 2 * y0 + yp
-        if denom != 0:
-            t_pi = t_pi + 0.5 * dt * (ym - yp) / denom
+    if not 0 < idx < len(Pd) - 1:
+        raise IntegratorError(
+            f"3-photon scan maximum lies outside {SCAN_WINDOW} predicted "
+            "pi times")
+    t_pi = ts[lo + idx]
+    # parabolic refinement around the grid maximum
+    dt = ts[1] - ts[0]
+    y0, ym, yp = Pd[idx], Pd[idx - 1], Pd[idx + 1]
+    denom = ym - 2 * y0 + yp
+    if denom != 0:
+        t_pi = t_pi + 0.5 * dt * (ym - yp) / denom
     Ppi = populations(np.array([t_pi]))[0]
     return ThreePhotonScan(t_pred, float(t_pi), float(Ppi[3]),
                            float(Ppi[1] + Ppi[2]))

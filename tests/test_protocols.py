@@ -7,20 +7,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ybqc import protocols
 from ybqc.addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                              site_levels)
 from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, ladder_detunings,
                          register_levels)
+from ybqc.cli import main as cli_main
 from ybqc.compiler import (TRANSFER_RABI_1Q_RAD_S, TRANSFER_RABI_2Q_RAD_S,
                            compile_circuit, execute_schedule, parse_circuit)
 from ybqc.constants import GAUSS
 from ybqc.engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
-                         Pulse, PulseSegment, RegisterState, apply_segment,
+                         Pulse, PulseSegment, RegisterState, _laser_frequencies,
+                         _single_atom_hamiltonian, apply_segment,
                          light_shift_compensation)
-from ybqc.errors import ConfigError, GeometryError, ProtocolOrderError
-from ybqc.protocols import (DetectionReport, cnot_pulse, cnot_pulse_parameters,
-                            measure_qubit, rotation_pulse, three_photon_scan,
-                            transfer_pulse)
+from ybqc.errors import (ConfigError, GeometryError, IntegratorError,
+                         ProtocolOrderError)
+from ybqc.protocols import (SCAN_SAMPLES, SCAN_WINDOW, DetectionReport,
+                            ThreePhotonScan, cnot_pulse,
+                            cnot_pulse_parameters, measure_qubit,
+                            rotation_pulse, three_photon_scan, transfer_pulse)
 from ybqc.scenario import simulate_circuit
 
 P = AtomParams()
@@ -56,8 +61,78 @@ def test_scan_finds_the_first_envelope_maximum(log_b, fraction, calibrated):
     det = ladder_detunings(levels)
     rabi = fraction * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
     scan = three_photon_scan(levels, rabi)
-    assert 0.95 < scan.pi_time_s / scan.predicted_pi_time_s < 1.15
+    lo, hi = SCAN_WINDOW
+    assert lo < scan.pi_time_s / scan.predicted_pi_time_s < hi
     assert scan.transfer_probability > 0.98
+
+
+def _full_grid_scan(levels, rabi):
+    """Reference: the argmax and parabola over all SCAN_SAMPLES points of
+    the grid over 1.5 predicted pi times, with no window."""
+    det = ladder_detunings(levels)
+    omega_eff = rabi ** 3 / (4 * det.delta1_rad_s * det.delta2_rad_s)
+    t_pred = math.pi / abs(omega_eff)
+    drive = Pulse("three_photon", t_pred, rabi)
+    ladder = slice(EM32, EP32 + 1)
+    H = _single_atom_hamiltonian(levels.energy_hz,
+                                 _laser_frequencies(levels, drive),
+                                 drive)[ladder, ladder]
+    w, V = np.linalg.eigh(H)
+
+    def populations(ts):
+        return np.abs((np.exp(-1j * np.outer(ts, w)) * V[0, :]) @ V.T) ** 2
+
+    ts = np.linspace(0.0, 1.5 * t_pred, SCAN_SAMPLES)
+    Pd = populations(ts)[:, 3]
+    idx = int(np.argmax(Pd))
+    t_pi = ts[idx]
+    if 0 < idx < len(ts) - 1:
+        dt = ts[1] - ts[0]
+        y0, ym, yp = Pd[idx], Pd[idx - 1], Pd[idx + 1]
+        denom = ym - 2 * y0 + yp
+        if denom != 0:
+            t_pi = t_pi + 0.5 * dt * (ym - yp) / denom
+    Ppi = populations(np.array([t_pi]))[0]
+    return ThreePhotonScan(t_pred, float(t_pi), float(Ppi[3]),
+                           float(Ppi[1] + Ppi[2]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_b=st.floats(math.log10(20 * GAUSS), math.log10(1.5)),
+       fraction=st.floats(0.005, 0.3), calibrated=st.booleans())
+def test_windowed_scan_equals_the_full_grid_scan(log_b, fraction,
+                                                  calibrated):
+    levels = register_levels(PCAL if calibrated else P, 10 ** log_b)
+    det = ladder_detunings(levels)
+    rabi = fraction * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+    assert three_photon_scan(levels, rabi) == _full_grid_scan(levels, rabi)
+
+
+def test_windowed_scan_equals_the_full_grid_scan_at_the_readme_point():
+    levels = register_levels(PCAL, 650 * GAUSS)
+    rabi = 2 * math.pi * 985e3
+    assert three_photon_scan(levels, rabi) == _full_grid_scan(levels, rabi)
+
+
+def test_scan_maximum_on_the_window_edge_raises(tmp_path, monkeypatch,
+                                                capsys):
+    # a window on the rising envelope, before the pi time: at 0.5 % of
+    # min|Delta| the ladder's fast ripple is far below the envelope's rise
+    # between grid points, so the argmax is the window's last point
+    monkeypatch.setattr(protocols, "SCAN_WINDOW", (0.5, 0.6))
+    monkeypatch.setattr(protocols, "GATE_RABI_FRACTION", 0.005)
+    levels = register_levels(PCAL, 650 * GAUSS)
+    det = ladder_detunings(levels)
+    rabi = 0.005 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+    with pytest.raises(IntegratorError, match="outside"):
+        three_photon_scan(levels, rabi)
+    (tmp_path / "c.txt").write_text("X 0 0 1.0\n")
+    assert cli_main(["compile", "--circuit", str(tmp_path / "c.txt"),
+                     "--nx", "1", "--ny", "1",
+                     "--out", str(tmp_path / "s.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("physics error: ") and "outside" in err
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_scan_uncompensated_transfer_degrades():
@@ -83,6 +158,13 @@ def test_scan_uncompensated_transfer_degrades():
 def test_scan_zero_rabi_rejected():
     with pytest.raises(ConfigError):
         three_photon_scan(register_levels(PCAL, 650 * GAUSS), 0.0)
+
+
+@pytest.mark.parametrize("rabi", [1e200, np.float64(1e200), math.inf,
+                                  math.nan])
+def test_scan_non_finite_effective_rabi_rejected(rabi):
+    with pytest.raises(ConfigError, match="non-finite"):
+        three_photon_scan(register_levels(PCAL, 650 * GAUSS), rabi)
 
 
 # ---------------------------------------------------------------------------
