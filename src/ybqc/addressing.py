@@ -68,6 +68,8 @@ class GradientConfig:
         if not all(map(math.isfinite, (self.Gx_t_per_m, self.Gy_t_per_m,
                                        self.Gz_t_per_m))):
             raise ConfigError("gradients must be finite")
+        if not 0 <= self.safety_factor < math.inf:
+            raise ConfigError("safety factor must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -192,7 +194,7 @@ def plan_gradients(geom: LatticeGeometry, target_gap_hz: float,
     """
     if not 0 < target_gap_hz < math.inf:
         raise PlanningError("target gap must be finite and positive")
-    config = GradientConfig(B0_t, safety_factor=safety_factor)  # checks B0
+    config = GradientConfig(B0_t, safety_factor=safety_factor)  # checks both
     slope = abs(_addressed_line(register_levels(params, B0_t))[1])
     if not 0 < slope < math.inf:
         raise PlanningError("addressed transition has no field slope at B0")

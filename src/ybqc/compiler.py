@@ -136,6 +136,8 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
     if has_measure and rng_seed is None:
         raise ConfigError("schedule contains measurements: an rng seed is "
                           "required")
+    if rng_seed is not None and rng_seed < 0:
+        raise ConfigError(f"rng seed {rng_seed} is negative")
     rng = np.random.default_rng(rng_seed) if has_measure else None
     readouts = []
     for seg in schedule.segments:

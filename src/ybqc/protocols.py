@@ -19,8 +19,8 @@ import numpy as np
 
 from .atomic import RegisterLevels, ladder_detunings
 from .dipole import pair_coupling
-from .engine import (EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, NLEV,
-                     NoiseParams, Pulse, RegisterState, _laser_frequencies,
+from .engine import (EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, NoiseParams,
+                     Pulse, RegisterState, _laser_frequencies,
                      _single_atom_hamiltonian, basis_labels)
 from .errors import (ConfigError, GeometryError, IntegratorError,
                      ProtocolOrderError)
@@ -62,8 +62,8 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
     min(|Delta1|, |Delta2|), the pi time is 0.99 to 1.07 of the
     prediction, and the next maximum of the a->d envelope lies near 3 pi
     times.  So only the grid points in SCAN_WINDOW, plus one on each
-    side, are evaluated; an argmax on the first or last of them means
-    the maximum lies outside the window and raises IntegratorError.
+    side, are built and evaluated: grid indices 25333-30667.  An argmax
+    on the first or last of them raises IntegratorError.
     """
     det = ladder_detunings(levels)
     # a float rabi ** 3 raises OverflowError, a numpy one gives inf
@@ -91,18 +91,18 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
         amps = phases @ V.T  # (nt, 4)
         return np.abs(amps) ** 2
 
-    ts = np.linspace(0.0, 1.5 * t_pred, SCAN_SAMPLES)
-    lo = max(int(np.searchsorted(ts, SCAN_WINDOW[0] * t_pred)) - 1, 0)
-    hi = int(np.searchsorted(ts, SCAN_WINDOW[1] * t_pred, "right")) + 1
-    Pd = populations(ts[lo:hi])[:, 3]
+    dt = 1.5 * t_pred / (SCAN_SAMPLES - 1)
+    lo = math.ceil(SCAN_WINDOW[0] * (SCAN_SAMPLES - 1) / 1.5) - 1
+    hi = math.floor(SCAN_WINDOW[1] * (SCAN_SAMPLES - 1) / 1.5) + 2
+    ts = np.arange(lo, hi) * dt
+    Pd = populations(ts)[:, 3]
     idx = int(np.argmax(Pd))
     if not 0 < idx < len(Pd) - 1:
         raise IntegratorError(
             f"3-photon scan maximum lies outside {SCAN_WINDOW} predicted "
             "pi times")
-    t_pi = ts[lo + idx]
+    t_pi = ts[idx]
     # parabolic refinement around the grid maximum
-    dt = ts[1] - ts[0]
     y0, ym, yp = Pd[idx], Pd[idx - 1], Pd[idx + 1]
     denom = ym - 2 * y0 + yp
     if denom != 0:
@@ -195,10 +195,10 @@ def measure_qubit(reg: RegisterState, site, rng: np.random.Generator):
     to 1S0 m_I=+1/2 (an ideal pi-pulse; the transfer imperfection physics
     lives in the compiled transfer pulses) and samples the fluorescence
     outcome from `rng`.  Fluorescence means the atom ended in the ground
-    state -> outcome 1.  An atom with more population in the intermediate
-    levels e+/-1/2 than in e+/-3/2 is mid-protocol and raises
-    ProtocolOrderError; the small ladder residue of a 3-photon rotation
-    does not.
+    state -> outcome 1: P(1) = P(g-) + P(e+3/2), read before the return.
+    An atom with more population in e+/-1/2 than in e+/-3/2 is
+    mid-protocol and raises ProtocolOrderError; the small ladder residue
+    of a 3-photon rotation does not.
     """
     site = tuple(site)
     pops = reg.level_populations(site)
@@ -206,15 +206,14 @@ def measure_qubit(reg: RegisterState, site, rng: np.random.Generator):
         raise ProtocolOrderError(
             f"atom at {site} sits mostly in the intermediate e levels; "
             "measurement protocol out of order")
+    p1 = float(pops[GM] + pops[EP32])
+    outcome = int(rng.random() < p1)
+
     levels = basis_labels(reg.n_atoms)[:, reg.site_index(site)]
     # both masks list the other atoms' states in the same basis order
     gp, ep = levels == GP, levels == EP32
     amps = reg.amps.copy()
     amps[gp], amps[ep] = -1j * reg.amps[ep], -1j * reg.amps[gp]
-
-    pops = np.bincount(levels, np.abs(amps) ** 2, NLEV)
-    p1 = float(pops[GM] + pops[GP])
-    outcome = int(rng.random() < p1)
 
     in_ground = np.isin(levels, G_LEVELS)
     keep = in_ground if outcome == 1 else ~in_ground

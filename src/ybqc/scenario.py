@@ -74,6 +74,21 @@ def _path(base: Path, data: dict, key: str, default=None) -> Path:
     return base / value
 
 
+def _read_text(path, kind: str) -> str:
+    """The text of the UTF-8 input file `path`; a path that is missing,
+    not a regular file or not UTF-8 is a ScenarioError naming the `kind`
+    of file and its path."""
+    path = Path(path)
+    if not path.is_file():
+        raise ScenarioError(f"{kind} file {path} is missing or not a "
+                            "regular file")
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{kind} file {path} is not UTF-8 text "
+                            f"(byte {exc.start})") from None
+
+
 def _params_from_dict(cls, section: str, data: dict):
     """cls(**data) for a parameter dataclass whose fields take numbers."""
     _known_fields(section, data, {f.name for f in fields(cls)})
@@ -112,7 +127,7 @@ def atom_params_from_dict(data: dict) -> AtomParams:
 
 def load_atom_params(path) -> AtomParams:
     """AtomParams from a key-value text file with unit-suffixed keys."""
-    text = Path(path).read_text()
+    text = _read_text(path, "atom_config")
     return atom_params_from_dict(parse_keyvalue(text))
 
 
@@ -161,9 +176,9 @@ def emit_addressing_spectrum(geom: LatticeGeometry, config: GradientConfig,
     f_offset_hz."""
     rmap = resonance_map(geom, config, params)
     lines = ["i,j,B_gauss,f_offset_hz"]
-    lines += [f"{i},{j},{B!r},{f!r}" for (i, j, _k), B, f in zip(
-        rmap.sites.tolist(), (rmap.fields_t / GAUSS).tolist(),
-        rmap.freqs_hz.tolist())]
+    lines += [f"{i},{j},{B!r},{f!r}" for i, j, B, f in zip(
+        rmap.sites[:, 0].tolist(), rmap.sites[:, 1].tolist(),
+        (rmap.fields_t / GAUSS).tolist(), rmap.freqs_hz.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -216,14 +231,11 @@ class Scenario:
 
 
 def load_scenario(path) -> Scenario:
-    path = Path(path)
-    if not path.is_file():
-        raise ScenarioError(f"scenario file {path} does not exist")
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(_read_text(path, "scenario"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario file {path}: invalid JSON: {exc}")
-    return scenario_from_dict(data, path.parent)
+    return scenario_from_dict(data, Path(path).parent)
 
 
 def scenario_from_dict(data, base_dir: Path) -> Scenario:
@@ -247,10 +259,7 @@ def scenario_from_dict(data, base_dir: Path) -> Scenario:
     if "atom" in data and "atom_config" in data:
         raise ScenarioError("give either 'atom' or 'atom_config', not both")
     if "atom_config" in data:
-        cfg_path = _path(base_dir, data, "atom_config")
-        if not cfg_path.is_file():
-            raise ScenarioError(f"atom_config file {cfg_path} does not exist")
-        params = load_atom_params(cfg_path)
+        params = load_atom_params(_path(base_dir, data, "atom_config"))
     else:
         params = atom_params_from_dict(data.get("atom", {}))
 
@@ -281,10 +290,8 @@ def scenario_from_dict(data, base_dir: Path) -> Scenario:
 
     circuit_text = None
     if "circuit_file" in data:
-        cpath = _path(base_dir, data, "circuit_file")
-        if not cpath.is_file():
-            raise ScenarioError(f"circuit file {cpath} does not exist")
-        circuit_text = cpath.read_text()
+        circuit_text = _read_text(_path(base_dir, data, "circuit_file"),
+                                  "circuit")
     if "simulate" in pipeline and circuit_text is None:
         raise ScenarioError("pipeline stage 'simulate' requires "
                             "'circuit_file'")

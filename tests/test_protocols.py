@@ -19,11 +19,11 @@ from ybqc.constants import GAUSS
 from ybqc.engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
                          Pulse, PulseSegment, RegisterState, _laser_frequencies,
                          _single_atom_hamiltonian, apply_segment,
-                         light_shift_compensation)
+                         basis_labels, light_shift_compensation)
 from ybqc.errors import (ConfigError, GeometryError, IntegratorError,
                          ProtocolOrderError)
-from ybqc.protocols import (SCAN_SAMPLES, SCAN_WINDOW, DetectionReport,
-                            ThreePhotonScan, cnot_pulse,
+from ybqc.protocols import (GATE_RABI_FRACTION, SCAN_SAMPLES, SCAN_WINDOW,
+                            DetectionReport, ThreePhotonScan, cnot_pulse,
                             cnot_pulse_parameters, measure_qubit,
                             rotation_pulse, three_photon_scan, transfer_pulse)
 from ybqc.scenario import simulate_circuit
@@ -106,6 +106,21 @@ def test_windowed_scan_equals_the_full_grid_scan(log_b, fraction,
     det = ladder_detunings(levels)
     rabi = fraction * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
     assert three_photon_scan(levels, rabi) == _full_grid_scan(levels, rabi)
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_b=st.floats(-6.0, 2.0), calibrated=st.booleans())
+def test_scan_at_the_gate_rabi_fraction_equals_the_full_grid_scan(
+        log_b, calibrated):
+    # the compiler's drive at every field a scenario can reach, 1 uT to
+    # 100 T: the window holds the maximum, so it is the full-grid one
+    levels = register_levels(PCAL if calibrated else P, 10 ** log_b)
+    det = ladder_detunings(levels)
+    rabi = GATE_RABI_FRACTION * min(abs(det.delta1_rad_s),
+                                    abs(det.delta2_rad_s))
+    scan = three_photon_scan(levels, rabi)
+    assert scan == _full_grid_scan(levels, rabi)
+    assert 0.99 < scan.pi_time_s / scan.predicted_pi_time_s < 1.01
 
 
 def test_windowed_scan_equals_the_full_grid_scan_at_the_readme_point():
@@ -297,6 +312,49 @@ def test_measurement_collapse_and_determinism():
     pops = post.level_populations((0, 0, 0))
     assert pops[GP if bit == 1 else EM32] == pytest.approx(1.0, abs=1e-9)
     assert post.survival == pytest.approx(1.0, abs=1e-9)
+
+
+def _two_pass_readout(reg, site, rng):
+    """Reference: return g+ <-> e+3/2 first, then read P(1) from a second
+    population pass over the returned amplitudes."""
+    levels = basis_labels(reg.n_atoms)[:, reg.site_index(site)]
+    gp, ep = levels == GP, levels == EP32
+    amps = reg.amps.copy()
+    amps[gp], amps[ep] = -1j * reg.amps[ep], -1j * reg.amps[gp]
+    pops = np.bincount(levels, np.abs(amps) ** 2, NLEV)
+    p1 = float(pops[GM] + pops[GP])
+    outcome = int(rng.random() < p1)
+    in_ground = np.isin(levels, (GM, GP))
+    collapsed = np.where(in_ground if outcome else ~in_ground, amps, 0.0)
+    norm = float(np.vdot(collapsed, collapsed).real)
+    if norm > 1e-300:
+        return outcome, collapsed / math.sqrt(norm), 0.0, p1
+    return outcome, collapsed, 1.0, p1
+
+
+@settings(max_examples=100, deadline=None)
+@given(n_sites=st.integers(1, 4), data=st.data(),
+       amp_seed=st.integers(0, 2 ** 32 - 1), zero=st.floats(0.0, 0.9),
+       survival=st.floats(0.01, 1.0), rng_seed=st.integers(0, 2 ** 32 - 1))
+def test_readout_equals_the_two_pass_formula(n_sites, data, amp_seed, zero,
+                                              survival, rng_seed):
+    site = (data.draw(st.integers(0, n_sites - 1)), 0, 0)
+    gen = np.random.default_rng(amp_seed)
+    amps = gen.normal(size=NLEV ** n_sites) \
+        + 1j * gen.normal(size=NLEV ** n_sites)
+    amps[gen.random(amps.size) < zero] = 0.0
+    # protocol order: the measured atom has left e+/-1/2
+    levels = basis_labels(n_sites)[:, site[0]]
+    amps[np.isin(levels, (EM12, EP12))] = 0.0
+    amps *= math.sqrt(survival / max(np.vdot(amps, amps).real, 1e-300))
+    reg = RegisterState(P, LatticeGeometry(n_sites, 1, 1),
+                        [(i, 0, 0) for i in range(n_sites)], amps,
+                        1.0 - survival)
+    bit, post, p1 = measure_qubit(reg, site, np.random.default_rng(rng_seed))
+    ref_bit, ref_amps, ref_leaked, ref_p1 = _two_pass_readout(
+        reg, site, np.random.default_rng(rng_seed))
+    assert (bit, p1, post.leaked) == (ref_bit, ref_p1, ref_leaked)
+    assert np.array_equal(post.amps, ref_amps)
 
 
 def test_measurement_requires_seed_and_protocol_order():

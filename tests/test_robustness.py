@@ -1,9 +1,10 @@
 """Bad inputs end in exit code 2 or 3 with a one-line message, never a
 traceback: off-lattice circuit sites, non-finite or negative rotation
-angles, missing files and malformed flags, malformed scenario values,
-atom constants that overflow, noise parameters out of range, and
-property tests fuzzing the value type of every scenario key, the values
-of the CLI flags and the lines of circuit files."""
+angles, missing or undecodable files, negative seeds, malformed flags,
+malformed or out-of-range scenario values, atom constants that
+overflow, noise parameters out of range, and property tests fuzzing the
+value type of every scenario key, the values of the CLI flags and the
+lines of circuit files."""
 
 import io
 import json
@@ -100,11 +101,20 @@ def test_rare_measurement_branch_exits_0(tmp_path):
       "nan"], "dipole_scale"),
     (["simulate", "--circuit", "c.txt", "--seed", "1", "--dipole-scale",
       "inf"], "dipole_scale"),
+    (["simulate", "--circuit", "c.txt", "--seed", "-1"], "seed -1"),
+    # one reader for the three input files: not UTF-8, or not a file
+    (["run", "bad.txt"], "scenario file bad.txt is not UTF-8"),
+    (["compile", "--circuit", "bad.txt"], "circuit file bad.txt is not UTF-8"),
+    (["levels", "--atom-config", "bad.txt"],
+     "atom_config file bad.txt is not UTF-8"),
+    (["compile", "--circuit", "d"], "circuit file d is missing or not a"),
 ])
 def test_cli_file_and_flag_errors_exit_2(tmp_path, monkeypatch, capsys,
                                          argv, name):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "c.txt").write_text("X 0 0 1.0\nMEAS 0 0\nMEAS 1 0\n")
+    (tmp_path / "bad.txt").write_bytes(b"\xffX 0 0 1.0\n")
+    (tmp_path / "d").mkdir()
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and name in err
@@ -335,6 +345,18 @@ def test_out_of_range_noise_exits_2_at_load(tmp_path, capsys, noise):
         NoiseParams(**noise)
 
 
+def test_negative_scenario_seed_exits_2(tmp_path, capsys):
+    (tmp_path / "c.txt").write_text("X 0 0 1.0\nMEAS 0 0\n")
+    scn = _scenario(tmp_path, pipeline=["simulate"],
+                    lattice={"n_x": 1, "n_y": 1, "n_z": 1},
+                    circuit_file="c.txt", seed=-1)
+    assert cli_main(["run", scn]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "seed -1" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
 # sizes whose arrays exceed any address space, so they fail at once
 HUGE = 1000000000000000
 
@@ -391,6 +413,9 @@ def test_number_for_a_structural_key_exits_2_with_its_reader_message(
     {"atom": {"lifetime_3P2_s": 0.001}},    # a noise parameter only
     {"depth_recoils": True},                # a bool is not a number
     {"gradients": {"B0_gauss": False}},
+    {"pipeline": ["address"], "gradients": {"safety_factor": math.nan}},
+    {"pipeline": ["address"], "gradients": {"safety_factor": -5.0}},
+    {"pipeline": ["address"], "gradients": {"safety_factor": math.inf}},
 ])
 def test_malformed_scenario_value_exits_2(tmp_path, capsys, data):
     assert cli_main(["run", _scenario(tmp_path, **data)]) == 2

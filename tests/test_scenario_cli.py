@@ -3,8 +3,10 @@ byte-identical rerun guarantees."""
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,10 +296,14 @@ def test_cli_plan_and_feasibility(tmp_path):
 
 def test_cli_entry_point_subprocess(tmp_path):
     # exercised through the console script exactly as a user would
+    src = Path(__file__).resolve().parents[1] / "src"
+    path = os.pathsep.join(filter(None, [str(src),
+                                         os.environ.get("PYTHONPATH")]))
     res = subprocess.run(
         [sys.executable, "-m", "ybqc.cli", "ddi",
          "--m1-mun", "0.49367", "--m2-mun", "0.49367"],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
     assert res.returncode == 0
     payload = json.loads(res.stdout)
     assert abs(payload["coupling_hz"]) == pytest.approx(99.7e-9, rel=0.02)
