@@ -65,6 +65,9 @@ class AtomParams:
     wavelength_lattice_m: float = 532e-9
 
     def __post_init__(self):
+        for name in ("nuclear_moment_mu_n", "g_J_3P2", "hyperfine_A_3P2_hz"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.hyperfine_A_3P2_hz == 0.0:
             raise ConfigError("hyperfine A must be nonzero")
         for name in ("mass_kg", "linewidth_1S0_3P2_hz", "lifetime_1P1_s",

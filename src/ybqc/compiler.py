@@ -11,12 +11,13 @@ addressed z=0 layer; `#` starts a comment):
 pulse builders into the full segment list: transfer pulses, gate drives
 and return transfers under the caller's gradients.  Measurements become
 'measure' pseudo-segments.  `execute_schedule` runs the segments through
-the pulse engine.
+the pulse engine, exponentiating each recurring segment once per run.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,7 +131,12 @@ class ExecutionResult:
 def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
                      noise: NoiseParams, rng_seed=None,
                      dipole_scale: float = 1.0) -> ExecutionResult:
-    """Run a compiled schedule through the pulse engine."""
+    """Run a compiled schedule through the pulse engine.
+
+    `noise` and `dipole_scale` are fixed for the run, so a segment alone
+    fixes its propagators: a segment that recurs (the transfer legs
+    around every gate) keeps the stacks of its first run until its last
+    run, and the store dies with the call."""
     has_measure = any(s.pulse.transition == "measure"
                       for s in schedule.segments)
     if has_measure and rng_seed is None:
@@ -139,6 +145,9 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
     if rng_seed is not None and rng_seed < 0:
         raise ConfigError(f"rng seed {rng_seed} is negative")
     rng = np.random.default_rng(rng_seed) if has_measure else None
+    left = Counter(s for s in schedule.segments
+                   if s.pulse.transition != "measure")
+    kept = {seg: [] for seg, runs in left.items() if runs > 1}
     readouts = []
     for seg in schedule.segments:
         if seg.pulse.transition == "measure":
@@ -146,5 +155,7 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
             bit, reg, p1 = measure_qubit(reg, site, rng)
             readouts.append((site, bit, p1))
         else:
-            reg = apply_segment(reg, seg, noise, dipole_scale)
+            left[seg] -= 1
+            stacks = kept.get(seg) if left[seg] else kept.pop(seg, None)
+            reg = apply_segment(reg, seg, noise, dipole_scale, stacks)
     return ExecutionResult(reg, readouts, DetectionReport.from_noise(noise))

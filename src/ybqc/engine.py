@@ -21,14 +21,19 @@ and the dipole and decay terms are diagonal, so the register Hamiltonian
 is block-diagonal.  A block is one coupled level group per atom (the groups
 that the drive's legs join, `GROUPS`, e.g. {g+, e+3/2}, {g-, e-3/2},
 {e-1/2}, {e+1/2} under the optical pair drive), and its basis is the
-Cartesian product of those groups.  Only the live blocks, those holding a
-nonzero amplitude, are assembled and exponentiated; the 6^n x 6^n register
-matrix is never built.  The blocks are real; all groups of a drive have the
-same legs, so blocks of one size share one drive matrix, each with its
-slice of one 6^n diagonal.  Each size is one stack, applied as soon as it
-is exponentiated: 1x1 stacks are `np.exp`, larger ones one vectorised
-Pade-13 scaling and squaring (`_expm_stack`) with one scaling exponent per
-stack.  The blocks and the lasers read each site's cached level table
+Cartesian product of those groups.  For a segment that runs once, only
+the live blocks, those holding a nonzero amplitude, are assembled and
+exponentiated; the 6^n x 6^n register matrix is never built.  The blocks
+are real; all groups of a drive have the same legs, so blocks of one size
+share one drive matrix, each with its slice of one 6^n diagonal.  Each
+size is one stack, applied as soon as it is exponentiated: 1x1 stacks are
+`np.exp`, larger ones one vectorised Pade-13 scaling and squaring
+(`_expm_stack`) with one scaling exponent per stack.  A segment that
+recurs in a run (the transfer legs around every gate) is built over all
+its blocks on its first run; the executor keeps those stacks for the
+rest of the run, applies them on each later run without assembly or
+exponentiation, and drops them after the last.  The blocks and the
+lasers read each site's cached level table
 (`addressing.site_levels`, shared with the pulse builders); the lasers sit
 on the resonance of one active reference site (`_reference_index`).  The
 dense kron-sum propagator and scipy's `expm` are the test oracle.
@@ -118,6 +123,16 @@ class Pulse:
             raise ConfigError("pulse duration must be finite and >= 0")
         if not 0 <= self.rabi_rad_s < math.inf:
             raise ConfigError("Rabi frequency must be finite and >= 0")
+        # nested tuples, so that a segment can key the executor's store
+        object.__setattr__(self, "target", _as_tuples(self.target))
+
+
+def _as_tuples(value):
+    """`value` with every list or tuple in it, nested ones included, made
+    a tuple."""
+    if isinstance(value, (list, tuple)):
+        return tuple(map(_as_tuples, value))
+    return value
 
 
 @dataclass(frozen=True)
@@ -279,13 +294,13 @@ def _single_atom_hamiltonian(energy_hz, lasers, pulse) -> np.ndarray:
 
 
 def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
-                        dipole_scale: float = 1.0) -> list:
-    """Live blocks of the register Hamiltonian (rad/s) for one segment.
+                        cover: np.ndarray, dipole_scale: float = 1.0) -> list:
+    """Blocks of the register Hamiltonian (rad/s) for one segment.
 
     Returns one (indices, blocks) pair per block size d: `indices` is an
     (nb, d) array of basis states, `blocks` the (nb, d, d) real symmetric
-    blocks over them.  A block is live when any of its amplitudes is
-    nonzero; the others are never built.  Blocks of one size share one
+    blocks over them.  Only the blocks holding a basis state of the
+    boolean mask `cover` are built.  Blocks of one size share one
     drive matrix (Omega/2 on each leg) and carry their slice of one 6^n
     diagonal: the atoms' level energies, then the dipole terms.
     """
@@ -301,7 +316,7 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     # digits; ascending basis order within a block is the Cartesian order
     groups = GROUPS[pulse.transition][labels]
     block = groups @ NLEV ** np.arange(n - 1, -1, -1)
-    states = np.flatnonzero(np.isin(block, block[reg.amps != 0]))
+    states = np.flatnonzero(np.isin(block, block[cover]))
     states = states[np.argsort(block[states], kind="stable")]
     _, sizes = np.unique(block[states], return_counts=True)
     size_of = np.repeat(sizes, sizes)
@@ -389,17 +404,17 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
     return R
 
 
-def segment_propagator(reg: RegisterState, segment: PulseSegment,
-                       noise: NoiseParams,
-                       dipole_scale: float = 1.0) -> np.ndarray:
-    """Amplitudes after the whole segment: each stack of real live blocks
-    turns complex as -i dt (H - i Gamma/2), Gamma the decay rates, is
-    exponentiated by `_expm_stack` and applied at once.  Phases that
-    overflow a float raise IntegratorError before the overflow is used."""
+def _block_propagators(reg: RegisterState, segment: PulseSegment,
+                       noise: NoiseParams, dipole_scale: float,
+                       cover: np.ndarray):
+    """Yield the (indices, propagators) stack of each block size of
+    `segment_hamiltonian(reg, segment, cover, dipole_scale)`: the real
+    blocks turn complex as -i dt (H - i Gamma/2), Gamma the decay rates,
+    and `_expm_stack` exponentiates each stack.  Phases that overflow a
+    float raise IntegratorError before the overflow is used."""
     dt = segment.pulse.duration_s
     rates = _gamma_levels(noise)[basis_labels(reg.n_atoms)].sum(-1)
-    amps = np.zeros_like(reg.amps)
-    for idx, H in segment_hamiltonian(reg, segment, dipole_scale):
+    for idx, H in segment_hamiltonian(reg, segment, cover, dipole_scale):
         ar = np.arange(idx.shape[1])
         try:
             with np.errstate(over="raise"):
@@ -410,6 +425,31 @@ def segment_propagator(reg: RegisterState, segment: PulseSegment,
             raise IntegratorError(
                 f"{segment.pulse.transition} segment of {dt!r} s at "
                 f"dipole_scale {dipole_scale!r}: {exc}") from None
+        yield idx, U
+
+
+def segment_propagator(reg: RegisterState, segment: PulseSegment,
+                       noise: NoiseParams, dipole_scale: float = 1.0,
+                       kept: list | None = None) -> np.ndarray:
+    """Amplitudes after the whole segment, one batched matmul per stack of
+    `_block_propagators`.
+
+    With `kept` None (a segment that runs once) only the live blocks are
+    built, and each stack is applied as soon as it is exponentiated.
+    `kept` holds the stacks of a segment that recurs in a run: an empty
+    list is filled with the stacks of all the segment's blocks, live or
+    not, and a filled one is applied as it stands, with no assembly and
+    no exponentiation."""
+    if kept is None:
+        stacks = _block_propagators(reg, segment, noise, dipole_scale,
+                                    reg.amps != 0)
+    else:
+        if not kept:
+            kept.extend(_block_propagators(reg, segment, noise, dipole_scale,
+                                           np.ones(reg.amps.size, bool)))
+        stacks = kept
+    amps = np.zeros_like(reg.amps)
+    for idx, U in stacks:
         amps[idx] = (U @ reg.amps[idx][..., None])[..., 0]
     return amps
 
@@ -431,9 +471,10 @@ def apply_propagator(reg: RegisterState, amps: np.ndarray,
 
 
 def apply_segment(reg: RegisterState, segment: PulseSegment,
-                  noise: NoiseParams,
-                  dipole_scale: float = 1.0) -> RegisterState:
-    """Propagate through the whole segment (exact exponentiation)."""
+                  noise: NoiseParams, dipole_scale: float = 1.0,
+                  kept: list | None = None) -> RegisterState:
+    """Propagate through the whole segment (exact exponentiation); `kept`
+    holds a recurring segment's stacks (`segment_propagator`)."""
     if not math.isfinite(dipole_scale):
         raise ConfigError(f"dipole_scale must be finite, got {dipole_scale!r}")
     if segment.pulse.duration_s == 0.0:
@@ -441,7 +482,8 @@ def apply_segment(reg: RegisterState, segment: PulseSegment,
     noise_on = noise.photon_scattering_rate_hz > 0 \
         or not math.isinf(noise.lifetime_3P2_s)
     return apply_propagator(
-        reg, segment_propagator(reg, segment, noise, dipole_scale), noise_on)
+        reg, segment_propagator(reg, segment, noise, dipole_scale, kept),
+        noise_on)
 
 
 def ground_basis_probability(reg: RegisterState, bits: dict) -> float:

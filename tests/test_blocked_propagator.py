@@ -2,7 +2,9 @@
 run segment by segment through both, the live blocks of random <=4-site
 registers against slices of the dense matrix, the stacked exponential
 against scipy's `expm`, plus memory guards that fail if a 6^n x 6^n
-register matrix or complex blocks come back."""
+register matrix or complex blocks come back.  The executor, which keeps
+a recurring segment's propagators for the rest of its run, against the
+segment-by-segment loop."""
 
 import math
 import tracemalloc
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
+from ybqc import engine
 from ybqc.addressing import LatticeGeometry, plan_gradients, site_fields
 from ybqc.atomic import AtomParams, register_levels
 from ybqc.compiler import compile_circuit, execute_schedule
@@ -92,13 +95,25 @@ def circuits(draw, n_sites):
     return "\n".join(lines) + "\n", ones, noise, seed
 
 
+def _chain_start(n_sites, ones):
+    geom = LatticeGeometry(n_sites, 1, 1)
+    sites = [(i, 0, 0) for i in range(n_sites)]
+    return RegisterState.product(P, geom, sites,
+                                 [GP if s in ones else GM for s in sites])
+
+
+def _assert_readouts_match(got, want):
+    """The same sites and bits, `probability_one` within 1e-12."""
+    assert [r[:2] for r in got] == [r[:2] for r in want]
+    for (_, _, p1), (_, _, p1_want) in zip(got, want):
+        assert abs(p1 - p1_want) <= 1e-12
+
+
 def _check_against_dense(n_sites, circuit, ones, noise, seed):
     geom = LatticeGeometry(n_sites, 1, 1)
     schedule = compile_circuit(circuit, geom, P,
                                plan_gradients(geom, 1000.0, P), noise)
-    sites = [(i, 0, 0) for i in range(n_sites)]
-    start = RegisterState.product(P, geom, sites,
-                                  [GP if s in ones else GM for s in sites])
+    start = _chain_start(n_sites, ones)
     blocked = dense = start
     rng_blocked = np.random.default_rng(seed)
     rng_dense = np.random.default_rng(seed)
@@ -117,12 +132,18 @@ def _check_against_dense(n_sites, circuit, ones, noise, seed):
         assert np.max(np.abs(blocked.amps - dense.amps)) < 1e-10
         assert abs(blocked.leaked - dense.leaked) < 1e-10
 
-    # a second run with the same seed, through the executor, repeats
-    # the readouts and amplitudes exactly
+    # the executor exponentiates a recurring segment once, over all its
+    # blocks (one scaling exponent per larger stack): the stepwise bits,
+    # P(1) to 1e-12 and the dense oracle to 1e-10
+    run = execute_schedule(start, schedule, noise, rng_seed=seed)
+    _assert_readouts_match(run.readouts, readouts)
+    assert np.max(np.abs(run.register.amps - dense.amps)) < 1e-10
+    assert abs(run.register.leaked - dense.leaked) < 1e-10
+    # a second run with the same seed repeats the first exactly
     rerun = execute_schedule(start, schedule, noise, rng_seed=seed)
-    assert rerun.readouts == readouts
-    assert np.array_equal(rerun.register.amps, blocked.amps)
-    assert rerun.register.leaked == blocked.leaked
+    assert rerun.readouts == run.readouts
+    assert np.array_equal(rerun.register.amps, run.register.amps)
+    assert rerun.register.leaked == run.register.leaked
 
 
 @settings(max_examples=25, deadline=None)
@@ -135,6 +156,85 @@ def test_two_site_circuits_match_dense_oracle(case):
 @given(case=circuits(3))
 def test_three_site_circuits_match_dense_oracle(case):
     _check_against_dense(3, *case)
+
+
+def _stepwise(start, schedule, noise, seed):
+    """The executor's loop without its store: every segment assembled
+    and exponentiated by `apply_segment` on its own."""
+    reg, rng, readouts = start, np.random.default_rng(seed), []
+    for seg in schedule.segments:
+        if seg.pulse.transition == "measure":
+            site = seg.pulse.target[1]
+            bit, reg, p1 = measure_qubit(reg, site, rng)
+            readouts.append((site, bit, p1))
+        else:
+            reg = apply_segment(reg, seg, noise)
+    return reg, readouts
+
+
+@st.composite
+def recurring_circuits(draw):
+    """1 x n chain, n = 2 or 3: one to three X or adjacent CNOT lines,
+    given once or twice (twice, a 3-photon rotation recurs as well as
+    the transfer legs), MEAS on every site in a random order, random
+    initial ones, default, heavy or no noise."""
+    n_sites = draw(st.integers(2, 3))
+
+    def gate(is_x):
+        a = draw(st.integers(0, n_sites - 1 - (not is_x)))
+        if is_x:
+            return f"X {a} 0 {draw(st.floats(0.1, math.pi))!r}"
+        c, t = (a, a + 1) if draw(st.booleans()) else (a + 1, a)
+        return f"CNOT {c} 0 {t} 0"
+
+    body = [gate(is_x) for is_x in draw(st.lists(st.booleans(), min_size=1,
+                                                 max_size=3))]
+    lines = body * draw(st.integers(1, 2))
+    lines += [f"MEAS {i} 0" for i in draw(st.permutations(range(n_sites)))]
+    ones = [(i, 0, 0) for i in range(n_sites) if draw(st.booleans())]
+    noise = draw(st.sampled_from([NoiseParams(), HEAVY_NOISE,
+                                  NoiseParams.off()]))
+    return n_sites, "\n".join(lines) + "\n", ones, noise, \
+        draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=recurring_circuits())
+def test_executor_matches_the_stepwise_loop(case):
+    n_sites, circuit, ones, noise, seed = case
+    geom = LatticeGeometry(n_sites, 1, 1)
+    schedule = compile_circuit(circuit, geom, P,
+                               plan_gradients(geom, 1000.0, P), noise)
+    start = _chain_start(n_sites, ones)
+    want, readouts = _stepwise(start, schedule, noise, seed)
+    run = execute_schedule(start, schedule, noise, rng_seed=seed)
+    _assert_readouts_match(run.readouts, readouts)
+    assert np.max(np.abs(run.register.amps - want.amps)) <= 1e-12
+    assert abs(run.register.leaked - want.leaked) <= 1e-12
+
+
+def test_executor_assembles_each_distinct_segment_once(monkeypatch):
+    geom = LatticeGeometry(2, 1, 1)
+    schedule = compile_circuit("X 0 0 1.0\nCNOT 0 0 1 0\nMEAS 0 0\n"
+                               "MEAS 1 0\n", geom, P,
+                               plan_gradients(geom, 1000.0, P), NoiseParams())
+    engine_segments = [s for s in schedule.segments
+                       if s.pulse.transition != "measure"]
+    distinct = list(dict.fromkeys(engine_segments))
+    assert len(distinct) < len(engine_segments)   # the legs recur
+    assembled = []
+
+    def spy(reg, segment, *args):
+        assembled.append(segment)
+        return segment_hamiltonian(reg, segment, *args)
+
+    monkeypatch.setattr(engine, "segment_hamiltonian", spy)
+    # the store lives in one call: a second run assembles as much again
+    for _ in range(2):
+        assembled.clear()
+        execute_schedule(_chain_start(2, [(1, 0, 0)]), schedule,
+                         NoiseParams(), rng_seed=0)
+        assert assembled == distinct
 
 
 @st.composite
@@ -168,7 +268,8 @@ def test_live_blocks_are_slices_of_the_dense_hamiltonian(case):
     diagonal = np.diagonal(dense)
     assert not diagonal.imag.any()
     live = np.zeros(len(dense), bool)
-    for idx, blocks in segment_hamiltonian(reg, segment, dipole_scale):
+    for idx, blocks in segment_hamiltonian(reg, segment, reg.amps != 0,
+                                           dipole_scale):
         assert blocks.dtype == np.float64
         for states, H in zip(idx, blocks):
             want = dense[np.ix_(states, states)]
@@ -194,7 +295,7 @@ def test_fully_live_five_site_ladder_assembles_small_real_blocks():
                            Pulse("three_photon", 1e-3, 2 * math.pi * 50.0))
     tracemalloc.start()
     try:
-        out = segment_hamiltonian(reg, segment)
+        out = segment_hamiltonian(reg, segment, reg.amps != 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

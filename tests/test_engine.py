@@ -137,10 +137,11 @@ def test_dipole_diagonal_matches_pair_formula():
 
     m = register_levels(P, CFG.B0_t).moment_j_per_t[EP32]
     want = 2 * math.pi * ddi_coupling(m, m, geom.spacing_m, math.pi / 2)
-    assert diagonal_entry(segment_hamiltonian(reg, seg)).real \
+    live = reg.amps != 0
+    assert diagonal_entry(segment_hamiltonian(reg, seg, live)).real \
         == pytest.approx(want, rel=1e-9)
     # dipole_scale=0 switches the interaction off
-    assert diagonal_entry(segment_hamiltonian(reg, seg,
+    assert diagonal_entry(segment_hamiltonian(reg, seg, live,
                                               dipole_scale=0.0)) == 0.0
 
 
@@ -199,6 +200,18 @@ def test_pulse_target_outside_the_register_is_rejected(target):
                                   target=target))
     with pytest.raises(ConfigError, match="active site"):
         apply_segment(single(GM), seg, OFF)
+
+
+def test_list_form_target_runs_as_the_tuple_form():
+    # Pulse stores the target as nested tuples, so the segment is hashable
+    listed = Pulse("optical_pair", 1e-3, 1e3, target=["site", [0, 0, 0]])
+    tupled = Pulse("optical_pair", 1e-3, 1e3, target=("site", (0, 0, 0)))
+    assert listed == tupled and hash(listed) == hash(tupled)
+    reg = RegisterState.product(P, GEOM, [(0, 0, 0), (1, 0, 0)], [GM, GP])
+    out = [apply_segment(reg, PulseSegment(CFG, pulse), OFF).amps
+           for pulse in (listed, tupled)]
+    assert np.array_equal(out[0], out[1])
+    assert np.abs(out[0] - reg.amps).max() > 0.1
 
 
 def test_ground_basis_probability():

@@ -517,6 +517,24 @@ def test_overflowing_zeeman_energies_exit_3(tmp_path, capsys, stage):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["g_J_3P2", "nuclear_moment_mu_n",
+                                 "hyperfine_A_3P2_hz"])
+def test_non_finite_zeeman_constant_exits_2_naming_it(tmp_path, capsys, key,
+                                                      value):
+    (tmp_path / "atom.cfg").write_text(f"{key} = {value}\n")
+    assert cli_main(["levels", "--atom-config",
+                     str(tmp_path / "atom.cfg")]) == 2
+    scn = _scenario(tmp_path, pipeline=["levels"], atom={key: float(value)},
+                    sweep={"steps": 5})
+    assert cli_main(["run", scn]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(f"error: {key} must be finite\n") == 2
+    assert len(captured.err.strip().splitlines()) == 2
+    assert not (tmp_path / "out").exists()
+
+
 # ---------------------------------------------------------------------------
 # fuzzed scenario files
 

@@ -23,7 +23,10 @@ Every defaulted parameter of a package function, and every defaulted
 field of a package dataclass, is passed by some call in the package: a
 knob that every caller leaves at its default is a constant.  Importing
 the package and running the CLI loads no scipy module: scipy serves the
-lattice band calculation and the tests' oracles only."""
+lattice band calculation and the tests' oracles only.  The package's
+`lru_cache` uses are the three pinned ones: a propagator cache that
+outlived one run would give the benchmark's in-process loop warm hits
+that a `ybqc run` process never gets."""
 
 import ast
 import os
@@ -409,3 +412,41 @@ def test_import_and_cli_load_no_scipy():
                          check=True, timeout=60)
     assert run.stdout.startswith("m_F,branch,energy_hz\n")
     assert run.stderr == "[]\n"
+
+
+# Process-wide caches of the package: the per-site level tables, the
+# basis label table and the dipole diagonal.
+PINNED_CACHES = {"addressing.site_levels", "engine.basis_labels",
+                 "engine._dipole_diagonal"}
+
+
+def cached_functions(module: str, source: str) -> set[str]:
+    """`module.function` of every function in `source` decorated with
+    `lru_cache` or `cache`, called or not, bare or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        for dec in node.decorator_list:
+            dec = dec.func if isinstance(dec, ast.Call) else dec
+            name = dec.id if isinstance(dec, ast.Name) else \
+                dec.attr if isinstance(dec, ast.Attribute) else None
+            if name in ("lru_cache", "cache"):
+                found.add(f"{module}.{node.name}")
+    return found
+
+
+def test_checker_finds_cached_functions():
+    source = ("@lru_cache(maxsize=None)\ndef a():\n    pass\n"
+              "@functools.lru_cache\ndef b():\n    pass\n"
+              "class C:\n    @cache\n    def c(self):\n        pass\n"
+              "@functools.cache\nasync def d():\n    pass\n"
+              "@staticmethod\ndef e():\n    lru_cache(f)\n")
+    assert cached_functions("m", source) == {"m.a", "m.b", "m.c", "m.d"}
+
+
+def test_package_caches_are_the_pinned_ones():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= cached_functions(path.stem, path.read_text())
+    assert found == PINNED_CACHES
