@@ -1,6 +1,7 @@
 """Physical constants used throughout the package: the CODATA values as
-`scipy.constants` gives them, written out so that importing the package
-does not import scipy.  A test checks each against scipy bit for bit."""
+`scipy.constants` gives them, written out as literals because the
+package has no runtime scipy.  A test pins each against scipy bit for
+bit."""
 
 import math
 

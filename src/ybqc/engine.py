@@ -484,14 +484,3 @@ def apply_segment(reg: RegisterState, segment: PulseSegment,
     return apply_propagator(
         reg, segment_propagator(reg, segment, noise, dipole_scale, kept),
         noise_on)
-
-
-def ground_basis_probability(reg: RegisterState, bits: dict) -> float:
-    """Joint probability of finding each given site's qubit value in the
-    ground manifold (0 -> g-, 1 -> g+); other sites are traced out."""
-    labels = basis_labels(reg.n_atoms)
-    mask = np.ones(len(labels), bool)
-    for site, bit in bits.items():
-        want = GP if bit else GM
-        mask &= labels[:, reg.site_index(site)] == want
-    return float((np.abs(reg.amps) ** 2)[mask].sum())

@@ -23,7 +23,7 @@ from .engine import (EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, NoiseParams,
                      Pulse, RegisterState, _laser_frequencies,
                      _single_atom_hamiltonian, basis_labels)
 from .errors import (ConfigError, GeometryError, IntegratorError,
-                     ProtocolOrderError)
+                     PhysicsError, ProtocolOrderError)
 
 # CNOT Rabi frequency over the unscaled conditional shift: spectral
 # selectivity against the off-resonant |00> <-> |01> line.
@@ -196,12 +196,14 @@ def measure_qubit(reg: RegisterState, site, rng: np.random.Generator):
     lives in the compiled transfer pulses) and samples the fluorescence
     outcome from `rng`.  Fluorescence means the atom ended in the ground
     state -> outcome 1: P(1) = P(g-) + P(e+3/2), read before the return.
-    An atom with more population in e+/-1/2 than in e+/-3/2 is
-    mid-protocol and raises ProtocolOrderError; the small ladder residue
-    of a 3-photon rotation does not.
-    """
+    A register with every atom lost raises PhysicsError.  An atom with
+    more population in e+/-1/2 than in e+/-3/2 is mid-protocol and raises
+    ProtocolOrderError; the small ladder residue of a 3-photon rotation
+    does not."""
     site = tuple(site)
     pops = reg.level_populations(site)
+    if pops.sum() <= 1e-300:
+        raise PhysicsError(f"readout at {site}: every atom has been lost")
     if pops[EM12] + pops[EP12] > pops[EM32] + pops[EP32]:
         raise ProtocolOrderError(
             f"atom at {site} sits mostly in the intermediate e levels; "

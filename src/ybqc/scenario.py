@@ -161,11 +161,11 @@ def emit_level_sweep(params: AtomParams, b_min_gauss: float,
     b = np.linspace(b_min_gauss, b_max_gauss,
                     min(steps, LEVEL_SWEEP_MAX_STEPS))
     energy = zeeman_table(params, b * GAUSS)[0]
-    labels = level_labels(params)
+    tags = [f",{m_F!r},{branch}," for m_F, branch in level_labels(params)]
     lines = ["B_gauss,m_F,branch,energy_hz"]
-    lines += [f"{bg!r},{m_F!r},{branch},{e!r}"
-              for bg, column in zip(b.tolist(), energy.T.tolist())
-              for (m_F, branch), e in zip(labels, column)]
+    lines += [f"{bg}{tag}{e!r}"
+              for bg, column in zip(map(repr, b.tolist()), energy.T.tolist())
+              for tag, e in zip(tags, column)]
     return "\n".join(lines) + "\n"
 
 

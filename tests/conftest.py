@@ -1,7 +1,23 @@
 """Shared test plumbing: collects acceptance-check verdict lines and
-prints them in the terminal summary (immune to output capture)."""
+prints them in the terminal summary (immune to output capture), and
+reads joint ground-basis probabilities off a register."""
+
+import numpy as np
+
+from ybqc.engine import GM, GP, RegisterState, basis_labels
 
 acceptance_lines = []
+
+
+def ground_basis_probability(reg: RegisterState, bits: dict) -> float:
+    """Joint probability of finding each given site's qubit value in the
+    ground manifold (0 -> g-, 1 -> g+); other sites are traced out."""
+    labels = basis_labels(reg.n_atoms)
+    mask = np.ones(len(labels), bool)
+    for site, bit in bits.items():
+        want = GP if bit else GM
+        mask &= labels[:, reg.site_index(site)] == want
+    return float((np.abs(reg.amps) ** 2)[mask].sum())
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -13,8 +13,7 @@ from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, ladder_detunings,
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.constants import CM, GAUSS, mu_B, mu_N
 from ybqc.dipole import cnot_shift, ddi_coupling
-from ybqc.engine import (GM, GP, NoiseParams, RegisterState,
-                         ground_basis_probability)
+from ybqc.engine import GM, GP, NoiseParams, RegisterState
 from ybqc.feasibility import (lattice_depth_report, pi_pulse_intensity,
                               scattering_rate)
 from ybqc.protocols import measure_qubit, three_photon_scan
@@ -23,7 +22,7 @@ from ybqc.scenario import run_scenario
 SPACING = 266e-9
 
 
-from conftest import acceptance_lines
+from conftest import acceptance_lines, ground_basis_probability
 
 
 def report(name, ok, detail=""):

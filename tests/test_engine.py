@@ -14,9 +14,10 @@ from ybqc.engine import (EM32, EP32, GM, GP, GROUPS, LEGS, NLEV,
                          NoiseParams, Pulse, PulseSegment, RegisterState,
                          _laser_frequencies, _single_atom_hamiltonian,
                          apply_propagator, apply_segment,
-                         ground_basis_probability, light_shift_compensation,
-                         segment_hamiltonian)
+                         light_shift_compensation, segment_hamiltonian)
 from ybqc.errors import ConfigError, IntegratorError
+
+from conftest import ground_basis_probability
 
 P = AtomParams()
 GEOM = LatticeGeometry(3, 1, 1)

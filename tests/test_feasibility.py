@@ -3,7 +3,11 @@ scattering, bias field, and the decoherence budget."""
 
 import math
 
+import mpmath
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import eigh_tridiagonal
 
 from ybqc.addressing import (GradientConfig, LatticeGeometry,
                              plan_gradients, validate_gradients)
@@ -13,7 +17,8 @@ from ybqc.compiler import compile_circuit
 from ybqc.engine import (GM, NoiseParams, Pulse, PulseSchedule, PulseSegment,
                          RegisterState, apply_segment)
 from ybqc.errors import ConfigError
-from ybqc.feasibility import (DEEP_LATTICE_RECOILS, build_feasibility_report,
+from ybqc.feasibility import (DEEP_LATTICE_RECOILS, FOURIER_ORDER,
+                              build_feasibility_report,
                               decoherence_budget, lattice_depth_report,
                               lowest_band_width_recoils, pi_pulse_intensity,
                               recoil_energy_j, scattering_rate)
@@ -77,6 +82,51 @@ def test_deep_lattice_width_is_the_asymptote():
     rep = lattice_depth_report(1e6, P)
     assert rep.tunneling_rate_hz == 0.0
     assert f"{rep.hold_survival:.3f}" == "1.000"
+
+
+def plane_wave_matrix(s, q):
+    """Diagonal and off-diagonal of the band matrix at depth s and
+    quasimomentum q, with plane waves up to FOURIER_ORDER."""
+    ks = np.arange(-FOURIER_ORDER, FOURIER_ORDER + 1)
+    return (2 * ks + q) ** 2 + s / 2, np.full(2 * FOURIER_ORDER, -s / 4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(s=st.floats(0.0, DEEP_LATTICE_RECOILS))
+def test_band_width_agrees_with_lapack(s):
+    # each band energy lies within 2 eps ||T||_1 of LAPACK's bisection,
+    # so the width lies within the sum of the two bounds
+    energies, tol = [], 0.0
+    for q in (0.0, 1.0):
+        diag, off = plane_wave_matrix(s, q)
+        energies.append(eigh_tridiagonal(diag, off, select="i",
+                                         select_range=(0, 0))[0][0])
+        columns = np.abs(diag) + np.abs(np.r_[off, 0]) + np.abs(np.r_[0, off])
+        tol += 2 * np.finfo(float).eps * columns.max()
+    assert abs(lowest_band_width_recoils(s)
+               - abs(energies[1] - energies[0])) <= tol
+
+
+@pytest.mark.parametrize("s, rel", [(10.0, 1e-10), (50.0, 1e-10),
+                                    (150.0, 1e-6)])
+def test_band_width_against_a_40_digit_solve(s, rel):
+    # LAPACK's default tolerance misses the 150-recoil bound (6e-6)
+    def lowest(q):
+        diag, off = plane_wave_matrix(s, q)
+        t = mpmath.diag(diag.tolist())
+        for i, o in enumerate(off.tolist()):
+            t[i, i + 1] = t[i + 1, i] = o
+        return min(mpmath.eigsy(t, eigvals_only=True))
+
+    with mpmath.workdps(40):
+        want = abs(lowest(1.0) - lowest(0.0))
+        assert abs(lowest_band_width_recoils(s) - want) <= rel * want
+
+
+@pytest.mark.parametrize("depth", [math.nan, -1.0, math.inf])
+def test_band_width_rejects_a_bad_depth(depth):
+    with pytest.raises(ConfigError):
+        lowest_band_width_recoils(depth)
 
 
 def test_hold_survival_at_operating_depth():

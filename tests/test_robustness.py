@@ -2,9 +2,9 @@
 traceback: off-lattice circuit sites, non-finite or negative rotation
 angles, missing or undecodable files, negative seeds, malformed flags,
 malformed or out-of-range scenario values, atom constants that
-overflow, noise parameters out of range, and property tests fuzzing the
-value type of every scenario key, the values of the CLI flags and the
-lines of circuit files."""
+overflow, noise parameters out of range, a readout after every atom is
+lost, and property tests fuzzing the value type of every scenario key,
+the values of the CLI flags and the lines of circuit files."""
 
 import io
 import json
@@ -185,6 +185,17 @@ def test_calibration_outside_its_bracket_exits_3(tmp_path, capsys, g_J):
     assert captured.out == ""
     assert captured.err.startswith("physics error: no hyperfine A in "
                                    "CALIBRATION_A_BRACKET_HZ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_readout_of_an_all_lost_register_exits_3(tmp_path, capsys):
+    # a 1e300 rad rotation lasts about 1e298 s in 3P2: the atom decays
+    (tmp_path / "c.txt").write_text("X 0 0 1e300\nMEAS 0 0\n")
+    assert cli_main(["simulate", "--circuit", str(tmp_path / "c.txt"),
+                     "--nx", "1", "--ny", "1", "--seed", "0"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("physics error: readout at (0, 0, 0)")
     assert len(captured.err.strip().splitlines()) == 1
 
 

@@ -10,19 +10,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ybqc.addressing import LatticeGeometry, plan_gradients
-from ybqc.atomic import AtomParams, ladder_detunings, register_levels
+from ybqc.atomic import (AtomParams, ladder_detunings, level_labels,
+                         register_levels, zeeman_table)
 from ybqc.cli import main as cli_main
 from ybqc.compiler import compile_circuit, execute_schedule, parse_circuit
 from ybqc.constants import GAUSS
 from ybqc.engine import GM, NoiseParams, RegisterState
 from ybqc.errors import (ConfigError, GeometryError, PhysicsError,
                          ScenarioError)
-from ybqc.scenario import (atom_params_from_dict, emit_addressing_spectrum,
-                           emit_detuning_curves, load_atom_params,
-                           load_scenario, parse_keyvalue, run_scenario,
-                           simulate_circuit)
+from ybqc.scenario import (LEVEL_SWEEP_MAX_STEPS, atom_params_from_dict,
+                           emit_addressing_spectrum, emit_detuning_curves,
+                           emit_level_sweep, load_atom_params, load_scenario,
+                           parse_keyvalue, run_scenario, simulate_circuit)
 
 P = AtomParams()
 
@@ -211,6 +213,23 @@ def test_detuning_csv_structure():
                                    rel=1e-12)
     with pytest.raises(ConfigError):
         emit_detuning_curves(P, 0.0, 100.0, 10)
+
+
+@settings(max_examples=60, deadline=None)
+@given(b_min=st.floats(0.0, 1e4), span=st.floats(1e-3, 1e4),
+       steps=st.integers(2, 3000), A=st.sampled_from([1.0, -1.0]))
+def test_level_sweep_matches_one_format_per_value(b_min, span, steps, A):
+    # the row-by-row comprehension that formatted every field and label
+    # once per level
+    params = AtomParams(hyperfine_A_3P2_hz=A * P.hyperfine_A_3P2_hz)
+    b = np.linspace(b_min, b_min + span, min(steps, LEVEL_SWEEP_MAX_STEPS))
+    energy = zeeman_table(params, b * GAUSS)[0]
+    lines = ["B_gauss,m_F,branch,energy_hz"]
+    lines += [f"{bg!r},{m_F!r},{branch},{e!r}"
+              for bg, column in zip(b.tolist(), energy.T.tolist())
+              for (m_F, branch), e in zip(level_labels(params), column)]
+    assert emit_level_sweep(params, b_min, b_min + span, steps) \
+        == "\n".join(lines) + "\n"
 
 
 def test_detunings_near_650g_are_about_20mhz():

@@ -22,13 +22,15 @@ numeric scenario key names its unit in a suffix or is dimensionless.
 Every defaulted parameter of a package function, and every defaulted
 field of a package dataclass, is passed by some call in the package: a
 knob that every caller leaves at its default is a constant.  Importing
-the package and running the CLI loads no scipy module: scipy serves the
-lattice band calculation and the tests' oracles only.  The package's
+the package and running the CLI, the feasibility report and a scenario
+run among it, loads no scipy module: scipy serves the tests' oracles
+only.  The package's
 `lru_cache` uses are the three pinned ones: a propagator cache that
 outlived one run would give the benchmark's in-process loop warm hits
 that a `ybqc run` process never gets."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -181,10 +183,8 @@ def test_array_stages_make_no_per_field_calls():
 
 
 # Public names that no package code references, each kept for a reason:
-# the closed-form budget that the engine's survival is checked against,
-# and the tests' reader of joint ground-basis probabilities.
-DEAD_NAME_ALLOWLIST = {"feasibility.decoherence_budget",
-                       "engine.ground_basis_probability"}
+# the closed-form budget that the engine's survival is checked against.
+DEAD_NAME_ALLOWLIST = {"feasibility.decoherence_budget"}
 
 
 def unreferenced_names(sources: dict[str, str]) -> set[str]:
@@ -400,17 +400,26 @@ def test_every_knob_is_passed_inside_the_package():
         == KNOB_ALLOWLIST
 
 
-def test_import_and_cli_load_no_scipy():
+def test_import_and_cli_load_no_scipy(tmp_path):
+    (tmp_path / "c.txt").write_text("X 0 0 1.0\nMEAS 0 0\n")
+    (tmp_path / "scn.json").write_text(json.dumps({
+        "pipeline": ["feasibility", "simulate"], "circuit_file": "c.txt",
+        "lattice": {"n_x": 1, "n_y": 1, "n_z": 1}, "seed": 0,
+        "output_dir": "out"}))
     code = ("import sys\nimport ybqc\nimport ybqc.cli\n"
-            "ybqc.cli.main(['levels', '--b-gauss', '100', '--calibrate'])\n"
+            "for argv in (['levels', '--b-gauss', '100', '--calibrate'],\n"
+            "             ['feasibility'], ['run', 'scn.json']):\n"
+            "    assert ybqc.cli.main(argv) == 0\n"
             "print([m for m in sys.modules if m.split('.')[0] == 'scipy'],"
             " file=sys.stderr)\n")
     path = os.pathsep.join(filter(None, [str(SRC.parent),
                                          os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env={**os.environ, "PYTHONPATH": path},
-                         check=True, timeout=60)
+                         cwd=tmp_path, check=True, timeout=60)
     assert run.stdout.startswith("m_F,branch,energy_hz\n")
+    assert {"feasibility.json", "result.json"} \
+        <= {p.name for p in (tmp_path / "out").iterdir()}
     assert run.stderr == "[]\n"
 
 
