@@ -39,8 +39,11 @@ TRANSFER_RABI_2Q_RAD_S = 2 * math.pi * 100.0
 
 
 def parse_circuit(text: str):
-    """Parse the line-oriented circuit format into gate tuples."""
-    ops = []
+    """Parse the line-oriented circuit format into gate tuples.
+
+    The first MEAS starts the measurement stage, which parks every atom
+    in 3P2: only MEAS of a site not yet measured may follow it."""
+    ops, measured = [], set()
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -56,9 +59,16 @@ def parse_circuit(text: str):
                 ops.append(("CNOT", (int(tok[1]), int(tok[2]), 0),
                             (int(tok[3]), int(tok[4]), 0)))
             elif tok[0] == "MEAS" and len(tok) == 3:
-                ops.append(("MEAS", (int(tok[1]), int(tok[2]), 0)))
+                site = (int(tok[1]), int(tok[2]), 0)
+                if site in measured:
+                    raise ValueError(f"site {site[:2]} is already measured")
+                measured.add(site)
+                ops.append(("MEAS", site))
             else:
                 raise ValueError("unrecognized gate")
+            if measured and ops[-1][0] != "MEAS":
+                raise ValueError("gate after the first MEAS: the "
+                                 "measurement stage parks every atom in 3P2")
         except ValueError as exc:
             raise ConfigError(f"circuit line {ln}: {raw!r}: {exc}") from exc
     return ops
@@ -136,7 +146,8 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
     `noise` and `dipole_scale` are fixed for the run, so a segment alone
     fixes its propagators: a segment that recurs (the transfer legs
     around every gate) keeps the stacks of its first run until its last
-    run, and the store dies with the call."""
+    run.  The block partitions, drive matrices and decay rates are
+    built at most once per run.  Both stores die with the call."""
     has_measure = any(s.pulse.transition == "measure"
                       for s in schedule.segments)
     if has_measure and rng_seed is None:
@@ -148,6 +159,7 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
     left = Counter(s for s in schedule.segments
                    if s.pulse.transition != "measure")
     kept = {seg: [] for seg, runs in left.items() if runs > 1}
+    run: dict = {}      # partitions, drive matrices, decay rates
     readouts = []
     for seg in schedule.segments:
         if seg.pulse.transition == "measure":
@@ -157,5 +169,6 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
         else:
             left[seg] -= 1
             stacks = kept.get(seg) if left[seg] else kept.pop(seg, None)
-            reg = apply_segment(reg, seg, noise, dipole_scale, stacks)
+            reg = apply_segment(reg, seg, noise, dipole_scale, stacks,
+                                run)
     return ExecutionResult(reg, readouts, DetectionReport.from_noise(noise))

@@ -25,12 +25,18 @@ Cartesian product of those groups.  For a segment that runs once, only
 the live blocks, those holding a nonzero amplitude, are assembled and
 exponentiated; the 6^n x 6^n register matrix is never built.  The blocks
 are real; all groups of a drive have the same legs, so blocks of one size
-share one drive matrix, each with its slice of one 6^n diagonal.  Each
-size is one stack, applied as soon as it is exponentiated: 1x1 stacks are
-`np.exp`, larger ones one vectorised Pade-13 scaling and squaring
-(`_expm_stack`) with one scaling exponent per stack.  A segment that
-recurs in a run (the transfer legs around every gate) is built over all
-its blocks on its first run; the executor keeps those stacks for the
+share one drive matrix, built from `LEGS`, each with its slice of one 6^n
+diagonal.  The partition into blocks and the drive matrices depend only
+on (transition, n): the executor keeps them, with the run's decay rates,
+in a dict that dies with the call, building each partition once per
+run and each size's drive matrix on its first use, and a segment takes
+its live blocks from the partition in order.  Each size is one
+stack, applied as soon as it is exponentiated: 1x1 stacks are `np.exp`,
+2x2 stacks the closed form e^m [cosh(delta) I + sinh(delta)/delta
+(A - m I)] (`_expm_2x2`), larger ones one vectorised Pade-13 scaling and
+squaring (`_expm_stack`) with one scaling exponent per stack.  A segment
+that recurs in a run (the transfer legs around every gate) is built over
+all its blocks on its first run; the executor keeps those stacks for the
 rest of the run, applies them on each later run without assembly or
 exponentiation, and drops them after the last.  The blocks and the
 lasers read each site's cached level table
@@ -293,43 +299,74 @@ def _single_atom_hamiltonian(energy_hz, lasers, pulse) -> np.ndarray:
     return hmat
 
 
+def _block_partition(transition: str, n: int) -> list:
+    """Every block of the 6^n basis under `transition`'s drive: one
+    (nb, d) array of the blocks' basis states per block size d, in
+    ascending d, the blocks in ascending block code and each block's
+    states in ascending basis order (the Cartesian order)."""
+    labels = basis_labels(n)
+    # block of each basis state, coded by its atoms' groups as base-6 digits
+    block = GROUPS[transition][labels] @ NLEV ** np.arange(n - 1, -1, -1)
+    states = np.argsort(block, kind="stable")
+    size_of = np.bincount(block)[block[states]]
+    return [states[size_of == d].reshape(-1, d) for d in np.unique(size_of)]
+
+
+def _block_drive(transition: str, levels: np.ndarray) -> np.ndarray:
+    """d x d boolean matrix of `transition`'s legs within one block, whose
+    states hold the (d, n) per-atom `levels`: the states that differ on
+    one atom, by one leg.  Every coupled group carries the same legs, so
+    all blocks of one size share it."""
+    leg = np.zeros((NLEV, NLEV), bool)
+    for lo, up in LEGS[transition]:
+        leg[lo, up] = leg[up, lo] = True
+    differ = np.zeros((len(levels),) * 2, np.uint8)
+    on_leg = np.zeros((len(levels),) * 2, bool)
+    for atom in levels.T:
+        differ += atom[:, None] != atom
+        on_leg |= leg[atom[:, None], atom]
+    return (differ == 1) & on_leg
+
+
 def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
-                        cover: np.ndarray, dipole_scale: float = 1.0) -> list:
+                        cover: np.ndarray, dipole_scale: float = 1.0,
+                        run: dict | None = None) -> list:
     """Blocks of the register Hamiltonian (rad/s) for one segment.
 
     Returns one (indices, blocks) pair per block size d: `indices` is an
     (nb, d) array of basis states, `blocks` the (nb, d, d) real symmetric
     blocks over them.  Only the blocks holding a basis state of the
-    boolean mask `cover` are built.  Blocks of one size share one
-    drive matrix (Omega/2 on each leg) and carry their slice of one 6^n
-    diagonal: the atoms' level energies, then the dipole terms.
+    boolean mask `cover` are built, taken in order from the transition's
+    `_block_partition`.  Blocks of one size share one `_block_drive`
+    matrix (Omega/2 on each leg) and carry their slice of one 6^n
+    diagonal: the atoms' level energies, then the dipole terms.  `run`
+    (one dict per executor call) keeps each partition and drive matrix
+    for the rest of the run, built on first use.
     """
     params, geom = reg.params, reg.geom
     config, pulse = segment.config, segment.pulse
-    n = reg.n_atoms
     tables = site_levels(params, geom, reg.sites, config)
     lasers = _laser_frequencies(tables[_reference_index(reg, pulse.target)],
                                 pulse)
+    run = {} if run is None else run
+    if pulse.transition not in run:
+        run[pulse.transition] = _block_partition(pulse.transition,
+                                                 reg.n_atoms)
     hs = [_single_atom_hamiltonian(t.energy_hz, lasers, pulse) for t in tables]
-    labels = basis_labels(n)
-    # block of each basis state, coded by its atoms' groups as base-6
-    # digits; ascending basis order within a block is the Cartesian order
-    groups = GROUPS[pulse.transition][labels]
-    block = groups @ NLEV ** np.arange(n - 1, -1, -1)
-    states = np.flatnonzero(np.isin(block, block[cover]))
-    states = states[np.argsort(block[states], kind="stable")]
-    _, sizes = np.unique(block[states], return_counts=True)
-    size_of = np.repeat(sizes, sizes)
+    labels = basis_labels(reg.n_atoms)
     diagonal = sum(h.diagonal()[labels[:, i]] for i, h in enumerate(hs)) \
         + _dipole_diagonal(params, geom, reg.sites, config, dipole_scale)
-    leg = (hs[0] != 0) & ~np.eye(NLEV, dtype=bool)  # legs; none at Rabi 0
     out = []
-    for d in np.unique(sizes):
-        idx = states[size_of == d].reshape(-1, d)
-        L = labels[idx[0]]  # first block: differ on one atom, by one leg
-        drive = ((L[:, None] != L[None]).sum(-1) == 1) \
-            & leg[L[:, None], L[None]].any(-1)
-        H = np.repeat(drive[None] * (pulse.rabi_rad_s / 2), len(idx), axis=0)
+    for idx in run[pulse.transition]:
+        idx = idx[cover[idx].any(1)]
+        if not len(idx):
+            continue
+        d = idx.shape[1]
+        if (pulse.transition, d) not in run:
+            run[pulse.transition, d] = _block_drive(pulse.transition,
+                                                    labels[idx[0]])
+        H = np.repeat(run[pulse.transition, d][None]
+                      * (pulse.rabi_rad_s / 2), len(idx), axis=0)
         H[:, np.arange(d), np.arange(d)] = diagonal[idx]
         out.append((idx, H))
     return out
@@ -376,15 +413,51 @@ PADE13 = (64764752532480000., 32382376266240000., 7771770303897600.,
 THETA13 = 5.371920351148152
 
 
+# Below this |delta| the 2x2 kernel takes sinh(delta)/delta as
+# 1 + delta^2/6: the next term, delta^4/120, stays under 1e-16
+SINHC_SERIES_BELOW = 3e-4
+
+
+def _expm_2x2(A: np.ndarray) -> np.ndarray:
+    """exp of each matrix of the (nb, 2, 2) stack `A` in closed form
+    (Cayley-Hamilton; Moler & Van Loan, SIAM Rev. 45, 3 (2003)):
+    e^A = e^m [cosh(delta) I + sinh(delta)/delta (A - m I)], with
+    m = tr A / 2 and delta^2 = ((a - d)/2)^2 + bc, exact for any decay
+    rates.  The principal root (Re delta >= 0) makes e^(m + delta) the
+    exponential of the larger eigenvalue and |e^(-2 delta)| <= 1, so
+    e^m cosh(delta) = e^(m + delta) (1 + e^(-2 delta)) / 2 and
+    e^m sinh(delta)/delta = -e^(m + delta) expm1(-2 delta) / (2 delta)
+    overflow only where e^A does."""
+    a, b, c, d = A[:, 0, 0], A[:, 0, 1], A[:, 1, 0], A[:, 1, 1]
+    m, q = (a + d) / 2, (a - d) / 2
+    delta2 = q * q + b * c
+    delta = np.sqrt(delta2)
+    grow = np.exp(m + delta)
+    small = np.abs(delta) < SINHC_SERIES_BELOW
+    sinhc = np.where(small, np.exp(m) * (1 + delta2 / 6),
+                     -grow * np.expm1(-2 * delta)
+                     / (2 * np.where(small, 1, delta)))
+    cosh = grow * (1 + np.exp(-2 * delta)) / 2
+    R = np.empty_like(A)
+    R[:, 0, 0] = cosh + sinhc * q
+    R[:, 1, 1] = cosh - sinhc * q
+    R[:, 0, 1] = sinhc * b
+    R[:, 1, 0] = sinhc * c
+    return R
+
+
 def _expm_stack(A: np.ndarray) -> np.ndarray:
     """exp of each matrix of the (nb, d, d) stack `A`.
 
-    1x1 stacks are `np.exp`.  Larger stacks take one Pade-13 scaling
-    and squaring for the whole stack, vectorised over the batch: every
-    matrix is scaled by the same 2^-s, s taken from the largest 1-norm.
+    1x1 stacks are `np.exp` and 2x2 stacks the closed form `_expm_2x2`.
+    Larger stacks take one Pade-13 scaling and squaring for the whole
+    stack, vectorised over the batch: every matrix is scaled by the same
+    2^-s, s taken from the largest 1-norm.
     """
     if A.shape[-1] == 1:
         return np.exp(A)
+    if A.shape[-1] == 2:
+        return _expm_2x2(A)
     norm = np.abs(A).sum(axis=-2).max()
     s = math.ceil(math.log2(norm / THETA13)) if norm > THETA13 else 0
     A = A / 2.0 ** s
@@ -406,20 +479,22 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
 
 def _block_propagators(reg: RegisterState, segment: PulseSegment,
                        noise: NoiseParams, dipole_scale: float,
-                       cover: np.ndarray):
+                       cover: np.ndarray, run: dict):
     """Yield the (indices, propagators) stack of each block size of
-    `segment_hamiltonian(reg, segment, cover, dipole_scale)`: the real
-    blocks turn complex as -i dt (H - i Gamma/2), Gamma the decay rates,
+    `segment_hamiltonian(reg, segment, cover, dipole_scale, run)`: the
+    real blocks turn complex as -i dt (H - i Gamma/2), Gamma the decay
+    rates over the 6^n basis (kept in `run` for the rest of the run),
     and `_expm_stack` exponentiates each stack.  Phases that overflow a
     float raise IntegratorError before the overflow is used."""
     dt = segment.pulse.duration_s
-    rates = _gamma_levels(noise)[basis_labels(reg.n_atoms)].sum(-1)
-    for idx, H in segment_hamiltonian(reg, segment, cover, dipole_scale):
+    if "rates" not in run:
+        run["rates"] = _gamma_levels(noise)[basis_labels(reg.n_atoms)].sum(-1)
+    for idx, H in segment_hamiltonian(reg, segment, cover, dipole_scale, run):
         ar = np.arange(idx.shape[1])
         try:
             with np.errstate(over="raise"):
                 A = -1j * dt * H
-                A[:, ar, ar] -= 0.5 * dt * rates[idx]
+                A[:, ar, ar] -= 0.5 * dt * run["rates"][idx]
                 U = _expm_stack(A)
         except FloatingPointError as exc:
             raise IntegratorError(
@@ -430,7 +505,8 @@ def _block_propagators(reg: RegisterState, segment: PulseSegment,
 
 def segment_propagator(reg: RegisterState, segment: PulseSegment,
                        noise: NoiseParams, dipole_scale: float = 1.0,
-                       kept: list | None = None) -> np.ndarray:
+                       kept: list | None = None,
+                       run: dict | None = None) -> np.ndarray:
     """Amplitudes after the whole segment, one batched matmul per stack of
     `_block_propagators`.
 
@@ -439,14 +515,16 @@ def segment_propagator(reg: RegisterState, segment: PulseSegment,
     `kept` holds the stacks of a segment that recurs in a run: an empty
     list is filled with the stacks of all the segment's blocks, live or
     not, and a filled one is applied as it stands, with no assembly and
-    no exponentiation."""
+    no exponentiation.  `run` is the executor's dict of block partitions,
+    drive matrices and decay rates; a call without one builds its own."""
+    run = {} if run is None else run
     if kept is None:
         stacks = _block_propagators(reg, segment, noise, dipole_scale,
-                                    reg.amps != 0)
+                                    reg.amps != 0, run)
     else:
         if not kept:
             kept.extend(_block_propagators(reg, segment, noise, dipole_scale,
-                                           np.ones(reg.amps.size, bool)))
+                                           np.ones(reg.amps.size, bool), run))
         stacks = kept
     amps = np.zeros_like(reg.amps)
     for idx, U in stacks:
@@ -472,9 +550,11 @@ def apply_propagator(reg: RegisterState, amps: np.ndarray,
 
 def apply_segment(reg: RegisterState, segment: PulseSegment,
                   noise: NoiseParams, dipole_scale: float = 1.0,
-                  kept: list | None = None) -> RegisterState:
+                  kept: list | None = None,
+                  run: dict | None = None) -> RegisterState:
     """Propagate through the whole segment (exact exponentiation); `kept`
-    holds a recurring segment's stacks (`segment_propagator`)."""
+    holds a recurring segment's stacks and `run` the executor's per-run
+    partitions, drive matrices and decay rates (`segment_propagator`)."""
     if not math.isfinite(dipole_scale):
         raise ConfigError(f"dipole_scale must be finite, got {dipole_scale!r}")
     if segment.pulse.duration_s == 0.0:
@@ -482,5 +562,5 @@ def apply_segment(reg: RegisterState, segment: PulseSegment,
     noise_on = noise.photon_scattering_rate_hz > 0 \
         or not math.isinf(noise.lifetime_3P2_s)
     return apply_propagator(
-        reg, segment_propagator(reg, segment, noise, dipole_scale, kept),
+        reg, segment_propagator(reg, segment, noise, dipole_scale, kept, run),
         noise_on)

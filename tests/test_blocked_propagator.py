@@ -4,7 +4,9 @@ registers against slices of the dense matrix, the stacked exponential
 against scipy's `expm`, plus memory guards that fail if a 6^n x 6^n
 register matrix or complex blocks come back.  The executor, which keeps
 a recurring segment's propagators for the rest of its run, against the
-segment-by-segment loop."""
+segment-by-segment loop; the per-run block partition against the
+per-call one it replaced.  The closed-form 2x2 kernel on each of its
+branches."""
 
 import math
 import tracemalloc
@@ -15,15 +17,18 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 
 from ybqc import engine
-from ybqc.addressing import LatticeGeometry, plan_gradients, site_fields
+from ybqc.addressing import (LatticeGeometry, plan_gradients, site_fields,
+                             site_levels)
 from ybqc.atomic import AtomParams, register_levels
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.dipole import pair_coupling
-from ybqc.engine import (GM, GP, GROUPS, LEGS, NLEV, NoiseParams, Pulse,
-                         PulseSegment, RegisterState, _expm_stack,
-                         _gamma_levels, _laser_frequencies, _reference_index,
+from ybqc.engine import (EP32, GM, GP, GROUPS, LEGS, NLEV, SINHC_SERIES_BELOW,
+                         NoiseParams, Pulse, PulseSegment, RegisterState,
+                         _dipole_diagonal, _expm_stack, _gamma_levels,
+                         _laser_frequencies, _reference_index,
                          _single_atom_hamiltonian, apply_segment,
                          basis_labels, segment_hamiltonian)
+from ybqc.errors import IntegratorError
 from ybqc.protocols import measure_qubit
 from ybqc.scenario import simulate_circuit
 
@@ -237,6 +242,85 @@ def test_executor_assembles_each_distinct_segment_once(monkeypatch):
         assert assembled == distinct
 
 
+def test_executor_builds_each_partition_once_per_run(monkeypatch):
+    geom = LatticeGeometry(2, 1, 1)
+    schedule = compile_circuit("X 0 0 1.0\nCNOT 0 0 1 0\nX 1 0 2.0\n"
+                               "MEAS 0 0\nMEAS 1 0\n", geom, P,
+                               plan_gradients(geom, 1000.0, P), NoiseParams())
+    built = []
+
+    def spy(transition, n):
+        built.append(transition)
+        return partition(transition, n)
+
+    partition = engine._block_partition
+    monkeypatch.setattr(engine, "_block_partition", spy)
+    # the partitions live in one call: a second run builds them again
+    for _ in range(2):
+        built.clear()
+        execute_schedule(_chain_start(2, [(1, 0, 0)]), schedule,
+                         NoiseParams(), rng_seed=0)
+        assert sorted(built) == sorted(LEGS)
+
+
+def _per_call_blocks(reg, segment, cover, dipole_scale):
+    """The blocks as `segment_hamiltonian` built them before the per-run
+    partition: on every call, the live blocks by `isin`, `argsort` and
+    `unique`, each size's drive read from the labels of its first block
+    and the nonzero legs of the first atom's 6 x 6 block."""
+    params, geom = reg.params, reg.geom
+    config, pulse = segment.config, segment.pulse
+    n = reg.n_atoms
+    tables = site_levels(params, geom, reg.sites, config)
+    lasers = _laser_frequencies(tables[_reference_index(reg, pulse.target)],
+                                pulse)
+    hs = [_single_atom_hamiltonian(t.energy_hz, lasers, pulse) for t in tables]
+    labels = basis_labels(n)
+    groups = GROUPS[pulse.transition][labels]
+    block = groups @ NLEV ** np.arange(n - 1, -1, -1)
+    states = np.flatnonzero(np.isin(block, block[cover]))
+    states = states[np.argsort(block[states], kind="stable")]
+    _, sizes = np.unique(block[states], return_counts=True)
+    size_of = np.repeat(sizes, sizes)
+    diagonal = sum(h.diagonal()[labels[:, i]] for i, h in enumerate(hs)) \
+        + _dipole_diagonal(params, geom, reg.sites, config, dipole_scale)
+    leg = (hs[0] != 0) & ~np.eye(NLEV, dtype=bool)
+    out = []
+    for d in np.unique(sizes):
+        idx = states[size_of == d].reshape(-1, d)
+        L = labels[idx[0]]
+        drive = ((L[:, None] != L[None]).sum(-1) == 1) \
+            & leg[L[:, None], L[None]].any(-1)
+        H = np.repeat(drive[None] * (pulse.rabi_rad_s / 2), len(idx), axis=0)
+        H[:, np.arange(d), np.arange(d)] = diagonal[idx]
+        out.append((idx, H))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 4), transition=st.sampled_from(sorted(LEGS)),
+       density=st.sampled_from([0.0, 0.002, 0.05, 0.5, 1.0]),
+       seed=st.integers(0, 2 ** 32 - 1),
+       rabi=st.sampled_from([0.0, 2 * math.pi * 50.0]))
+def test_per_run_partition_selects_the_per_call_blocks(n, transition,
+                                                       density, seed, rabi):
+    geom = LatticeGeometry(n, 1, 1)
+    reg = RegisterState.product(P, geom, [(i, 0, 0) for i in range(n)],
+                                [GM] * n)
+    segment = PulseSegment(plan_gradients(geom, 1000.0, P),
+                           Pulse(transition, 1e-3, rabi))
+    cover = np.random.default_rng(seed).random(NLEV ** n) < density
+    run = {}
+    # a first call fills the run's partition; the second selects from it
+    segment_hamiltonian(reg, segment, np.ones(NLEV ** n, bool), 1.0, run)
+    got = segment_hamiltonian(reg, segment, cover, 1.0, run)
+    want = _per_call_blocks(reg, segment, cover, 1.0)
+    assert len(got) == len(want)
+    for (idx, H), (idx_want, H_want) in zip(got, want):
+        assert np.array_equal(idx, idx_want)
+        assert np.array_equal(H, H_want)
+
+
 @st.composite
 def live_segments(draw):
     """A 1 x n chain (n <= 4) with a random live set, fully live or a few
@@ -332,6 +416,10 @@ def _check_kernel(A):
         assert np.max(np.abs(u - expm(a))) < 1e-10
 
 
+def _two_by_two(a, b, c, d):
+    return np.array([[a, b], [c, d]], complex)
+
+
 def test_stacked_exponential_matches_scipy():
     rng = np.random.default_rng(7)
     _check_kernel(-1j * rng.normal(size=(50, 1, 1))
@@ -347,6 +435,61 @@ def test_stacked_exponential_matches_scipy():
         H = _hermitian(rng, 10, d, 3e3)
         H[:, np.arange(d), np.arange(d)] -= 0.5j * gamma
         _check_kernel(-1j * 0.2 * H)
+    # the closed-form 2x2 kernel, each branch
+    tau = SINHC_SERIES_BELOW
+    m = -0.3 - 1.7j
+    stack = [
+        _two_by_two(m, 0, 0, m),                     # delta = 0, diagonal
+        _two_by_two(0, 1, 0, 0),                     # delta = 0, defective
+        _two_by_two(m, 5e3, 0, m),
+        _two_by_two(m + 3, 3, -3, m - 3),            # and |A| = 6
+    ]
+    # |delta| just below, at and just above the series switch, on the
+    # real and imaginary axes and between them
+    for r in (tau * (1 - 1e-9), tau, tau * (1 + 1e-9), 0.5 * tau, 2 * tau):
+        for phase in (1, 1j, np.exp(0.7j)):
+            delta = r * phase
+            stack.append(_two_by_two(m + delta, 0, 0, m - delta))
+            stack.append(_two_by_two(m, delta, delta, m))
+            stack.append(_two_by_two(m, 1.0, delta ** 2, m))
+    # optical_pair's {g+, e+3/2}: lattice scattering on g+, 3P2 decay on
+    # top of it on e+3/2, at default and heavy noise, resonant or detuned
+    rabi = 2 * math.pi * 25.0
+    for noise in (NoiseParams(), HEAVY_NOISE):
+        gamma = _gamma_levels(noise)[[GP, EP32]]
+        for detuning in (0.0, 2 * math.pi * 1e3):
+            for dt in (math.pi / rabi, 3.0):
+                H = np.array([[0, rabi / 2], [rabi / 2, detuning]])
+                stack.append(-1j * dt * H - 0.5 * dt * np.diag(gamma))
+    A = np.array(stack)
+    delta = np.abs(np.sqrt(((A[:, 0, 0] - A[:, 1, 1]) / 2) ** 2
+                           + A[:, 0, 1] * A[:, 1, 0]))
+    assert (delta == 0).any() and (delta < tau).any() \
+        and (delta >= tau).any()
+    _check_kernel(A)
+    # 1-norms up to 1.4e5 in one stack, with and without decay
+    for norm in (1e-3, 1.0, 1e2, 1e4, 1.4e5):
+        H = _hermitian(rng, 20, 2, norm)
+        _check_kernel(-1j * H)
+        _check_kernel(-1j * H - np.diag(rng.uniform(0, 25, 2)))
+
+
+@pytest.mark.parametrize("noise", [NoiseParams(), NoiseParams.off()])
+def test_overflowing_two_by_two_entry_raises_not_nan(noise):
+    # an optical_pair segment on one atom: 1x1 and 2x2 blocks.  At 1e150 s
+    # the 2x2 entries and their squares are finite; at 1e200 s the
+    # squares overflow inside the closed form
+    geom = LatticeGeometry(1, 1, 1)
+    reg = RegisterState.product(P, geom, [(0, 0, 0)], [GP])
+    config = plan_gradients(geom, 1000.0, P)
+    pulse = Pulse("optical_pair", 1e150, 2 * math.pi * 25.0)
+    out = apply_segment(reg, PulseSegment(config, pulse), noise)
+    assert np.isfinite(out.amps).all()
+    out.check_accounting()
+    with pytest.raises(IntegratorError, match="optical_pair segment of "
+                       "1e[+]200 s.*overflow"):
+        apply_segment(reg, PulseSegment(config, Pulse(
+            "optical_pair", 1e200, 2 * math.pi * 25.0)), noise)
 
 
 def test_register_memory_stays_far_below_one_dense_matrix():

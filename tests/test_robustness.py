@@ -62,6 +62,29 @@ def test_bad_rotation_angle_exits_2_naming_the_line(tmp_path, capsys, angle):
         assert len(captured.err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("circuit, line, message", [
+    ("MEAS 0 0\nX 1 0 3.141592653589793\nMEAS 1 0\n", 2,
+     "'X 1 0 3.141592653589793': gate after the first MEAS"),
+    ("MEAS 0 0\nCNOT 0 0 1 0\n", 2, "'CNOT 0 0 1 0': gate after the first"),
+    ("MEAS 0 0\nMEAS 0 0\n", 2, "'MEAS 0 0': site (0, 0) is already "
+     "measured"),
+])
+def test_gate_after_the_measurement_stage_exits_2(tmp_path, capsys, circuit,
+                                                  line, message):
+    # the measurement stage parks every atom in 3P2: a later gate would
+    # drive parked atoms, and a second readout would read a parked site
+    (tmp_path / "c.txt").write_text(circuit)
+    for command in (["compile"], ["simulate", "--seed", "1", "--noise-off",
+                                  "--one", "0,0,0"]):
+        assert cli_main([*command, "--circuit", str(tmp_path / "c.txt"),
+                         "--nx", "2", "--ny", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: circuit line {line}: "
+                                       f"{message}")
+        assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_rare_measurement_branch_exits_0(tmp_path):
     # the first measurement samples a rare branch; renormalising lifts the
     # second site's 3-photon ladder residue just above 1% of the

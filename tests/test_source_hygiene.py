@@ -25,9 +25,10 @@ knob that every caller leaves at its default is a constant.  Importing
 the package and running the CLI, the feasibility report and a scenario
 run among it, loads no scipy module: scipy serves the tests' oracles
 only.  The package's
-`lru_cache` uses are the three pinned ones: a propagator cache that
-outlived one run would give the benchmark's in-process loop warm hits
-that a `ybqc run` process never gets."""
+`lru_cache` uses are the three pinned ones, and no package function
+writes into a module-level container: a propagator or partition cache
+that outlived one run would give the benchmark's in-process loop warm
+hits that a `ybqc run` process never gets."""
 
 import ast
 import json
@@ -459,3 +460,85 @@ def test_package_caches_are_the_pinned_ones():
     for path in SRC.glob("*.py"):
         found |= cached_functions(path.stem, path.read_text())
     assert found == PINNED_CACHES
+
+
+# Mutating methods of the builtin containers that a cache would call.
+MUTATORS = {"append", "extend", "insert", "add", "update", "setdefault"}
+
+
+def module_state_writes(module: str, source: str) -> set[str]:
+    """`module.function` of every function in `source` that writes into
+    a name bound at the module's top level and not bound by the function
+    itself, or into a local name assigned from one (`x = NAME`,
+    `x = a if c else NAME`, `x = a or NAME`): a subscript store or
+    delete, a `MUTATORS` call, or any `global` statement."""
+    tree = ast.parse(source)
+    top = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", None) or [node.target]
+            top |= {name.id for target in targets
+                    for name in ast.walk(target)
+                    if isinstance(name, ast.Name)}
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        a = func.args
+        own = {arg.arg for arg in a.posonlyargs + a.args + a.kwonlyargs
+               + [a.vararg, a.kwarg] if arg is not None}
+        own |= {node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Store)}
+        shared = top - own
+        for node in ast.walk(func):
+            if isinstance(node, ast.Assign):
+                value = node.value
+                values = [value.body, value.orelse] \
+                    if isinstance(value, ast.IfExp) else value.values \
+                    if isinstance(value, ast.BoolOp) else [value]
+                if any(isinstance(v, ast.Name) and v.id in shared
+                       for v in values):
+                    shared |= {t.id for t in node.targets
+                               if isinstance(t, ast.Name)}
+        for node in ast.walk(func):
+            target = node.value if isinstance(node, ast.Subscript) \
+                and not isinstance(node.ctx, ast.Load) else \
+                node.func.value if isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in MUTATORS else None
+            if isinstance(node, ast.Global) \
+                    or isinstance(target, ast.Name) and target.id in shared:
+                found.add(f"{module}.{func.name}")
+    return found
+
+
+def test_checker_finds_module_state_writes():
+    source = ("_PART = {}\nCACHE: dict = {}\nSEEN, N = [], 0\n"
+              "_PART['k'] = 0\n"
+              "def a(k):\n    _PART[k] = 1\n"
+              "def b(k):\n    return CACHE.setdefault(k, 0)\n"
+              "def c(k):\n    CACHE.update({k: 1})\n"
+              "def d(k):\n    SEEN.append(k)\n"
+              "def e():\n    global N\n    N += 1\n"
+              "class C:\n    def f(self, k):\n        del _PART[k]\n"
+              "def g(CACHE):\n    CACHE[0] = 1\n"
+              "def h():\n    run = {}\n    run['x'] = 1\n"
+              "    SEEN2 = []\n    SEEN2.append(1)\n    return run\n"
+              "def i():\n    _PART = {}\n    _PART[1] = 2\n"
+              "def j(k):\n    return _PART.get(k), CACHE[k]\n"
+              "def k(run=None):\n    run = _PART if run is None else run\n"
+              "    run[0] = 1\n"
+              "def l(run=None):\n    run = run or CACHE\n"
+              "    run.update(x=1)\n"
+              "def n(run=None):\n    run = {} if run is None else run\n"
+              "    run[0] = 1\n")
+    assert module_state_writes("m", source) \
+        == {"m.a", "m.b", "m.c", "m.d", "m.e", "m.f", "m.k", "m.l"}
+
+
+def test_package_writes_no_module_level_state():
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= module_state_writes(path.stem, path.read_text())
+    assert found == set()
