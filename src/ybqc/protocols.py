@@ -5,7 +5,9 @@ register and return one engine `Pulse`; `compiler.compile_circuit` is a
 loop over them and `compiler.execute_schedule` runs the result, so every
 gate reaches the engine through one path.  The builders read the sites'
 level tables of `addressing.site_levels`, which the engine reads too, and
-the 3-photon scan evolves the engine's own ladder block.  `measure_qubit`
+the 3-photon scan times the rotation from the engine's own ladder block:
+its eigenphases, factorised over blocks of the time grid, give the e+3/2
+population in one small matrix product.  `measure_qubit`
 samples and projects one readout; the fluorescence loss, equal for every
 readout of a run, is one `DetectionReport`.
 """
@@ -34,6 +36,8 @@ GATE_RABI_FRACTION = 0.05     # 3-photon Rabi over min(|Delta1|, |Delta2|)
 # each side, are evaluated.
 SCAN_SAMPLES = 40001
 SCAN_WINDOW = (0.95, 1.15)
+# block length of the scan grid's factorised phases (`_d_population`)
+_SCAN_BLOCK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -45,6 +49,24 @@ class ThreePhotonScan:
     pi_time_s: float            # first maximum of the a->d population
     transfer_probability: float
     leakage: float              # population left in the intermediate states
+
+
+def _d_population(w, amp, dt: float, lo: int, hi: int) -> np.ndarray:
+    """e+3/2 population at the grid times n * dt, lo <= n < hi, of a ladder
+    with eigenfrequencies `w` started in state a; `amp` = V[d, k] V[a, k].
+
+    With n = q B + r (B = _SCAN_BLOCK, anchored on absolute indices),
+    e^(-i w_k n dt) = e^(-i w_k qB dt) e^(-i w_k r dt), so the amplitude
+    sum_k amp_k e^(-i w_k n dt) over whole blocks q is one (nq, 4) @ (4, B)
+    product of the two phase tables.  The blocks are anchored on grid
+    index 0, so a point's phases do not depend on lo and hi."""
+    B = _SCAN_BLOCK
+    q0 = lo // B
+    q = np.arange(q0, (hi - 1) // B + 1)
+    outer = np.exp(-1j * np.outer(q * (B * dt), w)) * amp
+    inner = np.exp(-1j * np.outer(np.arange(B) * dt, w))
+    d = (outer @ inner.T).ravel()[lo - q0 * B:hi - q0 * B]
+    return np.abs(d) ** 2
 
 
 def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
@@ -62,8 +84,12 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
     min(|Delta1|, |Delta2|), the pi time is 0.99 to 1.07 of the
     prediction, and the next maximum of the a->d envelope lies near 3 pi
     times.  So only the grid points in SCAN_WINDOW, plus one on each
-    side, are built and evaluated: grid indices 25333-30667.  An argmax
-    on the first or last of them raises IntegratorError.
+    side, are evaluated: grid indices 25333-30667, by `_d_population`
+    from the ladder's eigenphases.  The scan raises IntegratorError if
+    the dressed-state envelope maximum pi / |w_i - w_j|, over the two
+    eigenstates i, j of largest |V[a, k] V[d, k]|, lies outside
+    SCAN_WINDOW (it lies at 1.00 to 1.05 predicted pi times in the range
+    above), or if the argmax is the first or last evaluated point.
     """
     det = ladder_detunings(levels)
     # a float rabi ** 3 raises OverflowError, a numpy one gives inf
@@ -85,29 +111,30 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
                                  drive)[ladder, ladder]
     w, V = np.linalg.eigh(H)
     c = V[0, :]  # overlap of eigenvectors with the initial state a
-
-    def populations(ts):
-        phases = np.exp(-1j * np.outer(ts, w)) * c
-        amps = phases @ V.T  # (nt, 4)
-        return np.abs(amps) ** 2
+    amp = V[3, :] * c
+    i, j = np.argsort(np.abs(amp))[-2:]
+    beat = abs(float(w[i] - w[j])) * t_pred  # pi / beat predicted pi times
+    if not SCAN_WINDOW[0] * beat < math.pi < SCAN_WINDOW[1] * beat:
+        raise IntegratorError(
+            "3-photon dressed-state envelope maximum lies outside "
+            f"{SCAN_WINDOW} predicted pi times")
 
     dt = 1.5 * t_pred / (SCAN_SAMPLES - 1)
     lo = math.ceil(SCAN_WINDOW[0] * (SCAN_SAMPLES - 1) / 1.5) - 1
     hi = math.floor(SCAN_WINDOW[1] * (SCAN_SAMPLES - 1) / 1.5) + 2
-    ts = np.arange(lo, hi) * dt
-    Pd = populations(ts)[:, 3]
+    Pd = _d_population(w, amp, dt, lo, hi)
     idx = int(np.argmax(Pd))
     if not 0 < idx < len(Pd) - 1:
         raise IntegratorError(
             f"3-photon scan maximum lies outside {SCAN_WINDOW} predicted "
             "pi times")
-    t_pi = ts[idx]
+    t_pi = (lo + idx) * dt
     # parabolic refinement around the grid maximum
     y0, ym, yp = Pd[idx], Pd[idx - 1], Pd[idx + 1]
     denom = ym - 2 * y0 + yp
     if denom != 0:
         t_pi = t_pi + 0.5 * dt * (ym - yp) / denom
-    Ppi = populations(np.array([t_pi]))[0]
+    Ppi = np.abs((np.exp(-1j * t_pi * w) * c) @ V.T) ** 2
     return ThreePhotonScan(t_pred, float(t_pi), float(Ppi[3]),
                            float(Ppi[1] + Ppi[2]))
 

@@ -66,9 +66,11 @@ def test_scan_finds_the_first_envelope_maximum(log_b, fraction, calibrated):
     assert scan.transfer_probability > 0.98
 
 
-def _full_grid_scan(levels, rabi):
-    """Reference: the argmax and parabola over all SCAN_SAMPLES points of
-    the grid over 1.5 predicted pi times, with no window."""
+def _full_grid(levels, rabi, explicit=False):
+    """The a->d population on all SCAN_SAMPLES points of the grid over 1.5
+    predicted pi times, with the grid step and the ladder's eigensystem:
+    by the scan's own `_d_population`, or (`explicit`) by one complex
+    exponential per eigenstate and grid point."""
     det = ladder_detunings(levels)
     omega_eff = rabi ** 3 / (4 * det.delta1_rad_s * det.delta2_rad_s)
     t_pred = math.pi / abs(omega_eff)
@@ -78,23 +80,74 @@ def _full_grid_scan(levels, rabi):
                                  _laser_frequencies(levels, drive),
                                  drive)[ladder, ladder]
     w, V = np.linalg.eigh(H)
+    dt = 1.5 * t_pred / (SCAN_SAMPLES - 1)
+    if explicit:
+        ts = np.arange(SCAN_SAMPLES) * dt
+        amps = (np.exp(-1j * np.outer(ts, w)) * V[0, :]) @ V.T
+        Pd = np.abs(amps[:, 3]) ** 2
+    else:
+        Pd = protocols._d_population(w, V[3, :] * V[0, :], dt, 0,
+                                     SCAN_SAMPLES)
+    return Pd, dt, t_pred, w, V
 
-    def populations(ts):
-        return np.abs((np.exp(-1j * np.outer(ts, w)) * V[0, :]) @ V.T) ** 2
 
-    ts = np.linspace(0.0, 1.5 * t_pred, SCAN_SAMPLES)
-    Pd = populations(ts)[:, 3]
+def _full_grid_scan(levels, rabi, explicit=False):
+    """Reference: the argmax and parabola over all SCAN_SAMPLES points of
+    the grid over 1.5 predicted pi times, with no window."""
+    Pd, dt, t_pred, w, V = _full_grid(levels, rabi, explicit)
     idx = int(np.argmax(Pd))
-    t_pi = ts[idx]
-    if 0 < idx < len(ts) - 1:
-        dt = ts[1] - ts[0]
+    t_pi = idx * dt
+    if 0 < idx < len(Pd) - 1:
         y0, ym, yp = Pd[idx], Pd[idx - 1], Pd[idx + 1]
         denom = ym - 2 * y0 + yp
         if denom != 0:
             t_pi = t_pi + 0.5 * dt * (ym - yp) / denom
-    Ppi = populations(np.array([t_pi]))[0]
+    Ppi = np.abs((np.exp(-1j * t_pi * w) * V[0, :]) @ V.T) ** 2
     return ThreePhotonScan(t_pred, float(t_pi), float(Ppi[3]),
                            float(Ppi[1] + Ppi[2]))
+
+
+# the two scan domains: the tested Rabi fractions between 20 G and 1.5 T,
+# and the compiler's drive at every field a scenario can reach (1 uT to
+# 100 T)
+SCAN_DOMAINS = st.one_of(
+    st.tuples(st.floats(math.log10(20 * GAUSS), math.log10(1.5)),
+              st.floats(0.005, 0.3)),
+    st.tuples(st.floats(-6.0, 2.0), st.just(GATE_RABI_FRACTION)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(point=SCAN_DOMAINS, calibrated=st.booleans())
+def test_factorised_scan_matches_the_per_point_formula(point, calibrated):
+    # block-factorised phases against one exponential per grid point: the
+    # same grid maximum, grid values to rounding, and the pi time, transfer
+    # and leakage as far as that rounding can move them
+    log_b, fraction = point
+    levels = register_levels(PCAL if calibrated else P, 10 ** log_b)
+    det = ladder_detunings(levels)
+    rabi = fraction * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+    factorised, dt, _, w, V = _full_grid(levels, rabi)
+    explicit = _full_grid(levels, rabi, explicit=True)[0]
+    idx = int(np.argmax(explicit))
+    assert np.argmax(factorised) == idx
+    eps = np.max(np.abs(factorised - explicit))
+    assert eps <= 1e-12
+    scan = three_photon_scan(levels, rabi)
+    oracle = _full_grid_scan(levels, rabi, explicit=True)
+    # grid values that differ by eps move the parabola's vertex by at most
+    # 3 eps / (|denom| - 4 eps) grid steps; near 0.5 % of min|Delta| the
+    # aliased ripple can make |denom| small enough for that to pass 1e-12
+    # of the pi time
+    denom = abs(explicit[idx - 1] - 2 * explicit[idx] + explicit[idx + 1])
+    shift = abs(scan.pi_time_s - oracle.pi_time_s)
+    assert shift <= 1e-12 * oracle.pi_time_s + 3 * eps * dt / (denom - 4 * eps)
+    # and a population m moves at most 2 sum_k |V[m, k] V[a, k] w_k| per
+    # second of that shift
+    rate = 2 * np.abs(V * V[0, :] * w).sum(axis=1)
+    assert abs(scan.transfer_probability - oracle.transfer_probability) \
+        <= 1e-9 + rate[3] * shift
+    assert abs(scan.leakage - oracle.leakage) \
+        <= 1e-9 + (rate[1] + rate[2]) * shift
 
 
 @settings(max_examples=100, deadline=None)
@@ -148,6 +201,31 @@ def test_scan_maximum_on_the_window_edge_raises(tmp_path, monkeypatch,
     err = capsys.readouterr().err
     assert err.startswith("physics error: ") and "outside" in err
     assert len(err.strip().splitlines()) == 1
+
+
+def test_scan_envelope_maximum_outside_the_window_raises(monkeypatch):
+    # at 5 % of min|Delta| the ripple peaks inside a window on the rising
+    # envelope outrank its last point, so the edge check alone passes a
+    # pi time near 0.6 predicted pi times; the dressed-state beat does not
+    monkeypatch.setattr(protocols, "SCAN_WINDOW", (0.5, 0.6))
+    levels = register_levels(P, 100 * GAUSS)
+    det = ladder_detunings(levels)
+    rabi = 0.05 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+    with pytest.raises(IntegratorError, match="outside"):
+        three_photon_scan(levels, rabi)
+
+
+def test_scan_edge_check_catches_a_maximum_the_envelope_check_passes(
+        monkeypatch):
+    # 100 G, uncalibrated, 0.5 % of min|Delta|: the dressed-state envelope
+    # maximum lies at 1.000012 predicted pi times, inside the window, and
+    # the grid maximum at 0.999675, the window's first evaluated point
+    monkeypatch.setattr(protocols, "SCAN_WINDOW", (0.9997, 1.15))
+    levels = register_levels(P, 100 * GAUSS)
+    det = ladder_detunings(levels)
+    rabi = 0.005 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+    with pytest.raises(IntegratorError, match="scan maximum lies outside"):
+        three_photon_scan(levels, rabi)
 
 
 def test_scan_uncompensated_transfer_degrades():
