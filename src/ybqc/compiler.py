@@ -145,9 +145,11 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
 
     `noise` and `dipole_scale` are fixed for the run, so a segment alone
     fixes its propagators: a segment that recurs (the transfer legs
-    around every gate) keeps the stacks of its first run until its last
-    run.  The block partitions, drive matrices and decay rates are
-    built at most once per run.  Both stores die with the call."""
+    around every gate) keeps the stacks of its first run, eigenvectors
+    and phases or matrix exponentials, until its last run.  Segments are
+    keyed by their physics alone, not by `Pulse.metastable_weight`.  The
+    block partitions, drive matrices and decay rates are built at most
+    once per run.  Both stores die with the call."""
     has_measure = any(s.pulse.transition == "measure"
                       for s in schedule.segments)
     if has_measure and rng_seed is None:

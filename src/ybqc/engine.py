@@ -23,23 +23,30 @@ that the drive's legs join, `GROUPS`, e.g. {g+, e+3/2}, {g-, e-3/2},
 {e-1/2}, {e+1/2} under the optical pair drive), and its basis is the
 Cartesian product of those groups.  For a segment that runs once, only
 the live blocks, those holding a nonzero amplitude, are assembled and
-exponentiated; the 6^n x 6^n register matrix is never built.  The blocks
+propagated; the 6^n x 6^n register matrix is never built.  The blocks
 are real; all groups of a drive have the same legs, so blocks of one size
 share one drive matrix, built from `LEGS`, each with its slice of one 6^n
 diagonal.  The partition into blocks and the drive matrices depend only
 on (transition, n): the executor keeps them, with the run's decay rates,
 in a dict that dies with the call, building each partition once per
 run and each size's drive matrix on its first use, and a segment takes
-its live blocks from the partition in order.  Each size is one
-stack, applied as soon as it is exponentiated: 1x1 stacks are `np.exp`,
-2x2 stacks the closed form e^m [cosh(delta) I + sinh(delta)/delta
-(A - m I)] (`_expm_2x2`), larger ones one vectorised Pade-13 scaling and
-squaring (`_expm_stack`) with one scaling exponent per stack.  A segment
-that recurs in a run (the transfer legs around every gate) is built over
-all its blocks on its first run; the executor keeps those stacks for the
-rest of the run, applies them on each later run without assembly or
-exponentiation, and drops them after the last.  The blocks and the
-lasers read each site's cached level table
+its live blocks from the partition in order.  Each size is one stack,
+applied as soon as it is built, and the stack's decay rates pick its
+kernel.  1x1 stacks are `np.exp` and 2x2 stacks the closed form e^m
+[cosh(delta) I + sinh(delta)/delta (A - m I)] (`_expm_2x2`), both exact
+at any rates.  A larger stack whose every block decays at one rate (every
+3-photon and aux-flip block, and every block with noise off) is
+spectral: one batched real `eigh` of H gives V and the phases
+e^(-i lam dt - Gamma dt/2), and the stack acts as V (phase * V^T psi),
+never formed into a matrix (`_spectral_stack`).  The transfer legs'
+larger blocks mix g and e decay rates under noise and take one
+vectorised Pade-13 scaling and squaring (`_expm_stack`) with one scaling
+exponent per stack.  A segment that recurs in a run (the transfer legs
+around every gate) is built over all its blocks on its first run; the
+executor keeps its stacks, (V, phases) or the matrix exponentials, for
+the rest of the run, applies them on each later run without assembly,
+eigensolve or exponentiation, and drops them after the last.  The
+blocks and the lasers read each site's cached level table
 (`addressing.site_levels`, shared with the pulse builders); the lasers sit
 on the resonance of one active reference site (`_reference_index`).  The
 dense kron-sum propagator and scipy's `expm` are the test oracle.
@@ -48,7 +55,7 @@ dense kron-sum propagator and scipy's `expm` are the test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -122,7 +129,9 @@ class Pulse:
     rabi_rad_s: float = 0.0
     detuning_rad_s: float = 0.0
     target: tuple = ("all",)
-    metastable_weight: float = 0.0  # annotation for the decoherence budget
+    # annotation for the decoherence budget, outside equality and hash: a
+    # transfer leg is one physical segment whatever its weight
+    metastable_weight: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if not 0 <= self.duration_s < math.inf:
@@ -447,7 +456,8 @@ def _expm_2x2(A: np.ndarray) -> np.ndarray:
 
 
 def _expm_stack(A: np.ndarray) -> np.ndarray:
-    """exp of each matrix of the (nb, d, d) stack `A`.
+    """exp of each matrix of the (nb, d, d) stack `A`: the kernel of the
+    stacks whose blocks mix decay rates, and of every 1x1 and 2x2 stack.
 
     1x1 stacks are `np.exp` and 2x2 stacks the closed form `_expm_2x2`.
     Larger stacks take one Pade-13 scaling and squaring for the whole
@@ -477,45 +487,95 @@ def _expm_stack(A: np.ndarray) -> np.ndarray:
     return R
 
 
+def _spectral_stack(H: np.ndarray, dt: float, rates: np.ndarray) -> tuple:
+    """(V, phase) of the (nb, d, d) real symmetric stack `H` whose blocks
+    each decay at one rate, `rates` (nb,): e^(-i dt (H - i Gamma/2)) =
+    V diag(phase) V^T, with H = V diag(lam) V^T from one batched real
+    `eigh` and phase = e^(-Gamma dt/2) e^(-i lam dt).
+
+    V is orthogonal whatever the phases, so the unitarity check cannot
+    see phases that carry no digits.  A phase rounds by 2^-52 |lam| dt,
+    which moves the block's amplitudes by at most that times its decay
+    factor: a stack where this exceeds UNITARITY_TOL raises
+    IntegratorError (with noise off, wherever 2^-52 max|lam| dt does),
+    as do non-finite eigenpairs."""
+    try:
+        lam, V = np.linalg.eigh(H)
+    except np.linalg.LinAlgError as exc:
+        raise IntegratorError(f"eigh failed: {exc}") from None
+    if not (np.isfinite(lam).all() and np.isfinite(V).all()):
+        raise IntegratorError("eigh returned non-finite eigenpairs")
+    decay = np.exp(-0.5 * dt * rates)
+    span = np.abs(lam).max(-1) * dt
+    rounding = (decay * span).max() * 2.0 ** -52
+    if rounding > UNITARITY_TOL:
+        raise IntegratorError(f"phases of up to {span.max():.2e} rad move "
+                              f"the amplitudes by {rounding:.1e} in rounding, "
+                              f"above {UNITARITY_TOL:.0e}")
+    return V, decay[:, None] * np.exp(-1j * dt * lam)
+
+
 def _block_propagators(reg: RegisterState, segment: PulseSegment,
                        noise: NoiseParams, dipole_scale: float,
                        cover: np.ndarray, run: dict):
-    """Yield the (indices, propagators) stack of each block size of
-    `segment_hamiltonian(reg, segment, cover, dipole_scale, run)`: the
-    real blocks turn complex as -i dt (H - i Gamma/2), Gamma the decay
-    rates over the 6^n basis (kept in `run` for the rest of the run),
-    and `_expm_stack` exponentiates each stack.  Phases that overflow a
-    float raise IntegratorError before the overflow is used."""
+    """Yield an (indices, U, phase) stack for each block size of
+    `segment_hamiltonian(reg, segment, cover, dipole_scale, run)`.
+
+    The kernel follows the stack's decay rates, Gamma over the 6^n basis
+    (kept in `run` for the rest of the run).  A stack of 3 states or more
+    whose every block decays at one rate (every 3-photon and aux-flip
+    block, and every block with noise off) is spectral: U is the real
+    eigenvectors V and phase their phases (`_spectral_stack`).  Other
+    stacks turn complex as -i dt (H - i Gamma/2) and `_expm_stack`
+    exponentiates them to U, with phase None.  Phases that overflow a
+    float or keep no precision raise IntegratorError before use."""
     dt = segment.pulse.duration_s
     if "rates" not in run:
         run["rates"] = _gamma_levels(noise)[basis_labels(reg.n_atoms)].sum(-1)
     for idx, H in segment_hamiltonian(reg, segment, cover, dipole_scale, run):
-        ar = np.arange(idx.shape[1])
+        rates = run["rates"][idx]
         try:
             with np.errstate(over="raise"):
-                A = -1j * dt * H
-                A[:, ar, ar] -= 0.5 * dt * run["rates"][idx]
-                U = _expm_stack(A)
-        except FloatingPointError as exc:
+                if idx.shape[1] > 2 and (rates == rates[:, :1]).all():
+                    U, phase = _spectral_stack(H, dt, rates[:, 0])
+                else:
+                    ar = np.arange(idx.shape[1])
+                    A = -1j * dt * H
+                    A[:, ar, ar] -= 0.5 * dt * rates
+                    U, phase = _expm_stack(A), None
+        except (FloatingPointError, IntegratorError) as exc:
             raise IntegratorError(
                 f"{segment.pulse.transition} segment of {dt!r} s at "
                 f"dipole_scale {dipole_scale!r}: {exc}") from None
-        yield idx, U
+        yield idx, U, phase
+
+
+def _apply_stack(psi: np.ndarray, U: np.ndarray, phase) -> np.ndarray:
+    """The (nb, d) block amplitudes `psi` after one stack of
+    `_block_propagators`: U psi, or V (phase * V^T psi) for a spectral
+    stack, whose real V acts on the real and imaginary parts together."""
+    if phase is None:
+        return (U @ psi[..., None])[..., 0]
+    nb, d = psi.shape
+    x = U.transpose(0, 2, 1) @ psi.view(float).reshape(nb, d, 2)
+    x = phase * x.view(complex)[..., 0]
+    return (U @ x.view(float).reshape(nb, d, 2)).view(complex)[..., 0]
 
 
 def segment_propagator(reg: RegisterState, segment: PulseSegment,
                        noise: NoiseParams, dipole_scale: float = 1.0,
                        kept: list | None = None,
                        run: dict | None = None) -> np.ndarray:
-    """Amplitudes after the whole segment, one batched matmul per stack of
-    `_block_propagators`.
+    """Amplitudes after the whole segment, one batched product per stack
+    of `_block_propagators` (`_apply_stack`); no spectral stack is ever
+    formed into a matrix exponential.
 
     With `kept` None (a segment that runs once) only the live blocks are
-    built, and each stack is applied as soon as it is exponentiated.
-    `kept` holds the stacks of a segment that recurs in a run: an empty
-    list is filled with the stacks of all the segment's blocks, live or
-    not, and a filled one is applied as it stands, with no assembly and
-    no exponentiation.  `run` is the executor's dict of block partitions,
+    built, and each stack is applied as soon as it is built.  `kept`
+    holds the stacks of a segment that recurs in a run: an empty list is
+    filled with the stacks of all the segment's blocks, live or not, and
+    a filled one is applied as it stands, with no assembly, eigensolve or
+    exponentiation.  `run` is the executor's dict of block partitions,
     drive matrices and decay rates; a call without one builds its own."""
     run = {} if run is None else run
     if kept is None:
@@ -527,8 +587,8 @@ def segment_propagator(reg: RegisterState, segment: PulseSegment,
                                            np.ones(reg.amps.size, bool), run))
         stacks = kept
     amps = np.zeros_like(reg.amps)
-    for idx, U in stacks:
-        amps[idx] = (U @ reg.amps[idx][..., None])[..., 0]
+    for idx, U, phase in stacks:
+        amps[idx] = _apply_stack(reg.amps[idx], U, phase)
     return amps
 
 

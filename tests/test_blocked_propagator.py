@@ -6,11 +6,13 @@ register matrix or complex blocks come back.  The executor, which keeps
 a recurring segment's propagators for the rest of its run, against the
 segment-by-segment loop; the per-run block partition against the
 per-call one it replaced.  The closed-form 2x2 kernel on each of its
-branches."""
+branches; the spectral kernel against a 40-digit exponential, its
+rounding guard, and the rule that picks it from the decay rates."""
 
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,10 +26,11 @@ from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.dipole import pair_coupling
 from ybqc.engine import (EP32, GM, GP, GROUPS, LEGS, NLEV, SINHC_SERIES_BELOW,
                          NoiseParams, Pulse, PulseSegment, RegisterState,
-                         _dipole_diagonal, _expm_stack, _gamma_levels,
-                         _laser_frequencies, _reference_index,
-                         _single_atom_hamiltonian, apply_segment,
-                         basis_labels, segment_hamiltonian)
+                         UNITARITY_TOL, _block_partition, _dipole_diagonal,
+                         _expm_stack, _gamma_levels, _laser_frequencies,
+                         _reference_index, _single_atom_hamiltonian,
+                         _spectral_stack, apply_segment, basis_labels,
+                         segment_hamiltonian)
 from ybqc.errors import IntegratorError
 from ybqc.protocols import measure_qubit
 from ybqc.scenario import simulate_circuit
@@ -240,6 +243,31 @@ def test_executor_assembles_each_distinct_segment_once(monkeypatch):
         execute_schedule(_chain_start(2, [(1, 0, 0)]), schedule,
                          NoiseParams(), rng_seed=0)
         assert assembled == distinct
+
+
+def test_transfer_leg_is_one_segment_whatever_its_weight(monkeypatch):
+    # site 1 is the target of the first CNOT (weight 1.5) and the control
+    # of the second (weight 0.5): its transfer leg is one physical segment
+    geom = LatticeGeometry(3, 1, 1)
+    schedule = compile_circuit("CNOT 0 0 1 0\nCNOT 1 0 2 0\nMEAS 0 0\n"
+                               "MEAS 1 0\nMEAS 2 0\n", geom, P,
+                               plan_gradients(geom, 1000.0, P), NoiseParams())
+    site1 = [s for s in schedule.segments
+             if s.pulse.transition == "optical_pair"
+             and s.pulse.target == ("site", (1, 0, 0))]
+    assert sorted({s.pulse.metastable_weight for s in site1}) == [0.5, 1.5]
+    assembled = []
+
+    def spy(reg, segment, *args):
+        assembled.append(segment)
+        return segment_hamiltonian(reg, segment, *args)
+
+    monkeypatch.setattr(engine, "segment_hamiltonian", spy)
+    for _ in range(2):
+        assembled.clear()
+        execute_schedule(_chain_start(3, [(0, 0, 0)]), schedule,
+                         NoiseParams(), rng_seed=0)
+        assert sum(s in site1 for s in assembled) == 1
 
 
 def test_executor_builds_each_partition_once_per_run(monkeypatch):
@@ -507,3 +535,129 @@ def test_register_memory_stays_far_below_one_dense_matrix():
         tracemalloc.stop()
     assert peak < 20e6
     result.register.check_accounting()
+
+
+# ---------------------------------------------------------------------------
+# the spectral kernel: one decay rate per block, one real eigh per stack
+
+def _spectral_matrix(H, dt, rates):
+    V, phase = _spectral_stack(H, dt, rates)
+    return (V * phase[:, None, :]) @ V.transpose(0, 2, 1)
+
+
+@st.composite
+def uniform_rate_blocks(draw):
+    """A real symmetric d x d block, d = 3..16, dense random or a 0/1
+    drive pattern over a degenerate 0/1 diagonal, at dt ||H||_1 from 1e-3
+    to 2e5, decaying at the summed rate of 1-5 atoms' levels under
+    default or heavy noise."""
+    d = draw(st.integers(3, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        H = rng.normal(size=(d, d))
+    else:
+        H = np.triu(rng.random((d, d)) < 0.3, 1) \
+            + np.diag(rng.integers(0, 2, d)).astype(float)
+    H = H + np.triu(H, 1).T - np.tril(H, -1)
+    dt = draw(st.floats(1e-4, 0.2))
+    norm = 10.0 ** draw(st.floats(-3, math.log10(2e5)))
+    H *= norm / dt / max(np.abs(H).sum(axis=0).max(), 1.0)
+    gamma = _gamma_levels(draw(st.sampled_from([NoiseParams(), HEAVY_NOISE])))
+    rate = float(sum(gamma[draw(st.lists(st.integers(0, NLEV - 1),
+                                         min_size=1, max_size=5))]))
+    return H, dt, rate
+
+
+# Over 800 draws of `uniform_rate_blocks` the worst spectral error was
+# 8.0 x 2^-52 max(dt ||H||_1, 1), 2.0e-11 absolute (Pade-13 on the same
+# draws: 2.4 x, 9.4e-12); the bound leaves a factor 4
+SPECTRAL_ERROR = 32 * 2.0 ** -52
+
+
+@settings(max_examples=12, deadline=None)
+@given(case=uniform_rate_blocks())
+def test_spectral_kernel_matches_a_40_digit_exponential(case):
+    H, dt, rate = case
+    with mpmath.workdps(40):
+        exact = mpmath.expm((-1j * mpmath.mpf(dt)) * mpmath.matrix(H.tolist())) \
+            * mpmath.exp(-mpmath.mpf(rate) * mpmath.mpf(dt) / 2)
+        want = np.array(exact.tolist(), complex)
+    got = _spectral_matrix(H[None], dt, np.array([rate]))[0]
+    scale = max(dt * np.abs(H).sum(axis=0).max(), 1.0)
+    assert np.max(np.abs(got - want)) <= SPECTRAL_ERROR * scale
+
+
+def test_spectral_rounding_guard_sits_at_the_unitarity_tolerance():
+    H = np.diag([1.0, -3.0, 0.5])[None]
+    # the dt at which 2^-52 max|lam| dt equals UNITARITY_TOL
+    at_tol = UNITARITY_TOL * 2.0 ** 52 / 3.0
+    _spectral_stack(H, 0.9 * at_tol, np.zeros(1))
+    with pytest.raises(IntegratorError, match="in rounding, above 1e-06"):
+        _spectral_stack(H, 1.1 * at_tol, np.zeros(1))
+    # a block that has decayed away carries no amplitude to misplace
+    _spectral_stack(H, 1.1 * at_tol, np.array([1.0]))
+    for bad in (math.nan, math.inf):
+        with pytest.raises(IntegratorError, match="eigh"):
+            _spectral_stack(np.full((1, 3, 3), bad), 1.0, np.zeros(1))
+
+
+NOISES = st.builds(NoiseParams,
+                   lifetime_3P2_s=st.one_of(st.just(math.inf),
+                                            st.floats(1e-3, 1e6)),
+                   photon_scattering_rate_hz=st.floats(0.0, 1e3))
+
+
+def _one_rate(transition, n, noise):
+    """Whether each block of two states or more decays at one rate."""
+    rates = _gamma_levels(noise)[basis_labels(n)].sum(-1)
+    return np.concatenate([(rates[idx] == rates[idx][:, :1]).all(axis=1)
+                           for idx in _block_partition(transition, n)
+                           if idx.shape[1] > 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(noise=NOISES, n=st.integers(1, 4))
+def test_only_transfer_blocks_mix_decay_rates(noise, n):
+    assert _one_rate("three_photon", n, noise).all()
+    assert _one_rate("aux_flip", n, noise).all()
+    # each transfer block of two states or more pairs a g with an e level
+    one_rate = _one_rate("optical_pair", n, noise)
+    if math.isinf(noise.lifetime_3P2_s):
+        assert one_rate.all()
+    else:
+        assert not one_rate.any()
+
+
+@pytest.mark.parametrize("noise", [NoiseParams(), HEAVY_NOISE,
+                                   NoiseParams.off()],
+                         ids=["default", "heavy", "off"])
+def test_kernel_follows_the_decay_rates(monkeypatch, noise):
+    # stacks of 3 states or more are spectral exactly where every block
+    # decays at one rate; with noise off that is every one, and the run
+    # still passes the unitarity check and matches the dense oracle
+    used, transition = [], []
+    spectral, pade = engine._spectral_stack, engine._expm_stack
+
+    def spy_assembly(reg, segment, *args):
+        transition[:] = [segment.pulse.transition]
+        return segment_hamiltonian(reg, segment, *args)
+
+    def spy_spectral(H, *args):
+        used.append((transition[0], H.shape[-1], "spectral"))
+        return spectral(H, *args)
+
+    def spy_pade(A):
+        used.append((transition[0], A.shape[-1], "pade"))
+        return pade(A)
+
+    monkeypatch.setattr(engine, "segment_hamiltonian", spy_assembly)
+    monkeypatch.setattr(engine, "_spectral_stack", spy_spectral)
+    monkeypatch.setattr(engine, "_expm_stack", spy_pade)
+    _check_against_dense(3, "X 1 0 2.0\nCNOT 0 0 1 0\nCNOT 2 0 1 0\n"
+                         "MEAS 1 0\nMEAS 0 0\nMEAS 2 0\n",
+                         [(0, 0, 0), (2, 0, 0)], noise, 3)
+    mixed = not math.isinf(noise.lifetime_3P2_s)
+    large = {(t, kernel) for t, d, kernel in used if d > 2}
+    assert large == {("three_photon", "spectral"), ("aux_flip", "spectral"),
+                     ("optical_pair", "pade" if mixed else "spectral")}
+    assert {kernel for _, d, kernel in used if d <= 2} == {"pade"}

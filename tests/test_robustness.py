@@ -3,7 +3,7 @@ traceback: off-lattice circuit sites, non-finite or negative rotation
 angles, missing or undecodable files, negative seeds, malformed flags,
 malformed or out-of-range scenario values, atom constants that
 overflow, noise parameters out of range, a readout after every atom is
-lost, and property tests fuzzing the value type of every scenario key,
+lost, rotations whose phases keep no precision, and property tests fuzzing the value type of every scenario key,
 the values of the CLI flags and the lines of circuit files."""
 
 import io
@@ -220,6 +220,30 @@ def test_readout_of_an_all_lost_register_exits_3(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("physics error: readout at (0, 0, 0)")
     assert len(captured.err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("angle", ["1e6", "1e12", "1e300"])
+def test_rotation_whose_phases_keep_no_precision_exits_3(tmp_path, capsys,
+                                                         angle):
+    # with noise off the 3-photon block keeps its norm whatever its
+    # phases, so the spectral kernel's rounding bound is the only guard
+    (tmp_path / "c.txt").write_text(f"X 0 0 {angle}\nMEAS 0 0\n")
+    assert cli_main(["simulate", "--circuit", str(tmp_path / "c.txt"),
+                     "--nx", "1", "--ny", "1", "--seed", "0",
+                     "--noise-off"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("physics error: three_photon segment of ")
+    assert "in rounding, above 1e-06" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+def test_long_rotation_with_precise_phases_exits_0(tmp_path, capsys):
+    (tmp_path / "c.txt").write_text("X 0 0 1e3\nMEAS 0 0\n")
+    assert cli_main(["simulate", "--circuit", str(tmp_path / "c.txt"),
+                     "--nx", "1", "--ny", "1", "--seed", "0",
+                     "--noise-off"]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_negative_zero_angle_compiles_to_zero_duration(tmp_path, capsys):
