@@ -9,7 +9,7 @@ from .addressing import (GradientConfig, LatticeGeometry, plan_gradients,
 from .dipole import (auxiliary_qubit_moments, cnot_shift, ddi_coupling,
                      pair_coupling)
 from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
-                     RegisterState, apply_segment)
+                     RegisterState, Run, apply_segment)
 from .protocols import measure_qubit, three_photon_scan
 from .compiler import compile_circuit, execute_schedule, parse_circuit
 from .feasibility import (build_feasibility_report, decoherence_budget,

@@ -17,7 +17,6 @@ the pulse engine, exponentiating each recurring segment once per run.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,14 +25,16 @@ from .addressing import (GradientConfig, LatticeGeometry, nearest_fields,
                          site_fields, site_levels)
 from .atomic import AtomParams
 from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
-                     RegisterState, apply_segment)
+                     RegisterState, Run, apply_segment)
 from .errors import ConfigError, PlanningError
 from .protocols import (DetectionReport, cnot_pulse, measure_qubit,
                         rotation_pulse, transfer_pulse)
 
-# Slow enough that a spectator one addressing gap away stays below
-# 1e-3 excitation; faster for CNOT prep where the ~40 Hz dipole shift
-# detunes the transfer of the second atom.
+# Tuned for the default 1 kHz gap.  A spectator one gap Delta away
+# peaks near (Omega/Delta)^2 excitation: the 1Q value keeps it below 1e-3
+# there, (25/1000)^2 = 6e-4, but not at 500 Hz, (25/500)^2 = 2.5e-3.  The
+# 2Q value, faster for the dipole-shifted second atom of a CNOT, promises
+# no bound and reaches about 1e-2 at 1 kHz.  See ROADMAP item 13.
 TRANSFER_RABI_1Q_RAD_S = 2 * math.pi * 25.0
 TRANSFER_RABI_2Q_RAD_S = 2 * math.pi * 100.0
 
@@ -141,15 +142,12 @@ class ExecutionResult:
 def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
                      noise: NoiseParams, rng_seed=None,
                      dipole_scale: float = 1.0) -> ExecutionResult:
-    """Run a compiled schedule through the pulse engine.
-
-    `noise` and `dipole_scale` are fixed for the run, so a segment alone
-    fixes its propagators: a segment that recurs (the transfer legs
-    around every gate) keeps the stacks of its first run, eigenvectors
-    and phases or matrix exponentials, until its last run.  Segments are
-    keyed by their physics alone, not by `Pulse.metastable_weight`.  The
-    block partitions, drive matrices and decay rates are built at most
-    once per run.  Both stores die with the call."""
+    """Run a compiled schedule through the pulse engine as one
+    `engine.Run`, made here and dropped with the call.  `noise` and
+    `dipole_scale` are fixed for the run, so a segment alone fixes its
+    propagators: the run keeps the stacks of a segment that recurs (the
+    transfer legs around every gate) from its first run to its last,
+    keyed by its physics alone, not by `Pulse.metastable_weight`."""
     has_measure = any(s.pulse.transition == "measure"
                       for s in schedule.segments)
     if has_measure and rng_seed is None:
@@ -157,11 +155,10 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
                           "required")
     if rng_seed is not None and rng_seed < 0:
         raise ConfigError(f"rng seed {rng_seed} is negative")
+    if set(reg.sites) != set(schedule.sites):
+        raise ConfigError(f"register sites {reg.sites} are not the schedule's")
     rng = np.random.default_rng(rng_seed) if has_measure else None
-    left = Counter(s for s in schedule.segments
-                   if s.pulse.transition != "measure")
-    kept = {seg: [] for seg, runs in left.items() if runs > 1}
-    run: dict = {}      # partitions, drive matrices, decay rates
+    run = Run(noise, dipole_scale, schedule)
     readouts = []
     for seg in schedule.segments:
         if seg.pulse.transition == "measure":
@@ -169,8 +166,5 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
             bit, reg, p1 = measure_qubit(reg, site, rng)
             readouts.append((site, bit, p1))
         else:
-            left[seg] -= 1
-            stacks = kept.get(seg) if left[seg] else kept.pop(seg, None)
-            reg = apply_segment(reg, seg, noise, dipole_scale, stacks,
-                                run)
+            reg = apply_segment(reg, seg, run)
     return ExecutionResult(reg, readouts, DetectionReport.from_noise(noise))

@@ -18,43 +18,39 @@ convention-stable phases are physical; all phases are deterministic.
 
 Blocked propagation: every drive couples fixed level pairs of one atom,
 and the dipole and decay terms are diagonal, so the register Hamiltonian
-is block-diagonal.  A block is one coupled level group per atom (the groups
-that the drive's legs join, `GROUPS`, e.g. {g+, e+3/2}, {g-, e-3/2},
-{e-1/2}, {e+1/2} under the optical pair drive), and its basis is the
-Cartesian product of those groups.  For a segment that runs once, only
-the live blocks, those holding a nonzero amplitude, are assembled and
-propagated; the 6^n x 6^n register matrix is never built.  The blocks
-are real; all groups of a drive have the same legs, so blocks of one size
-share one drive matrix, built from `LEGS`, each with its slice of one 6^n
-diagonal.  The partition into blocks and the drive matrices depend only
-on (transition, n): the executor keeps them, with the run's decay rates,
-in a dict that dies with the call, building each partition once per
-run and each size's drive matrix on its first use, and a segment takes
-its live blocks from the partition in order.  Each size is one stack,
-applied as soon as it is built, and the stack's decay rates pick its
-kernel.  1x1 stacks are `np.exp` and 2x2 stacks the closed form e^m
-[cosh(delta) I + sinh(delta)/delta (A - m I)] (`_expm_2x2`), both exact
-at any rates.  A larger stack whose every block decays at one rate (every
-3-photon and aux-flip block, and every block with noise off) is
-spectral: one batched real `eigh` of H gives V and the phases
-e^(-i lam dt - Gamma dt/2), and the stack acts as V (phase * V^T psi),
-never formed into a matrix (`_spectral_stack`).  The transfer legs'
-larger blocks mix g and e decay rates under noise and take one
-vectorised Pade-13 scaling and squaring (`_expm_stack`) with one scaling
-exponent per stack.  A segment that recurs in a run (the transfer legs
-around every gate) is built over all its blocks on its first run; the
-executor keeps its stacks, (V, phases) or the matrix exponentials, for
-the rest of the run, applies them on each later run without assembly,
-eigensolve or exponentiation, and drops them after the last.  The
-blocks and the lasers read each site's cached level table
-(`addressing.site_levels`, shared with the pulse builders); the lasers sit
-on the resonance of one active reference site (`_reference_index`).  The
-dense kron-sum propagator and scipy's `expm` are the test oracle.
+is block-diagonal.  A block is one coupled level group per atom (the
+groups that the drive's legs join, `GROUPS`, e.g. {g+, e+3/2}, {g-,
+e-3/2}, {e-1/2}, {e+1/2} under the optical pair drive), and its basis is
+the Cartesian product of those groups.  For a segment that runs once,
+only the live blocks, those holding a nonzero amplitude, are assembled
+and propagated; the 6^n x 6^n register matrix is never built.  The
+blocks are real; all groups of a drive have the same legs, so blocks of
+one size share one drive matrix, built from `LEGS`, each with its slice
+of one 6^n diagonal.  A `Run`, one pass of a schedule, holds the decay
+rates and, built on first use, each transition's partition into blocks
+and each size's drive matrix; a segment takes its live blocks from the
+partition in order.  Each size is one stack, applied as soon as it is
+built, whose decay rates pick its kernel (`_block_propagators`): exact
+closed forms for 1x1 and 2x2 stacks (`_expm_2x2`); one batched real
+`eigh` for a larger stack whose blocks each decay at one rate (every
+3-photon and aux-flip block, and every block with noise off), applied
+as V (phase * V^T psi) and never formed into a matrix
+(`_spectral_stack`); and one vectorised Pade-13 scaling and squaring
+(`_expm_stack`) for the transfer legs' larger blocks, which mix g and e
+decay rates under noise.  A segment that recurs in a run (the transfer
+legs around every gate) is built over all its blocks on its first run;
+the run keeps its stacks and applies them until its last run without
+assembly, eigensolve or exponentiation.  The blocks and the lasers read
+each site's cached level table (`addressing.site_levels`, shared with
+the pulse builders); the lasers sit on the resonance of one active
+reference site (`_reference_index`).  The dense kron-sum propagator and
+scipy's `expm` are the test oracle.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -80,7 +76,7 @@ ACCOUNTING_TOL = 1e-9
 def basis_labels(n_atoms: int) -> np.ndarray:
     """Read-only (6^n, n) table: row b lists each atom's level in basis
     state b (atom 0 is the most significant digit)."""
-    labels = np.array(list(np.ndindex(*(NLEV,) * n_atoms)))
+    labels = np.array(list(np.ndindex(*(NLEV,) * n_atoms)), int)
     labels.flags.writeable = False
     return labels
 
@@ -134,11 +130,13 @@ class Pulse:
     metastable_weight: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
+        if self.transition not in LEGS and self.transition != "measure":
+            raise ConfigError(f"unknown pulse transition {self.transition!r}")
         if not 0 <= self.duration_s < math.inf:
             raise ConfigError("pulse duration must be finite and >= 0")
         if not 0 <= self.rabi_rad_s < math.inf:
             raise ConfigError("Rabi frequency must be finite and >= 0")
-        # nested tuples, so that a segment can key the executor's store
+        # nested tuples, so that a segment can key the run's store
         object.__setattr__(self, "target", _as_tuples(self.target))
 
 
@@ -282,8 +280,6 @@ def _laser_frequencies(ref: RegisterLevels, pulse) -> tuple:
     """Laser angular frequency (rad/s) of each drive leg: resonant on the
     reference site's level table `ref`, plus the pulse detuning; the
     3-photon laser also carries the light-shift compensation."""
-    if pulse.transition not in LEGS:
-        raise ConfigError(f"unknown pulse transition {pulse.transition!r}")
     if pulse.transition == "three_photon":
         det = ladder_detunings(ref)
         eps = 0.0
@@ -338,8 +334,7 @@ def _block_drive(transition: str, levels: np.ndarray) -> np.ndarray:
 
 
 def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
-                        cover: np.ndarray, dipole_scale: float = 1.0,
-                        run: dict | None = None) -> list:
+                        cover: np.ndarray, run: Run) -> list:
     """Blocks of the register Hamiltonian (rad/s) for one segment.
 
     Returns one (indices, blocks) pair per block size d: `indices` is an
@@ -348,33 +343,32 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     boolean mask `cover` are built, taken in order from the transition's
     `_block_partition`.  Blocks of one size share one `_block_drive`
     matrix (Omega/2 on each leg) and carry their slice of one 6^n
-    diagonal: the atoms' level energies, then the dipole terms.  `run`
-    (one dict per executor call) keeps each partition and drive matrix
-    for the rest of the run, built on first use.
+    diagonal: the atoms' level energies, then the dipole terms.  The
+    partition and each size's drive matrix are built into `run` on first
+    use.
     """
     params, geom = reg.params, reg.geom
     config, pulse = segment.config, segment.pulse
     tables = site_levels(params, geom, reg.sites, config)
     lasers = _laser_frequencies(tables[_reference_index(reg, pulse.target)],
                                 pulse)
-    run = {} if run is None else run
-    if pulse.transition not in run:
-        run[pulse.transition] = _block_partition(pulse.transition,
-                                                 reg.n_atoms)
+    if pulse.transition not in run.partitions:
+        run.partitions[pulse.transition] = _block_partition(pulse.transition,
+                                                            reg.n_atoms)
     hs = [_single_atom_hamiltonian(t.energy_hz, lasers, pulse) for t in tables]
     labels = basis_labels(reg.n_atoms)
     diagonal = sum(h.diagonal()[labels[:, i]] for i, h in enumerate(hs)) \
-        + _dipole_diagonal(params, geom, reg.sites, config, dipole_scale)
+        + _dipole_diagonal(params, geom, reg.sites, config, run.dipole_scale)
     out = []
-    for idx in run[pulse.transition]:
+    for idx in run.partitions[pulse.transition]:
         idx = idx[cover[idx].any(1)]
         if not len(idx):
             continue
         d = idx.shape[1]
-        if (pulse.transition, d) not in run:
-            run[pulse.transition, d] = _block_drive(pulse.transition,
-                                                    labels[idx[0]])
-        H = np.repeat(run[pulse.transition, d][None]
+        if (pulse.transition, d) not in run.drives:
+            run.drives[pulse.transition, d] = _block_drive(pulse.transition,
+                                                           labels[idx[0]])
+        H = np.repeat(run.drives[pulse.transition, d][None]
                       * (pulse.rabi_rad_s / 2), len(idx), axis=0)
         H[:, np.arange(d), np.arange(d)] = diagonal[idx]
         out.append((idx, H))
@@ -410,6 +404,38 @@ def _gamma_levels(noise: NoiseParams) -> np.ndarray:
     per_level = np.full(NLEV, noise.photon_scattering_rate_hz)
     per_level[list(E_LEVELS)] += 1 / noise.lifetime_3P2_s   # 0 at inf
     return per_level
+
+
+class Run:
+    """One pass of `schedule` through the engine, made per
+    `compiler.execute_schedule` call; a stepwise caller wraps its one
+    segment in a `PulseSchedule`.  Fixed: `dipole_scale`, `noise_on` and
+    `rates`, the decay rate (1/s) of each of the 6^n basis states.  Filled
+    on first use: `partitions` by transition, `drives` by (transition,
+    block size), and `kept`, each recurring segment's stacks (`stacks`)."""
+
+    def __init__(self, noise: NoiseParams, dipole_scale: float,
+                 schedule: PulseSchedule):
+        if not math.isfinite(dipole_scale):
+            raise ConfigError(f"dipole_scale must be finite, got "
+                              f"{dipole_scale!r}")
+        self.dipole_scale = dipole_scale
+        self.noise_on = noise.photon_scattering_rate_hz > 0 \
+            or not math.isinf(noise.lifetime_3P2_s)
+        self.rates = _gamma_levels(noise)[basis_labels(schedule.n_atoms)] \
+            .sum(-1)
+        self.partitions: dict = {}
+        self.drives: dict = {}
+        self.kept: dict = {}
+        self.left = Counter(schedule.segments)
+
+    def stacks(self, segment: PulseSegment):
+        """Count down one run of `segment`: None if it runs once, else its
+        kept list, empty on its first run and dropped from `kept` on its
+        last."""
+        self.left[segment] -= 1
+        return self.kept.setdefault(segment, []) if self.left[segment] > 0 \
+            else self.kept.pop(segment, None)
 
 
 # Pade-13 numerator coefficients and the 1-norm up to which the
@@ -516,24 +542,20 @@ def _spectral_stack(H: np.ndarray, dt: float, rates: np.ndarray) -> tuple:
 
 
 def _block_propagators(reg: RegisterState, segment: PulseSegment,
-                       noise: NoiseParams, dipole_scale: float,
-                       cover: np.ndarray, run: dict):
+                       cover: np.ndarray, run: Run):
     """Yield an (indices, U, phase) stack for each block size of
-    `segment_hamiltonian(reg, segment, cover, dipole_scale, run)`.
+    `segment_hamiltonian(reg, segment, cover, run)`.
 
-    The kernel follows the stack's decay rates, Gamma over the 6^n basis
-    (kept in `run` for the rest of the run).  A stack of 3 states or more
-    whose every block decays at one rate (every 3-photon and aux-flip
-    block, and every block with noise off) is spectral: U is the real
-    eigenvectors V and phase their phases (`_spectral_stack`).  Other
-    stacks turn complex as -i dt (H - i Gamma/2) and `_expm_stack`
-    exponentiates them to U, with phase None.  Phases that overflow a
-    float or keep no precision raise IntegratorError before use."""
+    The kernel follows the stack's decay rates Gamma (`run.rates`).  A
+    stack of 3 states or more whose every block decays at one rate (every
+    3-photon and aux-flip block, and every block with noise off) is
+    spectral: U is the real eigenvectors V and phase their phases
+    (`_spectral_stack`).  Other stacks turn complex as -i dt (H - i
+    Gamma/2) and `_expm_stack` exponentiates them to U, with phase None;
+    phases that overflow a float or keep no precision raise first."""
     dt = segment.pulse.duration_s
-    if "rates" not in run:
-        run["rates"] = _gamma_levels(noise)[basis_labels(reg.n_atoms)].sum(-1)
-    for idx, H in segment_hamiltonian(reg, segment, cover, dipole_scale, run):
-        rates = run["rates"][idx]
+    for idx, H in segment_hamiltonian(reg, segment, cover, run):
+        rates = run.rates[idx]
         try:
             with np.errstate(over="raise"):
                 if idx.shape[1] > 2 and (rates == rates[:, :1]).all():
@@ -546,7 +568,7 @@ def _block_propagators(reg: RegisterState, segment: PulseSegment,
         except (FloatingPointError, IntegratorError) as exc:
             raise IntegratorError(
                 f"{segment.pulse.transition} segment of {dt!r} s at "
-                f"dipole_scale {dipole_scale!r}: {exc}") from None
+                f"dipole_scale {run.dipole_scale!r}: {exc}") from None
         yield idx, U, phase
 
 
@@ -563,29 +585,20 @@ def _apply_stack(psi: np.ndarray, U: np.ndarray, phase) -> np.ndarray:
 
 
 def segment_propagator(reg: RegisterState, segment: PulseSegment,
-                       noise: NoiseParams, dipole_scale: float = 1.0,
-                       kept: list | None = None,
-                       run: dict | None = None) -> np.ndarray:
+                       run: Run) -> np.ndarray:
     """Amplitudes after the whole segment, one batched product per stack
-    of `_block_propagators` (`_apply_stack`); no spectral stack is ever
-    formed into a matrix exponential.
-
-    With `kept` None (a segment that runs once) only the live blocks are
-    built, and each stack is applied as soon as it is built.  `kept`
-    holds the stacks of a segment that recurs in a run: an empty list is
-    filled with the stacks of all the segment's blocks, live or not, and
-    a filled one is applied as it stands, with no assembly, eigensolve or
-    exponentiation.  `run` is the executor's dict of block partitions,
-    drive matrices and decay rates; a call without one builds its own."""
-    run = {} if run is None else run
-    if kept is None:
-        stacks = _block_propagators(reg, segment, noise, dipole_scale,
-                                    reg.amps != 0, run)
-    else:
-        if not kept:
-            kept.extend(_block_propagators(reg, segment, noise, dipole_scale,
-                                           np.ones(reg.amps.size, bool), run))
-        stacks = kept
+    of `_block_propagators` (`_apply_stack`), none formed into a matrix
+    exponential.  For a segment that runs once in `run` only the live
+    blocks are built, each stack applied as soon as it is built.  A
+    recurring segment fills its kept list (`Run.stacks`) on its first run
+    with the stacks of all its blocks, live or not, and later runs apply
+    it as it stands, with no assembly, eigensolve or exponentiation."""
+    stacks = run.stacks(segment)
+    if stacks is None:
+        stacks = _block_propagators(reg, segment, reg.amps != 0, run)
+    elif not stacks:
+        stacks.extend(_block_propagators(reg, segment,
+                                         np.ones(reg.amps.size, bool), run))
     amps = np.zeros_like(reg.amps)
     for idx, U, phase in stacks:
         amps[idx] = _apply_stack(reg.amps[idx], U, phase)
@@ -609,18 +622,10 @@ def apply_propagator(reg: RegisterState, amps: np.ndarray,
 
 
 def apply_segment(reg: RegisterState, segment: PulseSegment,
-                  noise: NoiseParams, dipole_scale: float = 1.0,
-                  kept: list | None = None,
-                  run: dict | None = None) -> RegisterState:
-    """Propagate through the whole segment (exact exponentiation); `kept`
-    holds a recurring segment's stacks and `run` the executor's per-run
-    partitions, drive matrices and decay rates (`segment_propagator`)."""
-    if not math.isfinite(dipole_scale):
-        raise ConfigError(f"dipole_scale must be finite, got {dipole_scale!r}")
+                  run: Run) -> RegisterState:
+    """Propagate through the whole segment (exact exponentiation) as one
+    step of `run` (`segment_propagator`)."""
     if segment.pulse.duration_s == 0.0:
         return reg
-    noise_on = noise.photon_scattering_rate_hz > 0 \
-        or not math.isinf(noise.lifetime_3P2_s)
-    return apply_propagator(
-        reg, segment_propagator(reg, segment, noise, dipole_scale, kept, run),
-        noise_on)
+    return apply_propagator(reg, segment_propagator(reg, segment, run),
+                            run.noise_on)

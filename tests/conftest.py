@@ -1,10 +1,12 @@
 """Shared test plumbing: collects acceptance-check verdict lines and
-prints them in the terminal summary (immune to output capture), and
-reads joint ground-basis probabilities off a register."""
+prints them in the terminal summary (immune to output capture), reads
+joint ground-basis probabilities off a register, and runs one segment
+on its own through the engine."""
 
 import numpy as np
 
-from ybqc.engine import GM, GP, RegisterState, basis_labels
+from ybqc.engine import (GM, GP, PulseSchedule, RegisterState, Run,
+                         apply_segment, basis_labels)
 
 acceptance_lines = []
 
@@ -18,6 +20,17 @@ def ground_basis_probability(reg: RegisterState, bits: dict) -> float:
         want = GP if bit else GM
         mask &= labels[:, reg.site_index(site)] == want
     return float((np.abs(reg.amps) ** 2)[mask].sum())
+
+
+def stepwise_run(reg, segment, noise, dipole_scale=1.0) -> Run:
+    """The engine run of `segment` alone on `reg`'s sites."""
+    return Run(noise, dipole_scale, PulseSchedule((segment,), reg.sites))
+
+
+def apply_stepwise(reg, segment, noise, dipole_scale=1.0) -> RegisterState:
+    """`engine.apply_segment` of `segment` in a run of its own."""
+    return apply_segment(reg, segment,
+                         stepwise_run(reg, segment, noise, dipole_scale))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -22,7 +22,8 @@ from ybqc.scenario import run_scenario
 SPACING = 266e-9
 
 
-from conftest import acceptance_lines, ground_basis_probability
+from conftest import (acceptance_lines, apply_stepwise,
+                      ground_basis_probability)
 
 
 def report(name, ok, detail=""):
@@ -199,7 +200,7 @@ def test_criterion_9_property_suites(tmp_path):
 
     # detuned-Rabi closed form to 1e-8 on the one-leg aux_flip drive
     from ybqc.addressing import GradientConfig
-    from ybqc.engine import EM32, EP32, Pulse, PulseSegment, apply_segment
+    from ybqc.engine import EM32, EP32, Pulse, PulseSegment
     cfg = GradientConfig(100 * GAUSS)
     rng = np.random.default_rng(5)
     for _ in range(50):
@@ -208,7 +209,7 @@ def test_criterion_9_property_suites(tmp_path):
         t = float(rng.uniform(1e-5, 2e-2))
         r0 = RegisterState.product(params, LatticeGeometry(1, 1, 1),
                                    [(0, 0, 0)], [EM32])
-        out = apply_segment(r0, PulseSegment(
+        out = apply_stepwise(r0, PulseSegment(
             cfg, Pulse("aux_flip", t, rabi, detuning_rad_s=delta)),
             NoiseParams.off())
         W = math.hypot(rabi, delta)

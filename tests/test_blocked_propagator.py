@@ -4,13 +4,15 @@ registers against slices of the dense matrix, the stacked exponential
 against scipy's `expm`, plus memory guards that fail if a 6^n x 6^n
 register matrix or complex blocks come back.  The executor, which keeps
 a recurring segment's propagators for the rest of its run, against the
-segment-by-segment loop; the per-run block partition against the
-per-call one it replaced.  The closed-form 2x2 kernel on each of its
+segment-by-segment loop; the run's store of those propagators, driven by
+hand; the per-run block partition against the per-call one it
+replaced.  The closed-form 2x2 kernel on each of its
 branches; the spectral kernel against a 40-digit exponential, its
 rounding guard, and the rule that picks it from the decay rates."""
 
 import math
 import tracemalloc
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -25,7 +27,7 @@ from ybqc.atomic import AtomParams, register_levels
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.dipole import pair_coupling
 from ybqc.engine import (EP32, GM, GP, GROUPS, LEGS, NLEV, SINHC_SERIES_BELOW,
-                         NoiseParams, Pulse, PulseSegment, RegisterState,
+                         NoiseParams, Pulse, PulseSegment, RegisterState, Run,
                          UNITARITY_TOL, _block_partition, _dipole_diagonal,
                          _expm_stack, _gamma_levels, _laser_frequencies,
                          _reference_index, _single_atom_hamiltonian,
@@ -34,6 +36,8 @@ from ybqc.engine import (EP32, GM, GP, GROUPS, LEGS, NLEV, SINHC_SERIES_BELOW,
 from ybqc.errors import IntegratorError
 from ybqc.protocols import measure_qubit
 from ybqc.scenario import simulate_circuit
+
+from conftest import apply_stepwise, stepwise_run
 
 P = AtomParams()
 # 3P2 lifetime and lattice scattering far above the defaults: decay
@@ -134,7 +138,7 @@ def _check_against_dense(n_sites, circuit, ones, noise, seed):
             assert bit == bit_dense
             readouts.append((site, bit, p1))
         else:
-            blocked = apply_segment(blocked, seg, noise)
+            blocked = apply_stepwise(blocked, seg, noise)
             dense = dense_apply_segment(dense, seg, noise)
         assert abs(blocked.survival + blocked.leaked - 1.0) < 1e-9
         assert np.max(np.abs(blocked.amps - dense.amps)) < 1e-10
@@ -176,7 +180,7 @@ def _stepwise(start, schedule, noise, seed):
             bit, reg, p1 = measure_qubit(reg, site, rng)
             readouts.append((site, bit, p1))
         else:
-            reg = apply_segment(reg, seg, noise)
+            reg = apply_stepwise(reg, seg, noise)
     return reg, readouts
 
 
@@ -219,6 +223,42 @@ def test_executor_matches_the_stepwise_loop(case):
     _assert_readouts_match(run.readouts, readouts)
     assert np.max(np.abs(run.register.amps - want.amps)) <= 1e-12
     assert abs(run.register.leaked - want.leaked) <= 1e-12
+
+
+def test_run_keeps_recurring_stacks_from_first_run_to_last(monkeypatch):
+    # driven by hand: site 0's transfer leg runs four times and site 1's
+    # twice, each rotation once
+    geom = LatticeGeometry(2, 1, 1)
+    schedule = compile_circuit("X 0 0 1.0\nX 1 0 2.0\nX 0 0 0.5\n", geom,
+                               P, plan_gradients(geom, 1000.0, P),
+                               NoiseParams())
+    runs = Counter(schedule.segments)
+    assert sorted(runs.values()) == [1, 1, 1, 2, 4]
+    built = Counter()
+
+    def spy(reg, segment, *args):
+        built[segment] += 1
+        return block_propagators(reg, segment, *args)
+
+    block_propagators = engine._block_propagators
+    monkeypatch.setattr(engine, "_block_propagators", spy)
+    run = Run(NoiseParams(), 1.0, schedule)
+    reg, left, first = _chain_start(2, [(1, 0, 0)]), runs.copy(), {}
+    for seg in schedule.segments:
+        reg = apply_segment(reg, seg, run)
+        left[seg] -= 1
+        # the store holds a recurring segment from its first run to its
+        # last, and a segment that runs once never
+        assert set(run.kept) == {s for s in runs if 0 < left[s] < runs[s]}
+        if seg in run.kept:
+            # the stacks of its first run, reused as they stand
+            stacks = [id(U) for _, U, _ in run.kept[seg]]
+            assert stacks and stacks == first.setdefault(seg, stacks)
+    assert run.kept == {}
+    assert built == Counter(runs.keys())
+    want = execute_schedule(_chain_start(2, [(1, 0, 0)]), schedule,
+                            NoiseParams())
+    assert np.array_equal(reg.amps, want.register.amps)
 
 
 def test_executor_assembles_each_distinct_segment_once(monkeypatch):
@@ -338,10 +378,10 @@ def test_per_run_partition_selects_the_per_call_blocks(n, transition,
     segment = PulseSegment(plan_gradients(geom, 1000.0, P),
                            Pulse(transition, 1e-3, rabi))
     cover = np.random.default_rng(seed).random(NLEV ** n) < density
-    run = {}
+    run = stepwise_run(reg, segment, NoiseParams())
     # a first call fills the run's partition; the second selects from it
-    segment_hamiltonian(reg, segment, np.ones(NLEV ** n, bool), 1.0, run)
-    got = segment_hamiltonian(reg, segment, cover, 1.0, run)
+    segment_hamiltonian(reg, segment, np.ones(NLEV ** n, bool), run)
+    got = segment_hamiltonian(reg, segment, cover, run)
     want = _per_call_blocks(reg, segment, cover, 1.0)
     assert len(got) == len(want)
     for (idx, H), (idx_want, H_want) in zip(got, want):
@@ -380,8 +420,9 @@ def test_live_blocks_are_slices_of_the_dense_hamiltonian(case):
     diagonal = np.diagonal(dense)
     assert not diagonal.imag.any()
     live = np.zeros(len(dense), bool)
-    for idx, blocks in segment_hamiltonian(reg, segment, reg.amps != 0,
-                                           dipole_scale):
+    for idx, blocks in segment_hamiltonian(
+            reg, segment, reg.amps != 0,
+            stepwise_run(reg, segment, NoiseParams(), dipole_scale)):
         assert blocks.dtype == np.float64
         for states, H in zip(idx, blocks):
             want = dense[np.ix_(states, states)]
@@ -407,7 +448,8 @@ def test_fully_live_five_site_ladder_assembles_small_real_blocks():
                            Pulse("three_photon", 1e-3, 2 * math.pi * 50.0))
     tracemalloc.start()
     try:
-        out = segment_hamiltonian(reg, segment, reg.amps != 0)
+        out = segment_hamiltonian(reg, segment, reg.amps != 0,
+                                  stepwise_run(reg, segment, NoiseParams()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -511,12 +553,12 @@ def test_overflowing_two_by_two_entry_raises_not_nan(noise):
     reg = RegisterState.product(P, geom, [(0, 0, 0)], [GP])
     config = plan_gradients(geom, 1000.0, P)
     pulse = Pulse("optical_pair", 1e150, 2 * math.pi * 25.0)
-    out = apply_segment(reg, PulseSegment(config, pulse), noise)
+    out = apply_stepwise(reg, PulseSegment(config, pulse), noise)
     assert np.isfinite(out.amps).all()
     out.check_accounting()
     with pytest.raises(IntegratorError, match="optical_pair segment of "
                        "1e[+]200 s.*overflow"):
-        apply_segment(reg, PulseSegment(config, Pulse(
+        apply_stepwise(reg, PulseSegment(config, Pulse(
             "optical_pair", 1e200, 2 * math.pi * 25.0)), noise)
 
 

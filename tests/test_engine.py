@@ -8,16 +8,18 @@ import pytest
 
 from ybqc.addressing import GradientConfig, LatticeGeometry, plan_gradients
 from ybqc.atomic import AtomParams, ladder_detunings, register_levels
+from ybqc.compiler import execute_schedule
 from ybqc.constants import GAUSS
 from ybqc.dipole import auxiliary_qubit_moments, ddi_coupling
 from ybqc.engine import (EM32, EP32, GM, GP, GROUPS, LEGS, NLEV,
-                         NoiseParams, Pulse, PulseSegment, RegisterState,
-                         _laser_frequencies, _single_atom_hamiltonian,
-                         apply_propagator, apply_segment,
+                         NoiseParams, Pulse, PulseSchedule, PulseSegment,
+                         RegisterState, _laser_frequencies,
+                         _single_atom_hamiltonian, apply_propagator,
                          light_shift_compensation, segment_hamiltonian)
 from ybqc.errors import ConfigError, IntegratorError
 
-from conftest import ground_basis_probability
+from conftest import (apply_stepwise, ground_basis_probability,
+                      stepwise_run)
 
 P = AtomParams()
 GEOM = LatticeGeometry(3, 1, 1)
@@ -39,14 +41,20 @@ def test_product_state_and_accounting():
 def test_zero_duration_is_identity():
     reg = single(EM32)
     seg = PulseSegment(CFG, Pulse("aux_flip", 0.0, 2 * math.pi * 100))
-    out = apply_segment(reg, seg, OFF)
+    out = apply_stepwise(reg, seg, OFF)
     assert np.allclose(out.amps, reg.amps)
+
+
+def test_empty_schedule_leaves_an_empty_register_as_it_is():
+    reg = RegisterState(P, GEOM, [], [1.0])
+    out = execute_schedule(reg, PulseSchedule((), ()), OFF).register
+    assert out.amps.tolist() == [1.0] and out.leaked == 0.0
 
 
 def test_resonant_aux_flip_pi_pulse():
     rabi = 2 * math.pi * 50.0
     seg = PulseSegment(CFG, Pulse("aux_flip", math.pi / rabi, rabi))
-    out = apply_segment(single(EM32), seg, OFF)
+    out = apply_stepwise(single(EM32), seg, OFF)
     got = out.level_populations((0, 0, 0))[EP32]
     assert got == pytest.approx(1.0, abs=1e-9)
 
@@ -60,7 +68,7 @@ def test_detuned_rabi_closed_form():
         t = float(rng.uniform(1e-5, 2e-2))
         seg = PulseSegment(CFG, Pulse("aux_flip", t, rabi,
                                       detuning_rad_s=delta))
-        out = apply_segment(single(EM32), seg, OFF)
+        out = apply_stepwise(single(EM32), seg, OFF)
         W = math.hypot(rabi, delta)
         want = (rabi / W) ** 2 * math.sin(W * t / 2) ** 2
         got = out.level_populations((0, 0, 0))[EP32]
@@ -71,7 +79,7 @@ def test_optical_pair_drives_both_legs():
     rabi = 2 * math.pi * 500.0
     seg = PulseSegment(CFG, Pulse("optical_pair", math.pi / rabi, rabi))
     for g, e in ((GM, EM32), (GP, EP32)):
-        out = apply_segment(single(g), seg, OFF)
+        out = apply_stepwise(single(g), seg, OFF)
         got = out.level_populations((0, 0, 0))[e]
         assert got == pytest.approx(1.0, abs=1e-9)
 
@@ -84,7 +92,7 @@ def test_off_resonant_site_barely_driven():
     rabi = 2 * math.pi * 25.0
     seg = PulseSegment(cfg, Pulse("optical_pair", math.pi / rabi, rabi,
                                   target=("site", (0, 0, 0))))
-    out = apply_segment(reg, seg, OFF)
+    out = apply_stepwise(reg, seg, OFF)
     assert out.level_populations((0, 0, 0))[EM32] > 0.999
     spectator_e = out.level_populations((1, 0, 0))[EM32] \
         + out.level_populations((1, 0, 0))[EP32]
@@ -100,7 +108,7 @@ def test_norm_conserved_without_noise():
         seg = PulseSegment(CFG, Pulse(str(kind), float(rng.uniform(1e-4, 5e-3)),
                                       rabi,
                                       detuning_rad_s=float(rng.uniform(-100, 100))))
-        reg = apply_segment(reg, seg, OFF)
+        reg = apply_stepwise(reg, seg, OFF)
         assert abs(reg.survival + reg.leaked - 1.0) < 1e-9
     assert reg.survival == pytest.approx(1.0, abs=1e-9)
 
@@ -110,13 +118,13 @@ def test_noise_decays_norm_with_exact_rate():
     reg = single(EP32)
     t = 0.5
     seg = PulseSegment(CFG, Pulse("aux_flip", t, 0.0))
-    out = apply_segment(reg, seg, noise)
+    out = apply_stepwise(reg, seg, noise)
     assert out.survival == pytest.approx(math.exp(-t / 2.0), rel=1e-9)
     assert out.leaked == pytest.approx(1 - math.exp(-t / 2.0), rel=1e-9)
     # ground states only scatter lattice photons
     noise2 = NoiseParams(lifetime_3P2_s=math.inf,
                          photon_scattering_rate_hz=0.4)
-    out2 = apply_segment(single(GM), seg, noise2)
+    out2 = apply_stepwise(single(GM), seg, noise2)
     assert out2.survival == pytest.approx(math.exp(-0.4 * t), rel=1e-9)
 
 
@@ -139,11 +147,12 @@ def test_dipole_diagonal_matches_pair_formula():
     m = register_levels(P, CFG.B0_t).moment_j_per_t[EP32]
     want = 2 * math.pi * ddi_coupling(m, m, geom.spacing_m, math.pi / 2)
     live = reg.amps != 0
-    assert diagonal_entry(segment_hamiltonian(reg, seg, live)).real \
+    assert diagonal_entry(segment_hamiltonian(
+        reg, seg, live, stepwise_run(reg, seg, OFF))).real \
         == pytest.approx(want, rel=1e-9)
     # dipole_scale=0 switches the interaction off
-    assert diagonal_entry(segment_hamiltonian(reg, seg, live,
-                                              dipole_scale=0.0)) == 0.0
+    assert diagonal_entry(segment_hamiltonian(
+        reg, seg, live, stepwise_run(reg, seg, OFF, 0.0))) == 0.0
 
 
 def _coupled_components(hmat):
@@ -194,13 +203,26 @@ def test_guards_trip_on_nan():
                          noise_on=False)
 
 
+@pytest.mark.parametrize("transition", sorted(LEGS) + ["measure"])
+def test_known_transitions_make_pulses(transition):
+    assert Pulse(transition, 0.0).transition == transition
+
+
+@pytest.mark.parametrize("transition", ["bogus", "", "Measure",
+                                        "optical pair", "three_photon "])
+def test_unknown_transition_is_rejected_where_the_pulse_is_made(transition):
+    # at zero length too, which the engine skips without reading the name
+    with pytest.raises(ConfigError, match="unknown pulse transition"):
+        Pulse(transition, 0.0)
+
+
 @pytest.mark.parametrize("target", [("site", (1, 0, 0)), ("layer", 0)],
                          ids=["spectator-site", "layer"])
 def test_pulse_target_outside_the_register_is_rejected(target):
     seg = PulseSegment(CFG, Pulse("optical_pair", 1e-3, 2 * math.pi * 500,
                                   target=target))
     with pytest.raises(ConfigError, match="active site"):
-        apply_segment(single(GM), seg, OFF)
+        apply_stepwise(single(GM), seg, OFF)
 
 
 def test_list_form_target_runs_as_the_tuple_form():
@@ -209,7 +231,7 @@ def test_list_form_target_runs_as_the_tuple_form():
     tupled = Pulse("optical_pair", 1e-3, 1e3, target=("site", (0, 0, 0)))
     assert listed == tupled and hash(listed) == hash(tupled)
     reg = RegisterState.product(P, GEOM, [(0, 0, 0), (1, 0, 0)], [GM, GP])
-    out = [apply_segment(reg, PulseSegment(CFG, pulse), OFF).amps
+    out = [apply_stepwise(reg, PulseSegment(CFG, pulse), OFF).amps
            for pulse in (listed, tupled)]
     assert np.array_equal(out[0], out[1])
     assert np.abs(out[0] - reg.amps).max() > 0.1

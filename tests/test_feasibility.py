@@ -15,13 +15,15 @@ from ybqc.atomic import AtomParams
 from ybqc.constants import GAUSS, h, k_B
 from ybqc.compiler import compile_circuit
 from ybqc.engine import (GM, NoiseParams, Pulse, PulseSchedule, PulseSegment,
-                         RegisterState, apply_segment)
+                         RegisterState)
 from ybqc.errors import ConfigError
 from ybqc.feasibility import (DEEP_LATTICE_RECOILS, FOURIER_ORDER,
                               build_feasibility_report,
                               decoherence_budget, lattice_depth_report,
                               lowest_band_width_recoils, pi_pulse_intensity,
                               recoil_energy_j, scattering_rate)
+
+from conftest import apply_stepwise
 
 P = AtomParams()
 
@@ -200,7 +202,7 @@ def test_decoherence_budget_skips_measure_segments(circuit, sites):
     reg = RegisterState.product(P, geom, sites, [GM] * len(sites))
     for seg in sched.segments:
         if seg.pulse.transition != "measure":
-            reg = apply_segment(reg, seg, noise)
+            reg = apply_stepwise(reg, seg, noise)
     assert decoherence_budget(sched, noise).survival \
         == pytest.approx(reg.survival, rel=1e-3)
 

@@ -18,8 +18,8 @@ from ybqc.compiler import (TRANSFER_RABI_1Q_RAD_S, TRANSFER_RABI_2Q_RAD_S,
 from ybqc.constants import GAUSS
 from ybqc.engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
                          Pulse, PulseSegment, RegisterState, _laser_frequencies,
-                         _single_atom_hamiltonian, apply_segment,
-                         basis_labels, light_shift_compensation)
+                         _single_atom_hamiltonian, basis_labels,
+                         light_shift_compensation)
 from ybqc.errors import (ConfigError, GeometryError, IntegratorError,
                          PhysicsError, ProtocolOrderError)
 from ybqc.protocols import (GATE_RABI_FRACTION, SCAN_SAMPLES, SCAN_WINDOW,
@@ -27,6 +27,8 @@ from ybqc.protocols import (GATE_RABI_FRACTION, SCAN_SAMPLES, SCAN_WINDOW,
                             cnot_pulse_parameters, measure_qubit,
                             rotation_pulse, three_photon_scan, transfer_pulse)
 from ybqc.scenario import simulate_circuit
+
+from conftest import apply_stepwise
 
 P = AtomParams()
 PCAL = calibrate_hyperfine_A(P)
@@ -241,7 +243,7 @@ def test_scan_uncompensated_transfer_degrades():
     def transfer(detuning):
         pulse = Pulse("three_photon", scan.pi_time_s, rabi,
                       detuning_rad_s=detuning, target=("site", site))
-        out = apply_segment(reg, PulseSegment(GradientConfig(B), pulse), OFF)
+        out = apply_stepwise(reg, PulseSegment(GradientConfig(B), pulse), OFF)
         return out.level_populations(site)[EP32]
 
     assert transfer(0.0) > 0.99
@@ -270,9 +272,9 @@ def test_transfer_round_trip():
     reg = RegisterState.product(P, geom, [site], [GM])
     leg = PulseSegment(cfg, transfer_pulse(("site", site),
                                            2 * math.pi * 25, 0.5))
-    up = apply_segment(reg, leg, OFF)
+    up = apply_stepwise(reg, leg, OFF)
     assert _fraction(up, site, (EM32, EP32)) > 0.999
-    down = apply_segment(up, leg, OFF)
+    down = apply_stepwise(up, leg, OFF)
     assert _fraction(down, site, (GM, GP)) > 0.998
     down.check_accounting()
 
@@ -283,7 +285,7 @@ def test_transfer_superposition_both_legs():
     amps = np.zeros(NLEV, complex)
     amps[GM] = amps[GP] = 1 / math.sqrt(2)
     reg = RegisterState(P, geom, [(0, 0, 0)], amps)
-    up = apply_segment(reg, PulseSegment(cfg, transfer_pulse(
+    up = apply_stepwise(reg, PulseSegment(cfg, transfer_pulse(
         ("all",), 2 * math.pi * 500.0, 0.5)), OFF)
     pops = up.level_populations((0, 0, 0))
     assert pops[EM32] == pytest.approx(0.5, abs=1e-6)
@@ -299,7 +301,7 @@ def test_single_qubit_pi_gate_flips_aux():
     reg = RegisterState.product(PCAL, LatticeGeometry(1, 1, 1), [site],
                                 [EM32])
     pulse = rotation_pulse(register_levels(PCAL, B), site, math.pi, 1.0)
-    out = apply_segment(reg, PulseSegment(GradientConfig(B), pulse), OFF)
+    out = apply_stepwise(reg, PulseSegment(GradientConfig(B), pulse), OFF)
     assert out.level_populations(site)[EP32] > 0.99
     assert _fraction(out, site, (EM12, EP12)) < 5e-3
     # rotation inferred from the population moved into e+3/2
@@ -330,7 +332,7 @@ def test_cnot_truth_behavior(control, flip):
     shift, _det = cnot_pulse_parameters(geom, (0, 0, 0), (1, 0, 0), *tables)
     assert shift != 0.0     # conditional
     pulse = cnot_pulse(geom, (0, 0, 0), (1, 0, 0), *tables, 2.0)
-    out = apply_segment(reg, PulseSegment(cfg, pulse), OFF)
+    out = apply_stepwise(reg, PulseSegment(cfg, pulse), OFF)
     p_flip = out.level_populations((1, 0, 0))[EP32]
     if flip:
         assert p_flip > 0.98
@@ -500,8 +502,8 @@ def _protocol_path(circuit_op, geom, noise, dipole_scale):
                              *_levels(geom, cfg, control, target), 2.0),
                   target_leg, control_leg)
     for pulse in pulses:
-        reg = apply_segment(reg, PulseSegment(cfg, pulse), noise,
-                            dipole_scale)
+        reg = apply_stepwise(reg, PulseSegment(cfg, pulse), noise,
+                             dipole_scale)
     return reg
 
 

@@ -24,9 +24,11 @@ from ybqc.atomic import AtomParams
 from ybqc.cli import main as cli_main
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.constants import CM, GAUSS
-from ybqc.engine import GM, NoiseParams, RegisterState, apply_segment
+from ybqc.engine import GM, NoiseParams, RegisterState
 from ybqc.errors import ConfigError, PlanningError
 from ybqc.scenario import load_scenario, run_scenario
+
+from conftest import apply_stepwise
 
 
 def _scenario(tmp_path, **data):
@@ -297,7 +299,19 @@ def test_non_finite_dipole_scale_is_rejected_by_the_engine(scale):
         with pytest.raises(ConfigError, match="dipole_scale"):
             execute_schedule(reg, schedule, noise, dipole_scale=scale)
         with pytest.raises(ConfigError, match="dipole_scale"):
-            apply_segment(reg, flip, noise, dipole_scale=scale)
+            apply_stepwise(reg, flip, noise, dipole_scale=scale)
+
+
+def test_register_of_other_sites_than_the_schedule_is_rejected():
+    geom, noise = LatticeGeometry(3, 1, 1), NoiseParams.off()
+    schedule = compile_circuit("X 0 0 1.0\n", geom, AtomParams(),
+                               plan_gradients(geom, 1000.0, AtomParams()),
+                               noise)
+    for sites in ([(0, 0, 0), (1, 0, 0)], [(1, 0, 0)]):
+        reg = RegisterState.product(AtomParams(), geom, sites,
+                                    [GM] * len(sites))
+        with pytest.raises(ConfigError, match="schedule's"):
+            execute_schedule(reg, schedule, noise)
 
 
 def test_planned_scenario_uses_its_bias_field(tmp_path):

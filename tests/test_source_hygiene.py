@@ -3,12 +3,13 @@ plus one check on the imported engine).
 
 Every import is used; the package `__init__.py`, names listed in
 `__all__` and `from __future__` are exempt as re-exports.  Outside the
-engine, only `compiler.execute_schedule` applies segments, so gates
-reach the engine through one path.  The compiler, the pulse builders and
-the engine build no level table from a bare field: they read the cached
-per-site tables of `addressing.site_levels`.  The sweeps, the addressing
-comb and the gradient check evaluate all their fields in one array call:
-they build no level table from one field and read no per-site table of
+engine, only `compiler.execute_schedule` makes an engine `Run` and
+applies segments, so gates reach the engine through one path, one run
+per call.  The compiler, the pulse builders and the engine build no
+level table from a bare field: they read the cached per-site tables of
+`addressing.site_levels`.  The sweeps, the addressing comb and the
+gradient check evaluate all their fields in one array call: they build
+no level table from one field and read no per-site table of
 `site_levels`.  The compiler plans no gradients: it compiles under its
 caller's.  The CLI constructs no atom,
 lattice, gradient or noise parameters and plans no gradients: the
@@ -102,7 +103,7 @@ def test_package_does_not_use_expm():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-ENGINE_ENTRY_POINTS = {"apply_segment"}
+ENGINE_ENTRY_POINTS = {"apply_segment", "Run"}
 ALLOWED_CALLERS = {("compiler", "execute_schedule")}
 # Builders of a level table from a bare field, and of tables at an array
 # of fields.  The pulse path reads the cached per-site tables of
