@@ -18,7 +18,9 @@ Conventions
   field of an array B, with `level_labels` naming its rows;
   `register_table` and the elementwise `ladder_detunings` build on it.
   `register_levels`, one column of `register_table` as floats, is the
-  per-site table the pulse path caches.
+  per-site table the pulse path caches.  As E(A, B) = A E(1, B / A),
+  one kernel call of the atom with A = 1 at the fields B / A tries 65
+  values of A for `calibrate_hyperfine_A`.
 * Branch label: 'lower'/'upper' by energy within each m_F block.  The 2x2
   blocks have a field-independent off-diagonal element, so the ordering is
   an avoided crossing and the label is adiabatically stable at all B.
@@ -244,74 +246,41 @@ CALIBRATION_DETUNING_RAD_S = 2 * math.pi * 20e6
 CALIBRATION_A_BRACKET_HZ = (1e9, 1e10)
 
 
-# scipy.optimize.brentq's default tolerances and iteration cap, which
-# `_brent_calibration` keeps so that the calibrated A matches it bit for bit
-BRENT_XTOL = 2e-12
-BRENT_RTOL = 4 * np.finfo(float).eps
-BRENT_MAXITER = 100
-
-
-def _calibration_mismatch(params: AtomParams, A: float) -> float:
-    """Geometric mean of |Delta1|, |Delta2| at CALIBRATION_FIELD_T with
-    A(3P2) = A, minus CALIBRATION_DETUNING_RAD_S."""
-    p = replace(params, hyperfine_A_3P2_hz=A)
-    d = ladder_detunings(register_levels(p, CALIBRATION_FIELD_T))
-    return math.sqrt(abs(d.delta1_rad_s * d.delta2_rad_s)) \
-        - CALIBRATION_DETUNING_RAD_S
-
-
-def _brent_calibration(f) -> float:
-    """Root of f in CALIBRATION_A_BRACKET_HZ by Brent's method: the
-    iteration of scipy's brentq.c, step for step, in Python floats."""
-    xpre, xcur = CALIBRATION_A_BRACKET_HZ
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        lo, hi = CALIBRATION_A_BRACKET_HZ
-        raise PhysicsError(
-            f"no hyperfine A in CALIBRATION_A_BRACKET_HZ ({lo:g}, {hi:g}) "
-            f"Hz brings the 3-photon detuning at "
-            f"{CALIBRATION_FIELD_T / 1e-4:g} G to 2pi x "
-            f"{CALIBRATION_DETUNING_RAD_S / (2e6 * math.pi):g} MHz; check "
-            "g_J_3P2 and nuclear_moment_mu_n")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        stry = math.nan           # bisect unless a short step is found
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:            # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:                       # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) \
-                    / (dblk * dpre * (fblk - fpre))
-        if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-            spre, scur = scur, stry
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else \
-            delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise PhysicsError(f"hyperfine A calibration did not converge in "
-                       f"{BRENT_MAXITER} Brent iterations")
-
-
+@np.errstate(all="ignore")      # an overflowing mismatch is +inf
 def calibrate_hyperfine_A(params: AtomParams) -> AtomParams:
     """Return params with A(3P2) pinned so that the geometric mean of
-    |Delta1|, |Delta2| at CALIBRATION_FIELD_T is CALIBRATION_DETUNING_RAD_S."""
-    A_cal = _brent_calibration(lambda A: _calibration_mismatch(params, A))
-    return replace(params, hyperfine_A_3P2_hz=A_cal)
+    |Delta1|, |Delta2| at CALIBRATION_FIELD_T is CALIBRATION_DETUNING_RAD_S.
+
+    Every level obeys E(A, B) = A E(1, B / A), so one `register_table`
+    call of the atom with A = 1 gives the mismatch at 65 candidates
+    across the bracket.  Each call keeps the first pair of adjacent
+    candidates across which its sign changes, until the bracket holds
+    two adjacent floats; the end of smaller mismatch is the root."""
+    lo, hi = CALIBRATION_A_BRACKET_HZ
+    # an atom whose levels overflow raises naming the calibration field
+    ladder_detunings(register_table(replace(params, hyperfine_A_3P2_hz=lo),
+                                    [CALIBRATION_FIELD_T]))
+    unit = replace(params, hyperfine_A_3P2_hz=1.0)
+    while True:
+        A = np.linspace(lo, hi, 65)
+        det = ladder_detunings(register_table(unit, CALIBRATION_FIELD_T / A))
+        product = det.delta1_rad_s * det.delta2_rad_s
+        mismatch = A * np.sqrt(abs(product)) - CALIBRATION_DETUNING_RAD_S
+        below = mismatch < 0
+        # a zero detuning spaces the ladder evenly to the last bit: its
+        # detunings are rounding noise, with no root to find
+        if below[0] == below[-1] or not product.all():
+            raise PhysicsError(
+                "no hyperfine A in CALIBRATION_A_BRACKET_HZ ({:g}, {:g}) Hz "
+                "brings the 3-photon detuning at {:g} G to 2pi x {:g} MHz; "
+                "check g_J_3P2 and nuclear_moment_mu_n".format(
+                    *CALIBRATION_A_BRACKET_HZ, CALIBRATION_FIELD_T / 1e-4,
+                    CALIBRATION_DETUNING_RAD_S / (2e6 * math.pi)))
+        # the first pair across which the sign changes: a narrower
+        # bracket, or this one once no candidate lies strictly inside
+        i = int(np.argmax(below != below[0]))
+        if (A[i - 1], A[i]) == (lo, hi):
+            break
+        lo, hi = A[i - 1], A[i]
+    A_cal = lo if abs(mismatch[0]) <= abs(mismatch[-1]) else hi
+    return replace(params, hyperfine_A_3P2_hz=float(A_cal))

@@ -24,8 +24,8 @@ from .dipole import pair_coupling
 from .engine import (EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, NoiseParams,
                      Pulse, RegisterState, _laser_frequencies,
                      _single_atom_hamiltonian, basis_labels)
-from .errors import (ConfigError, GeometryError, IntegratorError,
-                     PhysicsError, ProtocolOrderError)
+from .errors import (ConfigError, DegenerateManifoldError, GeometryError,
+                     IntegratorError, PhysicsError, ProtocolOrderError)
 
 # CNOT Rabi frequency over the unscaled conditional shift: spectral
 # selectivity against the off-resonant |00> <-> |01> line.
@@ -89,13 +89,22 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
     the dressed-state envelope maximum pi / |w_i - w_j|, over the two
     eigenstates i, j of largest |V[a, k] V[d, k]|, lies outside
     SCAN_WINDOW (it lies at 1.00 to 1.05 predicted pi times in the range
-    above), or if the argmax is the first or last evaluated point.
+    above), or if the argmax is the first or last evaluated point, and
+    DegenerateManifoldError if 4 Delta1 Delta2 is 0 (an atom whose ladder
+    is evenly spaced to the last bit).
     """
     det = ladder_detunings(levels)
+    product = 4 * det.delta1_rad_s * det.delta2_rad_s
+    if product == 0:
+        raise DegenerateManifoldError(
+            f"3-photon ladder detunings {det.delta1_rad_s:.6g} and "
+            f"{det.delta2_rad_s:.6g} rad/s have a zero product: the ladder "
+            "has no effective Rabi frequency; check the atom constants "
+            "g_J_3P2, hyperfine_A_3P2_hz and nuclear_moment_mu_n")
     # a float rabi ** 3 raises OverflowError, a numpy one gives inf
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            omega_eff = rabi ** 3 / (4 * det.delta1_rad_s * det.delta2_rad_s)
+            omega_eff = rabi ** 3 / product
     except OverflowError:
         omega_eff = math.inf
     if not math.isfinite(omega_eff):

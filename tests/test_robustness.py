@@ -2,9 +2,11 @@
 traceback: off-lattice circuit sites, non-finite or negative rotation
 angles, missing or undecodable files, negative seeds, malformed flags,
 malformed or out-of-range scenario values, atom constants that
-overflow, noise parameters out of range, a readout after every atom is
-lost, rotations whose phases keep no precision, and property tests fuzzing the value type of every scenario key,
-the values of the CLI flags and the lines of circuit files."""
+overflow or leave a 3-photon detuning at 0, noise parameters out of
+range, a readout after every atom is lost, rotations whose phases keep
+no precision, and property tests fuzzing the value type of every
+scenario key, the values of the CLI flags and the lines of circuit
+files."""
 
 import io
 import json
@@ -210,6 +212,26 @@ def test_calibration_outside_its_bracket_exits_3(tmp_path, capsys, g_J):
     assert captured.out == ""
     assert captured.err.startswith("physics error: no hyperfine A in "
                                    "CALIBRATION_A_BRACKET_HZ")
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+# A = 1 Hz or g_J = 1e163 spaces the 3P2 F=3/2 ladder evenly to the last
+# bit: one 3-photon detuning is exactly 0
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+@pytest.mark.parametrize("atom", ["hyperfine_A_3P2_hz = 1",
+                                  "g_J_3P2 = 1e163"])
+def test_ladder_with_a_zero_detuning_exits_3(tmp_path, capsys, command,
+                                             atom):
+    (tmp_path / "atom.cfg").write_text(atom + "\n")
+    (tmp_path / "c.txt").write_text("X 0 0 1.0\nMEAS 0 0\n")
+    argv = [command, "--circuit", str(tmp_path / "c.txt"), "--nx", "1",
+            "--ny", "1", "--atom-config", str(tmp_path / "atom.cfg")]
+    assert cli_main(argv + ["--seed", "0"] * (command == "simulate")) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("physics error: 3-photon ladder "
+                                   "detunings") \
+        and "zero product" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
 
 
@@ -665,10 +687,13 @@ SCENARIO = st.lists(st.sampled_from(sorted(KEYS)), max_size=3,
         {"pipeline": STAGES, "sweep": SWEEP} | {k: KEYS[k] for k in keys}))
 
 
-def _run_and_check_csv(data) -> None:
+def _run_and_check_csv(data, circuit=None) -> None:
     """`ybqc run` exits 0, 2 or 3, and any CSV it writes holds finite
-    numbers only."""
+    numbers only; `circuit`, if given, is written beside the scenario as
+    c.txt."""
     with tempfile.TemporaryDirectory() as tmp:
+        if circuit is not None:
+            (Path(tmp) / "c.txt").write_text(circuit)
         scn = Path(tmp) / "scn.json"
         scn.write_text(json.dumps(data))
         assert cli_main(["run", str(scn)]) in (0, 2, 3)
@@ -693,11 +718,16 @@ SIGNED_DECADES = st.integers(-308, 308).flatmap(
     st.sampled_from(["g_J_3P2", "hyperfine_A_3P2_hz",
                      "nuclear_moment_mu_n"]),
     st.one_of(st.floats(-1e308, 1e308), SIGNED_DECADES), min_size=1),
-       stage=st.sampled_from(["levels", "detunings"]),
+       stage=st.sampled_from(["levels", "detunings", "simulate"]),
        steps=st.integers(2, 5))
+@example(atom={"hyperfine_A_3P2_hz": 1.0}, stage="simulate", steps=2)
 def test_fuzzed_zeeman_constants_exit_0_2_or_3(atom, stage, steps):
+    # the simulate stage runs one rotation and one readout on one site
     _run_and_check_csv({"pipeline": [stage], "atom": atom,
-                        "sweep": {"steps": steps}})
+                        "sweep": {"steps": steps},
+                        "lattice": {"n_x": 1, "n_y": 1},
+                        "circuit_file": "c.txt", "seed": 0},
+                       circuit="X 0 0 1.0\nMEAS 0 0\n")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ applies segments, so gates reach the engine through one path, one run
 per call.  The compiler, the pulse builders and the engine build no
 level table from a bare field: they read the cached per-site tables of
 `addressing.site_levels`.  The sweeps, the addressing comb and the
-gradient check evaluate all their fields in one array call: they build
+gradient check evaluate all their fields in one array call, and the
+hyperfine calibration all its candidates of a search step: they build
 no level table from one field and read no per-site table of
 `site_levels`.  The compiler plans no gradients: it compiles under its
 caller's.  The CLI constructs no atom,
@@ -167,13 +168,15 @@ def test_pulse_path_reads_the_cached_level_tables():
 
 
 # Stages that evaluate the level table or the local field at many fields
-# or sites: each makes one array call, never one call per field or site,
-# and reads no per-site table.
+# or sites (or, for the calibration, at many candidate hyperfine
+# constants): each makes one array call, never one call per field, site
+# or candidate, and reads no per-site table.
 ARRAY_STAGES = {("scenario", "emit_detuning_curves"),
                 ("scenario", "emit_level_sweep"),
                 ("addressing", "resonance_map"),
                 ("addressing", "validate_gradients"),
-                ("addressing", "nearest_fields")}
+                ("addressing", "nearest_fields"),
+                ("atomic", "calibrate_hyperfine_A")}
 
 
 def test_array_stages_make_no_per_field_calls():
