@@ -240,6 +240,29 @@ def ladder_detunings(levels: RegisterLevels) -> ThreePhotonDetunings:
     return det
 
 
+# Detunings below this many rounding steps of the F=3/2 energies keep
+# fewer than about three digits of their second differences
+DETUNING_MIN_STEPS = 1e3
+
+
+def resolved_detunings(levels: RegisterLevels) -> ThreePhotonDetunings:
+    """`ladder_detunings(levels)`; DegenerateManifoldError at the first
+    field where min(|Delta1|, |Delta2|) spans fewer than DETUNING_MIN_STEPS
+    rounding steps 2 pi ulp(max|E|) of the F=3/2 energies: rounding noise."""
+    det = ladder_detunings(levels)
+    step = 2 * math.pi * np.spacing(np.abs(levels.energy_hz[EM32:]).max(0))
+    steps = np.ravel(np.minimum(abs(det.delta1_rad_s),
+                                abs(det.delta2_rad_s)) / step)
+    i = int(np.argmax(steps < DETUNING_MIN_STEPS))
+    if steps[i] < DETUNING_MIN_STEPS:
+        raise DegenerateManifoldError(
+            "3-photon ladder detunings at B = {:.6g} T span {:.3g} rounding "
+            "steps of the F=3/2 energies: rounding noise; check the atom "
+            "constants g_J_3P2, hyperfine_A_3P2_hz and nuclear_moment_mu_n"
+            .format(np.ravel(levels.field_t)[i], steps[i]))
+    return det
+
+
 # The 3-photon operating point and the bracket searched for A(3P2)
 CALIBRATION_FIELD_T = 650e-4
 CALIBRATION_DETUNING_RAD_S = 2 * math.pi * 20e6

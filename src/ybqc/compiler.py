@@ -24,9 +24,9 @@ import numpy as np
 from .addressing import (GradientConfig, LatticeGeometry, nearest_fields,
                          site_fields, site_levels)
 from .atomic import AtomParams
-from .engine import (NoiseParams, Pulse, PulseSchedule, PulseSegment,
+from .engine import (NLEV, NoiseParams, Pulse, PulseSchedule, PulseSegment,
                      RegisterState, Run, apply_segment)
-from .errors import ConfigError, PlanningError
+from .errors import ConfigError, PhysicsError, PlanningError
 from .protocols import (DetectionReport, cnot_pulse, measure_qubit,
                         rotation_pulse, transfer_pulse)
 
@@ -78,7 +78,7 @@ def parse_circuit(text: str):
 def compile_circuit(circuit_text: str, geom: LatticeGeometry,
                     params: AtomParams, config: GradientConfig,
                     noise: NoiseParams) -> PulseSchedule:
-    """Emit the full pulse schedule realizing the circuit under `config`.
+    """The circuit's pulse schedule under `config`, for `params`, `geom`.
 
     Supported gates: single-qubit rotations about x, adjacent-site CNOT,
     and measurement (no routing).  Circuit sites that share one local
@@ -129,7 +129,7 @@ def compile_circuit(circuit_text: str, geom: LatticeGeometry,
                             target=("site", site),
                             metastable_weight=len(in_metastable) - 0.5),)
         segments.extend(PulseSegment(config, p) for p in pulses)
-    return PulseSchedule(tuple(segments), sites)
+    return PulseSchedule(tuple(segments), sites, params, geom)
 
 
 @dataclass
@@ -142,8 +142,9 @@ class ExecutionResult:
 def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
                      noise: NoiseParams, rng_seed=None,
                      dipole_scale: float = 1.0) -> ExecutionResult:
-    """Run a compiled schedule through the pulse engine as one
-    `engine.Run`, made here and dropped with the call.  `noise` and
+    """Run `schedule` on the 6^n amplitudes `reg` of its n sites as one
+    `engine.Run`, made here and dropped with the call; a MEAS reads the
+    atom at its site's position in `schedule.sites`.  `noise` and
     `dipole_scale` are fixed for the run, so a segment alone fixes its
     propagators: the run keeps the stacks of a segment that recurs (the
     transfer legs around every gate) from its first run to its last,
@@ -155,15 +156,20 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
                           "required")
     if rng_seed is not None and rng_seed < 0:
         raise ConfigError(f"rng seed {rng_seed} is negative")
-    if set(reg.sites) != set(schedule.sites):
-        raise ConfigError(f"register sites {reg.sites} are not the schedule's")
+    if reg.amps.size != NLEV ** len(schedule.sites):
+        raise ConfigError(f"register of {reg.amps.size} amplitudes does not "
+                          f"fit the schedule's {len(schedule.sites)} sites")
     rng = np.random.default_rng(rng_seed) if has_measure else None
     run = Run(noise, dipole_scale, schedule)
     readouts = []
     for seg in schedule.segments:
         if seg.pulse.transition == "measure":
-            site = tuple(seg.pulse.target[1])
-            bit, reg, p1 = measure_qubit(reg, site, rng)
+            site = seg.pulse.target[1]
+            try:
+                bit, reg, p1 = measure_qubit(reg, schedule.sites.index(site),
+                                             rng)
+            except PhysicsError as exc:
+                raise type(exc)(f"readout at {site}: {exc}") from None
             readouts.append((site, bit, p1))
         else:
             reg = apply_segment(reg, seg, run)

@@ -3,7 +3,10 @@
 Each active atom carries the six `atomic.register_levels` levels: the
 1S0 nuclear-spin qubit (g-, g+) and the 3P2(F=3/2) manifold
 (e -3/2 .. e +3/2).  The register is the tensor product over active
-sites (spectator sites are not represented).  Evolution is rotating-frame,
+sites (spectator sites are not represented).  A compiled `PulseSchedule`
+owns the atom, the lattice and the active sites, and a `Run` reads them
+from it; a `RegisterState` is only the amplitudes, in the order of the
+schedule's sites, and the leaked norm.  Evolution is rotating-frame,
 piecewise-constant-Hamiltonian, with per-site detunings from the
 gradient-resolved resonances and the always-on secular dipole-dipole
 diagonal.  3P2 decay and lattice photon scattering enter as a
@@ -21,30 +24,18 @@ and the dipole and decay terms are diagonal, so the register Hamiltonian
 is block-diagonal.  A block is one coupled level group per atom (the
 groups that the drive's legs join, `GROUPS`, e.g. {g+, e+3/2}, {g-,
 e-3/2}, {e-1/2}, {e+1/2} under the optical pair drive), and its basis is
-the Cartesian product of those groups.  For a segment that runs once,
-only the live blocks, those holding a nonzero amplitude, are assembled
-and propagated; the 6^n x 6^n register matrix is never built.  The
-blocks are real; all groups of a drive have the same legs, so blocks of
-one size share one drive matrix, built from `LEGS`, each with its slice
-of one 6^n diagonal.  A `Run`, one pass of a schedule, holds the decay
-rates and, built on first use, each transition's partition into blocks
-and each size's drive matrix; a segment takes its live blocks from the
-partition in order.  Each size is one stack, applied as soon as it is
-built, whose decay rates pick its kernel (`_block_propagators`): exact
-closed forms for 1x1 and 2x2 stacks (`_expm_2x2`); one batched real
-`eigh` for a larger stack whose blocks each decay at one rate (every
-3-photon and aux-flip block, and every block with noise off), applied
-as V (phase * V^T psi) and never formed into a matrix
-(`_spectral_stack`); and one vectorised Pade-13 scaling and squaring
-(`_expm_stack`) for the transfer legs' larger blocks, which mix g and e
-decay rates under noise.  A segment that recurs in a run (the transfer
-legs around every gate) is built over all its blocks on its first run;
-the run keeps its stacks and applies them until its last run without
-assembly, eigensolve or exponentiation.  The blocks and the lasers read
-each site's cached level table (`addressing.site_levels`, shared with
-the pulse builders); the lasers sit on the resonance of one active
-reference site (`_reference_index`).  The dense kron-sum propagator and
-scipy's `expm` are the test oracle.
+the Cartesian product of those groups; the 6^n x 6^n register matrix is
+never built.  `segment_hamiltonian` assembles the real blocks of each
+size as one stack, `_block_propagators` picks each stack's kernel from
+its decay rates (closed forms, one batched real `eigh`, or Pade-13) and
+`segment_propagator` applies the stacks: only the live blocks, those
+holding an amplitude, of a segment that runs once; all blocks of a
+segment that recurs in a `Run`, whose stacks the run keeps from its
+first run to its last.  The blocks and the lasers read each site's
+cached level table (`addressing.site_levels`, shared with the pulse
+builders); the lasers sit on the resonance of one active reference site
+(`_reference_index`).  The dense kron-sum propagator and scipy's `expm`
+are the test oracle.
 """
 
 from __future__ import annotations
@@ -156,12 +147,17 @@ class PulseSegment:
 
 @dataclass(frozen=True)
 class PulseSchedule:
+    """Segments compiled for the atom `params` at the active `sites` of
+    `geom`, their one owner; repeated sites raise ConfigError."""
     segments: tuple[PulseSegment, ...]
-    sites: tuple[tuple[int, int, int], ...]   # the active sites, sorted
+    sites: tuple[tuple[int, int, int], ...]
+    params: AtomParams
+    geom: LatticeGeometry
 
-    @property
-    def n_atoms(self) -> int:
-        return len(self.sites)
+    def __post_init__(self):
+        object.__setattr__(self, "sites", _as_tuples(self.sites))
+        if len(set(self.sites)) != len(self.sites):
+            raise ConfigError("duplicate active sites")
 
     @property
     def total_duration_s(self) -> float:
@@ -169,46 +165,22 @@ class PulseSchedule:
 
 
 class RegisterState:
-    """Amplitudes of the active atoms over the 6-level basis."""
+    """A schedule's atoms' 6^n amplitudes, in site order, and lost norm."""
 
-    def __init__(self, params: AtomParams, geom: LatticeGeometry,
-                 sites, amps: np.ndarray, leaked: float = 0.0):
-        self.params = params
-        self.geom = geom
-        self.sites = tuple(tuple(s) for s in sites)
-        if len(set(self.sites)) != len(self.sites):
-            raise ConfigError("duplicate active sites")
+    def __init__(self, amps: np.ndarray, leaked: float = 0.0):
         self.amps = np.asarray(amps, complex).reshape(-1)
-        if self.amps.size != NLEV ** len(self.sites):
-            raise ConfigError("amplitude vector size does not match sites")
         self.leaked = float(leaked)
 
     @classmethod
-    def product(cls, params, geom, sites, levels) -> "RegisterState":
-        sites = [tuple(s) for s in sites]
-        amps = np.zeros(NLEV ** len(sites), complex)
-        idx = 0
-        for lv in levels:
-            idx = idx * NLEV + lv
-        amps[idx] = 1.0
-        return cls(params, geom, sites, amps)
+    def product(cls, levels) -> "RegisterState":
+        amps = np.zeros(NLEV ** len(levels), complex)
+        amps[np.ravel_multi_index(levels, (NLEV,) * len(levels))] = 1.0
+        return cls(amps)
 
     # -- bookkeeping -------------------------------------------------
     @property
-    def n_atoms(self) -> int:
-        return len(self.sites)
-
-    @property
     def survival(self) -> float:
         return float(np.vdot(self.amps, self.amps).real)
-
-    def site_index(self, site) -> int:
-        return self.sites.index(tuple(site))
-
-    def level_populations(self, site) -> np.ndarray:
-        """Unnormalized population of each level of one atom."""
-        levels = basis_labels(self.n_atoms)[:, self.site_index(site)]
-        return np.bincount(levels, np.abs(self.amps) ** 2, NLEV)
 
     def check_accounting(self) -> None:
         if not abs(self.survival + self.leaked - 1.0) <= ACCOUNTING_TOL:
@@ -243,13 +215,13 @@ def light_shift_compensation(delta1: float, delta2: float,
     return eps
 
 
-def _reference_index(reg: RegisterState, target: tuple) -> int:
-    """Position in `reg.sites` of the site whose resonance the lasers
-    hit: the target site, or the first active site for ("all",)."""
+def _reference_index(sites: tuple, target: tuple) -> int:
+    """Position in `sites` of the site whose resonance the lasers hit:
+    the target site, or the first active site for ("all",)."""
     if target == ("all",):
         return 0
-    if target[0] == "site" and tuple(target[1]) in reg.sites:
-        return reg.site_index(target[1])
+    if target[0] == "site" and target[1] in sites:
+        return sites.index(target[1])
     raise ConfigError(f"pulse target {target!r} is neither ('all',) nor "
                       "an active site of the register")
 
@@ -333,9 +305,10 @@ def _block_drive(transition: str, levels: np.ndarray) -> np.ndarray:
     return (differ == 1) & on_leg
 
 
-def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
-                        cover: np.ndarray, run: Run) -> list:
-    """Blocks of the register Hamiltonian (rad/s) for one segment.
+def segment_hamiltonian(segment: PulseSegment, cover: np.ndarray,
+                        run: Run) -> list:
+    """Blocks of the register Hamiltonian (rad/s) for one segment of
+    `run`, on the atom, lattice and sites of its schedule.
 
     Returns one (indices, blocks) pair per block size d: `indices` is an
     (nb, d) array of basis states, `blocks` the (nb, d, d) real symmetric
@@ -347,18 +320,18 @@ def segment_hamiltonian(reg: RegisterState, segment: PulseSegment,
     partition and each size's drive matrix are built into `run` on first
     use.
     """
-    params, geom = reg.params, reg.geom
     config, pulse = segment.config, segment.pulse
-    tables = site_levels(params, geom, reg.sites, config)
-    lasers = _laser_frequencies(tables[_reference_index(reg, pulse.target)],
-                                pulse)
+    tables = site_levels(run.params, run.geom, run.sites, config)
+    lasers = _laser_frequencies(
+        tables[_reference_index(run.sites, pulse.target)], pulse)
     if pulse.transition not in run.partitions:
         run.partitions[pulse.transition] = _block_partition(pulse.transition,
-                                                            reg.n_atoms)
+                                                            len(run.sites))
     hs = [_single_atom_hamiltonian(t.energy_hz, lasers, pulse) for t in tables]
-    labels = basis_labels(reg.n_atoms)
+    labels = basis_labels(len(run.sites))
     diagonal = sum(h.diagonal()[labels[:, i]] for i, h in enumerate(hs)) \
-        + _dipole_diagonal(params, geom, reg.sites, config, run.dipole_scale)
+        + _dipole_diagonal(run.params, run.geom, run.sites, config,
+                           run.dipole_scale)
     out = []
     for idx in run.partitions[pulse.transition]:
         idx = idx[cover[idx].any(1)]
@@ -409,20 +382,23 @@ def _gamma_levels(noise: NoiseParams) -> np.ndarray:
 class Run:
     """One pass of `schedule` through the engine, made per
     `compiler.execute_schedule` call; a stepwise caller wraps its one
-    segment in a `PulseSchedule`.  Fixed: `dipole_scale`, `noise_on` and
-    `rates`, the decay rate (1/s) of each of the 6^n basis states.  Filled
-    on first use: `partitions` by transition, `drives` by (transition,
-    block size), and `kept`, each recurring segment's stacks (`stacks`)."""
+    segment in a `PulseSchedule`.  Fixed: the schedule's `params`, `geom`
+    and `sites`, `dipole_scale`, `noise_on` and `rates`, the decay rate
+    (1/s) of each of the 6^n basis states.  Filled on first use:
+    `partitions` by transition, `drives` by (transition, block size), and
+    `kept`, each recurring segment's stacks (`stacks`)."""
 
     def __init__(self, noise: NoiseParams, dipole_scale: float,
                  schedule: PulseSchedule):
         if not math.isfinite(dipole_scale):
             raise ConfigError(f"dipole_scale must be finite, got "
                               f"{dipole_scale!r}")
+        self.params, self.geom = schedule.params, schedule.geom
+        self.sites = schedule.sites
         self.dipole_scale = dipole_scale
         self.noise_on = noise.photon_scattering_rate_hz > 0 \
             or not math.isinf(noise.lifetime_3P2_s)
-        self.rates = _gamma_levels(noise)[basis_labels(schedule.n_atoms)] \
+        self.rates = _gamma_levels(noise)[basis_labels(len(self.sites))] \
             .sum(-1)
         self.partitions: dict = {}
         self.drives: dict = {}
@@ -541,10 +517,9 @@ def _spectral_stack(H: np.ndarray, dt: float, rates: np.ndarray) -> tuple:
     return V, decay[:, None] * np.exp(-1j * dt * lam)
 
 
-def _block_propagators(reg: RegisterState, segment: PulseSegment,
-                       cover: np.ndarray, run: Run):
+def _block_propagators(segment: PulseSegment, cover: np.ndarray, run: Run):
     """Yield an (indices, U, phase) stack for each block size of
-    `segment_hamiltonian(reg, segment, cover, run)`.
+    `segment_hamiltonian(segment, cover, run)`.
 
     The kernel follows the stack's decay rates Gamma (`run.rates`).  A
     stack of 3 states or more whose every block decays at one rate (every
@@ -554,7 +529,7 @@ def _block_propagators(reg: RegisterState, segment: PulseSegment,
     Gamma/2) and `_expm_stack` exponentiates them to U, with phase None;
     phases that overflow a float or keep no precision raise first."""
     dt = segment.pulse.duration_s
-    for idx, H in segment_hamiltonian(reg, segment, cover, run):
+    for idx, H in segment_hamiltonian(segment, cover, run):
         rates = run.rates[idx]
         try:
             with np.errstate(over="raise"):
@@ -595,9 +570,9 @@ def segment_propagator(reg: RegisterState, segment: PulseSegment,
     it as it stands, with no assembly, eigensolve or exponentiation."""
     stacks = run.stacks(segment)
     if stacks is None:
-        stacks = _block_propagators(reg, segment, reg.amps != 0, run)
+        stacks = _block_propagators(segment, reg.amps != 0, run)
     elif not stacks:
-        stacks.extend(_block_propagators(reg, segment,
+        stacks.extend(_block_propagators(segment,
                                          np.ones(reg.amps.size, bool), run))
     amps = np.zeros_like(reg.amps)
     for idx, U, phase in stacks:
@@ -615,8 +590,7 @@ def apply_propagator(reg: RegisterState, amps: np.ndarray,
         raise IntegratorError(
             f"unitarity deviation {abs(after - before):.2e} over one "
             "segment exceeds 1e-6")
-    out = RegisterState(reg.params, reg.geom, reg.sites, amps,
-                        reg.leaked + (before - after))
+    out = RegisterState(amps, reg.leaked + (before - after))
     out.check_accounting()
     return out
 

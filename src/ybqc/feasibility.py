@@ -165,7 +165,7 @@ def decoherence_budget(schedule: PulseSchedule,
     meta_time = sum(p.metastable_weight * p.duration_s for p in evolved)
     decay = 1.0 if math.isinf(noise.lifetime_3P2_s) else \
         math.exp(-meta_time / noise.lifetime_3P2_s)
-    scatter = math.exp(-schedule.n_atoms
+    scatter = math.exp(-len(schedule.sites)
                        * noise.photon_scattering_rate_hz * total)
     return BudgetReport(total, meta_time, decay, scatter, decay * scatter)
 

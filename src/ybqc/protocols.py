@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import RegisterLevels, ladder_detunings
+from .atomic import RegisterLevels, ladder_detunings, resolved_detunings
 from .dipole import pair_coupling
-from .engine import (EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, NoiseParams,
-                     Pulse, RegisterState, _laser_frequencies,
+from .engine import (EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, NLEV,
+                     NoiseParams, Pulse, RegisterState, _laser_frequencies,
                      _single_atom_hamiltonian, basis_labels)
 from .errors import (ConfigError, DegenerateManifoldError, GeometryError,
                      IntegratorError, PhysicsError, ProtocolOrderError)
@@ -90,12 +90,12 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
     eigenstates i, j of largest |V[a, k] V[d, k]|, lies outside
     SCAN_WINDOW (it lies at 1.00 to 1.05 predicted pi times in the range
     above), or if the argmax is the first or last evaluated point, and
-    DegenerateManifoldError if 4 Delta1 Delta2 is 0 (an atom whose ladder
-    is evenly spaced to the last bit).
+    DegenerateManifoldError where the detunings are rounding noise
+    (`atomic.resolved_detunings`) or their product underflows to 0.
     """
-    det = ladder_detunings(levels)
+    det = resolved_detunings(levels)
     product = 4 * det.delta1_rad_s * det.delta2_rad_s
-    if product == 0:
+    if product == 0:        # resolved detunings below about 1e-160 rad/s
         raise DegenerateManifoldError(
             f"3-photon ladder detunings {det.delta1_rad_s:.6g} and "
             f"{det.delta2_rad_s:.6g} rad/s have a zero product: the ladder "
@@ -222,9 +222,10 @@ class DetectionReport:
         return cls(n_sc, fluor_survival, 1.0 - fluor_survival > 0.01)
 
 
-def measure_qubit(reg: RegisterState, site, rng: np.random.Generator):
-    """Projective measurement of one qubit via selective return and MOT
-    fluorescence; returns (bit, collapsed register, probability of 1).
+def measure_qubit(reg: RegisterState, axis: int, rng: np.random.Generator):
+    """Projective measurement of the qubit of atom `axis`, its position
+    in the schedule's sites, via selective return and MOT fluorescence;
+    returns (bit, collapsed register, probability of 1).
 
     Protocol order (caller's responsibility): all qubits were transferred
     to 3P2 first; this routine returns the selected qubit's e+3/2 state
@@ -236,18 +237,17 @@ def measure_qubit(reg: RegisterState, site, rng: np.random.Generator):
     more population in e+/-1/2 than in e+/-3/2 is mid-protocol and raises
     ProtocolOrderError; the small ladder residue of a 3-photon rotation
     does not."""
-    site = tuple(site)
-    pops = reg.level_populations(site)
+    levels = basis_labels(round(math.log(reg.amps.size, NLEV)))[:, axis]
+    pops = np.bincount(levels, np.abs(reg.amps) ** 2, NLEV)
     if pops.sum() <= 1e-300:
-        raise PhysicsError(f"readout at {site}: every atom has been lost")
+        raise PhysicsError("every atom has been lost")
     if pops[EM12] + pops[EP12] > pops[EM32] + pops[EP32]:
         raise ProtocolOrderError(
-            f"atom at {site} sits mostly in the intermediate e levels; "
+            f"atom {axis} sits mostly in the intermediate e levels; "
             "measurement protocol out of order")
     p1 = float(pops[GM] + pops[EP32])
     outcome = int(rng.random() < p1)
 
-    levels = basis_labels(reg.n_atoms)[:, reg.site_index(site)]
     # both masks list the other atoms' states in the same basis order
     gp, ep = levels == GP, levels == EP32
     amps = reg.amps.copy()
@@ -258,8 +258,5 @@ def measure_qubit(reg: RegisterState, site, rng: np.random.Generator):
     collapsed = np.where(keep, amps, 0.0)
     norm = float(np.vdot(collapsed, collapsed).real)
     if norm > 1e-300:
-        collapsed = collapsed / math.sqrt(norm)
-        out = RegisterState(reg.params, reg.geom, reg.sites, collapsed, 0.0)
-    else:
-        out = RegisterState(reg.params, reg.geom, reg.sites, collapsed, 1.0)
-    return outcome, out, p1
+        return outcome, RegisterState(collapsed / math.sqrt(norm), 0.0), p1
+    return outcome, RegisterState(collapsed, 1.0), p1

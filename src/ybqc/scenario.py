@@ -23,8 +23,8 @@ import numpy as np
 
 from .addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                          resonance_map, validate_gradients)
-from .atomic import (AtomParams, ladder_detunings, level_labels,
-                     register_table, zeeman_table)
+from .atomic import (AtomParams, level_labels, register_table,
+                     resolved_detunings, zeeman_table)
 from .compiler import compile_circuit, execute_schedule
 from .constants import GAUSS, CM
 from .engine import NoiseParams, PulseSchedule, RegisterState, GM, GP
@@ -142,7 +142,7 @@ def emit_detuning_curves(params: AtomParams, b_min_gauss: float,
     if steps < 2:
         raise ConfigError("a sweep needs at least 2 steps")
     b = np.linspace(b_min_gauss, b_max_gauss, steps)
-    det = ladder_detunings(register_table(params, b * GAUSS))
+    det = resolved_detunings(register_table(params, b * GAUSS))
     lines = ["B_gauss,delta1_hz,delta2_hz"]
     lines += [f"{bg!r},{d1!r},{d2!r}" for bg, d1, d2 in zip(
         b.tolist(), (det.delta1_rad_s / (2 * math.pi)).tolist(),
@@ -203,7 +203,7 @@ def schedule_to_json(schedule: PulseSchedule) -> str:
                           "Gy_t_per_m": c.Gy_t_per_m,
                           "Gz_t_per_m": c.Gz_t_per_m},
         })
-    return json.dumps({"n_atoms": schedule.n_atoms,
+    return json.dumps({"n_atoms": len(schedule.sites),
                        "total_duration_s": schedule.total_duration_s,
                        "segments": segs}, indent=2)
 
@@ -351,8 +351,7 @@ def simulate_circuit(circuit_text: str, geom: LatticeGeometry,
     if stray:
         raise ConfigError(f"initial one {stray[0]} is not an active site of "
                           f"the circuit {sites}")
-    levels = [GP if s in ones else GM for s in sites]
-    reg = RegisterState.product(params, geom, sites, levels)
+    reg = RegisterState.product([GP if s in ones else GM for s in sites])
     result = execute_schedule(reg, schedule, noise, rng_seed=seed,
                               dipole_scale=dipole_scale)
     return schedule, result

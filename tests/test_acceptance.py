@@ -23,7 +23,7 @@ SPACING = 266e-9
 
 
 from conftest import (acceptance_lines, apply_stepwise,
-                      ground_basis_probability)
+                      ground_basis_probability, level_populations)
 
 
 def report(name, ok, detail=""):
@@ -139,14 +139,14 @@ def test_criterion_8_end_to_end_cnot():
     noise = NoiseParams()
     sched = compile_circuit("CNOT 0 0 1 0", geom, params,
                             plan_gradients(geom, 1000.0, params), noise)
-    sites = [(0, 0, 0), (1, 0, 0)]
+    assert sched.sites == ((0, 0, 0), (1, 0, 0))
 
     def truth_run(c, t, scale):
         levels = [GP if c else GM, GP if t else GM]
-        reg = RegisterState.product(params, geom, sites, levels)
+        reg = RegisterState.product(levels)
         res = execute_schedule(reg, sched, noise, dipole_scale=scale)
         out = res.register
-        want = {sites[0]: c, sites[1]: c ^ t}
+        want = {0: c, 1: c ^ t}     # control, target in schedule order
         return ground_basis_probability(out, want) / max(out.survival,
                                                          1e-300)
 
@@ -154,11 +154,10 @@ def test_criterion_8_end_to_end_cnot():
     fidelity = min(fids)
 
     def flip_prob(c, scale):
-        reg = RegisterState.product(params, geom, sites,
-                                    [GP if c else GM, GM])
+        reg = RegisterState.product([GP if c else GM, GM])
         res = execute_schedule(reg, sched, noise, dipole_scale=scale)
         out = res.register
-        return ground_basis_probability(out, {sites[1]: 1}) \
+        return ground_basis_probability(out, {1: 1}) \
             / max(out.survival, 1e-300)
 
     gap_on = abs(flip_prob(1, 1.0) - flip_prob(0, 1.0))
@@ -180,8 +179,7 @@ def test_criterion_9_property_suites(tmp_path):
     sched = compile_circuit("X 0 0 3.141592653589793\nCNOT 0 0 1 0\n"
                             "MEAS 0 0\nMEAS 1 0", geom, params,
                             plan_gradients(geom, 1000.0, params), noise)
-    reg = RegisterState.product(params, geom, [(0, 0, 0), (1, 0, 0)],
-                                [GM, GM])
+    reg = RegisterState.product([GM, GM])
     res = execute_schedule(reg, sched, noise, rng_seed=21)
     try:
         res.register.check_accounting()
@@ -200,21 +198,21 @@ def test_criterion_9_property_suites(tmp_path):
 
     # detuned-Rabi closed form to 1e-8 on the one-leg aux_flip drive
     from ybqc.addressing import GradientConfig
-    from ybqc.engine import EM32, EP32, Pulse, PulseSegment
+    from ybqc.engine import EM32, EP32, Pulse, PulseSchedule, PulseSegment
     cfg = GradientConfig(100 * GAUSS)
+    one = PulseSchedule((), ((0, 0, 0),), params, LatticeGeometry(1, 1, 1))
     rng = np.random.default_rng(5)
     for _ in range(50):
         rabi = float(rng.uniform(10, 2000)) * 2 * math.pi
         delta = float(rng.uniform(-3000, 3000)) * 2 * math.pi
         t = float(rng.uniform(1e-5, 2e-2))
-        r0 = RegisterState.product(params, LatticeGeometry(1, 1, 1),
-                                   [(0, 0, 0)], [EM32])
-        out = apply_stepwise(r0, PulseSegment(
+        r0 = RegisterState.product([EM32])
+        out = apply_stepwise(r0, one, PulseSegment(
             cfg, Pulse("aux_flip", t, rabi, detuning_rad_s=delta)),
             NoiseParams.off())
         W = math.hypot(rabi, delta)
         want = (rabi / W) ** 2 * math.sin(W * t / 2) ** 2
-        if abs(out.level_populations((0, 0, 0))[EP32] - want) > 1e-8:
+        if abs(level_populations(out, 0)[EP32] - want) > 1e-8:
             failures.append("detuned Rabi closed form")
             break
 
@@ -222,9 +220,9 @@ def test_criterion_9_property_suites(tmp_path):
     from ybqc.engine import NLEV
     amps = np.zeros(NLEV, complex)
     amps[EM32] = amps[EP32] = 1 / math.sqrt(2)
-    sup = RegisterState(params, LatticeGeometry(1, 1, 1), [(0, 0, 0)], amps)
+    sup = RegisterState(amps)
     gen = np.random.default_rng(99)
-    ones = sum(measure_qubit(sup, (0, 0, 0), gen)[0]
+    ones = sum(measure_qubit(sup, 0, gen)[0]
                for _ in range(10_000))
     if abs(ones / 10_000 - 0.5) > 0.02:
         failures.append(f"measurement statistics ({ones / 10_000:.3f})")

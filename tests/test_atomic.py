@@ -16,7 +16,8 @@ from ybqc.atomic import (CALIBRATION_A_BRACKET_HZ, CALIBRATION_DETUNING_RAD_S,
                          CALIBRATION_FIELD_T, EM12, EP12, EP32, GM, GP,
                          AtomParams, aux_branch, calibrate_hyperfine_A,
                          ladder_detunings, lande_g_F, level_labels,
-                         register_levels, register_table, zeeman_table)
+                         register_levels, register_table,
+                         resolved_detunings, zeeman_table)
 from ybqc.constants import GAUSS, h, mu_B, mu_N
 from ybqc.errors import ConfigError, DegenerateManifoldError, PhysicsError
 
@@ -302,6 +303,63 @@ def test_detuning_sum_rule():
 def test_degenerate_manifold_raises():
     with pytest.raises(DegenerateManifoldError):
         ladder_detunings(register_levels(AtomParams(), 0.0))
+
+
+# Over 3000 random atoms of `BREIT_RABI_ATOMS` at 1 uT - 100 T the worst
+# deviation was 2.2 x 2^-52 of the block's larger |E|; the bound leaves a
+# factor 4
+BREIT_RABI_ERROR = 8 * 2.0 ** -52
+BREIT_RABI_ATOMS = st.builds(
+    AtomParams,
+    hyperfine_A_3P2_hz=st.floats(8.0, 10.0).flatmap(
+        lambda e: st.sampled_from([10.0 ** e, -10.0 ** e])),
+    g_J_3P2=st.floats(0.3, 4.0), nuclear_moment_mu_n=st.floats(-2.0, 2.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=BREIT_RABI_ATOMS, log_b=st.floats(-6.0, 2.0))
+def test_f32_levels_follow_the_breit_rabi_form(params, log_b):
+    # each 2x2 block of m_F = -3/2 .. +3/2 holds mean -/+ r, with
+    # mean = -A/4 + g_J mu_B m_F B/h, r^2 = (5A/4)^2 - A kappa m_F B
+    # + kappa^2 B^2 and kappa = (g_J mu_B + g_I mu_N) / (2h)
+    A, B = params.hyperfine_A_3P2_hz, 10.0 ** log_b
+    kappa = (params.g_J_3P2 * mu_B + params.g_I * mu_N) / (2 * h)
+    energy = zeeman_table(params, [B])[0, :, 0]
+    for k, m_F in enumerate((-1.5, -0.5, 0.5, 1.5)):
+        lower, upper = energy[1 + 2 * k], energy[2 + 2 * k]
+        mean = -A / 4 + params.g_J_3P2 * mu_B * m_F * B / h
+        r = math.sqrt((5 * A / 4) ** 2 - A * kappa * m_F * B
+                      + (kappa * B) ** 2)
+        scale = max(abs(lower), abs(upper))
+        assert abs(lower - (mean - r)) <= BREIT_RABI_ERROR * scale
+        assert abs(upper - (mean + r)) <= BREIT_RABI_ERROR * scale
+
+
+def test_detunings_of_the_default_atoms_are_resolved():
+    # the default atom keeps 1.1e4 rounding steps at 1 uT, the calibrated
+    # one 5.1e3; the sweeps' fields from 1 G up keep 5e7 or more
+    B = np.logspace(-6, 2, 801)
+    for params in (AtomParams(), calibrate_hyperfine_A(AtomParams())):
+        table = register_table(params, B)
+        assert _bits(resolved_detunings(table).delta1_rad_s) \
+            == _bits(ladder_detunings(table).delta1_rad_s)
+        for b in B[::100].tolist():
+            resolved_detunings(register_levels(params, b))
+
+
+def test_detunings_of_rounding_noise_name_the_first_field():
+    # g_J = 1e16: the Zeeman energies dwarf the detunings at every field,
+    # which read 0 to 0.64 rounding steps from 1 uT to 100 T
+    atom = replace(AtomParams(), g_J_3P2=1e16)
+    for B in ([1e-6, 0.065, 100.0], [0.065]):
+        with pytest.raises(DegenerateManifoldError,
+                           match=f"at B = {B[0]:g} T .*rounding noise"):
+            resolved_detunings(register_table(atom, B))
+    # g_J = 1e9 keeps 6.6e7 rounding steps at 1 uT and none at 0.2 T:
+    # only the field that fails is named
+    with pytest.raises(DegenerateManifoldError, match="at B = 0.2 T"):
+        resolved_detunings(register_table(
+            replace(AtomParams(), g_J_3P2=1e9), [1e-6, 0.2]))
 
 
 def test_calibration_hits_target():

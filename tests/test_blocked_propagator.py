@@ -27,12 +27,12 @@ from ybqc.atomic import AtomParams, register_levels
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.dipole import pair_coupling
 from ybqc.engine import (EP32, GM, GP, GROUPS, LEGS, NLEV, SINHC_SERIES_BELOW,
-                         NoiseParams, Pulse, PulseSegment, RegisterState, Run,
-                         UNITARITY_TOL, _block_partition, _dipole_diagonal,
-                         _expm_stack, _gamma_levels, _laser_frequencies,
-                         _reference_index, _single_atom_hamiltonian,
-                         _spectral_stack, apply_segment, basis_labels,
-                         segment_hamiltonian)
+                         NoiseParams, Pulse, PulseSchedule, PulseSegment,
+                         RegisterState, Run, UNITARITY_TOL, _block_partition,
+                         _dipole_diagonal, _expm_stack, _gamma_levels,
+                         _laser_frequencies, _reference_index,
+                         _single_atom_hamiltonian, _spectral_stack,
+                         apply_segment, basis_labels, segment_hamiltonian)
 from ybqc.errors import IntegratorError
 from ybqc.protocols import measure_qubit
 from ybqc.scenario import simulate_circuit
@@ -48,12 +48,13 @@ HEAVY_NOISE = NoiseParams(lifetime_3P2_s=0.05, photon_scattering_rate_hz=5.0)
 # ---------------------------------------------------------------------------
 # dense oracle: the full kron-sum register Hamiltonian and one expm
 
-def dense_hamiltonian(reg, segment, dipole_scale=1.0):
-    geom, config, pulse = reg.geom, segment.config, segment.pulse
-    n = reg.n_atoms
+def dense_hamiltonian(schedule, segment, dipole_scale=1.0):
+    geom, sites = schedule.geom, schedule.sites
+    config, pulse = segment.config, segment.pulse
+    n = len(sites)
     tables = [register_levels(P, B)
-              for B in site_fields(geom, config, reg.sites).tolist()]
-    lasers = _laser_frequencies(tables[_reference_index(reg, pulse.target)],
+              for B in site_fields(geom, config, sites).tolist()]
+    lasers = _laser_frequencies(tables[_reference_index(sites, pulse.target)],
                                 pulse)
     H = np.zeros((NLEV ** n, NLEV ** n), complex)
     for i, table in enumerate(tables):
@@ -65,23 +66,23 @@ def dense_hamiltonian(reg, segment, dipole_scale=1.0):
     for i in range(n):
         for j in range(i + 1, n):
             coef = 2 * math.pi * dipole_scale * pair_coupling(
-                geom.position_m(reg.sites[i]), geom.position_m(reg.sites[j]))
+                geom.position_m(sites[i]), geom.position_m(sites[j]))
             H[np.diag_indices_from(H)] += coef \
                 * np.take(moments[i], labels[:, i]) \
                 * np.take(moments[j], labels[:, j])
     return H
 
 
-def dense_apply_segment(reg, segment, noise, dipole_scale=1.0):
+def dense_apply_segment(reg, schedule, segment, noise, dipole_scale=1.0):
     dt = segment.pulse.duration_s
     if dt == 0.0:
         return reg
-    gamma = _gamma_levels(noise)[basis_labels(reg.n_atoms)].sum(axis=1)
-    M = dense_hamiltonian(reg, segment, dipole_scale) - 0.5j * np.diag(gamma)
+    gamma = _gamma_levels(noise)[basis_labels(len(schedule.sites))].sum(axis=1)
+    M = dense_hamiltonian(schedule, segment, dipole_scale) \
+        - 0.5j * np.diag(gamma)
     amps = expm(-1j * M * dt) @ reg.amps
     after = float(np.vdot(amps, amps).real)
-    return RegisterState(reg.params, reg.geom, reg.sites, amps,
-                         reg.leaked + reg.survival - after)
+    return RegisterState(amps, reg.leaked + reg.survival - after)
 
 
 # ---------------------------------------------------------------------------
@@ -108,10 +109,8 @@ def circuits(draw, n_sites):
 
 
 def _chain_start(n_sites, ones):
-    geom = LatticeGeometry(n_sites, 1, 1)
-    sites = [(i, 0, 0) for i in range(n_sites)]
-    return RegisterState.product(P, geom, sites,
-                                 [GP if s in ones else GM for s in sites])
+    return RegisterState.product([GP if (i, 0, 0) in ones else GM
+                                  for i in range(n_sites)])
 
 
 def _assert_readouts_match(got, want):
@@ -133,13 +132,14 @@ def _check_against_dense(n_sites, circuit, ones, noise, seed):
     for seg in schedule.segments:
         if seg.pulse.transition == "measure":
             site = seg.pulse.target[1]
-            bit, blocked, p1 = measure_qubit(blocked, site, rng_blocked)
-            bit_dense, dense, _ = measure_qubit(dense, site, rng_dense)
+            axis = schedule.sites.index(site)
+            bit, blocked, p1 = measure_qubit(blocked, axis, rng_blocked)
+            bit_dense, dense, _ = measure_qubit(dense, axis, rng_dense)
             assert bit == bit_dense
             readouts.append((site, bit, p1))
         else:
-            blocked = apply_stepwise(blocked, seg, noise)
-            dense = dense_apply_segment(dense, seg, noise)
+            blocked = apply_stepwise(blocked, schedule, seg, noise)
+            dense = dense_apply_segment(dense, schedule, seg, noise)
         assert abs(blocked.survival + blocked.leaked - 1.0) < 1e-9
         assert np.max(np.abs(blocked.amps - dense.amps)) < 1e-10
         assert abs(blocked.leaked - dense.leaked) < 1e-10
@@ -177,10 +177,10 @@ def _stepwise(start, schedule, noise, seed):
     for seg in schedule.segments:
         if seg.pulse.transition == "measure":
             site = seg.pulse.target[1]
-            bit, reg, p1 = measure_qubit(reg, site, rng)
+            bit, reg, p1 = measure_qubit(reg, schedule.sites.index(site), rng)
             readouts.append((site, bit, p1))
         else:
-            reg = apply_stepwise(reg, seg, noise)
+            reg = apply_stepwise(reg, schedule, seg, noise)
     return reg, readouts
 
 
@@ -236,9 +236,9 @@ def test_run_keeps_recurring_stacks_from_first_run_to_last(monkeypatch):
     assert sorted(runs.values()) == [1, 1, 1, 2, 4]
     built = Counter()
 
-    def spy(reg, segment, *args):
+    def spy(segment, *args):
         built[segment] += 1
-        return block_propagators(reg, segment, *args)
+        return block_propagators(segment, *args)
 
     block_propagators = engine._block_propagators
     monkeypatch.setattr(engine, "_block_propagators", spy)
@@ -272,9 +272,9 @@ def test_executor_assembles_each_distinct_segment_once(monkeypatch):
     assert len(distinct) < len(engine_segments)   # the legs recur
     assembled = []
 
-    def spy(reg, segment, *args):
+    def spy(segment, *args):
         assembled.append(segment)
-        return segment_hamiltonian(reg, segment, *args)
+        return segment_hamiltonian(segment, *args)
 
     monkeypatch.setattr(engine, "segment_hamiltonian", spy)
     # the store lives in one call: a second run assembles as much again
@@ -298,9 +298,9 @@ def test_transfer_leg_is_one_segment_whatever_its_weight(monkeypatch):
     assert sorted({s.pulse.metastable_weight for s in site1}) == [0.5, 1.5]
     assembled = []
 
-    def spy(reg, segment, *args):
+    def spy(segment, *args):
         assembled.append(segment)
-        return segment_hamiltonian(reg, segment, *args)
+        return segment_hamiltonian(segment, *args)
 
     monkeypatch.setattr(engine, "segment_hamiltonian", spy)
     for _ in range(2):
@@ -331,16 +331,16 @@ def test_executor_builds_each_partition_once_per_run(monkeypatch):
         assert sorted(built) == sorted(LEGS)
 
 
-def _per_call_blocks(reg, segment, cover, dipole_scale):
+def _per_call_blocks(schedule, segment, cover, dipole_scale):
     """The blocks as `segment_hamiltonian` built them before the per-run
     partition: on every call, the live blocks by `isin`, `argsort` and
     `unique`, each size's drive read from the labels of its first block
     and the nonzero legs of the first atom's 6 x 6 block."""
-    params, geom = reg.params, reg.geom
+    params, geom, sites = schedule.params, schedule.geom, schedule.sites
     config, pulse = segment.config, segment.pulse
-    n = reg.n_atoms
-    tables = site_levels(params, geom, reg.sites, config)
-    lasers = _laser_frequencies(tables[_reference_index(reg, pulse.target)],
+    n = len(sites)
+    tables = site_levels(params, geom, sites, config)
+    lasers = _laser_frequencies(tables[_reference_index(sites, pulse.target)],
                                 pulse)
     hs = [_single_atom_hamiltonian(t.energy_hz, lasers, pulse) for t in tables]
     labels = basis_labels(n)
@@ -351,7 +351,7 @@ def _per_call_blocks(reg, segment, cover, dipole_scale):
     _, sizes = np.unique(block[states], return_counts=True)
     size_of = np.repeat(sizes, sizes)
     diagonal = sum(h.diagonal()[labels[:, i]] for i, h in enumerate(hs)) \
-        + _dipole_diagonal(params, geom, reg.sites, config, dipole_scale)
+        + _dipole_diagonal(params, geom, sites, config, dipole_scale)
     leg = (hs[0] != 0) & ~np.eye(NLEV, dtype=bool)
     out = []
     for d in np.unique(sizes):
@@ -373,16 +373,15 @@ def _per_call_blocks(reg, segment, cover, dipole_scale):
 def test_per_run_partition_selects_the_per_call_blocks(n, transition,
                                                        density, seed, rabi):
     geom = LatticeGeometry(n, 1, 1)
-    reg = RegisterState.product(P, geom, [(i, 0, 0) for i in range(n)],
-                                [GM] * n)
+    chain = PulseSchedule((), [(i, 0, 0) for i in range(n)], P, geom)
     segment = PulseSegment(plan_gradients(geom, 1000.0, P),
                            Pulse(transition, 1e-3, rabi))
     cover = np.random.default_rng(seed).random(NLEV ** n) < density
-    run = stepwise_run(reg, segment, NoiseParams())
+    run = stepwise_run(chain, segment, NoiseParams())
     # a first call fills the run's partition; the second selects from it
-    segment_hamiltonian(reg, segment, np.ones(NLEV ** n, bool), run)
-    got = segment_hamiltonian(reg, segment, cover, run)
-    want = _per_call_blocks(reg, segment, cover, 1.0)
+    segment_hamiltonian(segment, np.ones(NLEV ** n, bool), run)
+    got = segment_hamiltonian(segment, cover, run)
+    want = _per_call_blocks(chain, segment, cover, 1.0)
     assert len(got) == len(want)
     for (idx, H), (idx_want, H_want) in zip(got, want):
         assert np.array_equal(idx, idx_want)
@@ -407,22 +406,22 @@ def live_segments(draw):
     pulse = Pulse(draw(st.sampled_from(sorted(LEGS))), 1e-3,
                   draw(st.sampled_from([0.0, 2 * math.pi * 50.0, 3e4])),
                   draw(st.floats(-1e3, 1e3)), target)
-    reg = RegisterState(P, geom, sites, amps)
     segment = PulseSegment(plan_gradients(geom, 1000.0, P), pulse)
-    return reg, segment, draw(st.sampled_from([0.0, 1.0, 2.5]))
+    return PulseSchedule((), sites, P, geom), RegisterState(amps), segment, \
+        draw(st.sampled_from([0.0, 1.0, 2.5]))
 
 
 @settings(max_examples=30, deadline=None)
 @given(case=live_segments())
 def test_live_blocks_are_slices_of_the_dense_hamiltonian(case):
-    reg, segment, dipole_scale = case
-    dense = dense_hamiltonian(reg, segment, dipole_scale)
+    chain, reg, segment, dipole_scale = case
+    dense = dense_hamiltonian(chain, segment, dipole_scale)
     diagonal = np.diagonal(dense)
     assert not diagonal.imag.any()
     live = np.zeros(len(dense), bool)
     for idx, blocks in segment_hamiltonian(
-            reg, segment, reg.amps != 0,
-            stepwise_run(reg, segment, NoiseParams(), dipole_scale)):
+            segment, reg.amps != 0,
+            stepwise_run(chain, segment, NoiseParams(), dipole_scale)):
         assert blocks.dtype == np.float64
         for states, H in zip(idx, blocks):
             want = dense[np.ix_(states, states)]
@@ -442,14 +441,14 @@ def test_fully_live_five_site_ladder_assembles_small_real_blocks():
     # the blocks hold 15 MB as float64 (the 1024-state one 8 MB); complex
     # blocks or (nb, d, d, n) label broadcasts pass 40 MB
     geom = LatticeGeometry(5, 1, 1)
-    reg = RegisterState(P, geom, [(i, 0, 0) for i in range(5)],
-                        np.full(NLEV ** 5, NLEV ** -2.5, complex))
+    chain = PulseSchedule((), [(i, 0, 0) for i in range(5)], P, geom)
+    reg = RegisterState(np.full(NLEV ** 5, NLEV ** -2.5, complex))
     segment = PulseSegment(plan_gradients(geom, 1000.0, P),
                            Pulse("three_photon", 1e-3, 2 * math.pi * 50.0))
     tracemalloc.start()
     try:
-        out = segment_hamiltonian(reg, segment, reg.amps != 0,
-                                  stepwise_run(reg, segment, NoiseParams()))
+        out = segment_hamiltonian(segment, reg.amps != 0,
+                                  stepwise_run(chain, segment, NoiseParams()))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -550,15 +549,16 @@ def test_overflowing_two_by_two_entry_raises_not_nan(noise):
     # the 2x2 entries and their squares are finite; at 1e200 s the
     # squares overflow inside the closed form
     geom = LatticeGeometry(1, 1, 1)
-    reg = RegisterState.product(P, geom, [(0, 0, 0)], [GP])
+    one = PulseSchedule((), ((0, 0, 0),), P, geom)
+    reg = RegisterState.product([GP])
     config = plan_gradients(geom, 1000.0, P)
     pulse = Pulse("optical_pair", 1e150, 2 * math.pi * 25.0)
-    out = apply_stepwise(reg, PulseSegment(config, pulse), noise)
+    out = apply_stepwise(reg, one, PulseSegment(config, pulse), noise)
     assert np.isfinite(out.amps).all()
     out.check_accounting()
     with pytest.raises(IntegratorError, match="optical_pair segment of "
                        "1e[+]200 s.*overflow"):
-        apply_stepwise(reg, PulseSegment(config, Pulse(
+        apply_stepwise(reg, one, PulseSegment(config, Pulse(
             "optical_pair", 1e200, 2 * math.pi * 25.0)), noise)
 
 
@@ -680,9 +680,9 @@ def test_kernel_follows_the_decay_rates(monkeypatch, noise):
     used, transition = [], []
     spectral, pade = engine._spectral_stack, engine._expm_stack
 
-    def spy_assembly(reg, segment, *args):
+    def spy_assembly(segment, *args):
         transition[:] = [segment.pulse.transition]
-        return segment_hamiltonian(reg, segment, *args)
+        return segment_hamiltonian(segment, *args)
 
     def spy_spectral(H, *args):
         used.append((transition[0], H.shape[-1], "spectral"))

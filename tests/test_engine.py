@@ -21,43 +21,59 @@ from ybqc.engine import (EM32, EP32, GM, GP, GROUPS, LEGS, NLEV,
 from ybqc.errors import ConfigError, IntegratorError
 
 from conftest import (apply_stepwise, ground_basis_probability,
-                      stepwise_run)
+                      level_populations, stepwise_run)
 
 P = AtomParams()
 GEOM = LatticeGeometry(3, 1, 1)
 CFG = GradientConfig(100 * GAUSS)
 OFF = NoiseParams.off()
+# the atom, lattice and site of `single`'s one-atom register
+ONE = PulseSchedule((), ((0, 0, 0),), P, GEOM)
 
 
-def single(level=GM, site=(0, 0, 0)):
-    return RegisterState.product(P, GEOM, [site], [level])
+def single(level=GM):
+    return RegisterState.product([level])
 
 
 def test_product_state_and_accounting():
     reg = single(GP)
     assert reg.survival == pytest.approx(1.0)
-    assert reg.level_populations((0, 0, 0))[GP] == pytest.approx(1.0)
+    assert level_populations(reg, 0)[GP] == pytest.approx(1.0)
     reg.check_accounting()
 
 
 def test_zero_duration_is_identity():
     reg = single(EM32)
     seg = PulseSegment(CFG, Pulse("aux_flip", 0.0, 2 * math.pi * 100))
-    out = apply_stepwise(reg, seg, OFF)
+    out = apply_stepwise(reg, ONE, seg, OFF)
     assert np.allclose(out.amps, reg.amps)
 
 
 def test_empty_schedule_leaves_an_empty_register_as_it_is():
-    reg = RegisterState(P, GEOM, [], [1.0])
-    out = execute_schedule(reg, PulseSchedule((), ()), OFF).register
+    reg = RegisterState([1.0])
+    out = execute_schedule(reg, PulseSchedule((), (), P, GEOM), OFF).register
     assert out.amps.tolist() == [1.0] and out.leaked == 0.0
+
+
+def test_schedule_rejects_repeated_sites():
+    # the schedule owns the sites: a register holds amplitudes only
+    with pytest.raises(ConfigError, match="duplicate active sites"):
+        PulseSchedule((), ((0, 0, 0), (1, 0, 0), (0, 0, 0)), P, GEOM)
+    with pytest.raises(ConfigError, match="duplicate active sites"):
+        PulseSchedule((), ([0, 0, 0], (0, 0, 0)), P, GEOM)
+
+
+@pytest.mark.parametrize("size", [1, 5, 7, 35, NLEV ** 2])
+def test_executor_rejects_amplitudes_not_sized_for_the_schedule(size):
+    with pytest.raises(ConfigError, match="schedule's 1 sites"):
+        execute_schedule(RegisterState(np.eye(1, size)), ONE, OFF)
 
 
 def test_resonant_aux_flip_pi_pulse():
     rabi = 2 * math.pi * 50.0
     seg = PulseSegment(CFG, Pulse("aux_flip", math.pi / rabi, rabi))
-    out = apply_stepwise(single(EM32), seg, OFF)
-    got = out.level_populations((0, 0, 0))[EP32]
+    out = apply_stepwise(single(EM32), ONE, seg, OFF)
+    got = level_populations(out, 0)[EP32]
     assert got == pytest.approx(1.0, abs=1e-9)
 
 
@@ -70,10 +86,10 @@ def test_detuned_rabi_closed_form():
         t = float(rng.uniform(1e-5, 2e-2))
         seg = PulseSegment(CFG, Pulse("aux_flip", t, rabi,
                                       detuning_rad_s=delta))
-        out = apply_stepwise(single(EM32), seg, OFF)
+        out = apply_stepwise(single(EM32), ONE, seg, OFF)
         W = math.hypot(rabi, delta)
         want = (rabi / W) ** 2 * math.sin(W * t / 2) ** 2
-        got = out.level_populations((0, 0, 0))[EP32]
+        got = level_populations(out, 0)[EP32]
         assert got == pytest.approx(want, abs=1e-8)
 
 
@@ -81,8 +97,8 @@ def test_optical_pair_drives_both_legs():
     rabi = 2 * math.pi * 500.0
     seg = PulseSegment(CFG, Pulse("optical_pair", math.pi / rabi, rabi))
     for g, e in ((GM, EM32), (GP, EP32)):
-        out = apply_stepwise(single(g), seg, OFF)
-        got = out.level_populations((0, 0, 0))[e]
+        out = apply_stepwise(single(g), ONE, seg, OFF)
+        got = level_populations(out, 0)[e]
         assert got == pytest.approx(1.0, abs=1e-9)
 
 
@@ -90,14 +106,15 @@ def test_off_resonant_site_barely_driven():
     # neighbor site is one planned gap (1 kHz) away from the drive
     geom = LatticeGeometry(2, 1, 1)
     cfg = plan_gradients(geom, 1000.0, P)
-    reg = RegisterState.product(P, geom, [(0, 0, 0), (1, 0, 0)], [GM, GM])
+    pair = PulseSchedule((), ((0, 0, 0), (1, 0, 0)), P, geom)
+    reg = RegisterState.product([GM, GM])
     rabi = 2 * math.pi * 25.0
     seg = PulseSegment(cfg, Pulse("optical_pair", math.pi / rabi, rabi,
                                   target=("site", (0, 0, 0))))
-    out = apply_stepwise(reg, seg, OFF)
-    assert out.level_populations((0, 0, 0))[EM32] > 0.999
-    spectator_e = out.level_populations((1, 0, 0))[EM32] \
-        + out.level_populations((1, 0, 0))[EP32]
+    out = apply_stepwise(reg, pair, seg, OFF)
+    assert level_populations(out, 0)[EM32] > 0.999
+    spectator_e = level_populations(out, 1)[EM32] \
+        + level_populations(out, 1)[EP32]
     assert spectator_e < 1e-3
 
 
@@ -110,7 +127,7 @@ def test_norm_conserved_without_noise():
         seg = PulseSegment(CFG, Pulse(str(kind), float(rng.uniform(1e-4, 5e-3)),
                                       rabi,
                                       detuning_rad_s=float(rng.uniform(-100, 100))))
-        reg = apply_stepwise(reg, seg, OFF)
+        reg = apply_stepwise(reg, ONE, seg, OFF)
         assert abs(reg.survival + reg.leaked - 1.0) < 1e-9
     assert reg.survival == pytest.approx(1.0, abs=1e-9)
 
@@ -120,20 +137,20 @@ def test_noise_decays_norm_with_exact_rate():
     reg = single(EP32)
     t = 0.5
     seg = PulseSegment(CFG, Pulse("aux_flip", t, 0.0))
-    out = apply_stepwise(reg, seg, noise)
+    out = apply_stepwise(reg, ONE, seg, noise)
     assert out.survival == pytest.approx(math.exp(-t / 2.0), rel=1e-9)
     assert out.leaked == pytest.approx(1 - math.exp(-t / 2.0), rel=1e-9)
     # ground states only scatter lattice photons
     noise2 = NoiseParams(lifetime_3P2_s=math.inf,
                          photon_scattering_rate_hz=0.4)
-    out2 = apply_stepwise(single(GM), seg, noise2)
+    out2 = apply_stepwise(single(GM), ONE, seg, noise2)
     assert out2.survival == pytest.approx(math.exp(-0.4 * t), rel=1e-9)
 
 
 def test_dipole_diagonal_matches_pair_formula():
     geom = LatticeGeometry(2, 1, 1)
-    reg = RegisterState.product(P, geom, [(0, 0, 0), (1, 0, 0)],
-                                [EP32, EP32])
+    pair = PulseSchedule((), ((0, 0, 0), (1, 0, 0)), P, geom)
+    reg = RegisterState.product([EP32, EP32])
     seg = PulseSegment(CFG, Pulse("aux_flip", 1e-3, 0.0))
     idx = (NLEV * EP32 + EP32)
 
@@ -150,11 +167,11 @@ def test_dipole_diagonal_matches_pair_formula():
     want = 2 * math.pi * ddi_coupling(m, m, geom.spacing_m, math.pi / 2)
     live = reg.amps != 0
     assert diagonal_entry(segment_hamiltonian(
-        reg, seg, live, stepwise_run(reg, seg, OFF))).real \
+        seg, live, stepwise_run(pair, seg, OFF))).real \
         == pytest.approx(want, rel=1e-9)
     # dipole_scale=0 switches the interaction off
     assert diagonal_entry(segment_hamiltonian(
-        reg, seg, live, stepwise_run(reg, seg, OFF, 0.0))) == 0.0
+        seg, live, stepwise_run(pair, seg, OFF, 0.0))) == 0.0
 
 
 def _coupled_components(hmat):
@@ -190,7 +207,7 @@ def test_level_moments_near_low_field_values():
 def test_unitarity_guard_trips_on_bad_amplitudes():
     amps = np.zeros(NLEV, complex)
     amps[GM] = 2.0  # non-normalized on purpose
-    reg = RegisterState(P, GEOM, [(0, 0, 0)], amps, leaked=0.0)
+    reg = RegisterState(amps, leaked=0.0)
     with pytest.raises(IntegratorError):
         reg.check_accounting()
 
@@ -198,8 +215,7 @@ def test_unitarity_guard_trips_on_bad_amplitudes():
 def test_guards_trip_on_nan():
     # a NaN comparison is False, so each guard must fail unless it passes
     with pytest.raises(IntegratorError, match="accounting"):
-        RegisterState(P, GEOM, [(0, 0, 0)], single().amps,
-                      leaked=math.nan).check_accounting()
+        RegisterState(single().amps, leaked=math.nan).check_accounting()
     with pytest.raises(IntegratorError, match="unitarity"):
         apply_propagator(single(), np.full(NLEV, math.nan + 0j),
                          noise_on=False)
@@ -224,7 +240,7 @@ def test_pulse_target_outside_the_register_is_rejected(target):
     seg = PulseSegment(CFG, Pulse("optical_pair", 1e-3, 2 * math.pi * 500,
                                   target=target))
     with pytest.raises(ConfigError, match="active site"):
-        apply_stepwise(single(GM), seg, OFF)
+        apply_stepwise(single(GM), ONE, seg, OFF)
 
 
 def test_list_form_target_runs_as_the_tuple_form():
@@ -232,20 +248,18 @@ def test_list_form_target_runs_as_the_tuple_form():
     listed = Pulse("optical_pair", 1e-3, 1e3, target=["site", [0, 0, 0]])
     tupled = Pulse("optical_pair", 1e-3, 1e3, target=("site", (0, 0, 0)))
     assert listed == tupled and hash(listed) == hash(tupled)
-    reg = RegisterState.product(P, GEOM, [(0, 0, 0), (1, 0, 0)], [GM, GP])
-    out = [apply_stepwise(reg, PulseSegment(CFG, pulse), OFF).amps
+    pair = PulseSchedule((), ((0, 0, 0), (1, 0, 0)), P, GEOM)
+    reg = RegisterState.product([GM, GP])
+    out = [apply_stepwise(reg, pair, PulseSegment(CFG, pulse), OFF).amps
            for pulse in (listed, tupled)]
     assert np.array_equal(out[0], out[1])
     assert np.abs(out[0] - reg.amps).max() > 0.1
 
 
 def test_ground_basis_probability():
-    geom = LatticeGeometry(2, 1, 1)
-    reg = RegisterState.product(P, geom, [(0, 0, 0), (1, 0, 0)], [GP, GM])
-    assert ground_basis_probability(
-        reg, {(0, 0, 0): 1, (1, 0, 0): 0}) == pytest.approx(1.0)
-    assert ground_basis_probability(
-        reg, {(0, 0, 0): 0}) == pytest.approx(0.0)
+    reg = RegisterState.product([GP, GM])
+    assert ground_basis_probability(reg, {0: 1, 1: 0}) == pytest.approx(1.0)
+    assert ground_basis_probability(reg, {0: 0}) == pytest.approx(0.0)
 
 
 def _light_shift_80_steps(delta1, delta2, rabi):

@@ -175,7 +175,8 @@ def test_decoherence_budget_matches_engine_bookkeeping():
         PulseSegment(cfg, Pulse("aux_flip", 0.2, 0.0,
                                 metastable_weight=2.0)),
     )
-    sched = PulseSchedule(segs, sites=((0, 0, 0), (1, 0, 0)))
+    sched = PulseSchedule(segs, ((0, 0, 0), (1, 0, 0)), P,
+                          LatticeGeometry(2, 1, 1))
     budget = decoherence_budget(sched, noise)
     assert budget.total_duration_s == pytest.approx(0.3)
     assert budget.metastable_atom_time_s == pytest.approx(0.4)
@@ -199,10 +200,11 @@ def test_decoherence_budget_skips_measure_segments(circuit, sites):
     geom = LatticeGeometry(2, 1, 1)
     sched = compile_circuit(circuit, geom, P,
                             plan_gradients(geom, 1000.0, P), noise)
-    reg = RegisterState.product(P, geom, sites, [GM] * len(sites))
+    assert sched.sites == tuple(sites)
+    reg = RegisterState.product([GM] * len(sites))
     for seg in sched.segments:
         if seg.pulse.transition != "measure":
-            reg = apply_stepwise(reg, seg, noise)
+            reg = apply_stepwise(reg, sched, seg, noise)
     assert decoherence_budget(sched, noise).survival \
         == pytest.approx(reg.survival, rel=1e-3)
 

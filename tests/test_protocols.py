@@ -17,10 +17,11 @@ from ybqc.compiler import (TRANSFER_RABI_1Q_RAD_S, TRANSFER_RABI_2Q_RAD_S,
                            compile_circuit, execute_schedule, parse_circuit)
 from ybqc.constants import GAUSS
 from ybqc.engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
-                         Pulse, PulseSegment, RegisterState, _laser_frequencies,
-                         _single_atom_hamiltonian, basis_labels,
-                         light_shift_compensation)
-from ybqc.errors import (ConfigError, GeometryError, IntegratorError,
+                         Pulse, PulseSchedule, PulseSegment, RegisterState,
+                         _laser_frequencies, _single_atom_hamiltonian,
+                         basis_labels, light_shift_compensation)
+from ybqc.errors import (ConfigError, DegenerateManifoldError,
+                         GeometryError, IntegratorError,
                          PhysicsError, ProtocolOrderError)
 from ybqc.protocols import (GATE_RABI_FRACTION, SCAN_SAMPLES, SCAN_WINDOW,
                             DetectionReport, ThreePhotonScan, cnot_pulse,
@@ -28,16 +29,21 @@ from ybqc.protocols import (GATE_RABI_FRACTION, SCAN_SAMPLES, SCAN_WINDOW,
                             rotation_pulse, three_photon_scan, transfer_pulse)
 from ybqc.scenario import simulate_circuit
 
-from conftest import apply_stepwise
+from conftest import apply_stepwise, atom_levels, level_populations
 
 P = AtomParams()
 PCAL = calibrate_hyperfine_A(P)
 OFF = NoiseParams.off()
 
 
-def _fraction(reg, site, levels):
-    """Population of `levels` at `site` over the register survival."""
-    return reg.level_populations(site)[list(levels)].sum() / reg.survival
+def _fraction(reg, axis, levels):
+    """Population of `levels` of atom `axis` over the register survival."""
+    return level_populations(reg, axis)[list(levels)].sum() / reg.survival
+
+
+def _on(geom, *sites, params=P):
+    """An empty schedule owning `params`, `geom` and `sites`."""
+    return PulseSchedule((), sites, params, geom)
 
 
 # ---------------------------------------------------------------------------
@@ -237,17 +243,26 @@ def test_scan_uncompensated_transfer_degrades():
     scan = three_photon_scan(register_levels(PCAL, B), rabi)
     det = ladder_detunings(register_levels(PCAL, B))
     eps = light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s, rabi)
-    reg = RegisterState.product(PCAL, LatticeGeometry(1, 1, 1), [site],
-                                [EM32])
+    one = _on(LatticeGeometry(1, 1, 1), site, params=PCAL)
+    reg = RegisterState.product([EM32])
 
     def transfer(detuning):
         pulse = Pulse("three_photon", scan.pi_time_s, rabi,
                       detuning_rad_s=detuning, target=("site", site))
-        out = apply_stepwise(reg, PulseSegment(GradientConfig(B), pulse), OFF)
-        return out.level_populations(site)[EP32]
+        out = apply_stepwise(reg, one, PulseSegment(GradientConfig(B), pulse),
+                             OFF)
+        return level_populations(out, 0)[EP32]
 
     assert transfer(0.0) > 0.99
     assert transfer(-eps) < 0.9
+
+
+def test_scan_rejects_detunings_whose_product_underflows():
+    # A = 1e-190 Hz at 1e-200 T: detunings near 1e-191 rad/s keep about
+    # 1e14 rounding steps, but their product underflows to 0
+    atom = AtomParams(hyperfine_A_3P2_hz=1e-190)
+    with pytest.raises(DegenerateManifoldError, match="zero product"):
+        three_photon_scan(register_levels(atom, 1e-200), 1.0)
 
 
 def test_scan_zero_rabi_rejected():
@@ -269,13 +284,14 @@ def test_transfer_round_trip():
     geom = LatticeGeometry(2, 1, 1)
     cfg = plan_gradients(geom, 1000.0, P)
     site = (0, 0, 0)
-    reg = RegisterState.product(P, geom, [site], [GM])
+    one = _on(geom, site)
+    reg = RegisterState.product([GM])
     leg = PulseSegment(cfg, transfer_pulse(("site", site),
                                            2 * math.pi * 25, 0.5))
-    up = apply_stepwise(reg, leg, OFF)
-    assert _fraction(up, site, (EM32, EP32)) > 0.999
-    down = apply_stepwise(up, leg, OFF)
-    assert _fraction(down, site, (GM, GP)) > 0.998
+    up = apply_stepwise(reg, one, leg, OFF)
+    assert _fraction(up, 0, (EM32, EP32)) > 0.999
+    down = apply_stepwise(up, one, leg, OFF)
+    assert _fraction(down, 0, (GM, GP)) > 0.998
     down.check_accounting()
 
 
@@ -284,10 +300,10 @@ def test_transfer_superposition_both_legs():
     cfg = GradientConfig(100 * GAUSS)
     amps = np.zeros(NLEV, complex)
     amps[GM] = amps[GP] = 1 / math.sqrt(2)
-    reg = RegisterState(P, geom, [(0, 0, 0)], amps)
-    up = apply_stepwise(reg, PulseSegment(cfg, transfer_pulse(
-        ("all",), 2 * math.pi * 500.0, 0.5)), OFF)
-    pops = up.level_populations((0, 0, 0))
+    reg = RegisterState(amps)
+    up = apply_stepwise(reg, _on(geom, (0, 0, 0)), PulseSegment(
+        cfg, transfer_pulse(("all",), 2 * math.pi * 500.0, 0.5)), OFF)
+    pops = level_populations(up, 0)
     assert pops[EM32] == pytest.approx(0.5, abs=1e-6)
     assert pops[EP32] == pytest.approx(0.5, abs=1e-6)
 
@@ -298,14 +314,14 @@ def test_transfer_superposition_both_legs():
 def test_single_qubit_pi_gate_flips_aux():
     B = 650 * GAUSS
     site = (0, 0, 0)
-    reg = RegisterState.product(PCAL, LatticeGeometry(1, 1, 1), [site],
-                                [EM32])
+    reg = RegisterState.product([EM32])
     pulse = rotation_pulse(register_levels(PCAL, B), site, math.pi, 1.0)
-    out = apply_stepwise(reg, PulseSegment(GradientConfig(B), pulse), OFF)
-    assert out.level_populations(site)[EP32] > 0.99
-    assert _fraction(out, site, (EM12, EP12)) < 5e-3
+    one = _on(LatticeGeometry(1, 1, 1), site, params=PCAL)
+    out = apply_stepwise(reg, one, PulseSegment(GradientConfig(B), pulse), OFF)
+    assert level_populations(out, 0)[EP32] > 0.99
+    assert _fraction(out, 0, (EM12, EP12)) < 5e-3
     # rotation inferred from the population moved into e+3/2
-    pops = out.level_populations(site)
+    pops = level_populations(out, 0)
     moved = pops[EP32] / (pops[EM32] + pops[EP32])
     assert 2 * math.asin(math.sqrt(moved)) == pytest.approx(math.pi,
                                                             rel=0.05)
@@ -317,8 +333,7 @@ def test_single_qubit_pi_gate_flips_aux():
 def _two_aux(levels):
     geom = LatticeGeometry(2, 1, 1)
     cfg = plan_gradients(geom, 1000.0, P)
-    reg = RegisterState.product(P, geom, [(0, 0, 0), (1, 0, 0)], levels)
-    return geom, cfg, reg
+    return geom, cfg, RegisterState.product(levels)
 
 
 def _levels(geom, cfg, *sites):
@@ -332,8 +347,9 @@ def test_cnot_truth_behavior(control, flip):
     shift, _det = cnot_pulse_parameters(geom, (0, 0, 0), (1, 0, 0), *tables)
     assert shift != 0.0     # conditional
     pulse = cnot_pulse(geom, (0, 0, 0), (1, 0, 0), *tables, 2.0)
-    out = apply_stepwise(reg, PulseSegment(cfg, pulse), OFF)
-    p_flip = out.level_populations((1, 0, 0))[EP32]
+    out = apply_stepwise(reg, _on(geom, (0, 0, 0), (1, 0, 0)),
+                         PulseSegment(cfg, pulse), OFF)
+    p_flip = level_populations(out, 1)[EP32]
     if flip:
         assert p_flip > 0.98
     else:
@@ -361,10 +377,9 @@ def test_cnot_pulse_requires_adjacent_sites():
 # measurement
 
 def _superposition_in_aux():
-    geom = LatticeGeometry(1, 1, 1)
     amps = np.zeros(NLEV, complex)
     amps[EM32] = amps[EP32] = 1 / math.sqrt(2)
-    return RegisterState(P, geom, [(0, 0, 0)], amps)
+    return RegisterState(amps)
 
 
 def test_measurement_statistics_on_equal_superposition():
@@ -373,7 +388,7 @@ def test_measurement_statistics_on_equal_superposition():
     n = 10_000
     ones = 0
     for _ in range(n):
-        bit, _post, p1 = measure_qubit(reg, (0, 0, 0), rng)
+        bit, _post, p1 = measure_qubit(reg, 0, rng)
         ones += bit
     assert p1 == pytest.approx(0.5, abs=1e-9)
     assert ones / n == pytest.approx(0.5, abs=0.02)
@@ -381,23 +396,23 @@ def test_measurement_statistics_on_equal_superposition():
 
 def test_measurement_collapse_and_determinism():
     reg = _superposition_in_aux()
-    seq1 = [measure_qubit(reg, (0, 0, 0), np.random.default_rng(seed))[0]
+    seq1 = [measure_qubit(reg, 0, np.random.default_rng(seed))[0]
             for seed in range(200)]
-    seq2 = [measure_qubit(reg, (0, 0, 0), np.random.default_rng(seed))[0]
+    seq2 = [measure_qubit(reg, 0, np.random.default_rng(seed))[0]
             for seed in range(200)]
     assert seq1 == seq2
     assert 0 in seq1 and 1 in seq1
-    bit, post, _ = measure_qubit(reg, (0, 0, 0), np.random.default_rng(5))
+    bit, post, _ = measure_qubit(reg, 0, np.random.default_rng(5))
     # collapsed register is pure in the measured outcome
-    pops = post.level_populations((0, 0, 0))
+    pops = level_populations(post, 0)
     assert pops[GP if bit == 1 else EM32] == pytest.approx(1.0, abs=1e-9)
     assert post.survival == pytest.approx(1.0, abs=1e-9)
 
 
-def _two_pass_readout(reg, site, rng):
-    """Reference: return g+ <-> e+3/2 first, then read P(1) from a second
-    population pass over the returned amplitudes."""
-    levels = basis_labels(reg.n_atoms)[:, reg.site_index(site)]
+def _two_pass_readout(reg, axis, rng):
+    """Reference: return g+ <-> e+3/2 of atom `axis` first, then read P(1)
+    from a second population pass over the returned amplitudes."""
+    levels = atom_levels(reg, axis)
     gp, ep = levels == GP, levels == EP32
     amps = reg.amps.copy()
     amps[gp], amps[ep] = -1j * reg.amps[ep], -1j * reg.amps[gp]
@@ -418,26 +433,24 @@ def _two_pass_readout(reg, site, rng):
        survival=st.floats(0.01, 1.0), rng_seed=st.integers(0, 2 ** 32 - 1))
 def test_readout_equals_the_two_pass_formula(n_sites, data, amp_seed, zero,
                                               survival, rng_seed):
-    site = (data.draw(st.integers(0, n_sites - 1)), 0, 0)
+    axis = data.draw(st.integers(0, n_sites - 1))
     gen = np.random.default_rng(amp_seed)
     amps = gen.normal(size=NLEV ** n_sites) \
         + 1j * gen.normal(size=NLEV ** n_sites)
     amps[gen.random(amps.size) < zero] = 0.0
     # protocol order: the measured atom has left e+/-1/2
-    levels = basis_labels(n_sites)[:, site[0]]
+    levels = basis_labels(n_sites)[:, axis]
     amps[np.isin(levels, (EM12, EP12))] = 0.0
     amps *= math.sqrt(survival / max(np.vdot(amps, amps).real, 1e-300))
-    reg = RegisterState(P, LatticeGeometry(n_sites, 1, 1),
-                        [(i, 0, 0) for i in range(n_sites)], amps,
-                        1.0 - survival)
+    reg = RegisterState(amps, 1.0 - survival)
     if reg.survival <= 1e-300:
         # every amplitude was zeroed: a register with no atom has no bit
         with pytest.raises(PhysicsError, match="every atom has been lost"):
-            measure_qubit(reg, site, np.random.default_rng(rng_seed))
+            measure_qubit(reg, axis, np.random.default_rng(rng_seed))
         return
-    bit, post, p1 = measure_qubit(reg, site, np.random.default_rng(rng_seed))
+    bit, post, p1 = measure_qubit(reg, axis, np.random.default_rng(rng_seed))
     ref_bit, ref_amps, ref_leaked, ref_p1 = _two_pass_readout(
-        reg, site, np.random.default_rng(rng_seed))
+        reg, axis, np.random.default_rng(rng_seed))
     assert (bit, p1, post.leaked) == (ref_bit, ref_p1, ref_leaked)
     assert np.array_equal(post.amps, ref_amps)
 
@@ -451,15 +464,13 @@ def test_measurement_requires_seed_and_protocol_order():
         execute_schedule(_superposition_in_aux(), sched, NoiseParams(),
                          rng_seed=None)
     rng = np.random.default_rng(1)
-    bad = RegisterState.product(P, LatticeGeometry(1, 1, 1),
-                                [(0, 0, 0)], [3])  # intermediate e level
+    bad = RegisterState.product([3])  # intermediate e level
     with pytest.raises(ProtocolOrderError):
-        measure_qubit(bad, (0, 0, 0), rng)
+        measure_qubit(bad, 0, rng)
     # a 2% ladder residue next to the auxiliary qubit is no protocol error
     amps = np.zeros(NLEV, complex)
     amps[[EM12, EM32, EP32]] = np.sqrt([0.02, 0.48, 0.5])
-    measure_qubit(RegisterState(P, LatticeGeometry(1, 1, 1), [(0, 0, 0)],
-                                amps), (0, 0, 0), rng)
+    measure_qubit(RegisterState(amps), 0, rng)
 
 
 def test_measurement_branching_loss_report():
@@ -482,18 +493,20 @@ def test_measurement_branching_loss_report():
 
 def _protocol_path(circuit_op, geom, noise, dipole_scale):
     """Run one gate as hand-sequenced builder pulses at the compiler's
-    gradients and Rabi rates, starting from all-ground."""
+    gradients and Rabi rates, starting from all-ground; return the sites'
+    empty schedule and the register."""
     cfg = plan_gradients(geom, 1000.0, P)
     if circuit_op[0] == "X":
         _, site, theta = circuit_op
-        reg = RegisterState.product(P, geom, [site], [GM])
+        on, reg = _on(geom, site), RegisterState.product([GM])
         leg = transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S, 0.5)
         gate = rotation_pulse(_levels(geom, cfg, site)[0], site, theta,
                               1.0)
         pulses = (leg, gate, leg)
     else:
         _, control, target = circuit_op
-        reg = RegisterState.product(P, geom, [control, target], [GP, GM])
+        on = _on(geom, control, target)
+        reg = RegisterState.product([GP, GM])
         control_leg, target_leg = (
             transfer_pulse(("site", s), TRANSFER_RABI_2Q_RAD_S, 0.5)
             for s in (control, target))
@@ -502,9 +515,9 @@ def _protocol_path(circuit_op, geom, noise, dipole_scale):
                              *_levels(geom, cfg, control, target), 2.0),
                   target_leg, control_leg)
     for pulse in pulses:
-        reg = apply_stepwise(reg, PulseSegment(cfg, pulse), noise,
+        reg = apply_stepwise(reg, on, PulseSegment(cfg, pulse), noise,
                              dipole_scale)
-    return reg
+    return on, reg
 
 
 @pytest.mark.parametrize("circuit,dipole_scale", [
@@ -516,13 +529,12 @@ def test_compiled_path_matches_protocol_path(circuit, dipole_scale):
     (op,) = parse_circuit(circuit)
     sched = compile_circuit(circuit, geom, P,
                             plan_gradients(geom, 1000.0, P), noise)
-    sites = sorted(s for s in op[1:] if isinstance(s, tuple))
     levels = [GP, GM] if op[0] == "CNOT" else [GM]
-    reg = RegisterState.product(P, geom, sites, levels)
+    reg = RegisterState.product(levels)
     compiled = execute_schedule(reg, sched, noise,
                                 dipole_scale=dipole_scale).register
-    direct = _protocol_path(op, geom, noise, dipole_scale)
-    assert direct.sites == compiled.sites
+    on, direct = _protocol_path(op, geom, noise, dipole_scale)
+    assert on.sites == sched.sites
     assert np.max(np.abs(direct.amps - compiled.amps)) < 1e-12
     assert direct.leaked == pytest.approx(compiled.leaked, abs=1e-12)
     assert compiled.leaked > 0.0    # noise on: the comparison sees loss

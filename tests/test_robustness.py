@@ -231,7 +231,23 @@ def test_ladder_with_a_zero_detuning_exits_3(tmp_path, capsys, command,
     assert captured.out == ""
     assert captured.err.startswith("physics error: 3-photon ladder "
                                    "detunings") \
-        and "zero product" in captured.err
+        and "rounding noise" in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
+# g_J = 1e16 puts the Zeeman energies near 1e25 Hz, one ulp near 1e9 Hz,
+# and the detunings near A^2 / E_Zeeman, about 1e-7 Hz
+@pytest.mark.parametrize("fields", [["--b-gauss", "650"], []],
+                         ids=["single-field", "sweep"])
+def test_detunings_of_rounding_noise_exit_3(tmp_path, capsys, fields):
+    (tmp_path / "a.cfg").write_text("g_J_3P2 = 1e16\n")
+    assert cli_main(["detunings", *fields, "--atom-config",
+                     str(tmp_path / "a.cfg")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("physics error: 3-photon ladder "
+                                   "detunings") \
+        and "rounding noise" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
 
 
@@ -314,26 +330,26 @@ def test_non_finite_dipole_scale_is_rejected_by_the_engine(scale):
                                AtomParams(),
                                plan_gradients(geom, 1000.0, AtomParams()),
                                noise)
-    reg = RegisterState.product(AtomParams(), geom, schedule.sites, [GM, GM])
+    reg = RegisterState.product([GM, GM])
     flip, = (s for s in schedule.segments if s.pulse.transition == "aux_flip")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConfigError, match="dipole_scale"):
             execute_schedule(reg, schedule, noise, dipole_scale=scale)
         with pytest.raises(ConfigError, match="dipole_scale"):
-            apply_stepwise(reg, flip, noise, dipole_scale=scale)
+            apply_stepwise(reg, schedule, flip, noise, dipole_scale=scale)
 
 
 def test_register_of_other_sites_than_the_schedule_is_rejected():
+    # a register names no sites: one of another size is all that can
+    # mismatch, and it would index past the run's decay rates
     geom, noise = LatticeGeometry(3, 1, 1), NoiseParams.off()
     schedule = compile_circuit("X 0 0 1.0\n", geom, AtomParams(),
                                plan_gradients(geom, 1000.0, AtomParams()),
                                noise)
-    for sites in ([(0, 0, 0), (1, 0, 0)], [(1, 0, 0)]):
-        reg = RegisterState.product(AtomParams(), geom, sites,
-                                    [GM] * len(sites))
-        with pytest.raises(ConfigError, match="schedule's"):
-            execute_schedule(reg, schedule, noise)
+    reg = RegisterState.product([GM, GM])
+    with pytest.raises(ConfigError, match="schedule's"):
+        execute_schedule(reg, schedule, noise)
 
 
 def test_planned_scenario_uses_its_bias_field(tmp_path):

@@ -57,7 +57,7 @@ def test_compile_emits_transfer_sandwich():
                             plan_gradients(geom, 1000.0, P), NoiseParams())
     kinds = [s.pulse.transition for s in sched.segments]
     assert kinds == ["optical_pair", "three_photon", "optical_pair"]
-    assert sched.n_atoms == 1
+    assert len(sched.sites) == 1
 
 
 def test_compile_cnot_nonadjacent_rejected():
@@ -71,7 +71,7 @@ def test_execute_requires_seed_for_measurements():
     geom = LatticeGeometry(1, 1, 1)
     sched = compile_circuit("MEAS 0 0", geom, P,
                             plan_gradients(geom, 1000.0, P), NoiseParams())
-    reg = RegisterState.product(P, geom, [(0, 0, 0)], [GM])
+    reg = RegisterState.product([GM])
     with pytest.raises(ConfigError):
         execute_schedule(reg, sched, NoiseParams(), rng_seed=None)
 

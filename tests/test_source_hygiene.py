@@ -3,9 +3,10 @@ plus one check on the imported engine).
 
 Every import is used; the package `__init__.py`, names listed in
 `__all__` and `from __future__` are exempt as re-exports.  Outside the
-engine, only `compiler.execute_schedule` makes an engine `Run` and
-applies segments, so gates reach the engine through one path, one run
-per call.  The compiler, the pulse builders and the engine build no
+engine, only `compiler.execute_schedule` makes an engine `Run`,
+applies segments and reads out qubits (the readout takes the atom's
+position among the schedule's sites, which the executor works out), so
+gates reach the engine through one path, one run per call.  The compiler, the pulse builders and the engine build no
 level table from a bare field: they read the cached per-site tables of
 `addressing.site_levels`.  The sweeps, the addressing comb and the
 gradient check evaluate all their fields in one array call, and the
@@ -104,7 +105,7 @@ def test_package_does_not_use_expm():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-ENGINE_ENTRY_POINTS = {"apply_segment", "Run"}
+ENGINE_ENTRY_POINTS = {"apply_segment", "Run", "measure_qubit"}
 ALLOWED_CALLERS = {("compiler", "execute_schedule")}
 # Builders of a level table from a bare field, and of tables at an array
 # of fields.  The pulse path reads the cached per-site tables of
@@ -137,6 +138,10 @@ def test_checker_finds_engine_callers():
         == {("m", "f"), ("m", "g")}
     assert callers("m", "x = apply_segment(r, s, n)\n",
                    ENGINE_ENTRY_POINTS) == {("m", "<module>")}
+    assert callers("m", "def f(r):\n"
+                   "    return protocols.measure_qubit(r, 0, rng)\n"
+                   "def g(r):\n    measure_qubit(r, 1, rng)\n",
+                   ENGINE_ENTRY_POINTS) == {("m", "f"), ("m", "g")}
 
 
 def test_only_the_executor_drives_the_engine():
