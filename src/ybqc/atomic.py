@@ -16,11 +16,12 @@ Conventions
   closed form.
 * One array kernel, `zeeman_table`, evaluates all ten levels at every
   field of an array B, with `level_labels` naming its rows;
-  `register_table` and the elementwise `ladder_detunings` build on it.
-  `register_levels`, one column of `register_table` as floats, is the
-  per-site table the pulse path caches.  As E(A, B) = A E(1, B / A),
-  one kernel call of the atom with A = 1 at the fields B / A tries 65
-  values of A for `calibrate_hyperfine_A`.
+  `register_table` builds on it, and `register_levels`, one column of it
+  as floats, is the per-site table the pulse path caches.
+* `ladder_detunings` gives the 3-photon ladder in the Breit-Rabi closed
+  form, from the atom and the field alone, elementwise over B.  As
+  E(A, B) = A E(1, B / A), one call of the atom with A = 1 at the fields
+  B / A tries 65 values of A for `calibrate_hyperfine_A`.
 * Branch label: 'lower'/'upper' by energy within each m_F block.  The 2x2
   blocks have a field-independent off-diagonal element, so the ordering is
   an avoided crossing and the label is adiabatically stable at all B.
@@ -90,9 +91,9 @@ class AtomParams:
 
 @dataclass(frozen=True)
 class ThreePhotonDetunings:
-    omega0_rad_s: float   # drive angular frequency, one third of the a->d splitting
-    delta1_rad_s: float   # omega_ab - omega0
-    delta2_rad_s: float   # omega_cd - omega0
+    omega0_rad_s: float | np.ndarray  # drive: a third of the a->d splitting
+    delta1_rad_s: float | np.ndarray  # omega_ab - omega0
+    delta2_rad_s: float | np.ndarray  # omega_cd - omega0
 
 
 def lande_g_F(g_J: float, F: float, J: float, I: float) -> float:
@@ -110,6 +111,17 @@ def _check_finite(values, what: str, B) -> None:
             f"{what} at B = {float(np.ravel(B)[np.argmax(bad)]):.6g} T "
             "leave the float range; check the atom constants g_J_3P2, "
             "hyperfine_A_3P2_hz and nuclear_moment_mu_n")
+
+
+def _field_array(B) -> np.ndarray:
+    """B as a float array; ConfigError at its first negative or
+    non-finite field."""
+    B = np.asarray(B, dtype=float)
+    ok = (B >= 0) & (B < math.inf)
+    if not ok.all():
+        raise ConfigError(f"B must be finite and >= 0, got "
+                          f"{float(B[~ok][0])!r} T")
+    return B
 
 
 # The ten 3P2 states |m_J, m_I> in the diagonal order of `zeeman_table`:
@@ -146,11 +158,7 @@ def zeeman_table(params: AtomParams, B) -> np.ndarray:
     off does not depend on B, so
     dE/dB = (d1' + d2')/2 +/- (d1 - d2)(d1' - d2') / (4 rad).
     """
-    B = np.asarray(B, dtype=float)
-    ok = (B >= 0) & (B < math.inf)
-    if not ok.all():
-        raise ConfigError(f"B must be finite and >= 0, got "
-                          f"{float(B[~ok][0])!r} T")
+    B = _field_array(B)
     A = params.hyperfine_A_3P2_hz
     k = params.g_J_3P2 * mu_B * _STATE_MJ - params.g_I * mu_N * _STATE_MI
     # <m_J, m_I|H|m_J, m_I> (Hz) and its slope (Hz/T) for the ten states;
@@ -216,51 +224,40 @@ def register_levels(params: AtomParams, B: float) -> RegisterLevels:
 
 
 @np.errstate(all="ignore")      # overflow surfaces as the PhysicsError
-def ladder_detunings(levels: RegisterLevels) -> ThreePhotonDetunings:
-    """Detunings Delta1, Delta2 of the 3-photon ladder of one level
-    table; of a `register_table`, elementwise, as arrays.
+def ladder_detunings(params: AtomParams, B) -> ThreePhotonDetunings:
+    """Drive frequency omega0 = (E_d - E_a) / (3 hbar) and detunings
+    Delta1, Delta2 of the 3-photon F=3/2 ladder a -> d at field B: floats
+    for a float B, the bits of one column of an array B, elementwise.
 
-    The drive frequency omega0 is the 3-photon-resonance choice
-    omega0 = (E_d - E_a) / (3 hbar), which makes the a->d oscillation
-    resonant by construction.
-    """
-    B = levels.field_t
-    if (np.asarray(B) <= 0).any():
+    Each level is mean -/+ r (- for A > 0), the block mean linear in m_F
+    and, in the Breit-Rabi form (Phys. Rev. 38, 2082 (1931)),
+    r^2 = (kappa B - A m_F/2)^2 + A^2 (25 - 4 m_F^2)/16 with kappa =
+    (g_J mu_B + g_I mu_N)/(2h).  r^2 steps by exactly c = -A kappa B per
+    unit m_F, so each first difference of r is c over the sum of its two
+    r, all of one sign, and Delta1 and Delta2 are sums of their products:
+    no step subtracts two large numbers.  B = 0 raises
+    DegenerateManifoldError; a negative or non-finite B, ConfigError."""
+    fields = _field_array(B)[()]    # a float B: one numpy scalar
+    if not fields.all():
         raise DegenerateManifoldError(
             "three-photon detunings are ill-conditioned at B=0 "
             "(degenerate F=3/2 sublevels)")
-    E = levels.energy_hz[EM32:]
-    w_ab = 2 * math.pi * (E[1] - E[0])
-    w_bc = 2 * math.pi * (E[2] - E[1])
-    w_cd = 2 * math.pi * (E[3] - E[2])
-    omega0 = (w_ab + w_bc + w_cd) / 3
-    det = ThreePhotonDetunings(omega0, w_ab - omega0, w_cd - omega0)
-    _check_finite((omega0, det.delta1_rad_s, det.delta2_rad_s),
-                  "three-photon ladder detunings", B)
-    return det
-
-
-# Detunings below this many rounding steps of the F=3/2 energies keep
-# fewer than about three digits of their second differences
-DETUNING_MIN_STEPS = 1e3
-
-
-def resolved_detunings(levels: RegisterLevels) -> ThreePhotonDetunings:
-    """`ladder_detunings(levels)`; DegenerateManifoldError at the first
-    field where min(|Delta1|, |Delta2|) spans fewer than DETUNING_MIN_STEPS
-    rounding steps 2 pi ulp(max|E|) of the F=3/2 energies: rounding noise."""
-    det = ladder_detunings(levels)
-    step = 2 * math.pi * np.spacing(np.abs(levels.energy_hz[EM32:]).max(0))
-    steps = np.ravel(np.minimum(abs(det.delta1_rad_s),
-                                abs(det.delta2_rad_s)) / step)
-    i = int(np.argmax(steps < DETUNING_MIN_STEPS))
-    if steps[i] < DETUNING_MIN_STEPS:
-        raise DegenerateManifoldError(
-            "3-photon ladder detunings at B = {:.6g} T span {:.3g} rounding "
-            "steps of the F=3/2 energies: rounding noise; check the atom "
-            "constants g_J_3P2, hyperfine_A_3P2_hz and nuclear_moment_mu_n"
-            .format(np.ravel(levels.field_t)[i], steps[i]))
-    return det
+    A = params.hyperfine_A_3P2_hz
+    x = (params.g_J_3P2 * mu_B + params.g_I * mu_N) / (2 * h) * fields
+    # r of a, b, c, d: the blocks m_F = -3/2 .. +3/2
+    r = [np.hypot(x - A / 2 * m_F, A / 2 * off)
+         for m_F, off in zip((-1.5, -0.5, 0.5, 1.5), _BLOCK_OFF.flat)]
+    s = [r[k] + r[k + 1] for k in range(3)]
+    # r_b - r_a, r_c - r_b, r_d - r_c as c / s, without forming c
+    p, q, t = (-A * (x / s_k) for s_k in s)
+    u, v = p + q, q + t                     # r_c - r_a, r_d - r_b
+    w = math.copysign(2 * math.pi / 3, -A)  # F=3/2 is mean - r for A > 0
+    delta1 = w * p * (u / s[1] + (u + v) / s[2])
+    delta2 = -w * t * ((u + v) / s[0] + v / s[1])
+    omega0 = 2 * math.pi * params.g_J_3P2 * mu_B / h * fields + w * (u + t)
+    out = (omega0, delta1, delta2)
+    _check_finite(out, "three-photon ladder detunings", fields)
+    return ThreePhotonDetunings(*(out if np.ndim(B) else map(float, out)))
 
 
 # The 3-photon operating point and the bracket searched for A(3P2)
@@ -274,24 +271,23 @@ def calibrate_hyperfine_A(params: AtomParams) -> AtomParams:
     """Return params with A(3P2) pinned so that the geometric mean of
     |Delta1|, |Delta2| at CALIBRATION_FIELD_T is CALIBRATION_DETUNING_RAD_S.
 
-    Every level obeys E(A, B) = A E(1, B / A), so one `register_table`
+    Every level obeys E(A, B) = A E(1, B / A), so one `ladder_detunings`
     call of the atom with A = 1 gives the mismatch at 65 candidates
     across the bracket.  Each call keeps the first pair of adjacent
     candidates across which its sign changes, until the bracket holds
     two adjacent floats; the end of smaller mismatch is the root."""
     lo, hi = CALIBRATION_A_BRACKET_HZ
-    # an atom whose levels overflow raises naming the calibration field
-    ladder_detunings(register_table(replace(params, hyperfine_A_3P2_hz=lo),
-                                    [CALIBRATION_FIELD_T]))
+    # an atom whose ladder overflows raises naming the calibration field
+    ladder_detunings(replace(params, hyperfine_A_3P2_hz=lo),
+                     CALIBRATION_FIELD_T)
     unit = replace(params, hyperfine_A_3P2_hz=1.0)
     while True:
         A = np.linspace(lo, hi, 65)
-        det = ladder_detunings(register_table(unit, CALIBRATION_FIELD_T / A))
+        det = ladder_detunings(unit, CALIBRATION_FIELD_T / A)
         product = det.delta1_rad_s * det.delta2_rad_s
         mismatch = A * np.sqrt(abs(product)) - CALIBRATION_DETUNING_RAD_S
         below = mismatch < 0
-        # a zero detuning spaces the ladder evenly to the last bit: its
-        # detunings are rounding noise, with no root to find
+        # a detuning product that underflows to 0 has no root to find
         if below[0] == below[-1] or not product.all():
             raise PhysicsError(
                 "no hyperfine A in CALIBRATION_A_BRACKET_HZ ({:g}, {:g}) Hz "

@@ -20,8 +20,8 @@ import sys
 from pathlib import Path
 
 from .addressing import validate_gradients
-from .atomic import (calibrate_hyperfine_A, level_labels, register_levels,
-                     resolved_detunings, zeeman_table)
+from .atomic import (calibrate_hyperfine_A, ladder_detunings, level_labels,
+                     zeeman_table)
 from .compiler import compile_circuit
 from .constants import GAUSS, CM, mu_B, mu_N
 from .dipole import cnot_shift, ddi_coupling
@@ -104,8 +104,7 @@ def cmd_detunings(args) -> int:
         return _print_stage(args, "detunings", "detunings.csv", sweep={
             "b_min_gauss": args.b_min_gauss, "b_max_gauss": args.b_max_gauss,
             "steps": args.steps})
-    det = resolved_detunings(register_levels(_scenario(args).params,
-                                             args.b_gauss * GAUSS))
+    det = ladder_detunings(_scenario(args).params, args.b_gauss * GAUSS)
     _write_or_print(json.dumps({
         "B_gauss": args.b_gauss,
         "delta1_hz": det.delta1_rad_s / (2 * math.pi),

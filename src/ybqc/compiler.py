@@ -104,7 +104,8 @@ def compile_circuit(circuit_text: str, geom: LatticeGeometry,
         n_meta = float(len(in_metastable))
         if op[0] == "X":
             _, site, theta = op
-            gate = rotation_pulse(levels[site], site, theta, n_meta + 1.0)
+            gate = rotation_pulse(params, levels[site].field_t, site, theta,
+                                  n_meta + 1.0)
             leg = transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S,
                                  n_meta + 0.5)
             pulses = (leg, gate, leg)

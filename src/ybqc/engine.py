@@ -16,8 +16,11 @@ tracked so that ||amplitudes||^2 + leaked = 1 at all times.
 Frame convention: within each segment every undriven level co-rotates
 with its own local resonance (zero diagonal); levels reached by a drive
 leg carry the cumulative (local transition frequency - laser frequency)
-detuning.  Frames may differ between segments, so only relative,
-convention-stable phases are physical; all phases are deterministic.
+detuning (`_leg_offsets`), the lasers on one reference site's resonance:
+3-photon legs from the closed-form `atomic.ladder_detunings`, the others
+from the sites' cached level tables (`addressing.site_levels`).  Frames
+may differ between segments, so only relative, convention-stable phases
+are physical; all phases are deterministic.
 
 Blocked propagation: every drive couples fixed level pairs of one atom,
 and the dipole and decay terms are diagonal, so the register Hamiltonian
@@ -31,10 +34,7 @@ its decay rates (closed forms, one batched real `eigh`, or Pade-13) and
 `segment_propagator` applies the stacks: only the live blocks, those
 holding an amplitude, of a segment that runs once; all blocks of a
 segment that recurs in a `Run`, whose stacks the run keeps from its
-first run to its last.  The blocks and the lasers read each site's
-cached level table (`addressing.site_levels`, shared with the pulse
-builders); the lasers sit on the resonance of one active reference site
-(`_reference_index`).  The dense kron-sum propagator and scipy's `expm`
+first run to its last.  The dense kron-sum propagator and scipy's `expm`
 are the test oracle.
 """
 
@@ -49,15 +49,13 @@ import numpy as np
 
 from .addressing import GradientConfig, LatticeGeometry, site_levels
 from .atomic import (EM12, EM32, EP12, EP32, GM, GP, AtomParams,
-                     RegisterLevels, ladder_detunings)
+                     ladder_detunings)
 from .dipole import pair_coupling
 from .errors import ConfigError, IntegratorError
 
 # Per-atom level indices: the register levels of `atomic.register_levels`
-# (GM, GP, EM32, EM12, EP12, EP32)
+# (GM, GP, EM32, EM12, EP12, EP32), the e levels last
 NLEV = 6
-E_LEVELS = (EM32, EM12, EP12, EP32)
-G_LEVELS = (GM, GP)
 
 UNITARITY_TOL = 1e-6
 ACCOUNTING_TOL = 1e-9
@@ -158,6 +156,13 @@ class PulseSchedule:
         object.__setattr__(self, "sites", _as_tuples(self.sites))
         if len(set(self.sites)) != len(self.sites):
             raise ConfigError("duplicate active sites")
+        for n, seg in enumerate(self.segments):
+            drive = seg.pulse.transition != "measure"   # a MEAS reads a site
+            if seg.pulse.target not in [("site", s) for s in self.sites] \
+                    + [("all",)] * drive:
+                raise ConfigError(f"segment {n} ({seg.pulse.transition}): "
+                                  f"target {seg.pulse.target!r} is not an "
+                                  "active site" + " or ('all',)" * drive)
 
     @property
     def total_duration_s(self) -> float:
@@ -218,12 +223,7 @@ def light_shift_compensation(delta1: float, delta2: float,
 def _reference_index(sites: tuple, target: tuple) -> int:
     """Position in `sites` of the site whose resonance the lasers hit:
     the target site, or the first active site for ("all",)."""
-    if target == ("all",):
-        return 0
-    if target[0] == "site" and target[1] in sites:
-        return sites.index(target[1])
-    raise ConfigError(f"pulse target {target!r} is neither ('all',) nor "
-                      "an active site of the register")
+    return 0 if target == ("all",) else sites.index(target[1])
 
 
 # Drive legs (lower, upper) of each transition.  The three 3-photon legs
@@ -248,30 +248,35 @@ def _leg_groups(legs) -> np.ndarray:
 GROUPS = {transition: _leg_groups(legs) for transition, legs in LEGS.items()}
 
 
-def _laser_frequencies(ref: RegisterLevels, pulse) -> tuple:
-    """Laser angular frequency (rad/s) of each drive leg: resonant on the
-    reference site's level table `ref`, plus the pulse detuning; the
-    3-photon laser also carries the light-shift compensation."""
+def _leg_offsets(params: AtomParams, fields, energies, ref: int, pulse):
+    """Each site's (transition - laser) angular frequency (rad/s) on each
+    drive leg of `pulse`, the lasers resonant on site `ref` plus e, the
+    pulse detuning.  3-photon legs: (omega0 - omega0_ref) + (Delta1,
+    -Delta1 - Delta2, Delta2) - e at the sites' `fields`, e also holding
+    the light-shift compensation; others: from level `energies` (Hz)."""
     if pulse.transition == "three_photon":
-        det = ladder_detunings(ref)
-        eps = 0.0
-        if pulse.rabi_rad_s > 0:
-            eps = light_shift_compensation(det.delta1_rad_s,
-                                           det.delta2_rad_s, pulse.rabi_rad_s)
-        return (det.omega0_rad_s + eps + pulse.detuning_rad_s,) * 3
-    E = ref.energy_hz
-    return tuple(2 * math.pi * (E[up] - E[lo]) + pulse.detuning_rad_s
-                 for lo, up in LEGS[pulse.transition])
+        det = ladder_detunings(params, fields)
+        d1, d2 = det.delta1_rad_s, det.delta2_rad_s
+        eps = light_shift_compensation(float(d1[ref]), float(d2[ref]),
+                                       pulse.rabi_rad_s) \
+            if pulse.rabi_rad_s > 0 else 0.0
+        e = eps + pulse.detuning_rad_s
+        shift = det.omega0_rad_s - det.omega0_rad_s[ref]
+        return np.stack([shift + d1 - e, shift + (-d1 - d2) - e,
+                         shift + d2 - e], axis=1)
+    lasers = [2 * math.pi * (energies[ref][up] - energies[ref][lo])
+              + pulse.detuning_rad_s for lo, up in LEGS[pulse.transition]]
+    return [[2 * math.pi * (E[up] - E[lo]) - wL for (lo, up), wL
+             in zip(LEGS[pulse.transition], lasers)] for E in energies]
 
 
-def _single_atom_hamiltonian(energy_hz, lasers, pulse) -> np.ndarray:
-    """6x6 rotating-frame block (rad/s) for one atom whose register levels
-    sit at `energy_hz` (Hz), driven by `lasers` (rad/s, one per leg).
+def _single_atom_hamiltonian(offsets, pulse) -> np.ndarray:
+    """6x6 rotating-frame block (rad/s) for one atom whose drive legs sit
+    `offsets` (rad/s, one per leg, from `_leg_offsets`) off resonance.
     Every drive has phase 0, so the block is real symmetric."""
     hmat = np.zeros((NLEV, NLEV))
-    for (lo, up), wL in zip(LEGS[pulse.transition], lasers):
-        hmat[up, up] = hmat[lo, lo] \
-            + (2 * math.pi * (energy_hz[up] - energy_hz[lo]) - wL)
+    for (lo, up), offset in zip(LEGS[pulse.transition], offsets):
+        hmat[up, up] = hmat[lo, lo] + offset
         hmat[up, lo] = hmat[lo, up] = pulse.rabi_rad_s / 2
     return hmat
 
@@ -316,18 +321,19 @@ def segment_hamiltonian(segment: PulseSegment, cover: np.ndarray,
     boolean mask `cover` are built, taken in order from the transition's
     `_block_partition`.  Blocks of one size share one `_block_drive`
     matrix (Omega/2 on each leg) and carry their slice of one 6^n
-    diagonal: the atoms' level energies, then the dipole terms.  The
-    partition and each size's drive matrix are built into `run` on first
-    use.
+    diagonal: the atoms' leg offsets (`_leg_offsets`), then the dipole
+    terms.  The partition and each size's drive matrix are built into
+    `run` on first use.
     """
     config, pulse = segment.config, segment.pulse
     tables = site_levels(run.params, run.geom, run.sites, config)
-    lasers = _laser_frequencies(
-        tables[_reference_index(run.sites, pulse.target)], pulse)
+    offsets = _leg_offsets(run.params, [t.field_t for t in tables],
+                           [t.energy_hz for t in tables],
+                           _reference_index(run.sites, pulse.target), pulse)
     if pulse.transition not in run.partitions:
         run.partitions[pulse.transition] = _block_partition(pulse.transition,
                                                             len(run.sites))
-    hs = [_single_atom_hamiltonian(t.energy_hz, lasers, pulse) for t in tables]
+    hs = [_single_atom_hamiltonian(o, pulse) for o in offsets]
     labels = basis_labels(len(run.sites))
     diagonal = sum(h.diagonal()[labels[:, i]] for i, h in enumerate(hs)) \
         + _dipole_diagonal(run.params, run.geom, run.sites, config,
@@ -375,7 +381,7 @@ def _gamma_levels(noise: NoiseParams) -> np.ndarray:
     """Norm-decay rate (1/s) of each per-atom level: lattice scattering on
     every level, 3P2 decay on the e levels."""
     per_level = np.full(NLEV, noise.photon_scattering_rate_hz)
-    per_level[list(E_LEVELS)] += 1 / noise.lifetime_3P2_s   # 0 at inf
+    per_level[EM32:] += 1 / noise.lifetime_3P2_s    # 0 at inf
     return per_level
 
 

@@ -4,12 +4,12 @@ The builders (`transfer_pulse`, `rotation_pulse`, `cnot_pulse`) take no
 register and return one engine `Pulse`; `compiler.compile_circuit` is a
 loop over them and `compiler.execute_schedule` runs the result, so every
 gate reaches the engine through one path.  The builders read the sites'
-level tables of `addressing.site_levels`, which the engine reads too, and
-the 3-photon scan times the rotation from the engine's own ladder block:
-its eigenphases, factorised over blocks of the time grid, give the e+3/2
-population in one small matrix product.  `measure_qubit`
-samples and projects one readout; the fluorescence loss, equal for every
-readout of a run, is one `DetectionReport`.
+level tables of `addressing.site_levels` (the rotation only the field),
+and the 3-photon scan times the rotation from the engine's own ladder
+block (`engine._leg_offsets`): its eigenphases, factorised over blocks of
+the time grid, give the e+3/2 population in one small matrix product.
+`measure_qubit` samples and projects one readout; the fluorescence loss,
+equal for every readout of a run, is one `DetectionReport`.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import RegisterLevels, ladder_detunings, resolved_detunings
+from .atomic import AtomParams, ladder_detunings
 from .dipole import pair_coupling
-from .engine import (EM12, EM32, EP12, EP32, GM, GP, G_LEVELS, NLEV,
-                     NoiseParams, Pulse, RegisterState, _laser_frequencies,
+from .engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
+                     Pulse, RegisterState, _leg_offsets,
                      _single_atom_hamiltonian, basis_labels)
 from .errors import (ConfigError, DegenerateManifoldError, GeometryError,
                      IntegratorError, PhysicsError, ProtocolOrderError)
@@ -69,9 +69,9 @@ def _d_population(w, amp, dt: float, lo: int, hi: int) -> np.ndarray:
     return np.abs(d) ** 2
 
 
-def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
+def three_photon_scan(params: AtomParams, B: float, rabi) -> ThreePhotonScan:
     """Exact 4-level simulation of the 3-photon drive starting in state a,
-    for one atom with level table `levels`.
+    for the atom `params` at field B.
 
     The ladder Hamiltonian is the engine's e-3/2 .. e+3/2 block of the
     light-shift-compensated drive.  Returns the first-maximum pi time of
@@ -90,34 +90,33 @@ def three_photon_scan(levels: RegisterLevels, rabi) -> ThreePhotonScan:
     eigenstates i, j of largest |V[a, k] V[d, k]|, lies outside
     SCAN_WINDOW (it lies at 1.00 to 1.05 predicted pi times in the range
     above), or if the argmax is the first or last evaluated point, and
-    DegenerateManifoldError where the detunings are rounding noise
-    (`atomic.resolved_detunings`) or their product underflows to 0.
+    DegenerateManifoldError at B = 0 or where the effective Rabi
+    frequency underflows to 0.
     """
-    det = resolved_detunings(levels)
+    det = ladder_detunings(params, B)
     product = 4 * det.delta1_rad_s * det.delta2_rad_s
-    if product == 0:        # resolved detunings below about 1e-160 rad/s
-        raise DegenerateManifoldError(
-            f"3-photon ladder detunings {det.delta1_rad_s:.6g} and "
-            f"{det.delta2_rad_s:.6g} rad/s have a zero product: the ladder "
-            "has no effective Rabi frequency; check the atom constants "
-            "g_J_3P2, hyperfine_A_3P2_hz and nuclear_moment_mu_n")
     # a float rabi ** 3 raises OverflowError, a numpy one gives inf
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            omega_eff = rabi ** 3 / product
+            omega_eff = rabi ** 3 / product if product else 0.0
     except OverflowError:
         omega_eff = math.inf
     if not math.isfinite(omega_eff):
         raise ConfigError(f"Rabi frequency {rabi} rad/s gives a non-finite "
                           "3-photon Rabi frequency")
-    if omega_eff == 0.0:
+    if rabi == 0:
         raise ConfigError("zero Rabi frequency has no pi time")
+    if omega_eff == 0.0:    # the gate's drive: |Delta| below ~1e-107 rad/s
+        raise DegenerateManifoldError(
+            f"3-photon ladder detunings {det.delta1_rad_s:.6g} and "
+            f"{det.delta2_rad_s:.6g} rad/s underflow Omega^3 or 4 Delta1 "
+            "Delta2 to a zero product: no effective Rabi frequency; check "
+            "g_J_3P2, hyperfine_A_3P2_hz and nuclear_moment_mu_n")
     t_pred = math.pi / abs(omega_eff)
     drive = Pulse("three_photon", t_pred, rabi)
     ladder = slice(EM32, EP32 + 1)
-    H = _single_atom_hamiltonian(levels.energy_hz,
-                                 _laser_frequencies(levels, drive),
-                                 drive)[ladder, ladder]
+    offsets = _leg_offsets(params, [B], None, 0, drive)[0]
+    H = _single_atom_hamiltonian(offsets, drive)[ladder, ladder]
     w, V = np.linalg.eigh(H)
     c = V[0, :]  # overlap of eigenvectors with the initial state a
     amp = V[3, :] * c
@@ -158,15 +157,15 @@ def transfer_pulse(target: tuple, rabi: float, weight: float) -> Pulse:
                  metastable_weight=weight)
 
 
-def rotation_pulse(levels: RegisterLevels, site, angle: float,
+def rotation_pulse(params: AtomParams, B: float, site, angle: float,
                    weight: float) -> Pulse:
-    """3-photon x rotation by `angle` of the auxiliary qubit at `site`
-    (level table `levels`), timed by the exact ladder scan; the drive
-    phase is zero."""
-    det = ladder_detunings(levels)
+    """3-photon x rotation by `angle` of the auxiliary qubit of the atom
+    `params` at `site`, whose field is B, timed by the exact ladder scan;
+    the drive phase is zero."""
+    det = ladder_detunings(params, B)
     rabi = GATE_RABI_FRACTION * min(abs(det.delta1_rad_s),
                                     abs(det.delta2_rad_s))
-    scan = three_photon_scan(levels, rabi)
+    scan = three_photon_scan(params, B, rabi)
     return Pulse("three_photon", (angle / math.pi) * scan.pi_time_s, rabi,
                  target=("site", tuple(site)), metastable_weight=weight)
 
@@ -253,8 +252,7 @@ def measure_qubit(reg: RegisterState, axis: int, rng: np.random.Generator):
     amps = reg.amps.copy()
     amps[gp], amps[ep] = -1j * reg.amps[ep], -1j * reg.amps[gp]
 
-    in_ground = np.isin(levels, G_LEVELS)
-    keep = in_ground if outcome == 1 else ~in_ground
+    keep = (levels <= GP) == outcome     # the ground levels GM, GP on 1
     collapsed = np.where(keep, amps, 0.0)
     norm = float(np.vdot(collapsed, collapsed).real)
     if norm > 1e-300:

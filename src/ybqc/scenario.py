@@ -23,8 +23,8 @@ import numpy as np
 
 from .addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                          resonance_map, validate_gradients)
-from .atomic import (AtomParams, level_labels, register_table,
-                     resolved_detunings, zeeman_table)
+from .atomic import (AtomParams, ladder_detunings, level_labels,
+                     zeeman_table)
 from .compiler import compile_circuit, execute_schedule
 from .constants import GAUSS, CM
 from .engine import NoiseParams, PulseSchedule, RegisterState, GM, GP
@@ -142,7 +142,7 @@ def emit_detuning_curves(params: AtomParams, b_min_gauss: float,
     if steps < 2:
         raise ConfigError("a sweep needs at least 2 steps")
     b = np.linspace(b_min_gauss, b_max_gauss, steps)
-    det = resolved_detunings(register_table(params, b * GAUSS))
+    det = ladder_detunings(params, b * GAUSS)
     lines = ["B_gauss,delta1_hz,delta2_hz"]
     lines += [f"{bg!r},{d1!r},{d2!r}" for bg, d1, d2 in zip(
         b.tolist(), (det.delta1_rad_s / (2 * math.pi)).tolist(),

@@ -9,7 +9,7 @@ import numpy as np
 
 from ybqc.addressing import LatticeGeometry, plan_gradients, resonance_map, validate_gradients
 from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, ladder_detunings,
-                         register_levels, zeeman_table)
+                         zeeman_table)
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.constants import CM, GAUSS, mu_B, mu_N
 from ybqc.dipole import cnot_shift, ddi_coupling
@@ -83,10 +83,9 @@ def test_criterion_3_gradient_plan():
 def test_criterion_4_three_photon_operating_point():
     t0 = time.perf_counter()
     params = calibrate_hyperfine_A(AtomParams())
-    det = ladder_detunings(register_levels(params, 650 * GAUSS))
+    det = ladder_detunings(params, 650 * GAUSS)
     geo = math.sqrt(abs(det.delta1_rad_s * det.delta2_rad_s))
-    scan = three_photon_scan(register_levels(params, 650 * GAUSS),
-                             2 * math.pi * 985e3)
+    scan = three_photon_scan(params, 650 * GAUSS, 2 * math.pi * 985e3)
     elapsed = time.perf_counter() - t0
     ok = (abs(geo - 2 * math.pi * 20e6) <= 0.25 * 2 * math.pi * 20e6
           and abs(scan.pi_time_s - 1e-3) <= 0.25e-3
@@ -101,12 +100,11 @@ def test_criterion_4_three_photon_operating_point():
 
 def test_criterion_5_effective_formula_property():
     params = calibrate_hyperfine_A(AtomParams())
-    det = ladder_detunings(register_levels(params, 650 * GAUSS))
+    det = ladder_detunings(params, 650 * GAUSS)
     min_d = min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
     worst = 0.0
     for frac in (0.02, 0.04, 0.06, 0.08, 0.10):
-        scan = three_photon_scan(register_levels(params, 650 * GAUSS),
-                                 frac * min_d)
+        scan = three_photon_scan(params, 650 * GAUSS, frac * min_d)
         err = abs(scan.pi_time_s - scan.predicted_pi_time_s) \
             / scan.predicted_pi_time_s
         worst = max(worst, err)

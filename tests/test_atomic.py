@@ -1,10 +1,11 @@
-"""Zeeman/hyperfine structure tests against independent dense-matrix and
-closed-form oracles."""
+"""Zeeman/hyperfine structure tests against independent dense-matrix,
+closed-form and 50-digit oracles."""
 
 import math
 from dataclasses import replace
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.constants
@@ -16,10 +17,11 @@ from ybqc.atomic import (CALIBRATION_A_BRACKET_HZ, CALIBRATION_DETUNING_RAD_S,
                          CALIBRATION_FIELD_T, EM12, EP12, EP32, GM, GP,
                          AtomParams, aux_branch, calibrate_hyperfine_A,
                          ladder_detunings, lande_g_F, level_labels,
-                         register_levels, register_table,
-                         resolved_detunings, zeeman_table)
+                         register_levels, register_table, zeeman_table)
 from ybqc.constants import GAUSS, h, mu_B, mu_N
 from ybqc.errors import ConfigError, DegenerateManifoldError, PhysicsError
+
+from conftest import ladder_oracle
 
 
 def dense_hamiltonian(params, B):
@@ -175,14 +177,15 @@ def _bits(values) -> bytes:
 @given(params=ATOMS, B=FIELDS)
 def test_float_views_are_columns_of_the_kernel(params, B):
     # one-field calls (the CLI's `levels` and `detunings`, the per-site
-    # tables) read the same bits as a column of a many-field call
+    # tables, the rotation) read the same bits as a column of a many-field
+    # call
     energy, slopes = zeeman_table(params, B)
     table = register_table(params, B)
     live = B[B > 0]         # the ladder is degenerate at B = 0
-    det = ladder_detunings(register_table(params, live))
+    det = ladder_detunings(params, live)
     for b, *want in zip(live.tolist(), det.omega0_rad_s, det.delta1_rad_s,
                         det.delta2_rad_s):
-        d = ladder_detunings(register_levels(params, b))
+        d = ladder_detunings(params, b)
         assert _bits([d.omega0_rad_s, d.delta1_rad_s, d.delta2_rad_s]) \
             == _bits(want)
     assert len(set(level_labels(params))) == 10
@@ -204,8 +207,9 @@ def test_kernel_errors_name_the_first_offending_field():
     with pytest.raises(PhysicsError, match=r"B = 1e\+30 T .*g_J_3P2"):
         zeeman_table(AtomParams(g_J_3P2=1e280), [1.0, 1e30, 1e40])
     with pytest.raises(PhysicsError, match=r"B = 1e\+30 T"):
-        ladder_detunings(register_table(AtomParams(g_J_3P2=1e280),
-                                        [1.0, 1e30]))
+        ladder_detunings(AtomParams(g_J_3P2=1e280), [1.0, 1e30])
+    with pytest.raises(ConfigError, match=r"got -2\.0 T"):
+        ladder_detunings(AtomParams(), [1.0, -2.0, math.nan])
 
 
 def test_zero_field_splitting_is_five_halves_A():
@@ -292,9 +296,8 @@ def test_detuning_sum_rule():
     params = AtomParams()
     for bg in (10.0, 650.0, 5000.0):
         B = bg * GAUSS
-        levels = register_levels(params, B)
-        det = ladder_detunings(levels)
-        E = levels.energy_hz
+        det = ladder_detunings(params, B)
+        E = register_levels(params, B).energy_hz
         w_bc = 2 * math.pi * (E[EP12] - E[EM12])
         assert det.delta1_rad_s + det.delta2_rad_s == pytest.approx(
             -(w_bc - det.omega0_rad_s), abs=1e-3)
@@ -302,7 +305,9 @@ def test_detuning_sum_rule():
 
 def test_degenerate_manifold_raises():
     with pytest.raises(DegenerateManifoldError):
-        ladder_detunings(register_levels(AtomParams(), 0.0))
+        ladder_detunings(AtomParams(), 0.0)
+    with pytest.raises(DegenerateManifoldError):
+        ladder_detunings(AtomParams(), [1e-2, 0.0])
 
 
 # Over 3000 random atoms of `BREIT_RABI_ATOMS` at 1 uT - 100 T the worst
@@ -335,36 +340,47 @@ def test_f32_levels_follow_the_breit_rabi_form(params, log_b):
         assert abs(upper - (mean + r)) <= BREIT_RABI_ERROR * scale
 
 
-def test_detunings_of_the_default_atoms_are_resolved():
-    # the default atom keeps 1.1e4 rounding steps at 1 uT, the calibrated
-    # one 5.1e3; the sweeps' fields from 1 G up keep 5e7 or more
-    B = np.logspace(-6, 2, 801)
-    for params in (AtomParams(), calibrate_hyperfine_A(AtomParams())):
-        table = register_table(params, B)
-        assert _bits(resolved_detunings(table).delta1_rad_s) \
-            == _bits(ladder_detunings(table).delta1_rad_s)
-        for b in B[::100].tolist():
-            resolved_detunings(register_levels(params, b))
+# Over 120000 random atoms of `BREIT_RABI_ATOMS` at 1 uT - 100 T the worst
+# error was 5.66 x 2^-52 of |Delta| and 1.86 x 2^-52 of |omega0|
+LADDER_ERROR = 6.2 * 2.0 ** -52
+OMEGA0_ERROR = 2.2 * 2.0 ** -52
 
 
-def test_detunings_of_rounding_noise_name_the_first_field():
-    # g_J = 1e16: the Zeeman energies dwarf the detunings at every field,
-    # which read 0 to 0.64 rounding steps from 1 uT to 100 T
-    atom = replace(AtomParams(), g_J_3P2=1e16)
-    for B in ([1e-6, 0.065, 100.0], [0.065]):
-        with pytest.raises(DegenerateManifoldError,
-                           match=f"at B = {B[0]:g} T .*rounding noise"):
-            resolved_detunings(register_table(atom, B))
-    # g_J = 1e9 keeps 6.6e7 rounding steps at 1 uT and none at 0.2 T:
-    # only the field that fails is named
-    with pytest.raises(DegenerateManifoldError, match="at B = 0.2 T"):
-        resolved_detunings(register_table(
-            replace(AtomParams(), g_J_3P2=1e9), [1e-6, 0.2]))
+def _ulps_off(got: float, want) -> float:
+    return float(abs(mpmath.mpf(got) - want) / abs(want))
+
+
+@settings(max_examples=100, deadline=None)
+@given(params=BREIT_RABI_ATOMS, log_b=st.floats(-6.0, 2.0))
+def test_ladder_detunings_match_the_mpmath_eigenvalues(params, log_b):
+    # the closed form against the 2x2 blocks' eigenvalues at 80 digits;
+    # Delta1 and Delta2 have opposite signs
+    det = ladder_detunings(params, 10.0 ** log_b)
+    omega0, delta1, delta2 = ladder_oracle(params, 10.0 ** log_b)
+    assert _ulps_off(det.omega0_rad_s, omega0) <= OMEGA0_ERROR
+    assert _ulps_off(det.delta1_rad_s, delta1) <= LADDER_ERROR
+    assert _ulps_off(det.delta2_rad_s, delta2) <= LADDER_ERROR
+    assert det.delta1_rad_s * det.delta2_rad_s < 0
+
+
+@pytest.mark.parametrize("g_J", [1e9, 1e16])
+def test_detunings_of_extreme_atoms_match_the_oracle(g_J):
+    # Zeeman energies that dwarf the detunings by up to 1e37 (g_J = 1e16:
+    # about 1e25 Hz against 4e-7 Hz at 650 G), where second differences
+    # of the level table keep no digit
+    atom = replace(AtomParams(), g_J_3P2=g_J)
+    B = np.array([1e-6, 0.065, 0.2, 100.0])
+    det = ladder_detunings(atom, B)
+    for n, b in enumerate(B.tolist()):
+        omega0, delta1, delta2 = ladder_oracle(atom, b)
+        assert _ulps_off(det.omega0_rad_s[n], omega0) <= OMEGA0_ERROR
+        assert _ulps_off(det.delta1_rad_s[n], delta1) <= LADDER_ERROR
+        assert _ulps_off(det.delta2_rad_s[n], delta2) <= LADDER_ERROR
 
 
 def test_calibration_hits_target():
     params = calibrate_hyperfine_A(AtomParams())
-    det = ladder_detunings(register_levels(params, 650 * GAUSS))
+    det = ladder_detunings(params, 650 * GAUSS)
     geo = math.sqrt(abs(det.delta1_rad_s * det.delta2_rad_s))
     assert geo == pytest.approx(2 * math.pi * 20e6, rel=1e-9)
     # opposite signs at the operating point: drive sits between the
@@ -389,7 +405,7 @@ def _calibration_mismatch(params: AtomParams, A: float) -> float:
     """Geometric mean of |Delta1|, |Delta2| at CALIBRATION_FIELD_T with
     A(3P2) = A, minus CALIBRATION_DETUNING_RAD_S: one atom, one field."""
     p = replace(params, hyperfine_A_3P2_hz=A)
-    d = ladder_detunings(register_levels(p, CALIBRATION_FIELD_T))
+    d = ladder_detunings(p, CALIBRATION_FIELD_T)
     return math.sqrt(abs(d.delta1_rad_s * d.delta2_rad_s)) \
         - CALIBRATION_DETUNING_RAD_S
 
@@ -407,8 +423,8 @@ def _brentq_or_none(params):
 @example(g_J=1.5, moment=0.49367)
 @example(g_J=0.6, moment=0.49367)
 @example(g_J=0.0, moment=0.49367)
-# a ladder evenly spaced to the last bit, whose detunings are rounding
-# noise: brentq finds no sign change at the bracket's ends
+# detunings of about 1e-6 rad/s over the bracket: brentq finds no sign
+# change at its ends
 @example(g_J=1e16, moment=0.49367)
 def test_calibration_root_agrees_with_brentq(g_J, moment):
     """The scaled array search lands within 1e-12 relative of the root

@@ -30,7 +30,7 @@ from ybqc.engine import (EP32, GM, GP, GROUPS, LEGS, NLEV, SINHC_SERIES_BELOW,
                          NoiseParams, Pulse, PulseSchedule, PulseSegment,
                          RegisterState, Run, UNITARITY_TOL, _block_partition,
                          _dipole_diagonal, _expm_stack, _gamma_levels,
-                         _laser_frequencies, _reference_index,
+                         _leg_offsets, _reference_index,
                          _single_atom_hamiltonian, _spectral_stack,
                          apply_segment, basis_labels, segment_hamiltonian)
 from ybqc.errors import IntegratorError
@@ -52,13 +52,13 @@ def dense_hamiltonian(schedule, segment, dipole_scale=1.0):
     geom, sites = schedule.geom, schedule.sites
     config, pulse = segment.config, segment.pulse
     n = len(sites)
-    tables = [register_levels(P, B)
-              for B in site_fields(geom, config, sites).tolist()]
-    lasers = _laser_frequencies(tables[_reference_index(sites, pulse.target)],
-                                pulse)
+    fields = site_fields(geom, config, sites).tolist()
+    tables = [register_levels(P, B) for B in fields]
+    offsets = _leg_offsets(P, fields, [t.energy_hz for t in tables],
+                           _reference_index(sites, pulse.target), pulse)
     H = np.zeros((NLEV ** n, NLEV ** n), complex)
-    for i, table in enumerate(tables):
-        hi = _single_atom_hamiltonian(table.energy_hz, lasers, pulse)
+    for i, offset in enumerate(offsets):
+        hi = _single_atom_hamiltonian(offset, pulse)
         H += np.kron(np.kron(np.eye(NLEV ** i), hi),
                      np.eye(NLEV ** (n - 1 - i)))
     moments = [table.moment_j_per_t + (0.0,) for table in tables]
@@ -340,9 +340,10 @@ def _per_call_blocks(schedule, segment, cover, dipole_scale):
     config, pulse = segment.config, segment.pulse
     n = len(sites)
     tables = site_levels(params, geom, sites, config)
-    lasers = _laser_frequencies(tables[_reference_index(sites, pulse.target)],
-                                pulse)
-    hs = [_single_atom_hamiltonian(t.energy_hz, lasers, pulse) for t in tables]
+    offsets = _leg_offsets(params, [t.field_t for t in tables],
+                           [t.energy_hz for t in tables],
+                           _reference_index(sites, pulse.target), pulse)
+    hs = [_single_atom_hamiltonian(o, pulse) for o in offsets]
     labels = basis_labels(n)
     groups = GROUPS[pulse.transition][labels]
     block = groups @ NLEV ** np.arange(n - 1, -1, -1)

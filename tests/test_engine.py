@@ -7,15 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybqc.addressing import GradientConfig, LatticeGeometry, plan_gradients
+from ybqc.addressing import (GradientConfig, LatticeGeometry, plan_gradients,
+                             site_levels)
 from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, ladder_detunings,
                          register_levels)
 from ybqc.compiler import execute_schedule
 from ybqc.constants import GAUSS
 from ybqc.dipole import auxiliary_qubit_moments, ddi_coupling
-from ybqc.engine import (EM32, EP32, GM, GP, GROUPS, LEGS, NLEV,
+from ybqc.engine import (EM12, EM32, EP12, EP32, GM, GP, GROUPS, LEGS, NLEV,
                          NoiseParams, Pulse, PulseSchedule, PulseSegment,
-                         RegisterState, _laser_frequencies,
+                         RegisterState, _leg_offsets,
                          _single_atom_hamiltonian, apply_propagator,
                          light_shift_compensation, segment_hamiltonian)
 from ybqc.errors import ConfigError, IntegratorError
@@ -190,10 +191,53 @@ def test_level_groups_are_the_components_of_the_driven_block(transition):
     levels = register_levels(P, 650 * GAUSS)
     for rabi in (1e-3, 2 * math.pi * 50.0, 1e6):
         pulse = Pulse(transition, 1e-3, rabi)
-        hmat = _single_atom_hamiltonian(
-            levels.energy_hz, _laser_frequencies(levels, pulse), pulse)
+        hmat = _single_atom_hamiltonian(_leg_offsets(
+            P, [levels.field_t], [levels.energy_hz], 0, pulse)[0], pulse)
         assert GROUPS[transition].tolist() \
             == _coupled_components(hmat).tolist()
+
+
+def _old_leg_diagonal(E, ref_E, pulse) -> list:
+    """The driven levels' diagonal of one atom with level energies E (Hz)
+    as the engine built it from 2 pi (E[up] - E[lo]) - laser, the laser
+    2 pi (ref_E[up] - ref_E[lo]) + detuning on the reference site."""
+    diag = [0.0] * NLEV
+    for lo, up in LEGS[pulse.transition]:
+        wL = 2 * math.pi * (ref_E[up] - ref_E[lo]) + pulse.detuning_rad_s
+        diag[up] = diag[lo] + (2 * math.pi * (E[up] - E[lo]) - wL)
+    return diag
+
+
+def test_leg_offsets_of_the_reference_ladder_are_its_detunings():
+    # three sites 1 kHz apart: the reference site's 3-photon diagonal is
+    # (0, Delta1 - e, -Delta2 - 2e, -3e) from the closed-form detunings,
+    # e = eps + detuning, to a few ulp of |Delta|; the other transitions
+    # keep their energy differences bit for bit
+    geom = LatticeGeometry(3, 1, 1)
+    sites = ((0, 0, 0), (1, 0, 0), (2, 0, 0))
+    tables = site_levels(P, geom, sites, plan_gradients(geom, 1000.0, P))
+    fields = [t.field_t for t in tables]
+    energies = [t.energy_hz for t in tables]
+    for ref in range(3):
+        det = ladder_detunings(P, fields[ref])
+        d1, d2 = det.delta1_rad_s, det.delta2_rad_s
+        ulp = math.ulp(max(abs(d1), abs(d2)))
+        for rabi, detuning in ((0.0, 0.0), (0.05 * abs(d1), 2e3)):
+            pulse = Pulse("three_photon", 1e-3, rabi, detuning,
+                          ("site", sites[ref]))
+            e = detuning + (rabi and light_shift_compensation(d1, d2, rabi))
+            offsets = _leg_offsets(P, fields, energies, ref, pulse)
+            diag = _single_atom_hamiltonian(offsets[ref], pulse).diagonal()
+            assert diag[EM32] == 0.0
+            assert np.abs(diag[[EM12, EP12, EP32]]
+                          - [d1 - e, -d2 - 2 * e, -3 * e]).max() <= 4 * ulp
+        for transition in ("optical_pair", "aux_flip"):
+            pulse = Pulse(transition, 1e-3, 1e3, 2 * math.pi * 50.0,
+                          ("site", sites[ref]))
+            for E, offset in zip(energies, _leg_offsets(
+                    P, fields, energies, ref, pulse)):
+                assert _single_atom_hamiltonian(offset, pulse).diagonal() \
+                    .tolist() == _old_leg_diagonal(E, energies[ref], pulse)
 
 
 def test_level_moments_near_low_field_values():
@@ -237,10 +281,27 @@ def test_unknown_transition_is_rejected_where_the_pulse_is_made(transition):
 @pytest.mark.parametrize("target", [("site", (1, 0, 0)), ("layer", 0)],
                          ids=["spectator-site", "layer"])
 def test_pulse_target_outside_the_register_is_rejected(target):
+    # where the schedule, the owner of the sites, is made
     seg = PulseSegment(CFG, Pulse("optical_pair", 1e-3, 2 * math.pi * 500,
                                   target=target))
+    with pytest.raises(ConfigError, match=r"segment 0 \(optical_pair\): "
+                       r"target .* is not an active site or \('all',\)$"):
+        PulseSchedule((seg,), ONE.sites, P, GEOM)
     with pytest.raises(ConfigError, match="active site"):
         apply_stepwise(single(GM), ONE, seg, OFF)
+
+
+@pytest.mark.parametrize("target", [("site", (1, 0, 0)), ("all",)],
+                         ids=["spectator-site", "all"])
+def test_readout_target_outside_the_sites_is_rejected(target):
+    # a hand-built readout of a site the schedule does not hold, or of no
+    # one site, raises where the schedule is made, not as a bare
+    # ValueError or IndexError in `compiler.execute_schedule`
+    seg = PulseSegment(CFG, Pulse("measure", 1e-3, target=target))
+    with pytest.raises(ConfigError, match=r"segment 1 \(measure\): target "
+                       ".* is not an active site$"):
+        PulseSchedule((PulseSegment(CFG, Pulse("aux_flip", 0.0)), seg),
+                      ONE.sites, P, GEOM)
 
 
 def test_list_form_target_runs_as_the_tuple_form():
@@ -276,8 +337,7 @@ def _ladder_gap(det):
 
 @pytest.mark.parametrize("gap_fraction", [0.05, 0.3, 1.0])
 def test_light_shift_compensation_stops_at_the_fixed_point(gap_fraction):
-    B = 650 * GAUSS
-    det = ladder_detunings(register_levels(P, B))
+    det = ladder_detunings(P, 650 * GAUSS)
     rabi = gap_fraction * _ladder_gap(det)
     assert light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s,
                                     rabi) \
@@ -285,8 +345,7 @@ def test_light_shift_compensation_stops_at_the_fixed_point(gap_fraction):
 
 
 def test_light_shift_compensation_raises_when_it_diverges():
-    B = 650 * GAUSS
-    det = ladder_detunings(register_levels(P, B))
+    det = ladder_detunings(P, 650 * GAUSS)
     with pytest.raises(IntegratorError):
         light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s,
                                  3.0 * _ladder_gap(det))
@@ -308,12 +367,12 @@ def test_light_shift_fixed_point_is_the_cubic_root_nearest_zero(
     of 0.1 % to 316 % of the ladder gap), eps is a root of the cubic
     12 eps (delta1 - eps)(delta2 - eps) = rabi^2 (delta1 + delta2 - 2 eps)
     to 1e-9 of rabi^2 (|delta1| + |delta2|), which the 1e-9 relative last
-    step allows (60,000 random draws: at most 1.7e-10), and the cubic
+    step allows (60,000 random draws: at most 9.9e-11), and the cubic
     keeps one sign on [-|eps|, |eps|) short of eps: no root is nearer 0.
     It is monotone between its critical points, so its sign at -eps, at
     0 and at the critical points inside decides that."""
     params = calibrate_hyperfine_A(P) if calibrated else P
-    det = ladder_detunings(register_levels(params, 10 ** log_b))
+    det = ladder_detunings(params, 10 ** log_b)
     d1, d2 = det.delta1_rad_s, det.delta2_rad_s
     rabi = 10 ** log_fraction * _ladder_gap(det)
     try:

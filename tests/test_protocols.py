@@ -10,15 +10,14 @@ from hypothesis import given, settings, strategies as st
 from ybqc import protocols
 from ybqc.addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                              site_levels)
-from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, ladder_detunings,
-                         register_levels)
+from ybqc.atomic import AtomParams, calibrate_hyperfine_A, ladder_detunings
 from ybqc.cli import main as cli_main
 from ybqc.compiler import (TRANSFER_RABI_1Q_RAD_S, TRANSFER_RABI_2Q_RAD_S,
                            compile_circuit, execute_schedule, parse_circuit)
 from ybqc.constants import GAUSS
 from ybqc.engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
                          Pulse, PulseSchedule, PulseSegment, RegisterState,
-                         _laser_frequencies, _single_atom_hamiltonian,
+                         _leg_offsets, _single_atom_hamiltonian,
                          basis_labels, light_shift_compensation)
 from ybqc.errors import (ConfigError, DegenerateManifoldError,
                          GeometryError, IntegratorError,
@@ -50,9 +49,9 @@ def _on(geom, *sites, params=P):
 # 3-photon scan
 
 def test_scan_pi_time_tracks_effective_model():
-    det = ladder_detunings(register_levels(PCAL, 650 * GAUSS))
+    det = ladder_detunings(PCAL, 650 * GAUSS)
     rabi = 0.05 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
-    scan = three_photon_scan(register_levels(PCAL, 650 * GAUSS), rabi)
+    scan = three_photon_scan(PCAL, 650 * GAUSS, rabi)
     assert scan.pi_time_s == pytest.approx(scan.predicted_pi_time_s,
                                            rel=0.05)
     assert scan.transfer_probability > 0.99
@@ -65,27 +64,27 @@ def test_scan_pi_time_tracks_effective_model():
 def test_scan_finds_the_first_envelope_maximum(log_b, fraction, calibrated):
     # the grid spans 1.5 predicted pi times and holds one envelope
     # maximum, so its argmax is the pi time
-    levels = register_levels(PCAL if calibrated else P, 10 ** log_b)
-    det = ladder_detunings(levels)
+    params, B = PCAL if calibrated else P, 10 ** log_b
+    det = ladder_detunings(params, B)
     rabi = fraction * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
-    scan = three_photon_scan(levels, rabi)
+    scan = three_photon_scan(params, B, rabi)
     lo, hi = SCAN_WINDOW
     assert lo < scan.pi_time_s / scan.predicted_pi_time_s < hi
     assert scan.transfer_probability > 0.98
 
 
-def _full_grid(levels, rabi, explicit=False):
+def _full_grid(params, B, rabi, explicit=False):
     """The a->d population on all SCAN_SAMPLES points of the grid over 1.5
     predicted pi times, with the grid step and the ladder's eigensystem:
     by the scan's own `_d_population`, or (`explicit`) by one complex
     exponential per eigenstate and grid point."""
-    det = ladder_detunings(levels)
+    det = ladder_detunings(params, B)
     omega_eff = rabi ** 3 / (4 * det.delta1_rad_s * det.delta2_rad_s)
     t_pred = math.pi / abs(omega_eff)
     drive = Pulse("three_photon", t_pred, rabi)
     ladder = slice(EM32, EP32 + 1)
-    H = _single_atom_hamiltonian(levels.energy_hz,
-                                 _laser_frequencies(levels, drive),
+    H = _single_atom_hamiltonian(_leg_offsets(params, [B], None, 0,
+                                              drive)[0],
                                  drive)[ladder, ladder]
     w, V = np.linalg.eigh(H)
     dt = 1.5 * t_pred / (SCAN_SAMPLES - 1)
@@ -99,10 +98,10 @@ def _full_grid(levels, rabi, explicit=False):
     return Pd, dt, t_pred, w, V
 
 
-def _full_grid_scan(levels, rabi, explicit=False):
+def _full_grid_scan(params, B, rabi, explicit=False):
     """Reference: the argmax and parabola over all SCAN_SAMPLES points of
     the grid over 1.5 predicted pi times, with no window."""
-    Pd, dt, t_pred, w, V = _full_grid(levels, rabi, explicit)
+    Pd, dt, t_pred, w, V = _full_grid(params, B, rabi, explicit)
     idx = int(np.argmax(Pd))
     t_pi = idx * dt
     if 0 < idx < len(Pd) - 1:
@@ -131,17 +130,17 @@ def test_factorised_scan_matches_the_per_point_formula(point, calibrated):
     # same grid maximum, grid values to rounding, and the pi time, transfer
     # and leakage as far as that rounding can move them
     log_b, fraction = point
-    levels = register_levels(PCAL if calibrated else P, 10 ** log_b)
-    det = ladder_detunings(levels)
+    params, B = PCAL if calibrated else P, 10 ** log_b
+    det = ladder_detunings(params, B)
     rabi = fraction * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
-    factorised, dt, _, w, V = _full_grid(levels, rabi)
-    explicit = _full_grid(levels, rabi, explicit=True)[0]
+    factorised, dt, _, w, V = _full_grid(params, B, rabi)
+    explicit = _full_grid(params, B, rabi, explicit=True)[0]
     idx = int(np.argmax(explicit))
     assert np.argmax(factorised) == idx
     eps = np.max(np.abs(factorised - explicit))
     assert eps <= 1e-12
-    scan = three_photon_scan(levels, rabi)
-    oracle = _full_grid_scan(levels, rabi, explicit=True)
+    scan = three_photon_scan(params, B, rabi)
+    oracle = _full_grid_scan(params, B, rabi, explicit=True)
     # grid values that differ by eps move the parabola's vertex by at most
     # 3 eps / (|denom| - 4 eps) grid steps; near 0.5 % of min|Delta| the
     # aliased ripple can make |denom| small enough for that to pass 1e-12
@@ -163,10 +162,11 @@ def test_factorised_scan_matches_the_per_point_formula(point, calibrated):
        fraction=st.floats(0.005, 0.3), calibrated=st.booleans())
 def test_windowed_scan_equals_the_full_grid_scan(log_b, fraction,
                                                   calibrated):
-    levels = register_levels(PCAL if calibrated else P, 10 ** log_b)
-    det = ladder_detunings(levels)
+    params, B = PCAL if calibrated else P, 10 ** log_b
+    det = ladder_detunings(params, B)
     rabi = fraction * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
-    assert three_photon_scan(levels, rabi) == _full_grid_scan(levels, rabi)
+    assert three_photon_scan(params, B, rabi) \
+        == _full_grid_scan(params, B, rabi)
 
 
 @settings(max_examples=100, deadline=None)
@@ -175,19 +175,20 @@ def test_scan_at_the_gate_rabi_fraction_equals_the_full_grid_scan(
         log_b, calibrated):
     # the compiler's drive at every field a scenario can reach, 1 uT to
     # 100 T: the window holds the maximum, so it is the full-grid one
-    levels = register_levels(PCAL if calibrated else P, 10 ** log_b)
-    det = ladder_detunings(levels)
+    params, B = PCAL if calibrated else P, 10 ** log_b
+    det = ladder_detunings(params, B)
     rabi = GATE_RABI_FRACTION * min(abs(det.delta1_rad_s),
                                     abs(det.delta2_rad_s))
-    scan = three_photon_scan(levels, rabi)
-    assert scan == _full_grid_scan(levels, rabi)
+    scan = three_photon_scan(params, B, rabi)
+    assert scan == _full_grid_scan(params, B, rabi)
     assert 0.99 < scan.pi_time_s / scan.predicted_pi_time_s < 1.01
 
 
 def test_windowed_scan_equals_the_full_grid_scan_at_the_readme_point():
-    levels = register_levels(PCAL, 650 * GAUSS)
+    params, B = PCAL, 650 * GAUSS
     rabi = 2 * math.pi * 985e3
-    assert three_photon_scan(levels, rabi) == _full_grid_scan(levels, rabi)
+    assert three_photon_scan(params, B, rabi) \
+        == _full_grid_scan(params, B, rabi)
 
 
 def test_scan_maximum_on_the_window_edge_raises(tmp_path, monkeypatch,
@@ -197,11 +198,11 @@ def test_scan_maximum_on_the_window_edge_raises(tmp_path, monkeypatch,
     # between grid points, so the argmax is the window's last point
     monkeypatch.setattr(protocols, "SCAN_WINDOW", (0.5, 0.6))
     monkeypatch.setattr(protocols, "GATE_RABI_FRACTION", 0.005)
-    levels = register_levels(PCAL, 650 * GAUSS)
-    det = ladder_detunings(levels)
+    params, B = PCAL, 650 * GAUSS
+    det = ladder_detunings(params, B)
     rabi = 0.005 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
     with pytest.raises(IntegratorError, match="outside"):
-        three_photon_scan(levels, rabi)
+        three_photon_scan(params, B, rabi)
     (tmp_path / "c.txt").write_text("X 0 0 1.0\n")
     assert cli_main(["compile", "--circuit", str(tmp_path / "c.txt"),
                      "--nx", "1", "--ny", "1",
@@ -216,11 +217,11 @@ def test_scan_envelope_maximum_outside_the_window_raises(monkeypatch):
     # envelope outrank its last point, so the edge check alone passes a
     # pi time near 0.6 predicted pi times; the dressed-state beat does not
     monkeypatch.setattr(protocols, "SCAN_WINDOW", (0.5, 0.6))
-    levels = register_levels(P, 100 * GAUSS)
-    det = ladder_detunings(levels)
+    params, B = P, 100 * GAUSS
+    det = ladder_detunings(params, B)
     rabi = 0.05 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
     with pytest.raises(IntegratorError, match="outside"):
-        three_photon_scan(levels, rabi)
+        three_photon_scan(params, B, rabi)
 
 
 def test_scan_edge_check_catches_a_maximum_the_envelope_check_passes(
@@ -229,19 +230,19 @@ def test_scan_edge_check_catches_a_maximum_the_envelope_check_passes(
     # maximum lies at 1.000012 predicted pi times, inside the window, and
     # the grid maximum at 0.999675, the window's first evaluated point
     monkeypatch.setattr(protocols, "SCAN_WINDOW", (0.9997, 1.15))
-    levels = register_levels(P, 100 * GAUSS)
-    det = ladder_detunings(levels)
+    params, B = P, 100 * GAUSS
+    det = ladder_detunings(params, B)
     rabi = 0.005 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
     with pytest.raises(IntegratorError, match="scan maximum lies outside"):
-        three_photon_scan(levels, rabi)
+        three_photon_scan(params, B, rabi)
 
 
 def test_scan_uncompensated_transfer_degrades():
     # engine pulses of the scan's pi time: the compensated drive transfers,
     # a drive detuned by -eps (no light-shift compensation) does not
     B, rabi, site = 650 * GAUSS, 2 * math.pi * 985e3, (0, 0, 0)
-    scan = three_photon_scan(register_levels(PCAL, B), rabi)
-    det = ladder_detunings(register_levels(PCAL, B))
+    scan = three_photon_scan(PCAL, B, rabi)
+    det = ladder_detunings(PCAL, B)
     eps = light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s, rabi)
     one = _on(LatticeGeometry(1, 1, 1), site, params=PCAL)
     reg = RegisterState.product([EM32])
@@ -258,23 +259,23 @@ def test_scan_uncompensated_transfer_degrades():
 
 
 def test_scan_rejects_detunings_whose_product_underflows():
-    # A = 1e-190 Hz at 1e-200 T: detunings near 1e-191 rad/s keep about
-    # 1e14 rounding steps, but their product underflows to 0
+    # A = 1e-190 Hz at 1e-200 T: detunings near 1e-190 rad/s, whose
+    # product underflows to 0
     atom = AtomParams(hyperfine_A_3P2_hz=1e-190)
     with pytest.raises(DegenerateManifoldError, match="zero product"):
-        three_photon_scan(register_levels(atom, 1e-200), 1.0)
+        three_photon_scan(atom, 1e-200, 1.0)
 
 
 def test_scan_zero_rabi_rejected():
     with pytest.raises(ConfigError):
-        three_photon_scan(register_levels(PCAL, 650 * GAUSS), 0.0)
+        three_photon_scan(PCAL, 650 * GAUSS, 0.0)
 
 
 @pytest.mark.parametrize("rabi", [1e200, np.float64(1e200), math.inf,
                                   math.nan])
 def test_scan_non_finite_effective_rabi_rejected(rabi):
     with pytest.raises(ConfigError, match="non-finite"):
-        three_photon_scan(register_levels(PCAL, 650 * GAUSS), rabi)
+        three_photon_scan(PCAL, 650 * GAUSS, rabi)
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +316,7 @@ def test_single_qubit_pi_gate_flips_aux():
     B = 650 * GAUSS
     site = (0, 0, 0)
     reg = RegisterState.product([EM32])
-    pulse = rotation_pulse(register_levels(PCAL, B), site, math.pi, 1.0)
+    pulse = rotation_pulse(PCAL, B, site, math.pi, 1.0)
     one = _on(LatticeGeometry(1, 1, 1), site, params=PCAL)
     out = apply_stepwise(reg, one, PulseSegment(GradientConfig(B), pulse), OFF)
     assert level_populations(out, 0)[EP32] > 0.99
@@ -500,8 +501,8 @@ def _protocol_path(circuit_op, geom, noise, dipole_scale):
         _, site, theta = circuit_op
         on, reg = _on(geom, site), RegisterState.product([GM])
         leg = transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S, 0.5)
-        gate = rotation_pulse(_levels(geom, cfg, site)[0], site, theta,
-                              1.0)
+        gate = rotation_pulse(P, _levels(geom, cfg, site)[0].field_t, site,
+                              theta, 1.0)
         pulses = (leg, gate, leg)
     else:
         _, control, target = circuit_op

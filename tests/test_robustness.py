@@ -30,7 +30,7 @@ from ybqc.engine import GM, NoiseParams, RegisterState
 from ybqc.errors import ConfigError, PlanningError
 from ybqc.scenario import load_scenario, run_scenario
 
-from conftest import apply_stepwise
+from conftest import apply_stepwise, ladder_oracle
 
 
 def _scenario(tmp_path, **data):
@@ -215,11 +215,12 @@ def test_calibration_outside_its_bracket_exits_3(tmp_path, capsys, g_J):
     assert len(captured.err.strip().splitlines()) == 1
 
 
-# A = 1 Hz or g_J = 1e163 spaces the 3P2 F=3/2 ladder evenly to the last
-# bit: one 3-photon detuning is exactly 0
+# g_J = 1e163 shrinks the 3-photon detunings to 1.6e-152 rad/s at 100 G:
+# the compiler's Rabi frequency, 5 % of that, underflows when cubed, so
+# the effective Rabi frequency Omega^3 / (4 Delta1 Delta2) is a zero
+# product
 @pytest.mark.parametrize("command", ["compile", "simulate"])
-@pytest.mark.parametrize("atom", ["hyperfine_A_3P2_hz = 1",
-                                  "g_J_3P2 = 1e163"])
+@pytest.mark.parametrize("atom", ["g_J_3P2 = 1e163"])
 def test_ladder_with_a_zero_detuning_exits_3(tmp_path, capsys, command,
                                              atom):
     (tmp_path / "atom.cfg").write_text(atom + "\n")
@@ -231,24 +232,55 @@ def test_ladder_with_a_zero_detuning_exits_3(tmp_path, capsys, command,
     assert captured.out == ""
     assert captured.err.startswith("physics error: 3-photon ladder "
                                    "detunings") \
-        and "rounding noise" in captured.err
+        and "zero product" in captured.err
     assert len(captured.err.strip().splitlines()) == 1
 
 
-# g_J = 1e16 puts the Zeeman energies near 1e25 Hz, one ulp near 1e9 Hz,
-# and the detunings near A^2 / E_Zeeman, about 1e-7 Hz
+def test_ladders_of_extreme_atoms_rotate_as_the_closed_form_times_them(
+        tmp_path, capsys):
+    # A = 1 Hz and g_J = 1e16 shrink the detunings at 100 G to 2.4e-9 and
+    # 2.6e-6 Hz: an X 1.0 then lasts 2.1e12 s and 2.0e9 s.  With noise off
+    # both read P(1) = 0.229440, the ladder's dynamics only rescaled in
+    # time; with noise on every atom decays first
+    (tmp_path / "c.txt").write_text("X 0 0 1.0\nMEAS 0 0\n")
+    p1 = []
+    for atom in ("hyperfine_A_3P2_hz = 1", "g_J_3P2 = 1e16"):
+        (tmp_path / "atom.cfg").write_text(atom + "\n")
+        argv = ["simulate", "--circuit", str(tmp_path / "c.txt"), "--nx",
+                "1", "--ny", "1", "--seed", "0", "--atom-config",
+                str(tmp_path / "atom.cfg")]
+        assert cli_main(argv + ["--noise-off"]) == 0
+        p1.append(json.loads(capsys.readouterr().out)["detection"][0]
+                  ["probability_one"])
+        assert cli_main(argv) == 3
+        assert "every atom has been lost" in capsys.readouterr().err
+    assert abs(p1[0] - p1[1]) <= 1e-6
+    assert p1[0] == pytest.approx(0.229440, abs=1e-6)
+
+
+# g_J = 1e16 puts the Zeeman energies near 1e25 Hz and the detunings near
+# A^2 / E_Zeeman, about 4e-7 Hz at 650 G: second differences of the level
+# energies kept no digit of them
 @pytest.mark.parametrize("fields", [["--b-gauss", "650"], []],
                          ids=["single-field", "sweep"])
-def test_detunings_of_rounding_noise_exit_3(tmp_path, capsys, fields):
+def test_detunings_of_a_tiny_ladder_match_the_oracle(tmp_path, capsys,
+                                                     fields):
     (tmp_path / "a.cfg").write_text("g_J_3P2 = 1e16\n")
     assert cli_main(["detunings", *fields, "--atom-config",
-                     str(tmp_path / "a.cfg")]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("physics error: 3-photon ladder "
-                                   "detunings") \
-        and "rounding noise" in captured.err
-    assert len(captured.err.strip().splitlines()) == 1
+                     str(tmp_path / "a.cfg")]) == 0
+    out = capsys.readouterr().out
+    if fields:
+        det = json.loads(out)
+        rows = [(det["B_gauss"], det["delta1_hz"], det["delta2_hz"])]
+    else:
+        rows = [tuple(map(float, line.split(",")))
+                for line in out.splitlines()[1::200]]
+    atom = AtomParams(g_J_3P2=1e16)
+    for b_gauss, *got in rows:
+        want = ladder_oracle(atom, b_gauss * GAUSS)[1:]
+        assert got == pytest.approx([float(w) / (2 * math.pi)
+                                     for w in want], rel=1e-14)
+        assert 1e-8 < abs(got[0]) < 1e-4
 
 
 def test_readout_of_an_all_lost_register_exits_3(tmp_path, capsys):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from ybqc.addressing import LatticeGeometry, plan_gradients
 from ybqc.atomic import (AtomParams, ladder_detunings, level_labels,
-                         register_levels, zeeman_table)
+                         zeeman_table)
 from ybqc.cli import main as cli_main
 from ybqc.compiler import compile_circuit, execute_schedule, parse_circuit
 from ybqc.constants import GAUSS
@@ -206,7 +206,7 @@ def test_detuning_csv_structure():
     # rows equal direct calls at matching fields
     for line in lines[1:10]:
         b, d1, d2 = (float(x) for x in line.split(","))
-        det = ladder_detunings(register_levels(P, b * GAUSS))
+        det = ladder_detunings(P, b * GAUSS)
         assert d1 == pytest.approx(det.delta1_rad_s / (2 * math.pi),
                                    rel=1e-12)
         assert d2 == pytest.approx(det.delta2_rad_s / (2 * math.pi),

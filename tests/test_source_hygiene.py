@@ -26,8 +26,8 @@ Every defaulted parameter of a package function, and every defaulted
 field of a package dataclass, is passed by some call in the package: a
 knob that every caller leaves at its default is a constant.  Importing
 the package and running the CLI, the feasibility report and a scenario
-run among it, loads no scipy module: scipy serves the tests' oracles
-only.  The package's
+run among it, loads no scipy, mpmath or hypothesis module: they serve
+the tests' oracles and properties only.  The package's
 `lru_cache` uses are the three pinned ones, and no package function
 writes into a module-level container: a propagator or partition cache
 that outlived one run would give the benchmark's in-process loop warm
@@ -410,6 +410,10 @@ def test_every_knob_is_passed_inside_the_package():
         == KNOB_ALLOWLIST
 
 
+# Test-only packages: oracles (scipy, mpmath) and properties (hypothesis)
+TEST_ONLY_PACKAGES = ("scipy", "mpmath", "hypothesis")
+
+
 def test_import_and_cli_load_no_scipy(tmp_path):
     (tmp_path / "c.txt").write_text("X 0 0 1.0\nMEAS 0 0\n")
     (tmp_path / "scn.json").write_text(json.dumps({
@@ -420,8 +424,8 @@ def test_import_and_cli_load_no_scipy(tmp_path):
             "for argv in (['levels', '--b-gauss', '100', '--calibrate'],\n"
             "             ['feasibility'], ['run', 'scn.json']):\n"
             "    assert ybqc.cli.main(argv) == 0\n"
-            "print([m for m in sys.modules if m.split('.')[0] == 'scipy'],"
-            " file=sys.stderr)\n")
+            f"print([m for m in sys.modules if m.split('.')[0] in "
+            f"{TEST_ONLY_PACKAGES!r}], file=sys.stderr)\n")
     path = os.pathsep.join(filter(None, [str(SRC.parent),
                                          os.environ.get("PYTHONPATH")]))
     run = subprocess.run([sys.executable, "-c", code], capture_output=True,
