@@ -28,7 +28,8 @@ from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.constants import CM, GAUSS
 from ybqc.engine import GM, NoiseParams, RegisterState
 from ybqc.errors import ConfigError, PlanningError
-from ybqc.scenario import load_scenario, run_scenario
+from ybqc.protocols import GATE_RABI_FRACTION
+from ybqc.scenario import load_atom_params, load_scenario, run_scenario
 
 from conftest import apply_stepwise, ladder_oracle
 
@@ -256,6 +257,42 @@ def test_ladders_of_extreme_atoms_rotate_as_the_closed_form_times_them(
         assert "every atom has been lost" in capsys.readouterr().err
     assert abs(p1[0] - p1[1]) <= 1e-6
     assert p1[0] == pytest.approx(0.229440, abs=1e-6)
+
+
+# The same atoms, command by command.  The compiled gate drives at
+# GATE_RABI_FRACTION of min(|Delta1|, |Delta2|) of the oracle ladder, and
+# its X 1.0 lasts 0.99 to 1.07 of 1 rad / Omega_eff, the scanned pi time's
+# band around the effective model; the noisy simulation loses the atom
+# to decay within that time and exits 3 on one line
+@pytest.mark.parametrize("command", ["compile", "simulate"])
+@pytest.mark.parametrize("atom", ["hyperfine_A_3P2_hz = 1",
+                                  "g_J_3P2 = 1e16"])
+def test_ladder_of_an_extreme_atom_compiles_and_decays(tmp_path, capsys,
+                                                       command, atom):
+    (tmp_path / "atom.cfg").write_text(atom + "\n")
+    (tmp_path / "c.txt").write_text("X 0 0 1.0\nMEAS 0 0\n")
+    argv = [command, "--circuit", str(tmp_path / "c.txt"), "--nx", "1",
+            "--ny", "1", "--atom-config", str(tmp_path / "atom.cfg")]
+    if command == "simulate":
+        assert cli_main(argv + ["--seed", "0"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("physics error: ") \
+            and "every atom has been lost" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        return
+    assert cli_main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    seg, = [s for s in json.loads(captured.out)["segments"]
+            if s["transition"] == "three_photon"]
+    _, delta1, delta2 = ladder_oracle(load_atom_params(tmp_path / "atom.cfg"),
+                                      seg["gradients"]["B0_t"])
+    rabi = seg["rabi_rad_s"]
+    assert rabi == pytest.approx(
+        GATE_RABI_FRACTION * float(min(abs(delta1), abs(delta2))), rel=1e-9)
+    area = rabi ** 3 / float(4 * abs(delta1 * delta2)) * seg["duration_s"]
+    assert 0.99 <= area <= 1.07
 
 
 # g_J = 1e16 puts the Zeeman energies near 1e25 Hz and the detunings near
