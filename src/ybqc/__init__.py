@@ -2,8 +2,8 @@
 gradient-addressed 171Yb optical-lattice qubit register."""
 
 from .atomic import (AtomParams, ThreePhotonDetunings, calibrate_hyperfine_A,
-                     ladder_detunings, level_labels, register_levels,
-                     register_table, zeeman_table)
+                     ladder_detunings, level_labels, register_table,
+                     zeeman_table)
 from .addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                          resonance_map, validate_gradients)
 from .dipole import (auxiliary_qubit_moments, cnot_shift, ddi_coupling,

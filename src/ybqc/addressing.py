@@ -16,8 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .atomic import (EP32, GP, AtomParams, RegisterLevels, register_levels,
-                     register_table)
+from .atomic import (EP32, GP, AtomParams, RegisterLevels,
+                     ThreePhotonDetunings, ladder_detunings, register_table)
 from .constants import h
 from .errors import ConfigError, PhysicsError, PlanningError
 
@@ -111,15 +111,20 @@ def site_fields(geom: LatticeGeometry, config: GradientConfig,
 
 @lru_cache(maxsize=64)
 def site_levels(params: AtomParams, geom: LatticeGeometry, sites: tuple,
-                config: GradientConfig) -> tuple[RegisterLevels, ...]:
-    """Level table of each of `sites` at its local field, cached per
-    register and field config; the pulse builders and the engine share it."""
+                config: GradientConfig
+                ) -> tuple[RegisterLevels, ThreePhotonDetunings]:
+    """Level table and 3-photon ladder of `sites` at their local fields,
+    one read-only column per site, cached per register and field config:
+    the compiler, the pulse builders and the engine index it."""
     for site in sites:
         if not geom.contains(site):
             raise IndexError(f"site {site} outside "
                              f"{geom.n_x}x{geom.n_y}x{geom.n_z} lattice")
-    return tuple(register_levels(params, B)
-                 for B in site_fields(geom, config, sites).tolist())
+    fields = site_fields(geom, config, sites)
+    table = register_table(params, fields), ladder_detunings(params, fields)
+    for column in (*vars(table[0]).values(), *vars(table[1]).values()):
+        column.flags.writeable = False
+    return table
 
 
 def field_range(geom: LatticeGeometry, config: GradientConfig) -> float:
@@ -195,7 +200,7 @@ def plan_gradients(geom: LatticeGeometry, target_gap_hz: float,
     if not 0 < target_gap_hz < math.inf:
         raise PlanningError("target gap must be finite and positive")
     config = GradientConfig(B0_t, safety_factor=safety_factor)  # checks both
-    slope = abs(_addressed_line(register_levels(params, B0_t))[1])
+    slope = abs(float(_addressed_line(register_table(params, [B0_t]))[1][0]))
     if not 0 < slope < math.inf:
         raise PlanningError("addressed transition has no field slope at B0")
     g_unit = PLAN_HEADROOM * target_gap_hz / (slope * geom.spacing_m)

@@ -16,12 +16,13 @@ Conventions
   closed form.
 * One array kernel, `zeeman_table`, evaluates all ten levels at every
   field of an array B, with `level_labels` naming its rows;
-  `register_table` builds on it, and `register_levels`, one column of it
-  as floats, is the per-site table the pulse path caches.
+  `register_table` builds on it.  One field is a one-field array, and
+  `addressing.site_levels` caches a register's table, a column per site.
 * `ladder_detunings` gives the 3-photon ladder in the Breit-Rabi closed
-  form, from the atom and the field alone, elementwise over B.  As
-  E(A, B) = A E(1, B / A), one call of the atom with A = 1 at the fields
-  B / A tries 65 values of A for `calibrate_hyperfine_A`.
+  form, from the atom and the field alone, elementwise over B (exactly
+  0 at B = 0).  As E(A, B) = A E(1, B / A), one call of the atom with
+  A = 1 at the fields B / A tries 65 values of A for
+  `calibrate_hyperfine_A`.
 * Branch label: 'lower'/'upper' by energy within each m_F block.  The 2x2
   blocks have a field-independent off-diagonal element, so the ordering is
   an avoided crossing and the label is adiabatically stable at all B.
@@ -37,14 +38,14 @@ from typing import ClassVar
 import numpy as np
 
 from .constants import atomic_mass, h, mu_B, mu_N
-from .errors import ConfigError, DegenerateManifoldError, PhysicsError
+from .errors import ConfigError, PhysicsError
 
 # Defaults for 171Yb.  The 3P2 hyperfine constant is not critical at the
 # percent level anywhere in the protocols; see calibrate_hyperfine_A for
 # pinning it to the 3-photon operating point.
 DEFAULT_HYPERFINE_A_3P2_HZ = 2.6777e9
 
-# Register levels, in `register_levels` order: the 1S0 nuclear-spin qubit
+# Register levels, in `register_table` row order: the 1S0 nuclear-spin qubit
 # and the 3P2 F=3/2 ladder a, b, c, d (m_F = -3/2 .. +3/2).
 GM, GP, EM32, EM12, EP12, EP32 = range(6)
 
@@ -91,9 +92,9 @@ class AtomParams:
 
 @dataclass(frozen=True)
 class ThreePhotonDetunings:
-    omega0_rad_s: float | np.ndarray  # drive: a third of the a->d splitting
-    delta1_rad_s: float | np.ndarray  # omega_ab - omega0
-    delta2_rad_s: float | np.ndarray  # omega_cd - omega0
+    omega0_rad_s: np.ndarray  # drive: a third of the a->d splitting
+    delta1_rad_s: np.ndarray  # omega_ab - omega0
+    delta2_rad_s: np.ndarray  # omega_cd - omega0
 
 
 def lande_g_F(g_J: float, F: float, J: float, I: float) -> float:
@@ -114,9 +115,9 @@ def _check_finite(values, what: str, B) -> None:
 
 
 def _field_array(B) -> np.ndarray:
-    """B as a float array; ConfigError at its first negative or
+    """B as a 1-d float array; ConfigError at its first negative or
     non-finite field."""
-    B = np.asarray(B, dtype=float)
+    B = np.asarray(B, dtype=float).reshape(-1)
     ok = (B >= 0) & (B < math.inf)
     if not ok.all():
         raise ConfigError(f"B must be finite and >= 0, got "
@@ -188,12 +189,11 @@ def aux_branch(params: AtomParams) -> str:
 class RegisterLevels:
     """Energies (Hz) and z-moments -h dE/dB (J/T) of the register levels,
     indexed GM, GP, EM32, EM12, EP12, EP32: the 1S0 qubit g-, g+ and the
-    3P2 F=3/2 ladder e-3/2 .. e+3/2.  `register_levels` gives one field
-    as floats; `register_table` gives an array of fields, with one
+    3P2 F=3/2 ladder e-3/2 .. e+3/2, at an array of fields, with one
     column per field."""
-    field_t: float | np.ndarray
-    energy_hz: tuple[float, ...] | np.ndarray
-    moment_j_per_t: tuple[float, ...] | np.ndarray
+    field_t: np.ndarray
+    energy_hz: np.ndarray
+    moment_j_per_t: np.ndarray
 
 
 @np.errstate(all="ignore")      # overflow surfaces as the PhysicsError
@@ -215,19 +215,12 @@ def register_table(params: AtomParams, B) -> RegisterLevels:
     return RegisterLevels(B, *out)
 
 
-def register_levels(params: AtomParams, B: float) -> RegisterLevels:
-    """Closed-form level table of one atom at field B: one column of
-    `register_table`."""
-    table = register_table(params, [B])
-    return RegisterLevels(B, tuple(table.energy_hz[:, 0].tolist()),
-                          tuple(table.moment_j_per_t[:, 0].tolist()))
-
-
 @np.errstate(all="ignore")      # overflow surfaces as the PhysicsError
 def ladder_detunings(params: AtomParams, B) -> ThreePhotonDetunings:
     """Drive frequency omega0 = (E_d - E_a) / (3 hbar) and detunings
-    Delta1, Delta2 of the 3-photon F=3/2 ladder a -> d at field B: floats
-    for a float B, the bits of one column of an array B, elementwise.
+    Delta1, Delta2 of the 3-photon F=3/2 ladder a -> d at every field of
+    the 1-d array B, elementwise: a one-field array reads the bits of
+    that field's entry of any longer one.
 
     Each level is mean -/+ r (- for A > 0), the block mean linear in m_F
     and, in the Breit-Rabi form (Phys. Rev. 38, 2082 (1931)),
@@ -235,13 +228,10 @@ def ladder_detunings(params: AtomParams, B) -> ThreePhotonDetunings:
     (g_J mu_B + g_I mu_N)/(2h).  r^2 steps by exactly c = -A kappa B per
     unit m_F, so each first difference of r is c over the sum of its two
     r, all of one sign, and Delta1 and Delta2 are sums of their products:
-    no step subtracts two large numbers.  B = 0 raises
-    DegenerateManifoldError; a negative or non-finite B, ConfigError."""
-    fields = _field_array(B)[()]    # a float B: one numpy scalar
-    if not fields.all():
-        raise DegenerateManifoldError(
-            "three-photon detunings are ill-conditioned at B=0 "
-            "(degenerate F=3/2 sublevels)")
+    no step subtracts two large numbers.  At B = 0 the F=3/2 sublevels
+    are degenerate and all three are exactly 0; a negative or
+    non-finite B raises ConfigError."""
+    fields = _field_array(B)
     A = params.hyperfine_A_3P2_hz
     x = (params.g_J_3P2 * mu_B + params.g_I * mu_N) / (2 * h) * fields
     # r of a, b, c, d: the blocks m_F = -3/2 .. +3/2
@@ -257,7 +247,7 @@ def ladder_detunings(params: AtomParams, B) -> ThreePhotonDetunings:
     omega0 = 2 * math.pi * params.g_J_3P2 * mu_B / h * fields + w * (u + t)
     out = (omega0, delta1, delta2)
     _check_finite(out, "three-photon ladder detunings", fields)
-    return ThreePhotonDetunings(*(out if np.ndim(B) else map(float, out)))
+    return ThreePhotonDetunings(*out)
 
 
 # The 3-photon operating point and the bracket searched for A(3P2)
@@ -279,7 +269,7 @@ def calibrate_hyperfine_A(params: AtomParams) -> AtomParams:
     lo, hi = CALIBRATION_A_BRACKET_HZ
     # an atom whose ladder overflows raises naming the calibration field
     ladder_detunings(replace(params, hyperfine_A_3P2_hz=lo),
-                     CALIBRATION_FIELD_T)
+                     [CALIBRATION_FIELD_T])
     unit = replace(params, hyperfine_A_3P2_hz=1.0)
     while True:
         A = np.linspace(lo, hi, 65)

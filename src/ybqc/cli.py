@@ -104,13 +104,13 @@ def cmd_detunings(args) -> int:
         return _print_stage(args, "detunings", "detunings.csv", sweep={
             "b_min_gauss": args.b_min_gauss, "b_max_gauss": args.b_max_gauss,
             "steps": args.steps})
-    det = ladder_detunings(_scenario(args).params, args.b_gauss * GAUSS)
+    det = ladder_detunings(_scenario(args).params, [args.b_gauss * GAUSS])
+    # + 0.0: the ladder's zeros at B = 0 print as 0.0, not -0.0
+    d1, d2, w0 = (float(x[0]) / (2 * math.pi) + 0.0 for x in
+                  (det.delta1_rad_s, det.delta2_rad_s, det.omega0_rad_s))
     _write_or_print(json.dumps({
-        "B_gauss": args.b_gauss,
-        "delta1_hz": det.delta1_rad_s / (2 * math.pi),
-        "delta2_hz": det.delta2_rad_s / (2 * math.pi),
-        "omega0_hz": det.omega0_rad_s / (2 * math.pi)},
-        indent=2) + "\n", args.out)
+        "B_gauss": args.b_gauss, "delta1_hz": d1, "delta2_hz": d2,
+        "omega0_hz": w0}, indent=2) + "\n", args.out)
     return EXIT_OK
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .addressing import (GradientConfig, LatticeGeometry, nearest_fields,
-                         site_fields, site_levels)
+                         site_levels)
 from .atomic import AtomParams
 from .engine import (NLEV, NoiseParams, Pulse, PulseSchedule, PulseSegment,
                      RegisterState, Run, apply_segment)
@@ -91,11 +91,12 @@ def compile_circuit(circuit_text: str, geom: LatticeGeometry,
     if outside:
         raise ConfigError(f"circuit site {outside[0][:2]} outside the "
                           f"{geom.n_x}x{geom.n_y} lattice")
-    shared = nearest_fields(site_fields(geom, config, sites), sites)[1]
+    levels, ladder = site_levels(params, geom, sites, config)
+    shared = nearest_fields(levels.field_t, sites)[1]
     if shared:
         raise PlanningError(f"circuit sites {shared[0][:2]} and "
                             f"{shared[1][:2]} share one local field")
-    levels = dict(zip(sites, site_levels(params, geom, sites, config)))
+    moments = dict(zip(sites, levels.moment_j_per_t.T))
     flat = replace(config, Gx_t_per_m=0.0, Gy_t_per_m=0.0, Gz_t_per_m=0.0)
 
     segments = []
@@ -104,15 +105,15 @@ def compile_circuit(circuit_text: str, geom: LatticeGeometry,
         n_meta = float(len(in_metastable))
         if op[0] == "X":
             _, site, theta = op
-            gate = rotation_pulse(params, levels[site].field_t, site, theta,
+            gate = rotation_pulse(ladder, sites.index(site), site, theta,
                                   n_meta + 1.0)
             leg = transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S,
                                  n_meta + 0.5)
             pulses = (leg, gate, leg)
         elif op[0] == "CNOT":
             _, control, target = op
-            flip = cnot_pulse(geom, control, target, levels[control],
-                              levels[target], n_meta + 2.0)
+            flip = cnot_pulse(geom, control, target, moments[control],
+                              moments[target], n_meta + 2.0)
             control_leg = transfer_pulse(("site", control),
                                          TRANSFER_RABI_2Q_RAD_S, n_meta + 0.5)
             target_leg = transfer_pulse(("site", target),

@@ -1,6 +1,6 @@
 """Pulse-level state-vector simulation of the atom register.
 
-Each active atom carries the six `atomic.register_levels` levels: the
+Each active atom carries the six `atomic.register_table` levels: the
 1S0 nuclear-spin qubit (g-, g+) and the 3P2(F=3/2) manifold
 (e -3/2 .. e +3/2).  The register is the tensor product over active
 sites (spectator sites are not represented).  A compiled `PulseSchedule`
@@ -16,11 +16,10 @@ tracked so that ||amplitudes||^2 + leaked = 1 at all times.
 Frame convention: within each segment every undriven level co-rotates
 with its own local resonance (zero diagonal); levels reached by a drive
 leg carry the cumulative (local transition frequency - laser frequency)
-detuning (`_leg_offsets`), the lasers on one reference site's resonance:
-3-photon legs from the closed-form `atomic.ladder_detunings`, the others
-from the sites' cached level tables (`addressing.site_levels`).  Frames
-may differ between segments, so only relative, convention-stable phases
-are physical; all phases are deterministic.
+detuning (`_leg_offsets`) from the register's cached table
+(`addressing.site_levels`), the lasers on one reference site's
+resonance.  Frames may differ between segments, so only relative,
+convention-stable phases are physical; all phases are deterministic.
 
 Blocked propagation: every drive couples fixed level pairs of one atom,
 and the dipole and decay terms are diagonal, so the register Hamiltonian
@@ -48,12 +47,11 @@ from functools import lru_cache
 import numpy as np
 
 from .addressing import GradientConfig, LatticeGeometry, site_levels
-from .atomic import (EM12, EM32, EP12, EP32, GM, GP, AtomParams,
-                     ladder_detunings)
+from .atomic import EM12, EM32, EP12, EP32, GM, GP, AtomParams
 from .dipole import pair_coupling
-from .errors import ConfigError, IntegratorError
+from .errors import ConfigError, DegenerateManifoldError, IntegratorError
 
-# Per-atom level indices: the register levels of `atomic.register_levels`
+# Per-atom level indices: the rows of `atomic.register_table`
 # (GM, GP, EM32, EM12, EP12, EP32), the e levels last
 NLEV = 6
 
@@ -205,7 +203,12 @@ def light_shift_compensation(delta1: float, delta2: float,
 
     Iterates until the value repeats exactly; raises IntegratorError
     when 80 steps leave the last step above 1e-9 relative (the iteration
-    diverges for drives of a few ladder gaps)."""
+    diverges for drives of a few ladder gaps); DegenerateManifoldError
+    for a zero detuning, the ladder of a site at B = 0."""
+    if not (delta1 and delta2):
+        raise DegenerateManifoldError(
+            "3-photon drive on a zero ladder detuning: the site sits at "
+            "B = 0, or the atom's F=3/2 sublevels do not split")
     eps = step = 0.0
     for _ in range(80):
         new = (rabi ** 2 / 4) * (1 / (delta1 - eps) + 1 / (delta2 - eps)) / 3
@@ -248,26 +251,25 @@ def _leg_groups(legs) -> np.ndarray:
 GROUPS = {transition: _leg_groups(legs) for transition, legs in LEGS.items()}
 
 
-def _leg_offsets(params: AtomParams, fields, energies, ref: int, pulse):
-    """Each site's (transition - laser) angular frequency (rad/s) on each
-    drive leg of `pulse`, the lasers resonant on site `ref` plus e, the
-    pulse detuning.  3-photon legs: (omega0 - omega0_ref) + (Delta1,
-    -Delta1 - Delta2, Delta2) - e at the sites' `fields`, e also holding
-    the light-shift compensation; others: from level `energies` (Hz)."""
+def _leg_offsets(ladder, energies: np.ndarray, ref: int, pulse) -> np.ndarray:
+    """(transition - laser) angular frequency (rad/s) on each drive leg of
+    `pulse`, one row per site (the columns of the register's `ladder` and
+    (6, n) level `energies`, Hz), the lasers resonant on site `ref` plus
+    e, the pulse detuning.  3-photon legs: (omega0 - omega0_ref) +
+    (Delta1, -Delta1 - Delta2, Delta2) - e, e also holding the light-shift
+    compensation; others: w - (w_ref + e), w = 2 pi (E_up - E_lo)."""
     if pulse.transition == "three_photon":
-        det = ladder_detunings(params, fields)
-        d1, d2 = det.delta1_rad_s, det.delta2_rad_s
+        d1, d2 = ladder.delta1_rad_s, ladder.delta2_rad_s
         eps = light_shift_compensation(float(d1[ref]), float(d2[ref]),
                                        pulse.rabi_rad_s) \
             if pulse.rabi_rad_s > 0 else 0.0
         e = eps + pulse.detuning_rad_s
-        shift = det.omega0_rad_s - det.omega0_rad_s[ref]
+        shift = ladder.omega0_rad_s - ladder.omega0_rad_s[ref]
         return np.stack([shift + d1 - e, shift + (-d1 - d2) - e,
                          shift + d2 - e], axis=1)
-    lasers = [2 * math.pi * (energies[ref][up] - energies[ref][lo])
-              + pulse.detuning_rad_s for lo, up in LEGS[pulse.transition]]
-    return [[2 * math.pi * (E[up] - E[lo]) - wL for (lo, up), wL
-             in zip(LEGS[pulse.transition], lasers)] for E in energies]
+    lo, up = np.array(LEGS[pulse.transition]).T
+    w = 2 * math.pi * (energies[up] - energies[lo])
+    return (w - (w[:, ref, None] + pulse.detuning_rad_s)).T
 
 
 def _single_atom_hamiltonian(offsets, pulse) -> np.ndarray:
@@ -326,9 +328,8 @@ def segment_hamiltonian(segment: PulseSegment, cover: np.ndarray,
     `run` on first use.
     """
     config, pulse = segment.config, segment.pulse
-    tables = site_levels(run.params, run.geom, run.sites, config)
-    offsets = _leg_offsets(run.params, [t.field_t for t in tables],
-                           [t.energy_hz for t in tables],
+    levels, ladder = site_levels(run.params, run.geom, run.sites, config)
+    offsets = _leg_offsets(ladder, levels.energy_hz,
                            _reference_index(run.sites, pulse.target), pulse)
     if pulse.transition not in run.partitions:
         run.partitions[pulse.transition] = _block_partition(pulse.transition,
@@ -361,9 +362,8 @@ def _dipole_diagonal(params: AtomParams, geom: LatticeGeometry, sites: tuple,
     """Read-only always-on secular dipole-dipole diagonal (rad/s) over the
     6^n basis; computed once per register, field and scale."""
     n = len(sites)
-    moments = np.array([table.moment_j_per_t for table in
-                        site_levels(params, geom, sites, config)])
-    labels = basis_labels(n)
+    moments = site_levels(params, geom, sites, config)[0].moment_j_per_t
+    m = moments[basis_labels(n), np.arange(n)]  # m[b, i]: atom i in state b
     dd = np.zeros(NLEV ** n)
     for i in range(n):
         for j in range(i + 1, n):
@@ -372,7 +372,7 @@ def _dipole_diagonal(params: AtomParams, geom: LatticeGeometry, sites: tuple,
             if not math.isfinite(coef):
                 raise IntegratorError(f"dipole diagonal overflows at "
                                       f"dipole_scale {dipole_scale!r}")
-            dd += coef * moments[i][labels[:, i]] * moments[j][labels[:, j]]
+            dd += coef * m[:, i] * m[:, j]
     dd.flags.writeable = False
     return dd
 

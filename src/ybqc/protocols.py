@@ -3,11 +3,12 @@
 The builders (`transfer_pulse`, `rotation_pulse`, `cnot_pulse`) take no
 register and return one engine `Pulse`; `compiler.compile_circuit` is a
 loop over them and `compiler.execute_schedule` runs the result, so every
-gate reaches the engine through one path.  The builders read the sites'
-level tables of `addressing.site_levels` (the rotation only the field),
-and the 3-photon scan times the rotation from the engine's own ladder
-block (`engine._leg_offsets`): its eigenphases, factorised over blocks of
-the time grid, give the e+3/2 population in one small matrix product.
+gate reaches the engine through one path.  The builders index columns
+of the register's cached `addressing.site_levels` table (the rotation
+its ladder, the CNOT its moments), and the 3-photon scan times the
+rotation from the engine's own ladder block (`engine._leg_offsets`): its
+eigenphases, factorised over blocks of the time grid, give the e+3/2
+population in one small matrix product.
 `measure_qubit` samples and projects one readout; the fluorescence loss,
 equal for every readout of a run, is one `DetectionReport`.
 """
@@ -19,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .atomic import AtomParams, ladder_detunings
 from .dipole import pair_coupling
 from .engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
                      Pulse, RegisterState, _leg_offsets,
@@ -69,9 +69,10 @@ def _d_population(w, amp, dt: float, lo: int, hi: int) -> np.ndarray:
     return np.abs(d) ** 2
 
 
-def three_photon_scan(params: AtomParams, B: float, rabi) -> ThreePhotonScan:
+def three_photon_scan(ladder, k: int, rabi) -> ThreePhotonScan:
     """Exact 4-level simulation of the 3-photon drive starting in state a,
-    for the atom `params` at field B.
+    on entry k of `ladder`, the `atomic.ThreePhotonDetunings` of one atom
+    at each of its fields.
 
     The ladder Hamiltonian is the engine's e-3/2 .. e+3/2 block of the
     light-shift-compensated drive.  Returns the first-maximum pi time of
@@ -90,17 +91,17 @@ def three_photon_scan(params: AtomParams, B: float, rabi) -> ThreePhotonScan:
     eigenstates i, j of largest |V[a, k] V[d, k]|, lies outside
     SCAN_WINDOW (it lies at 1.00 to 1.05 predicted pi times in the range
     above), or if the argmax is the first or last evaluated point, and
-    DegenerateManifoldError at B = 0 or where the effective Rabi
-    frequency underflows to 0.
+    DegenerateManifoldError at a zero detuning (B = 0) or where the
+    effective Rabi frequency underflows to 0.
     """
-    det = ladder_detunings(params, B)
-    product = 4 * det.delta1_rad_s * det.delta2_rad_s
-    # a float rabi ** 3 raises OverflowError, a numpy one gives inf
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            omega_eff = rabi ** 3 / product if product else 0.0
-    except OverflowError:
-        omega_eff = math.inf
+    d1, d2 = float(ladder.delta1_rad_s[k]), float(ladder.delta2_rad_s[k])
+    if not (d1 and d2):
+        raise DegenerateManifoldError(
+            "3-photon ladder detunings are zero: the site sits at B = 0, or "
+            "the atom's F=3/2 sublevels do not split")
+    product = 4 * d1 * d2
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, nan raise below
+        omega_eff = float(np.float64(rabi) ** 3 / product) if product else 0.0
     if not math.isfinite(omega_eff):
         raise ConfigError(f"Rabi frequency {rabi} rad/s gives a non-finite "
                           "3-photon Rabi frequency")
@@ -108,15 +109,14 @@ def three_photon_scan(params: AtomParams, B: float, rabi) -> ThreePhotonScan:
         raise ConfigError("zero Rabi frequency has no pi time")
     if omega_eff == 0.0:    # the gate's drive: |Delta| below ~1e-107 rad/s
         raise DegenerateManifoldError(
-            f"3-photon ladder detunings {det.delta1_rad_s:.6g} and "
-            f"{det.delta2_rad_s:.6g} rad/s underflow Omega^3 or 4 Delta1 "
-            "Delta2 to a zero product: no effective Rabi frequency; check "
-            "g_J_3P2, hyperfine_A_3P2_hz and nuclear_moment_mu_n")
+            f"3-photon ladder detunings {d1:.6g} and {d2:.6g} rad/s "
+            "underflow Omega^3 or 4 Delta1 Delta2 to a zero product: no "
+            "effective Rabi frequency; check g_J_3P2, hyperfine_A_3P2_hz "
+            "and nuclear_moment_mu_n")
     t_pred = math.pi / abs(omega_eff)
     drive = Pulse("three_photon", t_pred, rabi)
-    ladder = slice(EM32, EP32 + 1)
-    offsets = _leg_offsets(params, [B], None, 0, drive)[0]
-    H = _single_atom_hamiltonian(offsets, drive)[ladder, ladder]
+    offsets = _leg_offsets(ladder, None, k, drive)[k]
+    H = _single_atom_hamiltonian(offsets, drive)[EM32:, EM32:]  # the e levels
     w, V = np.linalg.eigh(H)
     c = V[0, :]  # overlap of eigenvectors with the initial state a
     amp = V[3, :] * c
@@ -157,40 +157,38 @@ def transfer_pulse(target: tuple, rabi: float, weight: float) -> Pulse:
                  metastable_weight=weight)
 
 
-def rotation_pulse(params: AtomParams, B: float, site, angle: float,
-                   weight: float) -> Pulse:
-    """3-photon x rotation by `angle` of the auxiliary qubit of the atom
-    `params` at `site`, whose field is B, timed by the exact ladder scan;
+def rotation_pulse(ladder, k: int, site, angle: float, weight: float) -> Pulse:
+    """3-photon x rotation by `angle` of the auxiliary qubit at `site`,
+    whose ladder is entry k of `ladder`, timed by the exact ladder scan;
     the drive phase is zero."""
-    det = ladder_detunings(params, B)
-    rabi = GATE_RABI_FRACTION * min(abs(det.delta1_rad_s),
-                                    abs(det.delta2_rad_s))
-    scan = three_photon_scan(params, B, rabi)
+    rabi = GATE_RABI_FRACTION * min(abs(float(ladder.delta1_rad_s[k])),
+                                    abs(float(ladder.delta2_rad_s[k])))
+    scan = three_photon_scan(ladder, k, rabi)
     return Pulse("three_photon", (angle / math.pi) * scan.pi_time_s, rabi,
                  target=("site", tuple(site)), metastable_weight=weight)
 
 
-def cnot_pulse_parameters(geom, control_site, target_site, control_levels,
-                          target_levels):
+def cnot_pulse_parameters(geom, control_site, target_site, m_control,
+                          m_target):
     """Conditional shift (Hz) and resonant laser detuning (rad/s) of the
-    |10> <-> |11> line for a control/target pair and their level tables."""
+    |10> <-> |11> line for a control/target pair and their moment columns."""
     coupling = pair_coupling(geom.position_m(control_site),
                              geom.position_m(target_site))
-    m_c = control_levels.moment_j_per_t
-    m_t = target_levels.moment_j_per_t
-    shift_hz = coupling * (m_c[EP32] - m_c[EM32]) * (m_t[EP32] - m_t[EM32])
-    detuning_rad_s = 2 * math.pi * coupling * m_c[EP32] \
-        * (m_t[EP32] - m_t[EM32])
-    return shift_hz, detuning_rad_s
+    aux = m_target[EP32] - m_target[EM32]
+    shift_hz = coupling * (m_control[EP32] - m_control[EM32]) * aux
+    detuning_rad_s = 2 * math.pi * coupling * m_control[EP32] * aux
+    return float(shift_hz), float(detuning_rad_s)
 
 
-def cnot_pulse(geom, control_site, target_site, control_levels,
-               target_levels, weight: float) -> Pulse:
-    """aux_flip pi-pulse of the dipole-shift CNOT on adjacent sites.
+def cnot_pulse(geom, control_site, target_site, m_control, m_target,
+               weight: float) -> Pulse:
+    """aux_flip pi-pulse of the dipole-shift CNOT on adjacent sites, from
+    the two sites' register moment columns.
 
     The laser sits on the nominal |10> <-> |11> line and the Rabi
     frequency is CNOT_RABI_FACTOR times the nominal conditional shift;
-    the engine's `dipole_scale` scales only its dipole diagonal.
+    the engine's `dipole_scale` scales only its dipole diagonal.  No
+    finite pi time (no conditional shift) is a DegenerateManifoldError.
     """
     control_site, target_site = tuple(control_site), tuple(target_site)
     if sum(abs(a - b) for a, b in zip(control_site, target_site)) != 1:
@@ -198,8 +196,12 @@ def cnot_pulse(geom, control_site, target_site, control_levels,
             f"CNOT sites {control_site}, {target_site} are not adjacent "
             "(no routing in scope)")
     shift_hz, detuning = cnot_pulse_parameters(
-        geom, control_site, target_site, control_levels, target_levels)
+        geom, control_site, target_site, m_control, m_target)
     rabi = 2 * math.pi * abs(shift_hz) * CNOT_RABI_FACTOR
+    if not (rabi and math.isfinite(math.pi / rabi)):
+        raise DegenerateManifoldError(
+            f"CNOT {control_site} -> {target_site}: conditional shift "
+            f"{shift_hz:.6g} Hz leaves the flip no finite pi time")
     return Pulse("aux_flip", math.pi / rabi, rabi, detuning_rad_s=detuning,
                  target=("site", target_site), metastable_weight=weight)
 

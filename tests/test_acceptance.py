@@ -83,9 +83,9 @@ def test_criterion_3_gradient_plan():
 def test_criterion_4_three_photon_operating_point():
     t0 = time.perf_counter()
     params = calibrate_hyperfine_A(AtomParams())
-    det = ladder_detunings(params, 650 * GAUSS)
-    geo = math.sqrt(abs(det.delta1_rad_s * det.delta2_rad_s))
-    scan = three_photon_scan(params, 650 * GAUSS, 2 * math.pi * 985e3)
+    det = ladder_detunings(params, [650 * GAUSS])
+    geo = math.sqrt(abs(det.delta1_rad_s[0] * det.delta2_rad_s[0]))
+    scan = three_photon_scan(det, 0, 2 * math.pi * 985e3)
     elapsed = time.perf_counter() - t0
     ok = (abs(geo - 2 * math.pi * 20e6) <= 0.25 * 2 * math.pi * 20e6
           and abs(scan.pi_time_s - 1e-3) <= 0.25e-3
@@ -100,11 +100,12 @@ def test_criterion_4_three_photon_operating_point():
 
 def test_criterion_5_effective_formula_property():
     params = calibrate_hyperfine_A(AtomParams())
-    det = ladder_detunings(params, 650 * GAUSS)
-    min_d = min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+    det = ladder_detunings(params, [650 * GAUSS])
+    min_d = min(abs(float(det.delta1_rad_s[0])),
+                abs(float(det.delta2_rad_s[0])))
     worst = 0.0
     for frac in (0.02, 0.04, 0.06, 0.08, 0.10):
-        scan = three_photon_scan(params, 650 * GAUSS, frac * min_d)
+        scan = three_photon_scan(det, 0, frac * min_d)
         err = abs(scan.pi_time_s - scan.predicted_pi_time_s) \
             / scan.predicted_pi_time_s
         worst = max(worst, err)

@@ -117,18 +117,19 @@ def test_resonance_comb_monotone_and_nearly_uniform():
 
 def test_comb_is_the_per_site_level_tables_bit_for_bit():
     # one array evaluation over the layer gives, site by site, the field
-    # and the addressed line of the one-field level table of each site,
-    # sorted by frequency and then site; Gx = Gy puts sites (i, j) and
-    # (j, i) on one field, so the site order (i, then j) breaks the ties
+    # and the addressed line of each site's column of the register table
+    # of `site_levels`, sorted by frequency and then site; Gx = Gy puts
+    # sites (i, j) and (j, i) on one field, so the site order (i, then j)
+    # breaks the ties
     params = AtomParams(hyperfine_A_3P2_hz=-3e9)
     geom = LatticeGeometry(7, 5, 1)
     sites = [(i, j, 0) for j in range(5) for i in range(7)]
     for gx in (3 * GAUSS / CM, 23 * GAUSS / CM):
         cfg = GradientConfig(80 * GAUSS, gx, 23 * GAUSS / CM)
         rmap = resonance_map(geom, cfg, params)
-        tables = site_levels(params, geom, tuple(sites), cfg)
-        want = sorted((t.energy_hz[EP32] - t.energy_hz[GP], site, t.field_t)
-                      for site, t in zip(sites, tables))
+        levels = site_levels(params, geom, tuple(sites), cfg)[0]
+        want = sorted((E[EP32] - E[GP], site, B) for site, E, B in zip(
+            sites, levels.energy_hz.T.tolist(), levels.field_t.tolist()))
         assert [(f, tuple(s), B) for f, s, B in zip(
             rmap.freqs_hz.tolist(), rmap.sites.tolist(),
             rmap.fields_t.tolist())] == want

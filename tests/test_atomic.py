@@ -17,9 +17,11 @@ from ybqc.atomic import (CALIBRATION_A_BRACKET_HZ, CALIBRATION_DETUNING_RAD_S,
                          CALIBRATION_FIELD_T, EM12, EP12, EP32, GM, GP,
                          AtomParams, aux_branch, calibrate_hyperfine_A,
                          ladder_detunings, lande_g_F, level_labels,
-                         register_levels, register_table, zeeman_table)
+                         register_table, zeeman_table)
 from ybqc.constants import GAUSS, h, mu_B, mu_N
+from ybqc.engine import light_shift_compensation
 from ybqc.errors import ConfigError, DegenerateManifoldError, PhysicsError
+from ybqc.protocols import three_photon_scan
 
 from conftest import ladder_oracle
 
@@ -117,11 +119,10 @@ def test_slopes_match_hellmann_feynman_oracle(A, B):
 def test_register_moments_match_central_difference(A, B):
     params = AtomParams(hyperfine_A_3P2_hz=A)
     dB = 1e-5
-    lo, hi = register_levels(params, B - dB), register_levels(params, B + dB)
-    fd = [-h * (e1 - e0) / (2 * dB)
-          for e0, e1 in zip(lo.energy_hz, hi.energy_hz)]
-    assert register_levels(params, B).moment_j_per_t \
-        == pytest.approx(fd, rel=1e-6)
+    table = register_table(params, [B - dB, B, B + dB])
+    lo, _, hi = table.energy_hz.T
+    fd = -h * (hi - lo) / (2 * dB)
+    assert table.moment_j_per_t[:, 1] == pytest.approx(fd, rel=1e-6)
 
 
 def test_exact_crossing_keeps_the_diagonal_slopes():
@@ -176,26 +177,25 @@ def _bits(values) -> bytes:
 @settings(max_examples=60, deadline=None)
 @given(params=ATOMS, B=FIELDS)
 def test_float_views_are_columns_of_the_kernel(params, B):
-    # one-field calls (the CLI's `levels` and `detunings`, the per-site
-    # tables, the rotation) read the same bits as a column of a many-field
-    # call
+    # one-field calls (the CLI's `levels` and `detunings`, the planner's
+    # slope) read the same bits as a column of a many-field call, such as
+    # a register's table of `site_levels`; B = 0 included
     energy, slopes = zeeman_table(params, B)
     table = register_table(params, B)
-    live = B[B > 0]         # the ladder is degenerate at B = 0
-    det = ladder_detunings(params, live)
-    for b, *want in zip(live.tolist(), det.omega0_rad_s, det.delta1_rad_s,
-                        det.delta2_rad_s):
-        d = ladder_detunings(params, b)
-        assert _bits([d.omega0_rad_s, d.delta1_rad_s, d.delta2_rad_s]) \
-            == _bits(want)
+    det = ladder_detunings(params, B)
     assert len(set(level_labels(params))) == 10
     for n, b in enumerate(B.tolist()):
         column = zeeman_table(params, [b])
         assert _bits(column[0, :, 0]) == _bits(energy[:, n])
         assert _bits(column[1, :, 0]) == _bits(slopes[:, n])
-        lv = register_levels(params, b)
-        assert _bits(lv.energy_hz) == _bits(table.energy_hz[:, n])
-        assert _bits(lv.moment_j_per_t) == _bits(table.moment_j_per_t[:, n])
+        lv = register_table(params, [b])
+        assert _bits(lv.energy_hz[:, 0]) == _bits(table.energy_hz[:, n])
+        assert _bits(lv.moment_j_per_t[:, 0]) \
+            == _bits(table.moment_j_per_t[:, n])
+        d = ladder_detunings(params, [b])
+        assert _bits([d.omega0_rad_s, d.delta1_rad_s, d.delta2_rad_s]) \
+            == _bits([det.omega0_rad_s[n], det.delta1_rad_s[n],
+                      det.delta2_rad_s[n]])
 
 
 def test_kernel_errors_name_the_first_offending_field():
@@ -264,7 +264,7 @@ def test_ground_splitting_closed_form():
     params = AtomParams()
     B = 100 * GAUSS
     expected = 2 * 0.49367 * mu_N * B / h
-    E = register_levels(params, B).energy_hz
+    E = register_table(params, [B]).energy_hz[:, 0]
     assert E[GM] - E[GP] == pytest.approx(expected, rel=1e-12)
     assert E[GP] == pytest.approx(-0.49367 * mu_N * B / h, rel=1e-12)
     assert E[GM] == pytest.approx(+0.49367 * mu_N * B / h, rel=1e-12)
@@ -276,12 +276,12 @@ def test_transition_frequency_and_slope_consistent():
     B = 100 * GAUSS
 
     def line(B):
-        E = register_levels(params, B).energy_hz
+        E = register_table(params, [B]).energy_hz[:, 0]
         return E[EP32] - E[GP]
 
     assert line(B) == pytest.approx(levels_at(params, B)[1.5, "lower"][0]
                                     + 0.49367 * mu_N * B / h, rel=1e-12)
-    m = register_levels(params, B).moment_j_per_t
+    m = register_table(params, [B]).moment_j_per_t[:, 0]
     slope = (m[GP] - m[EP32]) / h
     dB = 1e-6
     fd = (line(B + dB) - line(B - dB)) / (2 * dB)
@@ -296,18 +296,26 @@ def test_detuning_sum_rule():
     params = AtomParams()
     for bg in (10.0, 650.0, 5000.0):
         B = bg * GAUSS
-        det = ladder_detunings(params, B)
-        E = register_levels(params, B).energy_hz
+        det = ladder_detunings(params, [B])
+        E = register_table(params, [B]).energy_hz[:, 0]
         w_bc = 2 * math.pi * (E[EP12] - E[EM12])
-        assert det.delta1_rad_s + det.delta2_rad_s == pytest.approx(
-            -(w_bc - det.omega0_rad_s), abs=1e-3)
+        assert det.delta1_rad_s[0] + det.delta2_rad_s[0] == pytest.approx(
+            -(w_bc - det.omega0_rad_s[0]), abs=1e-3)
 
 
 def test_degenerate_manifold_raises():
-    with pytest.raises(DegenerateManifoldError):
-        ladder_detunings(AtomParams(), 0.0)
-    with pytest.raises(DegenerateManifoldError):
-        ladder_detunings(AtomParams(), [1e-2, 0.0])
+    # at B = 0 the F=3/2 sublevels are degenerate: the closed form gives
+    # the ladder's exact zeros, and the consumers that drive it raise
+    det = ladder_detunings(AtomParams(), [1e-2, 0.0])
+    assert [det.omega0_rad_s[1], det.delta1_rad_s[1],
+            det.delta2_rad_s[1]] == [0.0, 0.0, 0.0]
+    assert det.delta1_rad_s[0] * det.delta2_rad_s[0] < 0
+    with pytest.raises(DegenerateManifoldError, match="B = 0"):
+        three_photon_scan(det, 1, 2 * math.pi * 1e5)
+    with pytest.raises(DegenerateManifoldError, match="B = 0"):
+        light_shift_compensation(0.0, 0.0, 2 * math.pi * 1e5)
+    with pytest.raises(ConfigError, match="got -0.01 T"):
+        ladder_detunings(AtomParams(), [1e-2, -1e-2])
 
 
 # Over 3000 random atoms of `BREIT_RABI_ATOMS` at 1 uT - 100 T the worst
@@ -355,12 +363,12 @@ def _ulps_off(got: float, want) -> float:
 def test_ladder_detunings_match_the_mpmath_eigenvalues(params, log_b):
     # the closed form against the 2x2 blocks' eigenvalues at 80 digits;
     # Delta1 and Delta2 have opposite signs
-    det = ladder_detunings(params, 10.0 ** log_b)
+    det = ladder_detunings(params, [10.0 ** log_b])
     omega0, delta1, delta2 = ladder_oracle(params, 10.0 ** log_b)
-    assert _ulps_off(det.omega0_rad_s, omega0) <= OMEGA0_ERROR
-    assert _ulps_off(det.delta1_rad_s, delta1) <= LADDER_ERROR
-    assert _ulps_off(det.delta2_rad_s, delta2) <= LADDER_ERROR
-    assert det.delta1_rad_s * det.delta2_rad_s < 0
+    assert _ulps_off(det.omega0_rad_s[0], omega0) <= OMEGA0_ERROR
+    assert _ulps_off(det.delta1_rad_s[0], delta1) <= LADDER_ERROR
+    assert _ulps_off(det.delta2_rad_s[0], delta2) <= LADDER_ERROR
+    assert det.delta1_rad_s[0] * det.delta2_rad_s[0] < 0
 
 
 @pytest.mark.parametrize("g_J", [1e9, 1e16])
@@ -380,12 +388,12 @@ def test_detunings_of_extreme_atoms_match_the_oracle(g_J):
 
 def test_calibration_hits_target():
     params = calibrate_hyperfine_A(AtomParams())
-    det = ladder_detunings(params, 650 * GAUSS)
-    geo = math.sqrt(abs(det.delta1_rad_s * det.delta2_rad_s))
+    det = ladder_detunings(params, [650 * GAUSS])
+    geo = math.sqrt(abs(det.delta1_rad_s[0] * det.delta2_rad_s[0]))
     assert geo == pytest.approx(2 * math.pi * 20e6, rel=1e-9)
     # opposite signs at the operating point: drive sits between the
     # ladder resonances
-    assert det.delta1_rad_s * det.delta2_rad_s < 0
+    assert det.delta1_rad_s[0] * det.delta2_rad_s[0] < 0
 
 
 def test_constants_are_scipy_codata_bit_for_bit():
@@ -405,8 +413,8 @@ def _calibration_mismatch(params: AtomParams, A: float) -> float:
     """Geometric mean of |Delta1|, |Delta2| at CALIBRATION_FIELD_T with
     A(3P2) = A, minus CALIBRATION_DETUNING_RAD_S: one atom, one field."""
     p = replace(params, hyperfine_A_3P2_hz=A)
-    d = ladder_detunings(p, CALIBRATION_FIELD_T)
-    return math.sqrt(abs(d.delta1_rad_s * d.delta2_rad_s)) \
+    d = ladder_detunings(p, [CALIBRATION_FIELD_T])
+    return math.sqrt(abs(d.delta1_rad_s[0] * d.delta2_rad_s[0])) \
         - CALIBRATION_DETUNING_RAD_S
 
 

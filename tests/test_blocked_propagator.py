@@ -23,7 +23,7 @@ from scipy.linalg import expm
 from ybqc import engine
 from ybqc.addressing import (LatticeGeometry, plan_gradients, site_fields,
                              site_levels)
-from ybqc.atomic import AtomParams, register_levels
+from ybqc.atomic import AtomParams, ladder_detunings, register_table
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.dipole import pair_coupling
 from ybqc.engine import (EP32, GM, GP, GROUPS, LEGS, NLEV, SINHC_SERIES_BELOW,
@@ -52,24 +52,23 @@ def dense_hamiltonian(schedule, segment, dipole_scale=1.0):
     geom, sites = schedule.geom, schedule.sites
     config, pulse = segment.config, segment.pulse
     n = len(sites)
-    fields = site_fields(geom, config, sites).tolist()
-    tables = [register_levels(P, B) for B in fields]
-    offsets = _leg_offsets(P, fields, [t.energy_hz for t in tables],
+    fields = site_fields(geom, config, sites)
+    table = register_table(P, fields)
+    offsets = _leg_offsets(ladder_detunings(P, fields), table.energy_hz,
                            _reference_index(sites, pulse.target), pulse)
     H = np.zeros((NLEV ** n, NLEV ** n), complex)
     for i, offset in enumerate(offsets):
         hi = _single_atom_hamiltonian(offset, pulse)
         H += np.kron(np.kron(np.eye(NLEV ** i), hi),
                      np.eye(NLEV ** (n - 1 - i)))
-    moments = [table.moment_j_per_t + (0.0,) for table in tables]
+    moments = table.moment_j_per_t
     labels = basis_labels(n)
     for i in range(n):
         for j in range(i + 1, n):
             coef = 2 * math.pi * dipole_scale * pair_coupling(
                 geom.position_m(sites[i]), geom.position_m(sites[j]))
             H[np.diag_indices_from(H)] += coef \
-                * np.take(moments[i], labels[:, i]) \
-                * np.take(moments[j], labels[:, j])
+                * moments[labels[:, i], i] * moments[labels[:, j], j]
     return H
 
 
@@ -339,9 +338,8 @@ def _per_call_blocks(schedule, segment, cover, dipole_scale):
     params, geom, sites = schedule.params, schedule.geom, schedule.sites
     config, pulse = segment.config, segment.pulse
     n = len(sites)
-    tables = site_levels(params, geom, sites, config)
-    offsets = _leg_offsets(params, [t.field_t for t in tables],
-                           [t.energy_hz for t in tables],
+    levels, ladder = site_levels(params, geom, sites, config)
+    offsets = _leg_offsets(ladder, levels.energy_hz,
                            _reference_index(sites, pulse.target), pulse)
     hs = [_single_atom_hamiltonian(o, pulse) for o in offsets]
     labels = basis_labels(n)

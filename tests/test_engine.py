@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from ybqc.addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                              site_levels)
 from ybqc.atomic import (AtomParams, calibrate_hyperfine_A, ladder_detunings,
-                         register_levels)
+                         register_table)
 from ybqc.compiler import execute_schedule
 from ybqc.constants import GAUSS
 from ybqc.dipole import auxiliary_qubit_moments, ddi_coupling
@@ -164,7 +164,7 @@ def test_dipole_diagonal_matches_pair_formula():
                 return H[b, k, k]
         raise AssertionError("basis state not in a live block")
 
-    m = register_levels(P, CFG.B0_t).moment_j_per_t[EP32]
+    m = register_table(P, [CFG.B0_t]).moment_j_per_t[EP32, 0]
     want = 2 * math.pi * ddi_coupling(m, m, geom.spacing_m, math.pi / 2)
     live = reg.amps != 0
     assert diagonal_entry(segment_hamiltonian(
@@ -188,11 +188,12 @@ def _coupled_components(hmat):
 @pytest.mark.parametrize("transition", sorted(LEGS))
 def test_level_groups_are_the_components_of_the_driven_block(transition):
     # any Rabi frequency > 0 couples exactly the drive's legs
-    levels = register_levels(P, 650 * GAUSS)
+    energies = register_table(P, [650 * GAUSS]).energy_hz
+    ladder = ladder_detunings(P, [650 * GAUSS])
     for rabi in (1e-3, 2 * math.pi * 50.0, 1e6):
         pulse = Pulse(transition, 1e-3, rabi)
         hmat = _single_atom_hamiltonian(_leg_offsets(
-            P, [levels.field_t], [levels.energy_hz], 0, pulse)[0], pulse)
+            ladder, energies, 0, pulse)[0], pulse)
         assert GROUPS[transition].tolist() \
             == _coupled_components(hmat).tolist()
 
@@ -215,18 +216,18 @@ def test_leg_offsets_of_the_reference_ladder_are_its_detunings():
     # keep their energy differences bit for bit
     geom = LatticeGeometry(3, 1, 1)
     sites = ((0, 0, 0), (1, 0, 0), (2, 0, 0))
-    tables = site_levels(P, geom, sites, plan_gradients(geom, 1000.0, P))
-    fields = [t.field_t for t in tables]
-    energies = [t.energy_hz for t in tables]
+    levels, ladder = site_levels(P, geom, sites,
+                                 plan_gradients(geom, 1000.0, P))
+    energies = levels.energy_hz
     for ref in range(3):
-        det = ladder_detunings(P, fields[ref])
-        d1, d2 = det.delta1_rad_s, det.delta2_rad_s
+        d1 = float(ladder.delta1_rad_s[ref])
+        d2 = float(ladder.delta2_rad_s[ref])
         ulp = math.ulp(max(abs(d1), abs(d2)))
         for rabi, detuning in ((0.0, 0.0), (0.05 * abs(d1), 2e3)):
             pulse = Pulse("three_photon", 1e-3, rabi, detuning,
                           ("site", sites[ref]))
             e = detuning + (rabi and light_shift_compensation(d1, d2, rabi))
-            offsets = _leg_offsets(P, fields, energies, ref, pulse)
+            offsets = _leg_offsets(ladder, energies, ref, pulse)
             diag = _single_atom_hamiltonian(offsets[ref], pulse).diagonal()
             assert diag[EM32] == 0.0
             assert np.abs(diag[[EM12, EP12, EP32]]
@@ -234,15 +235,15 @@ def test_leg_offsets_of_the_reference_ladder_are_its_detunings():
         for transition in ("optical_pair", "aux_flip"):
             pulse = Pulse(transition, 1e-3, 1e3, 2 * math.pi * 50.0,
                           ("site", sites[ref]))
-            for E, offset in zip(energies, _leg_offsets(
-                    P, fields, energies, ref, pulse)):
+            for E, offset in zip(energies.T, _leg_offsets(
+                    ladder, energies, ref, pulse)):
                 assert _single_atom_hamiltonian(offset, pulse).diagonal() \
-                    .tolist() == _old_leg_diagonal(E, energies[ref], pulse)
+                    .tolist() == _old_leg_diagonal(E, energies[:, ref], pulse)
 
 
 def test_level_moments_near_low_field_values():
     m0, m1 = auxiliary_qubit_moments(P)
-    got0, got1 = (register_levels(P, 100 * GAUSS).moment_j_per_t[lv]
+    got0, got1 = (register_table(P, [100 * GAUSS]).moment_j_per_t[lv, 0]
                   for lv in (EM32, EP32))
     assert got0 == pytest.approx(m0, rel=0.05)
     assert got1 == pytest.approx(m1, rel=0.05)
@@ -331,24 +332,28 @@ def _light_shift_80_steps(delta1, delta2, rabi):
     return eps
 
 
-def _ladder_gap(det):
-    return min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+def _detunings(params, B) -> tuple[float, float]:
+    """(Delta1, Delta2) in rad/s of the ladder of `params` at field B."""
+    det = ladder_detunings(params, [B])
+    return float(det.delta1_rad_s[0]), float(det.delta2_rad_s[0])
+
+
+def _ladder_gap(d1, d2):
+    return min(abs(d1), abs(d2))
 
 
 @pytest.mark.parametrize("gap_fraction", [0.05, 0.3, 1.0])
 def test_light_shift_compensation_stops_at_the_fixed_point(gap_fraction):
-    det = ladder_detunings(P, 650 * GAUSS)
-    rabi = gap_fraction * _ladder_gap(det)
-    assert light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s,
-                                    rabi) \
-        == _light_shift_80_steps(det.delta1_rad_s, det.delta2_rad_s, rabi)
+    d1, d2 = _detunings(P, 650 * GAUSS)
+    rabi = gap_fraction * _ladder_gap(d1, d2)
+    assert light_shift_compensation(d1, d2, rabi) \
+        == _light_shift_80_steps(d1, d2, rabi)
 
 
 def test_light_shift_compensation_raises_when_it_diverges():
-    det = ladder_detunings(P, 650 * GAUSS)
+    d1, d2 = _detunings(P, 650 * GAUSS)
     with pytest.raises(IntegratorError):
-        light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s,
-                                 3.0 * _ladder_gap(det))
+        light_shift_compensation(d1, d2, 3.0 * _ladder_gap(d1, d2))
 
 
 def _light_shift_cubic(eps, delta1, delta2, rabi):
@@ -372,9 +377,8 @@ def test_light_shift_fixed_point_is_the_cubic_root_nearest_zero(
     It is monotone between its critical points, so its sign at -eps, at
     0 and at the critical points inside decides that."""
     params = calibrate_hyperfine_A(P) if calibrated else P
-    det = ladder_detunings(params, 10 ** log_b)
-    d1, d2 = det.delta1_rad_s, det.delta2_rad_s
-    rabi = 10 ** log_fraction * _ladder_gap(det)
+    d1, d2 = _detunings(params, 10 ** log_b)
+    rabi = 10 ** log_fraction * _ladder_gap(d1, d2)
     try:
         eps = light_shift_compensation(d1, d2, rabi)
     except IntegratorError:

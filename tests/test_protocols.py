@@ -2,19 +2,20 @@
 built with the pulse builders and run through `engine.apply_segment`."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ybqc import protocols
+from ybqc import addressing, atomic, protocols
 from ybqc.addressing import (GradientConfig, LatticeGeometry, plan_gradients,
                              site_levels)
 from ybqc.atomic import AtomParams, calibrate_hyperfine_A, ladder_detunings
 from ybqc.cli import main as cli_main
 from ybqc.compiler import (TRANSFER_RABI_1Q_RAD_S, TRANSFER_RABI_2Q_RAD_S,
                            compile_circuit, execute_schedule, parse_circuit)
-from ybqc.constants import GAUSS
+from ybqc.constants import CM, GAUSS
 from ybqc.engine import (EM12, EM32, EP12, EP32, GM, GP, NLEV, NoiseParams,
                          Pulse, PulseSchedule, PulseSegment, RegisterState,
                          _leg_offsets, _single_atom_hamiltonian,
@@ -48,10 +49,16 @@ def _on(geom, *sites, params=P):
 # ---------------------------------------------------------------------------
 # 3-photon scan
 
+def _gap(det) -> float:
+    """min(|Delta1|, |Delta2|) of a one-field ladder."""
+    return min(abs(float(det.delta1_rad_s[0])),
+               abs(float(det.delta2_rad_s[0])))
+
+
 def test_scan_pi_time_tracks_effective_model():
-    det = ladder_detunings(PCAL, 650 * GAUSS)
-    rabi = 0.05 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
-    scan = three_photon_scan(PCAL, 650 * GAUSS, rabi)
+    det = ladder_detunings(PCAL, [650 * GAUSS])
+    rabi = 0.05 * _gap(det)
+    scan = three_photon_scan(det, 0, rabi)
     assert scan.pi_time_s == pytest.approx(scan.predicted_pi_time_s,
                                            rel=0.05)
     assert scan.transfer_probability > 0.99
@@ -65,26 +72,26 @@ def test_scan_finds_the_first_envelope_maximum(log_b, fraction, calibrated):
     # the grid spans 1.5 predicted pi times and holds one envelope
     # maximum, so its argmax is the pi time
     params, B = PCAL if calibrated else P, 10 ** log_b
-    det = ladder_detunings(params, B)
-    rabi = fraction * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
-    scan = three_photon_scan(params, B, rabi)
+    det = ladder_detunings(params, [B])
+    rabi = fraction * _gap(det)
+    scan = three_photon_scan(det, 0, rabi)
     lo, hi = SCAN_WINDOW
     assert lo < scan.pi_time_s / scan.predicted_pi_time_s < hi
     assert scan.transfer_probability > 0.98
 
 
-def _full_grid(params, B, rabi, explicit=False):
+def _full_grid(det, rabi, explicit=False):
     """The a->d population on all SCAN_SAMPLES points of the grid over 1.5
-    predicted pi times, with the grid step and the ladder's eigensystem:
-    by the scan's own `_d_population`, or (`explicit`) by one complex
-    exponential per eigenstate and grid point."""
-    det = ladder_detunings(params, B)
-    omega_eff = rabi ** 3 / (4 * det.delta1_rad_s * det.delta2_rad_s)
+    predicted pi times of the one-field ladder `det`, with the grid step
+    and the ladder's eigensystem: by the scan's own `_d_population`, or
+    (`explicit`) by one complex exponential per eigenstate and grid
+    point."""
+    omega_eff = rabi ** 3 / (4 * float(det.delta1_rad_s[0])
+                             * float(det.delta2_rad_s[0]))
     t_pred = math.pi / abs(omega_eff)
     drive = Pulse("three_photon", t_pred, rabi)
     ladder = slice(EM32, EP32 + 1)
-    H = _single_atom_hamiltonian(_leg_offsets(params, [B], None, 0,
-                                              drive)[0],
+    H = _single_atom_hamiltonian(_leg_offsets(det, None, 0, drive)[0],
                                  drive)[ladder, ladder]
     w, V = np.linalg.eigh(H)
     dt = 1.5 * t_pred / (SCAN_SAMPLES - 1)
@@ -98,10 +105,11 @@ def _full_grid(params, B, rabi, explicit=False):
     return Pd, dt, t_pred, w, V
 
 
-def _full_grid_scan(params, B, rabi, explicit=False):
+def _full_grid_scan(det, rabi, explicit=False):
     """Reference: the argmax and parabola over all SCAN_SAMPLES points of
-    the grid over 1.5 predicted pi times, with no window."""
-    Pd, dt, t_pred, w, V = _full_grid(params, B, rabi, explicit)
+    the grid over 1.5 predicted pi times of the one-field ladder `det`,
+    with no window."""
+    Pd, dt, t_pred, w, V = _full_grid(det, rabi, explicit)
     idx = int(np.argmax(Pd))
     t_pi = idx * dt
     if 0 < idx < len(Pd) - 1:
@@ -131,16 +139,16 @@ def test_factorised_scan_matches_the_per_point_formula(point, calibrated):
     # and leakage as far as that rounding can move them
     log_b, fraction = point
     params, B = PCAL if calibrated else P, 10 ** log_b
-    det = ladder_detunings(params, B)
-    rabi = fraction * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
-    factorised, dt, _, w, V = _full_grid(params, B, rabi)
-    explicit = _full_grid(params, B, rabi, explicit=True)[0]
+    det = ladder_detunings(params, [B])
+    rabi = fraction * _gap(det)
+    factorised, dt, _, w, V = _full_grid(det, rabi)
+    explicit = _full_grid(det, rabi, explicit=True)[0]
     idx = int(np.argmax(explicit))
     assert np.argmax(factorised) == idx
     eps = np.max(np.abs(factorised - explicit))
     assert eps <= 1e-12
-    scan = three_photon_scan(params, B, rabi)
-    oracle = _full_grid_scan(params, B, rabi, explicit=True)
+    scan = three_photon_scan(det, 0, rabi)
+    oracle = _full_grid_scan(det, rabi, explicit=True)
     # grid values that differ by eps move the parabola's vertex by at most
     # 3 eps / (|denom| - 4 eps) grid steps; near 0.5 % of min|Delta| the
     # aliased ripple can make |denom| small enough for that to pass 1e-12
@@ -163,10 +171,10 @@ def test_factorised_scan_matches_the_per_point_formula(point, calibrated):
 def test_windowed_scan_equals_the_full_grid_scan(log_b, fraction,
                                                   calibrated):
     params, B = PCAL if calibrated else P, 10 ** log_b
-    det = ladder_detunings(params, B)
-    rabi = fraction * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
-    assert three_photon_scan(params, B, rabi) \
-        == _full_grid_scan(params, B, rabi)
+    det = ladder_detunings(params, [B])
+    rabi = fraction * _gap(det)
+    assert three_photon_scan(det, 0, rabi) \
+        == _full_grid_scan(det, rabi)
 
 
 @settings(max_examples=100, deadline=None)
@@ -176,19 +184,18 @@ def test_scan_at_the_gate_rabi_fraction_equals_the_full_grid_scan(
     # the compiler's drive at every field a scenario can reach, 1 uT to
     # 100 T: the window holds the maximum, so it is the full-grid one
     params, B = PCAL if calibrated else P, 10 ** log_b
-    det = ladder_detunings(params, B)
-    rabi = GATE_RABI_FRACTION * min(abs(det.delta1_rad_s),
-                                    abs(det.delta2_rad_s))
-    scan = three_photon_scan(params, B, rabi)
-    assert scan == _full_grid_scan(params, B, rabi)
+    det = ladder_detunings(params, [B])
+    rabi = GATE_RABI_FRACTION * _gap(det)
+    scan = three_photon_scan(det, 0, rabi)
+    assert scan == _full_grid_scan(det, rabi)
     assert 0.99 < scan.pi_time_s / scan.predicted_pi_time_s < 1.01
 
 
 def test_windowed_scan_equals_the_full_grid_scan_at_the_readme_point():
-    params, B = PCAL, 650 * GAUSS
+    det = ladder_detunings(PCAL, [650 * GAUSS])
     rabi = 2 * math.pi * 985e3
-    assert three_photon_scan(params, B, rabi) \
-        == _full_grid_scan(params, B, rabi)
+    assert three_photon_scan(det, 0, rabi) \
+        == _full_grid_scan(det, rabi)
 
 
 def test_scan_maximum_on_the_window_edge_raises(tmp_path, monkeypatch,
@@ -199,10 +206,10 @@ def test_scan_maximum_on_the_window_edge_raises(tmp_path, monkeypatch,
     monkeypatch.setattr(protocols, "SCAN_WINDOW", (0.5, 0.6))
     monkeypatch.setattr(protocols, "GATE_RABI_FRACTION", 0.005)
     params, B = PCAL, 650 * GAUSS
-    det = ladder_detunings(params, B)
-    rabi = 0.005 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+    det = ladder_detunings(params, [B])
+    rabi = 0.005 * _gap(det)
     with pytest.raises(IntegratorError, match="outside"):
-        three_photon_scan(params, B, rabi)
+        three_photon_scan(det, 0, rabi)
     (tmp_path / "c.txt").write_text("X 0 0 1.0\n")
     assert cli_main(["compile", "--circuit", str(tmp_path / "c.txt"),
                      "--nx", "1", "--ny", "1",
@@ -218,10 +225,10 @@ def test_scan_envelope_maximum_outside_the_window_raises(monkeypatch):
     # pi time near 0.6 predicted pi times; the dressed-state beat does not
     monkeypatch.setattr(protocols, "SCAN_WINDOW", (0.5, 0.6))
     params, B = P, 100 * GAUSS
-    det = ladder_detunings(params, B)
-    rabi = 0.05 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+    det = ladder_detunings(params, [B])
+    rabi = 0.05 * _gap(det)
     with pytest.raises(IntegratorError, match="outside"):
-        three_photon_scan(params, B, rabi)
+        three_photon_scan(det, 0, rabi)
 
 
 def test_scan_edge_check_catches_a_maximum_the_envelope_check_passes(
@@ -231,19 +238,20 @@ def test_scan_edge_check_catches_a_maximum_the_envelope_check_passes(
     # the grid maximum at 0.999675, the window's first evaluated point
     monkeypatch.setattr(protocols, "SCAN_WINDOW", (0.9997, 1.15))
     params, B = P, 100 * GAUSS
-    det = ladder_detunings(params, B)
-    rabi = 0.005 * min(abs(det.delta1_rad_s), abs(det.delta2_rad_s))
+    det = ladder_detunings(params, [B])
+    rabi = 0.005 * _gap(det)
     with pytest.raises(IntegratorError, match="scan maximum lies outside"):
-        three_photon_scan(params, B, rabi)
+        three_photon_scan(det, 0, rabi)
 
 
 def test_scan_uncompensated_transfer_degrades():
     # engine pulses of the scan's pi time: the compensated drive transfers,
     # a drive detuned by -eps (no light-shift compensation) does not
     B, rabi, site = 650 * GAUSS, 2 * math.pi * 985e3, (0, 0, 0)
-    scan = three_photon_scan(PCAL, B, rabi)
-    det = ladder_detunings(PCAL, B)
-    eps = light_shift_compensation(det.delta1_rad_s, det.delta2_rad_s, rabi)
+    det = ladder_detunings(PCAL, [B])
+    scan = three_photon_scan(det, 0, rabi)
+    eps = light_shift_compensation(float(det.delta1_rad_s[0]),
+                                   float(det.delta2_rad_s[0]), rabi)
     one = _on(LatticeGeometry(1, 1, 1), site, params=PCAL)
     reg = RegisterState.product([EM32])
 
@@ -263,19 +271,19 @@ def test_scan_rejects_detunings_whose_product_underflows():
     # product underflows to 0
     atom = AtomParams(hyperfine_A_3P2_hz=1e-190)
     with pytest.raises(DegenerateManifoldError, match="zero product"):
-        three_photon_scan(atom, 1e-200, 1.0)
+        three_photon_scan(ladder_detunings(atom, [1e-200]), 0, 1.0)
 
 
 def test_scan_zero_rabi_rejected():
     with pytest.raises(ConfigError):
-        three_photon_scan(PCAL, 650 * GAUSS, 0.0)
+        three_photon_scan(ladder_detunings(PCAL, [650 * GAUSS]), 0, 0.0)
 
 
 @pytest.mark.parametrize("rabi", [1e200, np.float64(1e200), math.inf,
                                   math.nan])
 def test_scan_non_finite_effective_rabi_rejected(rabi):
     with pytest.raises(ConfigError, match="non-finite"):
-        three_photon_scan(PCAL, 650 * GAUSS, rabi)
+        three_photon_scan(ladder_detunings(PCAL, [650 * GAUSS]), 0, rabi)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +324,8 @@ def test_single_qubit_pi_gate_flips_aux():
     B = 650 * GAUSS
     site = (0, 0, 0)
     reg = RegisterState.product([EM32])
-    pulse = rotation_pulse(PCAL, B, site, math.pi, 1.0)
+    pulse = rotation_pulse(ladder_detunings(PCAL, [B]), 0, site, math.pi,
+                           1.0)
     one = _on(LatticeGeometry(1, 1, 1), site, params=PCAL)
     out = apply_stepwise(reg, one, PulseSegment(GradientConfig(B), pulse), OFF)
     assert level_populations(out, 0)[EP32] > 0.99
@@ -341,13 +350,18 @@ def _levels(geom, cfg, *sites):
     return site_levels(P, geom, sites, cfg)
 
 
+def _moments(geom, cfg, *sites):
+    """The register moment column of each of `sites`."""
+    return _levels(geom, cfg, *sites)[0].moment_j_per_t.T
+
+
 @pytest.mark.parametrize("control,flip", [(EM32, False), (EP32, True)])
 def test_cnot_truth_behavior(control, flip):
     geom, cfg, reg = _two_aux([control, EM32])
-    tables = _levels(geom, cfg, (0, 0, 0), (1, 0, 0))
-    shift, _det = cnot_pulse_parameters(geom, (0, 0, 0), (1, 0, 0), *tables)
+    moments = _moments(geom, cfg, (0, 0, 0), (1, 0, 0))
+    shift, _det = cnot_pulse_parameters(geom, (0, 0, 0), (1, 0, 0), *moments)
     assert shift != 0.0     # conditional
-    pulse = cnot_pulse(geom, (0, 0, 0), (1, 0, 0), *tables, 2.0)
+    pulse = cnot_pulse(geom, (0, 0, 0), (1, 0, 0), *moments, 2.0)
     out = apply_stepwise(reg, _on(geom, (0, 0, 0), (1, 0, 0)),
                          PulseSegment(cfg, pulse), OFF)
     p_flip = level_populations(out, 1)[EP32]
@@ -361,7 +375,7 @@ def test_cnot_shift_sign_and_magnitude():
     geom, cfg, _ = _two_aux([EM32, EM32])
     shift, _det = cnot_pulse_parameters(
         geom, (0, 0, 0), (1, 0, 0),
-        *_levels(geom, cfg, (0, 0, 0), (1, 0, 0)))
+        *_moments(geom, cfg, (0, 0, 0), (1, 0, 0)))
     # in-plane pair: angular factor +1 instead of the axial -2
     assert abs(shift) == pytest.approx(40.22 / 2, rel=0.02)
 
@@ -371,7 +385,7 @@ def test_cnot_pulse_requires_adjacent_sites():
     cfg = plan_gradients(geom, 1000.0, P)
     with pytest.raises(GeometryError):
         cnot_pulse(geom, (0, 0, 0), (2, 0, 0),
-                   *_levels(geom, cfg, (0, 0, 0), (2, 0, 0)), 2.0)
+                   *_moments(geom, cfg, (0, 0, 0), (2, 0, 0)), 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +515,8 @@ def _protocol_path(circuit_op, geom, noise, dipole_scale):
         _, site, theta = circuit_op
         on, reg = _on(geom, site), RegisterState.product([GM])
         leg = transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S, 0.5)
-        gate = rotation_pulse(P, _levels(geom, cfg, site)[0].field_t, site,
-                              theta, 1.0)
+        gate = rotation_pulse(_levels(geom, cfg, site)[1], 0, site, theta,
+                              1.0)
         pulses = (leg, gate, leg)
     else:
         _, control, target = circuit_op
@@ -513,7 +527,7 @@ def _protocol_path(circuit_op, geom, noise, dipole_scale):
             for s in (control, target))
         pulses = (control_leg, target_leg,
                   cnot_pulse(geom, control, target,
-                             *_levels(geom, cfg, control, target), 2.0),
+                             *_moments(geom, cfg, control, target), 2.0),
                   target_leg, control_leg)
     for pulse in pulses:
         reg = apply_stepwise(reg, on, PulseSegment(cfg, pulse), noise,
@@ -539,3 +553,29 @@ def test_compiled_path_matches_protocol_path(circuit, dipole_scale):
     assert np.max(np.abs(direct.amps - compiled.amps)) < 1e-12
     assert direct.leaked == pytest.approx(compiled.leaked, abs=1e-12)
     assert compiled.leaked > 0.0    # noise on: the comparison sees loss
+
+
+def test_warm_circuit_evaluates_no_level_physics(monkeypatch):
+    # the register's levels and ladder are evaluated once per field
+    # config, the gates' and the flat measurement stage's, and read by
+    # index after that: a second pass on the same register calls none of
+    # the kernels (the parent evaluated the ladder 4 times per warm X)
+    calls = Counter()
+    for module, name in ((atomic, "zeeman_table"),
+                         (addressing, "register_table"),
+                         (addressing, "ladder_detunings")):
+        def counted(*args, _name=name, _kernel=getattr(module, name)):
+            calls[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(module, name, counted)
+    geom = LatticeGeometry(2, 1, 1)
+    cfg = GradientConfig(123 * GAUSS, 7 * GAUSS / CM, 70 * GAUSS / CM)
+    circuit = "X 0 0 1.0\nCNOT 0 0 1 0\nMEAS 0 0\nMEAS 1 0\n"
+    noise = NoiseParams()
+    for want in (2, 0):
+        calls.clear()
+        schedule = compile_circuit(circuit, geom, P, cfg, noise)
+        execute_schedule(RegisterState.product([GM, GM]), schedule, noise,
+                         rng_seed=0)
+        assert calls == Counter(zeeman_table=want, register_table=want,
+                                ladder_detunings=want)

@@ -2,9 +2,10 @@
 traceback: off-lattice circuit sites, non-finite or negative rotation
 angles, missing or undecodable files, negative seeds, malformed flags,
 malformed or out-of-range scenario values, atom constants that
-overflow or leave a 3-photon detuning at 0, noise parameters out of
-range, a readout after every atom is lost, rotations whose phases keep
-no precision, and property tests fuzzing the value type of every
+overflow or leave a 3-photon detuning at 0, a gate drive on a site at
+B = 0, a CNOT with no conditional shift, noise parameters out of range,
+a readout after every atom is lost, rotations whose phases keep no
+precision, and property tests fuzzing the value type of every
 scenario key, the values of the CLI flags and the lines of circuit
 files."""
 
@@ -26,10 +27,12 @@ from ybqc.atomic import AtomParams
 from ybqc.cli import main as cli_main
 from ybqc.compiler import compile_circuit, execute_schedule
 from ybqc.constants import CM, GAUSS
-from ybqc.engine import GM, NoiseParams, RegisterState
-from ybqc.errors import ConfigError, PlanningError
+from ybqc.engine import (EM32, GM, NoiseParams, Pulse, PulseSchedule,
+                         PulseSegment, RegisterState)
+from ybqc.errors import ConfigError, DegenerateManifoldError, PlanningError
 from ybqc.protocols import GATE_RABI_FRACTION
-from ybqc.scenario import load_atom_params, load_scenario, run_scenario
+from ybqc.scenario import (load_atom_params, load_scenario, run_scenario,
+                           simulate_circuit)
 
 from conftest import apply_stepwise, ladder_oracle
 
@@ -318,6 +321,63 @@ def test_detunings_of_a_tiny_ladder_match_the_oracle(tmp_path, capsys,
         assert got == pytest.approx([float(w) / (2 * math.pi)
                                      for w in want], rel=1e-14)
         assert 1e-8 < abs(got[0]) < 1e-4
+
+
+# a 2x1 lattice whose x gradient cancels the 100 G bias at site (1, 0):
+# that site sits at exactly B = 0, where its F=3/2 ladder is degenerate
+ZERO_FIELD_GEOM = LatticeGeometry(2, 1, 1)
+ZERO_FIELD_CONFIG = GradientConfig(100 * GAUSS,
+                                   -100 * GAUSS / ZERO_FIELD_GEOM.spacing_m)
+
+
+def test_spectator_at_zero_field_runs():
+    # the spectator's ladder is exactly zero and undriven: the rotation
+    # of site (0, 0) runs, and both sites read out
+    assert site_fields(ZERO_FIELD_GEOM, ZERO_FIELD_CONFIG,
+                       [(1, 0, 0)]).tolist() == [0.0]
+    _, result = simulate_circuit("X 0 0 1.0\nMEAS 0 0\nMEAS 1 0\n",
+                                 ZERO_FIELD_GEOM, AtomParams(),
+                                 ZERO_FIELD_CONFIG, NoiseParams(), 0)
+    assert [p1 for _, _, p1 in result.readouts] \
+        == pytest.approx([0.226013, 0.000762], abs=1e-6)
+
+
+def test_drive_on_a_site_at_zero_field_is_degenerate():
+    # an X gate there, and a hand-built 3-photon drive aimed at it
+    with pytest.raises(DegenerateManifoldError, match="B = 0"):
+        compile_circuit("X 1 0 1.0\nMEAS 0 0\nMEAS 1 0\n", ZERO_FIELD_GEOM,
+                        AtomParams(), ZERO_FIELD_CONFIG, NoiseParams())
+    schedule = PulseSchedule((), ((0, 0, 0), (1, 0, 0)), AtomParams(),
+                             ZERO_FIELD_GEOM)
+    drive = PulseSegment(ZERO_FIELD_CONFIG, Pulse(
+        "three_photon", 1e-3, 2 * math.pi * 1e3, target=("site", (1, 0, 0))))
+    with pytest.raises(DegenerateManifoldError, match="B = 0"):
+        apply_stepwise(RegisterState.product([EM32, EM32]), schedule, drive,
+                       NoiseParams())
+
+
+def test_detunings_at_zero_field_are_zeros(capsys):
+    assert cli_main(["detunings", "--b-gauss", "0"]) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out) == {"B_gauss": 0.0, "delta1_hz": 0.0,
+                               "delta2_hz": 0.0, "omega0_hz": 0.0}
+    assert "-0.0" not in out
+
+
+def test_cnot_with_no_conditional_shift_exits_3(tmp_path, capsys):
+    # an atom with no magnetic moments: the aux flip has no Rabi frequency
+    (tmp_path / "c.txt").write_text("CNOT 0 0 1 0\nMEAS 0 0\nMEAS 1 0\n")
+    scn = _scenario(tmp_path, pipeline=["simulate"],
+                    atom={"g_J_3P2": 0.0, "nuclear_moment_mu_n": 0.0},
+                    lattice={"n_x": 2, "n_y": 1, "n_z": 1},
+                    gradients={"Gx_g_per_cm": 10.0, "Gy_g_per_cm": 100.0},
+                    circuit_file="c.txt", seed=0)
+    assert cli_main(["run", scn]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("physics error: CNOT (0, 0, 0) -> "
+                                   "(1, 0, 0): conditional shift 0 Hz")
+    assert len(captured.err.strip().splitlines()) == 1
 
 
 def test_readout_of_an_all_lost_register_exits_3(tmp_path, capsys):

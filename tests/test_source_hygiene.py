@@ -6,12 +6,12 @@ Every import is used; the package `__init__.py`, names listed in
 engine, only `compiler.execute_schedule` makes an engine `Run`,
 applies segments and reads out qubits (the readout takes the atom's
 position among the schedule's sites, which the executor works out), so
-gates reach the engine through one path, one run per call.  The compiler, the pulse builders and the engine build no
-level table from a bare field: they read the cached per-site tables of
-`addressing.site_levels`.  The sweeps, the addressing comb and the
-gradient check evaluate all their fields in one array call, and the
-hyperfine calibration all its candidates of a search step: they build
-no level table from one field and read no per-site table of
+gates reach the engine through one path, one run per call.  The compiler, the pulse builders and the engine evaluate no level
+physics: they reference none of the level-table and ladder kernels and
+index the register's cached table of `addressing.site_levels`.  The
+sweeps, the addressing comb and the gradient check evaluate all their
+fields in one array call, and the hyperfine calibration all its
+candidates of a search step: they read no per-site table of
 `site_levels`.  The compiler plans no gradients: it compiles under its
 caller's.  The CLI constructs no atom,
 lattice, gradient or noise parameters and plans no gradients: the
@@ -107,11 +107,10 @@ def test_package_does_not_use_expm():
 
 ENGINE_ENTRY_POINTS = {"apply_segment", "Run", "measure_qubit"}
 ALLOWED_CALLERS = {("compiler", "execute_schedule")}
-# Builders of a level table from a bare field, and of tables at an array
-# of fields.  The pulse path reads the cached per-site tables of
-# `addressing.site_levels` instead.
-LEVEL_TABLE_BUILDERS = {"register_levels"}
-ARRAY_TABLE_BUILDERS = {"register_table", "zeeman_table"}
+# The kernels of the level physics: the level tables and the 3-photon
+# ladder at an array of fields.  The pulse path references none of them;
+# it indexes the register's cached table of `addressing.site_levels`.
+LEVEL_PHYSICS = {"zeeman_table", "register_table", "ladder_detunings"}
 PULSE_PATH = ("compiler", "protocols", "engine")
 
 
@@ -152,23 +151,32 @@ def test_only_the_executor_drives_the_engine():
     assert found <= ALLOWED_CALLERS
 
 
+def references(source: str, names: set) -> set[str]:
+    """Those of `names` that `source` imports, reads or calls, bare or
+    as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        name = node.id if isinstance(node, ast.Name) else \
+            node.attr if isinstance(node, ast.Attribute) else \
+            node.name if isinstance(node, ast.alias) else None
+        if name in names:
+            found.add(name)
+    return found
+
+
 def test_checker_finds_level_table_builders():
-    source = ("def f(p, B):\n    return atomic.register_levels(p, B)\n"
-              "def g(p, B):\n"
-              "    return ladder_detunings(register_levels(p, B))\n"
-              "class C:\n    def h(self):\n"
-              "        return register_levels(self.p, 1.0)\n"
-              "def k(t):\n    return ladder_detunings(t)\n")
-    assert callers("m", source, LEVEL_TABLE_BUILDERS) \
-        == {("m", "f"), ("m", "g"), ("m", "C")}
+    source = ("from .atomic import zeeman_table as z\n"
+              "def f(p, B):\n    return atomic.register_table(p, B)\n"
+              "def g(t):\n    return t.ladder\n"
+              "kernel = ladder_detunings\n")
+    assert references(source, LEVEL_PHYSICS) == LEVEL_PHYSICS
+    assert references("def g(t):\n    return t.ladder[0]\n",
+                      LEVEL_PHYSICS) == set()
 
 
 def test_pulse_path_reads_the_cached_level_tables():
-    found = set()
-    for path in MODULES:
-        if path.stem in PULSE_PATH:
-            found |= callers(path.stem, path.read_text(),
-                             LEVEL_TABLE_BUILDERS | ARRAY_TABLE_BUILDERS)
+    found = {(path.stem, name) for path in MODULES if path.stem in PULSE_PATH
+             for name in references(path.read_text(), LEVEL_PHYSICS)}
     assert found == set()
 
 
@@ -188,7 +196,7 @@ def test_array_stages_make_no_per_field_calls():
     found = set()
     for module in {module for module, _ in ARRAY_STAGES}:
         found |= callers(module, (SRC / f"{module}.py").read_text(),
-                         LEVEL_TABLE_BUILDERS | {"site_levels"})
+                         {"site_levels"})
     assert found & ARRAY_STAGES == set()
 
 
@@ -309,9 +317,9 @@ def test_cli_leaves_the_input_rules_to_the_scenario_readers():
 
 
 def test_engine_basis_is_the_register_level_table():
-    from ybqc.atomic import AtomParams, register_levels
+    from ybqc.atomic import AtomParams, register_table
     from ybqc.engine import NLEV
-    assert NLEV == len(register_levels(AtomParams(), 1e-2).energy_hz)
+    assert NLEV == len(register_table(AtomParams(), [1e-2]).energy_hz)
 
 
 # Defaulted parameters that only callers outside the package pass.
