@@ -100,37 +100,25 @@ def compile_circuit(circuit_text: str, geom: LatticeGeometry,
     flat = replace(config, Gx_t_per_m=0.0, Gy_t_per_m=0.0, Gz_t_per_m=0.0)
 
     segments = []
-    in_metastable: set = set()
-    for op in circuit:
-        n_meta = float(len(in_metastable))
-        if op[0] == "X":
-            _, site, theta = op
-            gate = rotation_pulse(ladder, sites.index(site), site, theta,
-                                  n_meta + 1.0)
-            leg = transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S,
-                                 n_meta + 0.5)
-            pulses = (leg, gate, leg)
-        elif op[0] == "CNOT":
-            _, control, target = op
-            flip = cnot_pulse(geom, control, target, moments[control],
-                              moments[target], n_meta + 2.0)
-            control_leg = transfer_pulse(("site", control),
-                                         TRANSFER_RABI_2Q_RAD_S, n_meta + 0.5)
-            target_leg = transfer_pulse(("site", target),
-                                        TRANSFER_RABI_2Q_RAD_S, n_meta + 1.5)
-            pulses = (control_leg, target_leg, flip, target_leg, control_leg)
+    for kind, *args in circuit:
+        if kind == "X":
+            site, theta = args
+            legs = [transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S)]
+            gate = rotation_pulse(ladder, sites.index(site), site, theta)
+        elif kind == "CNOT":
+            legs = [transfer_pulse(("site", s), TRANSFER_RABI_2Q_RAD_S)
+                    for s in args]
+            gate = cnot_pulse(geom, *args, *(moments[s] for s in args))
         else:                   # MEAS
-            _, site = op
-            if not in_metastable:
+            if not segments or segments[-1].pulse.transition != "measure":
                 # measurement stage entry: move every qubit to 3P2 with the
                 # gradients off, then return selected states one by one
                 segments.append(PulseSegment(flat, transfer_pulse(
-                    ("all",), TRANSFER_RABI_2Q_RAD_S, 0.5 * len(sites))))
-                in_metastable.update(sites)
-            pulses = (Pulse("measure", noise.detection_time_s,
-                            target=("site", site),
-                            metastable_weight=len(in_metastable) - 0.5),)
-        segments.extend(PulseSegment(config, p) for p in pulses)
+                    ("all",), TRANSFER_RABI_2Q_RAD_S)))
+            legs, gate = [], Pulse("measure", noise.detection_time_s,
+                                   target=("site", args[0]))
+        segments.extend(PulseSegment(config, p)
+                        for p in (*legs, gate, *legs[::-1]))
     return PulseSchedule(tuple(segments), sites, params, geom)
 
 
@@ -149,8 +137,7 @@ def execute_schedule(reg: RegisterState, schedule: PulseSchedule,
     atom at its site's position in `schedule.sites`.  `noise` and
     `dipole_scale` are fixed for the run, so a segment alone fixes its
     propagators: the run keeps the stacks of a segment that recurs (the
-    transfer legs around every gate) from its first run to its last,
-    keyed by its physics alone, not by `Pulse.metastable_weight`."""
+    transfer legs around every gate) from its first run to its last."""
     has_measure = any(s.pulse.transition == "measure"
                       for s in schedule.segments)
     if has_measure and rng_seed is None:

@@ -13,13 +13,13 @@ diagonal.  3P2 decay and lattice photon scattering enter as a
 norm-decaying anti-Hermitian term; the removed mass (lost atoms) is
 tracked so that ||amplitudes||^2 + leaked = 1 at all times.
 
-Frame convention: within each segment every undriven level co-rotates
-with its own local resonance (zero diagonal); levels reached by a drive
-leg carry the cumulative (local transition frequency - laser frequency)
-detuning (`_leg_offsets`) from the register's cached table
-(`addressing.site_levels`), the lasers on one reference site's
-resonance.  Frames may differ between segments, so only relative,
-convention-stable phases are physical; all phases are deterministic.
+Frame convention: each segment evolves its drive legs in its laser frame, on
+one reference site's resonance: a level on a leg carries the summed (local
+transition - laser) detuning (`_leg_offsets`), even at zero Rabi frequency,
+and other levels co-rotate with their own local resonance.  Amplitudes pass
+between segments unchanged: exact per-level phase tracking, a deterministic
+Z per atom and level that an experiment realises through each pulse's laser
+phase.  Spectators carry coupling-phase errors of order Omega/Delta.
 
 Blocked propagation: every drive couples fixed level pairs of one atom,
 and the dipole and decay terms are diagonal, so the register Hamiltonian
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -112,9 +112,6 @@ class Pulse:
     rabi_rad_s: float = 0.0
     detuning_rad_s: float = 0.0
     target: tuple = ("all",)
-    # annotation for the decoherence budget, outside equality and hash: a
-    # transfer leg is one physical segment whatever its weight
-    metastable_weight: float = field(default=0.0, compare=False)
 
     def __post_init__(self):
         if self.transition not in LEGS and self.transition != "measure":
@@ -144,7 +141,7 @@ class PulseSegment:
 @dataclass(frozen=True)
 class PulseSchedule:
     """Segments compiled for the atom `params` at the active `sites` of
-    `geom`, their one owner; repeated sites raise ConfigError."""
+    `geom`, their one owner; repeated or outside sites raise ConfigError."""
     segments: tuple[PulseSegment, ...]
     sites: tuple[tuple[int, int, int], ...]
     params: AtomParams
@@ -154,6 +151,9 @@ class PulseSchedule:
         object.__setattr__(self, "sites", _as_tuples(self.sites))
         if len(set(self.sites)) != len(self.sites):
             raise ConfigError("duplicate active sites")
+        for s in self.sites:
+            if len(s) != 3 or not self.geom.contains(s):
+                raise ConfigError(f"active site {s} is not in the lattice")
         for n, seg in enumerate(self.segments):
             drive = seg.pulse.transition != "measure"   # a MEAS reads a site
             if seg.pulse.target not in [("site", s) for s in self.sites] \

@@ -148,6 +148,20 @@ class BudgetReport:
     survival: float     # product of the channels the pulse engine models
 
 
+def metastable_weights(schedule: PulseSchedule) -> tuple[float, ...]:
+    """Atoms in 3P2 during each segment of `schedule`, from all-ground: the
+    mean of the counts before and after it, less 0.5 for a readout (output
+    only).  A transfer toggles its target site, or all for ("all",): a
+    resonant pi pulse keeps the atom in e for half its time on average."""
+    up, every, weights = set(), set(schedule.sites), []
+    for seg in schedule.segments:
+        p, n = seg.pulse, len(up)
+        if p.transition == "optical_pair":
+            up ^= every if p.target == ("all",) else {p.target[1]}
+        weights.append((n + len(up)) / 2 - 0.5 * (p.transition == "measure"))
+    return tuple(weights)
+
+
 def decoherence_budget(schedule: PulseSchedule,
                        noise: NoiseParams) -> BudgetReport:
     """Closed-form survival over a schedule, channel by channel.
@@ -159,12 +173,12 @@ def decoherence_budget(schedule: PulseSchedule,
     left out, so `total_duration_s` here is the evolved time, not the
     schedule's.
     """
-    evolved = [s.pulse for s in schedule.segments
+    evolved = [(s.pulse.duration_s, w) for s, w in
+               zip(schedule.segments, metastable_weights(schedule))
                if s.pulse.transition != "measure"]
-    total = sum(p.duration_s for p in evolved)
-    meta_time = sum(p.metastable_weight * p.duration_s for p in evolved)
-    decay = 1.0 if math.isinf(noise.lifetime_3P2_s) else \
-        math.exp(-meta_time / noise.lifetime_3P2_s)
+    total = sum(t for t, _ in evolved)
+    meta_time = sum(w * t for t, w in evolved)
+    decay = math.exp(-meta_time / noise.lifetime_3P2_s)     # 1 at inf
     scatter = math.exp(-len(schedule.sites)
                        * noise.photon_scattering_rate_hz * total)
     return BudgetReport(total, meta_time, decay, scatter, decay * scatter)

@@ -150,14 +150,13 @@ def three_photon_scan(ladder, k: int, rabi) -> ThreePhotonScan:
 # ---------------------------------------------------------------------------
 # pulse builders
 
-def transfer_pulse(target: tuple, rabi: float, weight: float) -> Pulse:
+def transfer_pulse(target: tuple, rabi: float) -> Pulse:
     """Optical-pair pi-pulse (both qubit legs at once) on a target:
     ("site", s) or ("all",)."""
-    return Pulse("optical_pair", math.pi / rabi, rabi, target=target,
-                 metastable_weight=weight)
+    return Pulse("optical_pair", math.pi / rabi, rabi, target=target)
 
 
-def rotation_pulse(ladder, k: int, site, angle: float, weight: float) -> Pulse:
+def rotation_pulse(ladder, k: int, site, angle: float) -> Pulse:
     """3-photon x rotation by `angle` of the auxiliary qubit at `site`,
     whose ladder is entry k of `ladder`, timed by the exact ladder scan;
     the drive phase is zero."""
@@ -165,7 +164,7 @@ def rotation_pulse(ladder, k: int, site, angle: float, weight: float) -> Pulse:
                                     abs(float(ladder.delta2_rad_s[k])))
     scan = three_photon_scan(ladder, k, rabi)
     return Pulse("three_photon", (angle / math.pi) * scan.pi_time_s, rabi,
-                 target=("site", tuple(site)), metastable_weight=weight)
+                 target=("site", tuple(site)))
 
 
 def cnot_pulse_parameters(geom, control_site, target_site, m_control,
@@ -180,8 +179,7 @@ def cnot_pulse_parameters(geom, control_site, target_site, m_control,
     return float(shift_hz), float(detuning_rad_s)
 
 
-def cnot_pulse(geom, control_site, target_site, m_control, m_target,
-               weight: float) -> Pulse:
+def cnot_pulse(geom, control_site, target_site, m_control, m_target) -> Pulse:
     """aux_flip pi-pulse of the dipole-shift CNOT on adjacent sites, from
     the two sites' register moment columns.
 
@@ -203,7 +201,7 @@ def cnot_pulse(geom, control_site, target_site, m_control, m_target,
             f"CNOT {control_site} -> {target_site}: conditional shift "
             f"{shift_hz:.6g} Hz leaves the flip no finite pi time")
     return Pulse("aux_flip", math.pi / rabi, rabi, detuning_rad_s=detuning,
-                 target=("site", target_site), metastable_weight=weight)
+                 target=("site", target_site))
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .compiler import compile_circuit, execute_schedule
 from .constants import GAUSS, CM
 from .engine import NoiseParams, PulseSchedule, RegisterState, GM, GP
 from .errors import ConfigError, PhysicsError, ScenarioError
-from .feasibility import build_feasibility_report
+from .feasibility import build_feasibility_report, metastable_weights
 
 PIPELINE_STAGES = ("feasibility", "detunings", "levels", "address",
                    "simulate")
@@ -187,7 +187,7 @@ def emit_addressing_spectrum(geom: LatticeGeometry, config: GradientConfig,
 
 def schedule_to_json(schedule: PulseSchedule) -> str:
     segs = []
-    for seg in schedule.segments:
+    for seg, weight in zip(schedule.segments, metastable_weights(schedule)):
         c, p = seg.config, seg.pulse
         segs.append({
             "transition": p.transition,
@@ -198,7 +198,7 @@ def schedule_to_json(schedule: PulseSchedule) -> str:
             "target": list(p.target[1]) if p.target[0] == "site"
             else list(p.target),
             "target_kind": p.target[0],
-            "metastable_weight": p.metastable_weight,
+            "metastable_weight": weight,
             "gradients": {"B0_t": c.B0_t, "Gx_t_per_m": c.Gx_t_per_m,
                           "Gy_t_per_m": c.Gy_t_per_m,
                           "Gz_t_per_m": c.Gz_t_per_m},

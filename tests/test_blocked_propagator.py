@@ -34,6 +34,7 @@ from ybqc.engine import (EP32, GM, GP, GROUPS, LEGS, NLEV, SINHC_SERIES_BELOW,
                          _single_atom_hamiltonian, _spectral_stack,
                          apply_segment, basis_labels, segment_hamiltonian)
 from ybqc.errors import IntegratorError
+from ybqc.feasibility import metastable_weights
 from ybqc.protocols import measure_qubit
 from ybqc.scenario import simulate_circuit
 
@@ -291,10 +292,12 @@ def test_transfer_leg_is_one_segment_whatever_its_weight(monkeypatch):
     schedule = compile_circuit("CNOT 0 0 1 0\nCNOT 1 0 2 0\nMEAS 0 0\n"
                                "MEAS 1 0\nMEAS 2 0\n", geom, P,
                                plan_gradients(geom, 1000.0, P), NoiseParams())
-    site1 = [s for s in schedule.segments
-             if s.pulse.transition == "optical_pair"
-             and s.pulse.target == ("site", (1, 0, 0))]
-    assert sorted({s.pulse.metastable_weight for s in site1}) == [0.5, 1.5]
+    legs = [(s, w) for s, w in zip(schedule.segments,
+                                   metastable_weights(schedule))
+            if s.pulse.transition == "optical_pair"
+            and s.pulse.target == ("site", (1, 0, 0))]
+    assert sorted({w for _, w in legs}) == [0.5, 1.5]
+    site1 = [s for s, _ in legs]
     assembled = []
 
     def spy(segment, *args):

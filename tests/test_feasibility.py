@@ -13,15 +13,18 @@ from ybqc.addressing import (GradientConfig, LatticeGeometry,
                              plan_gradients, validate_gradients)
 from ybqc.atomic import AtomParams
 from ybqc.constants import GAUSS, h, k_B
-from ybqc.compiler import compile_circuit
+from ybqc.compiler import (TRANSFER_RABI_1Q_RAD_S, compile_circuit,
+                           execute_schedule)
 from ybqc.engine import (GM, NoiseParams, Pulse, PulseSchedule, PulseSegment,
                          RegisterState)
 from ybqc.errors import ConfigError
 from ybqc.feasibility import (DEEP_LATTICE_RECOILS, FOURIER_ORDER,
                               build_feasibility_report,
                               decoherence_budget, lattice_depth_report,
-                              lowest_band_width_recoils, pi_pulse_intensity,
-                              recoil_energy_j, scattering_rate)
+                              lowest_band_width_recoils, metastable_weights,
+                              pi_pulse_intensity, recoil_energy_j,
+                              scattering_rate)
+from ybqc.protocols import transfer_pulse
 
 from conftest import apply_stepwise
 
@@ -168,15 +171,18 @@ def test_bias_field_check():
 
 
 def test_decoherence_budget_matches_engine_bookkeeping():
+    # a zero-length transfer of both atoms between the holds: 0.1 s with
+    # no atom in 3P2, then 0.2 s with two
     noise = NoiseParams(lifetime_3P2_s=15.0, photon_scattering_rate_hz=0.2)
     cfg = GradientConfig(100 * GAUSS)
     segs = (
-        PulseSegment(cfg, Pulse("aux_flip", 0.1, 0.0, metastable_weight=0.0)),
-        PulseSegment(cfg, Pulse("aux_flip", 0.2, 0.0,
-                                metastable_weight=2.0)),
+        PulseSegment(cfg, Pulse("aux_flip", 0.1, 0.0)),
+        PulseSegment(cfg, Pulse("optical_pair", 0.0, target=("all",))),
+        PulseSegment(cfg, Pulse("aux_flip", 0.2, 0.0)),
     )
     sched = PulseSchedule(segs, ((0, 0, 0), (1, 0, 0)), P,
                           LatticeGeometry(2, 1, 1))
+    assert metastable_weights(sched) == (0.0, 1.0, 2.0)
     budget = decoherence_budget(sched, noise)
     assert budget.total_duration_s == pytest.approx(0.3)
     assert budget.metastable_atom_time_s == pytest.approx(0.4)
@@ -207,6 +213,69 @@ def test_decoherence_budget_skips_measure_segments(circuit, sites):
             reg = apply_stepwise(reg, sched, seg, noise)
     assert decoherence_budget(sched, noise).survival \
         == pytest.approx(reg.survival, rel=1e-3)
+
+
+def test_hand_built_schedule_is_charged_for_its_time_in_3P2():
+    # transfer, 0.5 s hold, transfer back, built without the compiler
+    noise = NoiseParams(lifetime_3P2_s=2.0, photon_scattering_rate_hz=0.0)
+    cfg = GradientConfig(100 * GAUSS)
+    leg = PulseSegment(cfg, transfer_pulse(("site", (0, 0, 0)),
+                                           TRANSFER_RABI_1Q_RAD_S))
+    hold = PulseSegment(cfg, Pulse("aux_flip", 0.5, 0.0,
+                                   target=("site", (0, 0, 0))))
+    sched = PulseSchedule((leg, hold, leg), ((0, 0, 0),), P,
+                          LatticeGeometry(1, 1, 1))
+    assert metastable_weights(sched) == (0.5, 1.0, 0.5)
+    engine = execute_schedule(RegisterState.product([GM]), sched, noise)
+    budget = decoherence_budget(sched, noise)
+    assert engine.register.survival == pytest.approx(0.771051, abs=1e-6)
+    assert abs(budget.survival - engine.register.survival) <= 1e-5
+
+
+LATTICES = [(1, 1), (2, 1), (3, 1), (4, 1), (5, 1), (2, 2)]
+
+
+@st.composite
+def compiled_circuits(draw):
+    """A random circuit on a lattice of 1 x 1 up to 5 x 1 or 2 x 2: X
+    gates at random angles and adjacent CNOTs on random sites, then
+    MEAS of a random subset of the lattice's sites in random order."""
+    nx, ny = draw(st.sampled_from(LATTICES))
+    site = st.tuples(st.integers(0, nx - 1), st.integers(0, ny - 1))
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(site)
+        neighbours = [(i + di, j + dj) for di, dj in
+                      ((1, 0), (-1, 0), (0, 1), (0, -1))
+                      if 0 <= i + di < nx and 0 <= j + dj < ny]
+        if neighbours and draw(st.booleans()):
+            k, m = draw(st.sampled_from(neighbours))
+            lines.append(f"CNOT {i} {j} {k} {m}")
+        else:
+            lines.append(f"X {i} {j} {draw(st.floats(0.1, math.pi))!r}")
+    readouts = draw(st.lists(site, unique=True, max_size=nx * ny))
+    lines += [f"MEAS {i} {j}" for i, j in readouts]
+    return "\n".join(lines) + "\n", LatticeGeometry(nx, ny, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=compiled_circuits())
+def test_compiled_metastable_weights_follow_each_gate(case):
+    # the counts the compiled schedule.json has always reported: the
+    # legs of a gate, then the stage entry and the readouts
+    circuit, geom = case
+    sched = compile_circuit(circuit, geom, P, plan_gradients(geom, 1000.0, P),
+                            NoiseParams())
+    n, want, staged = len(sched.sites), [], False
+    for line in circuit.split("\n"):
+        if line.startswith("X"):
+            want += [0.5, 1.0, 0.5]
+        elif line.startswith("CNOT"):
+            want += [0.5, 1.5, 2.0, 1.5, 0.5]
+        elif line.startswith("MEAS"):
+            want += [n / 2] * (not staged) + [n - 0.5]
+            staged = True
+    assert repr(metastable_weights(sched)) == repr(tuple(want))
 
 
 def test_report_structure_and_verdicts():

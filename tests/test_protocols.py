@@ -296,7 +296,7 @@ def test_transfer_round_trip():
     one = _on(geom, site)
     reg = RegisterState.product([GM])
     leg = PulseSegment(cfg, transfer_pulse(("site", site),
-                                           2 * math.pi * 25, 0.5))
+                                           2 * math.pi * 25))
     up = apply_stepwise(reg, one, leg, OFF)
     assert _fraction(up, 0, (EM32, EP32)) > 0.999
     down = apply_stepwise(up, one, leg, OFF)
@@ -311,7 +311,7 @@ def test_transfer_superposition_both_legs():
     amps[GM] = amps[GP] = 1 / math.sqrt(2)
     reg = RegisterState(amps)
     up = apply_stepwise(reg, _on(geom, (0, 0, 0)), PulseSegment(
-        cfg, transfer_pulse(("all",), 2 * math.pi * 500.0, 0.5)), OFF)
+        cfg, transfer_pulse(("all",), 2 * math.pi * 500.0)), OFF)
     pops = level_populations(up, 0)
     assert pops[EM32] == pytest.approx(0.5, abs=1e-6)
     assert pops[EP32] == pytest.approx(0.5, abs=1e-6)
@@ -324,8 +324,7 @@ def test_single_qubit_pi_gate_flips_aux():
     B = 650 * GAUSS
     site = (0, 0, 0)
     reg = RegisterState.product([EM32])
-    pulse = rotation_pulse(ladder_detunings(PCAL, [B]), 0, site, math.pi,
-                           1.0)
+    pulse = rotation_pulse(ladder_detunings(PCAL, [B]), 0, site, math.pi)
     one = _on(LatticeGeometry(1, 1, 1), site, params=PCAL)
     out = apply_stepwise(reg, one, PulseSegment(GradientConfig(B), pulse), OFF)
     assert level_populations(out, 0)[EP32] > 0.99
@@ -361,7 +360,7 @@ def test_cnot_truth_behavior(control, flip):
     moments = _moments(geom, cfg, (0, 0, 0), (1, 0, 0))
     shift, _det = cnot_pulse_parameters(geom, (0, 0, 0), (1, 0, 0), *moments)
     assert shift != 0.0     # conditional
-    pulse = cnot_pulse(geom, (0, 0, 0), (1, 0, 0), *moments, 2.0)
+    pulse = cnot_pulse(geom, (0, 0, 0), (1, 0, 0), *moments)
     out = apply_stepwise(reg, _on(geom, (0, 0, 0), (1, 0, 0)),
                          PulseSegment(cfg, pulse), OFF)
     p_flip = level_populations(out, 1)[EP32]
@@ -385,7 +384,7 @@ def test_cnot_pulse_requires_adjacent_sites():
     cfg = plan_gradients(geom, 1000.0, P)
     with pytest.raises(GeometryError):
         cnot_pulse(geom, (0, 0, 0), (2, 0, 0),
-                   *_moments(geom, cfg, (0, 0, 0), (2, 0, 0)), 2.0)
+                   *_moments(geom, cfg, (0, 0, 0), (2, 0, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -514,20 +513,19 @@ def _protocol_path(circuit_op, geom, noise, dipole_scale):
     if circuit_op[0] == "X":
         _, site, theta = circuit_op
         on, reg = _on(geom, site), RegisterState.product([GM])
-        leg = transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S, 0.5)
-        gate = rotation_pulse(_levels(geom, cfg, site)[1], 0, site, theta,
-                              1.0)
+        leg = transfer_pulse(("site", site), TRANSFER_RABI_1Q_RAD_S)
+        gate = rotation_pulse(_levels(geom, cfg, site)[1], 0, site, theta)
         pulses = (leg, gate, leg)
     else:
         _, control, target = circuit_op
         on = _on(geom, control, target)
         reg = RegisterState.product([GP, GM])
         control_leg, target_leg = (
-            transfer_pulse(("site", s), TRANSFER_RABI_2Q_RAD_S, 0.5)
+            transfer_pulse(("site", s), TRANSFER_RABI_2Q_RAD_S)
             for s in (control, target))
         pulses = (control_leg, target_leg,
                   cnot_pulse(geom, control, target,
-                             *_moments(geom, cfg, control, target), 2.0),
+                             *_moments(geom, cfg, control, target)),
                   target_leg, control_leg)
     for pulse in pulses:
         reg = apply_stepwise(reg, on, PulseSegment(cfg, pulse), noise,

@@ -469,6 +469,20 @@ def test_non_finite_dipole_scale_is_rejected_by_the_engine(scale):
             apply_stepwise(reg, schedule, flip, noise, dipole_scale=scale)
 
 
+@pytest.mark.parametrize("site", [(3, 0, 0), (0, 0)],
+                         ids=["outside", "two-index"])
+def test_schedule_site_outside_its_lattice_is_a_config_error(site):
+    # these ran to a bare IndexError or ValueError from the engine's
+    # level-table lookup
+    geom = LatticeGeometry(1, 1, 1)
+    seg = PulseSegment(GradientConfig(100 * GAUSS), Pulse(
+        "optical_pair", 1e-3, 2 * math.pi * 500.0, target=("site", site)))
+    with pytest.raises(ConfigError, match=rf"site {re.escape(str(site))} "
+                                          "is not in the lattice"):
+        schedule = PulseSchedule((seg,), (site,), AtomParams(), geom)
+        execute_schedule(RegisterState.product([GM]), schedule, NoiseParams())
+
+
 def test_register_of_other_sites_than_the_schedule_is_rejected():
     # a register names no sites: one of another size is all that can
     # mismatch, and it would index past the run's decay rates

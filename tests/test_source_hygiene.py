@@ -27,7 +27,9 @@ field of a package dataclass, is passed by some call in the package: a
 knob that every caller leaves at its default is a constant.  Importing
 the package and running the CLI, the feasibility report and a scenario
 run among it, loads no scipy, mpmath or hypothesis module: they serve
-the tests' oracles and properties only.  The package's
+the tests' oracles and properties only.  Every dataclass
+field, `engine.Pulse`'s included, takes part in equality and hashing, so
+the run's segment store is keyed by all of a segment.  The package's
 `lru_cache` uses are the three pinned ones, and no package function
 writes into a module-level container: a propagator or partition cache
 that outlived one run would give the benchmark's in-process loop warm
@@ -443,6 +445,48 @@ def test_import_and_cli_load_no_scipy(tmp_path):
     assert {"feasibility.json", "result.json"} \
         <= {p.name for p in (tmp_path / "out").iterdir()}
     assert run.stderr == "[]\n"
+
+
+def fields_outside_equality(module: str, source: str) -> set[str]:
+    """`module.Class.field` of every dataclass field in `source` whose
+    `field(...)` call leaves equality or hashing: a `compare` other than
+    True, or a `hash` other than True or None."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+            continue
+        for stmt in node.body:
+            if not (isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.value, ast.Call)):
+                continue
+            for kw in stmt.value.keywords:
+                value = kw.value.value if isinstance(kw.value, ast.Constant) \
+                    else kw.value
+                if kw.arg == "compare" and value is not True \
+                        or kw.arg == "hash" and value not in (True, None):
+                    found.add(f"{module}.{node.name}.{stmt.target.id}")
+    return found
+
+
+def test_checker_finds_fields_outside_equality():
+    source = ("@dataclass(frozen=True)\nclass P:\n    a: int\n"
+              "    b: float = field(default=0.0, compare=False)\n"
+              "    c: float = field(default=0.0, hash=False)\n"
+              "    d: float = field(default=0.0, compare=FLAG)\n"
+              "    e: float = field(default=0.0, compare=True, hash=None)\n"
+              "    f: list = field(default_factory=list)\n"
+              "class Q:\n    g: float = field(compare=False)\n")
+    assert fields_outside_equality("m", source) == {"m.P.b", "m.P.c",
+                                                     "m.P.d"}
+
+
+def test_every_dataclass_field_takes_part_in_equality():
+    # the run's store keys each segment by its pulse and gradients, so a
+    # field outside equality would merge segments that differ in it
+    found = set()
+    for path in SRC.glob("*.py"):
+        found |= fields_outside_equality(path.stem, path.read_text())
+    assert found == set()
 
 
 # Process-wide caches of the package: the per-site level tables, the
